@@ -75,10 +75,6 @@ def scale_leq(a, b):
     return scale_square(a) <= scale_square(b)
 
 
-def scale_eq(a, b):
-    return scale_square(a) == scale_square(b)
-
-
 def scale_key(v):
     return scale_square(v)
 
@@ -536,11 +532,6 @@ def gromov_function_distance(x1, d1, f1, x2, d2, f2, max_points=5):
     if best is None:
         raise AssertionError("full correspondence is always feasible at max threshold")
     return best
-
-
-def pairwise_distance_matrix(cloud, p):
-    pts = cloud.points
-    return [[distance(a, b, p) for b in pts] for a in pts]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ Three computation styles share the exact linear algebra kernel:
 * 1-parameter barcodes by standard column reduction, cross-checked elsewhere
   against the rank multiplicity formula;
 * grid modules (pointwise homology dimensions plus explicit transition
-  matrices between adjacent grid points) for any parameter count;
+  matrices between adjacent grid points) for any parameter count.  Every
+  grid module, whether of a presentation, of chain homology, of the image
+  between two scale slices, of a resampling, or of clusters (``infer``), is
+  made by `build_grid_module`: one walk over the grid computes the data at
+  each point, its dimension, and the transition to each successor;
 * presentations of homology for 1 and 2 parameters, by sweeping the grid in
   a linear extension and collecting a kernel basis of the boundary map, then
   expressing the next boundary's columns in that basis and minimizing.  The
@@ -14,11 +18,12 @@ Three computation styles share the exact linear algebra kernel:
   homology dimensions.
 """
 
+import bisect
 import itertools
 from fractions import Fraction
 
 from .exactnum import INF, ext, format_rational, parse_field, parse_rational
-from .linalg import ColumnSpan, mat_mul, nullspace, rank as mat_rank
+from .linalg import ColumnSpan, identity, mat_mul, nullspace, rank as mat_rank
 from .onedim import PersistenceDiagram
 from .presentation import Presentation, grade_leq
 
@@ -169,23 +174,71 @@ def barcode_1d(complex_, degree, field):
 # Grid modules
 # ---------------------------------------------------------------------------
 
+def _succ(idx, axis):
+    """The grid index one step up `axis` from idx."""
+    return idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
+
+
+def _grid_indices(shape):
+    return itertools.product(*(range(s) for s in shape))
+
+
+def _grid_steps(shape):
+    """Every (index, axis) whose successor along axis lies on the grid, in
+    index order, then axis order."""
+    for idx in _grid_indices(shape):
+        for a, s in enumerate(shape):
+            if idx[a] + 1 < s:
+                yield idx, a
+
+
+def _check_axes(axes):
+    if any(x >= y for ax in axes for x, y in zip(ax, ax[1:])):
+        raise HomologyError("grid axis values must be strictly increasing")
+
+
+def _floor_index(axis, v):
+    """Index of the largest value <= v on an increasing axis, or None."""
+    i = bisect.bisect_right(axis, v) - 1
+    return i if i >= 0 else None
+
+
+def _ceil_index(axis, v):
+    """Index of the smallest value >= v on an increasing axis, or None."""
+    i = bisect.bisect_left(axis, v)
+    return i if i < len(axis) else None
+
+
 class GridModule:
     """A persistence module restricted to a finite grid: per-point dimensions
-    and transition matrices between adjacent grid points.  Squares commute."""
+    and transition matrices between adjacent grid points.  Squares commute.
 
-    def __init__(self, field, axes, dims, trans, check=True):
+    Each axis is a strictly increasing list of values; grid index k on axis
+    a stands for the value axes[a][k].  Every grid index needs a dimension,
+    and every index with a successor along axis a needs trans[(idx, a)], the
+    matrix from idx to that successor (rows: the successor's basis).
+    Composite transitions and their ranks are cached per module."""
+
+    def __init__(self, field, axes, dims, trans):
         self.field = field
         self.axes = [list(a) for a in axes]
         self.dims = dict(dims)
         self.trans = dict(trans)
+        _check_axes(self.axes)
+        for idx in self.indices():
+            if idx not in self.dims:
+                raise HomologyError(f"no dimension given at grid index {idx}")
+        for idx, axis in _grid_steps(self.shape()):
+            if (idx, axis) not in self.trans:
+                raise HomologyError(f"no transition given at {idx} axis {axis}")
         for (idx, axis), m in self.trans.items():
-            nxt = tuple(k + 1 if a == axis else k for a, k in enumerate(idx))
-            if len(m) != self.dims[nxt] or \
+            if len(m) != self.dims[_succ(idx, axis)] or \
                     any(len(row) != self.dims[idx] for row in m):
                 raise HomologyError(f"transition at {idx} axis {axis} has the "
                                     f"wrong shape")
-        if check:
-            self.check_squares()
+        self._matrices = {}     # (i1, i2) -> matrix_between(i1, i2)
+        self._ranks = {}        # (i1, i2) -> rank_between(i1, i2)
+        self.check_squares()
 
     @property
     def nparams(self):
@@ -195,7 +248,7 @@ class GridModule:
         return tuple(len(a) for a in self.axes)
 
     def indices(self):
-        return itertools.product(*(range(len(a)) for a in self.axes))
+        return _grid_indices(self.shape())
 
     def value(self, idx):
         return tuple(self.axes[i][k] for i, k in enumerate(idx))
@@ -206,44 +259,36 @@ class GridModule:
     def check_squares(self):
         f = self.field
         shape = self.shape()
-        for idx in self.indices():
-            for a1 in range(len(shape)):
-                for a2 in range(a1 + 1, len(shape)):
-                    if idx[a1] + 1 >= shape[a1] or idx[a2] + 1 >= shape[a2]:
-                        continue
-                    idx_a = tuple(k + 1 if i == a1 else k for i, k in enumerate(idx))
-                    idx_b = tuple(k + 1 if i == a2 else k for i, k in enumerate(idx))
-                    p1 = mat_mul(f, self.step(idx_a, a2), self.step(idx, a1))
-                    p2 = mat_mul(f, self.step(idx_b, a1), self.step(idx, a2))
-                    if p1 != p2:
-                        raise HomologyError(f"grid square at {idx} does not commute")
+        for idx, a1 in _grid_steps(shape):
+            for a2 in range(a1 + 1, len(shape)):
+                if idx[a2] + 1 >= shape[a2]:
+                    continue
+                idx_a, idx_b = _succ(idx, a1), _succ(idx, a2)
+                p1 = mat_mul(f, self.step(idx_a, a2), self.step(idx, a1))
+                p2 = mat_mul(f, self.step(idx_b, a1), self.step(idx, a2))
+                if p1 != p2:
+                    raise HomologyError(f"grid square at {idx} does not commute")
 
-    def matrix_between(self, i1, i2, _memo=None):
+    def matrix_between(self, i1, i2):
         """Composite transition matrix from grid index i1 to i2 (i1 <= i2)."""
-        f = self.field
-        if _memo is None:
-            _memo = self._memo = getattr(self, "_memo", {})
         key = (i1, i2)
-        if key in _memo:
-            return _memo[key]
-        if i1 == i2:
-            from .linalg import identity
-            out = identity(f, self.dims[i1])
-        else:
-            axis = next(a for a in range(self.nparams) if i1[a] < i2[a])
-            mid = tuple(k + 1 if a == axis else k for a, k in enumerate(i1))
-            out = mat_mul(f, self.matrix_between(mid, i2, _memo), self.step(i1, axis))
-        _memo[key] = out
-        return out
+        if key not in self._matrices:
+            if i1 == i2:
+                out = identity(self.field, self.dims[i1])
+            else:
+                axis = next(a for a in range(self.nparams) if i1[a] < i2[a])
+                out = mat_mul(self.field, self.matrix_between(_succ(i1, axis), i2),
+                              self.step(i1, axis))
+            self._matrices[key] = out
+        return self._matrices[key]
 
     def rank_between(self, i1, i2):
         if any(a > b for a, b in zip(i1, i2)):
             raise HomologyError("rank requires i1 <= i2")
-        memo = self._rank_memo = getattr(self, "_rank_memo", {})
         key = (i1, i2)
-        if key not in memo:
-            memo[key] = mat_rank(self.field, self.matrix_between(i1, i2))
-        return memo[key]
+        if key not in self._ranks:
+            self._ranks[key] = mat_rank(self.field, self.matrix_between(i1, i2))
+        return self._ranks[key]
 
     def to_text(self):
         lines = ["GRIDMODULE", f"field {self.field.spec}", f"axes {self.nparams}"]
@@ -252,19 +297,31 @@ class GridModule:
         for idx in self.indices():
             lines.append("dim " + " ".join(str(k) for k in idx) +
                          f" = {self.dims[idx]}")
-        for idx in self.indices():
-            for a in range(self.nparams):
-                if idx[a] + 1 >= len(self.axes[a]):
-                    continue
-                m = self.step(idx, a)
-                body = " ; ".join(" ".join(self._fmt(x) for x in row) for row in m)
-                lines.append("trans " + " ".join(str(k) for k in idx) +
-                             f" axis {a} : {body}")
+        for idx, a in _grid_steps(self.shape()):
+            m = self.step(idx, a)
+            body = " ; ".join(" ".join(self._fmt(x) for x in row) for row in m)
+            lines.append("trans " + " ".join(str(k) for k in idx) +
+                         f" axis {a} : {body}")
         lines.append("END")
         return "\n".join(lines) + "\n"
 
     def _fmt(self, x):
         return format_rational(x) if not isinstance(x, int) else str(x)
+
+
+def build_grid_module(field, axes, point, dim, transition):
+    """The one construction path of grid modules.  point(z) gives the data
+    at each grid value z, dim(data) the dimension there, and
+    transition(data, data_next) the matrix to the successor along one axis
+    (rows: the successor's basis)."""
+    _check_axes(axes)
+    shape = tuple(len(a) for a in axes)
+    data = {idx: point(tuple(ax[k] for ax, k in zip(axes, idx)))
+            for idx in _grid_indices(shape)}
+    dims = {idx: dim(d) for idx, d in data.items()}
+    trans = {(idx, a): transition(data[idx], data[_succ(idx, a)])
+             for idx, a in _grid_steps(shape)}
+    return GridModule(field, axes, dims, trans)
 
 
 def parse_grid_module(text):
@@ -295,6 +352,8 @@ def parse_grid_module(text):
             raise HomologyError(f"unknown line {ln!r}")
     if field is None or nparams is None:
         raise HomologyError("missing field or axes")
+    if any(i not in axes for i in range(nparams)):
+        raise HomologyError("missing axis line")
     axes_list = [axes[i] for i in range(nparams)]
     trans = {}
     for ln in trans_rows:
@@ -307,8 +366,8 @@ def parse_grid_module(text):
         if body:
             for chunk in body.split(";"):
                 rows.append([field.of(parse_rational(t)) for t in chunk.split()])
-        nxt = tuple(k + 1 if a == axis else k for a, k in enumerate(idx))
-        want_rows, want_cols = dims[nxt], dims[idx]
+        # a missing dim is reported by GridModule
+        want_rows, want_cols = dims.get(_succ(idx, axis), 0), dims.get(idx, 0)
         if not rows:
             rows = [[field.zero] * want_cols for _ in range(want_rows)]
         trans[(idx, axis)] = rows
@@ -318,27 +377,13 @@ def parse_grid_module(text):
 def grid_module_of_presentation(p, axes):
     if len(axes) != p.n:
         raise HomologyError("axes count must equal the parameter count")
-    dims = {}
-    trans = {}
-    shape = tuple(len(a) for a in axes)
-    for idx in itertools.product(*(range(s) for s in shape)):
-        z = tuple(axes[i][k] for i, k in enumerate(idx))
-        dims[idx] = p.point_dim(z)
-    for idx in itertools.product(*(range(s) for s in shape)):
-        z = tuple(axes[i][k] for i, k in enumerate(idx))
-        for a in range(p.n):
-            if idx[a] + 1 >= shape[a]:
-                continue
-            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
-            z2 = tuple(axes[i][k] for i, k in enumerate(nxt))
-            trans[(idx, a)] = p.transition_matrix(z, z2)
-    return GridModule(p.field, axes, dims, trans)
+    return build_grid_module(p.field, axes, lambda z: z, p.point_dim,
+                             p.transition_matrix)
 
 
 class _HomologyBasisTracker:
-    """Per-grid-point homology bases of a chain complex with expression
-    machinery for transitions.  Representative cycles live in global chain
-    coordinates of their degree."""
+    """Per-grid-point homology bases of a chain complex.  Representative
+    cycles live in global chain coordinates of their degree."""
 
     def __init__(self, chain, degree):
         self.chain = chain
@@ -376,10 +421,12 @@ class _HomologyBasisTracker:
                         [f.zero] * self.nd)
         return cols
 
-    def basis_at(self, z):
+    def basis_at(self, z, cycles=None):
         """(representative cycle vectors, ColumnSpan loaded with boundaries
-        then representatives).  Only independent vectors become span members,
-        so member positions line up with [boundaries..., reps...]."""
+        then representatives, number of boundary members).  Representatives
+        are picked from `cycles`, by default this complex's cycles at z.
+        Only independent vectors become span members, so member positions
+        line up with [boundaries..., reps...]."""
         span = ColumnSpan(self.f, self.nd)
         n_bound = 0
         for b in self._boundaries_at(z):
@@ -387,17 +434,29 @@ class _HomologyBasisTracker:
                 span.insert(b)
                 n_bound += 1
         reps = []
-        for v in self._cycles_at(z):
+        for v in self._cycles_at(z) if cycles is None else cycles:
             if not span.contains(v):
                 span.insert(v)
                 reps.append(v)
         return reps, span, n_bound
 
-    def express(self, vec, span, n_bound, n_reps):
-        coords = span.coords(vec)
+
+def _basis_dim(basis):
+    return len(basis[0])
+
+
+def _basis_transition(basis, basis_next):
+    """Matrix sending each representative of `basis` to its class in
+    `basis_next` (both from _HomologyBasisTracker.basis_at)."""
+    reps, _, _ = basis
+    reps2, span2, nb2 = basis_next
+    cols = []
+    for v in reps:
+        coords = span2.coords(v)
         if coords is None:
             raise HomologyError("cycle escapes the target homology space")
-        return coords[n_bound:n_bound + n_reps]
+        cols.append(coords[nb2:nb2 + len(reps2)])
+    return [[cols[c][r] for c in range(len(reps))] for r in range(len(reps2))]
 
 
 def grid_module_of_chain(complex_, degree, axes, field):
@@ -406,25 +465,8 @@ def grid_module_of_chain(complex_, degree, axes, field):
     if len(axes) != chain.nparams:
         raise HomologyError("axes count must equal the parameter count")
     tracker = _HomologyBasisTracker(chain, degree)
-    shape = tuple(len(a) for a in axes)
-    cache = {}
-    for idx in itertools.product(*(range(s) for s in shape)):
-        z = tuple(axes[i][k] for i, k in enumerate(idx))
-        cache[idx] = tracker.basis_at(z)
-    dims = {idx: len(cache[idx][0]) for idx in cache}
-    trans = {}
-    f = chain.field
-    for idx in cache:
-        reps, _, _ = cache[idx]
-        for a in range(chain.nparams):
-            if idx[a] + 1 >= shape[a]:
-                continue
-            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
-            reps2, span2, nb2 = cache[nxt]
-            cols = [tracker.express(v, span2, nb2, len(reps2)) for v in reps]
-            trans[(idx, a)] = [[cols[c][r] for c in range(len(reps))]
-                               for r in range(len(reps2))]
-    return GridModule(f, axes, dims, trans)
+    return build_grid_module(chain.field, axes, tracker.basis_at, _basis_dim,
+                             _basis_transition)
 
 
 def grid_module_of(source, axes, degree=None, field=None):
@@ -547,36 +589,10 @@ def image_grid_module(complex_, degree, delta1, delta2, axes, field):
                 out[pos2[verts]] = vec1[i]
         return out
 
-    shape = tuple(len(a) for a in axes)
-    cache = {}
-    for idx in itertools.product(*(range(s) for s in shape)):
-        z = tuple(axes[i][k] for i, k in enumerate(idx))
-        span = ColumnSpan(f, t2.nd)
-        nb = 0
-        for b in t2._boundaries_at(z):
-            if not span.contains(b):
-                span.insert(b)
-                nb += 1
-        reps = []
-        for v in t1._cycles_at(z):
-            emb = embed(v)
-            if not span.contains(emb):
-                span.insert(emb)
-                reps.append(emb)
-        cache[idx] = (reps, span, nb)
-    dims = {idx: len(cache[idx][0]) for idx in cache}
-    trans = {}
-    for idx in cache:
-        reps, _, _ = cache[idx]
-        for a in range(len(axes)):
-            if idx[a] + 1 >= shape[a]:
-                continue
-            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
-            reps2, span2, nb2 = cache[nxt]
-            cols = [t2.express(v, span2, nb2, len(reps2)) for v in reps]
-            trans[(idx, a)] = [[cols[c][r] for c in range(len(reps))]
-                               for r in range(len(reps2))]
-    return GridModule(f, axes, dims, trans)
+    def basis_at(z):
+        return t2.basis_at(z, [embed(v) for v in t1._cycles_at(z)])
+
+    return build_grid_module(f, axes, basis_at, _basis_dim, _basis_transition)
 
 
 # ---------------------------------------------------------------------------
@@ -591,34 +607,19 @@ def resample(gm, new_axes):
     if len(new_axes) != gm.nparams:
         raise HomologyError("axis count mismatch")
 
-    def floor_idx(axis_vals, v):
-        lo = None
-        for i, x in enumerate(axis_vals):
-            if x <= v:
-                lo = i
-        return lo
+    def source(z):
+        src = tuple(_floor_index(ax, v) for ax, v in zip(gm.axes, z))
+        return None if None in src else src
 
-    maps = [[floor_idx(gm.axes[a], v) for v in new_axes[a]]
-            for a in range(gm.nparams)]
-    f = gm.field
-    dims = {}
-    trans = {}
-    shape = tuple(len(a) for a in new_axes)
-    for idx in itertools.product(*(range(s) for s in shape)):
-        src = tuple(maps[a][k] for a, k in enumerate(idx))
-        dims[idx] = 0 if any(s is None for s in src) else gm.dims[src]
-    for idx in itertools.product(*(range(s) for s in shape)):
-        src = tuple(maps[a][k] for a, k in enumerate(idx))
-        for a in range(gm.nparams):
-            if idx[a] + 1 >= shape[a]:
-                continue
-            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
-            dst = tuple(maps[i][k] for i, k in enumerate(nxt))
-            if any(s is None for s in src):
-                trans[(idx, a)] = [[f.zero] * 0 for _ in range(dims[nxt])]
-            else:
-                trans[(idx, a)] = gm.matrix_between(src, dst)
-    return GridModule(f, new_axes, dims, trans)
+    def dim(src):
+        return 0 if src is None else gm.dims[src]
+
+    def transition(src, dst):
+        if src is None:
+            return [[] for _ in range(dim(dst))]
+        return gm.matrix_between(src, dst)
+
+    return build_grid_module(gm.field, new_axes, source, dim, transition)
 
 
 def rank_shift_distance(gm, gn):
@@ -636,7 +637,6 @@ def rank_shift_distance(gm, gn):
                   for a in range(gm.nparams)]
     rm = resample(gm, union_axes)
     rn = resample(gn, union_axes)
-    npar = len(union_axes)
     shape = tuple(len(a) for a in union_axes)
 
     cands = {Fraction(0)}
@@ -648,30 +648,18 @@ def rank_shift_distance(gm, gn):
     cands = sorted(cands)
 
     idx_pairs = []
-    for i1 in itertools.product(*(range(s) for s in shape)):
+    for i1 in _grid_indices(shape):
         for i2 in itertools.product(*(range(i1[a], s) for a, s in enumerate(shape))):
             idx_pairs.append((i1, i2))
 
-    def snap_down(a, v):
-        ax = union_axes[a]
-        lo = None
-        for i, x in enumerate(ax):
-            if x <= v:
-                lo = i
-        return lo
-
-    def snap_up(a, v):
-        ax = union_axes[a]
-        for i in range(len(ax)):
-            if ax[i] >= v:
-                return i
-        return None
-
     def feasible(eps):
+        # per axis, the grid index each value snaps to once shifted by eps
+        down = [[_floor_index(ax, x - eps) for x in ax] for ax in union_axes]
+        up = [[_ceil_index(ax, x + eps) for x in ax] for ax in union_axes]
         for i1, i2 in idx_pairs:
-            lo = tuple(snap_down(a, union_axes[a][i1[a]] - eps) for a in range(npar))
-            hi = tuple(snap_up(a, union_axes[a][i2[a]] + eps) for a in range(npar))
-            if any(v is None for v in lo) or any(v is None for v in hi):
+            lo = tuple(d[k] for d, k in zip(down, i1))
+            hi = tuple(u[k] for u, k in zip(up, i2))
+            if None in lo or None in hi:
                 continue
             if rm.rank_between(lo, hi) > rn.rank_between(i1, i2):
                 return False

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .exactnum import INF, format_rational
 from .filtration import FiltrationError, KdeSpec, kde_evaluate, sample_density
-from .homology import GridModule, rank_shift_distance
+from .homology import build_grid_module, rank_shift_distance
 
 
 def cech_cluster_module(field, weighted_points, a_axis, b_axis):
@@ -90,12 +90,6 @@ def _clusters(pts, a, b, gap_rule):
 def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
     a_axis = sorted(Fraction(a) for a in a_axis)
     b_axis = sorted(Fraction(b) for b in b_axis)
-    shape = (len(a_axis), len(b_axis))
-    clusters = {}
-    for ia, a in enumerate(a_axis):
-        for ib, b in enumerate(b_axis):
-            clusters[(ia, ib)] = _clusters(pts, a, b, gap_rule)
-    dims = {idx: len(cl) for idx, cl in clusters.items()}
 
     def containment(small, big):
         """0/1 matrix sending each cluster of `small` into the cluster of
@@ -112,13 +106,9 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
             m[home][c] = field.one
         return m
 
-    trans = {}
-    for (ia, ib), cl in clusters.items():
-        if ia + 1 < shape[0]:
-            trans[((ia, ib), 0)] = containment(cl, clusters[(ia + 1, ib)])
-        if ib + 1 < shape[1]:
-            trans[((ia, ib), 1)] = containment(cl, clusters[(ia, ib + 1)])
-    return GridModule(field, [a_axis, b_axis], dims, trans)
+    return build_grid_module(field, [a_axis, b_axis],
+                             lambda z: _clusters(pts, z[0], z[1], gap_rule),
+                             len, containment)
 
 
 class ExperimentRecord:

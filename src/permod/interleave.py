@@ -197,19 +197,25 @@ def _check_increasing(maps, presentations):
     grades += [g for p in presentations for _, g, _ in p.relations]
     if not grades:
         return
-    lo = tuple(min(g[i] for g in grades) for i in range(presentations[0].n))
+    # zip stops at the shortest grade, so a parameter-count mismatch is left
+    # for assemble_system to report
+    lo = tuple(min(coords) for coords in zip(*grades))
     for jm in maps:
         if not jm.increasing_at(lo):
             raise PresentationError(
                 f"map {jm!r} is not increasing on the grade domain (min grade {lo})")
 
 
+def _solve(m, n, j1, j2, budget):
+    """Solver result for the system deciding (J1, J2)-interleaving."""
+    return solve_finite_field(assemble_system(m, n, j1, j2).system, budget=budget)
+
+
 def decide_generalized(m, n, j1, j2, budget=DEFAULT_BUDGET):
     """'yes'/'no': is (M, N) (J1, J2)-interleaved?  Decision only; the
     candidate-set search is proven only for translations."""
     _check_increasing([j1, j2], [m, n])
-    sys_ = assemble_system(m, n, j1, j2)
-    res = solve_finite_field(sys_.system, budget=budget)
+    res = _solve(m, n, j1, j2, budget)
     return "yes" if res.status == "solvable" else "no"
 
 
@@ -219,9 +225,7 @@ def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
     if eps < 0:
         raise PresentationError("eps must be >= 0")
     j = MonotoneAffineMap.translation(m.n, eps)
-    sys_ = assemble_system(m, n, j, j)
-    res = solve_finite_field(sys_.system, budget=budget)
-    return "yes" if res.status == "solvable" else "no"
+    return decide_generalized(m, n, j, j, budget=budget)
 
 
 def candidate_set(m, n):
@@ -277,8 +281,7 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
         while lo <= hi:
             mid = (lo + hi) // 2
             j = MonotoneAffineMap.translation(mm.n, finite[mid].value)
-            res = solve_finite_field(assemble_system(mm, nn, j, j).system,
-                                     budget=budget)
+            res = _solve(mm, nn, j, j, budget)
             if stats is not None:
                 stats.decisions += 1
                 stats.nodes += res.nodes

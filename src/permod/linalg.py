@@ -45,17 +45,15 @@ def mat_vec(field, a, v):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def rank(field, a):
-    if not a or not a[0]:
-        return 0
+def _gauss_jordan(field, a, ncols):
+    """Reduced row echelon form of a copy of the rows a, pivoting on the
+    first ncols columns only.  Returns (reduced rows, pivot_of_col), where
+    pivot_of_col[c] is the row holding column c's pivot, or None."""
     m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
+    rows = len(m)
+    pivot_of_col = [None] * ncols
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
         if piv is None:
             continue
@@ -66,10 +64,18 @@ def rank(field, a):
             if i != r and m[i][c] != field.zero:
                 f = m[i][c]
                 m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivot_of_col[c] = r
         r += 1
         if r == rows:
             break
-    return r
+    return m, pivot_of_col
+
+
+def rank(field, a):
+    if not a or not a[0]:
+        return 0
+    _, pivot_of_col = _gauss_jordan(field, a, len(a[0]))
+    return len(pivot_of_col) - pivot_of_col.count(None)
 
 
 class ColumnSpan:
@@ -145,27 +151,10 @@ def nullspace(field, a):
     """Basis of the right null space of a (list of column vectors)."""
     if not a:
         return []
-    rows, cols = len(a), len(a[0])
+    cols = len(a[0])
     if cols == 0:
         return []
-    m = [row[:] for row in a]
-    pivot_of_col = [None] * cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
+    m, pivot_of_col = _gauss_jordan(field, a, cols)
     basis = []
     for c in range(cols):
         if pivot_of_col[c] is not None:
@@ -184,27 +173,11 @@ def solve(field, a, b):
     """One solution x of a x = b, or None.  a given as list of rows."""
     if not a or not a[0]:
         return [] if all(x == field.zero for x in b) else None
-    rows, cols = len(a), len(a[0])
-    m = [row[:] + [bv] for row, bv in zip(a, b)]
-    pivot_of_col = [None] * cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    for i in range(rows):
-        if all(x == field.zero for x in m[i][:cols]) and m[i][cols] != field.zero:
+    cols = len(a[0])
+    m, pivot_of_col = _gauss_jordan(field, [row + [bv] for row, bv in zip(a, b)],
+                                    cols)
+    for row in m:
+        if all(x == field.zero for x in row[:cols]) and row[cols] != field.zero:
             return None
     x = [field.zero] * cols
     for c in range(cols):

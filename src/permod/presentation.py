@@ -18,10 +18,6 @@ def grade_leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def grade_lt_strict_all(a, b):
-    return all(x < y for x, y in zip(a, b))
-
-
 class PresentationError(ValueError):
     pass
 
@@ -160,24 +156,8 @@ class Presentation:
         return gens, basis, span
 
     def point_dim(self, a):
-        gens, rels = self._active(a)
-        span = ColumnSpan(self.field, len(gens))
-        for i in rels:
-            coeffs = self.relations[i][2]
-            span.insert([coeffs[j] for j in gens])
-        return len(gens) - span.rank
-
-    def point_space(self, a):
-        """(dimension, list of generator indices whose classes form a basis)."""
         _, basis, _ = self._quotient_basis(a)
-        return len(basis), basis
-
-    def _reduce_at(self, vec_full, gens, span):
-        """Reduce a full coefficient vector modulo relations active at a grade;
-        returns the residue restricted to the active generator coordinates."""
-        v = [vec_full[j] for j in gens]
-        res, _ = span._reduce(v)
-        return res
+        return len(basis)
 
     def transition_matrix(self, a, b):
         """Matrix of M_a -> M_b in the echelon quotient bases (rows: b-basis)."""

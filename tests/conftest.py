@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from permod import PrimeField, Presentation
+from permod.filtration import BifilteredComplex
 
 
 @pytest.fixture
@@ -80,6 +82,32 @@ def rerepresent(rng, p, n_row_ops=5, add_redundant=True):
         q.relations = [(nm, gr, cs + [field.zero]) for nm, gr, cs in q.relations]
         q.relations.append((f"rextra{len(q.relations)}", bump, coeffs))
     return q.validate()
+
+
+def random_one_critical_complex(rng, n, max_simplices=10, max_grade=4,
+                                max_dim=2):
+    """Random one-critical filtered complex built by monotone extension."""
+    pool = [Fraction(k, 2) for k in range(0, 2 * max_grade + 1)]
+    nv = rng.randint(1, 4)
+    simplices = {}
+    for i in range(nv):
+        simplices[(i,)] = tuple(rng.choice(pool) for _ in range(n))
+    attempts = 0
+    while len(simplices) < max_simplices and attempts < 60:
+        attempts += 1
+        size = rng.randint(2, max_dim + 1)
+        if nv < size:
+            continue
+        verts = tuple(sorted(rng.sample(range(nv), size)))
+        if verts in simplices:
+            continue
+        faces = list(itertools.combinations(verts, len(verts) - 1))
+        if any(f not in simplices for f in faces):
+            continue
+        lower = [max(simplices[f][k] for f in faces) for k in range(n)]
+        grade = tuple(lo + Fraction(rng.randint(0, 2), 2) for lo in lower)
+        simplices[verts] = grade
+    return BifilteredComplex(n, list(simplices.items()))
 
 
 def seeded(seed):

@@ -1,0 +1,522 @@
+"""Reference copies of the grid-module code that the single construction
+path in ``permod.homology`` replaced, and of the three Gauss-Jordan loops
+that ``permod.linalg`` folded into one routine.  Kept as they were, apart
+from the grid-module class name, as oracles: the rewritten code must give
+byte-identical grid-module text, ranks and rank-shift values.
+"""
+
+import itertools
+from fractions import Fraction
+
+from permod.exactnum import INF, ext, format_rational
+from permod.filtration import FiltrationError, fixed_scale_slice
+from permod.homology import (GradedChainComplex, HomologyError,
+                             chain_complex_of)
+from permod.infer import _clusters
+from permod.linalg import ColumnSpan, identity, mat_mul
+
+
+def rank(field, a):
+    if not a or not a[0]:
+        return 0
+    m = [row[:] for row in a]
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def nullspace(field, a):
+    """Basis of the right null space of a (list of column vectors)."""
+    if not a:
+        return []
+    rows, cols = len(a), len(a[0])
+    if cols == 0:
+        return []
+    m = [row[:] for row in a]
+    pivot_of_col = [None] * cols
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for c in range(cols):
+        if pivot_of_col[c] is not None:
+            continue
+        v = [field.zero] * cols
+        v[c] = field.one
+        for c2 in range(cols):
+            pr = pivot_of_col[c2]
+            if pr is not None:
+                v[c2] = field.neg(m[pr][c])
+        basis.append(v)
+    return basis
+
+
+def solve(field, a, b):
+    """One solution x of a x = b, or None.  a given as list of rows."""
+    if not a or not a[0]:
+        return [] if all(x == field.zero for x in b) else None
+    rows, cols = len(a), len(a[0])
+    m = [row[:] + [bv] for row, bv in zip(a, b)]
+    pivot_of_col = [None] * cols
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == rows:
+            break
+    for i in range(rows):
+        if all(x == field.zero for x in m[i][:cols]) and m[i][cols] != field.zero:
+            return None
+    x = [field.zero] * cols
+    for c in range(cols):
+        if pivot_of_col[c] is not None:
+            x[c] = m[pivot_of_col[c]][cols]
+    return x
+
+
+mat_rank = rank
+
+
+class RefGridModule:
+    """A persistence module restricted to a finite grid: per-point dimensions
+    and transition matrices between adjacent grid points.  Squares commute."""
+
+    def __init__(self, field, axes, dims, trans, check=True):
+        self.field = field
+        self.axes = [list(a) for a in axes]
+        self.dims = dict(dims)
+        self.trans = dict(trans)
+        for (idx, axis), m in self.trans.items():
+            nxt = tuple(k + 1 if a == axis else k for a, k in enumerate(idx))
+            if len(m) != self.dims[nxt] or \
+                    any(len(row) != self.dims[idx] for row in m):
+                raise HomologyError(f"transition at {idx} axis {axis} has the "
+                                    f"wrong shape")
+        if check:
+            self.check_squares()
+
+    @property
+    def nparams(self):
+        return len(self.axes)
+
+    def shape(self):
+        return tuple(len(a) for a in self.axes)
+
+    def indices(self):
+        return itertools.product(*(range(len(a)) for a in self.axes))
+
+    def value(self, idx):
+        return tuple(self.axes[i][k] for i, k in enumerate(idx))
+
+    def step(self, idx, axis):
+        return self.trans[(idx, axis)]
+
+    def check_squares(self):
+        f = self.field
+        shape = self.shape()
+        for idx in self.indices():
+            for a1 in range(len(shape)):
+                for a2 in range(a1 + 1, len(shape)):
+                    if idx[a1] + 1 >= shape[a1] or idx[a2] + 1 >= shape[a2]:
+                        continue
+                    idx_a = tuple(k + 1 if i == a1 else k for i, k in enumerate(idx))
+                    idx_b = tuple(k + 1 if i == a2 else k for i, k in enumerate(idx))
+                    p1 = mat_mul(f, self.step(idx_a, a2), self.step(idx, a1))
+                    p2 = mat_mul(f, self.step(idx_b, a1), self.step(idx, a2))
+                    if p1 != p2:
+                        raise HomologyError(f"grid square at {idx} does not commute")
+
+    def matrix_between(self, i1, i2, _memo=None):
+        """Composite transition matrix from grid index i1 to i2 (i1 <= i2)."""
+        f = self.field
+        if _memo is None:
+            _memo = self._memo = getattr(self, "_memo", {})
+        key = (i1, i2)
+        if key in _memo:
+            return _memo[key]
+        if i1 == i2:
+            out = identity(f, self.dims[i1])
+        else:
+            axis = next(a for a in range(self.nparams) if i1[a] < i2[a])
+            mid = tuple(k + 1 if a == axis else k for a, k in enumerate(i1))
+            out = mat_mul(f, self.matrix_between(mid, i2, _memo), self.step(i1, axis))
+        _memo[key] = out
+        return out
+
+    def rank_between(self, i1, i2):
+        if any(a > b for a, b in zip(i1, i2)):
+            raise HomologyError("rank requires i1 <= i2")
+        memo = self._rank_memo = getattr(self, "_rank_memo", {})
+        key = (i1, i2)
+        if key not in memo:
+            memo[key] = mat_rank(self.field, self.matrix_between(i1, i2))
+        return memo[key]
+
+    def to_text(self):
+        lines = ["GRIDMODULE", f"field {self.field.spec}", f"axes {self.nparams}"]
+        for i, ax in enumerate(self.axes):
+            lines.append(f"axis {i} : " + " ".join(format_rational(v) for v in ax))
+        for idx in self.indices():
+            lines.append("dim " + " ".join(str(k) for k in idx) +
+                         f" = {self.dims[idx]}")
+        for idx in self.indices():
+            for a in range(self.nparams):
+                if idx[a] + 1 >= len(self.axes[a]):
+                    continue
+                m = self.step(idx, a)
+                body = " ; ".join(" ".join(self._fmt(x) for x in row) for row in m)
+                lines.append("trans " + " ".join(str(k) for k in idx) +
+                             f" axis {a} : {body}")
+        lines.append("END")
+        return "\n".join(lines) + "\n"
+
+    def _fmt(self, x):
+        return format_rational(x) if not isinstance(x, int) else str(x)
+
+
+
+def grid_module_of_presentation(p, axes):
+    if len(axes) != p.n:
+        raise HomologyError("axes count must equal the parameter count")
+    dims = {}
+    trans = {}
+    shape = tuple(len(a) for a in axes)
+    for idx in itertools.product(*(range(s) for s in shape)):
+        z = tuple(axes[i][k] for i, k in enumerate(idx))
+        dims[idx] = p.point_dim(z)
+    for idx in itertools.product(*(range(s) for s in shape)):
+        z = tuple(axes[i][k] for i, k in enumerate(idx))
+        for a in range(p.n):
+            if idx[a] + 1 >= shape[a]:
+                continue
+            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
+            z2 = tuple(axes[i][k] for i, k in enumerate(nxt))
+            trans[(idx, a)] = p.transition_matrix(z, z2)
+    return RefGridModule(p.field, axes, dims, trans)
+
+
+class _HomologyBasisTracker:
+    """Per-grid-point homology bases of a chain complex with expression
+    machinery for transitions.  Representative cycles live in global chain
+    coordinates of their degree."""
+
+    def __init__(self, chain, degree):
+        self.chain = chain
+        self.degree = degree
+        self.f = chain.field
+        self.nd = len(chain.simplices(degree))
+
+    def _cycles_at(self, z):
+        f = self.f
+        act = self.chain._active(self.degree, z)
+        if not act:
+            return []
+        bd = self.chain.boundary(self.degree)
+        if bd and len(bd) > 0:
+            sub = [[bd[i][j] for j in act] for i in range(len(bd))]
+            core = nullspace(f, sub)
+        else:
+            core = [[f.one if t == s else f.zero for t in range(len(act))]
+                    for s in range(len(act))]
+        out = []
+        for v in core:
+            vec = [f.zero] * self.nd
+            for t, j in enumerate(act):
+                vec[j] = v[t]
+            out.append(vec)
+        return out
+
+    def _boundaries_at(self, z):
+        f = self.f
+        act_up = self.chain._active(self.degree + 1, z)
+        bu = self.chain.boundary(self.degree + 1)
+        cols = []
+        for j in act_up:
+            cols.append([bu[i][j] for i in range(self.nd)] if bu else
+                        [f.zero] * self.nd)
+        return cols
+
+    def basis_at(self, z):
+        """(representative cycle vectors, ColumnSpan loaded with boundaries
+        then representatives).  Only independent vectors become span members,
+        so member positions line up with [boundaries..., reps...]."""
+        span = ColumnSpan(self.f, self.nd)
+        n_bound = 0
+        for b in self._boundaries_at(z):
+            if not span.contains(b):
+                span.insert(b)
+                n_bound += 1
+        reps = []
+        for v in self._cycles_at(z):
+            if not span.contains(v):
+                span.insert(v)
+                reps.append(v)
+        return reps, span, n_bound
+
+    def express(self, vec, span, n_bound, n_reps):
+        coords = span.coords(vec)
+        if coords is None:
+            raise HomologyError("cycle escapes the target homology space")
+        return coords[n_bound:n_bound + n_reps]
+
+
+def grid_module_of_chain(complex_, degree, axes, field):
+    chain = complex_ if isinstance(complex_, GradedChainComplex) \
+        else chain_complex_of(complex_, field)
+    if len(axes) != chain.nparams:
+        raise HomologyError("axes count must equal the parameter count")
+    tracker = _HomologyBasisTracker(chain, degree)
+    shape = tuple(len(a) for a in axes)
+    cache = {}
+    for idx in itertools.product(*(range(s) for s in shape)):
+        z = tuple(axes[i][k] for i, k in enumerate(idx))
+        cache[idx] = tracker.basis_at(z)
+    dims = {idx: len(cache[idx][0]) for idx in cache}
+    trans = {}
+    f = chain.field
+    for idx in cache:
+        reps, _, _ = cache[idx]
+        for a in range(chain.nparams):
+            if idx[a] + 1 >= shape[a]:
+                continue
+            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
+            reps2, span2, nb2 = cache[nxt]
+            cols = [tracker.express(v, span2, nb2, len(reps2)) for v in reps]
+            trans[(idx, a)] = [[cols[c][r] for c in range(len(reps))]
+                               for r in range(len(reps2))]
+    return RefGridModule(f, axes, dims, trans)
+
+
+
+def image_grid_module(complex_, degree, delta1, delta2, axes, field):
+    """Image of H_degree(slice delta1) -> H_degree(slice delta2) as a grid
+    module over the function axes."""
+    delta1, delta2 = Fraction(delta1), Fraction(delta2)
+    if delta1 > delta2:
+        raise HomologyError("delta1 must be <= delta2")
+    s1 = fixed_scale_slice(complex_, delta1)
+    s2 = fixed_scale_slice(complex_, delta2)
+    c1 = chain_complex_of(s1, field)
+    c2 = chain_complex_of(s2, field)
+    t1 = _HomologyBasisTracker(c1, degree)
+    t2 = _HomologyBasisTracker(c2, degree)
+    pos2 = {verts: i for i, (verts, _) in enumerate(c2.simplices(degree))}
+    f = field
+
+    def embed(vec1):
+        out = [f.zero] * t2.nd
+        for i, (verts, _) in enumerate(c1.simplices(degree)):
+            if vec1[i] != f.zero:
+                out[pos2[verts]] = vec1[i]
+        return out
+
+    shape = tuple(len(a) for a in axes)
+    cache = {}
+    for idx in itertools.product(*(range(s) for s in shape)):
+        z = tuple(axes[i][k] for i, k in enumerate(idx))
+        span = ColumnSpan(f, t2.nd)
+        nb = 0
+        for b in t2._boundaries_at(z):
+            if not span.contains(b):
+                span.insert(b)
+                nb += 1
+        reps = []
+        for v in t1._cycles_at(z):
+            emb = embed(v)
+            if not span.contains(emb):
+                span.insert(emb)
+                reps.append(emb)
+        cache[idx] = (reps, span, nb)
+    dims = {idx: len(cache[idx][0]) for idx in cache}
+    trans = {}
+    for idx in cache:
+        reps, _, _ = cache[idx]
+        for a in range(len(axes)):
+            if idx[a] + 1 >= shape[a]:
+                continue
+            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
+            reps2, span2, nb2 = cache[nxt]
+            cols = [t2.express(v, span2, nb2, len(reps2)) for v in reps]
+            trans[(idx, a)] = [[cols[c][r] for c in range(len(reps))]
+                               for r in range(len(reps2))]
+    return RefGridModule(f, axes, dims, trans)
+
+
+
+def resample(gm, new_axes):
+    """Restrict/refine a grid module to new axes by flooring each value to
+    the largest original axis value <= it; values below the axis minimum get
+    the zero space.  Valid when the original axes contain all critical
+    values and the module vanishes below them."""
+    if len(new_axes) != gm.nparams:
+        raise HomologyError("axis count mismatch")
+
+    def floor_idx(axis_vals, v):
+        lo = None
+        for i, x in enumerate(axis_vals):
+            if x <= v:
+                lo = i
+        return lo
+
+    maps = [[floor_idx(gm.axes[a], v) for v in new_axes[a]]
+            for a in range(gm.nparams)]
+    f = gm.field
+    dims = {}
+    trans = {}
+    shape = tuple(len(a) for a in new_axes)
+    for idx in itertools.product(*(range(s) for s in shape)):
+        src = tuple(maps[a][k] for a, k in enumerate(idx))
+        dims[idx] = 0 if any(s is None for s in src) else gm.dims[src]
+    for idx in itertools.product(*(range(s) for s in shape)):
+        src = tuple(maps[a][k] for a, k in enumerate(idx))
+        for a in range(gm.nparams):
+            if idx[a] + 1 >= shape[a]:
+                continue
+            nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
+            dst = tuple(maps[i][k] for i, k in enumerate(nxt))
+            if any(s is None for s in src):
+                trans[(idx, a)] = [[f.zero] * 0 for _ in range(dims[nxt])]
+            else:
+                trans[(idx, a)] = gm.matrix_between(src, dst)
+    return RefGridModule(f, new_axes, dims, trans)
+
+
+def rank_shift_distance(gm, gn):
+    """Least grid-representable eps such that each module's (a-eps -> b+eps)
+    ranks are dominated by the other's (a -> b) ranks, both ways round.
+
+    A computable lower-bound proxy for the interleaving distance, never
+    reported as it.  Shifted endpoints are snapped outward to grid values;
+    pairs whose shifted endpoints leave the grid are clipped away entirely
+    (an interleaving says nothing checkable about them on this grid, and
+    keeping them clamped would break the lower-bound property)."""
+    if gm.nparams != gn.nparams:
+        raise HomologyError("incompatible axis dimensions")
+    union_axes = [sorted(set(gm.axes[a]) | set(gn.axes[a]))
+                  for a in range(gm.nparams)]
+    rm = resample(gm, union_axes)
+    rn = resample(gn, union_axes)
+    npar = len(union_axes)
+    shape = tuple(len(a) for a in union_axes)
+
+    cands = {Fraction(0)}
+    for ax in union_axes:
+        for x in ax:
+            for y in ax:
+                if y > x:
+                    cands.add(y - x)
+    cands = sorted(cands)
+
+    idx_pairs = []
+    for i1 in itertools.product(*(range(s) for s in shape)):
+        for i2 in itertools.product(*(range(i1[a], s) for a, s in enumerate(shape))):
+            idx_pairs.append((i1, i2))
+
+    def snap_down(a, v):
+        ax = union_axes[a]
+        lo = None
+        for i, x in enumerate(ax):
+            if x <= v:
+                lo = i
+        return lo
+
+    def snap_up(a, v):
+        ax = union_axes[a]
+        for i in range(len(ax)):
+            if ax[i] >= v:
+                return i
+        return None
+
+    def feasible(eps):
+        for i1, i2 in idx_pairs:
+            lo = tuple(snap_down(a, union_axes[a][i1[a]] - eps) for a in range(npar))
+            hi = tuple(snap_up(a, union_axes[a][i2[a]] + eps) for a in range(npar))
+            if any(v is None for v in lo) or any(v is None for v in hi):
+                continue
+            if rm.rank_between(lo, hi) > rn.rank_between(i1, i2):
+                return False
+            if rn.rank_between(lo, hi) > rm.rank_between(i1, i2):
+                return False
+        return True
+
+    lo_i, hi_i = 0, len(cands) - 1
+    best = None
+    while lo_i <= hi_i:
+        mid = (lo_i + hi_i) // 2
+        if feasible(cands[mid]):
+            best = cands[mid]
+            hi_i = mid - 1
+        else:
+            lo_i = mid + 1
+    return ext(best) if best is not None else INF
+
+
+def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
+    a_axis = sorted(Fraction(a) for a in a_axis)
+    b_axis = sorted(Fraction(b) for b in b_axis)
+    shape = (len(a_axis), len(b_axis))
+    clusters = {}
+    for ia, a in enumerate(a_axis):
+        for ib, b in enumerate(b_axis):
+            clusters[(ia, ib)] = _clusters(pts, a, b, gap_rule)
+    dims = {idx: len(cl) for idx, cl in clusters.items()}
+
+    def containment(small, big):
+        """0/1 matrix sending each cluster of `small` into the cluster of
+        `big` containing it."""
+        m = [[field.zero] * len(small) for _ in range(len(big))]
+        for c, (lo, hi) in enumerate(small):
+            home = None
+            for r, (lo2, hi2) in enumerate(big):
+                if lo2 <= lo and hi <= hi2:
+                    home = r
+                    break
+            if home is None:
+                raise FiltrationError("cluster refinement is not nested")
+            m[home][c] = field.one
+        return m
+
+    trans = {}
+    for (ia, ib), cl in clusters.items():
+        if ia + 1 < shape[0]:
+            trans[((ia, ib), 0)] = containment(cl, clusters[(ia + 1, ib)])
+        if ib + 1 < shape[1]:
+            trans[((ia, ib), 1)] = containment(cl, clusters[(ia, ib + 1)])
+    return RefGridModule(field, [a_axis, b_axis], dims, trans)

@@ -1,0 +1,131 @@
+"""The single grid-module construction path against the code it replaced
+(kept in reference_grid.py): identical text, rank tables and rank-shift
+values on seeded random complexes, presentations and cluster modules."""
+
+import itertools
+from fractions import Fraction as F
+
+from permod.exactnum import QQ, PrimeField
+from permod.homology import (chain_complex_of, grid_module_of,
+                             image_grid_module, rank_shift_distance, resample)
+from permod.infer import cech_cluster_module, offset_cluster_module
+from permod.linalg import nullspace, rank, solve
+
+import reference_grid as ref
+from conftest import random_one_critical_complex, random_presentation, seeded
+
+FIELDS = (PrimeField(2), PrimeField(3))
+
+
+def rank_table(gm):
+    return {(i1, i2): gm.rank_between(i1, i2)
+            for i1 in gm.indices() for i2 in gm.indices()
+            if all(a <= b for a, b in zip(i1, i2))}
+
+
+def assert_same(new, old):
+    assert new.to_text() == old.to_text()
+    assert rank_table(new) == rank_table(old)
+
+
+def widened(rng, axes):
+    """Axes with a value below the minimum and a few midpoints added, so
+    resampling floors, refines and meets the zero space."""
+    out = []
+    for ax in axes:
+        vals = set(ax) | {ax[0] - 1}
+        vals |= {(a + b) / 2 for a, b in zip(ax, ax[1:]) if rng.random() < 0.5}
+        out.append(sorted(vals))
+    return out
+
+
+def chain_pairs(seed, nparams):
+    """Per field and degree, (new module, reference module) pairs of random
+    complexes over their critical axes."""
+    rng = seeded(seed)
+    out = []
+    for f in FIELDS:
+        for _ in range(5):
+            cx = random_one_critical_complex(rng, nparams, max_simplices=9)
+            axes = chain_complex_of(cx, f).critical_axes()
+            for degree in (0, 1):
+                out.append((grid_module_of(cx, axes, degree=degree, field=f),
+                            ref.grid_module_of_chain(cx, degree, axes, f)))
+    return out
+
+
+class TestAgainstReference:
+    def test_chain_modules_and_resample(self):
+        for nparams, seed in ((1, 211), (2, 223)):
+            rng = seeded(seed + 1)
+            for new, old in chain_pairs(seed, nparams):
+                assert_same(new, old)
+                axes = widened(rng, new.axes)
+                assert_same(resample(new, axes), ref.resample(old, axes))
+
+    def test_presentation_modules(self):
+        rng = seeded(227)
+        for f in FIELDS + (QQ,):
+            for n in (1, 2):
+                for _ in range(4):
+                    p = random_presentation(rng, f, n=n)
+                    axes = p.critical_grades()[1]
+                    if any(not ax for ax in axes):
+                        continue
+                    assert_same(grid_module_of(p, axes),
+                                ref.grid_module_of_presentation(p, axes))
+
+    def test_image_modules(self):
+        rng = seeded(229)
+        for f in FIELDS:
+            for _ in range(6):
+                cx = random_one_critical_complex(rng, 2, max_simplices=10)
+                scales = sorted({g[-1] for _, g in cx.simplices})
+                d1, d2 = sorted(rng.choice(scales) for _ in range(2))
+                axes = [sorted({g[0] for _, g in cx.simplices})]
+                for degree in (0, 1):
+                    assert_same(image_grid_module(cx, degree, d1, d2, axes, f),
+                                ref.image_grid_module(cx, degree, d1, d2, axes, f))
+
+    def test_rank_shift_distance(self):
+        for nparams, seed in ((1, 233), (2, 239)):
+            pairs = chain_pairs(seed, nparams)
+            for (gm, rm), (gn, rn) in itertools.combinations(pairs[:8], 2):
+                assert rank_shift_distance(gm, gn) == \
+                    ref.rank_shift_distance(rm, rn)
+
+    def test_cluster_modules(self):
+        rng = seeded(241)
+        f = PrimeField(2)
+        a_axis = [F(k, 4) for k in range(-8, 1, 2)]
+        b_axis = [F(k, 2) for k in range(6)]
+        for _ in range(4):
+            coords = sorted(F(rng.randint(0, 40), 4) for _ in range(7))
+            weights = [F(-rng.randint(0, 8), 4) for _ in coords]
+            cech = cech_cluster_module(f, list(zip(coords, weights)),
+                                       a_axis, b_axis)
+            cech_ref = ref._cluster_grid_module(
+                f, sorted(zip(coords, weights)), a_axis, b_axis, "cech")
+            assert_same(cech, cech_ref)
+            grid = [F(k, 2) for k in range(12)]
+            gw = [F(-rng.randint(0, 8), 4) for _ in grid]
+            off = offset_cluster_module(f, grid, gw, a_axis, b_axis)
+            off_ref = ref._cluster_grid_module(f, list(zip(grid, gw)),
+                                               a_axis, b_axis, "offset")
+            assert_same(off, off_ref)
+            assert rank_shift_distance(cech, off) == \
+                ref.rank_shift_distance(cech_ref, off_ref)
+
+
+class TestLinalgAgainstReference:
+    def test_rank_nullspace_solve(self):
+        rng = seeded(251)
+        for f in FIELDS + (QQ,):
+            for _ in range(40):
+                rows, cols = rng.randint(1, 5), rng.randint(0, 5)
+                a = [[f.of(rng.randint(-2, 2)) for _ in range(cols)]
+                     for _ in range(rows)]
+                b = [f.of(rng.randint(-1, 1)) for _ in range(rows)]
+                assert rank(f, a) == ref.rank(f, a)
+                assert nullspace(f, a) == ref.nullspace(f, a)
+                assert solve(f, a, b) == ref.solve(f, a, b)

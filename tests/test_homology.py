@@ -18,7 +18,7 @@ from permod.onedim import PersistenceDiagram, diagram_of
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  interval_presentation)
 
-from conftest import seeded
+from conftest import random_one_critical_complex, seeded
 
 
 def K(n, simplices):
@@ -27,32 +27,6 @@ def K(n, simplices):
 
 def vx(i, *grade):
     return ((i,), tuple(F(x) for x in grade))
-
-
-def random_one_critical_complex(rng, n, max_simplices=10, max_grade=4,
-                                max_dim=2):
-    """Random one-critical filtered complex built by monotone extension."""
-    pool = [F(k, 2) for k in range(0, 2 * max_grade + 1)]
-    nv = rng.randint(1, 4)
-    simplices = {}
-    for i in range(nv):
-        simplices[(i,)] = tuple(rng.choice(pool) for _ in range(n))
-    attempts = 0
-    while len(simplices) < max_simplices and attempts < 60:
-        attempts += 1
-        size = rng.randint(2, max_dim + 1)
-        if nv < size:
-            continue
-        verts = tuple(sorted(rng.sample(range(nv), size)))
-        if verts in simplices:
-            continue
-        faces = list(itertools.combinations(verts, len(verts) - 1))
-        if any(f not in simplices for f in faces):
-            continue
-        lower = [max(simplices[f][k] for f in faces) for k in range(n)]
-        grade = tuple(lo + F(rng.randint(0, 2), 2) for lo in lower)
-        simplices[verts] = grade
-    return K(n, list(simplices.items()))
 
 
 class TestChainComplex:
@@ -149,6 +123,22 @@ class TestGridModule:
     def test_refinement_check(self, f2):
         p = interval_presentation(f2, 0, 1)
         assert refinement_check(p, [[F(-1), F(0), F(1)]])
+
+    def test_missing_axis_dim_or_trans_line_rejected(self, f2):
+        text = grid_module_of(interval_presentation(f2, 0, 1),
+                              [[F(-1), F(0), F(1)]]).to_text()
+        for prefix in ("axis 0", "dim 1", "trans 1"):
+            cut = "".join(ln for ln in text.splitlines(True)
+                          if not ln.startswith(prefix))
+            with pytest.raises(HomologyError):
+                parse_grid_module(cut)
+
+    def test_descending_axis_rejected(self, f2):
+        text = grid_module_of(interval_presentation(f2, 0, 1),
+                              [[F(-1), F(0), F(1)]]).to_text()
+        assert "axis 0 : -1 0 1\n" in text
+        with pytest.raises(HomologyError):
+            parse_grid_module(text.replace("axis 0 : -1 0 1", "axis 0 : 1 0 -1"))
 
 
 class TestPresentHomology:

@@ -98,6 +98,16 @@ class TestDecideGeneralized:
         assert decide_generalized(m, n, j1, i1) == "yes"
         assert decide_generalized(m, n, i1, j1) == "no"
 
+    def test_parameter_count_mismatch_rejected(self, f2):
+        m2 = Presentation(2, f2, [("g", (F(0), F(0)))], [])
+        i1, i2 = MonotoneAffineMap.identity(1), MonotoneAffineMap.identity(2)
+        with pytest.raises(PresentationError):
+            decide_generalized(m2, C(f2, 0, 1), i2, i2)
+        with pytest.raises(PresentationError):
+            decide_interleaving(C(f2, 0, 1), m2, 0)
+        with pytest.raises(PresentationError):
+            decide_generalized(C(f2, 0, 1), m2, i1, i1)
+
     def test_rips_cech_pipeline(self, f2):
         # small point-cloud pipeline lives in test_homology; here a direct
         # module-level check of the scale-doubling relation on one axis

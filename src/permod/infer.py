@@ -164,6 +164,9 @@ def default_ambient_grid(density, points_per_axis=33, sigmas=4):
     deviations, evenly sampled."""
     if density.dim != 1:
         raise FiltrationError("ambient grids are built for 1-D densities here")
+    if points_per_axis < 2:
+        raise FiltrationError("an ambient grid needs at least 2 points, "
+                              f"got {points_per_axis}")
     centers = [c[0] for _, c, _ in density.components]
     spread = max(s for _, _, s in density.components)
     lo = min(centers) - sigmas * spread

@@ -2,7 +2,9 @@
 
 Matrices are lists of row lists of field elements.  Everything is Gaussian
 elimination at desk scale; no pivoting heuristics beyond "first nonzero",
-which keeps every routine deterministic.
+which keeps every routine deterministic.  `gauss_jordan` is the one reduction
+behind `rank`, `nullspace` and `solve`, and the linear elimination rounds of
+the `quadsys` solver.
 """
 
 
@@ -45,7 +47,7 @@ def mat_vec(field, a, v):
     return out
 
 
-def _gauss_jordan(field, a, ncols):
+def gauss_jordan(field, a, ncols):
     """Reduced row echelon form of a copy of the rows a, pivoting on the
     first ncols columns only.  Returns (reduced rows, pivot_of_col), where
     pivot_of_col[c] is the row holding column c's pivot, or None."""
@@ -74,7 +76,7 @@ def _gauss_jordan(field, a, ncols):
 def rank(field, a):
     if not a or not a[0]:
         return 0
-    _, pivot_of_col = _gauss_jordan(field, a, len(a[0]))
+    _, pivot_of_col = gauss_jordan(field, a, len(a[0]))
     return len(pivot_of_col) - pivot_of_col.count(None)
 
 
@@ -154,7 +156,7 @@ def nullspace(field, a):
     cols = len(a[0])
     if cols == 0:
         return []
-    m, pivot_of_col = _gauss_jordan(field, a, cols)
+    m, pivot_of_col = gauss_jordan(field, a, cols)
     basis = []
     for c in range(cols):
         if pivot_of_col[c] is not None:
@@ -174,7 +176,7 @@ def solve(field, a, b):
     if not a or not a[0]:
         return [] if all(x == field.zero for x in b) else None
     cols = len(a[0])
-    m, pivot_of_col = _gauss_jordan(field, [row + [bv] for row, bv in zip(a, b)],
+    m, pivot_of_col = gauss_jordan(field, [row + [bv] for row, bv in zip(a, b)],
                                     cols)
     for row in m:
         if all(x == field.zero for x in row[:cols]) and row[cols] != field.zero:

@@ -228,9 +228,10 @@ class Presentation:
 
         Step 1: repeatedly eliminate a generator carrying a unit coefficient
         in a relation of equal grade (Gaussian elimination of the pair).
-        Step 2: repeatedly drop a relation lying in the span, at its grade, of
-        the other relations of grade <= its grade.  Ties are broken by grade
-        lexicographic order, then input order, for determinism.
+        Step 2: in one pass, drop each relation lying in the span, at its
+        grade, of the other not yet dropped relations of grade <= its grade.
+        Ties are broken by grade lexicographic order, then input order, for
+        determinism.
         """
         f = self.field
         gens = list(self.generators)
@@ -263,25 +264,21 @@ class Presentation:
                 rels[i] = (nm, gr, cs[:gj] + cs[gj + 1:])
             del gens[gj]
 
+        # one pass suffices: a kept relation lies outside the span of the
+        # relations not yet dropped, and later drops only shrink that span
         order = sorted(range(len(rels)), key=lambda i: (rels[i][1], i))
         dropped = set()
-        changed = True
-        while changed:
-            changed = False
-            for i in order:
-                if i in dropped:
+        for i in order:
+            _, gr, cs = rels[i]
+            span = ColumnSpan(f, len(gens))
+            for i2 in range(len(rels)):
+                if i2 == i or i2 in dropped:
                     continue
-                _, gr, cs = rels[i]
-                span = ColumnSpan(f, len(gens))
-                for i2 in range(len(rels)):
-                    if i2 == i or i2 in dropped:
-                        continue
-                    _, gr2, cs2 = rels[i2]
-                    if grade_leq(gr2, gr):
-                        span.insert(cs2)
-                if span.contains(cs):
-                    dropped.add(i)
-                    changed = True
+                _, gr2, cs2 = rels[i2]
+                if grade_leq(gr2, gr):
+                    span.insert(cs2)
+            if span.contains(cs):
+                dropped.add(i)
         rels = [r for i, r in enumerate(rels) if i not in dropped]
         return Presentation(self.n, f, gens, rels)
 

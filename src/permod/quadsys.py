@@ -1,14 +1,19 @@
 """Multivariate affine-quadratic systems over a field, with a sound and
 complete solvability decision over prime fields.
 
-The solver eliminates linear equations by substitution (also inside the
-quadratic terms), then backtracks over the remaining variables.  After each
-assignment any equation that has become linear is eliminated too, so once the
-quadratic structure collapses the rest is solved by pure Gaussian steps.
-Solvability over Q is refused; systems can still be exported as text.
+The solver eliminates the linear equations in rounds.  Each round reduces all
+purely linear equations at once with `linalg.gauss_jordan` (columns in
+increasing variable order) and substitutes the pivot solution into the
+quadratic equations, also inside their quadratic terms; a new round starts
+while that turns quadratic equations linear.  The search then backtracks
+over the remaining variables with an explicit stack, eliminating again after
+every assignment, so once the quadratic structure collapses the rest is
+solved by Gauss-Jordan alone.  The node budget counts branching assignments
+only.  Solvability over Q is refused; systems can still be exported as text.
 """
 
 from .exactnum import QQ, PrimeField, format_rational, parse_field, parse_rational
+from .linalg import gauss_jordan
 
 
 class QuadSysError(ValueError):
@@ -35,18 +40,6 @@ class QuadEquation:
         self.lin = dict(lin or {})
         self.const = const
 
-    def normalized(self, field):
-        quad = {}
-        for (i, j), c in self.quad.items():
-            key = (i, j) if i <= j else (j, i)
-            quad[key] = field.add(quad.get(key, field.zero), c)
-        quad = {k: c for k, c in quad.items() if c != field.zero}
-        lin = {}
-        for i, c in self.lin.items():
-            lin[i] = field.add(lin.get(i, field.zero), c)
-        lin = {k: c for k, c in lin.items() if c != field.zero}
-        return QuadEquation(quad, lin, self.const)
-
     def variables(self):
         vs = set(self.lin)
         for i, j in self.quad:
@@ -54,60 +47,41 @@ class QuadEquation:
             vs.add(j)
         return vs
 
-    def assign(self, field, var, value):
-        """Substitute x_var = value (a constant).  Returns a normalized copy."""
-        quad = {}
-        lin = dict(self.lin)
-        const = self.const
-        if var in lin:
-            const = field.add(const, field.mul(lin.pop(var), value))
-        for (i, j), c in self.quad.items():
-            if i == var and j == var:
-                const = field.add(const, field.mul(c, field.mul(value, value)))
-            elif i == var:
-                lin[j] = field.add(lin.get(j, field.zero), field.mul(c, value))
-            elif j == var:
-                lin[i] = field.add(lin.get(i, field.zero), field.mul(c, value))
-            else:
-                quad[(i, j)] = field.add(quad.get((i, j), field.zero), c)
-        return QuadEquation(quad, lin, const).normalized(field)
-
-    def substitute_affine(self, field, var, aff_const, aff_lin):
-        """Substitute x_var = aff_const + sum aff_lin[k]*x_k."""
+    def substitute(self, field, sub):
+        """Substitute x_v = c_v + sum c_vk*x_k for every v in sub at once, where
+        sub[v] = (c_v, {k: c_vk}).  Returns a normalized copy; sub = {} only
+        normalizes, sub = {v: (value, {})} assigns a constant.  Terms without
+        a substituted variable are copied across."""
+        zero, add, mul = field.zero, field.add, field.mul
         quad = {}
         lin = {}
         const = self.const
-
-        def add_quad(i, j, c):
-            key = (i, j) if i <= j else (j, i)
-            quad[key] = field.add(quad.get(key, field.zero), c)
-
-        def add_lin(i, c):
-            lin[i] = field.add(lin.get(i, field.zero), c)
-
         for i, c in self.lin.items():
-            if i != var:
-                add_lin(i, c)
-            else:
-                const = field.add(const, field.mul(c, aff_const))
-                for k, ck in aff_lin.items():
-                    add_lin(k, field.mul(c, ck))
-
+            if i not in sub:
+                lin[i] = add(lin.get(i, zero), c)
+                continue
+            ci, li = sub[i]
+            const = add(const, mul(c, ci))
+            for k, ck in li.items():
+                lin[k] = add(lin.get(k, zero), mul(c, ck))
         for (i, j), c in self.quad.items():
-            ti = ({"const": aff_const, "lin": aff_lin} if i == var
-                  else {"const": field.zero, "lin": {i: field.one}})
-            tj = ({"const": aff_const, "lin": aff_lin} if j == var
-                  else {"const": field.zero, "lin": {j: field.one}})
-            const = field.add(const, field.mul(c, field.mul(ti["const"], tj["const"])))
-            for k, ck in ti["lin"].items():
-                add_lin(k, field.mul(c, field.mul(ck, tj["const"])))
-            for k, ck in tj["lin"].items():
-                add_lin(k, field.mul(c, field.mul(ck, ti["const"])))
-            for k1, c1 in ti["lin"].items():
-                for k2, c2 in tj["lin"].items():
-                    add_quad(k1, k2, field.mul(c, field.mul(c1, c2)))
-
-        return QuadEquation(quad, lin, const).normalized(field)
+            if i not in sub and j not in sub:
+                key = (i, j) if i <= j else (j, i)
+                quad[key] = add(quad.get(key, zero), c)
+                continue
+            ci, li = sub.get(i) or (zero, {i: field.one})
+            cj, lj = sub.get(j) or (zero, {j: field.one})
+            const = add(const, mul(c, mul(ci, cj)))
+            for k, ck in li.items():
+                lin[k] = add(lin.get(k, zero), mul(c, mul(ck, cj)))
+            for k, ck in lj.items():
+                lin[k] = add(lin.get(k, zero), mul(c, mul(ck, ci)))
+            for k1, c1 in li.items():
+                for k2, c2 in lj.items():
+                    key = (k1, k2) if k1 <= k2 else (k2, k1)
+                    quad[key] = add(quad.get(key, zero), mul(c, mul(c1, c2)))
+        return QuadEquation({k: c for k, c in quad.items() if c != zero},
+                            {k: c for k, c in lin.items() if c != zero}, const)
 
     def is_trivial(self, field):
         return not self.quad and not self.lin and self.const == field.zero
@@ -120,7 +94,7 @@ class QuadraticSystem:
     def __init__(self, field, nvars, equations):
         self.field = field
         self.nvars = int(nvars)
-        self.equations = [eq.normalized(field) for eq in equations]
+        self.equations = [eq.substitute(field, {}) for eq in equations]
         for eq in self.equations:
             for v in eq.variables():
                 if not 1 <= v <= self.nvars:
@@ -159,35 +133,41 @@ class SolveResult:
 
 
 def _eliminate_linear(field, equations):
-    """Repeatedly pick a purely linear equation and substitute one of its
-    variables away.  Returns (remaining equations, substitution stack) or None
-    on contradiction.  The stack entries are (var, const, lin) to replay in
-    reverse when reconstructing a witness."""
+    """Eliminate the linear equations in rounds of one Gauss-Jordan pass.
+
+    Each round reduces all purely linear equations together, over the
+    variables they mention in increasing order, and substitutes the pivot
+    solution into the quadratic equations (kept in their order).  Returns
+    (remaining equations, substitution rounds) or None on contradiction.  A
+    round is {pivot: (const, {free var: coeff})}; replay the rounds in
+    reverse to reconstruct a witness."""
+    zero = field.zero
     eqs = list(equations)
     subs = []
     while True:
-        pick = None
-        for idx, eq in enumerate(eqs):
-            if eq.is_contradiction(field):
-                return None
-            if eq.is_trivial(field):
-                continue
-            if not eq.quad and eq.lin:
-                pick = idx
-                break
-        if pick is None:
-            eqs = [e for e in eqs if not e.is_trivial(field)]
-            return eqs, subs
-        eq = eqs.pop(pick)
-        var = min(eq.lin)
-        c = eq.lin[var]
-        cinv = field.inv(c)
-        # x_var = -cinv*const - sum cinv*ck x_k
-        aff_const = field.neg(field.mul(cinv, eq.const))
-        aff_lin = {k: field.neg(field.mul(cinv, ck))
-                   for k, ck in eq.lin.items() if k != var}
-        subs.append((var, aff_const, aff_lin))
-        eqs = [e.substitute_affine(field, var, aff_const, aff_lin) for e in eqs]
+        linear = [eq for eq in eqs if not eq.quad]
+        quadratic = [eq for eq in eqs if eq.quad]
+        cols = sorted({v for eq in linear for v in eq.lin})
+        col_of = {v: c for c, v in enumerate(cols)}
+        rows = []
+        for eq in linear:
+            row = [zero] * len(cols) + [eq.const]
+            for v, c in eq.lin.items():
+                row[col_of[v]] = c
+            rows.append(row)
+        m, pivot_of_col = gauss_jordan(field, rows, len(cols))
+        rank = len(cols) - pivot_of_col.count(None)
+        if any(row[-1] != zero for row in m[rank:]):
+            return None
+        if not rank:
+            return quadratic, subs
+        # pivot row r reads x_p + sum m[r][k]*x_k + m[r][-1] = 0 over free k
+        sub = {cols[c]: (field.neg(m[r][-1]),
+                         {cols[k]: field.neg(x) for k, x in enumerate(m[r][:-1])
+                          if k != c and x != zero})
+               for c, r in enumerate(pivot_of_col) if r is not None}
+        subs.append(sub)
+        eqs = [eq.substitute(field, sub) for eq in quadratic]
 
 
 def solve_finite_field(system, budget=DEFAULT_BUDGET):
@@ -198,45 +178,59 @@ def solve_finite_field(system, budget=DEFAULT_BUDGET):
         raise QuadSysError("solvability decision requires a prime field; "
                            "rational systems are export-only")
     domain = list(f.elements())
-    nodes = 0
 
-    def reconstruct(partial, subs):
-        values = dict(partial)
-        for var, aff_const, aff_lin in reversed(subs):
-            acc = aff_const
-            for k, ck in aff_lin.items():
-                acc = f.add(acc, f.mul(ck, values.get(k, f.zero)))
-            values[var] = acc
+    def reconstruct(subs):
+        values = {}
+        for sub in reversed(subs):
+            for var, (aff_const, aff_lin) in sub.items():
+                acc = aff_const
+                for k, ck in aff_lin.items():
+                    acc = f.add(acc, f.mul(ck, values.get(k, f.zero)))
+                values[var] = acc
         return [values.get(i, f.zero) for i in range(1, system.nvars + 1)]
 
-    def search(eqs, partial, subs):
-        nonlocal nodes
+    def enter(eqs, subs):
+        """Eliminate at a search node: (witness, None) once no equation is
+        left, (None, branching frame) otherwise, (None, None) on
+        contradiction.  subs holds the elimination rounds and assignments
+        made so far, an assignment x_v = a being the round {v: (a, {})}."""
         simplified = _eliminate_linear(f, eqs)
         if simplified is None:
-            return None
+            return None, None
         eqs, new_subs = simplified
         subs = subs + new_subs
         if not eqs:
-            return reconstruct(partial, subs)
+            return reconstruct(subs), None
         # most-constrained variable: appears in the most equations; tie by index
         counts = {}
         for eq in eqs:
             for v in eq.variables():
                 counts[v] = counts.get(v, 0) + 1
         var = min(counts, key=lambda v: (-counts[v], v))
-        for value in domain:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(nodes)
-            next_eqs = [eq.assign(f, var, value) for eq in eqs]
-            if any(eq.is_contradiction(f) for eq in next_eqs):
-                continue
-            got = search(next_eqs, {**partial, var: value}, subs)
-            if got is not None:
-                return got
-        return None
+        return None, (eqs, subs, var, iter(domain))
 
-    witness = search(system.equations, {}, [])
+    # depth-first, values in domain order: the nodes counted and the witness
+    # found are those of a recursive backtracking search
+    nodes = 0
+    witness, frame = enter(system.equations, [])
+    stack = [frame] if frame else []
+    while witness is None and stack:
+        eqs, subs, var, values = stack[-1]
+        value = next(values, None)
+        if value is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes)
+        assignment = {var: (value, {})}
+        next_eqs = [eq.substitute(f, assignment) for eq in eqs]
+        if any(eq.is_contradiction(f) for eq in next_eqs):
+            continue
+        witness, frame = enter(next_eqs, subs + [assignment])
+        if frame:
+            stack.append(frame)
+
     if witness is None:
         return SolveResult("unsolvable", nodes=nodes)
     bad = evaluate(system, witness)

@@ -227,6 +227,12 @@ class TestExportAndInfer:
                          "--samples", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["1", "0"])
+    def test_infer_grid_too_small_exit_2(self, capsys, grid):
+        code, _, err = run(capsys, "infer", "run", "--density", "1,0,1/2",
+                           "--samples", "5", "--grid", grid)
+        assert code == 2 and "at least 2 points" in err
+
     def test_infer_unsorted_samples_exit_2(self, capsys):
         code, _, _ = run(capsys, "infer", "run", "--density", "1,0,1",
                          "--samples", "10,5")

@@ -111,6 +111,14 @@ class TestSolver:
             reduced = QuadraticSystem(f3, len(vars_left), remapped)
             assert exhaustive_solvable(s) == exhaustive_solvable(reduced)
 
+    def test_deep_search_without_recursion(self, f2):
+        """1200 independent x_{2i-1} x_{2i} = 0 branch 1200 levels deep."""
+        s = QuadraticSystem(f2, 2400, [eq(f2, quad={(2 * i - 1, 2 * i): 1})
+                                       for i in range(1, 1201)])
+        res = solve_finite_field(s)
+        assert res.status == "solvable"
+        assert evaluate(s, res.witness) is None
+
     def test_budget(self, f3):
         rng = random.Random(6)
         s = random_system(rng, f3, 6, 4)

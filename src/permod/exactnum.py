@@ -19,6 +19,12 @@ def parse_rational(text):
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
+def scaled_int(q, scale):
+    """The integer q * scale, for a scale that is a multiple of q's
+    denominator."""
+    return q.numerator * (scale // q.denominator)
+
+
 def format_rational(q):
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -179,7 +185,15 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, x):
-        return int(x) % self.p
+        """The residue of an integer; a rational with a denominator other
+        than 1 is refused, never truncated."""
+        if not isinstance(x, int):
+            x = Fraction(x)
+            if x.denominator != 1:
+                raise ValueError(f"{format_rational(x)} is not an integer, "
+                                 f"so not an element of Z/{self.p}")
+            x = x.numerator
+        return x % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -10,11 +10,13 @@ consumers record.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import QQ, bracket_sqrt, format_rational, parse_rational
+from .exactnum import (QQ, bracket_sqrt, format_rational, parse_rational,
+                       scaled_int)
 from .linalg import rank as _mat_rank
 from .linalg import solve as _mat_solve
 
@@ -630,32 +632,45 @@ def _unit_ball_volume(m):
 
 def kde_evaluate(sample, spec, at):
     """Kernel density estimate of the sample evaluated at each point of
-    `at`.  The squared argument is computed exactly; the kernel value is a
-    libm double rounded to 2**-30 and recorded as approximate."""
+    `at`.  The kernel argument q = |x - s|^2 / h^2 is an exact integer
+    ratio: with every coordinate scaled by the lcm D of their denominators,
+    q = num / den for num = |X - S|^2 * h.denominator^2 (|X - S|^2 taken as
+    |X|^2 + |S|^2 - 2 X.S) and den = (D * h.numerator)^2, and the int true
+    division num / den is the correctly rounded float(q).  Only exp and the
+    summation are floating point; each value is a libm double rounded to
+    2**-30 and recorded as approximate."""
     if not len(sample):
         raise FiltrationError("empty sample")
     z = len(sample)
     m = sample.dim
     h = spec.bandwidth
-    hf = float(h)
+    at = [tuple(map(Fraction, x)) for x in at]
+    scale = math.lcm(*(c.denominator for pts in (sample, at)
+                       for pt in pts for c in pt))
+    den = (scale * h.numerator) ** 2
+    hd2 = h.denominator ** 2
     if spec.kernel == "gaussian":
         norm = (2 * math.pi) ** (-m / 2)
 
-        def kern(q):
-            return norm * math.exp(-float(q) / 2)
+        def kern(num):
+            return norm * math.exp(-(num / den) / 2)
     else:
         c = (m + 2) / (2 * _unit_ball_volume(m))
 
-        def kern(q):
-            qf = float(q)
-            return c * (1 - qf) if qf <= 1 else 0.0
+        def kern(num):
+            return c * (1 - num / den) if num <= den else 0.0
+
+    def scaled(pts):
+        return [tuple(scaled_int(c, scale) for c in pt) for pt in pts]
 
     out = []
-    denom = z * hf ** m
-    for x in at:
+    denom = z * float(h) ** m
+    sample_int = scaled(sample)
+    sample_sq = [sum(map(operator.mul, s, s)) for s in sample_int]
+    for x in scaled(at):
+        x_sq = sum(map(operator.mul, x, x))
         acc = 0.0
-        for s in sample:
-            q = sum(((a - b) / h) ** 2 for a, b in zip(x, s))
-            acc += kern(q)
+        for s, s_sq in zip(sample_int, sample_sq):
+            acc += kern((x_sq + s_sq - 2 * sum(map(operator.mul, x, s))) * hd2)
         out.append(Fraction(round(acc / denom * KERNEL_DENOM), KERNEL_DENOM))
     return out

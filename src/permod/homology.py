@@ -23,7 +23,8 @@ import itertools
 from fractions import Fraction
 
 from .exactnum import INF, ext, format_rational, parse_field, parse_rational
-from .linalg import ColumnSpan, identity, mat_mul, nullspace, rank as mat_rank
+from .linalg import (ColumnSpan, identity, mat_mul, nullspace, rank as mat_rank,
+                     zeros)
 from .onedim import PersistenceDiagram
 from .presentation import Presentation, grade_leq
 
@@ -257,30 +258,46 @@ class GridModule:
         return self.trans[(idx, axis)]
 
     def check_squares(self):
-        f = self.field
         shape = self.shape()
         for idx, a1 in _grid_steps(shape):
             for a2 in range(a1 + 1, len(shape)):
                 if idx[a2] + 1 >= shape[a2]:
                     continue
                 idx_a, idx_b = _succ(idx, a1), _succ(idx, a2)
-                p1 = mat_mul(f, self.step(idx_a, a2), self.step(idx, a1))
-                p2 = mat_mul(f, self.step(idx_b, a1), self.step(idx, a2))
+                top = _succ(idx_a, a2)
+                p1 = self._product(self.step(idx_a, a2), self.step(idx, a1), idx, top)
+                p2 = self._product(self.step(idx_b, a1), self.step(idx, a2), idx, top)
                 if p1 != p2:
                     raise HomologyError(f"grid square at {idx} does not commute")
 
     def matrix_between(self, i1, i2):
-        """Composite transition matrix from grid index i1 to i2 (i1 <= i2)."""
+        """Composite transition matrix from grid index i1 to i2 (i1 <= i2).
+
+        The walk steps first along the axis whose successor has the smallest
+        dimension (the lowest such axis on ties), so each product has the
+        smallest inner size on offer; squares commute, so every path gives
+        the same matrix.  A single step is the stored transition itself."""
         key = (i1, i2)
         if key not in self._matrices:
             if i1 == i2:
                 out = identity(self.field, self.dims[i1])
             else:
-                axis = next(a for a in range(self.nparams) if i1[a] < i2[a])
-                out = mat_mul(self.field, self.matrix_between(_succ(i1, axis), i2),
-                              self.step(i1, axis))
+                axis = min((a for a in range(self.nparams) if i1[a] < i2[a]),
+                           key=lambda a: self.dims[_succ(i1, a)])
+                nxt = _succ(i1, axis)
+                out = self.step(i1, axis)
+                if nxt != i2:
+                    out = self._product(self.matrix_between(nxt, i2), out, i1, i2)
             self._matrices[key] = out
         return self._matrices[key]
+
+    def _product(self, later, earlier, i_from, i_to):
+        """later @ earlier, the map from index i_from to i_to.  Through a
+        zero space (earlier has no rows) it is the zero matrix of that shape:
+        a product with no rows on the right does not tell mat_mul its width."""
+        if not earlier:
+            return zeros(self.field, self.dims[i_to], self.dims[i_from])
+        return mat_mul(self.field, later, earlier)
 
     def rank_between(self, i1, i2):
         if any(a > b for a, b in zip(i1, i2)):
@@ -603,9 +620,12 @@ def resample(gm, new_axes):
     """Restrict/refine a grid module to new axes by flooring each value to
     the largest original axis value <= it; values below the axis minimum get
     the zero space.  Valid when the original axes contain all critical
-    values and the module vanishes below them."""
+    values and the module vanishes below them.  On equal axes the floor map
+    is the identity and gm itself is returned, with its caches."""
     if len(new_axes) != gm.nparams:
         raise HomologyError("axis count mismatch")
+    if [list(a) for a in new_axes] == gm.axes:
+        return gm
 
     def source(z):
         src = tuple(_floor_index(ax, v) for ax, v in zip(gm.axes, z))
@@ -653,12 +673,14 @@ def rank_shift_distance(gm, gn):
             idx_pairs.append((i1, i2))
 
     def feasible(eps):
-        # per axis, the grid index each value snaps to once shifted by eps
+        # per axis, the grid index each value snaps to once shifted by eps,
+        # then per grid index the snapped index tuple
         down = [[_floor_index(ax, x - eps) for x in ax] for ax in union_axes]
         up = [[_ceil_index(ax, x + eps) for x in ax] for ax in union_axes]
+        lo_of = {i: tuple(d[k] for d, k in zip(down, i)) for i in _grid_indices(shape)}
+        hi_of = {i: tuple(u[k] for u, k in zip(up, i)) for i in _grid_indices(shape)}
         for i1, i2 in idx_pairs:
-            lo = tuple(d[k] for d, k in zip(down, i1))
-            hi = tuple(u[k] for u, k in zip(up, i2))
+            lo, hi = lo_of[i1], hi_of[i2]
             if None in lo or None in hi:
                 continue
             if rm.rank_between(lo, hi) > rn.rank_between(i1, i2):

@@ -14,9 +14,10 @@ compute directly.
 """
 
 import json
+import math
 from fractions import Fraction
 
-from .exactnum import INF, format_rational
+from .exactnum import INF, format_rational, scaled_int
 from .filtration import FiltrationError, KdeSpec, kde_evaluate, sample_density
 from .homology import build_grid_module, rank_shift_distance
 
@@ -90,25 +91,31 @@ def _clusters(pts, a, b, gap_rule):
 def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
     a_axis = sorted(Fraction(a) for a in a_axis)
     b_axis = sorted(Fraction(b) for b in b_axis)
+    # weights and a-values over one common denominator, positions and
+    # b-values over another, so that clustering compares ints
+    w_scale = math.lcm(*(v.denominator for v in a_axis + [w for _, w in pts]))
+    x_scale = math.lcm(*(v.denominator for v in b_axis + [x for x, _ in pts]))
+    int_pts = [(scaled_int(x, x_scale), scaled_int(w, w_scale)) for x, w in pts]
+
+    def clusters(z):
+        return _clusters(int_pts, scaled_int(z[0], w_scale),
+                         scaled_int(z[1], x_scale), gap_rule)
 
     def containment(small, big):
         """0/1 matrix sending each cluster of `small` into the cluster of
-        `big` containing it."""
+        `big` containing it; both are sorted lists of disjoint ranges, so one
+        forward pointer finds every home."""
         m = [[field.zero] * len(small) for _ in range(len(big))]
+        home = 0
         for c, (lo, hi) in enumerate(small):
-            home = None
-            for r, (lo2, hi2) in enumerate(big):
-                if lo2 <= lo and hi <= hi2:
-                    home = r
-                    break
-            if home is None:
+            while home < len(big) and big[home][1] < lo:
+                home += 1
+            if home == len(big) or not (big[home][0] <= lo and hi <= big[home][1]):
                 raise FiltrationError("cluster refinement is not nested")
             m[home][c] = field.one
         return m
 
-    return build_grid_module(field, [a_axis, b_axis],
-                             lambda z: _clusters(pts, z[0], z[1], gap_rule),
-                             len, containment)
+    return build_grid_module(field, [a_axis, b_axis], clusters, len, containment)
 
 
 class ExperimentRecord:

@@ -412,7 +412,6 @@ def parse_presentation(text):
         for gname, cval in zip(toks[0::2], toks[1::2]):
             if gname not in index:
                 raise PresentationError(f"relation {name}: unknown generator {gname}")
-            coeffs[index[gname]] = field.of(
-                parse_rational(cval) if field == QQ else int(cval))
+            coeffs[index[gname]] = field.of(parse_rational(cval))
         rels.append((name, grade, coeffs))
     return Presentation(n, field, gens, rels).validate()

@@ -96,6 +96,7 @@ class QuadraticSystem:
         self.nvars = int(nvars)
         self.equations = [eq.substitute(field, {}) for eq in equations]
         for eq in self.equations:
+            eq.const = field.of(eq.const)
             for v in eq.variables():
                 if not 1 <= v <= self.nvars:
                     raise QuadSysError(f"variable index {v} out of range")
@@ -283,7 +284,7 @@ def parse_system(text):
                 raise QuadSysError(f"bad term list: {ln}")
             quad, lin, const = {}, {}, field.zero
             for c, i, j in zip(toks[0::3], toks[1::3], toks[2::3]):
-                cval = field.of(parse_rational(c) if field == QQ else int(c))
+                cval = field.of(parse_rational(c))
                 i, j = int(i), int(j)
                 if i == 0 and j == 0:
                     const = field.add(const, cval)

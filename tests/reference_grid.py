@@ -1,8 +1,10 @@
 """Reference copies of the grid-module code that the single construction
 path in ``permod.homology`` replaced, and of the three Gauss-Jordan loops
-that ``permod.linalg`` folded into one routine.  Kept as they were, apart
-from the grid-module class name, as oracles: the rewritten code must give
-byte-identical grid-module text, ranks and rank-shift values.
+that ``permod.linalg`` folded into one routine, with the clustering of
+``permod.infer`` on Fraction comparisons.  Kept as they were, apart from the
+grid-module class name, as oracles: the rewritten code must give
+byte-identical grid-module text, composite matrices, ranks and rank-shift
+values.
 """
 
 import itertools
@@ -12,7 +14,6 @@ from permod.exactnum import INF, ext, format_rational
 from permod.filtration import FiltrationError, fixed_scale_slice
 from permod.homology import (GradedChainComplex, HomologyError,
                              chain_complex_of)
-from permod.infer import _clusters
 from permod.linalg import ColumnSpan, identity, mat_mul
 
 
@@ -486,6 +487,51 @@ def rank_shift_distance(gm, gn):
         else:
             lo_i = mid + 1
     return ext(best) if best is not None else INF
+
+
+def _clusters(pts, a, b, gap_rule):
+    """Sorted positions -> list of (first_index, last_index) cluster ranges
+    over the subset of source points with weight <= a."""
+    active = [i for i, (_, w) in enumerate(pts) if w <= a]
+    if not active:
+        return []
+    if gap_rule == "cech":
+        ranges = []
+        start = active[0]
+        prev = active[0]
+        for i in active[1:]:
+            if pts[i][0] - pts[prev][0] <= 2 * b:
+                prev = i
+            else:
+                ranges.append((start, prev))
+                start = prev = i
+        ranges.append((start, prev))
+        return ranges
+    # offset semantics: activate every grid point within b of an active
+    # source point, then take runs of consecutive active grid points
+    on = [False] * len(pts)
+    positions = [x for x, _ in pts]
+    for i in active:
+        x = pts[i][0]
+        j = i
+        while j >= 0 and x - positions[j] <= b:
+            on[j] = True
+            j -= 1
+        j = i
+        while j < len(pts) and positions[j] - x <= b:
+            on[j] = True
+            j += 1
+    ranges = []
+    start = None
+    for i, flag in enumerate(on):
+        if flag and start is None:
+            start = i
+        if not flag and start is not None:
+            ranges.append((start, i - 1))
+            start = None
+    if start is not None:
+        ranges.append((start, len(pts) - 1))
+    return ranges
 
 
 def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):

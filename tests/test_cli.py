@@ -58,6 +58,12 @@ class TestPresent:
         code, _, err = run(capsys, "present", "validate", bad)
         assert code == 2 and "error" in err
 
+    def test_non_integral_coefficient_over_zp_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "half.txt"
+        bad.write_text(C01.replace("zp 2", "zp 3").replace(": g 1", ": g 1/2"))
+        code, _, err = run(capsys, "present", "validate", bad)
+        assert code == 2 and "1/2 is not an integer" in err
+
 
 class TestDistance:
     def test_interleaving(self, files, capsys):

@@ -82,6 +82,14 @@ def test_prime_field_rejects():
         PrimeField(2 ** 31 + 11)
 
 
+def test_prime_field_of_refuses_non_integers():
+    f3 = PrimeField(3)
+    assert f3.of(Fraction(4)) == 1 and f3.of(-1) == 2 and f3.of("5") == 2
+    for x in (Fraction(1, 2), Fraction(-7, 3), "1/2", 0.5):
+        with pytest.raises(ValueError):
+            f3.of(x)
+
+
 def test_parse_field():
     assert parse_field("zp 5") == PrimeField(5)
     assert parse_field(["q"]) == QQ

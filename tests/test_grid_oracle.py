@@ -1,15 +1,19 @@
 """The single grid-module construction path against the code it replaced
-(kept in reference_grid.py): identical text, rank tables and rank-shift
-values on seeded random complexes, presentations and cluster modules."""
+(kept in reference_grid.py): identical text, composite matrices for every
+pair of grid indices, rank tables and rank-shift values on seeded random
+complexes, presentations, modules with uneven dimensions under random bases,
+and cluster modules of up to 200 points."""
 
 import itertools
 from fractions import Fraction as F
 
 from permod.exactnum import QQ, PrimeField
-from permod.homology import (chain_complex_of, grid_module_of,
+from permod.filtration import DensitySpec, KdeSpec, kde_evaluate, sample_density
+from permod.homology import (GridModule, chain_complex_of, grid_module_of,
                              image_grid_module, rank_shift_distance, resample)
 from permod.infer import cech_cluster_module, offset_cluster_module
-from permod.linalg import nullspace, rank, solve
+from permod.linalg import identity, mat_mul, nullspace, rank, solve
+from permod.presentation import Presentation
 
 import reference_grid as ref
 from conftest import random_one_critical_complex, random_presentation, seeded
@@ -17,15 +21,50 @@ from conftest import random_one_critical_complex, random_presentation, seeded
 FIELDS = (PrimeField(2), PrimeField(3))
 
 
-def rank_table(gm):
-    return {(i1, i2): gm.rank_between(i1, i2)
-            for i1 in gm.indices() for i2 in gm.indices()
-            if all(a <= b for a, b in zip(i1, i2))}
+def index_pairs(gm):
+    return [(i1, i2) for i1 in gm.indices() for i2 in gm.indices()
+            if all(a <= b for a, b in zip(i1, i2))]
 
 
 def assert_same(new, old):
+    """Same text, and the same composite matrix and rank for every pair
+    i1 <= i2 (a wrong composite can still have the right rank)."""
     assert new.to_text() == old.to_text()
-    assert rank_table(new) == rank_table(old)
+    for i1, i2 in index_pairs(new):
+        assert new.matrix_between(i1, i2) == old.matrix_between(i1, i2)
+        assert new.rank_between(i1, i2) == old.rank_between(i1, i2)
+
+
+def random_basis_change(rng, f, n):
+    """A random invertible n x n matrix over Z/p and its inverse, built from
+    elementary row operations."""
+    p, q = identity(f, n), identity(f, n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            u = rng.randrange(1, f.p)
+            p[i] = [f.mul(u, x) for x in p[i]]
+            for row in q:
+                row[i] = f.div(row[i], u)
+        else:
+            c = rng.randrange(1, f.p)
+            p[i] = [f.add(x, f.mul(c, y)) for x, y in zip(p[i], p[j])]
+            for row in q:
+                row[j] = f.sub(row[j], f.mul(c, row[i]))
+    assert mat_mul(f, p, q) == identity(f, n)
+    return p, q
+
+
+def rebased(rng, gm):
+    """gm with a random basis at every grid index: the transitions become
+    dense, while dims and commuting squares stay."""
+    f = gm.field
+    bases = {idx: random_basis_change(rng, f, d) for idx, d in gm.dims.items()}
+    trans = {}
+    for (idx, a), m in gm.trans.items():
+        succ = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+        trans[(idx, a)] = mat_mul(f, mat_mul(f, bases[succ][0], m), bases[idx][1])
+    return gm.axes, gm.dims, trans
 
 
 def widened(rng, axes):
@@ -109,6 +148,48 @@ class TestAgainstReference:
             assert_same(cech, cech_ref)
             grid = [F(k, 2) for k in range(12)]
             gw = [F(-rng.randint(0, 8), 4) for _ in grid]
+            off = offset_cluster_module(f, grid, gw, a_axis, b_axis)
+            off_ref = ref._cluster_grid_module(f, list(zip(grid, gw)),
+                                               a_axis, b_axis, "offset")
+            assert_same(off, off_ref)
+            assert rank_shift_distance(cech, off) == \
+                ref.rank_shift_distance(cech_ref, off_ref)
+
+
+    def test_uneven_modules_in_random_bases(self):
+        """Random presentations plus one free generator at the grid minimum,
+        so no dimension is 0: the reference cannot multiply through a zero
+        space (test_homology covers those composites)."""
+        rng = seeded(257)
+        axes = [[F(k) for k in range(5)] for _ in range(2)]
+        for f in (PrimeField(3), PrimeField(5)):
+            for _ in range(6):
+                p = random_presentation(rng, f, n=2, max_gens=5, max_rels=3)
+                p = Presentation(2, f, p.generators + [("base", (F(0), F(0)))],
+                                 [(nm, gr, cs + [f.zero])
+                                  for nm, gr, cs in p.relations])
+                data = rebased(rng, grid_module_of(p, axes))
+                assert min(data[1].values()) >= 1
+                assert_same(GridModule(f, *data), ref.RefGridModule(f, *data))
+
+    def test_large_cluster_modules(self):
+        f = PrimeField(2)
+        density = DensitySpec.parse("1/2,-1,1/4;1/2,1,1/4")
+        kde = KdeSpec("gaussian", F(1, 5))
+        for z, seed in ((100, 263), (200, 269)):
+            cloud = sample_density(density, z, seed)
+            weights = [-e for e in kde_evaluate(cloud, kde, cloud)]
+            peak = -min(weights)
+            a_axis = sorted(-peak * F(k, 7) for k in range(1, 7))
+            b_axis = [F(k, 13) for k in range(5)]
+            pts = [pt[0] for pt in cloud]
+            cech = cech_cluster_module(f, list(zip(pts, weights)), a_axis, b_axis)
+            cech_ref = ref._cluster_grid_module(
+                f, sorted(zip(pts, weights)), a_axis, b_axis, "cech")
+            assert max(cech.dims.values()) > 20
+            assert_same(cech, cech_ref)
+            grid = [F(k - 60, 30) for k in range(z // 2 + 20)]
+            gw = [-density.pdf((y,)) for y in grid]
             off = offset_cluster_module(f, grid, gw, a_axis, b_axis)
             off_ref = ref._cluster_grid_module(f, list(zip(grid, gw)),
                                                a_axis, b_axis, "offset")

@@ -13,12 +13,12 @@ from permod.homology import (GridModule, HomologyError,
                              present_homology, rank_shift_distance,
                              refinement_check, resample)
 from permod.interleave import decide_generalized, interleaving_distance
-from permod.linalg import nullspace, rank as mat_rank
+from permod.linalg import identity, mat_mul, nullspace, rank as mat_rank
 from permod.onedim import PersistenceDiagram, diagram_of
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  interval_presentation)
 
-from conftest import random_one_critical_complex, seeded
+from conftest import random_one_critical_complex, random_presentation, seeded
 
 
 def K(n, simplices):
@@ -132,6 +132,13 @@ class TestGridModule:
                           if not ln.startswith(prefix))
             with pytest.raises(HomologyError):
                 parse_grid_module(cut)
+
+    def test_non_integral_entry_rejected_over_prime_field(self):
+        text = ("GRIDMODULE\nfield zp 3\naxes 1\naxis 0 : 0 1\n"
+                "dim 0 = 1\ndim 1 = 1\ntrans 0 axis 0 : {}\nEND\n")
+        assert parse_grid_module(text.format("2")).step((0,), 0) == [[2]]
+        with pytest.raises(ValueError, match="1/2"):
+            parse_grid_module(text.format("1/2"))
 
     def test_descending_axis_rejected(self, f2):
         text = grid_module_of(interval_presentation(f2, 0, 1),
@@ -298,6 +305,58 @@ class TestResample:
         g = grid_module_of(interval_presentation(f2, 0, 1), [[F(0), F(1)]])
         r = resample(g, [[F(-1), F(0)]])
         assert r.dims[(0,)] == 0 and r.dims[(1,)] == 1
+
+    def test_equal_axes_return_the_module(self, f2):
+        g = grid_module_of(interval_presentation(f2, 0, 1), [[F(0), F(1)]])
+        assert resample(g, [[F(0), F(1)]]) is g
+        assert resample(g, ([F(0), F(1)],)) is g
+
+
+class TestZeroSpaces:
+    """A row list cannot record the width of a matrix with no rows, so a
+    composite through a zero space must still come out dims x dims."""
+
+    def test_resample_across_a_zero_space(self, f2):
+        g = GridModule(f2, [[F(0), F(1), F(2)]], {(0,): 1, (1,): 0, (2,): 1},
+                       {((0,), 0): [], ((1,), 0): [[]]})
+        assert g.matrix_between((0,), (2,)) == [[0]]
+        assert resample(g, [[F(0), F(2)]]).step((0,), 0) == [[0]]
+
+    def test_square_through_a_zero_space(self):
+        f3 = PrimeField(3)
+        p = Presentation(2, f3, [("g0", (F(3), F(7, 2))), ("g1", (F(2), F(0)))],
+                         [("r", (F(3), F(5, 2)), [0, 1])]).validate()
+        gm = grid_module_of(p, [[F(k) for k in range(5)]] * 2)
+        assert gm.dims[(3, 3)] == 0
+        assert gm.matrix_between((2, 3), (3, 4)) == [[0]]
+
+    def test_every_path_gives_the_composite(self):
+        def along(gm, i1, i2, order):
+            """The steps from i1 to i2 multiplied up, axes in the given order."""
+            out = identity(gm.field, gm.dims[i1])
+            idx = i1
+            for a in order:
+                while idx[a] < i2[a]:
+                    nxt = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+                    out = (mat_mul(gm.field, gm.step(idx, a), out) if out else
+                           [[0] * gm.dims[i1] for _ in range(gm.dims[nxt])])
+                    idx = nxt
+            return out
+
+        rng = seeded(271)
+        for f in (PrimeField(2), PrimeField(3)):
+            for _ in range(8):
+                p = random_presentation(rng, f, n=2, max_gens=4)
+                gm = grid_module_of(p, [[F(k) for k in range(5)]] * 2)
+                for i1 in gm.indices():
+                    for i2 in gm.indices():
+                        if i1 == i2 or i1[0] > i2[0] or i1[1] > i2[1]:
+                            continue
+                        m = gm.matrix_between(i1, i2)
+                        assert len(m) == gm.dims[i2]
+                        assert all(len(row) == gm.dims[i1] for row in m)
+                        assert m == along(gm, i1, i2, (0, 1)) == \
+                            along(gm, i1, i2, (1, 0))
 
 
 class TestRipsCechInterleaving:

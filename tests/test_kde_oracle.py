@@ -1,0 +1,83 @@
+"""kde_evaluate on exact integer ratios against the Fraction-argument code it
+replaced (kept in reference_kde.py): the values must agree exactly for every
+dimension, kernel, coordinate denominator and bandwidth, also where the
+Epanechnikov argument sits exactly on, or rounds to, 1."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from permod.filtration import (DensitySpec, KdeSpec, PointCloud, kde_evaluate,
+                               sample_density)
+
+import reference_kde as ref
+from conftest import seeded
+
+KERNELS = ("gaussian", "epanechnikov")
+DENOMS = (1, 3, 7, 10, 2 ** 20, 2 ** 30)
+
+
+def random_cloud(rng, dim, count, denoms):
+    """Points whose coordinates have denominators drawn from denoms, spread
+    over about [-2, 2] so both kernels see arguments on either side of 1."""
+    pts = []
+    for _ in range(count):
+        pt = []
+        for _ in range(dim):
+            d = rng.choice(denoms)
+            pt.append(F(rng.randint(-2 * d, 2 * d), d))
+        pts.append(pt)
+    return PointCloud(pts)
+
+
+def assert_same(sample, spec, at):
+    got = kde_evaluate(sample, spec, at)
+    assert got == ref.kde_evaluate(sample, spec, at)
+    return got
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_seeded_clouds(kernel, dim):
+    rng = seeded(307 + dim)
+    for denom in DENOMS:
+        for _ in range(3):
+            h = F(rng.randint(1, 9), rng.randint(1, 9))
+            spec = KdeSpec(kernel, h)
+            sample = random_cloud(rng, dim, rng.randint(1, 12), (denom,))
+            at = random_cloud(rng, dim, 6, (denom,))
+            assert_same(sample, spec, at)
+            assert_same(sample, spec, sample)
+    # every coordinate on its own denominator, and plain int points
+    for _ in range(6):
+        spec = KdeSpec(kernel, F(rng.randint(1, 30), rng.randint(1, 30)))
+        sample = random_cloud(rng, dim, 10, DENOMS)
+        at = random_cloud(rng, dim, 5, DENOMS)
+        assert_same(sample, spec, at)
+        assert_same(sample, spec, [(rng.randint(-2, 2),) * dim])
+
+
+def test_sampled_density_as_in_infer():
+    density = DensitySpec.parse("1/2,-1,1/4;1/2,1,1/4")
+    cloud = sample_density(density, 60, 2024)
+    for kernel in KERNELS:
+        assert_same(cloud, KdeSpec(kernel, F(1, 5)), cloud)
+
+
+def test_epanechnikov_argument_at_one():
+    c1 = 3 / 4                       # (m + 2) / (2 * vol) for m = 1
+    h = F(3, 7)
+    s = F(1, 10)
+    spec = KdeSpec("epanechnikov", h)
+    # q = 1 exactly: the pair contributes c * (1 - 1) = 0
+    got = assert_same(PointCloud([(s,)]), spec, [(s + h,), (s - h,), (s,)])
+    assert got[:2] == [0, 0]
+    assert got[2] == F(round(c1 / float(h) * 2 ** 30), 2 ** 30)
+    # q = 3^2/5^2 + 4^2/5^2 = 1 in two dimensions
+    spec2 = KdeSpec("epanechnikov", F(5, 3))
+    assert assert_same(PointCloud([(0, 0)]), spec2, [(1, F(4, 3))]) == [0]
+    # q = 1 + 2^-62 rounds to 1.0; q = (1 - 2^-12)^2 stays below it
+    one = KdeSpec("epanechnikov", F(1))
+    origin = PointCloud([(0, 0)])
+    assert assert_same(origin, one, [(1, F(1, 2 ** 31))]) == [0]
+    assert assert_same(origin, one, [(1 - F(1, 2 ** 12), 0)])[0] > 0

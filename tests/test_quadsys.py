@@ -77,6 +77,13 @@ class TestSolver:
         s = QuadraticSystem(f2, 1, [eq(f2, quad={(1, 1): 1}, lin={1: 1}, const=1)])
         assert solve_finite_field(s).status == "unsolvable"
 
+    def test_constants_reduced_into_field(self, f2):
+        s = QuadraticSystem(f2, 1, [QuadEquation({}, {}, 2)])
+        assert evaluate(s, [0]) is None
+        assert solve_finite_field(s).status == "solvable"
+        s = QuadraticSystem(f2, 1, [QuadEquation({}, {1: 1}, 3)])
+        assert solve_finite_field(s).witness == [1]
+
     def test_agrees_with_enumeration_z2(self, f2):
         rng = random.Random(3)
         for _ in range(60):

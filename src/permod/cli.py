@@ -3,7 +3,8 @@
 Verbs: present validate|minimize, distance interleaving|bottleneck, diagram,
 filtration rips|cech, homology present2d|grid|image, export quadsys,
 infer run.  Exit codes: 0 ok, 2 parse/usage errors, 3 solver budget
-exhausted.
+exhausted, 4 internal error (any other exception, reported as one line
+`internal error: <Type>: <message>` on stderr, without a traceback).
 """
 
 import argparse
@@ -11,21 +12,21 @@ import sys
 from fractions import Fraction
 
 from .exactnum import parse_field, parse_rational
-from .filtration import (DensitySpec, FiltrationError, parse_complex,
-                         parse_points_csv, parse_values_csv)
-from .homology import (HomologyError, grid_module_of, image_grid_module,
-                       present_homology)
+from .filtration import (DensitySpec, cech_bifiltration, parse_complex,
+                         parse_points_csv, parse_values_csv, rips_bifiltration)
+from .homology import grid_module_of, image_grid_module, present_homology
 from .interleave import (DistanceBudgetExceeded, assemble_system,
                          candidate_set, decide_interleaving,
                          interleaving_distance)
 from .onedim import bottleneck, diagram_of, parse_diagram
 from .presentation import PresentationError, parse_presentation
-from .quadsys import BudgetExceeded, DEFAULT_BUDGET, QuadSysError
+from .quadsys import BudgetExceeded, DEFAULT_BUDGET
 from .infer import run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -110,11 +111,8 @@ def cmd_distance_interleaving(args):
 
 
 def cmd_distance_bottleneck(args):
-    try:
-        d1 = parse_diagram(_read(args.diagram_1))
-        d2 = parse_diagram(_read(args.diagram_2))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    d1 = parse_diagram(_read(args.diagram_1))
+    d2 = parse_diagram(_read(args.diagram_2))
     print(f"d_B = {bottleneck(d1, d2)}")
     return EXIT_OK
 
@@ -128,23 +126,19 @@ def cmd_diagram(args):
 
 
 def cmd_filtration(args):
-    try:
-        cloud = parse_points_csv(_read(args.points))
-        if args.function:
-            values = parse_values_csv(_read(args.function))
-            if len(values) != len(cloud):
-                raise CliError("points and function files have different row counts")
-        else:
-            values = [(Fraction(0),)] * len(cloud)
-        if args.negate_function:
-            values = [tuple(-x for x in row) for row in values]
-        metric = {"l1": 1, "l2": 2, "linf": "inf"}[args.metric]
-        cap = parse_rational(args.scale_cap)
-        from .filtration import cech_bifiltration, rips_bifiltration
-        build = rips_bifiltration if args.kind == "rips" else cech_bifiltration
-        cx = build(cloud, metric, values, args.max_dim, cap)
-    except (FiltrationError, KeyError, ValueError) as exc:
-        raise CliError(str(exc))
+    cloud = parse_points_csv(_read(args.points))
+    if args.function:
+        values = parse_values_csv(_read(args.function))
+        if len(values) != len(cloud):
+            raise CliError("points and function files have different row counts")
+    else:
+        values = [(Fraction(0),)] * len(cloud)
+    if args.negate_function:
+        values = [tuple(-x for x in row) for row in values]
+    metric = {"l1": 1, "l2": 2, "linf": "inf"}[args.metric]
+    cap = parse_rational(args.scale_cap)
+    build = rips_bifiltration if args.kind == "rips" else cech_bifiltration
+    cx = build(cloud, metric, values, args.max_dim, cap)
     _write(args.out, cx.to_text())
     return EXIT_OK
 
@@ -164,36 +158,33 @@ def cmd_homology(args):
     field = parse_field(args.field)
     text = _read(args.complex)
     is_presentation = text.lstrip().startswith("PRESENTATION")
-    try:
-        if args.action == "present2d":
-            cx = parse_complex(text)
-            if cx.nparams != 2:
-                raise CliError("present2d requires a 2-parameter complex")
-            pres = present_homology(cx, args.degree, field)
-            print("hilbert check: ok")
-            _write(args.out, pres.to_text())
-        elif args.action == "grid":
-            if is_presentation:
-                src = parse_presentation(text)
-                axes = (_parse_axes(args.axes) if args.axes
-                        else src.critical_grades()[1])
-                gm = grid_module_of(src, axes)
-            else:
-                cx = parse_complex(text)
-                axes = (_parse_axes(args.axes) if args.axes
-                        else _default_axes_complex(cx))
-                gm = grid_module_of(cx, axes, degree=args.degree, field=field)
-            _write(args.out, gm.to_text())
+    if args.action == "present2d":
+        cx = parse_complex(text)
+        if cx.nparams != 2:
+            raise CliError("present2d requires a 2-parameter complex")
+        pres = present_homology(cx, args.degree, field)
+        print("hilbert check: ok")
+        _write(args.out, pres.to_text())
+    elif args.action == "grid":
+        if is_presentation:
+            src = parse_presentation(text)
+            axes = (_parse_axes(args.axes) if args.axes
+                    else src.critical_grades()[1])
+            gm = grid_module_of(src, axes)
         else:
             cx = parse_complex(text)
             axes = (_parse_axes(args.axes) if args.axes
-                    else _default_axes_complex(cx, drop_scale=True))
-            gm = image_grid_module(cx, args.degree,
-                                   parse_rational(args.delta1),
-                                   parse_rational(args.delta2), axes, field)
-            _write(args.out, gm.to_text())
-    except (FiltrationError, HomologyError, PresentationError, ValueError) as exc:
-        raise CliError(str(exc))
+                    else _default_axes_complex(cx))
+            gm = grid_module_of(cx, axes, degree=args.degree, field=field)
+        _write(args.out, gm.to_text())
+    else:
+        cx = parse_complex(text)
+        axes = (_parse_axes(args.axes) if args.axes
+                else _default_axes_complex(cx, drop_scale=True))
+        gm = image_grid_module(cx, args.degree,
+                               parse_rational(args.delta1),
+                               parse_rational(args.delta2), axes, field)
+        _write(args.out, gm.to_text())
     return EXIT_OK
 
 
@@ -207,18 +198,15 @@ def cmd_export_quadsys(args):
 
 
 def cmd_infer(args):
-    try:
-        density = DensitySpec.parse(args.density)
-        samples = [int(t) for t in args.samples.split(",")]
-        if samples != sorted(samples):
-            raise CliError("sample sizes must be ascending")
-        grid_points = int(args.grid) if args.grid else 33
-        rec = run_experiment(density, samples, args.trials, args.seed,
-                             parse_rational(args.bandwidth),
-                             degree=args.degree, kernel=args.kernel,
-                             grid_points=grid_points)
-    except (FiltrationError, ValueError) as exc:
-        raise CliError(str(exc))
+    density = DensitySpec.parse(args.density)
+    samples = [int(t) for t in args.samples.split(",")]
+    if samples != sorted(samples):
+        raise CliError("sample sizes must be ascending")
+    grid_points = int(args.grid) if args.grid else 33
+    rec = run_experiment(density, samples, args.trials, args.seed,
+                         parse_rational(args.bandwidth),
+                         degree=args.degree, kernel=args.kernel,
+                         grid_points=grid_points)
     _write(args.out, rec.to_json())
     return EXIT_OK
 
@@ -227,9 +215,6 @@ def build_parser():
     top = argparse.ArgumentParser(prog="permod", description=__doc__)
     top.add_argument("--field", nargs=2, default=["zp", "2"],
                      metavar=("KIND", "P"), help="coefficient field, e.g. zp 2")
-    top.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="solver node budget")
-    top.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("present")
@@ -313,10 +298,13 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (PresentationError, QuadSysError, FiltrationError, HomologyError,
-            ValueError) as exc:
+    except ValueError as exc:       # every domain error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

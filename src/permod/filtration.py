@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import (QQ, bracket_sqrt, format_rational, parse_rational,
-                       scaled_int)
+from .exactnum import (QQ, bracket_sqrt, format_rational, least_feasible,
+                       parse_rational, scaled_int)
 from .linalg import rank as _mat_rank
 from .linalg import solve as _mat_solve
 
@@ -521,16 +521,7 @@ def gromov_function_distance(x1, d1, f1, x2, d2, f2, max_points=5):
 
         return extend([], list(range(n1)), list(range(n2)))
 
-    finite = sorted(cands)
-    lo, hi = 0, len(finite) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if feasible(finite[mid]):
-            best = finite[mid]
-            hi = mid - 1
-        else:
-            lo = mid + 1
+    best = least_feasible(sorted(cands), feasible)
     if best is None:
         raise AssertionError("full correspondence is always feasible at max threshold")
     return best

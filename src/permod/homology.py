@@ -22,7 +22,8 @@ import bisect
 import itertools
 from fractions import Fraction
 
-from .exactnum import INF, ext, format_rational, parse_field, parse_rational
+from .exactnum import (INF, ext, format_rational, least_feasible, parse_field,
+                       parse_rational)
 from .linalg import (ColumnSpan, identity, mat_mul, nullspace, rank as mat_rank,
                      zeros)
 from .onedim import PersistenceDiagram
@@ -689,13 +690,5 @@ def rank_shift_distance(gm, gn):
                 return False
         return True
 
-    lo_i, hi_i = 0, len(cands) - 1
-    best = None
-    while lo_i <= hi_i:
-        mid = (lo_i + hi_i) // 2
-        if feasible(cands[mid]):
-            best = cands[mid]
-            hi_i = mid - 1
-        else:
-            lo_i = mid + 1
+    best = least_feasible(cands, feasible)
     return ext(best) if best is not None else INF

@@ -15,27 +15,33 @@ basis element b to basis element b' is free iff grade(b') <= J(grade(b)) for
 the relevant shift J.  Translations by eps give the interleaving distance;
 general diagonal affine maps (J1, J2) give the asymmetric decision used for
 the Rips/Cech comparison.
+
+Assembly is table-driven.  Each of A-F is a matrix holding a variable number
+on every free entry (numbered A..F, row-major) and zero elsewhere; T_M, T_N
+are plain field matrices.  The four identities are four rows (L1, R1, L2, R2)
+of one table, each giving one equation per entry of L1 R1 - L2 R2 (- I); one
+helper adds an entry of a product, a constant times a variable as a linear
+term and a variable times a variable as a quadratic one.
 """
 
+import itertools
 from fractions import Fraction
 
-from .exactnum import INF, ExtendedRational, ext
+from .exactnum import INF, ExtendedRational, ext, least_feasible
 from .presentation import MonotoneAffineMap, PresentationError, grade_leq
 from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation,
                       QuadraticSystem, export_system, solve_finite_field)
 
 
 class InterleavingSystem:
-    """The assembled decision object: matrix shapes, free-entry masks, the
-    relation-constant matrices and the resulting quadratic system."""
+    """The assembled decision object: matrix shapes, free-entry masks and the
+    resulting quadratic system."""
 
     MATS = ("A", "B", "C", "D", "E", "F")
 
-    def __init__(self, shapes, masks, t_m, t_n, system, var_of_entry):
+    def __init__(self, shapes, masks, system, var_of_entry):
         self.shapes = shapes            # name -> (rows, cols)
         self.masks = masks              # name -> [[bool]] True = free variable
-        self.t_m = t_m
-        self.t_n = t_n
         self.system = system
         self.var_of_entry = var_of_entry  # (name, i, j) -> 1-based var index
 
@@ -60,21 +66,32 @@ class InterleavingSystem:
 def zero_pattern_mask(target_grades, source_grades, jmap=None):
     """Mat_k zero pattern against a shifted target basis: entry (i, j) may be
     nonzero iff grade(target i) <= J(grade(source j))."""
-    if jmap is None:
-        return [[grade_leq(ti, sj) for sj in source_grades] for ti in target_grades]
-    return [[grade_leq(ti, jmap.apply(sj)) for sj in source_grades]
-            for ti in target_grades]
+    if jmap is not None:
+        source_grades = [jmap.apply(sj) for sj in source_grades]
+    return [[grade_leq(ti, sj) for sj in source_grades] for ti in target_grades]
 
 
-def _relation_constant_matrix(p):
-    """|G| x |R| matrix whose columns are the relation coefficient vectors."""
-    f = p.field
-    rows, cols = len(p.generators), len(p.relations)
-    t = [[f.zero] * cols for _ in range(rows)]
-    for j, (_, _, coeffs) in enumerate(p.relations):
-        for i, c in enumerate(coeffs):
-            t[i][j] = c
-    return t
+class _Unknown(int):
+    """A variable number in one of A-F.  Over Z/p field constants are ints
+    too, so this type is what tells the two apart inside a product."""
+
+    __slots__ = ()
+
+
+def _add_product(f, eq, left, right, i, j, sign):
+    """Add sign * (left . right)[i][j] to eq: a constant times an unknown is
+    a linear term, an unknown times an unknown a quadratic one."""
+    for k, a in enumerate(left[i]):
+        b = right[k][j]
+        if not (a and b):
+            continue
+        if type(a) is _Unknown and type(b) is _Unknown:
+            key = (int(a), int(b)) if a <= b else (int(b), int(a))
+            eq.quad[key] = f.add(eq.quad.get(key, f.zero), sign)
+        elif type(a) is _Unknown:
+            eq.lin[int(a)] = f.add(eq.lin.get(a, f.zero), f.mul(sign, b))
+        else:
+            eq.lin[int(b)] = f.add(eq.lin.get(b, f.zero), f.mul(sign, a))
 
 
 def assemble_system(m, n, j1, j2):
@@ -97,99 +114,43 @@ def assemble_system(m, n, j1, j2):
     rm = [g for _, g, _ in m.relations]
     rn = [g for _, g, _ in n.relations]
 
-    j21 = j2.compose(j1)   # J2 . J1, acts on M-side grades
-    j12 = j1.compose(j2)   # J1 . J2, acts on N-side grades
-    mask = zero_pattern_mask
+    # name -> (target grades, source grades, shift); E, F shift by J2 J1, J1 J2
+    bases = {"A": (gn, gm, j1), "B": (gm, gn, j2), "C": (rn, rm, j1),
+             "D": (rm, rn, j2), "E": (rm, gm, j2.compose(j1)),
+             "F": (rn, gn, j1.compose(j2))}
+    shapes = {name: (len(t), len(s)) for name, (t, s, _) in bases.items()}
+    masks = {name: zero_pattern_mask(*b) for name, b in bases.items()}
 
-    shapes = {
-        "A": (len(gn), len(gm)), "B": (len(gm), len(gn)),
-        "C": (len(rn), len(rm)), "D": (len(rm), len(rn)),
-        "E": (len(rm), len(gm)), "F": (len(rn), len(gn)),
-    }
-    masks = {
-        "A": mask(gn, gm, j1), "B": mask(gm, gn, j2),
-        "C": mask(rn, rm, j1), "D": mask(rm, rn, j2),
-        "E": mask(rm, gm, j21), "F": mask(rn, gn, j12),
-    }
+    # A-F numbered in order, each row-major over its free entries; 0 elsewhere
+    numbers = itertools.count(1)
+    u = {name: [[_Unknown(next(numbers)) if free else 0 for free in row]
+                for row in masks[name]]
+         for name in InterleavingSystem.MATS}
+    var_of_entry = {(name, i, j): int(v) for name, mat in u.items()
+                    for i, row in enumerate(mat) for j, v in enumerate(row) if v}
+    # T_M, T_N: |G| x |R|, column j the coefficients of relation j
+    t_m, t_n = ([[cs[i] for _, _, cs in p.relations] for i in range(len(p.generators))]
+                for p in (m, n))
 
-    var_of_entry = {}
-    counter = 0
-    for name in InterleavingSystem.MATS:
-        rows, cols = shapes[name]
-        msk = masks[name]
+    # one equation per entry of L1 R1 - L2 R2 - unit * I = 0
+    identities = (
+        (u["A"], t_m, t_n, u["C"], len(gn), len(rm), False),     # A T_M = T_N C
+        (u["B"], t_n, t_m, u["D"], len(gm), len(rn), False),     # B T_N = T_M D
+        (u["B"], u["A"], t_m, u["E"], len(gm), len(gm), True),   # B A - I = T_M E
+        (u["A"], u["B"], t_n, u["F"], len(gn), len(gn), True),   # A B - I = T_N F
+    )
+    minus_one = f.neg(f.one)
+    equations = []
+    for l1, r1, l2, r2, rows, cols, unit in identities:
         for i in range(rows):
             for j in range(cols):
-                if msk[i][j]:
-                    counter += 1
-                    var_of_entry[(name, i, j)] = counter
+                eq = QuadEquation(const=minus_one if unit and i == j else f.zero)
+                _add_product(f, eq, l1, r1, i, j, f.one)
+                _add_product(f, eq, l2, r2, i, j, minus_one)
+                equations.append(eq)
 
-    t_m = _relation_constant_matrix(m)
-    t_n = _relation_constant_matrix(n)
-
-    def var(name, i, j):
-        return var_of_entry.get((name, i, j))
-
-    equations = []
-
-    def prod_entry_linear(left_name, const_right, i, j, sign, eq):
-        """Accumulate sign * (Var_left . Const_right)[i][j] into eq."""
-        rows, cols = shapes[left_name]
-        for k in range(cols):
-            v = var(left_name, i, k)
-            c = const_right[k][j]
-            if v is not None and c != f.zero:
-                cc = c if sign > 0 else f.neg(c)
-                eq.lin[v] = f.add(eq.lin.get(v, f.zero), cc)
-
-    def const_prod_entry_linear(const_left, right_name, i, j, sign, eq):
-        rows, cols = shapes[right_name]
-        for k in range(rows):
-            c = const_left[i][k]
-            v = var(right_name, k, j)
-            if v is not None and c != f.zero:
-                cc = c if sign > 0 else f.neg(c)
-                eq.lin[v] = f.add(eq.lin.get(v, f.zero), cc)
-
-    def var_prod_entry(left_name, right_name, i, j, eq):
-        inner = shapes[left_name][1]
-        for k in range(inner):
-            vl = var(left_name, i, k)
-            vr = var(right_name, k, j)
-            if vl is not None and vr is not None:
-                key = (vl, vr) if vl <= vr else (vr, vl)
-                eq.quad[key] = f.add(eq.quad.get(key, f.zero), f.one)
-
-    # A T_M = T_N C  (|G_N| x |R_M| linear equations)
-    for i in range(len(gn)):
-        for j in range(len(rm)):
-            eq = QuadEquation(const=f.zero)
-            prod_entry_linear("A", t_m, i, j, +1, eq)
-            const_prod_entry_linear(t_n, "C", i, j, -1, eq)
-            equations.append(eq)
-    # B T_N = T_M D  (|G_M| x |R_N|)
-    for i in range(len(gm)):
-        for j in range(len(rn)):
-            eq = QuadEquation(const=f.zero)
-            prod_entry_linear("B", t_n, i, j, +1, eq)
-            const_prod_entry_linear(t_m, "D", i, j, -1, eq)
-            equations.append(eq)
-    # B A - I = T_M E  (|G_M| x |G_M|)
-    for i in range(len(gm)):
-        for j in range(len(gm)):
-            eq = QuadEquation(const=f.neg(f.one) if i == j else f.zero)
-            var_prod_entry("B", "A", i, j, eq)
-            const_prod_entry_linear(t_m, "E", i, j, -1, eq)
-            equations.append(eq)
-    # A B - I = T_N F  (|G_N| x |G_N|)
-    for i in range(len(gn)):
-        for j in range(len(gn)):
-            eq = QuadEquation(const=f.neg(f.one) if i == j else f.zero)
-            var_prod_entry("A", "B", i, j, eq)
-            const_prod_entry_linear(t_n, "F", i, j, -1, eq)
-            equations.append(eq)
-
-    system = QuadraticSystem(f, counter, equations)
-    return InterleavingSystem(shapes, masks, t_m, t_n, system, var_of_entry)
+    system = QuadraticSystem(f, len(var_of_entry), equations)
+    return InterleavingSystem(shapes, masks, system, var_of_entry)
 
 
 def _check_increasing(maps, presentations):
@@ -232,23 +193,16 @@ def candidate_set(m, n):
     """U_{M,N}: all values the interleaving distance can take, as a sorted
     list of ExtendedRationals containing 0 and +inf.  Computed from minimized
     presentations."""
+    if m.n != n.n:
+        raise PresentationError("parameter counts differ")
     _, axes_m = m.critical_grades()
     _, axes_n = n.critical_grades()
     values = {Fraction(0)}
-    for i in range(m.n):
-        um, un = axes_m[i] if i < len(axes_m) else [], axes_n[i] if i < len(axes_n) else []
-        for x in um:
-            for y in un:
-                values.add(abs(x - y))
-        for x in um:
-            for y in um:
-                values.add(abs(x - y) / 2)
-        for x in un:
-            for y in un:
-                values.add(abs(x - y) / 2)
-    out = [ext(v) for v in sorted(values)]
-    out.append(INF)
-    return out
+    for um, un in zip(axes_m, axes_n):
+        values |= {abs(x - y) for x in um for y in un}
+        values |= {abs(x - y) / 2 for x in um for y in um}
+        values |= {abs(x - y) / 2 for x in un for y in un}
+    return [ext(v) for v in sorted(values)] + [INF]
 
 
 class DistanceBudgetExceeded(Exception):
@@ -272,26 +226,22 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     valid because interleavability is monotone in eps and the distance is
     attained.  Presentations are minimized once up front."""
     mm, nn = m.minimize(), n.minimize()
-    cands = candidate_set(mm, nn)
-    finite = [c for c in cands if c.is_finite]
-    lo, hi = 0, len(finite) - 1
-    first_yes = None
     last_no = ExtendedRational.of(0)
-    try:
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            j = MonotoneAffineMap.translation(mm.n, finite[mid].value)
+
+    def interleaved(eps):
+        nonlocal last_no
+        j = MonotoneAffineMap.translation(mm.n, eps.value)
+        try:
             res = _solve(mm, nn, j, j, budget)
-            if stats is not None:
-                stats.decisions += 1
-                stats.nodes += res.nodes
-            if res.status == "solvable":
-                first_yes = finite[mid]
-                hi = mid - 1
-            else:
-                last_no = finite[mid]
-                lo = mid + 1
-    except BudgetExceeded as exc:
-        unknown = finite[(lo + hi) // 2] if lo <= hi else INF
-        raise DistanceBudgetExceeded(last_no, unknown, exc.nodes) from exc
-    return first_yes if first_yes is not None else INF
+        except BudgetExceeded as exc:
+            raise DistanceBudgetExceeded(last_no, eps, exc.nodes) from exc
+        if stats is not None:
+            stats.decisions += 1
+            stats.nodes += res.nodes
+        if res.status != "solvable":
+            last_no = eps
+        return res.status == "solvable"
+
+    finite = [c for c in candidate_set(mm, nn) if c.is_finite]
+    d = least_feasible(finite, interleaved)
+    return INF if d is None else d

@@ -8,7 +8,8 @@ finite births and finite-or-+inf deaths.
 
 import itertools
 
-from .exactnum import INF, NEG_INF, ExtendedRational, ext, parse_extended
+from .exactnum import (INF, NEG_INF, ExtendedRational, ext, least_feasible,
+                       parse_extended)
 from .presentation import PresentationError, direct_sum, interval_presentation
 
 
@@ -186,15 +187,7 @@ def bottleneck(d1, d2):
     for y in right:
         cands.add(_half(y))
     finite = sorted(c for c in cands if c.is_finite)
-    lo, hi = 0, len(finite) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _feasible(left, right, finite[mid]):
-            best = finite[mid]
-            hi = mid - 1
-        else:
-            lo = mid + 1
+    best = least_feasible(finite, lambda eps: _feasible(left, right, eps))
     return best if best is not None else INF
 
 

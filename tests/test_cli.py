@@ -243,3 +243,24 @@ class TestExportAndInfer:
         code, _, _ = run(capsys, "infer", "run", "--density", "1,0,1",
                          "--samples", "10,5")
         assert code == 2
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["--budget", "5", "distance", "interleaving", "c01.txt", "c23.txt"],
+        ["--seed", "9", "infer", "run", "--density", "1,0,1/2", "--samples", "5"],
+    ], ids=["budget", "seed"])
+    def test_top_level_budget_and_seed_are_usage_errors(self, files, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([str(files / a) if a.endswith(".txt") else a for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: permod")
+
+    def test_unexpected_exception_exit_4_one_line(self, files, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr("permod.cli.cmd_diagram", broken)
+        code, out, err = run(capsys, "diagram", files / "c01.txt")
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: boom second line\n"

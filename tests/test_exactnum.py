@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permod.exactnum import (INF, NEG_INF, PrimeField, QQ, bracket_sqrt,
-                             ext, parse_field, parse_rational)
+                             ext, least_feasible, parse_field, parse_rational)
 
 rationals = st.fractions(max_denominator=100)
 
@@ -110,3 +110,15 @@ def test_bracket_sqrt():
     assert hi - lo <= Fraction(1, 2 ** 20)
     lo, hi = bracket_sqrt(Fraction(9, 4))
     assert lo <= Fraction(3, 2) <= hi
+
+
+def test_least_feasible_threshold_and_probe_order():
+    for size in range(8):
+        values = list(range(size))
+        for t in range(size + 1):
+            got = least_feasible(values, lambda v: v >= t)
+            assert got == (t if t < size else None)
+    probes = []
+    assert least_feasible(list(range(10)),
+                          lambda v: probes.append(v) or v >= 3) == 3
+    assert probes == [4, 1, 2, 3]

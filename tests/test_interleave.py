@@ -130,6 +130,13 @@ class TestCandidates:
         zero = Presentation(1, f2, [], [])
         assert candidate_set(zero, zero) == [ext(0), INF]
 
+    def test_parameter_count_mismatch_rejected(self, f2):
+        m2 = Presentation(2, f2, [("g", (F(0), F(1)))], [])
+        with pytest.raises(PresentationError, match="parameter counts differ"):
+            candidate_set(C(f2, 0, 1), m2)
+        with pytest.raises(PresentationError, match="parameter counts differ"):
+            candidate_set(m2, C(f2, 0, 1))
+
 
 class TestDistance:
     def test_self(self, f2):

@@ -15,11 +15,10 @@ from .exactnum import parse_field, parse_rational
 from .filtration import (DensitySpec, cech_bifiltration, parse_complex,
                          parse_points_csv, parse_values_csv, rips_bifiltration)
 from .homology import grid_module_of, image_grid_module, present_homology
-from .interleave import (DistanceBudgetExceeded, assemble_system,
-                         candidate_set, decide_interleaving,
-                         interleaving_distance)
+from .interleave import (DistanceBudgetExceeded, SearchStats, assemble_system,
+                         decide_interleaving, interleaving_distance)
 from .onedim import bottleneck, diagram_of, parse_diagram
-from .presentation import PresentationError, parse_presentation
+from .presentation import MonotoneAffineMap, PresentationError, parse_presentation
 from .quadsys import BudgetExceeded, DEFAULT_BUDGET
 from .infer import run_experiment
 
@@ -77,15 +76,18 @@ def cmd_present(args):
     return EXIT_OK
 
 
+def _export_quadsys(path, m, n, eps):
+    """Write the system deciding eps-interleaving of the minimized pair."""
+    j = MonotoneAffineMap.translation(m.n, eps)
+    _write(path, assemble_system(m.minimize(), n.minimize(), j, j).export_text())
+
+
 def cmd_distance_interleaving(args):
     m, n = _load_pair(args.module_m, args.module_n)
     budget = args.budget
     if args.export_quadsys:
         eps = parse_rational(args.decide) if args.decide else Fraction(0)
-        from .presentation import MonotoneAffineMap
-        j = MonotoneAffineMap.translation(m.n, eps)
-        _write(args.export_quadsys,
-               assemble_system(m.minimize(), n.minimize(), j, j).export_text())
+        _export_quadsys(args.export_quadsys, m, n, eps)
     if args.decide is not None:
         eps = parse_rational(args.decide)
         try:
@@ -95,8 +97,6 @@ def cmd_distance_interleaving(args):
             return EXIT_BUDGET
         print(answer)
         return EXIT_OK
-    cands = candidate_set(m, n)
-    from .interleave import SearchStats
     stats = SearchStats()
     try:
         d = interleaving_distance(m, n, budget=budget, stats=stats)
@@ -105,7 +105,7 @@ def cmd_distance_interleaving(args):
         print(f"budget exceeded; d_I in [{lo}, {hi}]")
         return EXIT_BUDGET
     print(f"d_I = {d}")
-    print(f"candidates = {len(cands)}")
+    print(f"candidates = {stats.candidates}")
     print(f"solver: {stats.decisions} decisions, {stats.nodes} search nodes")
     return EXIT_OK
 
@@ -190,10 +190,7 @@ def cmd_homology(args):
 
 def cmd_export_quadsys(args):
     m, n = _load_pair(args.module_m, args.module_n)
-    eps = parse_rational(args.eps)
-    from .presentation import MonotoneAffineMap
-    j = MonotoneAffineMap.translation(m.n, eps)
-    _write(args.out, assemble_system(m, n, j, j).export_text())
+    _export_quadsys(args.out, m, n, parse_rational(args.eps))
     return EXIT_OK
 
 

@@ -10,12 +10,15 @@ Three computation styles share the exact linear algebra kernel:
   between two scale slices, of a resampling, or of clusters (``infer``), is
   made by `build_grid_module`: one walk over the grid computes the data at
   each point, its dimension, and the transition to each successor;
-* presentations of homology for 1 and 2 parameters, by sweeping the grid in
-  a linear extension and collecting a kernel basis of the boundary map, then
-  expressing the next boundary's columns in that basis and minimizing.  The
-  freeness of two-parameter kernels is an implementation hypothesis; every
-  extraction is followed by a Hilbert check against independent per-point
-  homology dimensions.
+* presentations of homology for 1 and 2 parameters.  The critical grid is
+  swept row by row with one span of kernel generators per row, and a
+  nullspace is taken only where a generator is born: where the kernel
+  dimension, from a sparse rank table, exceeds the span's rank.  Each
+  boundary of a (d+1)-simplex is expressed in the generators active at its
+  grade, then the presentation is minimized.  The freeness of two-parameter
+  kernels is an implementation hypothesis, so a Hilbert check follows, on
+  per-point dimensions from rank tables of its own: it reads nothing that
+  the sweep built, so a sweep error cannot vouch for itself.
 """
 
 import bisect
@@ -24,10 +27,10 @@ from fractions import Fraction
 
 from .exactnum import (INF, ext, format_rational, least_feasible, parse_field,
                        parse_rational)
-from .linalg import (ColumnSpan, identity, mat_mul, nullspace, rank as mat_rank,
-                     zeros)
+from .linalg import (ColumnReducer, ColumnSpan, identity, mat_mul, nullspace,
+                     rank as mat_rank, subtract_multiple, zeros)
 from .onedim import PersistenceDiagram
-from .presentation import Presentation, grade_leq
+from .presentation import Presentation, grade_leq, grade_ranks, row_sweep
 
 
 class HomologyError(ValueError):
@@ -47,62 +50,76 @@ class GradedChainComplex:
         self.max_deg = max(by_deg, default=-1)
         self.bases = [sorted(by_deg.get(d, []), key=lambda s: (s[1], s[0]))
                       for d in range(self.max_deg + 1)]
-        self.boundaries = []
-        for d in range(self.max_deg + 1):
-            if d == 0:
-                self.boundaries.append(None)
-                continue
+        # boundary columns {row: coeff} per degree (a vertex has none)
+        self.columns = [[{} for _ in basis] for basis in self.bases]
+        for d in range(1, self.max_deg + 1):
             rows = {verts: i for i, (verts, _) in enumerate(self.bases[d - 1])}
-            mat = [[field.zero] * len(self.bases[d]) for _ in rows] or []
-            for j, (verts, _) in enumerate(self.bases[d]):
+            for (verts, _), col in zip(self.bases[d], self.columns[d]):
                 sign = field.one
                 for k in range(len(verts)):
-                    face = verts[:k] + verts[k + 1:]
-                    mat[rows[face]][j] = sign
+                    col[rows[verts[:k] + verts[k + 1:]]] = sign
                     sign = field.neg(sign)
-            self.boundaries.append(mat)
         self._check_dd()
+        # each grade as an index tuple on the critical axes: sweeps compare ints
+        self.axes, ranks = grade_ranks([g for basis in self.bases for _, g in basis],
+                                       self.nparams)
+        ranks = iter(ranks)
+        self.grade_index = {d: [next(ranks) for _ in basis]
+                            for d, basis in enumerate(self.bases)}
+        self._dims = {}         # degree -> {grid index: dim H_degree}
 
     def _check_dd(self):
-        f = self.field
         for d in range(2, self.max_deg + 1):
-            prod = mat_mul(f, self.boundaries[d - 1], self.boundaries[d])
-            if any(x != f.zero for row in prod for x in row):
-                raise HomologyError("boundary of boundary is nonzero")
+            for col in self.columns[d]:
+                acc = {}
+                for i, x in col.items():
+                    subtract_multiple(self.field, acc, x, self.columns[d - 1][i])
+                if acc:
+                    raise HomologyError("boundary of boundary is nonzero")
 
     def simplices(self, d):
         return self.bases[d] if 0 <= d <= self.max_deg else []
 
-    def boundary(self, d):
-        """Boundary matrix from degree d to d-1 (rows: (d-1)-simplices)."""
-        if d <= 0 or d > self.max_deg:
-            rows = len(self.simplices(d - 1))
-            return [[self.field.zero] * 0 for _ in range(rows)]
-        return self.boundaries[d]
+    def boundary(self, d, cols=None):
+        """Dense boundary matrix from degree d to d-1 (rows: (d-1)-simplices),
+        on the given d-simplices (by default all of them)."""
+        cols = range(len(self.simplices(d))) if cols is None else cols
+        out = zeros(self.field, len(self.simplices(d - 1)), len(cols))
+        for t, j in enumerate(cols):
+            for i, x in self.columns[d][j].items():
+                out[i][t] = x
+        return out
 
     def _active(self, d, z):
         return [j for j, (_, g) in enumerate(self.simplices(d)) if grade_leq(g, z)]
 
+    def active_ranks(self, d):
+        """{critical grid index: (number of active d-simplices, rank of the
+        boundary on them)}, by one sparse reduction per row of the grid."""
+        table = {}
+        for z, entering in row_sweep([len(ax) for ax in self.axes],
+                                     self.grade_index.get(d, [])):
+            if z[-1] == 0:
+                reducer, n = ColumnReducer(self.field), 0
+            for j in entering:
+                reducer.add(dict(self.columns[d][j]))
+            n += len(entering)
+            table[z] = (n, reducer.rank)
+        return table
+
     def homology_dim_at(self, d, z):
-        """dim H_d at grade z by independent per-point elimination."""
-        f = self.field
-        act_d = self._active(d, z)
-        if not act_d:
-            return 0
-        bd = self.boundary(d)
-        sub = [[bd[i][j] for j in act_d] for i in range(len(bd))] if bd else []
-        rank_d = mat_rank(f, sub) if sub else 0
-        act_up = self._active(d + 1, z)
-        bu = self.boundary(d + 1)
-        rank_up = 0
-        if act_up and bu:
-            subu = [[bu[i][j] for j in act_up] for i in range(len(bu))]
-            rank_up = mat_rank(f, subu)
-        return len(act_d) - rank_d - rank_up
+        """dim H_d at grade z, snapped down onto the critical grid: active
+        d-simplices minus the boundary ranks on the active d- and
+        (d+1)-simplices, tabled on first use from the boundary columns alone."""
+        if d not in self._dims:
+            up = self.active_ranks(d + 1)
+            self._dims[d] = {i: n - r - up[i][1]
+                             for i, (n, r) in self.active_ranks(d).items()}
+        idx = tuple(_floor_index(ax, v) for ax, v in zip(self.axes, z))
+        return 0 if None in idx else self._dims[d][idx]
 
     def critical_axes(self):
-        grades = [g for d in range(self.max_deg + 1) for _, g in self.bases[d]]
-        return [sorted({g[i] for g in grades}) for i in range(self.nparams)]
+        return [list(ax) for ax in self.axes]
 
 
 def chain_complex_of(complex_, field):
@@ -134,33 +151,20 @@ def barcode_1d(complex_, degree, field):
                 sign = f.neg(sign)
         columns.append(col)
 
-    low_of = {}
-    pairs = {}
-    for k in range(len(columns)):
-        col = columns[k]
-        while col:
-            low = max(col)
-            if low not in low_of:
-                break
-            other = columns[low_of[low]]
-            factor = f.div(col[low], other[low])
-            for r, c in other.items():
-                v = f.sub(col.get(r, f.zero), f.mul(factor, c))
-                if v == f.zero:
-                    col.pop(r, None)
-                else:
-                    col[r] = v
-        if col:
-            low = max(col)
-            low_of[low] = k
+    reducer = ColumnReducer(f)
+    pairs = {}              # creator position -> killer position
+    for k, col in enumerate(columns):
+        low = reducer.add(col)
+        if low is not None:
             pairs[low] = k
+    killers = set(pairs.values())
 
     pts = []
     for k, i in enumerate(order):
         verts, grade = rational[i]
         if len(verts) - 1 != degree:
             continue
-        if columns[k]:
+        if k in killers:
             continue            # not a cycle: it kills something lower
         if k in pairs:
             killer = order[pairs[k]]
@@ -414,9 +418,8 @@ class _HomologyBasisTracker:
         act = self.chain._active(self.degree, z)
         if not act:
             return []
-        bd = self.chain.boundary(self.degree)
-        if bd and len(bd) > 0:
-            sub = [[bd[i][j] for j in act] for i in range(len(bd))]
+        sub = self.chain.boundary(self.degree, act)
+        if sub:
             core = nullspace(f, sub)
         else:
             core = [[f.one if t == s else f.zero for t in range(len(act))]
@@ -429,16 +432,6 @@ class _HomologyBasisTracker:
             out.append(vec)
         return out
 
-    def _boundaries_at(self, z):
-        f = self.f
-        act_up = self.chain._active(self.degree + 1, z)
-        bu = self.chain.boundary(self.degree + 1)
-        cols = []
-        for j in act_up:
-            cols.append([bu[i][j] for i in range(self.nd)] if bu else
-                        [f.zero] * self.nd)
-        return cols
-
     def basis_at(self, z, cycles=None):
         """(representative cycle vectors, ColumnSpan loaded with boundaries
         then representatives, number of boundary members).  Representatives
@@ -447,7 +440,8 @@ class _HomologyBasisTracker:
         line up with [boundaries..., reps...]."""
         span = ColumnSpan(self.f, self.nd)
         n_bound = 0
-        for b in self._boundaries_at(z):
+        for j in self.chain._active(self.degree + 1, z):
+            b = self.chain.columns[self.degree + 1][j]
             if not span.contains(b):
                 span.insert(b)
                 n_bound += 1
@@ -519,8 +513,11 @@ def refinement_check(source, axes, degree=None, field=None):
 
 def present_homology(complex_, degree, field, check_hilbert=True):
     """Presentation of H_degree of a one-critical bifiltered complex with one
-    or two parameters: kernel basis collected by a lexicographic grid sweep,
-    then boundary columns expressed in that basis, then minimization."""
+    or two parameters: a row-by-row sweep of the critical grid collects a
+    kernel basis and expresses each boundary of a (degree+1)-simplex in the
+    generators active at its grade, then the result is minimized.  The
+    Hilbert check compares dimensions with `homology_dim_at` at every grid
+    point, which shares no state with the sweep."""
     chain = chain_complex_of(complex_, field)
     if chain.nparams not in (1, 2):
         raise HomologyError("presentation extraction supports 1 or 2 parameters")
@@ -529,48 +526,41 @@ def present_homology(complex_, degree, field, check_hilbert=True):
         return Presentation(chain.nparams, field, [], [])
     tracker = _HomologyBasisTracker(chain, degree)
     f = field
+    kernel_dim = {z: n - r for z, (n, r) in chain.active_ranks(degree).items()}
+    rels_at = {}                # grid index -> (degree+1)-simplices of that grade
+    for j, z in enumerate(chain.grade_index.get(degree + 1, [])):
+        rels_at.setdefault(z, []).append(j)
 
-    gens = []           # (vector, grade)
-    span_dim = tracker.nd
-    gen_span_cache = {}
+    gens, born = [], []         # kernel generators and their grid indices
+    rel_coeffs = {}             # (degree+1)-simplex -> {generator: coeff}
+    for z, entering in row_sweep([len(ax) for ax in axes], born):
+        if z[-1] == 0:
+            # one span per row: a generator enters when it becomes active,
+            # and the nullspace is taken only where the span falls short of
+            # the kernel, i.e. where a generator is born
+            span = ColumnSpan(f, tracker.nd)
+            members = []        # generator index (None: dependent) per insert
+        for i in entering:
+            span.insert(gens[i])
+            members.append(i)
+        if kernel_dim[z] > span.rank:
+            for v in tracker._cycles_at(tuple(ax[x] for ax, x in zip(axes, z))):
+                members.append(len(gens) if span.insert(v) else None)
+                if members[-1] is not None:
+                    gens.append(v)
+                    born.append(z)
+        for j in rels_at.get(z, ()):
+            coords = span.coords(chain.columns[degree + 1][j])
+            if coords is None:
+                raise HomologyError("boundary escapes the kernel span; "
+                                    "sweep incomplete")
+            rel_coeffs[j] = {i: c for i, c in zip(members, coords) if i is not None}
 
-    for z in itertools.product(*axes):
-        active = [i for i, (_, g) in enumerate(gens) if grade_leq(g, z)]
-        span = ColumnSpan(f, span_dim)
-        for i in active:
-            span.insert(gens[i][0])
-        for v in tracker._cycles_at(z):
-            if span.insert(v):
-                gens.append((v, z))
-                active.append(len(gens) - 1)
-
-    def gen_span_at(z):
-        key = z
-        if key not in gen_span_cache:
-            span = ColumnSpan(f, span_dim)
-            idxs = []
-            for i, (v, g) in enumerate(gens):
-                if grade_leq(g, z):
-                    span.insert(v)
-                    idxs.append(i)
-            gen_span_cache[key] = (span, idxs)
-        return gen_span_cache[key]
-
-    rels = []
-    bu = chain.boundary(degree + 1)
-    for j, (verts, g) in enumerate(chain.simplices(degree + 1)):
-        vec = [bu[i][j] for i in range(tracker.nd)] if bu else [f.zero] * tracker.nd
-        span, idxs = gen_span_at(g)
-        coords = span.coords(vec)
-        if coords is None:
-            raise HomologyError("boundary escapes the kernel span; sweep incomplete")
-        coeffs = [f.zero] * len(gens)
-        for t, i in enumerate(idxs):
-            coeffs[i] = coords[t]
-        rels.append((f"b{j}", g, coeffs))
-
+    rels = [(f"b{j}", g, [rel_coeffs[j].get(i, f.zero) for i in range(len(gens))])
+            for j, (_, g) in enumerate(chain.simplices(degree + 1))]
     pres = Presentation(chain.nparams, f,
-                        [(f"k{i}", g) for i, (_, g) in enumerate(gens)],
+                        [(f"k{i}", tuple(ax[x] for ax, x in zip(axes, z)))
+                         for i, z in enumerate(born)],
                         rels).validate().minimize()
 
     if check_hilbert:

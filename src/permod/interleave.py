@@ -189,14 +189,14 @@ def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
     return decide_generalized(m, n, j, j, budget=budget)
 
 
-def candidate_set(m, n):
+def candidate_set(m, n, minimal=False):
     """U_{M,N}: all values the interleaving distance can take, as a sorted
     list of ExtendedRationals containing 0 and +inf.  Computed from minimized
-    presentations."""
+    presentations; pass minimal=True when m and n are minimal already."""
     if m.n != n.n:
         raise PresentationError("parameter counts differ")
-    _, axes_m = m.critical_grades()
-    _, axes_n = n.critical_grades()
+    _, axes_m = m.critical_grades(minimal)
+    _, axes_n = n.critical_grades(minimal)
     values = {Fraction(0)}
     for um, un in zip(axes_m, axes_n):
         values |= {abs(x - y) for x in um for y in un}
@@ -219,6 +219,7 @@ class SearchStats:
     def __init__(self):
         self.decisions = 0
         self.nodes = 0
+        self.candidates = 0     # size of the candidate set, +inf included
 
 
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
@@ -242,6 +243,9 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
             last_no = eps
         return res.status == "solvable"
 
-    finite = [c for c in candidate_set(mm, nn) if c.is_finite]
+    cands = candidate_set(mm, nn, minimal=True)
+    if stats is not None:
+        stats.candidates = len(cands)
+    finite = [c for c in cands if c.is_finite]
     d = least_feasible(finite, interleaved)
     return INF if d is None else d

@@ -1,10 +1,11 @@
-"""Dense exact linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field.
 
 Matrices are lists of row lists of field elements.  Everything is Gaussian
 elimination at desk scale; no pivoting heuristics beyond "first nonzero",
-which keeps every routine deterministic.  `gauss_jordan` is the one reduction
-behind `rank`, `nullspace` and `solve`, and the linear elimination rounds of
-the `quadsys` solver.
+which keeps every routine deterministic.  `gauss_jordan` is the one dense
+reduction, behind `rank`, `nullspace` and `solve`, and the linear elimination
+rounds of the `quadsys` solver; `ColumnReducer` is the one sparse one, behind
+`ColumnSpan`, barcodes, homology rank tables and minimization.
 """
 
 
@@ -80,73 +81,113 @@ def rank(field, a):
     return len(pivot_of_col) - pivot_of_col.count(None)
 
 
+def subtract_multiple(f, target, c, source):
+    """target -= c * source on {key: coeff} dicts, dropping zero entries."""
+    zero = f.zero
+    for r, x in source.items():
+        v = f.sub(target.get(r, zero), f.mul(c, x))
+        if v == zero:
+            target.pop(r, None)
+        else:
+            target[r] = v
+
+
+class ColumnReducer:
+    """Sparse column reduction over any field, the one sparse elimination in
+    the package.  Columns are {row: coeff} dicts without zeros; a column's
+    pivot is its largest row.  A column may carry a combination, a {key:
+    coeff} dict reduced alongside it, to write residues over added columns."""
+
+    def __init__(self, field):
+        self.field = field
+        self.columns = {}       # pivot row -> (column, combination or None)
+
+    @property
+    def rank(self):
+        return len(self.columns)
+
+    def reduce(self, col, combo=None, full=False):
+        """Reduce col (consumed and returned), and combo with it, until its
+        largest row is no pivot; with full, until it is zero at every pivot."""
+        f, kept = self.field, {}
+        while col:
+            low = max(col)
+            hit = self.columns.get(low)
+            if hit is None:
+                if not full:
+                    break
+                kept[low] = col.pop(low)
+                continue
+            c = f.div(col[low], hit[0][low])
+            subtract_multiple(f, col, c, hit[0])
+            if combo is not None:
+                subtract_multiple(f, combo, c, hit[1])
+        col.update(kept)
+        return col
+
+    def add(self, col, combo=None):
+        """Reduce col and keep it unless it became zero.  Returns its pivot
+        row, or None when col was dependent."""
+        col = self.reduce(col, combo)
+        if not col:
+            return None
+        low = max(col)
+        self.columns[low] = (col, combo)
+        return low
+
+
 class ColumnSpan:
     """Echelon basis of a growing span of column vectors in field**dim.
 
     Supports membership tests and expressing a vector as a combination of the
     vectors that were inserted (not of the internal echelon columns), which is
-    what presentation quotients and kernel sweeps need.
+    what presentation quotients and kernel sweeps need.  Vectors (dense or
+    {row: coeff}) go into a ColumnReducer on reversed rows, so a column's
+    pivot is its first nonzero row; `pivots` lists them in insertion order.
     """
 
     def __init__(self, field, dim):
         self.field = field
         self.dim = dim
-        self.cols = []        # echelon columns, each normalized at its pivot
-        self.combos = []      # expression of each echelon column over inserted vectors
-        self.pivots = []      # pivot row of each echelon column
+        self.pivots = []
         self.n_inserted = 0
+        self._reducer = ColumnReducer(field)
 
-    def _reduce(self, v):
-        f = self.field
-        v = list(v)
-        combo = [f.zero] * self.n_inserted
-        for col, comb, piv in zip(self.cols, self.combos, self.pivots):
-            c = v[piv]
-            if c == f.zero:
-                continue
-            for i in range(self.dim):
-                if col[i] != f.zero:
-                    v[i] = f.sub(v[i], f.mul(c, col[i]))
-            for i in range(len(comb)):
-                if comb[i] != f.zero:
-                    combo[i] = f.sub(combo[i], f.mul(c, comb[i]))
-        return v, combo
+    def _sparse(self, v):
+        top, zero = self.dim - 1, self.field.zero
+        return {top - i: x for i, x in (v.items() if isinstance(v, dict) else
+                                        enumerate(v)) if x != zero}
+
+    def residue(self, v):
+        """v reduced to zero at every pivot row, as a {row: coeff} dict."""
+        res = self._reducer.reduce(self._sparse(v), full=True)
+        return {self.dim - 1 - r: x for r, x in res.items()}
 
     def contains(self, v):
-        res, _ = self._reduce(v)
-        return all(x == self.field.zero for x in res)
+        return not self._reducer.reduce(self._sparse(v))
 
     def coords(self, v):
         """Coefficients over inserted vectors expressing v, or None."""
-        res, combo = self._reduce(v)
-        if any(x != self.field.zero for x in res):
+        combo = {}
+        if self._reducer.reduce(self._sparse(v), combo):
             return None
-        return [self.field.neg(c) for c in combo]
+        f = self.field
+        return [f.neg(combo.get(k, f.zero)) for k in range(self.n_inserted)]
 
     def insert(self, v):
         """Add v to the span.  Returns True if v was independent."""
-        f = self.field
-        res, combo = self._reduce(v)
+        # invariant: each stored column == sum(combination[k] * inserted_k)
         idx = self.n_inserted
         self.n_inserted += 1
-        piv = next((i for i in range(self.dim) if res[i] != f.zero), None)
-        for comb in self.combos:
-            comb.append(f.zero)
-        if piv is None:
+        low = self._reducer.add(self._sparse(v), {idx: self.field.one})
+        if low is None:
             return False
-        # invariant: col == sum(comb[i] * inserted_i); res == v + sum(combo[i] * inserted_i)
-        inv = f.inv(res[piv])
-        col = [f.mul(inv, x) for x in res]
-        comb = [f.mul(inv, x) for x in combo] + [f.zero]
-        comb[idx] = inv
-        self.cols.append(col)
-        self.combos.append(comb)
-        self.pivots.append(piv)
+        self.pivots.append(self.dim - 1 - low)
         return True
 
     @property
     def rank(self):
-        return len(self.cols)
+        return len(self.pivots)
 
 
 def nullspace(field, a):

@@ -8,14 +8,45 @@ pointwise question (dimension, transition rank, minimization, span tests) is
 then a finite Gaussian elimination.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from .exactnum import QQ, format_rational, parse_field, parse_rational
-from .linalg import ColumnSpan
+from .linalg import ColumnReducer, ColumnSpan, subtract_multiple
 
 
 def grade_leq(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def grade_ranks(grades, n):
+    """(axes, ranks): the sorted distinct values on each of the n axes, and
+    each grade as the tuple of its values' positions there, ordered as the
+    grades are.  Values (Fractions or ints) are ranked as ints, scaled."""
+    axes, columns = [], []
+    for a in range(n):
+        vals = [g[a] for g in grades]
+        scale = math.lcm(*(x.denominator for x in vals))
+        ints = [x.numerator * (scale // x.denominator) for x in vals]
+        pos = {v: k for k, v in enumerate(sorted(set(ints)))}
+        columns.append([pos[v] for v in ints])
+        axes.append([x for _, x in sorted(dict(zip(columns[-1], vals)).items())])
+    return axes, list(zip(*columns))
+
+
+def row_sweep(shape, grades):
+    """Walk a grid of the given shape in lexicographic order; a row (one value
+    of the leading indices) starts where z[-1] == 0.  Yields (z, the positions
+    in `grades`, read as each row starts, with leading indices <= the row's
+    and last index z[-1])."""
+    for row in itertools.product(*(range(s) for s in shape[:-1])):
+        entering = [[] for _ in range(shape[-1])]
+        for i, g in enumerate(grades):
+            if grade_leq(g[:-1], row):
+                entering[g[-1]].append(i)
+        for k, batch in enumerate(entering):
+            yield row + (k,), batch
 
 
 class PresentationError(ValueError):
@@ -170,17 +201,11 @@ class Presentation:
         f = self.field
         cols = []
         for j in basis_a:
-            v = [f.zero] * len(gens_b)
-            v[pos_in_b[j]] = f.one
-            res, _ = span_b._reduce(v)
-            # residue coordinates at non-pivot rows are the quotient coords
+            # the residue is zero at every pivot row, so its entries sit on
+            # basis rows and are the quotient coordinates
             col = [f.zero] * len(basis_b)
-            for r, x in enumerate(res):
-                gj = gens_b[r]
-                if gj in basis_rows:
-                    col[basis_rows[gj]] = x
-                elif x != f.zero and r not in span_b.pivots:
-                    raise AssertionError("reduction left mass outside basis")
+            for r, x in span_b.residue({pos_in_b[j]: f.one}).items():
+                col[basis_rows[gens_b[r]]] = x
             cols.append(col)
         return [[cols[c][r] for c in range(len(basis_a))] for r in range(len(basis_b))]
 
@@ -226,65 +251,58 @@ class Presentation:
     def minimize(self):
         """Minimal presentation with the canonical grade multisets.
 
-        Step 1: repeatedly eliminate a generator carrying a unit coefficient
-        in a relation of equal grade (Gaussian elimination of the pair).
-        Step 2: in one pass, drop each relation lying in the span, at its
-        grade, of the other not yet dropped relations of grade <= its grade.
-        Ties are broken by grade lexicographic order, then input order, for
-        determinism.
+        Relations go in (grade, index) order, grades lexicographic.  Step 1,
+        one pass: a relation with a nonzero coefficient at a generator of its
+        own grade eliminates the first such generator from every later
+        relation (only later ones can hold it) and goes with it.  Step 2: a
+        relation is dropped iff it lies in the span of the relations strictly
+        below its grade plus those of its grade with a larger index, which is
+        what dropping them one by one in that order keeps.
         """
         f = self.field
-        gens = list(self.generators)
-        rels = [(nm, gr, list(cs)) for nm, gr, cs in self.relations]
+        _, keys = grade_ranks([g for _, g in self.generators] +
+                              [g for _, g, _ in self.relations], self.n)
+        gen_key, rel_key = keys[:len(self.generators)], keys[len(self.generators):]
+        rows = [{j: c for j, c in enumerate(cs) if c != f.zero}
+                for _, _, cs in self.relations]
+        order = sorted(range(len(rows)), key=lambda i: (rel_key[i], i))
 
-        def pair_key(item):
-            (ri, gj) = item
-            return (rels[ri][1], ri, gj)
+        removed_gens, kept = set(), []
+        for pos, i in enumerate(order):
+            row = rows[i]
+            piv = min((j for j in row if gen_key[j] == rel_key[i]), default=None)
+            if piv is None:
+                kept.append(i)
+                continue
+            for later in (rows[i2] for i2 in order[pos + 1:]):
+                if piv in later:
+                    subtract_multiple(f, later, f.div(later[piv], row[piv]), row)
+            removed_gens.add(piv)
 
-        while True:
-            candidates = []
-            for ri, (_, rgrade, coeffs) in enumerate(rels):
-                for gj, (_, ggrade) in enumerate(gens):
-                    if coeffs[gj] != f.zero and rgrade == ggrade:
-                        candidates.append((ri, gj))
-            if not candidates:
-                break
-            ri, gj = min(candidates, key=pair_key)
-            _, rgrade, rc = rels[ri]
-            c = rc[gj]
-            cinv = f.inv(c)
-            for i, (nm, gr, cs) in enumerate(rels):
-                if i == ri or cs[gj] == f.zero:
-                    continue
-                factor = f.mul(cs[gj], cinv)
-                cs = [f.sub(x, f.mul(factor, y)) for x, y in zip(cs, rc)]
-                rels[i] = (nm, gr, cs)
-            del rels[ri]
-            for i, (nm, gr, cs) in enumerate(rels):
-                rels[i] = (nm, gr, cs[:gj] + cs[gj + 1:])
-            del gens[gj]
-
-        # one pass suffices: a kept relation lies outside the span of the
-        # relations not yet dropped, and later drops only shrink that span
-        order = sorted(range(len(rels)), key=lambda i: (rels[i][1], i))
+        # one span per row of the leading coordinates, on the ranks of the
+        # remaining relations: at grade z it holds every relation strictly
+        # below z, then those of grade z from the largest index down
+        axes, keys = grade_ranks([rel_key[i] for i in kept], self.n)
         dropped = set()
-        for i in order:
-            _, gr, cs = rels[i]
-            span = ColumnSpan(f, len(gens))
-            for i2 in range(len(rels)):
-                if i2 == i or i2 in dropped:
-                    continue
-                _, gr2, cs2 = rels[i2]
-                if grade_leq(gr2, gr):
-                    span.insert(cs2)
-            if span.contains(cs):
-                dropped.add(i)
-        rels = [r for i, r in enumerate(rels) if i not in dropped]
-        return Presentation(self.n, f, gens, rels)
+        for z, entering in row_sweep([len(ax) for ax in axes], keys):
+            if z[-1] == 0:
+                reducer = ColumnReducer(f)
+            for t in entering:
+                if keys[t] != z:
+                    reducer.add(dict(rows[kept[t]]))
+            for t in reversed(entering):
+                if keys[t] == z and reducer.add(dict(rows[kept[t]])) is None:
+                    dropped.add(kept[t])
+        keep = set(kept) - dropped
+        gens = [j for j in range(len(self.generators)) if j not in removed_gens]
+        rels = [(nm, gr, [rows[i].get(j, f.zero) for j in gens])
+                for i, (nm, gr, _) in enumerate(self.relations) if i in keep]
+        return Presentation(self.n, f, [self.generators[j] for j in gens], rels)
 
-    def critical_grades(self):
-        """(U, per-axis sorted value lists) from the minimized presentation."""
-        m = self.minimize()
+    def critical_grades(self, minimal=False):
+        """(U, per-axis sorted value lists) of the minimal presentation: self
+        if minimal, else self.minimize()."""
+        m = self if minimal else self.minimize()
         grades = [g for _, g in m.generators] + [g for _, g, _ in m.relations]
         u_set = sorted(set(grades))
         axes = [sorted({g[i] for g in grades}) for i in range(self.n)]

@@ -14,7 +14,9 @@ from permod.exactnum import INF, ext, format_rational
 from permod.filtration import FiltrationError, fixed_scale_slice
 from permod.homology import (GradedChainComplex, HomologyError,
                              chain_complex_of)
-from permod.linalg import ColumnSpan, identity, mat_mul
+from permod.linalg import identity, mat_mul
+
+from reference_homology import ColumnSpan
 
 
 def rank(field, a):

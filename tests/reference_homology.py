@@ -1,0 +1,240 @@
+"""Reference copies of the homology-presentation code that the row sweep in
+``permod.homology`` and the one-pass ``Presentation.minimize`` replaced:
+the grid-point-by-grid-point kernel sweep, the rescanning minimization, the
+dense per-point homology dimension, and the dense ``ColumnSpan`` they ran
+on.  Kept as they were, as oracles: the rewritten code must give
+byte-identical presentation text and the same dimensions.
+"""
+
+import itertools
+
+from permod.homology import HomologyError, chain_complex_of
+from permod.linalg import nullspace, rank as mat_rank
+from permod.presentation import Presentation, grade_leq
+
+
+class ColumnSpan:
+    """Echelon basis of a growing span of dense column vectors in
+    field**dim, pivoting on the first nonzero row."""
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        self.cols = []        # echelon columns, each normalized at its pivot
+        self.combos = []      # expression of each echelon column over inserted vectors
+        self.pivots = []      # pivot row of each echelon column
+        self.n_inserted = 0
+
+    def _reduce(self, v):
+        f = self.field
+        v = list(v)
+        combo = [f.zero] * self.n_inserted
+        for col, comb, piv in zip(self.cols, self.combos, self.pivots):
+            c = v[piv]
+            if c == f.zero:
+                continue
+            for i in range(self.dim):
+                if col[i] != f.zero:
+                    v[i] = f.sub(v[i], f.mul(c, col[i]))
+            for i in range(len(comb)):
+                if comb[i] != f.zero:
+                    combo[i] = f.sub(combo[i], f.mul(c, comb[i]))
+        return v, combo
+
+    def contains(self, v):
+        res, _ = self._reduce(v)
+        return all(x == self.field.zero for x in res)
+
+    def coords(self, v):
+        """Coefficients over inserted vectors expressing v, or None."""
+        res, combo = self._reduce(v)
+        if any(x != self.field.zero for x in res):
+            return None
+        return [self.field.neg(c) for c in combo]
+
+    def insert(self, v):
+        """Add v to the span.  Returns True if v was independent."""
+        f = self.field
+        res, combo = self._reduce(v)
+        idx = self.n_inserted
+        self.n_inserted += 1
+        piv = next((i for i in range(self.dim) if res[i] != f.zero), None)
+        for comb in self.combos:
+            comb.append(f.zero)
+        if piv is None:
+            return False
+        inv = f.inv(res[piv])
+        col = [f.mul(inv, x) for x in res]
+        comb = [f.mul(inv, x) for x in combo] + [f.zero]
+        comb[idx] = inv
+        self.cols.append(col)
+        self.combos.append(comb)
+        self.pivots.append(piv)
+        return True
+
+    @property
+    def rank(self):
+        return len(self.cols)
+
+
+def homology_dim_at(chain, d, z):
+    """dim H_d at grade z by independent per-point elimination."""
+    f = chain.field
+    act_d = chain._active(d, z)
+    if not act_d:
+        return 0
+    bd = chain.boundary(d)
+    sub = [[bd[i][j] for j in act_d] for i in range(len(bd))] if bd else []
+    rank_d = mat_rank(f, sub) if sub else 0
+    act_up = chain._active(d + 1, z)
+    bu = chain.boundary(d + 1)
+    rank_up = 0
+    if act_up and bu:
+        subu = [[bu[i][j] for j in act_up] for i in range(len(bu))]
+        rank_up = mat_rank(f, subu)
+    return len(act_d) - rank_d - rank_up
+
+
+def minimize(p):
+    """Minimal presentation with the canonical grade multisets.
+
+    Step 1: repeatedly eliminate a generator carrying a unit coefficient
+    in a relation of equal grade (Gaussian elimination of the pair).
+    Step 2: in one pass, drop each relation lying in the span, at its
+    grade, of the other not yet dropped relations of grade <= its grade.
+    Ties are broken by grade lexicographic order, then input order, for
+    determinism.
+    """
+    f = p.field
+    gens = list(p.generators)
+    rels = [(nm, gr, list(cs)) for nm, gr, cs in p.relations]
+
+    def pair_key(item):
+        (ri, gj) = item
+        return (rels[ri][1], ri, gj)
+
+    while True:
+        candidates = []
+        for ri, (_, rgrade, coeffs) in enumerate(rels):
+            for gj, (_, ggrade) in enumerate(gens):
+                if coeffs[gj] != f.zero and rgrade == ggrade:
+                    candidates.append((ri, gj))
+        if not candidates:
+            break
+        ri, gj = min(candidates, key=pair_key)
+        _, rgrade, rc = rels[ri]
+        c = rc[gj]
+        cinv = f.inv(c)
+        for i, (nm, gr, cs) in enumerate(rels):
+            if i == ri or cs[gj] == f.zero:
+                continue
+            factor = f.mul(cs[gj], cinv)
+            cs = [f.sub(x, f.mul(factor, y)) for x, y in zip(cs, rc)]
+            rels[i] = (nm, gr, cs)
+        del rels[ri]
+        for i, (nm, gr, cs) in enumerate(rels):
+            rels[i] = (nm, gr, cs[:gj] + cs[gj + 1:])
+        del gens[gj]
+
+    order = sorted(range(len(rels)), key=lambda i: (rels[i][1], i))
+    dropped = set()
+    for i in order:
+        _, gr, cs = rels[i]
+        span = ColumnSpan(f, len(gens))
+        for i2 in range(len(rels)):
+            if i2 == i or i2 in dropped:
+                continue
+            _, gr2, cs2 = rels[i2]
+            if grade_leq(gr2, gr):
+                span.insert(cs2)
+        if span.contains(cs):
+            dropped.add(i)
+    rels = [r for i, r in enumerate(rels) if i not in dropped]
+    return Presentation(p.n, f, gens, rels)
+
+
+def _cycles_at(chain, degree, z):
+    f = chain.field
+    nd = len(chain.simplices(degree))
+    act = chain._active(degree, z)
+    if not act:
+        return []
+    bd = chain.boundary(degree)
+    if bd and len(bd) > 0:
+        sub = [[bd[i][j] for j in act] for i in range(len(bd))]
+        core = nullspace(f, sub)
+    else:
+        core = [[f.one if t == s else f.zero for t in range(len(act))]
+                for s in range(len(act))]
+    out = []
+    for v in core:
+        vec = [f.zero] * nd
+        for t, j in enumerate(act):
+            vec[j] = v[t]
+        out.append(vec)
+    return out
+
+
+def present_homology(complex_, degree, field, check_hilbert=True):
+    """Presentation of H_degree of a one-critical bifiltered complex with one
+    or two parameters: kernel basis collected by a lexicographic grid sweep,
+    then boundary columns expressed in that basis, then minimization."""
+    chain = chain_complex_of(complex_, field)
+    if chain.nparams not in (1, 2):
+        raise HomologyError("presentation extraction supports 1 or 2 parameters")
+    axes = chain.critical_axes()
+    if any(not ax for ax in axes):
+        return Presentation(chain.nparams, field, [], [])
+    f = field
+    nd = len(chain.simplices(degree))
+
+    gens = []           # (vector, grade)
+    gen_span_cache = {}
+
+    for z in itertools.product(*axes):
+        active = [i for i, (_, g) in enumerate(gens) if grade_leq(g, z)]
+        span = ColumnSpan(f, nd)
+        for i in active:
+            span.insert(gens[i][0])
+        for v in _cycles_at(chain, degree, z):
+            if span.insert(v):
+                gens.append((v, z))
+                active.append(len(gens) - 1)
+
+    def gen_span_at(z):
+        if z not in gen_span_cache:
+            span = ColumnSpan(f, nd)
+            idxs = []
+            for i, (v, g) in enumerate(gens):
+                if grade_leq(g, z):
+                    span.insert(v)
+                    idxs.append(i)
+            gen_span_cache[z] = (span, idxs)
+        return gen_span_cache[z]
+
+    rels = []
+    bu = chain.boundary(degree + 1)
+    for j, (verts, g) in enumerate(chain.simplices(degree + 1)):
+        vec = [bu[i][j] for i in range(nd)] if bu else [f.zero] * nd
+        span, idxs = gen_span_at(g)
+        coords = span.coords(vec)
+        if coords is None:
+            raise HomologyError("boundary escapes the kernel span; sweep incomplete")
+        coeffs = [f.zero] * len(gens)
+        for t, i in enumerate(idxs):
+            coeffs[i] = coords[t]
+        rels.append((f"b{j}", g, coeffs))
+
+    pres = minimize(Presentation(chain.nparams, f,
+                                 [(f"k{i}", g) for i, (_, g) in enumerate(gens)],
+                                 rels).validate())
+
+    if check_hilbert:
+        for z in itertools.product(*axes):
+            want = homology_dim_at(chain, degree, z)
+            got = pres.point_dim(z)
+            if want != got:
+                raise HomologyError(
+                    f"Hilbert check failed at {z}: presentation gives {got}, "
+                    f"pointwise homology gives {want}")
+    return pres

@@ -6,6 +6,7 @@ import pytest
 from permod.cli import main
 from permod.filtration import parse_complex
 from permod.homology import parse_grid_module
+from permod.interleave import candidate_set
 from permod.presentation import parse_presentation
 from permod.quadsys import parse_system
 
@@ -217,6 +218,35 @@ class TestExportAndInfer:
         text = out_path.read_text()
         sys_ = parse_system(text)
         assert sys_.nvars >= 1 and "# var 1 =" in text
+
+    def test_both_quadsys_exports_use_the_minimized_pair(self, files, capsys,
+                                                         tmp_path):
+        # M has a redundant generator h, eliminated by relation s
+        (tmp_path / "m.txt").write_text(
+            "PRESENTATION\nn 2\nfield zp 2\ngenerator g 0 0\n"
+            "generator h 1 1\nrelation r 2 2 : g 1\n"
+            "relation s 1 1 : g 1  h 1\nEND\n")
+        (tmp_path / "n.txt").write_text(
+            "PRESENTATION\nn 2\nfield zp 2\ngenerator g 0 0\n"
+            "relation r 3 3 : g 1\nEND\n")
+        m, n = tmp_path / "m.txt", tmp_path / "n.txt"
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        code, _, _ = run(capsys, "export", "quadsys", m, n, "--eps", "1",
+                         "--out", a)
+        assert code == 0
+        code, out, _ = run(capsys, "distance", "interleaving", m, n,
+                           "--decide", "1", "--export-quadsys", b)
+        assert code == 0 and out == "yes\n"
+        assert a.read_bytes() == b.read_bytes()
+        code, out, _ = run(capsys, "distance", "interleaving", m, n,
+                           "--export-quadsys", b)
+        cands = candidate_set(parse_presentation(m.read_text()),
+                              parse_presentation(n.read_text()))
+        assert code == 0 and f"candidates = {len(cands)}\n" in out
+        run(capsys, "present", "minimize", m, "--out", tmp_path / "mm.txt")
+        code, _, _ = run(capsys, "export", "quadsys", tmp_path / "mm.txt", n,
+                         "--eps", "1", "--out", b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_infer_run(self, capsys, tmp_path):
         out_path = tmp_path / "rec.json"

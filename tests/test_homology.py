@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -192,6 +194,25 @@ class TestPresentHomology:
                     subu = [[bu[i][j] for j in act_up] for i in range(len(bu))]
                     rk_up = mat_rank(f2, subu)
                 assert want == got_rank + rk_up
+
+    def test_large_lattice_within_time_gate(self, f2):
+        # a 6 x 8 jittered L1 lattice with function values 0..4, scale cap 5:
+        # 1,766 simplices.  The digests were computed once with the
+        # grid-point-by-grid-point sweep, which took 21 s for both degrees.
+        rng = seeded(48)
+        pts = [(3 * a + rng.randint(0, 1), 3 * b + rng.randint(0, 1))
+               for a in range(6) for b in range(8)]
+        vals = [(rng.randint(0, 4),) for _ in pts]
+        cx = rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
+        assert len(cx.simplices) == 1766
+        t0 = time.perf_counter()
+        texts = [present_homology(cx, d, f2, check_hilbert=True).to_text()
+                 for d in (0, 1)]
+        elapsed = time.perf_counter() - t0
+        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [
+            "f235f544d8cf5728c91f65f1dbb10e553dd94a5e61614b53dbfe0d2493379c7a",
+            "4e21e3de9a519401641657fe5124869edd05e655ce118ef1837433b5ccbfcedf"]
+        assert elapsed < 8, f"presenting H0 and H1 took {elapsed:.1f} s"
 
     def test_three_parameters_rejected(self, f2):
         with pytest.raises(HomologyError):

@@ -1,0 +1,160 @@
+"""The row-sweep `present_homology`, the one-pass `Presentation.minimize`,
+the table-driven `homology_dim_at` and the sparse `ColumnSpan` against the
+code they replaced (kept in reference_homology.py): byte-identical
+presentation text, identical minimization, the same dimension at every
+grid point, and the same pivots and residues."""
+
+import itertools
+from fractions import Fraction as F
+
+from permod.exactnum import QQ, PrimeField
+from permod.filtration import PointCloud, cech_bifiltration, rips_bifiltration
+from permod.homology import chain_complex_of, present_homology
+from permod.linalg import ColumnReducer, ColumnSpan, rank
+from permod.presentation import Presentation
+
+import reference_homology as ref
+from conftest import (random_one_critical_complex, random_presentation,
+                      rerepresent, seeded)
+
+FIELDS = (PrimeField(2), PrimeField(3), QQ)
+
+
+def random_clouds(rng, count):
+    """Seeded Rips/Cech bifiltrations with L1/Linf metrics, 1 and 2
+    parameters (Cech takes Linf only)."""
+    lattice = [(a, b) for a in range(7) for b in range(7)]
+    for case in range(count):
+        pts = rng.sample(lattice, rng.randint(3, 7))
+        nvals = case % 2                  # function coordinates: 0 or 1
+        vals = [tuple(rng.randint(0, 3) for _ in range(nvals)) for _ in pts]
+        if case % 4 < 2:
+            metric = 1 if case % 8 < 4 else "inf"
+            yield rips_bifiltration(PointCloud(pts), metric, vals, max_dim=2,
+                                    scale_cap=3)
+        else:
+            yield cech_bifiltration(PointCloud(pts), "inf", vals, max_dim=2,
+                                    scale_cap=3)
+
+
+def assert_same_presentations(cx, field):
+    for degree in (0, 1, 2):
+        new = present_homology(cx, degree, field)
+        old = ref.present_homology(cx, degree, field)
+        assert new.to_text() == old.to_text()
+
+
+def test_random_complexes_byte_identical():
+    rng = seeded(601)
+    for case in range(90):
+        cx = random_one_critical_complex(rng, 1 + case % 2,
+                                         max_simplices=rng.randint(5, 16),
+                                         max_dim=3)
+        assert_same_presentations(cx, FIELDS[case % 3])
+
+
+def test_rips_and_cech_byte_identical():
+    rng = seeded(602)
+    for case, cx in enumerate(random_clouds(rng, 24)):
+        assert_same_presentations(cx, FIELDS[case % 3])
+
+
+def test_dims_table_matches_pointwise_elimination():
+    rng = seeded(603)
+    cxs = [random_one_critical_complex(rng, 1 + k % 2, max_simplices=14,
+                                       max_dim=3) for k in range(20)]
+    for case, cx in enumerate(cxs + list(random_clouds(rng, 8))):
+        chain = chain_complex_of(cx, FIELDS[case % 3])
+        # the critical values, plus points below, between and above them
+        axes = [sorted(set(ax) | {ax[0] - 1, ax[-1] + 1} |
+                       {(x + y) / 2 for x, y in zip(ax, ax[1:])})
+                for ax in chain.critical_axes()]
+        for degree in (-1, 0, 1, 2, 3):
+            for z in itertools.product(*axes):
+                assert chain.homology_dim_at(degree, z) == \
+                    ref.homology_dim_at(chain, degree, z)
+
+
+def equal_grade_presentation(field):
+    """Three generators and three relations at one grade, each relation
+    with unit coefficients at generators of its grade, plus relations
+    above that become dependent once the units are eliminated."""
+    g, h = (F(1), F(1)), (F(2), F(2))
+    one, zero = field.one, field.zero
+    gens = [(f"g{i}", g) for i in range(3)] + [("x", (F(0), F(0)))]
+    rels = [("r0", g, [one, one, zero, one]),
+            ("r1", g, [zero, one, one, zero]),
+            ("r2", g, [one, zero, one, one]),
+            ("s0", h, [zero, zero, zero, one]),
+            ("s1", h, [one, zero, zero, one]),
+            ("s2", (F(3), F(1)), [zero, zero, zero, one])]
+    return Presentation(2, field, gens, rels).validate()
+
+
+def test_minimize_matches_reference():
+    rng = seeded(604)
+    cases = [equal_grade_presentation(f) for f in FIELDS]
+    for k in range(150):
+        field = FIELDS[k % 3]
+        # few grades, so many relations and generators share one
+        pool = [F(x) for x in range(1 + k % 3)]
+        p = random_presentation(rng, field, n=1 + k % 3, max_gens=6,
+                                max_rels=7, grade_pool=pool)
+        cases += [p, rerepresent(rng, p, add_redundant=True)]
+    for p in cases:
+        assert p.minimize().to_text() == ref.minimize(p).to_text()
+
+
+def random_sparse_columns(rng, field, rows, cols, density):
+    out = []
+    for _ in range(cols):
+        col = {r: field.of(rng.randrange(1, 5)) for r in range(rows)
+               if rng.random() < density}
+        out.append({r: x for r, x in col.items() if x != field.zero})
+    return out
+
+
+def test_reducer_rank_matches_dense_rank():
+    rng = seeded(605)
+    for k in range(120):
+        field = FIELDS[k % 3]
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        columns = random_sparse_columns(rng, field, rows, cols,
+                                        rng.choice([0.15, 0.3, 0.6]))
+        # duplicated columns make dependent ones certain
+        columns += [dict(c) for c in rng.sample(columns, min(3, len(columns)))]
+        reducer = ColumnReducer(field)
+        for j, col in enumerate(columns):
+            reducer.add(dict(col))
+            dense = [[c.get(r, field.zero) for c in columns[:j + 1]]
+                     for r in range(rows)]
+            assert reducer.rank == rank(field, dense)
+
+
+def test_column_span_matches_dense_span():
+    rng = seeded(606)
+    for k in range(120):
+        field = FIELDS[k % 3]
+        dim = rng.randint(1, 10)
+        new, old = ColumnSpan(field, dim), ref.ColumnSpan(field, dim)
+        vecs = []
+        for col in random_sparse_columns(rng, field, dim, rng.randint(1, 10),
+                                         rng.choice([0.2, 0.5])):
+            v = [col.get(r, field.zero) for r in range(dim)]
+            vecs.append(v)
+            probe = [field.of(rng.randrange(5)) for _ in range(dim)]
+            assert new.contains(probe) == old.contains(probe)
+            res = new.residue(probe)
+            assert [res.get(r, field.zero) for r in range(dim)] == \
+                old._reduce(probe)[0]
+            assert new.insert(v) == old.insert(v)
+            assert new.pivots == old.pivots and new.rank == old.rank
+        lam = [field.of(rng.randrange(5)) for _ in vecs]
+        target = [field.zero] * dim
+        for c, v in zip(lam, vecs):
+            target = [field.add(t, field.mul(c, x)) for t, x in zip(target, v)]
+        coords = new.coords(target)
+        rebuilt = [field.zero] * dim
+        for c, v in zip(coords, vecs):
+            rebuilt = [field.add(t, field.mul(c, x)) for t, x in zip(rebuilt, v)]
+        assert rebuilt == target

@@ -139,6 +139,23 @@ class TestCandidates:
 
 
 class TestDistance:
+    def test_each_presentation_minimized_once(self, f2, monkeypatch):
+        calls = []
+        minimize = Presentation.minimize
+
+        def counted(p):
+            calls.append(p)
+            return minimize(p)
+
+        monkeypatch.setattr(Presentation, "minimize", counted)
+        m = Presentation(1, f2, [("g", (F(0),)), ("h", (F(1),))],
+                         [("r", (F(1),), [f2.one, f2.one]),
+                          ("s", (F(2),), [f2.one, f2.zero])])
+        assert interleaving_distance(m, C(f2, 0, 3)) == ext(1)
+        assert len(calls) == 2
+        assert candidate_set(m, C(f2, 0, 3)) == candidate_set(
+            m.minimize(), C(f2, 0, 3), minimal=True)
+
     def test_self(self, f2):
         assert interleaving_distance(C(f2, 0, 4), C(f2, 0, 4)) == ext(0)
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists of field elements.  Everything is Gaussian
-elimination at desk scale; no pivoting heuristics beyond "first nonzero",
-which keeps every routine deterministic.  `gauss_jordan` is the one dense
-reduction, behind `rank`, `nullspace` and `solve`, and the linear elimination
-rounds of the `quadsys` solver; `ColumnReducer` is the one sparse one, behind
-`ColumnSpan`, barcodes, homology rank tables and minimization.
+Matrices are lists of row lists of field elements.  `ColumnReducer`, a
+sparse column reduction with no pivoting heuristics, is the one elimination
+in the package: it is behind `rank`, `nullspace` and `solve`, `ColumnSpan`,
+the linear elimination rounds of the `quadsys` solver, barcodes, homology
+rank tables and minimization.  Each result it gives here is the unique one
+of its kind (the reduced-echelon null basis, the solution that is 0 at
+every non-pivot column), so no routine depends on the order of reduction.
 """
 
 
@@ -46,39 +47,6 @@ def mat_vec(field, a, v):
                 acc = field.add(acc, field.mul(x, y))
         out[i] = acc
     return out
-
-
-def gauss_jordan(field, a, ncols):
-    """Reduced row echelon form of a copy of the rows a, pivoting on the
-    first ncols columns only.  Returns (reduced rows, pivot_of_col), where
-    pivot_of_col[c] is the row holding column c's pivot, or None."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    pivot_of_col = [None] * ncols
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    return m, pivot_of_col
-
-
-def rank(field, a):
-    if not a or not a[0]:
-        return 0
-    _, pivot_of_col = gauss_jordan(field, a, len(a[0]))
-    return len(pivot_of_col) - pivot_of_col.count(None)
 
 
 def subtract_multiple(f, target, c, source):
@@ -190,40 +158,48 @@ class ColumnSpan:
         return len(self.pivots)
 
 
+def _reduce_columns(field, a):
+    """A ColumnReducer holding the columns of the rows a, each added in order
+    with the combination {c: 1}, and the combinations of the dependent
+    columns.  Such a combination is c's reduced-echelon null vector: 1 at c,
+    0 at every other dependent column."""
+    cols = [{} for _ in a[0]] if a else []
+    for i, row in enumerate(a):
+        for c, x in enumerate(row):
+            if x != field.zero:
+                cols[c][i] = x
+    red, null = ColumnReducer(field), []
+    for c, col in enumerate(cols):
+        combo = {c: field.one}
+        if red.add(col, combo) is None:
+            null.append(combo)
+    return red, null
+
+
+def rank(field, a):
+    """Rank of the rows a, each reduced as one column."""
+    red = ColumnReducer(field)
+    for row in a:
+        red.add({c: x for c, x in enumerate(row) if x != field.zero})
+    return red.rank
+
+
 def nullspace(field, a):
-    """Basis of the right null space of a (list of column vectors)."""
-    if not a:
-        return []
-    cols = len(a[0])
-    if cols == 0:
-        return []
-    m, pivot_of_col = gauss_jordan(field, a, cols)
-    basis = []
-    for c in range(cols):
-        if pivot_of_col[c] is not None:
-            continue
-        v = [field.zero] * cols
-        v[c] = field.one
-        for c2 in range(cols):
-            pr = pivot_of_col[c2]
-            if pr is not None:
-                v[c2] = field.neg(m[pr][c])
-        basis.append(v)
-    return basis
+    """Basis of the right null space of a (list of rows), in reduced echelon
+    form: one vector per non-pivot column, in column order."""
+    cols = len(a[0]) if a else 0
+    return [[v.get(c, field.zero) for c in range(cols)]
+            for v in _reduce_columns(field, a)[1]]
 
 
 def solve(field, a, b):
-    """One solution x of a x = b, or None.  a given as list of rows."""
-    if not a or not a[0]:
-        return [] if all(x == field.zero for x in b) else None
-    cols = len(a[0])
-    m, pivot_of_col = gauss_jordan(field, [row + [bv] for row, bv in zip(a, b)],
-                                    cols)
-    for row in m:
-        if all(x == field.zero for x in row[:cols]) and row[cols] != field.zero:
-            return None
-    x = [field.zero] * cols
-    for c in range(cols):
-        if pivot_of_col[c] is not None:
-            x[c] = m[pivot_of_col[c]][cols]
-    return x
+    """The solution x of a x = b (a given as list of rows) that is 0 at every
+    non-pivot column, or None."""
+    if len(b) != len(a):
+        raise ValueError(f"{len(a)} rows but {len(b)} right-hand sides")
+    red, combo = _reduce_columns(field, a)[0], {}
+    if red.reduce({i: x for i, x in enumerate(b) if x != field.zero}, combo):
+        return None
+    # b + sum combo[c] * column c == 0
+    cols = len(a[0]) if a else 0
+    return [field.neg(combo.get(c, field.zero)) for c in range(cols)]

@@ -2,18 +2,19 @@
 complete solvability decision over prime fields.
 
 The solver eliminates the linear equations in rounds.  Each round reduces all
-purely linear equations at once with `linalg.gauss_jordan` (columns in
-increasing variable order) and substitutes the pivot solution into the
-quadratic equations, also inside their quadratic terms; a new round starts
-while that turns quadratic equations linear.  The search then backtracks
-over the remaining variables with an explicit stack, eliminating again after
-every assignment, so once the quadratic structure collapses the rest is
-solved by Gauss-Jordan alone.  The node budget counts branching assignments
-only.  Solvability over Q is refused; systems can still be exported as text.
+purely linear equations at once with a `linalg.ColumnReducer`, one column
+per variable in increasing variable order, and substitutes the pivot
+solution into the quadratic equations, also inside their quadratic terms; a
+new round starts while that turns quadratic equations linear.  The search
+then backtracks over the remaining variables with an explicit stack,
+eliminating again after every assignment, so once the quadratic structure
+collapses the rest is solved by elimination alone.  The node budget counts
+branching assignments only.  Solvability over Q is refused; systems can
+still be exported as text.
 """
 
 from .exactnum import QQ, PrimeField, format_rational, parse_field, parse_rational
-from .linalg import gauss_jordan
+from .linalg import ColumnReducer
 
 
 class QuadSysError(ValueError):
@@ -83,9 +84,6 @@ class QuadEquation:
         return QuadEquation({k: c for k, c in quad.items() if c != zero},
                             {k: c for k, c in lin.items() if c != zero}, const)
 
-    def is_trivial(self, field):
-        return not self.quad and not self.lin and self.const == field.zero
-
     def is_contradiction(self, field):
         return not self.quad and not self.lin and self.const != field.zero
 
@@ -134,39 +132,48 @@ class SolveResult:
 
 
 def _eliminate_linear(field, equations):
-    """Eliminate the linear equations in rounds of one Gauss-Jordan pass.
+    """Eliminate the linear equations in rounds of one column reduction.
 
-    Each round reduces all purely linear equations together, over the
-    variables they mention in increasing order, and substitutes the pivot
-    solution into the quadratic equations (kept in their order).  Returns
-    (remaining equations, substitution rounds) or None on contradiction.  A
-    round is {pivot: (const, {free var: coeff})}; replay the rounds in
-    reverse to reconstruct a witness."""
+    Each round adds one column per variable of the purely linear equations,
+    in increasing variable order, with the combination {var: 1}; the
+    variables with independent columns are the round's pivots.  A free
+    variable's reduced combination is its null vector (1 at it, 0 at every
+    other free variable), whose entry at a pivot is the free variable's
+    coefficient in that pivot's substitution; reducing the constants gives
+    the pivots' constants.  The substitution goes into the quadratic
+    equations (kept in their order).  Returns (remaining equations,
+    substitution rounds) or None on contradiction.  A round is {pivot:
+    (const, {free var: coeff})}; replay the rounds in reverse to reconstruct
+    a witness."""
     zero = field.zero
     eqs = list(equations)
     subs = []
     while True:
         linear = [eq for eq in eqs if not eq.quad]
         quadratic = [eq for eq in eqs if eq.quad]
-        cols = sorted({v for eq in linear for v in eq.lin})
-        col_of = {v: c for c, v in enumerate(cols)}
-        rows = []
-        for eq in linear:
-            row = [zero] * len(cols) + [eq.const]
+        columns = {}
+        for r, eq in enumerate(linear):
             for v, c in eq.lin.items():
-                row[col_of[v]] = c
-            rows.append(row)
-        m, pivot_of_col = gauss_jordan(field, rows, len(cols))
-        rank = len(cols) - pivot_of_col.count(None)
-        if any(row[-1] != zero for row in m[rank:]):
+                columns.setdefault(v, {})[r] = c
+        red, pivots, free = ColumnReducer(field), [], []
+        for v in sorted(columns):
+            combo = {v: field.one}
+            if red.add(columns[v], combo) is None:
+                free.append((v, combo))
+            else:
+                pivots.append(v)
+        # consts + sum combo[p] * column p == 0: x = combo solves the round
+        combo = {}
+        if red.reduce({r: eq.const for r, eq in enumerate(linear)
+                       if eq.const != zero}, combo):
             return None
-        if not rank:
+        if not pivots:
             return quadratic, subs
-        # pivot row r reads x_p + sum m[r][k]*x_k + m[r][-1] = 0 over free k
-        sub = {cols[c]: (field.neg(m[r][-1]),
-                         {cols[k]: field.neg(x) for k, x in enumerate(m[r][:-1])
-                          if k != c and x != zero})
-               for c, r in enumerate(pivot_of_col) if r is not None}
+        sub = {p: (combo.get(p, zero), {}) for p in pivots}
+        for v, null in free:
+            for p, c in null.items():
+                if p != v:
+                    sub[p][1][v] = c
         subs.append(sub)
         eqs = [eq.substitute(field, sub) for eq in quadratic]
 

@@ -1,10 +1,9 @@
 """Reference copies of the grid-module code that the single construction
-path in ``permod.homology`` replaced, and of the three Gauss-Jordan loops
-that ``permod.linalg`` folded into one routine, with the clustering of
+path in ``permod.homology`` replaced, with the clustering of
 ``permod.infer`` on Fraction comparisons.  Kept as they were, apart from the
 grid-module class name, as oracles: the rewritten code must give
 byte-identical grid-module text, composite matrices, ranks and rank-shift
-values.
+values.  The dense linear algebra they ran on is in reference_linalg.py.
 """
 
 import itertools
@@ -17,104 +16,7 @@ from permod.homology import (GradedChainComplex, HomologyError,
 from permod.linalg import identity, mat_mul
 
 from reference_homology import ColumnSpan
-
-
-def rank(field, a):
-    if not a or not a[0]:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def nullspace(field, a):
-    """Basis of the right null space of a (list of column vectors)."""
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    if cols == 0:
-        return []
-    m = [row[:] for row in a]
-    pivot_of_col = [None] * cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    basis = []
-    for c in range(cols):
-        if pivot_of_col[c] is not None:
-            continue
-        v = [field.zero] * cols
-        v[c] = field.one
-        for c2 in range(cols):
-            pr = pivot_of_col[c2]
-            if pr is not None:
-                v[c2] = field.neg(m[pr][c])
-        basis.append(v)
-    return basis
-
-
-def solve(field, a, b):
-    """One solution x of a x = b, or None.  a given as list of rows."""
-    if not a or not a[0]:
-        return [] if all(x == field.zero for x in b) else None
-    rows, cols = len(a), len(a[0])
-    m = [row[:] + [bv] for row, bv in zip(a, b)]
-    pivot_of_col = [None] * cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    for i in range(rows):
-        if all(x == field.zero for x in m[i][:cols]) and m[i][cols] != field.zero:
-            return None
-    x = [field.zero] * cols
-    for c in range(cols):
-        if pivot_of_col[c] is not None:
-            x[c] = m[pivot_of_col[c]][cols]
-    return x
-
-
-mat_rank = rank
+from reference_linalg import nullspace, rank as mat_rank
 
 
 class RefGridModule:

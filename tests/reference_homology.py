@@ -9,8 +9,9 @@ byte-identical presentation text and the same dimensions.
 import itertools
 
 from permod.homology import HomologyError, chain_complex_of
-from permod.linalg import nullspace, rank as mat_rank
 from permod.presentation import Presentation, grade_leq
+
+from reference_linalg import nullspace, rank as mat_rank
 
 
 class ColumnSpan:

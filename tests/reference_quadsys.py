@@ -1,13 +1,17 @@
 """Reference copies of the solver that ``permod.quadsys`` replaced: the
 equation methods with one dict substitution per variable, the one-equation-
-at-a-time linear elimination and the recursive backtracking search.  Kept as
-they were as an oracle: the rewritten solver must give the same status,
-witness and node count, and run out of budget after the same number of nodes.
+at-a-time linear elimination and the recursive backtracking search; and the
+Gauss-Jordan elimination rounds that came between those and the column
+reduction.  Kept as they were as an oracle: the rewritten solver must give
+the same status, witness and node count, run out of budget after the same
+number of nodes, and make the same elimination rounds.
 """
 
 from permod.exactnum import PrimeField
 from permod.quadsys import (DEFAULT_BUDGET, BudgetExceeded, QuadSysError,
                             SolveResult, evaluate)
+
+from reference_linalg import gauss_jordan
 
 
 class QuadEquation:
@@ -132,6 +136,45 @@ def _eliminate_linear(field, equations):
                    for k, ck in eq.lin.items() if k != var}
         subs.append((var, aff_const, aff_lin))
         eqs = [e.substitute_affine(field, var, aff_const, aff_lin) for e in eqs]
+
+
+def eliminate_linear_rounds(field, equations):
+    """Eliminate the linear equations in rounds of one Gauss-Jordan pass, on
+    ``permod.quadsys`` equations.
+
+    Each round reduces all purely linear equations together, over the
+    variables they mention in increasing order, and substitutes the pivot
+    solution into the quadratic equations (kept in their order).  Returns
+    (remaining equations, substitution rounds) or None on contradiction.  A
+    round is {pivot: (const, {free var: coeff})}; replay the rounds in
+    reverse to reconstruct a witness."""
+    zero = field.zero
+    eqs = list(equations)
+    subs = []
+    while True:
+        linear = [eq for eq in eqs if not eq.quad]
+        quadratic = [eq for eq in eqs if eq.quad]
+        cols = sorted({v for eq in linear for v in eq.lin})
+        col_of = {v: c for c, v in enumerate(cols)}
+        rows = []
+        for eq in linear:
+            row = [zero] * len(cols) + [eq.const]
+            for v, c in eq.lin.items():
+                row[col_of[v]] = c
+            rows.append(row)
+        m, pivot_of_col = gauss_jordan(field, rows, len(cols))
+        rank = len(cols) - pivot_of_col.count(None)
+        if any(row[-1] != zero for row in m[rank:]):
+            return None
+        if not rank:
+            return quadratic, subs
+        # pivot row r reads x_p + sum m[r][k]*x_k + m[r][-1] = 0 over free k
+        sub = {cols[c]: (field.neg(m[r][-1]),
+                         {cols[k]: field.neg(x) for k, x in enumerate(m[r][:-1])
+                          if k != c and x != zero})
+               for c, r in enumerate(pivot_of_col) if r is not None}
+        subs.append(sub)
+        eqs = [eq.substitute(field, sub) for eq in quadratic]
 
 
 def solve_finite_field(system, budget=DEFAULT_BUDGET):

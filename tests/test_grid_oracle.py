@@ -12,10 +12,11 @@ from permod.filtration import DensitySpec, KdeSpec, kde_evaluate, sample_density
 from permod.homology import (GridModule, chain_complex_of, grid_module_of,
                              image_grid_module, rank_shift_distance, resample)
 from permod.infer import cech_cluster_module, offset_cluster_module
-from permod.linalg import identity, mat_mul, nullspace, rank, solve
+from permod.linalg import identity, mat_mul, mat_vec, nullspace, rank, solve
 from permod.presentation import Presentation
 
 import reference_grid as ref
+import reference_linalg as ref_linalg
 from conftest import random_one_critical_complex, random_presentation, seeded
 
 FIELDS = (PrimeField(2), PrimeField(3))
@@ -198,15 +199,41 @@ class TestAgainstReference:
                 ref.rank_shift_distance(cech_ref, off_ref)
 
 
+def elimination_inputs(rng, f):
+    """Matrices for the elimination oracle: dense 5 x 5 at most, mostly zero
+    up to 12 x 12, with zero rows and columns, and 1 x n and n x 1."""
+    def entry():
+        return f.of(F(rng.randint(-2, 2), rng.randint(1, 2) if f == QQ else 1))
+
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(0, 5)
+        yield [[entry() for _ in range(cols)] for _ in range(rows)]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        a = [[entry() if rng.random() < 0.25 else f.zero for _ in range(cols)]
+             for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            a[i] = [f.zero] * cols
+        for c in rng.sample(range(cols), rng.randint(0, cols // 2)):
+            for row in a:
+                row[c] = f.zero
+        yield a
+    for _ in range(10):
+        n = rng.randint(1, 12)
+        yield [[entry() for _ in range(n)]]
+        yield [[entry()] for _ in range(n)]
+
+
 class TestLinalgAgainstReference:
     def test_rank_nullspace_solve(self):
         rng = seeded(251)
         for f in FIELDS + (QQ,):
-            for _ in range(40):
-                rows, cols = rng.randint(1, 5), rng.randint(0, 5)
-                a = [[f.of(rng.randint(-2, 2)) for _ in range(cols)]
-                     for _ in range(rows)]
+            for a in elimination_inputs(rng, f):
+                rows, cols = len(a), len(a[0])
+                assert rank(f, a) == ref_linalg.rank(f, a)
+                assert nullspace(f, a) == ref_linalg.nullspace(f, a)
                 b = [f.of(rng.randint(-1, 1)) for _ in range(rows)]
-                assert rank(f, a) == ref.rank(f, a)
-                assert nullspace(f, a) == ref.nullspace(f, a)
-                assert solve(f, a, b) == ref.solve(f, a, b)
+                assert solve(f, a, b) == ref_linalg.solve(f, a, b)
+                b = mat_vec(f, a, [f.of(rng.randint(-2, 2)) for _ in range(cols)])
+                x = solve(f, a, b)
+                assert x is not None and x == ref_linalg.solve(f, a, b)

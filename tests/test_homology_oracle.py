@@ -10,10 +10,11 @@ from fractions import Fraction as F
 from permod.exactnum import QQ, PrimeField
 from permod.filtration import PointCloud, cech_bifiltration, rips_bifiltration
 from permod.homology import chain_complex_of, present_homology
-from permod.linalg import ColumnReducer, ColumnSpan, rank
+from permod.linalg import ColumnReducer, ColumnSpan
 from permod.presentation import Presentation
 
 import reference_homology as ref
+from reference_linalg import rank
 from conftest import (random_one_critical_complex, random_presentation,
                       rerepresent, seeded)
 

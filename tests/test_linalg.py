@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from permod.exactnum import QQ, PrimeField
 from permod.linalg import (ColumnSpan, identity, mat_mul, mat_vec, nullspace,
                            rank, solve)
@@ -40,6 +42,17 @@ def test_nullspace_and_solve():
         assert mat_vec(f5, m, got) == b
         # infeasible for generic rhs when rank-deficient rows exist
     assert solve(f5, [[0, 0]], [3]) is None
+
+
+def test_solve_rejects_length_mismatch():
+    f2 = PrimeField(2)
+    # an extra right-hand side would drop the unsatisfiable 0 = 1, and a
+    # missing one would leave row 2 unconstrained
+    for a, b in (([[1]], [0, 1]), ([[1], [1]], [1]), ([], [1]), ([[]], [])):
+        with pytest.raises(ValueError):
+            solve(f2, a, b)
+    assert solve(f2, [[1], [1]], [1, 1]) == [1]
+    assert solve(f2, [[1], [1]], [0, 1]) is None
 
 
 def test_column_span_coords():

@@ -1,8 +1,9 @@
-"""The Gauss-Jordan elimination rounds and the explicit-stack search against
-the solver they replaced (kept in reference_quadsys.py): the same status,
-witness and node count, and the same node count when the budget runs out,
-on seeded random systems and on interleaving systems of random 2-parameter
-presentation pairs."""
+"""The column-reduction elimination rounds and the explicit-stack search
+against the solvers they replaced (kept in reference_quadsys.py): the same
+status, witness and node count, the same node count when the budget runs
+out, and the same rounds as the Gauss-Jordan elimination, on seeded random
+systems and on interleaving systems of random 2-parameter presentation
+pairs."""
 
 from fractions import Fraction as F
 
@@ -93,18 +94,26 @@ class TestAgainstReference:
 
     def test_elimination_rounds(self):
         """The remaining equations are the reference's polynomials in the
-        same order, and the rounds' pivots are the variables it picked."""
+        same order, the rounds' pivots are the variables it picked, and each
+        round equals the Gauss-Jordan round dict for dict: pivots, constants
+        and free-variable coefficients."""
         rng = seeded(421)
-        for field in FIELDS:
-            for _ in range(200):
-                s = random_system(rng, field, rng.randint(1, 14), rng.randint(1, 12))
-                got = _eliminate_linear(field, s.equations)
-                want = ref._eliminate_linear(field, ref.reference_system(s))
-                assert (got is None) == (want is None)
-                if got is None:
-                    continue
-                eqs, rounds = got
-                assert [(e.quad, e.lin, e.const) for e in eqs] == \
-                    [(e.quad, e.lin, e.const) for e in want[0]]
-                assert sorted(v for r in rounds for v in r) == \
-                    sorted(var for var, _, _ in want[1])
+        systems = [random_system(rng, field, rng.randint(1, 14),
+                                 rng.randint(1, 12))
+                   for field in FIELDS for _ in range(200)]
+        systems += interleaving_systems(431, 2)
+        for s in systems:
+            field = s.field
+            got = _eliminate_linear(field, s.equations)
+            want = ref._eliminate_linear(field, ref.reference_system(s))
+            rounds = ref.eliminate_linear_rounds(field, s.equations)
+            assert (got is None) == (want is None) == (rounds is None)
+            if got is None:
+                continue
+            eqs, subs = got
+            assert [(e.quad, e.lin, e.const) for e in eqs] == \
+                [(e.quad, e.lin, e.const) for e in want[0]] == \
+                [(e.quad, e.lin, e.const) for e in rounds[0]]
+            assert sorted(v for r in subs for v in r) == \
+                sorted(var for var, _, _ in want[1])
+            assert subs == rounds[1]

@@ -16,15 +16,17 @@ the relevant shift J.  Translations by eps give the interleaving distance;
 general diagonal affine maps (J1, J2) give the asymmetric decision used for
 the Rips/Cech comparison.
 
-Assembly is table-driven.  Each of A-F is a matrix holding a variable number
-on every free entry (numbered A..F, row-major) and zero elsewhere; T_M, T_N
-are plain field matrices.  The four identities are four rows (L1, R1, L2, R2)
-of one table, each giving one equation per entry of L1 R1 - L2 R2 (- I); one
-helper adds an entry of a product, a constant times a variable as a linear
-term and a variable times a variable as a quadratic one.
+Assembly is table-driven and done once per pair (`TermTable`): A-F hold a
+variable on every entry (A..F, row-major), T_M, T_N are field matrices, and
+the four identities are four rows (L1, R1, L2, R2) of one table, each giving
+one equation per entry of L1 R1 - L2 R2 (- I).  One helper adds an entry of
+a product, a constant times a variable as a linear term and a variable times
+a variable as a quadratic one.  A system keeps the free entries, renumbered
+in order, and the terms whose entries are all free.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .exactnum import INF, ExtendedRational, ext, least_feasible
@@ -71,27 +73,99 @@ def zero_pattern_mask(target_grades, source_grades, jmap=None):
     return [[grade_leq(ti, sj) for sj in source_grades] for ti in target_grades]
 
 
-class _Unknown(int):
-    """A variable number in one of A-F.  Over Z/p field constants are ints
-    too, so this type is what tells the two apart inside a product."""
-
-    __slots__ = ()
-
-
 def _add_product(f, eq, left, right, i, j, sign):
     """Add sign * (left . right)[i][j] to eq: a constant times an unknown is
-    a linear term, an unknown times an unknown a quadratic one."""
+    a linear term, an unknown times an unknown a quadratic one.  An unknown
+    is the 1-tuple of its number, since over Z/p field constants are ints."""
     for k, a in enumerate(left[i]):
         b = right[k][j]
         if not (a and b):
             continue
-        if type(a) is _Unknown and type(b) is _Unknown:
-            key = (int(a), int(b)) if a <= b else (int(b), int(a))
+        if type(a) is tuple and type(b) is tuple:
+            key = a + b if a <= b else b + a
             eq.quad[key] = f.add(eq.quad.get(key, f.zero), sign)
-        elif type(a) is _Unknown:
-            eq.lin[int(a)] = f.add(eq.lin.get(a, f.zero), f.mul(sign, b))
+        elif type(a) is tuple:
+            eq.lin[a[0]] = f.add(eq.lin.get(a[0], f.zero), f.mul(sign, b))
         else:
-            eq.lin[int(b)] = f.add(eq.lin.get(b, f.zero), f.mul(sign, a))
+            eq.lin[b[0]] = f.add(eq.lin.get(b[0], f.zero), f.mul(sign, a))
+
+
+class TermTable:
+    """The four identities' product terms for one pair (M, N) with every
+    entry of A-F free, merged per equation (zero sums dropped, first
+    appearance kept); under translation by eps entry (i, j) is free iff
+    `thresholds` <= eps * `scale` (an int: 2 * lcm of the denominators)."""
+
+    def __init__(self, m, n):
+        if m.n != n.n:
+            raise PresentationError("parameter counts differ")
+        if m.field != n.field:
+            raise PresentationError("coefficient fields differ")
+        f = self.field = m.field
+
+        gm = [g for _, g in m.generators]
+        gn = [g for _, g in n.generators]
+        rm = [g for _, g, _ in m.relations]
+        rn = [g for _, g, _ in n.relations]
+        # name -> (target grades, source grades)
+        self.bases = {"A": (gn, gm), "B": (gm, gn), "C": (rn, rm),
+                      "D": (rm, rn), "E": (rm, gm), "F": (rn, gn)}
+        self.shapes = {name: (len(t), len(s)) for name, (t, s) in self.bases.items()}
+        self.scale = 2 * math.lcm(*(x.denominator for g in gm + gn + rm + rn
+                                    for x in g))
+        self.thresholds = {}
+        for name, grades in self.bases.items():
+            targets, sources = ([[x.numerator * (self.scale // x.denominator)
+                                  for x in g] for g in gs] for gs in grades)
+            self.thresholds[name] = [[max(a - b for a, b in zip(t, s))
+                                      // (2 if name in "EF" else 1) for s in sources]
+                                     for t in targets]
+
+        numbers = itertools.count(1)
+        u = {name: [[(next(numbers),) for _ in range(cols)] for _ in range(rows)]
+             for name, (rows, cols) in self.shapes.items()}
+        # T_M, T_N: |G| x |R|, column j the coefficients of relation j
+        t_m, t_n = ([[cs[i] for _, _, cs in p.relations]
+                     for i in range(len(p.generators))] for p in (m, n))
+
+        # one equation per entry of L1 R1 - L2 R2 - unit * I = 0
+        identities = (
+            (u["A"], t_m, t_n, u["C"], len(gn), len(rm), False),     # A T_M = T_N C
+            (u["B"], t_n, t_m, u["D"], len(gm), len(rn), False),     # B T_N = T_M D
+            (u["B"], u["A"], t_m, u["E"], len(gm), len(gm), True),   # B A - I = T_M E
+            (u["A"], u["B"], t_n, u["F"], len(gn), len(gn), True),   # A B - I = T_N F
+        )
+        minus_one = f.neg(f.one)
+        self.equations = []   # over entry numbers
+        for l1, r1, l2, r2, rows, cols, unit in identities:
+            for i in range(rows):
+                for j in range(cols):
+                    eq = QuadEquation(const=minus_one if unit and i == j else f.zero)
+                    _add_product(f, eq, l1, r1, i, j, f.one)
+                    _add_product(f, eq, l2, r2, i, j, minus_one)
+                    self.equations.append(eq.substitute(f, {}))
+
+    def system(self, masks):
+        """The system whose free entries are those of masks (name -> [[bool]])."""
+        num, var_of_entry = [0], {}   # entry number -> variable number, 0 if fixed
+        for name in InterleavingSystem.MATS:
+            for i, row in enumerate(masks[name]):
+                for j, free in enumerate(row):
+                    if free:
+                        var_of_entry[(name, i, j)] = len(var_of_entry) + 1
+                    num.append(len(var_of_entry) if free else 0)
+        equations = [QuadEquation({(num[a], num[b]): c for (a, b), c in eq.quad.items()
+                                   if num[a] and num[b]},
+                                  {num[e]: c for e, c in eq.lin.items() if num[e]},
+                                  eq.const) for eq in self.equations]
+        system = QuadraticSystem(self.field, len(var_of_entry), equations)
+        return InterleavingSystem(dict(self.shapes), masks, system, var_of_entry)
+
+    def at(self, eps):
+        """The system deciding eps-interleaving (eps a Fraction)."""
+        level = eps.numerator * self.scale // eps.denominator
+        return self.system({name: [[t <= level for t in row] for row in rows]
+                            for name, rows in self.thresholds.items()})
 
 
 def assemble_system(m, n, j1, j2):
@@ -101,56 +175,14 @@ def assemble_system(m, n, j1, j2):
     in the shifted target basis: entry (i, j) is free iff the target basis
     grade is <= the shifted source basis grade.
     """
-    if m.n != n.n:
-        raise PresentationError("parameter counts differ")
-    if m.field != n.field:
-        raise PresentationError("coefficient fields differ")
+    table = TermTable(m, n)
     if j1.n != m.n or j2.n != m.n:
         raise PresentationError("shift map dimension mismatch")
-    f = m.field
-
-    gm = [g for _, g in m.generators]
-    gn = [g for _, g in n.generators]
-    rm = [g for _, g, _ in m.relations]
-    rn = [g for _, g, _ in n.relations]
-
-    # name -> (target grades, source grades, shift); E, F shift by J2 J1, J1 J2
-    bases = {"A": (gn, gm, j1), "B": (gm, gn, j2), "C": (rn, rm, j1),
-             "D": (rm, rn, j2), "E": (rm, gm, j2.compose(j1)),
-             "F": (rn, gn, j1.compose(j2))}
-    shapes = {name: (len(t), len(s)) for name, (t, s, _) in bases.items()}
-    masks = {name: zero_pattern_mask(*b) for name, b in bases.items()}
-
-    # A-F numbered in order, each row-major over its free entries; 0 elsewhere
-    numbers = itertools.count(1)
-    u = {name: [[_Unknown(next(numbers)) if free else 0 for free in row]
-                for row in masks[name]]
-         for name in InterleavingSystem.MATS}
-    var_of_entry = {(name, i, j): int(v) for name, mat in u.items()
-                    for i, row in enumerate(mat) for j, v in enumerate(row) if v}
-    # T_M, T_N: |G| x |R|, column j the coefficients of relation j
-    t_m, t_n = ([[cs[i] for _, _, cs in p.relations] for i in range(len(p.generators))]
-                for p in (m, n))
-
-    # one equation per entry of L1 R1 - L2 R2 - unit * I = 0
-    identities = (
-        (u["A"], t_m, t_n, u["C"], len(gn), len(rm), False),     # A T_M = T_N C
-        (u["B"], t_n, t_m, u["D"], len(gm), len(rn), False),     # B T_N = T_M D
-        (u["B"], u["A"], t_m, u["E"], len(gm), len(gm), True),   # B A - I = T_M E
-        (u["A"], u["B"], t_n, u["F"], len(gn), len(gn), True),   # A B - I = T_N F
-    )
-    minus_one = f.neg(f.one)
-    equations = []
-    for l1, r1, l2, r2, rows, cols, unit in identities:
-        for i in range(rows):
-            for j in range(cols):
-                eq = QuadEquation(const=minus_one if unit and i == j else f.zero)
-                _add_product(f, eq, l1, r1, i, j, f.one)
-                _add_product(f, eq, l2, r2, i, j, minus_one)
-                equations.append(eq)
-
-    system = QuadraticSystem(f, len(var_of_entry), equations)
-    return InterleavingSystem(shapes, masks, system, var_of_entry)
+    # E, F shift by J2 J1 and J1 J2
+    maps = {"A": j1, "B": j2, "C": j1, "D": j2, "E": j2.compose(j1),
+            "F": j1.compose(j2)}
+    return table.system({name: zero_pattern_mask(*table.bases[name], maps[name])
+                         for name in InterleavingSystem.MATS})
 
 
 def _check_increasing(maps, presentations):
@@ -159,24 +191,20 @@ def _check_increasing(maps, presentations):
     if not grades:
         return
     # zip stops at the shortest grade, so a parameter-count mismatch is left
-    # for assemble_system to report
-    lo = tuple(min(coords) for coords in zip(*grades))
-    for jm in maps:
-        if not jm.increasing_at(lo):
-            raise PresentationError(
-                f"map {jm!r} is not increasing on the grade domain (min grade {lo})")
-
-
-def _solve(m, n, j1, j2, budget):
-    """Solver result for the system deciding (J1, J2)-interleaving."""
-    return solve_finite_field(assemble_system(m, n, j1, j2).system, budget=budget)
+    # for assemble_system to report.  J(x) - x is affine on each axis, so it
+    # is >= 0 on the grades' bounding box iff it is at both corners.
+    for corner in (tuple(map(min, zip(*grades))), tuple(map(max, zip(*grades)))):
+        for jm in maps:
+            if not jm.increasing_at(corner):
+                raise PresentationError(f"map {jm!r} is not increasing on the "
+                                        f"grade domain (at grade {corner})")
 
 
 def decide_generalized(m, n, j1, j2, budget=DEFAULT_BUDGET):
     """'yes'/'no': is (M, N) (J1, J2)-interleaved?  Decision only; the
     candidate-set search is proven only for translations."""
     _check_increasing([j1, j2], [m, n])
-    res = _solve(m, n, j1, j2, budget)
+    res = solve_finite_field(assemble_system(m, n, j1, j2).system, budget=budget)
     return "yes" if res.status == "solvable" else "no"
 
 
@@ -197,12 +225,14 @@ def candidate_set(m, n, minimal=False):
         raise PresentationError("parameter counts differ")
     _, axes_m = m.critical_grades(minimal)
     _, axes_n = n.critical_grades(minimal)
-    values = {Fraction(0)}
+    scale = 2 * math.lcm(*(x.denominator for axis in axes_m + axes_n for x in axis))
+    values = {0}
     for um, un in zip(axes_m, axes_n):
+        um, un = ([x.numerator * (scale // x.denominator) for x in a] for a in (um, un))
         values |= {abs(x - y) for x in um for y in un}
-        values |= {abs(x - y) / 2 for x in um for y in um}
-        values |= {abs(x - y) / 2 for x in un for y in un}
-    return [ext(v) for v in sorted(values)] + [INF]
+        values |= {abs(x - y) // 2 for x in um for y in um}
+        values |= {abs(x - y) // 2 for x in un for y in un}
+    return [ext(Fraction(v, scale)) for v in sorted(values)] + [INF]
 
 
 class DistanceBudgetExceeded(Exception):
@@ -225,15 +255,16 @@ class SearchStats:
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     """d_I(M, N) as an ExtendedRational: binary search over the candidate set,
     valid because interleavability is monotone in eps and the distance is
-    attained.  Presentations are minimized once up front."""
+    attained.  Presentations are minimized and their term table built once
+    up front; each probe takes its system from the table."""
     mm, nn = m.minimize(), n.minimize()
+    table = TermTable(mm, nn)
     last_no = ExtendedRational.of(0)
 
     def interleaved(eps):
         nonlocal last_no
-        j = MonotoneAffineMap.translation(mm.n, eps.value)
         try:
-            res = _solve(mm, nn, j, j, budget)
+            res = solve_finite_field(table.at(eps.value).system, budget=budget)
         except BudgetExceeded as exc:
             raise DistanceBudgetExceeded(last_no, eps, exc.nodes) from exc
         if stats is not None:

@@ -8,9 +8,10 @@ solution into the quadratic equations, also inside their quadratic terms; a
 new round starts while that turns quadratic equations linear.  The search
 then backtracks over the remaining variables with an explicit stack,
 eliminating again after every assignment, so once the quadratic structure
-collapses the rest is solved by elimination alone.  The node budget counts
-branching assignments only.  Solvability over Q is refused; systems can
-still be exported as text.
+collapses the rest is solved by elimination alone.  An assignment or a round
+substitutes only into the equations whose variable set holds one of its
+variables.  The node budget counts branching assignments only.  Solvability
+over Q is refused; systems can still be exported as text.
 """
 
 from .exactnum import QQ, PrimeField, format_rational, parse_field, parse_rational
@@ -32,14 +33,16 @@ DEFAULT_BUDGET = 10 ** 7
 
 class QuadEquation:
     """sum c*x_i*x_j + sum c*x_i + c0 = 0.  Terms are normalized: i <= j in
-    quadratic keys, zero coefficients dropped."""
+    quadratic keys, zero coefficients dropped.  `vars`: the variables at
+    construction (the solver never changes an equation's terms)."""
 
-    __slots__ = ("quad", "lin", "const")
+    __slots__ = ("quad", "lin", "const", "vars")
 
     def __init__(self, quad=None, lin=None, const=0):
         self.quad = dict(quad or {})
         self.lin = dict(lin or {})
         self.const = const
+        self.vars = self.variables()
 
     def variables(self):
         vs = set(self.lin)
@@ -73,16 +76,20 @@ class QuadEquation:
             ci, li = sub.get(i) or (zero, {i: field.one})
             cj, lj = sub.get(j) or (zero, {j: field.one})
             const = add(const, mul(c, mul(ci, cj)))
-            for k, ck in li.items():
+            # a zero constant on one side adds nothing to the other's terms
+            for k, ck in li.items() if cj != zero else ():
                 lin[k] = add(lin.get(k, zero), mul(c, mul(ck, cj)))
-            for k, ck in lj.items():
+            for k, ck in lj.items() if ci != zero else ():
                 lin[k] = add(lin.get(k, zero), mul(c, mul(ck, ci)))
             for k1, c1 in li.items():
                 for k2, c2 in lj.items():
                     key = (k1, k2) if k1 <= k2 else (k2, k1)
                     quad[key] = add(quad.get(key, zero), mul(c, mul(c1, c2)))
-        return QuadEquation({k: c for k, c in quad.items() if c != zero},
-                            {k: c for k, c in lin.items() if c != zero}, const)
+        if zero in quad.values():
+            quad = {k: c for k, c in quad.items() if c != zero}
+        if zero in lin.values():
+            lin = {k: c for k, c in lin.items() if c != zero}
+        return QuadEquation(quad, lin, const)
 
     def is_contradiction(self, field):
         return not self.quad and not self.lin and self.const != field.zero
@@ -95,7 +102,7 @@ class QuadraticSystem:
         self.equations = [eq.substitute(field, {}) for eq in equations]
         for eq in self.equations:
             eq.const = field.of(eq.const)
-            for v in eq.variables():
+            for v in eq.vars:
                 if not 1 <= v <= self.nvars:
                     raise QuadSysError(f"variable index {v} out of range")
 
@@ -141,10 +148,10 @@ def _eliminate_linear(field, equations):
     other free variable), whose entry at a pivot is the free variable's
     coefficient in that pivot's substitution; reducing the constants gives
     the pivots' constants.  The substitution goes into the quadratic
-    equations (kept in their order).  Returns (remaining equations,
-    substitution rounds) or None on contradiction.  A round is {pivot:
-    (const, {free var: coeff})}; replay the rounds in reverse to reconstruct
-    a witness."""
+    equations that hold a pivot (kept in their order; the others are
+    normalized already).  Returns (remaining equations, substitution rounds)
+    or None on contradiction.  A round is {pivot: (const, {free var:
+    coeff})}; replay the rounds in reverse to reconstruct a witness."""
     zero = field.zero
     eqs = list(equations)
     subs = []
@@ -175,7 +182,8 @@ def _eliminate_linear(field, equations):
                 if p != v:
                     sub[p][1][v] = c
         subs.append(sub)
-        eqs = [eq.substitute(field, sub) for eq in quadratic]
+        eqs = [eq if eq.vars.isdisjoint(pivots) else eq.substitute(field, sub)
+               for eq in quadratic]
 
 
 def solve_finite_field(system, budget=DEFAULT_BUDGET):
@@ -212,7 +220,7 @@ def solve_finite_field(system, budget=DEFAULT_BUDGET):
         # most-constrained variable: appears in the most equations; tie by index
         counts = {}
         for eq in eqs:
-            for v in eq.variables():
+            for v in eq.vars:
                 counts[v] = counts.get(v, 0) + 1
         var = min(counts, key=lambda v: (-counts[v], v))
         return None, (eqs, subs, var, iter(domain))
@@ -232,7 +240,8 @@ def solve_finite_field(system, budget=DEFAULT_BUDGET):
         if nodes > budget:
             raise BudgetExceeded(nodes)
         assignment = {var: (value, {})}
-        next_eqs = [eq.substitute(f, assignment) for eq in eqs]
+        next_eqs = [eq.substitute(f, assignment) if var in eq.vars else eq
+                    for eq in eqs]
         if any(eq.is_contradiction(f) for eq in next_eqs):
             continue
         witness, frame = enter(next_eqs, subs + [assignment])

@@ -1,7 +1,12 @@
 """The interleaving-system assembly that the table-driven `assemble_system`
 replaced, kept verbatim as a differential oracle: each identity written out
-as its own double loop, every variable found through a (name, i, j) lookup."""
+as its own double loop, every variable found through a (name, i, j) lookup.
+Also the candidate set computed on Fraction differences, the oracle for the
+one computed on scaled ints."""
 
+from fractions import Fraction
+
+from permod.exactnum import INF, ext
 from permod.presentation import PresentationError, grade_leq
 from permod.quadsys import QuadEquation, QuadraticSystem, export_system
 
@@ -165,3 +170,16 @@ def assemble_system(m, n, j1, j2):
 
     system = QuadraticSystem(f, counter, equations)
     return InterleavingSystem(shapes, masks, t_m, t_n, system, var_of_entry)
+
+
+def candidate_set(m, n, minimal=False):
+    if m.n != n.n:
+        raise PresentationError("parameter counts differ")
+    _, axes_m = m.critical_grades(minimal)
+    _, axes_n = n.critical_grades(minimal)
+    values = {Fraction(0)}
+    for um, un in zip(axes_m, axes_n):
+        values |= {abs(x - y) for x in um for y in un}
+        values |= {abs(x - y) / 2 for x in um for y in um}
+        values |= {abs(x - y) / 2 for x in un for y in un}
+    return [ext(v) for v in sorted(values)] + [INF]

@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from permod.exactnum import INF, ext
-from permod.interleave import (assemble_system, candidate_set,
+from permod import interleave
+from permod.exactnum import INF, PrimeField, ext
+from permod.interleave import (SearchStats, assemble_system, candidate_set,
                                decide_generalized, decide_interleaving,
                                interleaving_distance)
 from permod.onedim import bottleneck, diagram_of
@@ -16,6 +17,30 @@ from conftest import random_presentation, seeded
 
 def C(field, a, b):
     return interval_presentation(field, a, b)
+
+
+def jittered_pair(rng):
+    """A 2-parameter Z/2 module with 6-7 generators on the integer grid
+    [0, 10]^2 and 4-5 relations, each joining two generators, against a copy
+    whose generator grades move down and relation grades move up by 0 or the
+    jitter (1/2 or 1)."""
+    f2 = PrimeField(2)
+    k, r = rng.choice((6, 7)), rng.choice((4, 5))
+    gens = [(F(rng.randint(0, 10)), F(rng.randint(0, 10))) for _ in range(k)]
+    rels = []
+    for _ in range(r):
+        pick = rng.sample(range(k), 2)
+        grade = tuple(max(gens[i][a] for i in pick) + rng.randint(0, 2)
+                      for a in range(2))
+        rels.append((grade, [f2.of(int(i in pick)) for i in range(k)]))
+    jitter = rng.choice((F(1, 2), F(1)))
+    moved_gens = [tuple(x - jitter * rng.randint(0, 1) for x in g) for g in gens]
+    moved_rels = [(tuple(x + jitter * rng.randint(0, 1) for x in g), c)
+                  for g, c in rels]
+    return tuple(Presentation(2, f2, [(f"g{i}", g) for i, g in enumerate(gs)],
+                              [(f"r{j}", g, c) for j, (g, c) in enumerate(rs)]
+                              ).validate()
+                 for gs, rs in ((gens, rels), (moved_gens, moved_rels)))
 
 
 def all_zero_grade_presentation(field, ngens, nrels):
@@ -108,6 +133,16 @@ class TestDecideGeneralized:
         with pytest.raises(PresentationError):
             decide_generalized(C(f2, 0, 1), m2, i1, i1)
 
+    def test_map_not_increasing_at_the_largest_grade_rejected(self, f2):
+        # J(x) = x/2 + 1 is increasing at 0, but J(4) = 3 < 4
+        m = Presentation(1, f2, [("g", (F(0),)), ("h", (F(4),))], []).validate()
+        j = MonotoneAffineMap([F(1, 2)], [F(1)])
+        with pytest.raises(PresentationError, match="not increasing"):
+            decide_generalized(m, m, j, j)
+        with pytest.raises(PresentationError, match="not increasing"):
+            decide_generalized(C(f2, 0, 1), m, MonotoneAffineMap.identity(1), j)
+        assert decide_generalized(C(f2, 0, 1), C(f2, 0, 1), j, j) == "yes"
+
     def test_rips_cech_pipeline(self, f2):
         # small point-cloud pipeline lives in test_homology; here a direct
         # module-level check of the scale-doubling relation on one axis
@@ -155,6 +190,44 @@ class TestDistance:
         assert len(calls) == 2
         assert candidate_set(m, C(f2, 0, 3)) == candidate_set(
             m.minimize(), C(f2, 0, 3), minimal=True)
+
+    def test_one_term_table_per_distance(self, f2, monkeypatch):
+        tables, masks = [], []
+        init, mask = interleave.TermTable.__init__, interleave.zero_pattern_mask
+
+        def counted_init(table, m, n):
+            tables.append((m, n))
+            init(table, m, n)
+
+        def counted_mask(*args):
+            masks.append(args)
+            return mask(*args)
+
+        monkeypatch.setattr(interleave.TermTable, "__init__", counted_init)
+        monkeypatch.setattr(interleave, "zero_pattern_mask", counted_mask)
+        m = Presentation(1, f2, [("g", (F(0),)), ("h", (F(1),))],
+                         [("r", (F(1),), [f2.one, f2.one]),
+                          ("s", (F(2),), [f2.one, f2.zero])])
+        stats = SearchStats()
+        assert interleaving_distance(m, C(f2, 0, 3), stats=stats) == ext(1)
+        assert stats.decisions >= 2
+        assert len(tables) == 1 and masks == []
+        # the general-map path goes through the masks, one per matrix
+        assert decide_generalized(m, m, *[MonotoneAffineMap.identity(1)] * 2) == "yes"
+        assert len(tables) == 2 and len(masks) == 6
+
+    def test_deep_searches_pinned(self):
+        """d_I and solver nodes of the deepest searches among seeded 6-7-
+        generator pairs, as the search found them when every node
+        substituted into every remaining equation."""
+        pins = {134: (ext(1), 2476), 231: (ext(F(1, 2)), 596),
+                77: (ext(F(1, 2)), 266), 171: (ext(1), 250),
+                42: (ext(F(1, 2)), 229), 177: (ext(F(1, 2)), 203)}
+        for seed, (d, nodes) in pins.items():
+            stats = SearchStats()
+            got = interleaving_distance(*jittered_pair(seeded(seed)), budget=20000,
+                                        stats=stats)
+            assert (got, stats.nodes) == (d, nodes), seed
 
     def test_self(self, f2):
         assert interleaving_distance(C(f2, 0, 4), C(f2, 0, 4)) == ext(0)

@@ -2,14 +2,17 @@
 it replaced (kept in reference_interleave.py): the same exported text,
 shapes, masks, variable numbering, per-equation term order and solver
 outcome, on seeded presentation pairs over Z/2, Z/3 and Q with 1-3
-parameters, under translations and general diagonal affine maps."""
+parameters, under translations and general diagonal affine maps, both
+through `assemble_system` and from one term table per pair at every eps
+where a zero pattern changes.  The candidate set on scaled ints against the
+one on Fraction differences."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from permod.exactnum import QQ, PrimeField
-from permod.interleave import assemble_system
+from permod.interleave import TermTable, assemble_system, candidate_set
 from permod.presentation import MonotoneAffineMap, Presentation
 from permod.quadsys import BudgetExceeded, solve_finite_field
 
@@ -18,6 +21,8 @@ from conftest import random_presentation, rerepresent, seeded
 
 FIELDS = (PrimeField(2), PrimeField(3), QQ)
 POOL = [F(k, 2) for k in range(0, 7)]
+# mixed denominators and negative grades
+MIXED = sorted({F(k, d) for d in (1, 2, 3, 7) for k in range(-6, 7)})
 
 
 def random_map(rng, n):
@@ -32,7 +37,7 @@ def random_map(rng, n):
                               for _ in range(n)])
 
 
-def random_side(rng, field, n):
+def random_side(rng, field, n, pool=POOL):
     """A random presentation; one in eight has no generators, one in eight
     generators but no relations."""
     roll = rng.random()
@@ -40,19 +45,19 @@ def random_side(rng, field, n):
         return Presentation(n, field, [], []).validate()
     return random_presentation(rng, field, n=n, max_gens=4,
                                max_rels=0 if roll < 0.25 else 4,
-                               grade_pool=POOL)
+                               grade_pool=pool)
 
 
-def pairs(seed, per_case):
+def pairs(seed, per_case, pool=POOL):
     """(m, n, j1, j2) over every field and n = 1-3: unrelated pairs and a
     presentation against another representation of itself."""
     rng = seeded(seed)
     for field in FIELDS:
         for n in (1, 2, 3):
             for _ in range(per_case):
-                m = random_side(rng, field, n)
+                m = random_side(rng, field, n, pool)
                 other = (rerepresent(rng, m) if m.generators and rng.random() < 0.3
-                         else random_side(rng, field, n))
+                         else random_side(rng, field, n, pool))
                 yield m, other, random_map(rng, n), random_map(rng, n)
 
 
@@ -69,8 +74,9 @@ def outcome(system, budget=400):
     return (res.status, res.witness, res.nodes)
 
 
-def assert_same(m, n, j1, j2):
-    got, want = assemble_system(m, n, j1, j2), ref.assemble_system(m, n, j1, j2)
+def assert_same(m, n, j1, j2, got=None):
+    got = assemble_system(m, n, j1, j2) if got is None else got
+    want = ref.assemble_system(m, n, j1, j2)
     assert got.export_text() == want.export_text()
     assert got.shapes == want.shapes
     assert got.masks == want.masks
@@ -98,3 +104,58 @@ class TestAgainstReference:
             for m, other in ((zero, zero), (zero, some), (some, zero),
                              (free, some), (some, free), (free, free)):
                 assert_same(m, other, j, j)
+
+
+def table_eps(m, n):
+    """Every eps at which a zero pattern of (m, n) changes (the candidate
+    set of the unminimized grades), a point between each two of them and
+    one past the last."""
+    finite = [c.value for c in ref.candidate_set(m, n, minimal=True) if c.is_finite]
+    return finite + [(a + b) / 2 for a, b in zip(finite, finite[1:])] + [finite[-1] + 1]
+
+
+class TestTermTable:
+    @pytest.mark.parametrize("seed, pool, per_case", ((511, POOL, 6), (512, MIXED, 2)),
+                             ids=("halves", "mixed"))
+    def test_one_table_per_pair(self, seed, pool, per_case):
+        systems = 0
+        for m, n, _, _ in pairs(seed, per_case, pool):
+            table = TermTable(m, n)
+            for eps in table_eps(m, n):
+                j = MonotoneAffineMap.translation(m.n, eps)
+                assert_same(m, n, j, j, got=table.at(eps))
+                systems += 1
+        assert systems > 500
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+    def test_empty_sides(self, field):
+        rng = seeded(513)
+        for n in (1, 2):
+            zero = Presentation(n, field, [], []).validate()
+            free = random_presentation(rng, field, n=n, max_rels=0, grade_pool=MIXED)
+            some = random_presentation(rng, field, n=n, grade_pool=MIXED)
+            for m, other in ((zero, zero), (zero, some), (some, zero),
+                             (free, some), (some, free)):
+                table = TermTable(m, other)
+                for eps in table_eps(m, other):
+                    j = MonotoneAffineMap.translation(n, eps)
+                    assert_same(m, other, j, j, got=table.at(eps))
+
+
+class TestCandidateSet:
+    def test_against_fraction_differences(self):
+        compared = 0
+        for pool in (POOL, MIXED):
+            for m, n, _, _ in pairs(521, 8, pool):
+                for minimal in (False, True):
+                    assert (candidate_set(m, n, minimal)
+                            == ref.candidate_set(m, n, minimal))
+                    compared += 1
+        assert compared > 200
+
+    def test_empty_presentations(self):
+        for field in FIELDS:
+            zero = Presentation(2, field, [], []).validate()
+            some = random_presentation(seeded(523), field, n=2, grade_pool=MIXED)
+            for m, n in ((zero, zero), (zero, some), (some, zero)):
+                assert candidate_set(m, n) == ref.candidate_set(m, n)

@@ -1,6 +1,9 @@
 """Persistent homology of bifiltered complexes.
 
-Three computation styles share the exact linear algebra kernel:
+Three computation styles share the exact linear algebra kernel.  Chains,
+boundaries and cycles are sparse {simplex index: coeff} dicts, and so are a
+relation's coefficients over kernel generators; transition matrices are
+dense rows:
 
 * 1-parameter barcodes by standard column reduction, cross-checked elsewhere
   against the rank multiplicity formula;
@@ -405,7 +408,8 @@ def grid_module_of_presentation(p, axes):
 
 class _HomologyBasisTracker:
     """Per-grid-point homology bases of a chain complex.  Representative
-    cycles live in global chain coordinates of their degree."""
+    cycles are {simplex index: coeff} dicts over all simplices of their
+    degree."""
 
     def __init__(self, chain, degree):
         self.chain = chain
@@ -414,27 +418,21 @@ class _HomologyBasisTracker:
         self.nd = len(chain.simplices(degree))
 
     def _cycles_at(self, z):
+        """The reduced-echelon basis of the d-cycles active at z, each a
+        {simplex index: coeff} dict."""
         f = self.f
         act = self.chain._active(self.degree, z)
         if not act:
             return []
         sub = self.chain.boundary(self.degree, act)
-        if sub:
-            core = nullspace(f, sub)
-        else:
-            core = [[f.one if t == s else f.zero for t in range(len(act))]
-                    for s in range(len(act))]
-        out = []
-        for v in core:
-            vec = [f.zero] * self.nd
-            for t, j in enumerate(act):
-                vec[j] = v[t]
-            out.append(vec)
-        return out
+        if not sub:
+            return [{j: f.one} for j in act]
+        return [{act[t]: x for t, x in enumerate(v) if x != f.zero}
+                for v in nullspace(f, sub)]
 
     def basis_at(self, z, cycles=None):
-        """(representative cycle vectors, ColumnSpan loaded with boundaries
-        then representatives, number of boundary members).  Representatives
+        """(representative cycles, ColumnSpan loaded with boundaries then
+        representatives, number of boundary members).  Representatives
         are picked from `cycles`, by default this complex's cycles at z.
         Only independent vectors become span members, so member positions
         line up with [boundaries..., reps...]."""
@@ -467,8 +465,9 @@ def _basis_transition(basis, basis_next):
         coords = span2.coords(v)
         if coords is None:
             raise HomologyError("cycle escapes the target homology space")
-        cols.append(coords[nb2:nb2 + len(reps2)])
-    return [[cols[c][r] for c in range(len(reps))] for r in range(len(reps2))]
+        cols.append(coords)
+    zero = span2.field.zero
+    return [[col.get(nb2 + r, zero) for col in cols] for r in range(len(reps2))]
 
 
 def grid_module_of_chain(complex_, degree, axes, field):
@@ -488,23 +487,6 @@ def grid_module_of(source, axes, degree=None, field=None):
     if degree is None:
         raise HomologyError("degree required for a chain source")
     return grid_module_of_chain(source, degree, axes, field)
-
-
-def refinement_check(source, axes, degree=None, field=None):
-    """Diagnostic: doubling the grid density must not change dimensions."""
-    fine = []
-    for ax in axes:
-        vals = list(ax)
-        mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
-        fine.append(sorted(set(vals) | set(mids)))
-    coarse = grid_module_of(source, axes, degree=degree, field=field)
-    refined = grid_module_of(source, fine, degree=degree, field=field)
-    for idx in coarse.indices():
-        v = coarse.value(idx)
-        jdx = tuple(fine[i].index(x) for i, x in enumerate(v))
-        if coarse.dims[idx] != refined.dims[jdx]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +536,10 @@ def present_homology(complex_, degree, field, check_hilbert=True):
             if coords is None:
                 raise HomologyError("boundary escapes the kernel span; "
                                     "sweep incomplete")
-            rel_coeffs[j] = {i: c for i, c in zip(members, coords) if i is not None}
+            # coords name only independent inserts, which are generators
+            rel_coeffs[j] = {members[k]: c for k, c in coords.items()}
 
-    rels = [(f"b{j}", g, [rel_coeffs[j].get(i, f.zero) for i in range(len(gens))])
+    rels = [(f"b{j}", g, rel_coeffs[j])
             for j, (_, g) in enumerate(chain.simplices(degree + 1))]
     pres = Presentation(chain.nparams, f,
                         [(f"k{i}", tuple(ax[x] for ax, x in zip(axes, z)))
@@ -588,19 +571,13 @@ def image_grid_module(complex_, degree, delta1, delta2, axes, field):
     t1 = _HomologyBasisTracker(c1, degree)
     t2 = _HomologyBasisTracker(c2, degree)
     pos2 = {verts: i for i, (verts, _) in enumerate(c2.simplices(degree))}
-    f = field
-
-    def embed(vec1):
-        out = [f.zero] * t2.nd
-        for i, (verts, _) in enumerate(c1.simplices(degree)):
-            if vec1[i] != f.zero:
-                out[pos2[verts]] = vec1[i]
-        return out
+    to2 = [pos2[verts] for verts, _ in c1.simplices(degree)]
 
     def basis_at(z):
-        return t2.basis_at(z, [embed(v) for v in t1._cycles_at(z)])
+        return t2.basis_at(z, [{to2[i]: x for i, x in v.items()}
+                               for v in t1._cycles_at(z)])
 
-    return build_grid_module(f, axes, basis_at, _basis_dim, _basis_transition)
+    return build_grid_module(field, axes, basis_at, _basis_dim, _basis_transition)
 
 
 # ---------------------------------------------------------------------------

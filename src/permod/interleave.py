@@ -17,12 +17,13 @@ general diagonal affine maps (J1, J2) give the asymmetric decision used for
 the Rips/Cech comparison.
 
 Assembly is table-driven and done once per pair (`TermTable`): A-F hold a
-variable on every entry (A..F, row-major), T_M, T_N are field matrices, and
-the four identities are four rows (L1, R1, L2, R2) of one table, each giving
-one equation per entry of L1 R1 - L2 R2 (- I).  One helper adds an entry of
-a product, a constant times a variable as a linear term and a variable times
-a variable as a quadratic one.  A system keeps the free entries, renumbered
-in order, and the terms whose entries are all free.
+variable on every entry (A..F, row-major), T_M, T_N the relations'
+coefficients, each as a list of sparse {column: entry} rows, and the four
+identities are four rows (L1, R1, L2, R2) of one table, each giving one
+equation per entry of L1 R1 - L2 R2 (- I).  One helper adds an entry of a
+product, a constant times a variable as a linear term and a variable times a
+variable as a quadratic one.  A system keeps the free entries, renumbered in
+order, and the terms whose entries are all free.
 """
 
 import itertools
@@ -75,11 +76,12 @@ def zero_pattern_mask(target_grades, source_grades, jmap=None):
 
 def _add_product(f, eq, left, right, i, j, sign):
     """Add sign * (left . right)[i][j] to eq: a constant times an unknown is
-    a linear term, an unknown times an unknown a quadratic one.  An unknown
-    is the 1-tuple of its number, since over Z/p field constants are ints."""
-    for k, a in enumerate(left[i]):
-        b = right[k][j]
-        if not (a and b):
+    a linear term, an unknown times an unknown a quadratic one.  Matrices
+    are lists of {column: entry} rows without zeros, and an unknown is the
+    1-tuple of its number, since over Z/p field constants are ints."""
+    for k, a in left[i].items():
+        b = right[k].get(j)
+        if b is None:
             continue
         if type(a) is tuple and type(b) is tuple:
             key = a + b if a <= b else b + a
@@ -122,11 +124,14 @@ class TermTable:
                                      for t in targets]
 
         numbers = itertools.count(1)
-        u = {name: [[(next(numbers),) for _ in range(cols)] for _ in range(rows)]
+        u = {name: [{j: (next(numbers),) for j in range(cols)} for _ in range(rows)]
              for name, (rows, cols) in self.shapes.items()}
         # T_M, T_N: |G| x |R|, column j the coefficients of relation j
-        t_m, t_n = ([[cs[i] for _, _, cs in p.relations]
-                     for i in range(len(p.generators))] for p in (m, n))
+        t_m, t_n = ([{} for _ in p.generators] for p in (m, n))
+        for p, t in ((m, t_m), (n, t_n)):
+            for j, (_, _, cs) in enumerate(p.relations):
+                for i, c in cs.items():
+                    t[i][j] = c
 
         # one equation per entry of L1 R1 - L2 R2 - unit * I = 0
         identities = (
@@ -236,12 +241,15 @@ def candidate_set(m, n, minimal=False):
 
 
 class DistanceBudgetExceeded(Exception):
-    """Search ran out of solver budget; carries the bracketing interval
-    [largest eps decided no, smallest eps still undecided]."""
+    """Search ran out of solver budget at the eps `undecided`; carries the
+    bracket [largest eps decided no (0 if none), least eps decided yes (+inf
+    if none)], which holds d_I, and the nodes the failed decision used."""
 
-    def __init__(self, last_no, first_unknown, nodes):
-        super().__init__(f"budget exceeded; bracket [{last_no}, {first_unknown}]")
-        self.bracket = (last_no, first_unknown)
+    def __init__(self, last_no, first_yes, undecided, nodes):
+        super().__init__(f"budget exceeded deciding eps = {undecided}; "
+                         f"bracket [{last_no}, {first_yes}]")
+        self.bracket = (last_no, first_yes)
+        self.undecided = undecided
         self.nodes = nodes
 
 
@@ -259,18 +267,20 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     up front; each probe takes its system from the table."""
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
-    last_no = ExtendedRational.of(0)
+    last_no, first_yes = ExtendedRational.of(0), INF
 
     def interleaved(eps):
-        nonlocal last_no
+        nonlocal last_no, first_yes
         try:
             res = solve_finite_field(table.at(eps.value).system, budget=budget)
         except BudgetExceeded as exc:
-            raise DistanceBudgetExceeded(last_no, eps, exc.nodes) from exc
+            raise DistanceBudgetExceeded(last_no, first_yes, eps, exc.nodes) from exc
         if stats is not None:
             stats.decisions += 1
             stats.nodes += res.nodes
-        if res.status != "solvable":
+        if res.status == "solvable":
+            first_yes = eps
+        else:
             last_no = eps
         return res.status == "solvable"
 

@@ -1,6 +1,9 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists of field elements.  `ColumnReducer`, a
+`rank`, `nullspace`, `solve` and `mat_mul` take dense matrices, lists of
+row lists of field elements.  `ColumnReducer` takes sparse columns, {row:
+coeff} dicts without zeros; `ColumnSpan` takes {row: coeff} dicts too, and
+its `coords` answers with {inserted index: coeff}.  `ColumnReducer`, a
 sparse column reduction with no pivoting heuristics, is the one elimination
 in the package: it is behind `rank`, `nullspace` and `solve`, `ColumnSpan`,
 the linear elimination rounds of the `quadsys` solver, barcodes, homology
@@ -35,17 +38,6 @@ def mat_mul(field, a, b):
             for j in range(cols):
                 if bk[j] != field.zero:
                     oi[j] = field.add(oi[j], field.mul(x, bk[j]))
-    return out
-
-
-def mat_vec(field, a, v):
-    out = [field.zero] * len(a)
-    for i, row in enumerate(a):
-        acc = field.zero
-        for x, y in zip(row, v):
-            if x != field.zero and y != field.zero:
-                acc = field.add(acc, field.mul(x, y))
-        out[i] = acc
     return out
 
 
@@ -109,9 +101,10 @@ class ColumnSpan:
 
     Supports membership tests and expressing a vector as a combination of the
     vectors that were inserted (not of the internal echelon columns), which is
-    what presentation quotients and kernel sweeps need.  Vectors (dense or
-    {row: coeff}) go into a ColumnReducer on reversed rows, so a column's
-    pivot is its first nonzero row; `pivots` lists them in insertion order.
+    what presentation quotients and kernel sweeps need.  Vectors are {row:
+    coeff} dicts with rows in range(dim); they go into a ColumnReducer on
+    reversed rows, so a column's pivot is its first nonzero row; `pivots`
+    lists them in insertion order.
     """
 
     def __init__(self, field, dim):
@@ -123,8 +116,7 @@ class ColumnSpan:
 
     def _sparse(self, v):
         top, zero = self.dim - 1, self.field.zero
-        return {top - i: x for i, x in (v.items() if isinstance(v, dict) else
-                                        enumerate(v)) if x != zero}
+        return {top - i: x for i, x in v.items() if x != zero}
 
     def residue(self, v):
         """v reduced to zero at every pivot row, as a {row: coeff} dict."""
@@ -135,12 +127,12 @@ class ColumnSpan:
         return not self._reducer.reduce(self._sparse(v))
 
     def coords(self, v):
-        """Coefficients over inserted vectors expressing v, or None."""
+        """{inserted index: coeff} expressing v over the inserted vectors, or
+        None.  Only independently inserted vectors appear."""
         combo = {}
         if self._reducer.reduce(self._sparse(v), combo):
             return None
-        f = self.field
-        return [f.neg(combo.get(k, f.zero)) for k in range(self.n_inserted)]
+        return {k: self.field.neg(c) for k, c in combo.items()}
 
     def insert(self, v):
         """Add v to the span.  Returns True if v was independent."""

@@ -122,8 +122,11 @@ class Presentation:
     """<G | R>: graded generators and homogeneous relations over a field.
 
     generators: list of (name, grade) with grade a tuple of n Fractions.
-    relations:  list of (name, grade, coeffs) with coeffs indexed by the
-                generators; coeffs[j] must be 0 unless grade >= grade(gen j).
+    relations:  list of (name, grade, coeffs) with coeffs a {generator index:
+                coeff} dict holding no zeros; a coefficient at generator j
+                needs grade >= grade(gen j).  The constructor also takes
+                coeffs as a dense list over the generators and stores it in
+                the dict form.
     """
 
     def __init__(self, n, field, generators, relations):
@@ -131,8 +134,17 @@ class Presentation:
         self.field = field
         self.generators = [(name, tuple(Fraction(x) for x in grade))
                            for name, grade in generators]
-        self.relations = [(name, tuple(Fraction(x) for x in grade), list(coeffs))
+        self.relations = [(name, tuple(Fraction(x) for x in grade),
+                           self._coeff_dict(name, coeffs))
                           for name, grade, coeffs in relations]
+
+    def _coeff_dict(self, name, coeffs):
+        """A relation's coeffs, dict or dense list, as a new dict without zeros."""
+        if not isinstance(coeffs, dict):
+            if len(coeffs) != len(self.generators):
+                raise PresentationError(f"relation {name}: coefficient count mismatch")
+            coeffs = dict(enumerate(coeffs))
+        return {j: c for j, c in coeffs.items() if c != self.field.zero}
 
     # -- validation ---------------------------------------------------------
 
@@ -153,19 +165,17 @@ class Presentation:
             if name in seen:
                 raise PresentationError(f"duplicate name {name}")
             seen.add(name)
-            if len(coeffs) != len(self.generators):
-                raise PresentationError(f"relation {name}: coefficient count mismatch")
-            for j, c in enumerate(coeffs):
-                if c != self.field.zero and not grade_leq(self.generators[j][1], grade):
+            for j in coeffs:
+                if j not in range(len(self.generators)):
+                    raise PresentationError(f"relation {name}: no generator {j!r}")
+                if not grade_leq(self.generators[j][1], grade):
                     raise PresentationError(
                         f"relation {name}: nonzero coefficient at generator "
                         f"{self.generators[j][0]} of larger grade (index {j})")
         return self
 
     def copy(self):
-        return Presentation(self.n, self.field,
-                            list(self.generators),
-                            [(nm, gr, list(cs)) for nm, gr, cs in self.relations])
+        return Presentation(self.n, self.field, self.generators, self.relations)
 
     # -- pointwise linear algebra -------------------------------------------
 
@@ -176,27 +186,23 @@ class Presentation:
 
     def _quotient_basis(self, a):
         """Indices of active generators forming an echelon basis of M_a,
-        plus the ColumnSpan of active relation columns (in active-gen coords)."""
+        plus the ColumnSpan of the active relations (rows: generators)."""
         gens, rels = self._active(a)
-        span = ColumnSpan(self.field, len(gens))
+        span = ColumnSpan(self.field, len(self.generators))
         for i in rels:
-            coeffs = self.relations[i][2]
-            span.insert([coeffs[j] for j in gens])
-        pivot_rows = set(span.pivots)
-        basis = [gens[r] for r in range(len(gens)) if r not in pivot_rows]
-        return gens, basis, span
+            span.insert(self.relations[i][2])
+        pivots = set(span.pivots)
+        return [j for j in gens if j not in pivots], span
 
     def point_dim(self, a):
-        _, basis, _ = self._quotient_basis(a)
-        return len(basis)
+        return len(self._quotient_basis(a)[0])
 
     def transition_matrix(self, a, b):
         """Matrix of M_a -> M_b in the echelon quotient bases (rows: b-basis)."""
         if not grade_leq(a, b):
             raise PresentationError("transition requires a <= b")
-        gens_a, basis_a, _ = self._quotient_basis(a)
-        gens_b, basis_b, span_b = self._quotient_basis(b)
-        pos_in_b = {j: r for r, j in enumerate(gens_b)}
+        basis_a, _ = self._quotient_basis(a)
+        basis_b, span_b = self._quotient_basis(b)
         basis_rows = {j: i for i, j in enumerate(basis_b)}
         f = self.field
         cols = []
@@ -204,8 +210,8 @@ class Presentation:
             # the residue is zero at every pivot row, so its entries sit on
             # basis rows and are the quotient coordinates
             col = [f.zero] * len(basis_b)
-            for r, x in span_b.residue({pos_in_b[j]: f.one}).items():
-                col[basis_rows[gens_b[r]]] = x
+            for r, x in span_b.residue({j: f.one}).items():
+                col[basis_rows[r]] = x
             cols.append(col)
         return [[cols[c][r] for c in range(len(basis_a))] for r in range(len(basis_b))]
 
@@ -219,8 +225,7 @@ class Presentation:
     def shift(self, j_map):
         """M(J): pointwise M(J)_a = M_{J(a)}; grades move by J inverse."""
         gens = [(name, j_map.apply_inverse(g)) for name, g in self.generators]
-        rels = [(name, j_map.apply_inverse(g), list(cs))
-                for name, g, cs in self.relations]
+        rels = [(name, j_map.apply_inverse(g), cs) for name, g, cs in self.relations]
         return Presentation(self.n, self.field, gens, rels)
 
     def restrict(self, u):
@@ -242,9 +247,8 @@ class Presentation:
                     continue
                 grade = list(ggrade)
                 grade[axis] = max(grade[axis], uj.value)
-                coeffs = [f.zero] * len(self.generators)
-                coeffs[j] = f.one
-                out.relations.append((f"_cut{k}_{gname}_{axis}", tuple(grade), coeffs))
+                out.relations.append((f"_cut{k}_{gname}_{axis}", tuple(grade),
+                                      {j: f.one}))
                 k += 1
         return out
 
@@ -263,8 +267,7 @@ class Presentation:
         _, keys = grade_ranks([g for _, g in self.generators] +
                               [g for _, g, _ in self.relations], self.n)
         gen_key, rel_key = keys[:len(self.generators)], keys[len(self.generators):]
-        rows = [{j: c for j, c in enumerate(cs) if c != f.zero}
-                for _, _, cs in self.relations]
+        rows = [dict(cs) for _, _, cs in self.relations]
         order = sorted(range(len(rows)), key=lambda i: (rel_key[i], i))
 
         removed_gens, kept = set(), []
@@ -294,8 +297,10 @@ class Presentation:
                 if keys[t] == z and reducer.add(dict(rows[kept[t]])) is None:
                     dropped.add(kept[t])
         keep = set(kept) - dropped
+        # step 1 left no removed generator in a kept relation
         gens = [j for j in range(len(self.generators)) if j not in removed_gens]
-        rels = [(nm, gr, [rows[i].get(j, f.zero) for j in gens])
+        new_index = {j: k for k, j in enumerate(gens)}
+        rels = [(nm, gr, {new_index[j]: c for j, c in rows[i].items()})
                 for i, (nm, gr, _) in enumerate(self.relations) if i in keep]
         return Presentation(self.n, f, [self.generators[j] for j in gens], rels)
 
@@ -316,10 +321,8 @@ class Presentation:
             lines.append("generator " + name + " " +
                          " ".join(format_rational(x) for x in grade))
         for name, grade, coeffs in self.relations:
-            terms = []
-            for (gname, _), c in zip(self.generators, coeffs):
-                if c != self.field.zero:
-                    terms.append(f"{gname} {self._fmt_coeff(c)}")
+            terms = [f"{self.generators[j][0]} {self._fmt_coeff(c)}"
+                     for j, c in sorted(coeffs.items())]
             lines.append("relation " + name + " " +
                          " ".join(format_rational(x) for x in grade) +
                          " : " + "  ".join(terms))
@@ -347,17 +350,11 @@ def direct_sum(presentations, n=None, field=None):
         if p.field != first.field:
             raise PresentationError("direct sum: coefficient fields differ")
     gens, rels = [], []
-    offset = 0
-    total = sum(len(p.generators) for p in presentations)
     for idx, p in enumerate(presentations):
-        for name, grade in p.generators:
-            gens.append((f"s{idx}.{name}", grade))
-        for name, grade, coeffs in p.relations:
-            padded = [first.field.zero] * total
-            for j, c in enumerate(coeffs):
-                padded[offset + j] = c
-            rels.append((f"s{idx}.{name}", grade, padded))
-        offset += len(p.generators)
+        offset = len(gens)
+        gens += [(f"s{idx}.{name}", grade) for name, grade in p.generators]
+        rels += [(f"s{idx}.{name}", grade, {offset + j: c for j, c in coeffs.items()})
+                 for name, grade, coeffs in p.relations]
     return Presentation(first.n, first.field, gens, rels)
 
 
@@ -372,7 +369,7 @@ def interval_presentation(field, a, b):
     if bd.is_finite:
         if not bd.value > a:
             raise PresentationError("interval needs a < b")
-        rels = [("r", (bd.value,), [field.one])]
+        rels = [("r", (bd.value,), {0: field.one})]
     return Presentation(1, field, gens, rels)
 
 
@@ -426,10 +423,13 @@ def parse_presentation(text):
     for name, grade, toks in rel_rows:
         if len(toks) % 2 != 0:
             raise PresentationError(f"relation {name}: odd coefficient list")
-        coeffs = [field.zero] * len(gens)
+        coeffs = {}
         for gname, cval in zip(toks[0::2], toks[1::2]):
             if gname not in index:
                 raise PresentationError(f"relation {name}: unknown generator {gname}")
+            if index[gname] in coeffs:
+                raise PresentationError(f"relation {name}: generator {gname} "
+                                        f"listed twice")
             coeffs[index[gname]] = field.of(parse_rational(cval))
         rels.append((name, grade, coeffs))
     return Presentation(n, field, gens, rels).validate()

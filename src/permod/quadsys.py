@@ -317,15 +317,3 @@ def parse_system(text):
     if field is None or nvars is None:
         raise QuadSysError("missing field or vars")
     return QuadraticSystem(field, nvars, eqs)
-
-
-def systems_equal(a, b):
-    """Structural equality after normalization (used by round-trip tests)."""
-    if a.field != b.field or a.nvars != b.nvars:
-        return False
-    if len(a.equations) != len(b.equations):
-        return False
-    for ea, eb in zip(a.equations, b.equations):
-        if ea.quad != eb.quad or ea.lin != eb.lin or ea.const != eb.const:
-            return False
-    return True

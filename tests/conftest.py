@@ -48,40 +48,64 @@ def random_presentation(rng, field, n=1, max_gens=3, max_rels=3,
     return Presentation(n, field, gens, rels).validate()
 
 
+def mat_vec(field, a, v):
+    """The dense product of the rows a with the vector v."""
+    out = [field.zero] * len(a)
+    for i, row in enumerate(a):
+        acc = field.zero
+        for x, y in zip(row, v):
+            if x != field.zero and y != field.zero:
+                acc = field.add(acc, field.mul(x, y))
+        out[i] = acc
+    return out
+
+
+def dense(field, coeffs, size):
+    """A {index: coeff} dict as the dense list of its first size entries."""
+    return [coeffs.get(k, field.zero) for k in range(size)]
+
+
+def dense_relations(p):
+    """p's relations with each coefficient dict as a dense list over the
+    generators, the form the oracles and brute-force checks read."""
+    return [(nm, gr, dense(p.field, cs, len(p.generators)))
+            for nm, gr, cs in p.relations]
+
+
 def rerepresent(rng, p, n_row_ops=5, add_redundant=True):
     """A different presentation of the same module: random unit graded row
     operations on relations plus one redundant generator/relation pair."""
     field = p.field
-    q = p.copy()
+    gens, rels = list(p.generators), dense_relations(p)
     for _ in range(n_row_ops):
-        if len(q.relations) < 2:
+        if len(rels) < 2:
             break
-        i, j = rng.sample(range(len(q.relations)), 2)
-        nm_i, gr_i, cs_i = q.relations[i]
-        _, gr_j, cs_j = q.relations[j]
+        i, j = rng.sample(range(len(rels)), 2)
+        nm_i, gr_i, cs_i = rels[i]
+        _, gr_j, cs_j = rels[j]
         # r_i += c * (shifted r_j), requires gr(r_j) <= gr(r_i)
         if not all(x <= y for x, y in zip(gr_j, gr_i)):
             continue
         c = field.of(rng.randrange(1, getattr(field, "p", 5)))
         cs = [field.add(a, field.mul(c, b)) for a, b in zip(cs_i, cs_j)]
-        q.relations[i] = (nm_i, gr_i, cs)
-    if add_redundant and q.generators:
-        idx = rng.randrange(len(q.generators))
-        _, base_grade = q.generators[idx]
+        rels[i] = (nm_i, gr_i, cs)
+    if add_redundant and gens:
+        idx = rng.randrange(len(gens))
+        _, base_grade = gens[idx]
         bump = tuple(g + Fraction(rng.randint(0, 2), 2) for g in base_grade)
-        newg = f"gextra{len(q.generators)}"
-        q.generators.append((newg, bump))
+        newg = f"gextra{len(gens)}"
+        gens.append((newg, bump))
         coeffs = []
-        for _, ggrade in q.generators[:-1]:
+        for _, ggrade in gens[:-1]:
             if all(x <= y for x, y in zip(ggrade, bump)) and rng.random() < 0.5:
                 coeffs.append(field.of(rng.randrange(1, getattr(field, "p", 5))))
             else:
                 coeffs.append(field.zero)
         coeffs.append(field.one)
         # older relations need a zero coefficient slot for the new generator
-        q.relations = [(nm, gr, cs + [field.zero]) for nm, gr, cs in q.relations]
-        q.relations.append((f"rextra{len(q.relations)}", bump, coeffs))
-    return q.validate()
+        rels = [(nm, gr, cs + [field.zero]) for nm, gr, cs in rels]
+        rels.append((f"rextra{len(rels)}", bump, coeffs))
+    return Presentation(p.n, field, gens, rels).validate()
 
 
 def random_one_critical_complex(rng, n, max_simplices=10, max_grade=4,

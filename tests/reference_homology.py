@@ -11,6 +11,7 @@ import itertools
 from permod.homology import HomologyError, chain_complex_of
 from permod.presentation import Presentation, grade_leq
 
+from conftest import dense_relations
 from reference_linalg import nullspace, rank as mat_rank
 
 
@@ -108,7 +109,7 @@ def minimize(p):
     """
     f = p.field
     gens = list(p.generators)
-    rels = [(nm, gr, list(cs)) for nm, gr, cs in p.relations]
+    rels = dense_relations(p)
 
     def pair_key(item):
         (ri, gj) = item

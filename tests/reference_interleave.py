@@ -10,6 +10,8 @@ from permod.exactnum import INF, ext
 from permod.presentation import PresentationError, grade_leq
 from permod.quadsys import QuadEquation, QuadraticSystem, export_system
 
+from conftest import dense_relations
+
 
 class InterleavingSystem:
     """The assembled decision object: matrix shapes, free-entry masks, the
@@ -57,7 +59,7 @@ def _relation_constant_matrix(p):
     f = p.field
     rows, cols = len(p.generators), len(p.relations)
     t = [[f.zero] * cols for _ in range(rows)]
-    for j, (_, _, coeffs) in enumerate(p.relations):
+    for j, (_, _, coeffs) in enumerate(dense_relations(p)):
         for i, c in enumerate(coeffs):
             t[i][j] = c
     return t

@@ -65,6 +65,12 @@ class TestPresent:
         code, _, err = run(capsys, "present", "validate", bad)
         assert code == 2 and "1/2 is not an integer" in err
 
+    def test_generator_listed_twice_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "twice.txt"
+        bad.write_text(C01.replace(": g 1", ": g 1  g 1"))
+        code, _, err = run(capsys, "present", "validate", bad)
+        assert code == 2 and "g listed twice" in err
+
 
 class TestDistance:
     def test_interleaving(self, files, capsys):

@@ -12,12 +12,13 @@ from permod.filtration import DensitySpec, KdeSpec, kde_evaluate, sample_density
 from permod.homology import (GridModule, chain_complex_of, grid_module_of,
                              image_grid_module, rank_shift_distance, resample)
 from permod.infer import cech_cluster_module, offset_cluster_module
-from permod.linalg import identity, mat_mul, mat_vec, nullspace, rank, solve
+from permod.linalg import identity, mat_mul, nullspace, rank, solve
 from permod.presentation import Presentation
 
 import reference_grid as ref
 import reference_linalg as ref_linalg
-from conftest import random_one_critical_complex, random_presentation, seeded
+from conftest import (dense_relations, mat_vec, random_one_critical_complex,
+                      random_presentation, seeded)
 
 FIELDS = (PrimeField(2), PrimeField(3))
 
@@ -168,7 +169,7 @@ class TestAgainstReference:
                 p = random_presentation(rng, f, n=2, max_gens=5, max_rels=3)
                 p = Presentation(2, f, p.generators + [("base", (F(0), F(0)))],
                                  [(nm, gr, cs + [f.zero])
-                                  for nm, gr, cs in p.relations])
+                                  for nm, gr, cs in dense_relations(p)])
                 data = rebased(rng, grid_module_of(p, axes))
                 assert min(data[1].values()) >= 1
                 assert_same(GridModule(f, *data), ref.RefGridModule(f, *data))

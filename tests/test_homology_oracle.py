@@ -15,7 +15,7 @@ from permod.presentation import Presentation
 
 import reference_homology as ref
 from reference_linalg import rank
-from conftest import (random_one_critical_complex, random_presentation,
+from conftest import (dense, random_one_critical_complex, random_presentation,
                       rerepresent, seeded)
 
 FIELDS = (PrimeField(2), PrimeField(3), QQ)
@@ -144,17 +144,17 @@ def test_column_span_matches_dense_span():
             v = [col.get(r, field.zero) for r in range(dim)]
             vecs.append(v)
             probe = [field.of(rng.randrange(5)) for _ in range(dim)]
-            assert new.contains(probe) == old.contains(probe)
-            res = new.residue(probe)
+            assert new.contains(dict(enumerate(probe))) == old.contains(probe)
+            res = new.residue(dict(enumerate(probe)))
             assert [res.get(r, field.zero) for r in range(dim)] == \
                 old._reduce(probe)[0]
-            assert new.insert(v) == old.insert(v)
+            assert new.insert(dict(enumerate(v))) == old.insert(v)
             assert new.pivots == old.pivots and new.rank == old.rank
         lam = [field.of(rng.randrange(5)) for _ in vecs]
         target = [field.zero] * dim
         for c, v in zip(lam, vecs):
             target = [field.add(t, field.mul(c, x)) for t, x in zip(target, v)]
-        coords = new.coords(target)
+        coords = dense(field, new.coords(dict(enumerate(target))), len(vecs))
         rebuilt = [field.zero] * dim
         for c, v in zip(coords, vecs):
             rebuilt = [field.add(t, field.mul(c, x)) for t, x in zip(rebuilt, v)]

@@ -4,7 +4,8 @@ import pytest
 
 from permod import interleave
 from permod.exactnum import INF, PrimeField, ext
-from permod.interleave import (SearchStats, assemble_system, candidate_set,
+from permod.interleave import (DistanceBudgetExceeded, SearchStats,
+                               assemble_system, candidate_set,
                                decide_generalized, decide_interleaving,
                                interleaving_distance)
 from permod.onedim import bottleneck, diagram_of
@@ -12,7 +13,7 @@ from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, interval_presentation)
 from permod.quadsys import solve_finite_field
 
-from conftest import random_presentation, seeded
+from conftest import dense_relations, mat_vec, random_presentation, seeded
 
 
 def C(field, a, b):
@@ -229,6 +230,27 @@ class TestDistance:
                                         stats=stats)
             assert (got, stats.nodes) == (d, nodes), seed
 
+    def test_budget_bracket_holds_the_distance(self, f2):
+        """A budget exit's bracket runs from the largest eps decided no to
+        the least decided yes (+inf before any), so it holds d_I; the eps
+        being decided when the budget ran out is no upper bound."""
+        rng = seeded(0)
+        exits = 0
+        for _ in range(40):
+            m = random_presentation(rng, f2, n=2, max_gens=4, max_rels=3)
+            n = random_presentation(rng, f2, n=2, max_gens=4, max_rels=3)
+            d = interleaving_distance(m, n, budget=100000)
+            for budget in range(3):
+                try:
+                    interleaving_distance(m, n, budget=budget)
+                except DistanceBudgetExceeded as exc:
+                    exits += 1
+                    lo, hi = exc.bracket
+                    assert lo <= d <= hi and lo <= exc.undecided <= hi
+                    if exits == 1:
+                        assert (lo, exc.undecided, hi, d) == (ext(2), ext(3), INF, INF)
+        assert exits > 40
+
     def test_self(self, f2):
         assert interleaving_distance(C(f2, 0, 4), C(f2, 0, 4)) == ext(0)
 
@@ -307,10 +329,11 @@ def brute_force_interleaved(m, n, eps):
     check the four span conditions directly (no C/D/E/F variables, no
     equation assembly).  Oracle-scale only."""
     import itertools as it
-    from permod.linalg import ColumnSpan, mat_mul, mat_vec
+    from permod.linalg import ColumnSpan, mat_mul
     f = m.field
     gm = [g for _, g in m.generators]
     gn = [g for _, g in n.generators]
+    rels_m, rels_n = dense_relations(m), dense_relations(n)
 
     def leq_shift(a, b, s):
         return all(x <= y + s for x, y in zip(a, b))
@@ -322,11 +345,11 @@ def brute_force_interleaved(m, n, eps):
     free_a = free_entries(gn, gm, eps)
     free_b = free_entries(gm, gn, eps)
 
-    def rel_span(p, gens_count, bound, shift):
+    def rel_span(rels, gens_count, bound, shift):
         span = ColumnSpan(f, gens_count)
-        for _, g, coeffs in p.relations:
+        for _, g, coeffs in rels:
             if leq_shift(g, bound, shift):
-                span.insert(list(coeffs))
+                span.insert(dict(enumerate(coeffs)))
         return span
 
     def matrices(free, rows, cols):
@@ -343,26 +366,26 @@ def brute_force_interleaved(m, n, eps):
              for i in range(len(gn))]
 
     for a_mat in matrices(free_a, len(gn), len(gm)):
-        cond1 = all(rel_span(n, len(gn), g, eps).contains(
-            mat_vec(f, a_mat, coeffs))
-            for _, g, coeffs in m.relations)
+        cond1 = all(rel_span(rels_n, len(gn), g, eps).contains(
+            dict(enumerate(mat_vec(f, a_mat, coeffs))))
+            for _, g, coeffs in rels_m)
         if not cond1:
             continue
         for b_mat in matrices(free_b, len(gm), len(gn)):
-            cond2 = all(rel_span(m, len(gm), g, eps).contains(
-                mat_vec(f, b_mat, coeffs))
-                for _, g, coeffs in n.relations)
+            cond2 = all(rel_span(rels_m, len(gm), g, eps).contains(
+                dict(enumerate(mat_vec(f, b_mat, coeffs))))
+                for _, g, coeffs in rels_n)
             if not cond2:
                 continue
             ba = mat_mul(f, b_mat, a_mat)
-            cond3 = all(rel_span(m, len(gm), gmi, 2 * eps).contains(
-                [f.sub(ba[r][i], eye_m[r][i]) for r in range(len(gm))])
+            cond3 = all(rel_span(rels_m, len(gm), gmi, 2 * eps).contains(
+                {r: f.sub(ba[r][i], eye_m[r][i]) for r in range(len(gm))})
                 for i, gmi in enumerate(gm))
             if not cond3:
                 continue
             ab = mat_mul(f, a_mat, b_mat)
-            cond4 = all(rel_span(n, len(gn), gni, 2 * eps).contains(
-                [f.sub(ab[r][i], eye_n[r][i]) for r in range(len(gn))])
+            cond4 = all(rel_span(rels_n, len(gn), gni, 2 * eps).contains(
+                {r: f.sub(ab[r][i], eye_n[r][i]) for r in range(len(gn))})
                 for i, gni in enumerate(gn))
             if cond4:
                 return True

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from permod.exactnum import QQ, PrimeField
-from permod.linalg import (ColumnSpan, identity, mat_mul, mat_vec, nullspace,
-                           rank, solve)
+from permod.linalg import ColumnSpan, identity, mat_mul, nullspace, rank, solve
+
+from conftest import dense, mat_vec
 
 
 def brute_rank_z2(mat):
@@ -64,15 +65,16 @@ def test_column_span_coords():
             vecs = []
             for _ in range(rng.randint(1, 6)):
                 v = [field.of(rng.randrange(5)) for _ in range(dim)]
-                span.insert(v)
+                span.insert(dict(enumerate(v)))
                 vecs.append(v)
             # a random combination must be recognized with valid coords
             lam = [field.of(rng.randrange(5)) for _ in vecs]
             target = [field.zero] * dim
             for c, v in zip(lam, vecs):
                 target = [field.add(t, field.mul(c, x)) for t, x in zip(target, v)]
-            coords = span.coords(target)
+            coords = span.coords(dict(enumerate(target)))
             assert coords is not None
+            coords = dense(field, coords, len(vecs))
             rebuilt = [field.zero] * dim
             for c, v in zip(coords, vecs):
                 rebuilt = [field.add(t, field.mul(c, x)) for t, x in zip(rebuilt, v)]

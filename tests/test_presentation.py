@@ -29,6 +29,18 @@ class TestValidate:
         p = Presentation(1, f2, [], []).validate()
         assert p.point_dim((F(0),)) == 0
 
+    def test_dense_coefficient_count_mismatch(self, f2):
+        with pytest.raises(PresentationError, match="coefficient count"):
+            Presentation(1, f2, [("g", (F(0),))], [("r", (F(1),), [1, 0])])
+
+    def test_relations_stored_as_dicts_without_zeros(self, f2):
+        gens = [("g", (F(0),)), ("h", (F(0),))]
+        for coeffs in ([0, 1], {0: 0, 1: 1}):
+            p = Presentation(1, f2, gens, [("r", (F(1),), coeffs)]).validate()
+            assert p.relations[0][2] == {1: 1}
+        with pytest.raises(PresentationError, match="no generator 2"):
+            Presentation(1, f2, gens, [("r", (F(1),), {2: 1})]).validate()
+
     def test_duplicate_names(self, f2):
         with pytest.raises(PresentationError, match="duplicate"):
             Presentation(1, f2, [("g", (F(0),)), ("g", (F(1),))], []).validate()
@@ -245,7 +257,7 @@ END
         p = Presentation(1, QQ, [("g", (F(1, 3),))],
                          [("r", (F(2),), [F(5, 7)])])
         q = parse_presentation(p.to_text())
-        assert q.relations[0][2] == [F(5, 7)]
+        assert q.relations[0][2] == {0: F(5, 7)}
 
     def test_random_roundtrip(self, f3):
         rng = seeded(77)
@@ -254,6 +266,19 @@ END
             q = parse_presentation(p.to_text())
             assert q.generators == p.generators
             assert [c for _, _, c in q.relations] == [c for _, _, c in p.relations]
+
+    def test_generator_listed_twice_rejected(self):
+        # over Z/2 the two entries would sum to 0; neither value may win
+        text = ("PRESENTATION\nn 1\nfield zp 2\ngenerator g 0\n"
+                "relation r 1 : g 1  g 1\nEND\n")
+        with pytest.raises(PresentationError, match="g listed twice"):
+            parse_presentation(text)
+
+    def test_explicit_zero_dropped(self):
+        p = parse_presentation("PRESENTATION\nn 1\nfield zp 3\ngenerator g 0\n"
+                               "generator h 0\nrelation r 1 : g 0  h 2\nEND\n")
+        assert p.relations[0][2] == {1: 2}
+        assert "relation r 1 : h 2\n" in p.to_text()
 
     def test_parse_errors(self):
         with pytest.raises(PresentationError):

@@ -7,8 +7,19 @@ import pytest
 from permod.exactnum import QQ
 from permod.quadsys import (BudgetExceeded, QuadEquation, QuadraticSystem,
                             QuadSysError, _eliminate_linear, evaluate,
-                            export_system, parse_system, solve_finite_field,
-                            systems_equal)
+                            export_system, parse_system, solve_finite_field)
+
+
+def systems_equal(a, b):
+    """Structural equality after normalization (used by round-trip tests)."""
+    if a.field != b.field or a.nvars != b.nvars:
+        return False
+    if len(a.equations) != len(b.equations):
+        return False
+    for ea, eb in zip(a.equations, b.equations):
+        if ea.quad != eb.quad or ea.lin != eb.lin or ea.const != eb.const:
+            return False
+    return True
 
 
 def eq(field, quad=None, lin=None, const=0):

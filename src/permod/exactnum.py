@@ -5,6 +5,7 @@ Every grade coordinate, distance and threshold in this package is a
 Nothing here ever touches floating point.
 """
 
+import bisect
 from fractions import Fraction
 import math
 
@@ -31,19 +32,29 @@ def format_rational(q):
 
 
 def least_feasible(values, feasible):
-    """The least entry of the sorted list `values` at which the monotone
-    predicate `feasible` holds, or None if it holds at none.  Binary search:
-    each probe is the middle index (lo + hi) // 2 of the open range."""
-    lo, hi = 0, len(values) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if feasible(values[mid]):
-            best = values[mid]
-            hi = mid - 1
+    """The least entry of the sorted list `values` at which a monotone
+    predicate holds, or None if it holds at none.  `feasible(v)` returns
+    None when it fails at v, else a certificate: an entry u <= v of `values`
+    at which it is known to hold (v itself when nothing more is known); any
+    other return, a bool included, raises TypeError.  The search gallops up
+    from the bottom, probing indices 0, 1, 3, 7, ... (capped at the last
+    index), then bisects the gap below the certified entry ((lo + hi) // 2);
+    every certificate moves the top of the gap down to it."""
+    lo, hi, step = 0, len(values), 1   # the answer's index is in [lo, hi]; len = none
+    while lo < hi:
+        if hi == len(values):
+            mid, step = min(step - 1, hi - 1), 2 * step
         else:
+            mid = (lo + hi) // 2
+        u = feasible(values[mid])
+        if u is None:
             lo = mid + 1
-    return best
+            continue
+        k = mid + 1 if type(u) is bool else bisect.bisect_left(values, u, lo, mid + 1)
+        if k > mid or values[k] != u:
+            raise TypeError(f"feasible({values[mid]!r}) returned {u!r}, no certificate")
+        hi = k
+    return values[hi] if hi < len(values) else None
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +222,16 @@ class PrimeField:
             x = x.numerator
         return x % self.p
 
+    def canonical(self, coeffs, const):
+        """Whether coeffs are ints in [1, p) and const an int in [0, p)."""
+        p = self.p
+        if type(const) is not int or not 0 <= const < p:
+            return False
+        for c in coeffs:
+            if type(c) is not int or not 0 < c < p:
+                return False
+        return True
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -256,6 +277,10 @@ class RationalField:
 
     def of(self, x):
         return Fraction(x)
+
+    def canonical(self, coeffs, const):
+        """Whether coeffs are nonzero Fractions and const a Fraction."""
+        return type(const) is Fraction and all(type(c) is Fraction and c for c in coeffs)
 
     def add(self, a, b):
         return a + b

@@ -519,7 +519,7 @@ def gromov_function_distance(x1, d1, f1, x2, d2, f2, max_points=5):
                         return True
             return False
 
-        return extend([], list(range(n1)), list(range(n2)))
+        return eps if extend([], list(range(n1)), list(range(n2))) else None
 
     best = least_feasible(sorted(cands), feasible)
     if best is None:

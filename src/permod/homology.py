@@ -652,10 +652,10 @@ def rank_shift_distance(gm, gn):
             if None in lo or None in hi:
                 continue
             if rm.rank_between(lo, hi) > rn.rank_between(i1, i2):
-                return False
+                return None
             if rn.rank_between(lo, hi) > rm.rank_between(i1, i2):
-                return False
-        return True
+                return None
+        return eps
 
     best = least_feasible(cands, feasible)
     return ext(best) if best is not None else INF

@@ -242,8 +242,8 @@ def candidate_set(m, n, minimal=False):
 
 class DistanceBudgetExceeded(Exception):
     """Search ran out of solver budget at the eps `undecided`; carries the
-    bracket [largest eps decided no (0 if none), least eps decided yes (+inf
-    if none)], which holds d_I, and the nodes the failed decision used."""
+    bracket [largest eps decided no (0 if none), least eps decided or
+    certified yes (+inf if none)], which holds d_I, and the failed decision's nodes."""
 
     def __init__(self, last_no, first_yes, undecided, nodes):
         super().__init__(f"budget exceeded deciding eps = {undecided}; "
@@ -261,28 +261,36 @@ class SearchStats:
 
 
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
-    """d_I(M, N) as an ExtendedRational: binary search over the candidate set,
-    valid because interleavability is monotone in eps and the distance is
-    attained.  Presentations are minimized and their term table built once
-    up front; each probe takes its system from the table."""
+    """d_I(M, N) as an ExtendedRational: `least_feasible` over the candidate
+    set, valid because interleavability is monotone in eps and the distance
+    is attained.  A witness, zero off its free entries, solves the system at
+    every eps whose level reaches its nonzero entries' thresholds, so each
+    yes certifies the least such candidate.  Presentations are minimized and
+    their term table built once; each probe takes its system from it."""
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
     last_no, first_yes = ExtendedRational.of(0), INF
 
     def interleaved(eps):
         nonlocal last_no, first_yes
+        isys = table.at(eps.value)
         try:
-            res = solve_finite_field(table.at(eps.value).system, budget=budget)
+            res = solve_finite_field(isys.system, budget=budget)
         except BudgetExceeded as exc:
             raise DistanceBudgetExceeded(last_no, first_yes, eps, exc.nodes) from exc
         if stats is not None:
             stats.decisions += 1
             stats.nodes += res.nodes
-        if res.status == "solvable":
-            first_yes = eps
-        else:
+        if res.status != "solvable":
             last_no = eps
-        return res.status == "solvable"
+            return None
+        # free at eps iff threshold <= floor(eps * scale) iff eps >= threshold / scale
+        least = Fraction(max((table.thresholds[name][i][j]
+                              for (name, i, j), v in isys.var_of_entry.items()
+                              if res.witness[v - 1] != table.field.zero), default=0),
+                         table.scale)
+        first_yes = next(c for c in finite if c.value >= least)
+        return first_yes
 
     cands = candidate_set(mm, nn, minimal=True)
     if stats is not None:

@@ -134,7 +134,8 @@ def _feasible(left, right, eps):
 
     Point i on the left may match j on the right if their cost is <= eps, or
     be deleted if its half-life is <= eps; same on the right.  Augmenting-path
-    bipartite matching on the standard doubled graph.
+    bipartite matching on the standard doubled graph.  Returns eps if it
+    exists, else None (the certificate `least_feasible` reads).
     """
     nl, nr = len(left), len(right)
     size = nl + nr            # right side gets nr real + nl slack nodes
@@ -167,7 +168,7 @@ def _feasible(left, right, eps):
     for u in range(size):
         if augment(u, [False] * size):
             matched += 1
-    return matched == size
+    return eps if matched == size else None
 
 
 def bottleneck(d1, d2):

@@ -99,12 +99,18 @@ class QuadraticSystem:
     def __init__(self, field, nvars, equations):
         self.field = field
         self.nvars = int(nvars)
-        self.equations = [eq.substitute(field, {}) for eq in equations]
-        for eq in self.equations:
-            eq.const = field.of(eq.const)
-            for v in eq.vars:
-                if not 1 <= v <= self.nvars:
-                    raise QuadSysError(f"variable index {v} out of range")
+        self.equations = []
+        for eq in equations:
+            # kept as given when normal (i <= j in quadratic keys, canonical
+            # nonzero coefficients, vars those of the terms), else copied
+            if not (field.canonical([*eq.quad.values(), *eq.lin.values()], eq.const)
+                    and all(i <= j for i, j in eq.quad) and eq.vars == eq.variables()):
+                eq = eq.substitute(field, {})
+                eq.const = field.of(eq.const)
+            if eq.vars and not 1 <= min(eq.vars) <= max(eq.vars) <= self.nvars:
+                bad = min(eq.vars) if min(eq.vars) < 1 else max(eq.vars)
+                raise QuadSysError(f"variable index {bad} out of range")
+            self.equations.append(eq)
 
     def __repr__(self):
         return (f"QuadraticSystem(field={self.field.spec!r}, vars={self.nvars}, "

@@ -116,9 +116,18 @@ def test_least_feasible_threshold_and_probe_order():
     for size in range(8):
         values = list(range(size))
         for t in range(size + 1):
-            got = least_feasible(values, lambda v: v >= t)
+            got = least_feasible(values, lambda v: v if v >= t else None)
             assert got == (t if t < size else None)
-    probes = []
-    assert least_feasible(list(range(10)),
-                          lambda v: probes.append(v) or v >= 3) == 3
-    assert probes == [4, 1, 2, 3]
+
+    def probes(t, size=10):
+        seen = []
+        least_feasible(list(range(size)),
+                       lambda v: seen.append(v) or (v if v >= t else None))
+        return seen
+
+    # gallop 0, 1, 3, 7, ... capped at the last index, then bisect the gap
+    assert probes(3) == [0, 1, 3, 2]
+    assert probes(0) == [0]
+    assert probes(6) == [0, 1, 3, 7, 5, 6]
+    assert probes(9) == [0, 1, 3, 7, 9, 8]
+    assert probes(10) == [0, 1, 3, 7, 9]

@@ -217,23 +217,48 @@ class TestDistance:
         assert decide_generalized(m, m, *[MonotoneAffineMap.identity(1)] * 2) == "yes"
         assert len(tables) == 2 and len(masks) == 6
 
-    def test_deep_searches_pinned(self):
-        """d_I and solver nodes of the deepest searches among seeded 6-7-
-        generator pairs, as the search found them when every node
-        substituted into every remaining equation."""
-        pins = {134: (ext(1), 2476), 231: (ext(F(1, 2)), 596),
-                77: (ext(F(1, 2)), 266), 171: (ext(1), 250),
-                42: (ext(F(1, 2)), 229), 177: (ext(F(1, 2)), 203)}
+    def test_deep_searches_pinned(self, monkeypatch):
+        """The deepest searches among seeded 6-7-generator pairs.  Each
+        probe's (status, nodes) is that of `solve_finite_field(table.at(eps))`
+        with the binary search's solver, for every eps the search decides;
+        then d_I and the total nodes.  The binary search took 2476, 596,
+        266, 250, 229 and 203 nodes on these pairs."""
+        un, yes = "unsolvable", "solvable"
+        probes = {134: {"0": (un, 0), "1/2": (un, 0), "3/2": (yes, 19), "1": (yes, 20)},
+                  231: {"0": (un, 0), "1/4": (un, 0), "3/4": (yes, 7), "1/2": (yes, 6)},
+                  77: {"0": (un, 0), "1/4": (un, 0), "3/4": (yes, 14)},
+                  171: {"0": (un, 0), "1/2": (un, 0), "3/2": (yes, 12), "1": (yes, 25)},
+                  42: {"0": (un, 0), "1/4": (un, 0), "3/4": (yes, 18)},
+                  177: {"0": (un, 0), "1/4": (un, 0), "3/4": (yes, 10)}}
+        pins = {134: (ext(1), 39), 231: (ext(F(1, 2)), 13), 77: (ext(F(1, 2)), 14),
+                171: (ext(1), 37), 42: (ext(F(1, 2)), 18), 177: (ext(F(1, 2)), 10)}
+        seen = []
+        at, solve = interleave.TermTable.at, interleave.solve_finite_field
+
+        def recorded_at(table, eps):
+            seen.append(str(eps))
+            return at(table, eps)
+
+        def recorded_solve(system, budget):
+            res = solve(system, budget=budget)
+            seen[-1] = (seen[-1], (res.status, res.nodes))
+            return res
+
+        monkeypatch.setattr(interleave.TermTable, "at", recorded_at)
+        monkeypatch.setattr(interleave, "solve_finite_field", recorded_solve)
         for seed, (d, nodes) in pins.items():
+            seen.clear()
             stats = SearchStats()
             got = interleaving_distance(*jittered_pair(seeded(seed)), budget=20000,
                                         stats=stats)
+            assert seen == list(probes[seed].items()), seed
             assert (got, stats.nodes) == (d, nodes), seed
 
     def test_budget_bracket_holds_the_distance(self, f2):
         """A budget exit's bracket runs from the largest eps decided no to
-        the least decided yes (+inf before any), so it holds d_I; the eps
-        being decided when the budget ran out is no upper bound."""
+        the least decided or certified yes (+inf before any), so it holds
+        d_I; the eps being decided when the budget ran out is no upper
+        bound."""
         rng = seeded(0)
         exits = 0
         for _ in range(40):
@@ -248,7 +273,8 @@ class TestDistance:
                     lo, hi = exc.bracket
                     assert lo <= d <= hi and lo <= exc.undecided <= hi
                     if exits == 1:
-                        assert (lo, exc.undecided, hi, d) == (ext(2), ext(3), INF, INF)
+                        assert (lo, exc.undecided, hi, d) == (ext(F(7, 4)), ext(F(7, 2)),
+                                                              INF, INF)
         assert exits > 40
 
     def test_self(self, f2):

@@ -95,6 +95,36 @@ class TestSolver:
         s = QuadraticSystem(f2, 1, [QuadEquation({}, {1: 1}, 3)])
         assert solve_finite_field(s).witness == [1]
 
+    def test_unnormalized_input_comes_out_normalized(self, f3):
+        """A key (2, 1), an explicit zero and a coefficient p + 1 are
+        normalized in a copy; the caller's equation is left as it was."""
+        given = QuadEquation({(2, 1): 4, (1, 1): 0}, {1: 0, 2: 5}, 7)
+        s = QuadraticSystem(f3, 2, [given])
+        got = s.equations[0]
+        assert got is not given
+        assert (got.quad, got.lin, got.const) == ({(1, 2): 1}, {2: 2}, 1)
+        assert got.vars == {1, 2}
+        assert (given.quad, given.lin, given.const) == ({(2, 1): 4, (1, 1): 0},
+                                                        {1: 0, 2: 5}, 7)
+        assert export_system(s) == ("QUADSYS\nfield zp 3\nvars 2\n"
+                                    "eq: 1 1 2  2 2 0  1 0 0\nEND\n")
+
+    def test_normal_equations_kept_as_given(self, f3):
+        normal = QuadEquation({(1, 2): 2}, {2: 1}, 0)
+        assert QuadraticSystem(f3, 2, [normal]).equations[0] is normal
+        # a non-canonical constant, a coefficient that is no int or terms
+        # changed after construction (stale vars) make a normalized copy
+        for other in (QuadEquation({}, {1: 1}, 3), QuadEquation({}, {1: True}, 0),
+                      QuadEquation({}, {1: F(1)}, 0)):
+            got = QuadraticSystem(f3, 2, [other]).equations[0]
+            assert got is not other and (got.lin, got.const) == ({1: 1}, other.const % 3)
+        stale = QuadEquation({}, {1: 1}, 0)
+        stale.quad[(1, 2)] = 1
+        got = QuadraticSystem(f3, 2, [stale]).equations[0]
+        assert got is not stale and got.vars == {1, 2}
+        with pytest.raises(QuadSysError, match="index 3 out of range"):
+            QuadraticSystem(f3, 2, [normal, QuadEquation({(1, 3): 1})])
+
     def test_agrees_with_enumeration_z2(self, f2):
         rng = random.Random(3)
         for _ in range(60):

@@ -1,0 +1,231 @@
+"""The galloping certificate search against the binary search it replaced
+(kept in reference_search.py), and the interleaving distance it finds
+against two outside references: the binary search over `decide_interleaving`
+and a lower bound from diagonal slices.
+
+Every jump of the search, a yes at eps that certifies a smaller candidate u,
+is checked on its own: the witness found at eps, restricted to u's free
+entries, must satisfy the system at u."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from permod import interleave
+from permod.exactnum import INF, PrimeField, ext, least_feasible
+from permod.interleave import candidate_set, decide_interleaving, interleaving_distance
+from permod.onedim import bottleneck, diagram_of
+from permod.presentation import Presentation
+from permod.quadsys import evaluate
+
+import reference_search as ref
+from conftest import random_presentation, seeded
+
+F2, F3 = PrimeField(2), PrimeField(3)
+
+
+class TestAgainstBinarySearch:
+    def test_every_threshold(self):
+        """Sizes 0-40, every threshold, with the plain certificate (v
+        itself) and with certificates anywhere between the threshold and v."""
+        for size in range(41):
+            values = list(range(10, 10 + 3 * size, 3))
+            for k in range(size + 1):
+                t = values[k] if k < size else None
+                want = ref.least_feasible(values, lambda v: t is not None and v >= t)
+                certs = (lambda v: v, lambda v: values[k],
+                         lambda v: values[(k + values.index(v)) // 2],
+                         lambda v: values[max(k, values.index(v) - 1)])
+                for cert in certs:
+                    got = least_feasible(values, lambda v: (
+                        cert(v) if t is not None and v >= t else None))
+                    assert got == want, (size, k)
+
+    def test_probes_decrease_with_certificates(self):
+        """A certificate moves the top of the gap down: after the yes at 31
+        certifies 20, only 18 and 19 are left to probe."""
+        probes = []
+        got = least_feasible(list(range(40)),
+                             lambda v: probes.append(v) or (20 if v >= 20 else None))
+        assert got == 20 and probes == [0, 1, 3, 7, 15, 31, 18, 19]
+
+    @pytest.mark.parametrize("answer", (True, False, 1, 0))
+    def test_bool_and_foreign_returns_raise(self, answer):
+        """A bool predicate raises at its first yes instead of looping; so
+        does an int, which here is no entry of values at or below v."""
+        with pytest.raises(TypeError):
+            least_feasible([F(1, 2), F(1), F(2)], lambda v: answer)
+
+    def test_certificates_out_of_place_raise(self):
+        values = list(range(10))
+        # above v
+        with pytest.raises(TypeError):
+            least_feasible(values, lambda v: v + 1)
+        # at or below a failed probe: 0, 1 fail, 3 certifies 1
+        with pytest.raises(TypeError):
+            least_feasible(values, lambda v: 1 if v >= 2 else None)
+        # no entry of values
+        with pytest.raises(TypeError):
+            least_feasible(values, lambda v: F(5, 2))
+
+
+def interleave2d_pair(rng, k, r):
+    """A 2-parameter Z/2 module with k generators on the grid [0, 10]^2 and r
+    relations, each joining two generators, against a copy whose generator
+    grades move down and relation grades up by 0, 1/2 or 1, at most the
+    pair's jitter (1/2 or 1)."""
+    gens = [(F(rng.randint(0, 10)), F(rng.randint(0, 10))) for _ in range(k)]
+    rels = []
+    for _ in range(r):
+        pick = rng.sample(range(k), 2)
+        grade = tuple(max(gens[i][a] for i in pick) + rng.randint(0, 2) for a in range(2))
+        rels.append((grade, {i: 1 for i in pick}))
+    jitter = rng.choice((1, 2))
+    moved_gens = [tuple(x - F(rng.randint(0, jitter), 2) for x in g) for g in gens]
+    moved_rels = [(tuple(x + F(rng.randint(0, jitter), 2) for x in g), c) for g, c in rels]
+    return tuple(Presentation(2, F2, [(f"g{i}", g) for i, g in enumerate(gs)],
+                              [(f"r{j}", g, c) for j, (g, c) in enumerate(rs)]).validate()
+                 for gs, rs in ((gens, rels), (moved_gens, moved_rels)))
+
+
+def interleave2d_pairs(seed, count):
+    rng = seeded(seed)
+    sizes = ((2, 1), (3, 2), (4, 2), (4, 3), (5, 3))
+    return [interleave2d_pair(rng, *sizes[i % len(sizes)]) for i in range(count)]
+
+
+def random_pairs(seed, field, count):
+    rng = seeded(seed)
+    return [tuple(random_presentation(rng, field, n=2, max_gens=4, max_rels=3)
+                  for _ in range(2)) for _ in range(count)]
+
+
+def binary_distance(m, n):
+    """d_I by the binary search over `decide_interleaving` on the raw pair."""
+    finite = [c for c in candidate_set(m, n) if c.is_finite]
+    d = ref.least_feasible(finite,
+                           lambda eps: decide_interleaving(m, n, eps.value) == "yes")
+    return INF if d is None else d
+
+
+class Decision:
+    def __init__(self, table, eps, isys):
+        self.table, self.eps, self.isys = table, eps, isys
+        self.result = self.cert = None
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Every decision interleaving_distance makes: its table, eps, system,
+    solver result and certificate (None for a no)."""
+    log = []
+    at, solve, search = (interleave.TermTable.at, interleave.solve_finite_field,
+                         interleave.least_feasible)
+
+    def logged_at(table, eps):
+        log.append(Decision(table, eps, at(table, eps)))
+        return log[-1].isys
+
+    def logged_solve(system, budget):
+        log[-1].result = solve(system, budget=budget)
+        return log[-1].result
+
+    def logged_search(values, feasible):
+        def logged(v):
+            log[-1].cert = feasible(v)
+            return log[-1].cert
+        return search(values, logged)
+
+    monkeypatch.setattr(interleave.TermTable, "at", logged_at)
+    monkeypatch.setattr(interleave, "solve_finite_field", logged_solve)
+    monkeypatch.setattr(interleave, "least_feasible", logged_search)
+    return log, at
+
+
+def check_jumps(log, at):
+    """For each yes at eps certifying u: the witness found at eps,
+    restricted to u's free entries, satisfies the system at u.  Returns the
+    number of jumps (u < eps)."""
+    jumps = 0
+    for d in log:
+        if d.cert is None:
+            continue
+        value = {e: d.result.witness[v - 1] for e, v in d.isys.var_of_entry.items()}
+        target = at(d.table, d.cert.value)
+        entries = sorted(target.var_of_entry, key=target.var_of_entry.get)
+        assert evaluate(target.system, [value.get(e, 0) for e in entries]) is None
+        jumps += d.cert.value < d.eps
+    return jumps
+
+
+class TestDistanceAgainstBinarySearch:
+    @pytest.mark.parametrize("pairs, min_jumps", (
+        (lambda: interleave2d_pairs(601, 40), 20),
+        (lambda: random_pairs(602, F2, 40), 1),
+        (lambda: random_pairs(603, F3, 10), 0)),
+        ids=("interleave2d", "random_z2", "random_z3"))
+    def test_same_distance_and_sound_jumps(self, pairs, min_jumps, decisions):
+        log, at = decisions
+        jumps = 0
+        for m, n in pairs():
+            log.clear()
+            d = interleaving_distance(m, n)
+            jumps += check_jumps(log, at)
+            assert d == binary_distance(m, n)
+        assert jumps >= min_jumps
+
+
+def diagonal_slice(p, c):
+    """p restricted to the line (c, 0) + t (1, 1): a grade g enters at
+    t = max(g0 - c, g1), and the coefficients stay the same."""
+    def t(g):
+        return (max(g[0] - c, g[1]),)
+    return Presentation(1, p.field, [(nm, t(g)) for nm, g in p.generators],
+                        [(nm, t(g), cs) for nm, g, cs in p.relations])
+
+
+def slice_lower_bound(m, n):
+    """The largest bottleneck distance between the diagonal slices of m and
+    n through every offset g0 - g1 of their grades.  An eps-interleaving
+    restricts to one on every such line, so this is <= d_I."""
+    offsets = {g[0] - g[1] for p in (m, n)
+               for g in [g for _, g in p.generators] + [g for _, g, _ in p.relations]}
+    return max((bottleneck(*(diagram_of(diagonal_slice(p, c)) for p in (m, n)))
+                for c in offsets), default=ext(0))
+
+
+def one_candidate_lower(monkeypatch):
+    """A broken search: each certificate moves one candidate lower, unless
+    that candidate was decided no (the search itself refuses a certificate
+    at or below a failed probe)."""
+    search = interleave.least_feasible
+
+    def broken(values, feasible):
+        failed = set()
+
+        def lowered(v):
+            u = feasible(v)
+            if u is None:
+                failed.add(v)
+                return None
+            k = values.index(u)
+            return values[k - 1] if k and values[k - 1] not in failed else u
+        return search(values, lowered)
+
+    monkeypatch.setattr(interleave, "least_feasible", broken)
+
+
+class TestSliceLowerBound:
+    def test_bound_holds_and_catches_a_jump_one_candidate_too_low(self, monkeypatch):
+        """bound <= d_I on interleave2d-shaped and random pairs, with
+        equality on most of them; the broken search returns a d below the
+        bound on some of the same pairs."""
+        pairs = interleave2d_pairs(611, 60) + random_pairs(612, F2, 40)
+        bounds = [slice_lower_bound(m, n) for m, n in pairs]
+        dists = [interleaving_distance(m, n) for m, n in pairs]
+        assert all(b <= d for b, d in zip(bounds, dists))
+        assert sum(b == d for b, d in zip(bounds, dists)) >= 90
+        one_candidate_lower(monkeypatch)
+        broken = [interleaving_distance(m, n) for m, n in pairs]
+        assert all(b <= d for b, d in zip(broken, dists))
+        assert sum(b < bound for b, bound in zip(broken, bounds)) >= 5

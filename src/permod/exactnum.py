@@ -86,10 +86,6 @@ class ExtendedRational:
     def is_finite(self):
         return self.kind == 0
 
-    def _key(self):
-        # totally ordered key; finite values ordered by value
-        return (self.kind, self.value if self.kind == 0 else 0)
-
     def __eq__(self, other):
         try:
             other = ExtendedRational.of(other)

@@ -8,6 +8,8 @@ exposes the certified rational bracket of width <= 2**-20 that downstream
 consumers record.
 """
 
+import array
+import functools
 import itertools
 import math
 import operator
@@ -88,13 +90,9 @@ def scale_mul(v, c):
     return Fraction(v) * c
 
 
-def grade_key(grade):
-    return tuple(scale_key(x) if isinstance(x, Scale) else x for x in grade)
-
-
-def grade_leq_mixed(a, b):
-    return all(scale_square(x) <= scale_square(y) if isinstance(x, Scale) or isinstance(y, Scale)
-               else x <= y for x, y in zip(a, b))
+def _signed_square(x):
+    """A key ordered like the values: sq for a Scale, x * |x| for a rational."""
+    return x.sq if isinstance(x, Scale) else x * abs(x)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,8 @@ def _circumsphere_sq(points):
     gram = [[sum(ui * vi for ui, vi in zip(u[i], u[j])) for j in range(k)]
             for i in range(k)]
     rhs = [Fraction(sum(x * x for x in u[i]), 2) for i in range(k)]
-    if _mat_rank(QQ, gram) < k:
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in gram]
+    if _mat_rank(QQ, sparse) < k:
         return None
     lam = _mat_solve(QQ, gram, rhs)
     if lam is None:
@@ -239,7 +238,9 @@ def min_enclosing_radius(points, p):
 
 class BifilteredComplex:
     """One-critical multifiltered simplicial complex: each simplex appears at
-    a single minimal grade, faces no later than cofaces."""
+    a single minimal grade, faces no later than cofaces.  Simplices are kept
+    sorted by dimension, grade and vertices; a grade column that holds a
+    Scale compares by signed squares, every other column by value."""
 
     def __init__(self, nparams, simplices):
         self.nparams = int(nparams)
@@ -251,16 +252,23 @@ class BifilteredComplex:
                 raise FiltrationError(f"duplicate simplex {verts}")
             if len(grade) != self.nparams:
                 raise FiltrationError("grade length mismatch")
-            index[verts] = grade
-            self.simplices.append((verts, tuple(grade)))
-        for verts, grade in self.simplices:
+            index[verts] = grade = tuple(grade)
+            self.simplices.append((verts, grade))
+        squared = [any(isinstance(g[k], Scale) for g in index.values())
+                   for k in range(self.nparams)]
+        if any(squared):
+            # one key per simplex, for the face check and the sort
+            index = {verts: tuple(_signed_square(x) if sq else x
+                                  for x, sq in zip(grade, squared))
+                     for verts, grade in index.items()}
+        for verts, key in index.items():
             if len(verts) > 1:
                 for face in itertools.combinations(verts, len(verts) - 1):
                     if face not in index:
                         raise FiltrationError(f"missing face {face} of {verts}")
-                    if not grade_leq_mixed(index[face], grade):
+                    if not all(x <= y for x, y in zip(index[face], key)):
                         raise FiltrationError(f"face {face} appears after {verts}")
-        self.simplices.sort(key=lambda s: (len(s[0]), grade_key(s[1]), s[0]))
+        self.simplices.sort(key=lambda s: (len(s[0]), index[s[0]], s[0]))
 
     def grades_rational(self):
         """All grades as Fractions; raises if any coordinate is irrational."""
@@ -629,39 +637,55 @@ def kde_evaluate(sample, spec, at):
     |X|^2 + |S|^2 - 2 X.S) and den = (D * h.numerator)^2, and the int true
     division num / den is the correctly rounded float(q).  Only exp and the
     summation are floating point; each value is a libm double rounded to
-    2**-30 and recorded as approximate."""
+    2**-30 and recorded as approximate.  Each value sums its kernel terms
+    one by one in sample order.  When `at` is the sample itself, num is the
+    same int for (i, j) and (j, i), so each unordered pair is evaluated once
+    and its kernel value read again for the other row."""
     if not len(sample):
         raise FiltrationError("empty sample")
     z = len(sample)
     m = sample.dim
     h = spec.bandwidth
     at = [tuple(map(Fraction, x)) for x in at]
+    symmetric = at == list(sample)
     scale = math.lcm(*(c.denominator for pts in (sample, at)
                        for pt in pts for c in pt))
     den = (scale * h.numerator) ** 2
     hd2 = h.denominator ** 2
     if spec.kernel == "gaussian":
         norm = (2 * math.pi) ** (-m / 2)
+        exp = math.exp
 
-        def kern(num):
-            return norm * math.exp(-(num / den) / 2)
+        def kernels(nums):
+            return [norm * exp(-(num / den) / 2) for num in nums]
     else:
         c = (m + 2) / (2 * _unit_ball_volume(m))
 
-        def kern(num):
-            return c * (1 - num / den) if num <= den else 0.0
+        def kernels(nums):
+            return [c * (1 - num / den) if num <= den else 0.0 for num in nums]
 
     def scaled(pts):
         return [tuple(scaled_int(c, scale) for c in pt) for pt in pts]
 
-    out = []
     denom = z * float(h) ** m
     sample_int = scaled(sample)
-    sample_sq = [sum(map(operator.mul, s, s)) for s in sample_int]
-    for x in scaled(at):
-        x_sq = sum(map(operator.mul, x, x))
-        acc = 0.0
-        for s, s_sq in zip(sample_int, sample_sq):
-            acc += kern((x_sq + s_sq - 2 * sum(map(operator.mul, x, s))) * hd2)
+    sample_sq = [hd2 * sum(map(operator.mul, s, s)) for s in sample_int]
+    coords = list(zip(*sample_int))
+    out, rows = [], []      # symmetric: row i's terms at sample points i, i+1, ...
+    for i, x in enumerate(scaled(at)):
+        lo = i if symmetric else 0
+        # num = hd2 |X|^2 + hd2 |S|^2 - sum over d of (2 hd2 X_d) S_d
+        x_sq = hd2 * sum(map(operator.mul, x, x))
+        nums = [x_sq + s_sq for s_sq in sample_sq[lo:]]
+        for xd, sd in zip(x, coords):
+            xd *= 2 * hd2
+            nums = [num - xd * s for num, s in zip(nums, sd[lo:])]
+        row = kernels(nums)
+        # the terms at sample points j < i are row j's terms at point i; the
+        # sum runs in sample order (reduce(add): builtin sum may compensate)
+        head = map(operator.getitem, rows, range(i, 0, -1))
+        acc = functools.reduce(operator.add, itertools.chain(head, row), 0.0)
+        if symmetric:
+            rows.append(array.array("d", row))
         out.append(Fraction(round(acc / denom * KERNEL_DENOM), KERNEL_DENOM))
     return out

@@ -1,14 +1,14 @@
 """Persistent homology of bifiltered complexes.
 
 Three computation styles share the exact linear algebra kernel.  Chains,
-boundaries and cycles are sparse {simplex index: coeff} dicts, and so are a
-relation's coefficients over kernel generators; transition matrices are
-dense rows:
+boundaries and cycles are sparse {simplex index: coeff} dicts; so are a
+relation's coefficients over kernel generators and each column of a grid
+module's transitions:
 
 * 1-parameter barcodes by standard column reduction, cross-checked elsewhere
   against the rank multiplicity formula;
 * grid modules (pointwise homology dimensions plus explicit transition
-  matrices between adjacent grid points) for any parameter count.  Every
+  maps between adjacent grid points) for any parameter count.  Every
   grid module, whether of a presentation, of chain homology, of the image
   between two scale slices, of a resampling, or of clusters (``infer``), is
   made by `build_grid_module`: one walk over the grid computes the data at
@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .exactnum import (INF, ext, format_rational, least_feasible, parse_field,
                        parse_rational)
-from .linalg import (ColumnReducer, ColumnSpan, identity, mat_mul, nullspace,
-                     rank as mat_rank, subtract_multiple, zeros)
+from .linalg import (ColumnReducer, ColumnSpan, mat_mul, nullspace,
+                     rank as mat_rank, subtract_multiple)
 from .onedim import PersistenceDiagram
 from .presentation import Presentation, grade_leq, grade_ranks, row_sweep
 
@@ -87,7 +87,7 @@ class GradedChainComplex:
         """Dense boundary matrix from degree d to d-1 (rows: (d-1)-simplices),
         on the given d-simplices (by default all of them)."""
         cols = range(len(self.simplices(d))) if cols is None else cols
-        out = zeros(self.field, len(self.simplices(d - 1)), len(cols))
+        out = [[self.field.zero] * len(cols) for _ in self.simplices(d - 1)]
         for t, j in enumerate(cols):
             for i, x in self.columns[d][j].items():
                 out[i][t] = x
@@ -220,13 +220,15 @@ def _ceil_index(axis, v):
 
 class GridModule:
     """A persistence module restricted to a finite grid: per-point dimensions
-    and transition matrices between adjacent grid points.  Squares commute.
+    and transition maps between adjacent grid points.  Squares commute.
 
     Each axis is a strictly increasing list of values; grid index k on axis
     a stands for the value axes[a][k].  Every grid index needs a dimension,
     and every index with a successor along axis a needs trans[(idx, a)], the
-    matrix from idx to that successor (rows: the successor's basis).
-    Composite transitions and their ranks are cached per module."""
+    map from idx to that successor: one sparse column per basis vector at
+    idx, a {row: coeff} dict without zeros over the successor's basis.
+    Composite maps and their ranks are cached per module; dense rows appear
+    only in the text form."""
 
     def __init__(self, field, axes, dims, trans):
         self.field = field
@@ -240,9 +242,10 @@ class GridModule:
         for idx, axis in _grid_steps(self.shape()):
             if (idx, axis) not in self.trans:
                 raise HomologyError(f"no transition given at {idx} axis {axis}")
-        for (idx, axis), m in self.trans.items():
-            if len(m) != self.dims[_succ(idx, axis)] or \
-                    any(len(row) != self.dims[idx] for row in m):
+        for (idx, axis), cols in self.trans.items():
+            rows = range(self.dims[_succ(idx, axis)])
+            if len(cols) != self.dims[idx] or any(
+                    r not in rows or x == field.zero for col in cols for r, x in col.items()):
                 raise HomologyError(f"transition at {idx} axis {axis} has the "
                                     f"wrong shape")
         self._matrices = {}     # (i1, i2) -> matrix_between(i1, i2)
@@ -266,52 +269,43 @@ class GridModule:
         return self.trans[(idx, axis)]
 
     def check_squares(self):
-        shape = self.shape()
+        f, shape = self.field, self.shape()
         for idx, a1 in _grid_steps(shape):
             for a2 in range(a1 + 1, len(shape)):
                 if idx[a2] + 1 >= shape[a2]:
                     continue
                 idx_a, idx_b = _succ(idx, a1), _succ(idx, a2)
-                top = _succ(idx_a, a2)
-                p1 = self._product(self.step(idx_a, a2), self.step(idx, a1), idx, top)
-                p2 = self._product(self.step(idx_b, a1), self.step(idx, a2), idx, top)
-                if p1 != p2:
+                if mat_mul(f, self.step(idx_a, a2), self.step(idx, a1)) != \
+                        mat_mul(f, self.step(idx_b, a1), self.step(idx, a2)):
                     raise HomologyError(f"grid square at {idx} does not commute")
 
     def matrix_between(self, i1, i2):
-        """Composite transition matrix from grid index i1 to i2 (i1 <= i2).
+        """Composite transition map from grid index i1 to i2 (i1 <= i2), as
+        sparse columns.
 
         The walk steps first along the axis whose successor has the smallest
-        dimension (the lowest such axis on ties), so each product has the
-        smallest inner size on offer; squares commute, so every path gives
-        the same matrix.  A single step is the stored transition itself."""
+        dimension (the lowest such axis on ties), so each composition has
+        the smallest inner size on offer; squares commute, so every path
+        gives the same map.  A single step is the stored transition itself."""
         key = (i1, i2)
         if key not in self._matrices:
             if i1 == i2:
-                out = identity(self.field, self.dims[i1])
+                out = [{i: self.field.one} for i in range(self.dims[i1])]
             else:
                 axis = min((a for a in range(self.nparams) if i1[a] < i2[a]),
                            key=lambda a: self.dims[_succ(i1, a)])
                 nxt = _succ(i1, axis)
                 out = self.step(i1, axis)
                 if nxt != i2:
-                    out = self._product(self.matrix_between(nxt, i2), out, i1, i2)
+                    out = mat_mul(self.field, self.matrix_between(nxt, i2), out)
             self._matrices[key] = out
         return self._matrices[key]
 
-    def _product(self, later, earlier, i_from, i_to):
-        """later @ earlier, the map from index i_from to i_to.  Through a
-        zero space (earlier has no rows) it is the zero matrix of that shape:
-        a product with no rows on the right does not tell mat_mul its width."""
-        if not earlier:
-            return zeros(self.field, self.dims[i_to], self.dims[i_from])
-        return mat_mul(self.field, later, earlier)
-
     def rank_between(self, i1, i2):
-        if any(a > b for a, b in zip(i1, i2)):
-            raise HomologyError("rank requires i1 <= i2")
         key = (i1, i2)
         if key not in self._ranks:
+            if any(a > b for a, b in zip(i1, i2)):
+                raise HomologyError("rank requires i1 <= i2")
             self._ranks[key] = mat_rank(self.field, self.matrix_between(i1, i2))
         return self._ranks[key]
 
@@ -323,22 +317,21 @@ class GridModule:
             lines.append("dim " + " ".join(str(k) for k in idx) +
                          f" = {self.dims[idx]}")
         for idx, a in _grid_steps(self.shape()):
-            m = self.step(idx, a)
-            body = " ; ".join(" ".join(self._fmt(x) for x in row) for row in m)
+            cols = self.step(idx, a)
+            body = " ; ".join(" ".join(format_rational(col.get(r, self.field.zero))
+                                       for col in cols)
+                              for r in range(self.dims[_succ(idx, a)]))
             lines.append("trans " + " ".join(str(k) for k in idx) +
                          f" axis {a} : {body}")
         lines.append("END")
         return "\n".join(lines) + "\n"
 
-    def _fmt(self, x):
-        return format_rational(x) if not isinstance(x, int) else str(x)
-
 
 def build_grid_module(field, axes, point, dim, transition):
     """The one construction path of grid modules.  point(z) gives the data
     at each grid value z, dim(data) the dimension there, and
-    transition(data, data_next) the matrix to the successor along one axis
-    (rows: the successor's basis)."""
+    transition(data, data_next) the map to the successor along one axis, as
+    sparse columns over the successor's basis."""
     _check_axes(axes)
     shape = tuple(len(a) for a in axes)
     data = {idx: point(tuple(ax[k] for ax, k in zip(axes, idx)))
@@ -391,11 +384,13 @@ def parse_grid_module(text):
         if body:
             for chunk in body.split(";"):
                 rows.append([field.of(parse_rational(t)) for t in chunk.split()])
-        # a missing dim is reported by GridModule
+        # a missing dim is reported by GridModule; no text is a zero map
         want_rows, want_cols = dims.get(_succ(idx, axis), 0), dims.get(idx, 0)
-        if not rows:
-            rows = [[field.zero] * want_cols for _ in range(want_rows)]
-        trans[(idx, axis)] = rows
+        if rows and (len(rows), {len(row) for row in rows}) != (want_rows, {want_cols}):
+            raise HomologyError(f"transition at {idx} axis {axis} has the "
+                                f"wrong shape")
+        trans[(idx, axis)] = [{r: row[c] for r, row in enumerate(rows)
+                               if row[c] != field.zero} for c in range(want_cols)]
     return GridModule(field, axes_list, dims, trans)
 
 
@@ -456,18 +451,17 @@ def _basis_dim(basis):
 
 
 def _basis_transition(basis, basis_next):
-    """Matrix sending each representative of `basis` to its class in
-    `basis_next` (both from _HomologyBasisTracker.basis_at)."""
-    reps, _, _ = basis
-    reps2, span2, nb2 = basis_next
+    """Columns sending each representative of `basis` to its class in
+    `basis_next` (both from _HomologyBasisTracker.basis_at): its coordinates
+    over the representatives, which follow the nb2 boundary members."""
+    _, span2, nb2 = basis_next
     cols = []
-    for v in reps:
+    for v in basis[0]:
         coords = span2.coords(v)
         if coords is None:
             raise HomologyError("cycle escapes the target homology space")
-        cols.append(coords)
-    zero = span2.field.zero
-    return [[col.get(nb2 + r, zero) for col in cols] for r in range(len(reps2))]
+        cols.append({k - nb2: c for k, c in coords.items() if k >= nb2})
+    return cols
 
 
 def grid_module_of_chain(complex_, degree, axes, field):
@@ -603,9 +597,7 @@ def resample(gm, new_axes):
         return 0 if src is None else gm.dims[src]
 
     def transition(src, dst):
-        if src is None:
-            return [[] for _ in range(dim(dst))]
-        return gm.matrix_between(src, dst)
+        return [] if src is None else gm.matrix_between(src, dst)
 
     return build_grid_module(gm.field, new_axes, source, dim, transition)
 

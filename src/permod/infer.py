@@ -47,20 +47,9 @@ def _clusters(pts, a, b, gap_rule):
     """Sorted positions -> list of (first_index, last_index) cluster ranges
     over the subset of source points with weight <= a."""
     active = [i for i, (_, w) in enumerate(pts) if w <= a]
-    if not active:
-        return []
     if gap_rule == "cech":
-        ranges = []
-        start = active[0]
-        prev = active[0]
-        for i in active[1:]:
-            if pts[i][0] - pts[prev][0] <= 2 * b:
-                prev = i
-            else:
-                ranges.append((start, prev))
-                start = prev = i
-        ranges.append((start, prev))
-        return ranges
+        return _runs(active, [pts[q][0] - pts[p][0] <= 2 * b
+                              for p, q in zip(active, active[1:])])
     # offset semantics: activate every grid point within b of an active
     # source point, then take runs of consecutive active grid points
     on = [False] * len(pts)
@@ -75,16 +64,19 @@ def _clusters(pts, a, b, gap_rule):
         while j < len(pts) and positions[j] - x <= b:
             on[j] = True
             j += 1
+    on = [i for i, flag in enumerate(on) if flag]
+    return _runs(on, [q == p + 1 for p, q in zip(on, on[1:])])
+
+
+def _runs(idx, joins):
+    """Maximal runs of the indices idx as (first, last) pairs; joins[k] says
+    whether idx[k + 1] continues the run of idx[k]."""
     ranges = []
-    start = None
-    for i, flag in enumerate(on):
-        if flag and start is None:
-            start = i
-        if not flag and start is not None:
-            ranges.append((start, i - 1))
-            start = None
-    if start is not None:
-        ranges.append((start, len(pts) - 1))
+    for i, join in zip(idx, [False] + joins):
+        if join:
+            ranges[-1] = (ranges[-1][0], i)
+        else:
+            ranges.append((i, i))
     return ranges
 
 
@@ -102,18 +94,18 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
                          scaled_int(z[1], x_scale), gap_rule)
 
     def containment(small, big):
-        """0/1 matrix sending each cluster of `small` into the cluster of
-        `big` containing it; both are sorted lists of disjoint ranges, so one
-        forward pointer finds every home."""
-        m = [[field.zero] * len(small) for _ in range(len(big))]
+        """The map sending each cluster of `small` into the cluster of `big`
+        containing it, one column {home: 1} per cluster; both are sorted
+        lists of disjoint ranges, so one forward pointer finds every home."""
+        cols = []
         home = 0
-        for c, (lo, hi) in enumerate(small):
+        for lo, hi in small:
             while home < len(big) and big[home][1] < lo:
                 home += 1
             if home == len(big) or not (big[home][0] <= lo and hi <= big[home][1]):
                 raise FiltrationError("cluster refinement is not nested")
-            m[home][c] = field.one
-        return m
+            cols.append({home: field.one})
+        return cols
 
     return build_grid_module(field, [a_axis, b_axis], clusters, len, containment)
 

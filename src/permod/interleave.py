@@ -31,6 +31,7 @@ import math
 from fractions import Fraction
 
 from .exactnum import INF, ExtendedRational, ext, least_feasible
+from .linalg import rank
 from .presentation import MonotoneAffineMap, PresentationError, grade_leq
 from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation,
                       QuadraticSystem, export_system, solve_finite_field)
@@ -191,8 +192,7 @@ def assemble_system(m, n, j1, j2):
 
 
 def _check_increasing(maps, presentations):
-    grades = [g for p in presentations for _, g in p.generators]
-    grades += [g for p in presentations for _, g, _ in p.relations]
+    grades = [g for p in presentations for _, g, *_ in p.generators + p.relations]
     if not grades:
         return
     # zip stops at the shortest grade, so a parameter-count mismatch is left
@@ -266,7 +266,11 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     is attained.  A witness, zero off its free entries, solves the system at
     every eps whose level reaches its nonzero entries' thresholds, so each
     yes certifies the least such candidate.  Presentations are minimized and
-    their term table built once; each probe takes its system from it."""
+    their term table built once; each probe takes its system from it.
+
+    Above every grade of both presentations each module is constant, and an
+    eps-interleaving makes those two spaces isomorphic; so where their
+    dimensions differ, d_I = inf is returned before any decision."""
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
     last_no, first_yes = ExtendedRational.of(0), INF
@@ -295,6 +299,10 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     cands = candidate_set(mm, nn, minimal=True)
     if stats is not None:
         stats.candidates = len(cands)
+    # above every grade, all generators and relations are active
+    if len({len(p.generators) - rank(p.field, [c for *_, c in p.relations])
+            for p in (mm, nn)}) > 1:
+        return INF
     finite = [c for c in cands if c.is_finite]
     d = least_feasible(finite, interleaved)
     return INF if d is None else d

@@ -1,43 +1,34 @@
 """Exact linear algebra over a coefficient field.
 
-`rank`, `nullspace`, `solve` and `mat_mul` take dense matrices, lists of
-row lists of field elements.  `ColumnReducer` takes sparse columns, {row:
-coeff} dicts without zeros; `ColumnSpan` takes {row: coeff} dicts too, and
-its `coords` answers with {inserted index: coeff}.  `ColumnReducer`, a
-sparse column reduction with no pivoting heuristics, is the one elimination
-in the package: it is behind `rank`, `nullspace` and `solve`, `ColumnSpan`,
-the linear elimination rounds of the `quadsys` solver, barcodes, homology
-rank tables and minimization.  Each result it gives here is the unique one
-of its kind (the reduced-echelon null basis, the solution that is 0 at
-every non-pivot column), so no routine depends on the order of reduction.
+Vectors are sparse: {index: coeff} dicts without zeros.  A map is a list of
+such columns, one per basis vector of its source; `mat_mul` composes two
+maps and `rank` is the rank of a list of vectors.  `nullspace` and `solve`
+take dense matrices, lists of row lists of field elements.
+`ColumnSpan` answers `coords` with {inserted index: coeff}.
+`ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
+the one elimination in the package: it is behind `rank`, `nullspace` and
+`solve`, `ColumnSpan`, the linear elimination rounds of the `quadsys`
+solver, barcodes, homology rank tables and minimization.  Each result it
+gives here is the unique one of its kind (the reduced-echelon null basis,
+the solution that is 0 at every non-pivot column), so no routine depends on
+the order of reduction.
 """
 
 
-def zeros(field, rows, cols):
-    return [[field.zero] * cols for _ in range(rows)]
-
-
-def identity(field, n):
-    m = zeros(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
-
-
-def mat_mul(field, a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(field, rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x == field.zero:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j] != field.zero:
-                    oi[j] = field.add(oi[j], field.mul(x, bk[j]))
+def mat_mul(field, later, earlier):
+    """The map `later` after `earlier`, both lists of sparse columns: column
+    c is the sum of x * later[k] over the entries k: x of earlier[c]; a map
+    to or from a zero space needs no dimension."""
+    zero, add, mul = field.zero, field.add, field.mul
+    out = []
+    for col in earlier:
+        acc = {}
+        for k, x in col.items():
+            for r, y in later[k].items():
+                acc[r] = add(acc.get(r, zero), mul(x, y))
+        if zero in acc.values():
+            acc = {r: v for r, v in acc.items() if v != zero}
+        out.append(acc)
     return out
 
 
@@ -168,11 +159,11 @@ def _reduce_columns(field, a):
     return red, null
 
 
-def rank(field, a):
-    """Rank of the rows a, each reduced as one column."""
+def rank(field, vectors):
+    """Rank of a list of sparse vectors; they are copied, not consumed."""
     red = ColumnReducer(field)
-    for row in a:
-        red.add({c: x for c, x in enumerate(row) if x != field.zero})
+    for v in vectors:
+        red.add(dict(v))
     return red.rank
 
 

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .exactnum import QQ, format_rational, parse_field, parse_rational
-from .linalg import ColumnReducer, ColumnSpan, subtract_multiple
+from .linalg import ColumnReducer, ColumnSpan, rank, subtract_multiple
 
 
 def grade_leq(a, b):
@@ -198,27 +198,21 @@ class Presentation:
         return len(self._quotient_basis(a)[0])
 
     def transition_matrix(self, a, b):
-        """Matrix of M_a -> M_b in the echelon quotient bases (rows: b-basis)."""
+        """Map M_a -> M_b in the echelon quotient bases, as one sparse column
+        per a-basis vector over the b-basis."""
         if not grade_leq(a, b):
             raise PresentationError("transition requires a <= b")
         basis_a, _ = self._quotient_basis(a)
         basis_b, span_b = self._quotient_basis(b)
         basis_rows = {j: i for i, j in enumerate(basis_b)}
-        f = self.field
-        cols = []
-        for j in basis_a:
-            # the residue is zero at every pivot row, so its entries sit on
-            # basis rows and are the quotient coordinates
-            col = [f.zero] * len(basis_b)
-            for r, x in span_b.residue({j: f.one}).items():
-                col[basis_rows[r]] = x
-            cols.append(col)
-        return [[cols[c][r] for c in range(len(basis_a))] for r in range(len(basis_b))]
+        one = self.field.one
+        # the residue is zero at every pivot row, so its entries sit on basis
+        # rows and are the quotient coordinates
+        return [{basis_rows[r]: x for r, x in span_b.residue({j: one}).items()}
+                for j in basis_a]
 
     def transition_rank(self, a, b):
-        m = self.transition_matrix(a, b)
-        from .linalg import rank as _rank
-        return _rank(self.field, m)
+        return rank(self.field, self.transition_matrix(a, b))
 
     # -- functors -----------------------------------------------------------
 

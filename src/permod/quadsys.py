@@ -102,11 +102,14 @@ class QuadraticSystem:
         self.equations = []
         for eq in equations:
             # kept as given when normal (i <= j in quadratic keys, canonical
-            # nonzero coefficients, vars those of the terms), else copied
+            # nonzero coefficients, vars those of the terms), else copied with
+            # every coefficient taken into the field
             if not (field.canonical([*eq.quad.values(), *eq.lin.values()], eq.const)
                     and all(i <= j for i, j in eq.quad) and eq.vars == eq.variables()):
-                eq = eq.substitute(field, {})
-                eq.const = field.of(eq.const)
+                of = field.of
+                eq = QuadEquation({k: of(c) for k, c in eq.quad.items()},
+                                  {k: of(c) for k, c in eq.lin.items()},
+                                  of(eq.const)).substitute(field, {})
             if eq.vars and not 1 <= min(eq.vars) <= max(eq.vars) <= self.nvars:
                 bad = min(eq.vars) if min(eq.vars) < 1 else max(eq.vars)
                 raise QuadSysError(f"variable index {bad} out of range")

@@ -3,7 +3,9 @@ path in ``permod.homology`` replaced, with the clustering of
 ``permod.infer`` on Fraction comparisons.  Kept as they were, apart from the
 grid-module class name, as oracles: the rewritten code must give
 byte-identical grid-module text, composite matrices, ranks and rank-shift
-values.  The dense linear algebra they ran on is in reference_linalg.py.
+values.  The dense linear algebra they ran on is in reference_linalg.py,
+and the presentation modules read the library's sparse transition columns
+as dense rows.
 """
 
 import itertools
@@ -13,10 +15,8 @@ from permod.exactnum import INF, ext, format_rational
 from permod.filtration import FiltrationError, fixed_scale_slice
 from permod.homology import (GradedChainComplex, HomologyError,
                              chain_complex_of)
-from permod.linalg import identity, mat_mul
-
 from reference_homology import ColumnSpan
-from reference_linalg import nullspace, rank as mat_rank
+from reference_linalg import identity, mat_mul, nullspace, rank as mat_rank, rows_of
 
 
 class RefGridModule:
@@ -133,7 +133,7 @@ def grid_module_of_presentation(p, axes):
                 continue
             nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
             z2 = tuple(axes[i][k] for i, k in enumerate(nxt))
-            trans[(idx, a)] = p.transition_matrix(z, z2)
+            trans[(idx, a)] = rows_of(p.field, p.transition_matrix(z, z2), dims[nxt])
     return RefGridModule(p.field, axes, dims, trans)
 
 

@@ -6,7 +6,52 @@ of the ``quadsys`` solver.  Kept as they were, as oracles: the rewritten
 code must give the same ranks, null bases, solutions and elimination rounds.
 ``solve`` still pairs rows with right-hand sides by zip, so it must only be
 given as many right-hand sides as rows.
+
+Also here: the dense ``zeros``, ``identity`` and ``mat_mul`` that grid
+modules composed their transitions with before transitions became sparse
+columns (nothing in the library uses dense products now), and ``rows_of``
+and ``columns_of``, which turn a map of sparse columns into the dense rows
+the oracles read, and back.
 """
+
+
+def zeros(field, rows, cols):
+    return [[field.zero] * cols for _ in range(rows)]
+
+
+def identity(field, n):
+    m = zeros(field, n, n)
+    for i in range(n):
+        m[i][i] = field.one
+    return m
+
+
+def mat_mul(field, a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = zeros(field, rows, cols)
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            x = ai[k]
+            if x == field.zero:
+                continue
+            bk = b[k]
+            for j in range(cols):
+                if bk[j] != field.zero:
+                    oi[j] = field.add(oi[j], field.mul(x, bk[j]))
+    return out
+
+
+def rows_of(field, cols, nrows):
+    """The dense rows (nrows of them) of a map given as sparse columns."""
+    return [[col.get(r, field.zero) for col in cols] for r in range(nrows)]
+
+
+def columns_of(field, rows, ncols):
+    """The sparse columns (ncols of them) of a map given as dense rows."""
+    return [{r: row[c] for r, row in enumerate(rows) if row[c] != field.zero}
+            for c in range(ncols)]
 
 
 def gauss_jordan(field, a, ncols):

@@ -86,6 +86,28 @@ class TestRips:
         cx = rips_bifiltration(PointCloud([(0,), (10,)]), 1, zeros(2), 1, F(1))
         assert all(len(v) == 1 for v, _ in cx.simplices)
 
+    def test_l2_edges_sorted_by_value(self):
+        """Half-lengths sqrt(5)/2 < sqrt(2) < 3/2: an irrational scale and a
+        rational one compare by value, in the text and in the face check."""
+        cx = rips_bifiltration(PointCloud([(0, 0), (2, 2), (3, 0)]), 2,
+                               [(0,)] * 3, 1, 5)
+        assert [v for v, _ in cx.simplices if len(v) == 2] == \
+            [(1, 2), (0, 1), (0, 2)]
+        assert cx.to_text().splitlines()[3:] == [
+            "1,2 : 0 sqrt(5/4)", "0,1 : 0 sqrt(2)", "0,2 : 0 3/2"]
+
+    def test_scale_column_with_negative_and_mixed_values(self):
+        """A scale column may hold negative rationals beside Scales; they
+        sort below every scale, and a face at a larger scale is refused."""
+        cx = BifilteredComplex(1, [((0,), (F(-2),)), ((1,), (Scale(2),)),
+                                   ((2,), (F(-1, 2),)), ((3,), (F(3, 2),))])
+        assert [v for v, _ in cx.simplices] == [(0,), (2,), (1,), (3,)]
+        with pytest.raises(FiltrationError, match="appears after"):
+            BifilteredComplex(1, [((0,), (F(3, 2),)), ((1,), (F(0),)),
+                                  ((0, 1), (Scale(2),))])
+        BifilteredComplex(1, [((0,), (F(-3),)), ((1,), (Scale(2),)),
+                              ((0, 1), (Scale(2),))])
+
     def test_function_grades_max(self):
         cx = rips_bifiltration(PointCloud([(0,), (1,)]),
                                1, [(F(1),), (F(3),)], 1, F(10))

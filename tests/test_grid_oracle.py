@@ -1,8 +1,10 @@
 """The single grid-module construction path against the code it replaced
-(kept in reference_grid.py): identical text, composite matrices for every
-pair of grid indices, rank tables and rank-shift values on seeded random
-complexes, presentations, modules with uneven dimensions under random bases,
-and cluster modules of up to 200 points."""
+(kept in reference_grid.py): identical text, composite maps for every pair of
+grid indices, rank tables and rank-shift values on seeded random complexes,
+presentations, modules with uneven dimensions under random bases, and
+cluster modules of up to 200 points.  The library keeps transitions as
+sparse columns and the reference as dense rows; composites are compared as
+dense rows, and the text of both must round-trip through the parser."""
 
 import itertools
 from fractions import Fraction as F
@@ -10,13 +12,15 @@ from fractions import Fraction as F
 from permod.exactnum import QQ, PrimeField
 from permod.filtration import DensitySpec, KdeSpec, kde_evaluate, sample_density
 from permod.homology import (GridModule, chain_complex_of, grid_module_of,
-                             image_grid_module, rank_shift_distance, resample)
+                             image_grid_module, parse_grid_module,
+                             rank_shift_distance, resample)
 from permod.infer import cech_cluster_module, offset_cluster_module
-from permod.linalg import identity, mat_mul, nullspace, rank, solve
+from permod.linalg import nullspace, rank, solve
 from permod.presentation import Presentation
 
 import reference_grid as ref
 import reference_linalg as ref_linalg
+from reference_linalg import columns_of, identity, mat_mul, rows_of
 from conftest import (dense_relations, mat_vec, random_one_critical_complex,
                       random_presentation, seeded)
 
@@ -29,11 +33,17 @@ def index_pairs(gm):
 
 
 def assert_same(new, old):
-    """Same text, and the same composite matrix and rank for every pair
-    i1 <= i2 (a wrong composite can still have the right rank)."""
-    assert new.to_text() == old.to_text()
+    """Same text, which parses back to the same transitions, and the same
+    composite map and rank for every pair i1 <= i2 (a wrong composite can
+    still have the right rank)."""
+    text = new.to_text()
+    assert text == old.to_text()
+    again = parse_grid_module(text)
+    assert again.trans == new.trans and again.to_text() == text
     for i1, i2 in index_pairs(new):
-        assert new.matrix_between(i1, i2) == old.matrix_between(i1, i2)
+        cols = new.matrix_between(i1, i2)
+        assert len(cols) == new.dims[i1]
+        assert rows_of(new.field, cols, new.dims[i2]) == old.matrix_between(i1, i2)
         assert new.rank_between(i1, i2) == old.rank_between(i1, i2)
 
 
@@ -59,12 +69,14 @@ def random_basis_change(rng, f, n):
 
 def rebased(rng, gm):
     """gm with a random basis at every grid index: the transitions become
-    dense, while dims and commuting squares stay."""
+    dense, while dims and commuting squares stay.  Returns the axes, dims
+    and transitions as dense rows."""
     f = gm.field
     bases = {idx: random_basis_change(rng, f, d) for idx, d in gm.dims.items()}
     trans = {}
-    for (idx, a), m in gm.trans.items():
+    for (idx, a), cols in gm.trans.items():
         succ = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+        m = rows_of(f, cols, gm.dims[succ])
         trans[(idx, a)] = mat_mul(f, mat_mul(f, bases[succ][0], m), bases[idx][1])
     return gm.axes, gm.dims, trans
 
@@ -170,9 +182,12 @@ class TestAgainstReference:
                 p = Presentation(2, f, p.generators + [("base", (F(0), F(0)))],
                                  [(nm, gr, cs + [f.zero])
                                   for nm, gr, cs in dense_relations(p)])
-                data = rebased(rng, grid_module_of(p, axes))
-                assert min(data[1].values()) >= 1
-                assert_same(GridModule(f, *data), ref.RefGridModule(f, *data))
+                axes_, dims, trans = rebased(rng, grid_module_of(p, axes))
+                assert min(dims.values()) >= 1
+                cols = {(idx, a): columns_of(f, m, dims[idx])
+                        for (idx, a), m in trans.items()}
+                assert_same(GridModule(f, axes_, dims, cols),
+                            ref.RefGridModule(f, axes_, dims, trans))
 
     def test_large_cluster_modules(self):
         f = PrimeField(2)
@@ -231,7 +246,7 @@ class TestLinalgAgainstReference:
         for f in FIELDS + (QQ,):
             for a in elimination_inputs(rng, f):
                 rows, cols = len(a), len(a[0])
-                assert rank(f, a) == ref_linalg.rank(f, a)
+                assert rank(f, columns_of(f, a, cols)) == ref_linalg.rank(f, a)
                 assert nullspace(f, a) == ref_linalg.nullspace(f, a)
                 b = [f.of(rng.randint(-1, 1)) for _ in range(rows)]
                 assert solve(f, a, b) == ref_linalg.solve(f, a, b)

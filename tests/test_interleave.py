@@ -258,10 +258,11 @@ class TestDistance:
         """A budget exit's bracket runs from the largest eps decided no to
         the least decided or certified yes (+inf before any), so it holds
         d_I; the eps being decided when the budget ran out is no upper
-        bound."""
+        bound.  Pairs whose dimensions differ above all their grades get
+        d_I = inf before any decision, so most of these pairs never exit."""
         rng = seeded(0)
-        exits = 0
-        for _ in range(40):
+        exits, below = 0, []
+        for _ in range(100):
             m = random_presentation(rng, f2, n=2, max_gens=4, max_rels=3)
             n = random_presentation(rng, f2, n=2, max_gens=4, max_rels=3)
             d = interleaving_distance(m, n, budget=100000)
@@ -272,10 +273,10 @@ class TestDistance:
                     exits += 1
                     lo, hi = exc.bracket
                     assert lo <= d <= hi and lo <= exc.undecided <= hi
-                    if exits == 1:
-                        assert (lo, exc.undecided, hi, d) == (ext(F(7, 4)), ext(F(7, 2)),
-                                                              INF, INF)
+                    if exc.undecided < d:
+                        below.append((lo, exc.undecided, hi, d))
         assert exits > 40
+        assert below[0] == (ext(F(3, 4)), ext(F(7, 4)), INF, ext(2))
 
     def test_self(self, f2):
         assert interleaving_distance(C(f2, 0, 4), C(f2, 0, 4)) == ext(0)
@@ -355,7 +356,8 @@ def brute_force_interleaved(m, n, eps):
     check the four span conditions directly (no C/D/E/F variables, no
     equation assembly).  Oracle-scale only."""
     import itertools as it
-    from permod.linalg import ColumnSpan, mat_mul
+    from permod.linalg import ColumnSpan
+    from reference_linalg import mat_mul
     f = m.field
     gm = [g for _, g in m.generators]
     gn = [g for _, g in n.generators]

@@ -1,8 +1,10 @@
 """kde_evaluate on exact integer ratios against the Fraction-argument code it
 replaced (kept in reference_kde.py): the values must agree exactly for every
 dimension, kernel, coordinate denominator and bandwidth, also where the
-Epanechnikov argument sits exactly on, or rounds to, 1."""
+Epanechnikov argument sits exactly on, or rounds to, 1, and on the symmetric
+path taken when the points evaluated at are the sample itself."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -62,6 +64,69 @@ def test_sampled_density_as_in_infer():
     cloud = sample_density(density, 60, 2024)
     for kernel in KERNELS:
         assert_same(cloud, KdeSpec(kernel, F(1, 5)), cloud)
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    """The number of math.exp calls made so far (each Gaussian kernel term
+    is one)."""
+    calls = [0]
+    exp = math.exp
+
+    def counted(x):
+        calls[0] += 1
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    return calls
+
+
+def gaussian_terms(exp_calls, sample, spec, at):
+    """kde_evaluate's value and its number of kernel evaluations."""
+    before = exp_calls[0]
+    got = kde_evaluate(sample, spec, at)
+    return got, exp_calls[0] - before
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_symmetric_evaluation(dim, exp_calls):
+    """At the sample itself each unordered pair is evaluated once, also when
+    points repeat and when `at` is an equal but separate list; the values
+    stay those of the reference, which sums every term in order."""
+    rng = seeded(331 + dim)
+    spec = KdeSpec("gaussian", F(rng.randint(1, 9), rng.randint(1, 9)))
+    for z in (1, 2, 7, 19):
+        pts = [p for p in random_cloud(rng, dim, z, (1, 3, 2 ** 20))]
+        pts[rng.randrange(z)] = pts[0]          # a repeated point (or none)
+        cloud = PointCloud(pts + pts[:z // 3])
+        n = len(cloud)
+        want = ref.kde_evaluate(cloud, spec, cloud)
+        for at in (cloud, list(cloud), [[str(c) for c in pt] for pt in cloud]):
+            got, terms = gaussian_terms(exp_calls, cloud, spec, at)
+            assert got == want
+            assert terms == n * (n + 1) // 2
+        # any other list of points takes every pair
+        other = [tuple(c + F(1, 2) for c in pt) for pt in cloud]
+        got, terms = gaussian_terms(exp_calls, cloud, spec, other)
+        assert got == ref.kde_evaluate(cloud, spec, other)
+        assert terms == n * n
+
+
+def test_symmetric_sum_keeps_the_order():
+    """Terms of very different size, where a compensated or reordered sum
+    would round differently: the values equal the sequential reference."""
+    pts = [(F(0),), (F(1, 1000),), (F(7),), (F(-5),), (F(1, 3),), (F(6),)]
+    cloud = PointCloud(pts * 3)
+    for kernel in KERNELS:
+        spec = KdeSpec(kernel, F(1, 7))
+        assert kde_evaluate(cloud, spec, cloud) == ref.kde_evaluate(cloud, spec, cloud)
+
+
+def test_single_point_sample():
+    cloud = PointCloud([(F(2, 3), F(-1))])
+    for kernel in KERNELS:
+        spec = KdeSpec(kernel, F(1, 2))
+        assert assert_same(cloud, spec, cloud) == assert_same(cloud, spec, [(F(2, 3), -1)])
 
 
 def test_epanechnikov_argument_at_one():

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from permod.exactnum import QQ, PrimeField
-from permod.linalg import ColumnSpan, identity, mat_mul, nullspace, rank, solve
+from permod.linalg import ColumnSpan, mat_mul, nullspace, rank, solve
 
 from conftest import dense, mat_vec
+from reference_linalg import columns_of
 
 
 def brute_rank_z2(mat):
@@ -24,7 +25,7 @@ def test_rank_against_bruteforce():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        assert rank(f2, m) == brute_rank_z2(m)
+        assert rank(f2, columns_of(f2, m, cols)) == brute_rank_z2(m)
 
 
 def test_nullspace_and_solve():
@@ -35,7 +36,7 @@ def test_nullspace_and_solve():
         m = [[rng.randrange(5) for _ in range(cols)] for _ in range(rows)]
         for v in nullspace(f5, m):
             assert all(x == 0 for x in mat_vec(f5, m, v))
-        assert len(nullspace(f5, m)) == cols - rank(f5, m)
+        assert len(nullspace(f5, m)) == cols - rank(f5, columns_of(f5, m, cols))
         x = [rng.randrange(5) for _ in range(cols)]
         b = mat_vec(f5, m, x)
         got = solve(f5, m, b)
@@ -82,8 +83,13 @@ def test_column_span_coords():
 
 
 def test_matmul_identity():
+    """Maps are lists of sparse columns; the identity is one {i: 1} column
+    per basis vector, and a map from or to a zero space needs no width."""
     f3 = PrimeField(3)
-    m = [[1, 2], [0, 1], [2, 2]]
-    assert mat_mul(f3, m, identity(f3, 2)) == m
-    assert mat_mul(f3, identity(f3, 3), m) == m
-    assert mat_mul(f3, [], m) == []
+    m = [{0: 1, 2: 2}, {0: 2, 1: 1, 2: 2}]          # 3 x 2
+    assert mat_mul(f3, m, [{0: 1}, {1: 1}]) == m
+    assert mat_mul(f3, [{i: 1} for i in range(3)], m) == m
+    assert mat_mul(f3, m, []) == []
+    assert mat_mul(f3, [], [{}, {}]) == [{}, {}]
+    # entries that cancel are dropped: (1 1) after (1 2)^T is 1 + 2 = 0
+    assert mat_mul(f3, [{0: 1}, {0: 1}], [{0: 1, 1: 2}]) == [{}]

@@ -5,12 +5,12 @@ import pytest
 
 from permod import QQ
 from permod.interleave import zero_pattern_mask
-from permod.linalg import mat_mul
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, direct_sum,
                                  interval_presentation, parse_presentation)
 
 from conftest import random_presentation, rerepresent, seeded
+from reference_linalg import mat_mul
 
 
 def C(field, a, b):

@@ -109,6 +109,19 @@ class TestSolver:
         assert export_system(s) == ("QUADSYS\nfield zp 3\nvars 2\n"
                                     "eq: 1 1 2  2 2 0  1 0 0\nEND\n")
 
+    def test_fraction_coefficients_taken_into_the_field(self, f3):
+        """A Fraction coefficient over Z/p comes out as an int residue, in
+        the quadratic and linear terms and the constant alike."""
+        given = QuadEquation({(1, 2): F(4)}, {1: F(1), 2: F(3)}, F(5))
+        got = QuadraticSystem(f3, 2, [given]).equations[0]
+        assert (got.quad, got.lin, got.const) == ({(1, 2): 1}, {1: 1}, 2)
+        assert all(type(c) is int for c in [*got.quad.values(), *got.lin.values(),
+                                             got.const])
+        got = QuadraticSystem(f3, 1, [QuadEquation(lin={1: F(1)})]).equations[0]
+        assert type(got.lin[1]) is int
+        with pytest.raises(ValueError, match="1/2"):
+            QuadraticSystem(f3, 1, [QuadEquation(lin={1: F(1, 2)})])
+
     def test_normal_equations_kept_as_given(self, f3):
         normal = QuadEquation({(1, 2): 2}, {2: 1}, 0)
         assert QuadraticSystem(f3, 2, [normal]).equations[0] is normal

@@ -127,8 +127,10 @@ def decisions(monkeypatch):
         return log[-1].isys
 
     def logged_solve(system, budget):
-        log[-1].result = solve(system, budget=budget)
-        return log[-1].result
+        result = solve(system, budget=budget)
+        if log and log[-1].isys.system is system:
+            log[-1].result = result
+        return result
 
     def logged_search(values, feasible):
         def logged(v):
@@ -173,6 +175,33 @@ class TestDistanceAgainstBinarySearch:
             jumps += check_jumps(log, at)
             assert d == binary_distance(m, n)
         assert jumps >= min_jumps
+
+
+class TestInfiniteDistance:
+    def test_different_top_dimensions_decided_without_the_solver(self, decisions):
+        """Free Z/3 modules of rank 3 and 4 differ above all their grades,
+        so d_I = inf comes with no decision; the solver used to run out of a
+        20,000-node budget proving it."""
+        log, _ = decisions
+        m, n = random_pairs(603, F3, 10)[4]
+        assert (len(m.relations), len(n.relations)) == (0, 0)
+        assert (len(m.generators), len(n.generators)) == (3, 4)
+        stats = interleave.SearchStats()
+        assert interleaving_distance(m, n, budget=20000, stats=stats) == INF
+        assert log == [] and stats.decisions == 0
+        assert stats.candidates == len(candidate_set(m, n))
+
+    def test_equal_top_dimensions_still_searched(self, decisions):
+        """Equal dimensions at the top prove nothing: an interval and a free
+        module both vanish or both live there, and the search decides."""
+        log, _ = decisions
+        free = Presentation(1, F2, [("g", (F(0),))], [])
+        shifted = Presentation(1, F2, [("g", (F(1),))], [])
+        assert interleaving_distance(free, shifted) == ext(1)
+        assert log
+        bar = Presentation(1, F2, [("g", (F(0),))], [("r", (F(2),), [1])])
+        assert interleaving_distance(bar, free) == INF
+        assert log
 
 
 def diagonal_slice(p, c):

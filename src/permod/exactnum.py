@@ -3,6 +3,10 @@
 Every grade coordinate, distance and threshold in this package is a
 `fractions.Fraction`; coefficient arithmetic happens in a prime field or in Q.
 Nothing here ever touches floating point.
+
+Each field also names the column type that `linalg.ColumnReducer` stores
+its columns in (`field.columns`), chosen here once: {row: coeff} dicts over
+Z/p and Q, and ints over Z/2, where bit r stands for a 1 at row r.
 """
 
 import bisect
@@ -24,6 +28,12 @@ def scaled_int(q, scale):
     """The integer q * scale, for a scale that is a multiple of q's
     denominator."""
     return q.numerator * (scale // q.denominator)
+
+
+def as_fraction(x):
+    """x as a Fraction.  A Fraction passes through untouched; Fraction(x)
+    would build a new one, through an ABC isinstance."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def format_rational(q):
@@ -178,8 +188,83 @@ def parse_extended(text):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient fields
+# Column types and coefficient fields
 # ---------------------------------------------------------------------------
+
+def subtract_multiple(f, target, c, source):
+    """target -= c * source on {key: coeff} dicts, dropping zero entries."""
+    zero = f.zero
+    for r, x in source.items():
+        v = f.sub(target.get(r, zero), f.mul(c, x))
+        if v == zero:
+            target.pop(r, None)
+        else:
+            target[r] = v
+
+
+class DictColumns:
+    """Columns over any field as {row: coeff} dicts without zeros, reduced in
+    place.  A column type packs and unpacks such dicts, gives a column's
+    largest row (`low`), clears row low of col with the pivot column pcol,
+    the combinations alongside (`cancel`), and moves row low to kept (`move`)."""
+
+    low = max
+
+    def __init__(self, field):
+        self.field = field
+
+    @staticmethod
+    def pack(v):
+        return v
+
+    unpack = pack
+
+    def cancel(self, col, combo, pcol, pcombo, low):
+        f = self.field
+        c = f.div(col[low], pcol[low])
+        subtract_multiple(f, col, c, pcol)
+        if combo is not None:
+            subtract_multiple(f, combo, c, pcombo)
+        return col, combo
+
+    @staticmethod
+    def move(col, low, kept):
+        kept[low] = col.pop(low)
+        return col, kept
+
+
+class BitColumns:
+    """Columns over Z/2 as ints, bit r set iff row r holds 1: the pivot is
+    the top bit and elimination is xor, with no field method called."""
+
+    @staticmethod
+    def pack(v):
+        col = 0
+        for r in v:
+            col |= 1 << r
+        return col
+
+    @staticmethod
+    def unpack(col):
+        out = {}
+        while col:
+            bit = col & -col
+            out[bit.bit_length() - 1] = 1
+            col ^= bit
+        return out
+
+    @staticmethod
+    def low(col):
+        return col.bit_length() - 1
+
+    @staticmethod
+    def cancel(col, combo, pcol, pcombo, low):
+        return col ^ pcol, None if combo is None else combo ^ pcombo
+
+    @staticmethod
+    def move(col, low, kept):
+        return col ^ (1 << low), kept | (1 << low)
+
 
 def _is_prime(p):
     if p < 2:
@@ -206,6 +291,7 @@ class PrimeField:
         self.p = p
         self.zero = 0
         self.one = 1 % p
+        self.columns = BitColumns() if p == 2 else DictColumns(self)
 
     def of(self, x):
         """The residue of an integer; a rational with a denominator other
@@ -270,6 +356,9 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
+
+    def __init__(self):
+        self.columns = DictColumns(self)
 
     def of(self, x):
         return Fraction(x)

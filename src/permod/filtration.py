@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import (QQ, bracket_sqrt, format_rational, least_feasible,
-                       parse_rational, scaled_int)
+from .exactnum import (QQ, as_fraction, bracket_sqrt, format_rational,
+                       least_feasible, parse_rational, scaled_int)
 from .linalg import rank as _mat_rank
 from .linalg import solve as _mat_solve
 
@@ -67,9 +67,10 @@ def scale_of_square(q):
 
 
 def scale_square(v):
-    if isinstance(v, Scale):
-        return v.sq
-    v = Fraction(v)
+    if type(v) is not Fraction:
+        if isinstance(v, Scale):
+            return v.sq
+        v = Fraction(v)
     if v < 0:
         raise ValueError("scales are nonnegative")
     return v * v
@@ -254,7 +255,8 @@ class BifilteredComplex:
                 raise FiltrationError("grade length mismatch")
             index[verts] = grade = tuple(grade)
             self.simplices.append((verts, grade))
-        squared = [any(isinstance(g[k], Scale) for g in index.values())
+        squared = [any(type(g[k]) is not Fraction and isinstance(g[k], Scale)
+                       for g in index.values())
                    for k in range(self.nparams)]
         if any(squared):
             # one key per simplex, for the face check and the sort
@@ -274,14 +276,12 @@ class BifilteredComplex:
         """All grades as Fractions; raises if any coordinate is irrational."""
         out = []
         for verts, grade in self.simplices:
-            conv = []
             for x in grade:
-                if isinstance(x, Scale):
+                if type(x) is not Fraction and isinstance(x, Scale):
                     raise FiltrationError(
                         f"irrational grade coordinate {x!r} on {verts}; "
                         "downstream algebra requires rational grades")
-                conv.append(Fraction(x))
-            out.append((verts, tuple(conv)))
+            out.append((verts, tuple(map(as_fraction, grade))))
         return out
 
     def to_text(self):

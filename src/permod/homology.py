@@ -15,25 +15,31 @@ module's transitions:
   each point, its dimension, and the transition to each successor;
 * presentations of homology for 1 and 2 parameters.  The critical grid is
   swept row by row with one span of kernel generators per row, and a
-  nullspace is taken only where a generator is born: where the kernel
-  dimension, from a sparse rank table, exceeds the span's rank.  Each
-  boundary of a (d+1)-simplex is expressed in the generators active at its
-  grade, then the presentation is minimized.  The freeness of two-parameter
-  kernels is an implementation hypothesis, so a Hilbert check follows, on
-  per-point dimensions from rank tables of its own: it reads nothing that
-  the sweep built, so a sweep error cannot vouch for itself.
+  nullspace of the sparse boundary columns is taken only where a generator
+  is born: where the kernel dimension, from a sparse rank table, exceeds the
+  span's rank.  Each boundary of a (d+1)-simplex is expressed in the
+  generators active at its grade, then the presentation is minimized.  The
+  freeness of two-parameter kernels is an implementation hypothesis, so a
+  Hilbert check follows: the minimized presentation's dimension table,
+  swept with one reduction per grid row, must equal the chain's, from rank
+  tables of its own.  Neither side reads a span or table of the sweep, so a
+  sweep error cannot vouch for itself.
+
+Every reduction runs on `linalg.ColumnReducer`, whose columns take the
+field's column type: {row: coeff} dicts, or over Z/2 int bitsets reduced by
+xor.
 """
 
 import bisect
 import itertools
+import operator
 from fractions import Fraction
 
 from .exactnum import (INF, ext, format_rational, least_feasible, parse_field,
-                       parse_rational)
-from .linalg import (ColumnReducer, ColumnSpan, mat_mul, nullspace,
-                     rank as mat_rank, subtract_multiple)
+                       parse_rational, subtract_multiple)
+from .linalg import ColumnReducer, ColumnSpan, mat_mul, nullspace, rank as mat_rank
 from .onedim import PersistenceDiagram
-from .presentation import Presentation, grade_leq, grade_ranks, row_sweep
+from .presentation import Presentation, grade_ranks, row_sweep, swept_ranks
 
 
 class HomologyError(ValueError):
@@ -41,18 +47,20 @@ class HomologyError(ValueError):
 
 
 class GradedChainComplex:
-    """Per-degree simplex bases with rational grades and boundary matrices."""
+    """Per-degree simplex bases with rational grades and sparse boundary
+    columns."""
 
     def __init__(self, field, complex_):
         self.field = field
         rational = complex_.grades_rational()
         self.nparams = complex_.nparams
+        # a BifilteredComplex keeps its simplices sorted by dimension, grade
+        # and vertices, so each basis comes out in (grade, vertices) order
         by_deg = {}
         for verts, grade in rational:
             by_deg.setdefault(len(verts) - 1, []).append((verts, grade))
         self.max_deg = max(by_deg, default=-1)
-        self.bases = [sorted(by_deg.get(d, []), key=lambda s: (s[1], s[0]))
-                      for d in range(self.max_deg + 1)]
+        self.bases = [by_deg.get(d, []) for d in range(self.max_deg + 1)]
         # boundary columns {row: coeff} per degree (a vertex has none)
         self.columns = [[{} for _ in basis] for basis in self.bases]
         for d in range(1, self.max_deg + 1):
@@ -83,32 +91,21 @@ class GradedChainComplex:
     def simplices(self, d):
         return self.bases[d] if 0 <= d <= self.max_deg else []
 
-    def boundary(self, d, cols=None):
-        """Dense boundary matrix from degree d to d-1 (rows: (d-1)-simplices),
-        on the given d-simplices (by default all of them)."""
-        cols = range(len(self.simplices(d))) if cols is None else cols
-        out = [[self.field.zero] * len(cols) for _ in self.simplices(d - 1)]
-        for t, j in enumerate(cols):
-            for i, x in self.columns[d][j].items():
-                out[i][t] = x
-        return out
-
     def _active(self, d, z):
-        return [j for j, (_, g) in enumerate(self.simplices(d)) if grade_leq(g, z)]
+        """The d-simplices of grade <= z: their grade indices against the
+        floor index of z on the critical axes."""
+        top = [_floor_index(ax, v) for ax, v in zip(self.axes, z)]
+        if None in top:
+            return []
+        return [j for j, g in enumerate(self.grade_index.get(d, ()))
+                if all(map(operator.le, g, top))]
 
     def active_ranks(self, d):
         """{critical grid index: (number of active d-simplices, rank of the
         boundary on them)}, by one sparse reduction per row of the grid."""
-        table = {}
-        for z, entering in row_sweep([len(ax) for ax in self.axes],
-                                     self.grade_index.get(d, [])):
-            if z[-1] == 0:
-                reducer, n = ColumnReducer(self.field), 0
-            for j in entering:
-                reducer.add(dict(self.columns[d][j]))
-            n += len(entering)
-            table[z] = (n, reducer.rank)
-        return table
+        cols = self.columns[d] if d <= self.max_deg else []
+        return swept_ranks(self.field, [len(ax) for ax in self.axes],
+                           self.grade_index.get(d, []), cols)
 
     def homology_dim_at(self, d, z):
         """dim H_d at grade z, snapped down onto the critical grid: active
@@ -415,15 +412,12 @@ class _HomologyBasisTracker:
     def _cycles_at(self, z):
         """The reduced-echelon basis of the d-cycles active at z, each a
         {simplex index: coeff} dict."""
-        f = self.f
         act = self.chain._active(self.degree, z)
         if not act:
             return []
-        sub = self.chain.boundary(self.degree, act)
-        if not sub:
-            return [{j: f.one} for j in act]
-        return [{act[t]: x for t, x in enumerate(v) if x != f.zero}
-                for v in nullspace(f, sub)]
+        cols = self.chain.columns[self.degree]
+        return [{act[t]: x for t, x in v.items()}
+                for v in nullspace(self.f, [cols[j] for j in act])]
 
     def basis_at(self, z, cycles=None):
         """(representative cycles, ColumnSpan loaded with boundaries then
@@ -492,8 +486,9 @@ def present_homology(complex_, degree, field, check_hilbert=True):
     or two parameters: a row-by-row sweep of the critical grid collects a
     kernel basis and expresses each boundary of a (degree+1)-simplex in the
     generators active at its grade, then the result is minimized.  The
-    Hilbert check compares dimensions with `homology_dim_at` at every grid
-    point, which shares no state with the sweep."""
+    Hilbert check compares the result's `hilbert_table` with
+    `homology_dim_at` at every grid point; neither shares state with the
+    sweep."""
     chain = chain_complex_of(complex_, field)
     if chain.nparams not in (1, 2):
         raise HomologyError("presentation extraction supports 1 or 2 parameters")
@@ -541,9 +536,10 @@ def present_homology(complex_, degree, field, check_hilbert=True):
                         rels).validate().minimize()
 
     if check_hilbert:
-        for z in itertools.product(*axes):
-            want = chain.homology_dim_at(degree, z)
-            got = pres.point_dim(z)
+        dims = pres.hilbert_table(axes)
+        for idx in _grid_indices([len(ax) for ax in axes]):
+            z = tuple(ax[k] for ax, k in zip(axes, idx))
+            want, got = chain.homology_dim_at(degree, z), dims[idx]
             if want != got:
                 raise HomologyError(
                     f"Hilbert check failed at {z}: presentation gives {got}, "

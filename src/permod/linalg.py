@@ -2,16 +2,22 @@
 
 Vectors are sparse: {index: coeff} dicts without zeros.  A map is a list of
 such columns, one per basis vector of its source; `mat_mul` composes two
-maps and `rank` is the rank of a list of vectors.  `nullspace` and `solve`
-take dense matrices, lists of row lists of field elements.
-`ColumnSpan` answers `coords` with {inserted index: coeff}.
+maps, `rank` is the rank of a list of vectors and `nullspace` takes the
+columns of a map and returns {column index: coeff} vectors.  Only `solve`
+takes a dense matrix, a list of row lists of field elements (the small Gram
+systems of `filtration`).  `ColumnSpan` answers `coords` with {inserted
+index: coeff}.
+
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
 the one elimination in the package: it is behind `rank`, `nullspace` and
 `solve`, `ColumnSpan`, the linear elimination rounds of the `quadsys`
-solver, barcodes, homology rank tables and minimization.  Each result it
-gives here is the unique one of its kind (the reduced-echelon null basis,
-the solution that is 0 at every non-pivot column), so no routine depends on
-the order of reduction.
+solver, barcodes, homology rank tables and minimization.  It has one loop
+and two column types, which the field picks (`exactnum`): {row: coeff}
+dicts, and over Z/2 ints whose pivot is the top bit and whose elimination
+is xor.  Callers see dicts either way.  Each result it gives here is the
+unique one of its kind (the reduced-echelon null basis, the solution that
+is 0 at every non-pivot column), so no routine depends on the order of
+reduction.
 """
 
 
@@ -32,57 +38,58 @@ def mat_mul(field, later, earlier):
     return out
 
 
-def subtract_multiple(f, target, c, source):
-    """target -= c * source on {key: coeff} dicts, dropping zero entries."""
-    zero = f.zero
-    for r, x in source.items():
-        v = f.sub(target.get(r, zero), f.mul(c, x))
-        if v == zero:
-            target.pop(r, None)
-        else:
-            target[r] = v
-
-
 class ColumnReducer:
     """Sparse column reduction over any field, the one sparse elimination in
-    the package.  Columns are {row: coeff} dicts without zeros; a column's
-    pivot is its largest row.  A column may carry a combination, a {key:
-    coeff} dict reduced alongside it, to write residues over added columns."""
+    the package.  Columns come and go as {row: coeff} dicts without zeros;
+    inside, they are kept in the field's column type (`field.columns`, see
+    `exactnum`).  A column's pivot is its largest row.  A column may carry a
+    combination, a {key: coeff} dict reduced alongside it, to write residues
+    over added columns; keys and rows are ints >= 0."""
 
     def __init__(self, field):
         self.field = field
-        self.columns = {}       # pivot row -> (column, combination or None)
+        self.kind = field.columns
+        self.columns = {}       # pivot row -> (column, combination or None), packed
 
     @property
     def rank(self):
         return len(self.columns)
 
-    def reduce(self, col, combo=None, full=False):
-        """Reduce col (consumed and returned), and combo with it, until its
-        largest row is no pivot; with full, until it is zero at every pivot."""
-        f, kept = self.field, {}
+    def _reduce(self, col, combo, full):
+        """The one reduction loop.  Packs col and combo, reduces them until
+        col's largest row is no pivot (with full, until col is zero at every
+        pivot), and writes the combination back into combo.  Returns col and
+        combo packed, and, without full, col's largest row if col is nonzero."""
+        kind, stored, low = self.kind, self.columns, None
+        col, kept = kind.pack(col), kind.pack({}) if full else None
+        packed = None if combo is None else kind.pack(combo)
         while col:
-            low = max(col)
-            hit = self.columns.get(low)
-            if hit is None:
-                if not full:
-                    break
-                kept[low] = col.pop(low)
-                continue
-            c = f.div(col[low], hit[0][low])
-            subtract_multiple(f, col, c, hit[0])
-            if combo is not None:
-                subtract_multiple(f, combo, c, hit[1])
-        col.update(kept)
-        return col
+            low = kind.low(col)
+            hit = stored.get(low)
+            if hit is not None:
+                col, packed = kind.cancel(col, packed, hit[0], hit[1], low)
+            elif full:
+                col, kept = kind.move(col, low, kept)
+            else:
+                break
+        if packed is not combo:
+            combo.clear()
+            combo.update(kind.unpack(packed))
+        return (kept if full else col), packed, low
+
+    def reduce(self, col, combo=None, full=False):
+        """Reduce col (consumed; its reduction is returned), and combo with
+        it in place, until its largest row is no pivot; with full, until it
+        is zero at every pivot."""
+        return self.kind.unpack(self._reduce(col, combo, full)[0])
 
     def add(self, col, combo=None):
-        """Reduce col and keep it unless it became zero.  Returns its pivot
-        row, or None when col was dependent."""
-        col = self.reduce(col, combo)
+        """Reduce col (consumed) and combo with it in place, and keep col
+        unless it became zero.  Returns its pivot row, or None when col was
+        dependent."""
+        col, combo, low = self._reduce(col, combo, False)
         if not col:
             return None
-        low = max(col)
         self.columns[low] = (col, combo)
         return low
 
@@ -141,24 +148,6 @@ class ColumnSpan:
         return len(self.pivots)
 
 
-def _reduce_columns(field, a):
-    """A ColumnReducer holding the columns of the rows a, each added in order
-    with the combination {c: 1}, and the combinations of the dependent
-    columns.  Such a combination is c's reduced-echelon null vector: 1 at c,
-    0 at every other dependent column."""
-    cols = [{} for _ in a[0]] if a else []
-    for i, row in enumerate(a):
-        for c, x in enumerate(row):
-            if x != field.zero:
-                cols[c][i] = x
-    red, null = ColumnReducer(field), []
-    for c, col in enumerate(cols):
-        combo = {c: field.one}
-        if red.add(col, combo) is None:
-            null.append(combo)
-    return red, null
-
-
 def rank(field, vectors):
     """Rank of a list of sparse vectors; they are copied, not consumed."""
     red = ColumnReducer(field)
@@ -167,12 +156,18 @@ def rank(field, vectors):
     return red.rank
 
 
-def nullspace(field, a):
-    """Basis of the right null space of a (list of rows), in reduced echelon
-    form: one vector per non-pivot column, in column order."""
-    cols = len(a[0]) if a else 0
-    return [[v.get(c, field.zero) for c in range(cols)]
-            for v in _reduce_columns(field, a)[1]]
+def nullspace(field, columns):
+    """Basis of the null space of the map with these sparse columns (copied,
+    not consumed), in reduced echelon form: one {column index: coeff} vector
+    per dependent column c, in column order, 1 at c and 0 at every other
+    dependent column.  Column c goes in with the combination {c: 1}, so a
+    dependent column's reduced combination is that vector."""
+    red, null = ColumnReducer(field), []
+    for c, col in enumerate(columns):
+        combo = {c: field.one}
+        if red.add(dict(col), combo) is None:
+            null.append(combo)
+    return null
 
 
 def solve(field, a, b):
@@ -180,9 +175,13 @@ def solve(field, a, b):
     non-pivot column, or None."""
     if len(b) != len(a):
         raise ValueError(f"{len(a)} rows but {len(b)} right-hand sides")
-    red, combo = _reduce_columns(field, a)[0], {}
-    if red.reduce({i: x for i, x in enumerate(b) if x != field.zero}, combo):
+    zero, cols = field.zero, len(a[0]) if a else 0
+    red = ColumnReducer(field)
+    for c in range(cols):
+        red.add({i: row[c] for i, row in enumerate(a) if row[c] != zero},
+                {c: field.one})
+    combo = {}
+    if red.reduce({i: x for i, x in enumerate(b) if x != zero}, combo):
         return None
     # b + sum combo[c] * column c == 0
-    cols = len(a[0]) if a else 0
-    return [field.neg(combo.get(c, field.zero)) for c in range(cols)]
+    return [field.neg(combo.get(c, zero)) for c in range(cols)]

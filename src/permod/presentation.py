@@ -8,16 +8,19 @@ pointwise question (dimension, transition rank, minimization, span tests) is
 then a finite Gaussian elimination.
 """
 
+import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from .exactnum import QQ, format_rational, parse_field, parse_rational
-from .linalg import ColumnReducer, ColumnSpan, rank, subtract_multiple
+from .exactnum import (QQ, as_fraction, format_rational, parse_field,
+                       parse_rational, subtract_multiple)
+from .linalg import ColumnReducer, ColumnSpan, rank
 
 
 def grade_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def grade_ranks(grades, n):
@@ -47,6 +50,20 @@ def row_sweep(shape, grades):
                 entering[g[-1]].append(i)
         for k, batch in enumerate(entering):
             yield row + (k,), batch
+
+
+def swept_ranks(field, shape, grades, columns):
+    """{grid index z: (number of grades <= z, rank of their columns)} on a
+    grid of the given shape, by one ColumnReducer per row of row_sweep."""
+    table = {}
+    for z, entering in row_sweep(shape, grades):
+        if z[-1] == 0:
+            reducer, n = ColumnReducer(field), 0
+        for j in entering:
+            reducer.add(dict(columns[j]))
+        n += len(entering)
+        table[z] = (n, reducer.rank)
+    return table
 
 
 class PresentationError(ValueError):
@@ -132,9 +149,9 @@ class Presentation:
     def __init__(self, n, field, generators, relations):
         self.n = int(n)
         self.field = field
-        self.generators = [(name, tuple(Fraction(x) for x in grade))
+        self.generators = [(name, tuple(map(as_fraction, grade)))
                            for name, grade in generators]
-        self.relations = [(name, tuple(Fraction(x) for x in grade),
+        self.relations = [(name, tuple(map(as_fraction, grade)),
                            self._coeff_dict(name, coeffs))
                           for name, grade, coeffs in relations]
 
@@ -196,6 +213,29 @@ class Presentation:
 
     def point_dim(self, a):
         return len(self._quotient_basis(a)[0])
+
+    def hilbert_table(self, axes):
+        """{grid index: dim M_z} at every point z of the grid on `axes`
+        (increasing value lists, one per parameter): the active generators
+        minus the rank of the active relations.  A grade is active from the
+        first axis value >= it on, and never past the last one."""
+        shape = [len(ax) for ax in axes]
+
+        def on_grid(grades):
+            """{position: grid index} of the grades that reach the grid."""
+            out = {}
+            for i, g in enumerate(grades):
+                k = tuple(bisect.bisect_left(ax, x) for ax, x in zip(axes, g))
+                if all(map(int.__lt__, k, shape)):
+                    out[i] = k
+            return out
+
+        gens = on_grid(g for _, g in self.generators)
+        rels = on_grid(g for _, g, _ in self.relations)
+        n = swept_ranks(self.field, shape, list(gens.values()), [{}] * len(gens))
+        r = swept_ranks(self.field, shape, list(rels.values()),
+                        [self.relations[i][2] for i in rels])
+        return {z: n[z][0] - r[z][1] for z in n}
 
     def transition_matrix(self, a, b):
         """Map M_a -> M_b in the echelon quotient bases, as one sparse column

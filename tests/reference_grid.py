@@ -15,7 +15,7 @@ from permod.exactnum import INF, ext, format_rational
 from permod.filtration import FiltrationError, fixed_scale_slice
 from permod.homology import (GradedChainComplex, HomologyError,
                              chain_complex_of)
-from reference_homology import ColumnSpan
+from reference_homology import ColumnSpan, boundary
 from reference_linalg import identity, mat_mul, nullspace, rank as mat_rank, rows_of
 
 
@@ -153,7 +153,7 @@ class _HomologyBasisTracker:
         act = self.chain._active(self.degree, z)
         if not act:
             return []
-        bd = self.chain.boundary(self.degree)
+        bd = boundary(self.chain, self.degree)
         if bd and len(bd) > 0:
             sub = [[bd[i][j] for j in act] for i in range(len(bd))]
             core = nullspace(f, sub)
@@ -171,7 +171,7 @@ class _HomologyBasisTracker:
     def _boundaries_at(self, z):
         f = self.f
         act_up = self.chain._active(self.degree + 1, z)
-        bu = self.chain.boundary(self.degree + 1)
+        bu = boundary(self.chain, self.degree + 1)
         cols = []
         for j in act_up:
             cols.append([bu[i][j] for i in range(self.nd)] if bu else

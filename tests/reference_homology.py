@@ -3,7 +3,9 @@
 the grid-point-by-grid-point kernel sweep, the rescanning minimization, the
 dense per-point homology dimension, and the dense ``ColumnSpan`` they ran
 on.  Kept as they were, as oracles: the rewritten code must give
-byte-identical presentation text and the same dimensions.
+byte-identical presentation text and the same dimensions.  ``boundary`` is
+the dense boundary matrix that ``GradedChainComplex`` used to build; the
+library reads its sparse boundary columns only.
 """
 
 import itertools
@@ -13,6 +15,17 @@ from permod.presentation import Presentation, grade_leq
 
 from conftest import dense_relations
 from reference_linalg import nullspace, rank as mat_rank
+
+
+def boundary(chain, d, cols=None):
+    """Dense boundary matrix from degree d to d-1 (rows: (d-1)-simplices),
+    on the given d-simplices (by default all of them)."""
+    cols = range(len(chain.simplices(d))) if cols is None else cols
+    out = [[chain.field.zero] * len(cols) for _ in chain.simplices(d - 1)]
+    for t, j in enumerate(cols):
+        for i, x in chain.columns[d][j].items():
+            out[i][t] = x
+    return out
 
 
 class ColumnSpan:
@@ -85,11 +98,11 @@ def homology_dim_at(chain, d, z):
     act_d = chain._active(d, z)
     if not act_d:
         return 0
-    bd = chain.boundary(d)
+    bd = boundary(chain, d)
     sub = [[bd[i][j] for j in act_d] for i in range(len(bd))] if bd else []
     rank_d = mat_rank(f, sub) if sub else 0
     act_up = chain._active(d + 1, z)
-    bu = chain.boundary(d + 1)
+    bu = boundary(chain, d + 1)
     rank_up = 0
     if act_up and bu:
         subu = [[bu[i][j] for j in act_up] for i in range(len(bu))]
@@ -161,7 +174,7 @@ def _cycles_at(chain, degree, z):
     act = chain._active(degree, z)
     if not act:
         return []
-    bd = chain.boundary(degree)
+    bd = boundary(chain, degree)
     if bd and len(bd) > 0:
         sub = [[bd[i][j] for j in act] for i in range(len(bd))]
         core = nullspace(f, sub)
@@ -215,7 +228,7 @@ def present_homology(complex_, degree, field, check_hilbert=True):
         return gen_span_cache[z]
 
     rels = []
-    bu = chain.boundary(degree + 1)
+    bu = boundary(chain, degree + 1)
     for j, (verts, g) in enumerate(chain.simplices(degree + 1)):
         vec = [bu[i][j] for i in range(nd)] if bu else [f.zero] * nd
         span, idxs = gen_span_at(g)

@@ -12,6 +12,11 @@ modules composed their transitions with before transitions became sparse
 columns (nothing in the library uses dense products now), and ``rows_of``
 and ``columns_of``, which turn a map of sparse columns into the dense rows
 the oracles read, and back.
+
+Last, ``DictColumnReducer`` and ``DictColumnSpan``, the sparse reduction
+and span as they were when every field kept {row: coeff} dict columns
+(before Z/2 columns became int bitsets), and ``column_nullspace``, the
+dense-matrix null space that ran on that reduction.
 """
 
 
@@ -173,3 +178,110 @@ def solve(field, a, b):
         if pivot_of_col[c] is not None:
             x[c] = m[pivot_of_col[c]][cols]
     return x
+
+
+def subtract_multiple(f, target, c, source):
+    """target -= c * source on {key: coeff} dicts, dropping zero entries."""
+    zero = f.zero
+    for r, x in source.items():
+        v = f.sub(target.get(r, zero), f.mul(c, x))
+        if v == zero:
+            target.pop(r, None)
+        else:
+            target[r] = v
+
+
+class DictColumnReducer:
+    """Sparse column reduction on {row: coeff} dicts over any field; a
+    column's pivot is its largest row.  A column may carry a combination, a
+    {key: coeff} dict reduced alongside it."""
+
+    def __init__(self, field):
+        self.field = field
+        self.columns = {}       # pivot row -> (column, combination or None)
+
+    @property
+    def rank(self):
+        return len(self.columns)
+
+    def reduce(self, col, combo=None, full=False):
+        """Reduce col (consumed and returned), and combo with it, until its
+        largest row is no pivot; with full, until it is zero at every pivot."""
+        f, kept = self.field, {}
+        while col:
+            low = max(col)
+            hit = self.columns.get(low)
+            if hit is None:
+                if not full:
+                    break
+                kept[low] = col.pop(low)
+                continue
+            c = f.div(col[low], hit[0][low])
+            subtract_multiple(f, col, c, hit[0])
+            if combo is not None:
+                subtract_multiple(f, combo, c, hit[1])
+        col.update(kept)
+        return col
+
+    def add(self, col, combo=None):
+        """Reduce col and keep it unless it became zero.  Returns its pivot
+        row, or None when col was dependent."""
+        col = self.reduce(col, combo)
+        if not col:
+            return None
+        low = max(col)
+        self.columns[low] = (col, combo)
+        return low
+
+
+class DictColumnSpan:
+    """Echelon basis of a growing span of {row: coeff} vectors in
+    field**dim, on a DictColumnReducer over reversed rows, so a column's
+    pivot is its first nonzero row."""
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        self.pivots = []
+        self.n_inserted = 0
+        self._reducer = DictColumnReducer(field)
+
+    def _sparse(self, v):
+        top, zero = self.dim - 1, self.field.zero
+        return {top - i: x for i, x in v.items() if x != zero}
+
+    def residue(self, v):
+        res = self._reducer.reduce(self._sparse(v), full=True)
+        return {self.dim - 1 - r: x for r, x in res.items()}
+
+    def contains(self, v):
+        return not self._reducer.reduce(self._sparse(v))
+
+    def coords(self, v):
+        combo = {}
+        if self._reducer.reduce(self._sparse(v), combo):
+            return None
+        return {k: self.field.neg(c) for k, c in combo.items()}
+
+    def insert(self, v):
+        idx = self.n_inserted
+        self.n_inserted += 1
+        low = self._reducer.add(self._sparse(v), {idx: self.field.one})
+        if low is None:
+            return False
+        self.pivots.append(self.dim - 1 - low)
+        return True
+
+
+def column_nullspace(field, a):
+    """Basis of the right null space of a (list of rows), in reduced echelon
+    form: one vector per non-pivot column, in column order, from a
+    DictColumnReducer that adds column c with the combination {c: 1}."""
+    ncols = len(a[0]) if a else 0
+    red, null = DictColumnReducer(field), []
+    for c in range(ncols):
+        combo = {c: field.one}
+        if red.add({i: row[c] for i, row in enumerate(a) if row[c] != field.zero},
+                   combo) is None:
+            null.append(combo)
+    return [[v.get(c, field.zero) for c in range(ncols)] for v in null]

@@ -21,8 +21,8 @@ from permod.presentation import Presentation
 import reference_grid as ref
 import reference_linalg as ref_linalg
 from reference_linalg import columns_of, identity, mat_mul, rows_of
-from conftest import (dense_relations, mat_vec, random_one_critical_complex,
-                      random_presentation, seeded)
+from conftest import (dense, dense_relations, mat_vec,
+                      random_one_critical_complex, random_presentation, seeded)
 
 FIELDS = (PrimeField(2), PrimeField(3))
 
@@ -247,7 +247,8 @@ class TestLinalgAgainstReference:
             for a in elimination_inputs(rng, f):
                 rows, cols = len(a), len(a[0])
                 assert rank(f, columns_of(f, a, cols)) == ref_linalg.rank(f, a)
-                assert nullspace(f, a) == ref_linalg.nullspace(f, a)
+                assert [dense(f, v, cols) for v in nullspace(f, columns_of(f, a, cols))] \
+                    == ref_linalg.nullspace(f, a)
                 b = [f.of(rng.randint(-1, 1)) for _ in range(rows)]
                 assert solve(f, a, b) == ref_linalg.solve(f, a, b)
                 b = mat_vec(f, a, [f.of(rng.randint(-2, 2)) for _ in range(cols)])

@@ -34,9 +34,10 @@ def test_nullspace_and_solve():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randrange(5) for _ in range(cols)] for _ in range(rows)]
-        for v in nullspace(f5, m):
-            assert all(x == 0 for x in mat_vec(f5, m, v))
-        assert len(nullspace(f5, m)) == cols - rank(f5, columns_of(f5, m, cols))
+        null = nullspace(f5, columns_of(f5, m, cols))
+        for v in null:
+            assert all(x == 0 for x in mat_vec(f5, m, dense(f5, v, cols)))
+        assert len(null) == cols - rank(f5, columns_of(f5, m, cols))
         x = [rng.randrange(5) for _ in range(cols)]
         b = mat_vec(f5, m, x)
         got = solve(f5, m, b)

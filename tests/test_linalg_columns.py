@@ -1,0 +1,102 @@
+"""The two column types of `linalg.ColumnReducer` against the dict-only
+reduction they grew out of (kept in reference_linalg.py).
+
+Over Z/2 the reducer keeps int bitset columns and must give the same pivots,
+the same combinations (written back into the caller's dicts) and the same
+full residues as the dict reduction, and `ColumnSpan` the same pivots,
+coordinates and residues.  The sparse `nullspace` must give the dense
+oracles' reduced-echelon basis over Z/2, Z/5 and Q."""
+
+from fractions import Fraction as F
+
+from permod.exactnum import QQ, BitColumns, PrimeField
+from permod.linalg import ColumnReducer, ColumnSpan, nullspace
+
+import reference_linalg as ref
+from conftest import dense, seeded
+
+FIELDS = (PrimeField(2), PrimeField(5), QQ)
+
+
+def random_vector(rng, field, dim, density):
+    v = {}
+    for r in range(dim):
+        if rng.random() < density:
+            x = field.of(F(rng.randint(1, 4), rng.randint(1, 2) if field == QQ else 1))
+            if x != field.zero:
+                v[r] = x
+    return v
+
+
+def test_z2_reduces_on_bitsets():
+    f2 = PrimeField(2)
+    assert isinstance(f2.columns, BitColumns)
+    red = ColumnReducer(f2)
+    combo = {3: 1}
+    assert red.add({0: 1, 5: 1}, combo) == 5
+    assert red.add({0: 1, 5: 1, 7: 1}, {4: 1}) == 7
+    assert red.add({0: 1, 5: 1}, combo) is None and combo == {}
+    assert all(type(col) is int for col, _ in red.columns.values())
+
+
+def test_reducer_matches_dict_reduction():
+    rng = seeded(401)
+    for field in FIELDS:
+        for _ in range(20):
+            dim = rng.randint(1, 40)
+            density = rng.choice((0.05, 0.2, 0.5))
+            red, want = ColumnReducer(field), ref.DictColumnReducer(field)
+            for k in range(rng.randint(1, 25)):
+                v = random_vector(rng, field, dim, density)
+                combo = {k: field.one, rng.randrange(100): field.one}
+                combo_ref = dict(combo)
+                assert red.add(dict(v), combo) == want.add(dict(v), combo_ref)
+                assert combo == combo_ref
+                assert red.rank == want.rank
+                v = random_vector(rng, field, dim, density)
+                combo, combo_ref = {}, {}
+                full = rng.random() < 0.5
+                assert red.reduce(dict(v), combo, full=full) == \
+                    want.reduce(dict(v), combo_ref, full=full)
+                assert combo == combo_ref
+                assert red.reduce(dict(v), full=True) == want.reduce(dict(v), full=True)
+
+
+def test_span_matches_dict_span():
+    rng = seeded(409)
+    for field in FIELDS:
+        for _ in range(20):
+            dim = rng.randint(1, 30)
+            span, want = ColumnSpan(field, dim), ref.DictColumnSpan(field, dim)
+            inserted = []
+            for _ in range(rng.randint(1, 20)):
+                v = random_vector(rng, field, dim, rng.choice((0.1, 0.3)))
+                assert span.insert(v) == want.insert(v)
+                inserted.append(v)
+                assert span.pivots == want.pivots
+                # a sum of inserted vectors lies in the span
+                w = {}
+                for u in rng.sample(inserted, rng.randint(1, len(inserted))):
+                    ref.subtract_multiple(field, w, field.neg(field.one), u)
+                for probe in (w, random_vector(rng, field, dim, 0.3)):
+                    assert span.coords(probe) == want.coords(probe)
+                    assert span.contains(probe) == want.contains(probe)
+                    assert span.residue(probe) == want.residue(probe)
+
+
+def test_sparse_nullspace_matches_dense_oracles():
+    rng = seeded(419)
+    for field in FIELDS:
+        for _ in range(80):
+            rows, cols = rng.randint(1, 12), rng.randint(0, 12)
+            a = [dense(field, random_vector(rng, field, cols, rng.choice((0.15, 0.4))),
+                       cols) for _ in range(rows)]
+            got = nullspace(field, ref.columns_of(field, a, cols))
+            assert all(field.zero not in v.values() for v in got)
+            got = [dense(field, v, cols) for v in got]
+            assert got == ref.nullspace(field, a) == ref.column_nullspace(field, a)
+    # the columns are copied, not consumed; a map to a zero space has a full kernel
+    cols = [{0: 1, 2: 1}, {}, {0: 1, 2: 1}]
+    assert nullspace(PrimeField(2), cols) == [{1: 1}, {0: 1, 2: 1}]
+    assert cols == [{0: 1, 2: 1}, {}, {0: 1, 2: 1}]
+    assert nullspace(QQ, [{}, {}]) == [{0: 1}, {1: 1}]

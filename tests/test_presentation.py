@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from permod import QQ
+from permod import QQ, PrimeField
 from permod.interleave import zero_pattern_mask
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, direct_sum,
@@ -77,6 +77,43 @@ class TestPointwise:
                             rac = p.transition_rank(a, c)
                             assert rac <= p.transition_rank(a, b)
                             assert rac <= p.transition_rank(b, c)
+
+
+class TestHilbertTable:
+    """The swept table of pointwise dimensions against point_dim, at every
+    point of axes that hold values off the grades, stop below some grades,
+    or start above some."""
+
+    def _axes(self, rng, n):
+        pool = [F(k, 2) for k in range(-1, 9)] + [F(1, 3), F(7, 3), F(13, 4)]
+        return [sorted(rng.sample(pool, rng.randint(1, 6))) for _ in range(n)]
+
+    def _check(self, p, axes):
+        table = p.hilbert_table(axes)
+        shape = [len(ax) for ax in axes]
+        assert table == {idx: p.point_dim(tuple(ax[k] for ax, k in zip(axes, idx)))
+                         for idx in itertools.product(*map(range, shape))}
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ],
+                             ids=["F2", "F3", "QQ"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_point_dim(self, field, n):
+        rng = seeded(503 + n)
+        for _ in range(25):
+            p = random_presentation(rng, field, n=n, max_gens=5, max_rels=5)
+            for q in (p, p.minimize()):
+                self._check(q, self._axes(rng, n))
+                # on the critical axes every grade lies on the grid
+                self._check(q, q.critical_grades(minimal=True)[1] or [[F(0)]] * n)
+            self._check(Presentation(n, field, [], []), self._axes(rng, n))
+
+    def test_grades_past_the_last_axis_value(self, f2):
+        p = Presentation(2, f2, [("a", (F(0), F(0))), ("b", (F(5), F(0)))],
+                         [("r", (F(0), F(9)), {0: 1})])
+        assert p.hilbert_table([[F(0), F(1)], [F(0), F(2)]]) == {
+            (0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+        assert p.hilbert_table([[F(1), F(6)], [F(-1), F(10)]]) == {
+            (0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
 
 
 class TestShiftRestrict:

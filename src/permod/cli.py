@@ -15,10 +15,10 @@ from .exactnum import parse_field, parse_rational
 from .filtration import (DensitySpec, cech_bifiltration, parse_complex,
                          parse_points_csv, parse_values_csv, rips_bifiltration)
 from .homology import grid_module_of, image_grid_module, present_homology
-from .interleave import (DistanceBudgetExceeded, SearchStats, assemble_system,
+from .interleave import (DistanceBudgetExceeded, SearchStats, TermTable,
                          decide_interleaving, interleaving_distance)
 from .onedim import bottleneck, diagram_of, parse_diagram
-from .presentation import MonotoneAffineMap, PresentationError, parse_presentation
+from .presentation import PresentationError, parse_presentation
 from .quadsys import BudgetExceeded, DEFAULT_BUDGET
 from .infer import run_experiment
 
@@ -78,8 +78,7 @@ def cmd_present(args):
 
 def _export_quadsys(path, m, n, eps):
     """Write the system deciding eps-interleaving of the minimized pair."""
-    j = MonotoneAffineMap.translation(m.n, eps)
-    _write(path, assemble_system(m.minimize(), n.minimize(), j, j).export_text())
+    _write(path, TermTable(m.minimize(), n.minimize()).at(eps).export_text())
 
 
 def cmd_distance_interleaving(args):
@@ -288,9 +287,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # exact values may have more digits than Python's int <-> str limit
+    # (3.11 on); it is lifted for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -302,6 +305,9 @@ def main(argv=None):
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ enclosing ball radii) are square roots of rationals; they are carried exactly
 as their squares, so every grade comparison is decided, and each value also
 exposes the certified rational bracket of width <= 2**-20 that downstream
 consumers record.
+
+One builder makes both sublevelset bifiltrations: it keeps the edges within
+the scale cap as per-vertex int bitsets of upper neighbours and grows each
+simplex from its prefix by the prefix's common upper neighbours.  A Cech
+radius is half the length on an edge and grows with the vertex set, so the
+Cech candidates are the cliques of the capped edges too.
 """
 
 import array
@@ -82,13 +88,6 @@ def scale_leq(a, b):
 
 def scale_key(v):
     return scale_square(v)
-
-
-def scale_mul(v, c):
-    c = Fraction(c)
-    if isinstance(v, Scale):
-        return scale_of_square(v.sq * c * c)
-    return Fraction(v) * c
 
 
 def _signed_square(x):
@@ -315,61 +314,63 @@ def parse_complex(text):
     return BifilteredComplex(nparams if nparams is not None else 1, simplices)
 
 
-def _dedupe(cloud, values):
-    seen = {}
-    for pt, val in zip(cloud.points, values):
-        if pt in seen:
-            if seen[pt] != val:
-                raise FiltrationError(f"duplicate point {pt} with conflicting values")
-        else:
-            seen[pt] = val
-    pts = list(seen)
-    return pts, [seen[pt] for pt in pts]
-
-
-def _function_grade(values, idx):
-    n = len(values[0])
-    return tuple(max(values[v][k] for v in idx) for k in range(n))
+def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
+    """Sublevelset-Rips (cech False) or -Cech up to max_dim and the scale cap.
+    Each simplex grows from its prefix (all but its last vertex) and extends
+    the prefix's function grade and, for Rips, the prefix's scale."""
+    if len(values) != len(cloud):
+        raise FiltrationError("function rows do not match points")
+    if p not in METRICS:
+        raise FiltrationError(f"unsupported metric p={p}")
+    first = {}
+    for pt, val in zip(cloud.points, [tuple(map(Fraction, v)) for v in values]):
+        if first.setdefault(pt, val) != val:
+            raise FiltrationError(f"duplicate point {pt} with conflicting values")
+    pts, vals = list(first), list(first.values())
+    scale_cap = Fraction(scale_cap)
+    if scale_cap < 0:
+        raise FiltrationError("scale cap must be >= 0")
+    cap_sq = scale_cap ** 2
+    # near[v][w] = (half length, its square) of each capped edge v < w
+    near = [{} for _ in pts]
+    up = [0] * len(pts)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        sq = (dist_squared_l2(pts[i], pts[j]) / 4 if p == 2
+              else (distance(pts[i], pts[j], p) / 2) ** 2)
+        if sq <= cap_sq:
+            near[i][j] = (scale_of_square(sq), sq)
+            up[i] |= 1 << j
+    square = operator.itemgetter(1)
+    zero = Fraction(0)
+    simplices = []
+    # (vertices, function grade, scale, its square, common upper neighbours)
+    stack = [((i,), val, zero, zero, up[i]) for i, val in enumerate(vals)]
+    while stack:
+        verts, fgrade, pscale, psq, common = stack.pop()
+        simplices.append((verts, fgrade + (pscale,)))
+        while common and len(verts) <= max_dim:
+            low = common & -common
+            common ^= low       # the bits left are those above w
+            w = low.bit_length() - 1
+            new = verts + (w,)
+            if cech and len(new) > 2:
+                scale = min_enclosing_radius([pts[v] for v in new], p)
+                sq = scale_square(scale)
+                if sq > cap_sq:
+                    continue
+            else:
+                scale, sq = max((pscale, psq), *(near[v][w] for v in verts),
+                                key=square)
+            grade = tuple(map(max, fgrade, vals[w]))
+            stack.append((new, grade, scale, sq, common & up[w]))
+    return BifilteredComplex(len(vals[0]) + 1 if vals else 1, simplices)
 
 
 def rips_bifiltration(cloud, p, values, max_dim, scale_cap):
     """Sublevelset-Rips: a simplex appears at (componentwise max of the
     function over its vertices, half its diameter); clique completion up to
     max_dim, scale coordinate capped."""
-    if len(values) != len(cloud):
-        raise FiltrationError("function rows do not match points")
-    if p not in METRICS:
-        raise FiltrationError(f"unsupported metric p={p}")
-    pts, vals = _dedupe(cloud, [tuple(Fraction(x) for x in v) for v in values])
-    scale_cap = Fraction(scale_cap)
-    if scale_cap < 0:
-        raise FiltrationError("scale cap must be >= 0")
-    cap_sq = scale_cap ** 2
-    nv = len(pts)
-    half = {}
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            d = distance(pts[i], pts[j], p)
-            s = scale_mul(d, Fraction(1, 2))
-            if scale_square(s) <= cap_sq:
-                half[(i, j)] = s
-    simplices = []
-    nfun = len(vals[0]) if vals else 0
-    for i in range(nv):
-        simplices.append(((i,), vals[i] + (Fraction(0),)))
-    frontier = [(i,) for i in range(nv)]
-    for _ in range(max_dim):
-        nxt = []
-        for verts in frontier:
-            for w in range(verts[-1] + 1, nv):
-                if all((v, w) in half for v in verts):
-                    new = verts + (w,)
-                    pairs = [half[(a, b)] for a, b in itertools.combinations(new, 2)]
-                    scale = max(pairs, key=scale_key)
-                    simplices.append((new, _function_grade(vals, new) + (scale,)))
-                    nxt.append(new)
-        frontier = nxt
-    return BifilteredComplex((nfun or 0) + 1, simplices)
+    return _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, False)
 
 
 def cech_bifiltration(cloud, p, values, max_dim, scale_cap):
@@ -378,39 +379,7 @@ def cech_bifiltration(cloud, p, values, max_dim, scale_cap):
     radii; p=inf exact via half extents; p=1 unsupported."""
     if p == 1:
         raise FiltrationError("Cech with the L1 metric is not supported")
-    if p not in METRICS:
-        raise FiltrationError(f"unsupported metric p={p}")
-    if len(values) != len(cloud):
-        raise FiltrationError("function rows do not match points")
-    pts, vals = _dedupe(cloud, [tuple(Fraction(x) for x in v) for v in values])
-    scale_cap = Fraction(scale_cap)
-    if scale_cap < 0:
-        raise FiltrationError("scale cap must be >= 0")
-    cap_sq = scale_cap ** 2
-    nv = len(pts)
-    nfun = len(vals[0]) if vals else 0
-    simplices = []
-    alive = []
-    for i in range(nv):
-        simplices.append(((i,), vals[i] + (Fraction(0),)))
-        alive.append((i,))
-    for _ in range(max_dim):
-        nxt = []
-        seen = set()
-        for verts in alive:
-            for w in range(nv):
-                if w in verts:
-                    continue
-                new = tuple(sorted(verts + (w,)))
-                if new in seen:
-                    continue
-                seen.add(new)
-                radius = min_enclosing_radius([pts[v] for v in new], p)
-                if scale_square(radius) <= cap_sq:
-                    simplices.append((new, _function_grade(vals, new) + (radius,)))
-                    nxt.append(new)
-        alive = nxt
-    return BifilteredComplex(nfun + 1, simplices)
+    return _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, True)
 
 
 def fixed_scale_slice(complex_, delta):

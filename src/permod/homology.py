@@ -283,20 +283,24 @@ class GridModule:
         The walk steps first along the axis whose successor has the smallest
         dimension (the lowest such axis on ties), so each composition has
         the smallest inner size on offer; squares commute, so every path
-        gives the same map.  A single step is the stored transition itself."""
-        key = (i1, i2)
-        if key not in self._matrices:
-            if i1 == i2:
-                out = [{i: self.field.one} for i in range(self.dims[i1])]
-            else:
-                axis = min((a for a in range(self.nparams) if i1[a] < i2[a]),
-                           key=lambda a: self.dims[_succ(i1, a)])
-                nxt = _succ(i1, axis)
-                out = self.step(i1, axis)
-                if nxt != i2:
-                    out = mat_mul(self.field, self.matrix_between(nxt, i2), out)
-            self._matrices[key] = out
-        return self._matrices[key]
+        gives the same map.  A single step is the stored transition itself.
+        The walk goes forward to i2 or to the first cached composite, then
+        composes back, caching the composite from every index it passed."""
+        if i1 == i2 and (i1, i2) not in self._matrices:
+            self._matrices[(i1, i2)] = [{i: self.field.one}
+                                        for i in range(self.dims[i1])]
+        path, cur = [], i1
+        while (cur, i2) not in self._matrices and cur != i2:
+            axis = min((a for a in range(self.nparams) if cur[a] < i2[a]),
+                       key=lambda a: self.dims[_succ(cur, a)])
+            path.append((cur, axis))
+            cur = _succ(cur, axis)
+        out = None if cur == i2 else self._matrices[(cur, i2)]
+        for idx, axis in reversed(path):
+            out = self.step(idx, axis) if out is None else \
+                mat_mul(self.field, out, self.step(idx, axis))
+            self._matrices[(idx, i2)] = out
+        return self._matrices[(i1, i2)]
 
     def rank_between(self, i1, i2):
         key = (i1, i2)

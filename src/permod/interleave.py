@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .exactnum import INF, ExtendedRational, ext, least_feasible
 from .linalg import rank
-from .presentation import MonotoneAffineMap, PresentationError, grade_leq
+from .presentation import PresentationError, grade_leq
 from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation,
                       QuadraticSystem, export_system, solve_finite_field)
 
@@ -218,8 +218,8 @@ def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
     eps = Fraction(eps)
     if eps < 0:
         raise PresentationError("eps must be >= 0")
-    j = MonotoneAffineMap.translation(m.n, eps)
-    return decide_generalized(m, n, j, j, budget=budget)
+    res = solve_finite_field(TermTable(m, n).at(eps).system, budget=budget)
+    return "yes" if res.status == "solvable" else "no"
 
 
 def candidate_set(m, n, minimal=False):

@@ -53,6 +53,19 @@ class TestPresent:
         p = parse_presentation(out_path.read_text())
         assert len(p.generators) == 1
 
+    def test_grade_past_the_int_digit_limit_roundtrips(self, tmp_path, capsys):
+        big = "1" * 5000
+        path = tmp_path / "big.txt"
+        path.write_text(C01.replace("relation r 1", f"relation r {big}"))
+        code, out, _ = run(capsys, "present", "validate", path)
+        assert code == 0 and "ok" in out
+        code, _, _ = run(capsys, "present", "minimize", path, "--out",
+                         tmp_path / "min.txt")
+        assert code == 0
+        assert f"relation r {big} :" in (tmp_path / "min.txt").read_text()
+        with pytest.raises(ValueError):     # lifted for the call only
+            int(big)
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a presentation\n")

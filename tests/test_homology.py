@@ -111,6 +111,13 @@ class TestGridModule:
         assert gm.dims == {(0,): 1, (1,): 1}
         assert gm.rank_between((0,), (1,)) == 1
 
+    def test_long_composite_without_recursion(self, f2):
+        # a 1,999-step composite: one frame per step overflowed the stack
+        p = Presentation(1, f2, [("g", (F(0),))], [])
+        gm = grid_module_of(p, [[F(k) for k in range(2000)]])
+        assert gm.rank_between((0,), (1999,)) == 1
+        assert gm.rank_between((1000,), (1999,)) == 1
+
     def test_chain_source_matches_pointwise(self, f2):
         rng = seeded(107)
         for _ in range(8):

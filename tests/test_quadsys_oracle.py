@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from permod.exactnum import PrimeField
-from permod.interleave import MonotoneAffineMap, assemble_system
+from permod.interleave import assemble_system
+from permod.presentation import MonotoneAffineMap
 from permod.quadsys import (BudgetExceeded, QuadEquation, QuadraticSystem,
                             _eliminate_linear, solve_finite_field)
 

@@ -148,9 +148,7 @@ def _parse_axes(spec):
 
 
 def _default_axes_complex(cx, drop_scale=False):
-    grades = [g for _, g in cx.grades_rational()]
-    count = cx.nparams - (1 if drop_scale else 0)
-    return [sorted({g[i] for g in grades}) for i in range(count)]
+    return cx.rational_axes()[:cx.nparams - (1 if drop_scale else 0)]
 
 
 def cmd_homology(args):

@@ -1,8 +1,14 @@
-"""Exact scalars: arbitrary-precision rationals, prime fields Z/p, extended reals.
+"""Exact scalars: arbitrary-precision rationals, square roots of rationals,
+prime fields Z/p, extended reals, and the one rule that ranks them.
 
-Every grade coordinate, distance and threshold in this package is a
-`fractions.Fraction`; coefficient arithmetic happens in a prime field or in Q.
-Nothing here ever touches floating point.
+Every distance and threshold in this package is a `fractions.Fraction`, and
+so is every grade coordinate but an L2 scale, which may be a `Scale`
+(sqrt(sq), compared exactly through sq).  Coefficient arithmetic happens in
+a prime field or in Q.  Nothing here ever touches floating point.
+
+Exact values become ints here only: at the lcm of their denominators
+(`common_denominator`, `scaled_int`), and as grade ranks (`grade_ranks`, the
+one ranking rule: an axis that holds a Scale by signed squares).
 
 Each field also names the column type that `linalg.ColumnReducer` stores
 its columns in (`field.columns`), chosen here once: {row: coeff} dicts over
@@ -22,6 +28,11 @@ def parse_rational(text):
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def common_denominator(values):
+    """The lcm of the denominators of `values`: the least `scaled_int` scale."""
+    return math.lcm(*(q.denominator for q in values))
 
 
 def scaled_int(q, scale):
@@ -65,6 +76,75 @@ def least_feasible(values, feasible):
             raise TypeError(f"feasible({values[mid]!r}) returned {u!r}, no certificate")
         hi = k
     return values[hi] if hi < len(values) else None
+
+
+# ---------------------------------------------------------------------------
+# Square roots of rationals, and ranking grades
+# ---------------------------------------------------------------------------
+
+class Scale:
+    """An irrational scale sqrt(sq); comparisons go through sq exactly."""
+
+    __slots__ = ("sq",)
+
+    def __init__(self, sq):
+        self.sq = Fraction(sq)
+        if self.sq < 0:
+            raise ValueError("negative radicand")
+
+    def bracket(self, tol_log2=20):
+        return bracket_sqrt(self.sq, tol_log2)
+
+    def __repr__(self):
+        return f"sqrt({format_rational(self.sq)})"
+
+
+def scale_of_square(q):
+    """Exact scale value with square q: a Fraction when q is a perfect
+    rational square, else a Scale."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("negative square")
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return Scale(q)
+
+
+def scale_square(v):
+    """The square of a nonnegative scale value, a Fraction or a Scale."""
+    if type(v) is not Fraction:
+        if isinstance(v, Scale):
+            return v.sq
+        v = Fraction(v)
+    if v < 0:
+        raise ValueError("scales are nonnegative")
+    return v * v
+
+
+def grade_ranks(grades, n):
+    """(axes, ranks): the sorted distinct values on each of the n axes, and
+    each grade as the tuple of its values' positions there.  Values
+    (Fractions, ints or Scales) are ranked as scaled ints, on an axis that
+    holds a Scale by signed squares: sq for a Scale, x * |x| for a rational.
+    Equal values share a rank (sqrt(4) and 2; the axis shows the rational)."""
+    axes, columns = [], []
+    for a in range(n):
+        vals = keys = [g[a] for g in grades]
+        squared = any(type(x) is not Fraction and isinstance(x, Scale) for x in vals)
+        if squared:
+            keys = [x.sq if isinstance(x, Scale) else x * abs(x) for x in vals]
+        scale = common_denominator(keys)
+        ints = [scaled_int(x, scale) for x in keys]
+        pos = {v: k for k, v in enumerate(sorted(set(ints)))}
+        column = [pos[v] for v in ints]
+        shown = dict(zip(column, vals))
+        if squared:
+            shown.update((k, x) for k, x in zip(column, vals)
+                         if not isinstance(x, Scale))
+        axes.append([shown[k] for k in range(len(pos))])
+        columns.append(column)
+    return axes, list(zip(*columns)) if n else [()] * len(grades)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 distances, density sampling and kernel density estimation.
 
 All coordinates are rational.  L2 scale values (half-diameters, smallest
-enclosing ball radii) are square roots of rationals; they are carried exactly
-as their squares, so every grade comparison is decided, and each value also
+enclosing ball radii) are square roots of rationals, kept exactly as
+`exactnum.Scale` values whose squares decide every comparison; each also
 exposes the certified rational bracket of width <= 2**-20 that downstream
 consumers record.
+
+A complex ranks its grades once, when it is built (`exactnum.grade_ranks`);
+its face check and sort, the fixed-scale slice, chain complexes and
+barcodes compare those int indices, never the values.
 
 One builder makes both sublevelset bifiltrations: it keeps the edges within
 the scale cap as per-vertex int bitsets of upper neighbours and grows each
@@ -15,6 +19,7 @@ Cech candidates are the cliques of the capped edges too.
 """
 
 import array
+import bisect
 import functools
 import itertools
 import math
@@ -23,76 +28,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import (QQ, as_fraction, bracket_sqrt, format_rational,
-                       least_feasible, parse_rational, scaled_int)
+from .exactnum import (QQ, Scale, as_fraction, common_denominator,
+                       format_rational, grade_ranks, least_feasible,
+                       parse_rational, scale_of_square, scale_square,
+                       scaled_int)
 from .linalg import rank as _mat_rank
 from .linalg import solve as _mat_solve
 
 
 class FiltrationError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Exact scale values
-# ---------------------------------------------------------------------------
-
-def _sqrt_if_square(q):
-    """sqrt(q) as a Fraction if q is a perfect rational square, else None."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative square")
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-class Scale:
-    """An irrational scale sqrt(sq); comparisons go through sq exactly."""
-
-    __slots__ = ("sq",)
-
-    def __init__(self, sq):
-        self.sq = Fraction(sq)
-        if self.sq < 0:
-            raise ValueError("negative radicand")
-
-    def bracket(self, tol_log2=20):
-        return bracket_sqrt(self.sq, tol_log2)
-
-    def __repr__(self):
-        return f"sqrt({format_rational(self.sq)})"
-
-
-def scale_of_square(q):
-    """Exact scale value with square q: a Fraction when possible else Scale."""
-    r = _sqrt_if_square(q)
-    return r if r is not None else Scale(q)
-
-
-def scale_square(v):
-    if type(v) is not Fraction:
-        if isinstance(v, Scale):
-            return v.sq
-        v = Fraction(v)
-    if v < 0:
-        raise ValueError("scales are nonnegative")
-    return v * v
-
-
-def scale_leq(a, b):
-    return scale_square(a) <= scale_square(b)
-
-
-def scale_key(v):
-    return scale_square(v)
-
-
-def _signed_square(x):
-    """A key ordered like the values: sq for a Scale, x * |x| for a rational."""
-    return x.sq if isinstance(x, Scale) else x * abs(x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,50 +183,50 @@ def min_enclosing_radius(points, p):
 
 class BifilteredComplex:
     """One-critical multifiltered simplicial complex: each simplex appears at
-    a single minimal grade, faces no later than cofaces.  Simplices are kept
-    sorted by dimension, grade and vertices; a grade column that holds a
-    Scale compares by signed squares, every other column by value."""
+    a single minimal grade, faces no later than cofaces.  `axes[a]` holds the
+    sorted distinct values of grade coordinate a, and `grade_index[i]` the
+    grade of `simplices[i]` as an int tuple of positions on them; the face
+    check, the sort (by dimension, grade and vertices) and every consumer
+    compare those ints."""
 
     def __init__(self, nparams, simplices):
-        self.nparams = int(nparams)
-        self.simplices = []
-        index = {}
+        nparams = int(nparams)
+        grade_of = {}
         for verts, grade in simplices:
             verts = tuple(sorted(verts))
-            if verts in index:
+            if verts in grade_of:
                 raise FiltrationError(f"duplicate simplex {verts}")
-            if len(grade) != self.nparams:
+            if len(grade) != nparams:
                 raise FiltrationError("grade length mismatch")
-            index[verts] = grade = tuple(grade)
-            self.simplices.append((verts, grade))
-        squared = [any(type(g[k]) is not Fraction and isinstance(g[k], Scale)
-                       for g in index.values())
-                   for k in range(self.nparams)]
-        if any(squared):
-            # one key per simplex, for the face check and the sort
-            index = {verts: tuple(_signed_square(x) if sq else x
-                                  for x, sq in zip(grade, squared))
-                     for verts, grade in index.items()}
+            grade_of[verts] = tuple(grade)
+        axes, ranks = grade_ranks(list(grade_of.values()), nparams)
+        index = dict(zip(grade_of, ranks))
         for verts, key in index.items():
             if len(verts) > 1:
                 for face in itertools.combinations(verts, len(verts) - 1):
                     if face not in index:
                         raise FiltrationError(f"missing face {face} of {verts}")
-                    if not all(x <= y for x, y in zip(index[face], key)):
+                    if not all(map(operator.le, index[face], key)):
                         raise FiltrationError(f"face {face} appears after {verts}")
-        self.simplices.sort(key=lambda s: (len(s[0]), index[s[0]], s[0]))
+        self._keep(nparams, axes, list(zip(grade_of, grade_of.values(), ranks)))
 
-    def grades_rational(self):
-        """All grades as Fractions; raises if any coordinate is irrational."""
-        out = []
+    def _keep(self, nparams, axes, ranked):
+        """Store checked (vertices, grade, grade index) triples, sorted."""
+        ranked.sort(key=lambda s: (len(s[0]), s[2], s[0]))
+        self.nparams, self.axes = nparams, axes
+        self.simplices = [(verts, grade) for verts, grade, _ in ranked]
+        self.grade_index = [key for _, _, key in ranked]
+
+    def rational_axes(self):
+        """`axes` as lists of Fractions; raises on the first simplex, in
+        order, with an irrational grade coordinate."""
         for verts, grade in self.simplices:
             for x in grade:
                 if type(x) is not Fraction and isinstance(x, Scale):
                     raise FiltrationError(
                         f"irrational grade coordinate {x!r} on {verts}; "
                         "downstream algebra requires rational grades")
-            out.append((verts, tuple(map(as_fraction, grade))))
-        return out
+        return [list(map(as_fraction, ax)) for ax in self.axes]
 
     def to_text(self):
         lines = []
@@ -383,15 +328,21 @@ def cech_bifiltration(cloud, p, values, max_dim, scale_cap):
 
 
 def fixed_scale_slice(complex_, delta):
-    """Keep simplices with scale <= delta and drop the scale axis."""
+    """Keep simplices with scale <= delta and drop the scale axis: an int
+    comparison per simplex, then the kept indices ranked again, so the
+    slice's axes hold exactly the values of the grades it keeps."""
     delta = Fraction(delta)
     if delta < 0:
         raise FiltrationError("delta must be >= 0")
-    kept = []
-    for verts, grade in complex_.simplices:
-        if scale_leq(grade[-1], delta):
-            kept.append((verts, grade[:-1]))
-    return BifilteredComplex(complex_.nparams - 1, kept)
+    top = bisect.bisect_right(list(map(scale_square, complex_.axes[-1])), delta * delta)
+    kept = [(verts, grade[:-1], key[:-1]) for (verts, grade), key
+            in zip(complex_.simplices, complex_.grade_index) if key[-1] < top]
+    used, ranks = grade_ranks([key for _, _, key in kept], complex_.nparams - 1)
+    out = BifilteredComplex.__new__(BifilteredComplex)
+    out._keep(complex_.nparams - 1,
+              [[axis[k] for k in ks] for axis, ks in zip(complex_.axes, used)],
+              [(verts, grade, key) for (verts, grade, _), key in zip(kept, ranks)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +568,7 @@ def kde_evaluate(sample, spec, at):
     h = spec.bandwidth
     at = [tuple(map(Fraction, x)) for x in at]
     symmetric = at == list(sample)
-    scale = math.lcm(*(c.denominator for pts in (sample, at)
-                       for pt in pts for c in pt))
+    scale = common_denominator(c for pts in (sample, at) for pt in pts for c in pt)
     den = (scale * h.numerator) ** 2
     hd2 = h.denominator ** 2
     if spec.kernel == "gaussian":

@@ -1,9 +1,11 @@
 """Persistent homology of bifiltered complexes.
 
-Three computation styles share the exact linear algebra kernel.  Chains,
-boundaries and cycles are sparse {simplex index: coeff} dicts; so are a
-relation's coefficients over kernel generators and each column of a grid
-module's transitions:
+Chain complexes and barcodes read a complex's order, int grade indices and
+axes as `filtration.BifilteredComplex` ranked them once; no grade value is
+compared here.  Three computation styles share the exact linear algebra
+kernel.  Chains, boundaries and cycles are sparse {simplex index: coeff}
+dicts; so are a relation's coefficients over kernel generators and each
+column of a grid module's transitions:
 
 * 1-parameter barcodes by standard column reduction, cross-checked elsewhere
   against the rank multiplicity formula;
@@ -35,11 +37,11 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .exactnum import (INF, ext, format_rational, least_feasible, parse_field,
-                       parse_rational, subtract_multiple)
+from .exactnum import (INF, as_fraction, ext, format_rational, least_feasible,
+                       parse_field, parse_rational)
 from .linalg import ColumnReducer, ColumnSpan, mat_mul, nullspace, rank as mat_rank
 from .onedim import PersistenceDiagram
-from .presentation import Presentation, grade_ranks, row_sweep, swept_ranks
+from .presentation import Presentation, row_sweep, swept_ranks
 
 
 class HomologyError(ValueError):
@@ -48,19 +50,21 @@ class HomologyError(ValueError):
 
 class GradedChainComplex:
     """Per-degree simplex bases with rational grades and sparse boundary
-    columns."""
+    columns.  The complex's order (dimension, grade, vertices), grade
+    indices and axes are taken as they are."""
 
     def __init__(self, field, complex_):
         self.field = field
-        rational = complex_.grades_rational()
+        self.axes = complex_.rational_axes()
         self.nparams = complex_.nparams
-        # a BifilteredComplex keeps its simplices sorted by dimension, grade
-        # and vertices, so each basis comes out in (grade, vertices) order
-        by_deg = {}
-        for verts, grade in rational:
-            by_deg.setdefault(len(verts) - 1, []).append((verts, grade))
-        self.max_deg = max(by_deg, default=-1)
-        self.bases = [by_deg.get(d, []) for d in range(self.max_deg + 1)]
+        dims = [len(verts) - 1 for verts, _ in complex_.simplices]
+        self.max_deg = max(dims, default=-1)
+        cuts = [bisect.bisect_left(dims, d) for d in range(self.max_deg + 2)]
+        self.bases = [[(verts, tuple(map(as_fraction, grade)))
+                       for verts, grade in complex_.simplices[lo:hi]]
+                      for lo, hi in zip(cuts, cuts[1:])]
+        self.grade_index = {d: complex_.grade_index[lo:hi]
+                            for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
         # boundary columns {row: coeff} per degree (a vertex has none)
         self.columns = [[{} for _ in basis] for basis in self.bases]
         for d in range(1, self.max_deg + 1):
@@ -71,22 +75,12 @@ class GradedChainComplex:
                     col[rows[verts[:k] + verts[k + 1:]]] = sign
                     sign = field.neg(sign)
         self._check_dd()
-        # each grade as an index tuple on the critical axes: sweeps compare ints
-        self.axes, ranks = grade_ranks([g for basis in self.bases for _, g in basis],
-                                       self.nparams)
-        ranks = iter(ranks)
-        self.grade_index = {d: [next(ranks) for _ in basis]
-                            for d, basis in enumerate(self.bases)}
         self._dims = {}         # degree -> {grid index: dim H_degree}
 
     def _check_dd(self):
         for d in range(2, self.max_deg + 1):
-            for col in self.columns[d]:
-                acc = {}
-                for i, x in col.items():
-                    subtract_multiple(self.field, acc, x, self.columns[d - 1][i])
-                if acc:
-                    raise HomologyError("boundary of boundary is nonzero")
+            if any(mat_mul(self.field, self.columns[d - 1], self.columns[d])):
+                raise HomologyError("boundary of boundary is nonzero")
 
     def simplices(self, d):
         return self.bases[d] if 0 <= d <= self.max_deg else []
@@ -131,48 +125,34 @@ def chain_complex_of(complex_, field):
 # ---------------------------------------------------------------------------
 
 def barcode_1d(complex_, degree, field):
-    """Standard persistence column reduction; unpaired creators die at +inf."""
-    rational = complex_.grades_rational()
+    """Standard persistence column reduction; unpaired creators die at +inf.
+    The reduction of each boundary map reads only the order of the simplices
+    of each dimension, and the complex's order has them by grade already."""
+    axes = complex_.rational_axes()
     if complex_.nparams != 1:
         raise HomologyError("barcode requires a 1-parameter complex")
-    order = sorted(range(len(rational)),
-                   key=lambda i: (rational[i][1], len(rational[i][0]), rational[i][0]))
-    pos = {rational[i][0]: k for k, i in enumerate(order)}
-    f = field
-    columns = []
-    for k, i in enumerate(order):
-        verts, _ = rational[i]
-        col = {}
-        if len(verts) > 1:
-            sign = f.one
-            for t in range(len(verts)):
-                face = verts[:t] + verts[t + 1:]
-                col[pos[face]] = sign
-                sign = f.neg(sign)
-        columns.append(col)
-
-    reducer = ColumnReducer(f)
+    pos = {verts: k for k, (verts, _) in enumerate(complex_.simplices)}
+    signs = (field.one, field.neg(field.one))
+    reducer = ColumnReducer(field)
     pairs = {}              # creator position -> killer position
-    for k, col in enumerate(columns):
-        low = reducer.add(col)
+    for k, (verts, _) in enumerate(complex_.simplices):
+        low = reducer.add({pos[verts[:t] + verts[t + 1:]]: signs[t % 2]
+                           for t in range(len(verts))} if len(verts) > 1 else {})
         if low is not None:
             pairs[low] = k
     killers = set(pairs.values())
 
-    pts = []
-    for k, i in enumerate(order):
-        verts, grade = rational[i]
-        if len(verts) - 1 != degree:
-            continue
-        if k in killers:
-            continue            # not a cycle: it kills something lower
+    index, axis, pts = complex_.grade_index, axes[0], []
+    for k, (verts, _) in enumerate(complex_.simplices):
+        if len(verts) - 1 != degree or k in killers:
+            continue            # another degree, or it kills something lower
+        (birth,) = index[k]
         if k in pairs:
-            killer = order[pairs[k]]
-            death = rational[killer][1][0]
-            if death > grade[0]:
-                pts.append((ext(grade[0]), ext(death), 1))
+            (death,) = index[pairs[k]]
+            if death > birth:
+                pts.append((ext(axis[birth]), ext(axis[death]), 1))
         else:
-            pts.append((ext(grade[0]), INF, 1))
+            pts.append((ext(axis[birth]), INF, 1))
     return PersistenceDiagram(pts)
 
 

@@ -14,10 +14,9 @@ compute directly.
 """
 
 import json
-import math
 from fractions import Fraction
 
-from .exactnum import INF, format_rational, scaled_int
+from .exactnum import INF, common_denominator, format_rational, scaled_int
 from .filtration import FiltrationError, KdeSpec, kde_evaluate, sample_density
 from .homology import build_grid_module, rank_shift_distance
 
@@ -85,8 +84,8 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
     b_axis = sorted(Fraction(b) for b in b_axis)
     # weights and a-values over one common denominator, positions and
     # b-values over another, so that clustering compares ints
-    w_scale = math.lcm(*(v.denominator for v in a_axis + [w for _, w in pts]))
-    x_scale = math.lcm(*(v.denominator for v in b_axis + [x for x, _ in pts]))
+    w_scale = common_denominator(a_axis + [w for _, w in pts])
+    x_scale = common_denominator(b_axis + [x for x, _ in pts])
     int_pts = [(scaled_int(x, x_scale), scaled_int(w, w_scale)) for x, w in pts]
 
     def clusters(z):

@@ -27,10 +27,10 @@ order, and the terms whose entries are all free.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
-from .exactnum import INF, ExtendedRational, ext, least_feasible
+from .exactnum import (INF, ExtendedRational, common_denominator, ext,
+                       least_feasible, scaled_int)
 from .linalg import rank
 from .presentation import PresentationError, grade_leq
 from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation,
@@ -114,12 +114,11 @@ class TermTable:
         self.bases = {"A": (gn, gm), "B": (gm, gn), "C": (rn, rm),
                       "D": (rm, rn), "E": (rm, gm), "F": (rn, gn)}
         self.shapes = {name: (len(t), len(s)) for name, (t, s) in self.bases.items()}
-        self.scale = 2 * math.lcm(*(x.denominator for g in gm + gn + rm + rn
-                                    for x in g))
+        self.scale = 2 * common_denominator(x for g in gm + gn + rm + rn for x in g)
         self.thresholds = {}
         for name, grades in self.bases.items():
-            targets, sources = ([[x.numerator * (self.scale // x.denominator)
-                                  for x in g] for g in gs] for gs in grades)
+            targets, sources = ([[scaled_int(x, self.scale) for x in g] for g in gs]
+                                for gs in grades)
             self.thresholds[name] = [[max(a - b for a, b in zip(t, s))
                                       // (2 if name in "EF" else 1) for s in sources]
                                      for t in targets]
@@ -230,10 +229,10 @@ def candidate_set(m, n, minimal=False):
         raise PresentationError("parameter counts differ")
     _, axes_m = m.critical_grades(minimal)
     _, axes_n = n.critical_grades(minimal)
-    scale = 2 * math.lcm(*(x.denominator for axis in axes_m + axes_n for x in axis))
+    scale = 2 * common_denominator(x for axis in axes_m + axes_n for x in axis)
     values = {0}
     for um, un in zip(axes_m, axes_n):
-        um, un = ([x.numerator * (scale // x.denominator) for x in a] for a in (um, un))
+        um, un = ([scaled_int(x, scale) for x in a] for a in (um, un))
         values |= {abs(x - y) for x in um for y in un}
         values |= {abs(x - y) // 2 for x in um for y in um}
         values |= {abs(x - y) // 2 for x in un for y in un}

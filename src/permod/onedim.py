@@ -154,14 +154,22 @@ def _feasible(left, right, eps):
             adj[li].append(nr + i)   # slack-slack edges are free
     match_r = [-1] * size
 
-    def augment(u, seen):
-        for v in adj[u]:
-            if seen[v]:
+    def augment(root, seen):
+        # depth first on a stack of (left node, its untried neighbours)
+        stack, via = [(root, iter(adj[root]))], []
+        while stack:
+            v = next((v for v in stack[-1][1] if not seen[v]), None)
+            if v is None:
+                stack.pop()
+                del via[-1:]
                 continue
             seen[v] = True
-            if match_r[v] == -1 or augment(match_r[v], seen):
-                match_r[v] = u
+            if match_r[v] == -1:
+                for (u, _), x in zip(stack, via + [v]):
+                    match_r[x] = u
                 return True
+            via.append(v)
+            stack.append((match_r[v], iter(adj[match_r[v]])))
         return False
 
     matched = 0

@@ -10,32 +10,16 @@ then a finite Gaussian elimination.
 
 import bisect
 import itertools
-import math
 import operator
 from fractions import Fraction
 
-from .exactnum import (QQ, as_fraction, format_rational, parse_field,
-                       parse_rational, subtract_multiple)
+from .exactnum import (QQ, as_fraction, format_rational, grade_ranks,
+                       parse_field, parse_rational, subtract_multiple)
 from .linalg import ColumnReducer, ColumnSpan, rank
 
 
 def grade_leq(a, b):
     return all(map(operator.le, a, b))
-
-
-def grade_ranks(grades, n):
-    """(axes, ranks): the sorted distinct values on each of the n axes, and
-    each grade as the tuple of its values' positions there, ordered as the
-    grades are.  Values (Fractions or ints) are ranked as ints, scaled."""
-    axes, columns = [], []
-    for a in range(n):
-        vals = [g[a] for g in grades]
-        scale = math.lcm(*(x.denominator for x in vals))
-        ints = [x.numerator * (scale // x.denominator) for x in vals]
-        pos = {v: k for k, v in enumerate(sorted(set(ints)))}
-        columns.append([pos[v] for v in ints])
-        axes.append([x for _, x in sorted(dict(zip(columns[-1], vals)).items())])
-    return axes, list(zip(*columns))
 
 
 def row_sweep(shape, grades):

@@ -1,17 +1,25 @@
-"""Reference copy of the sublevelset-Rips and -Cech builders of
-``permod.filtration`` as they were before the one upper-neighbour builder:
-Rips extends each clique against every later vertex, and Cech tries every
-vertex for each simplex and drops repeats with a `seen` set.  Kept as they
-were, as an oracle: the builder must give the same complexes, or the same
-exception.
+"""Reference copies of ``permod.filtration`` code that was rewritten.
+
+* The sublevelset-Rips and -Cech builders as they were before the one
+  upper-neighbour builder: Rips extends each clique against every later
+  vertex, and Cech tries every vertex for each simplex and drops repeats
+  with a `seen` set.  The builder must give the same complexes, or the same
+  exception.
+* `ReferenceComplex`, `fixed_scale_slice` and `parse_complex` as they were
+  before a complex ranked its grades once: the complex sorts and
+  face-checks the grade values themselves (a column that holds a Scale by
+  signed squares), and the slice squares every simplex's scale and builds
+  its complex from scratch.  The ranked complex must give the same text,
+  slices and errors.
 """
 
 import itertools
 from fractions import Fraction
 
+from permod.exactnum import as_fraction, format_rational, parse_rational
 from permod.filtration import (METRICS, BifilteredComplex, FiltrationError,
                                Scale, distance, min_enclosing_radius,
-                               scale_key, scale_of_square, scale_square)
+                               scale_of_square, scale_square)
 
 
 def scale_mul(v, c):
@@ -71,7 +79,7 @@ def rips_bifiltration(cloud, p, values, max_dim, scale_cap):
                 if all((v, w) in half for v in verts):
                     new = verts + (w,)
                     pairs = [half[(a, b)] for a, b in itertools.combinations(new, 2)]
-                    scale = max(pairs, key=scale_key)
+                    scale = max(pairs, key=scale_square)
                     simplices.append((new, _function_grade(vals, new) + (scale,)))
                     nxt.append(new)
         frontier = nxt
@@ -117,3 +125,98 @@ def cech_bifiltration(cloud, p, values, max_dim, scale_cap):
                     nxt.append(new)
         alive = nxt
     return BifilteredComplex(nfun + 1, simplices)
+
+
+def _signed_square(x):
+    """A key ordered like the values: sq for a Scale, x * |x| for a rational."""
+    return x.sq if isinstance(x, Scale) else x * abs(x)
+
+
+class ReferenceComplex:
+    """One-critical multifiltered simplicial complex: each simplex appears at
+    a single minimal grade, faces no later than cofaces.  Simplices are kept
+    sorted by dimension, grade and vertices; a grade column that holds a
+    Scale compares by signed squares, every other column by value."""
+
+    def __init__(self, nparams, simplices):
+        self.nparams = int(nparams)
+        self.simplices = []
+        index = {}
+        for verts, grade in simplices:
+            verts = tuple(sorted(verts))
+            if verts in index:
+                raise FiltrationError(f"duplicate simplex {verts}")
+            if len(grade) != self.nparams:
+                raise FiltrationError("grade length mismatch")
+            index[verts] = grade = tuple(grade)
+            self.simplices.append((verts, grade))
+        squared = [any(type(g[k]) is not Fraction and isinstance(g[k], Scale)
+                       for g in index.values())
+                   for k in range(self.nparams)]
+        if any(squared):
+            # one key per simplex, for the face check and the sort
+            index = {verts: tuple(_signed_square(x) if sq else x
+                                  for x, sq in zip(grade, squared))
+                     for verts, grade in index.items()}
+        for verts, key in index.items():
+            if len(verts) > 1:
+                for face in itertools.combinations(verts, len(verts) - 1):
+                    if face not in index:
+                        raise FiltrationError(f"missing face {face} of {verts}")
+                    if not all(x <= y for x, y in zip(index[face], key)):
+                        raise FiltrationError(f"face {face} appears after {verts}")
+        self.simplices.sort(key=lambda s: (len(s[0]), index[s[0]], s[0]))
+
+    def grades_rational(self):
+        """All grades as Fractions; raises if any coordinate is irrational."""
+        out = []
+        for verts, grade in self.simplices:
+            for x in grade:
+                if type(x) is not Fraction and isinstance(x, Scale):
+                    raise FiltrationError(
+                        f"irrational grade coordinate {x!r} on {verts}; "
+                        "downstream algebra requires rational grades")
+            out.append((verts, tuple(map(as_fraction, grade))))
+        return out
+
+    def to_text(self):
+        lines = []
+        for verts, grade in self.simplices:
+            gtxt = " ".join(repr(x) if isinstance(x, Scale) else format_rational(x)
+                            for x in grade)
+            lines.append(",".join(str(v) for v in verts) + " : " + gtxt)
+        return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parse_complex(text):
+    simplices = []
+    nparams = None
+    for ln in text.splitlines():
+        ln = ln.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        head, _, tail = ln.partition(":")
+        verts = tuple(int(v) for v in head.strip().split(","))
+        toks = tail.split()
+        grade = []
+        for tok in toks:
+            if tok.startswith("sqrt(") and tok.endswith(")"):
+                grade.append(scale_of_square(parse_rational(tok[5:-1])))
+            else:
+                grade.append(parse_rational(tok))
+        if nparams is None:
+            nparams = len(grade)
+        simplices.append((verts, tuple(grade)))
+    return ReferenceComplex(nparams if nparams is not None else 1, simplices)
+
+
+def fixed_scale_slice(complex_, delta):
+    """Keep simplices with scale <= delta and drop the scale axis."""
+    delta = Fraction(delta)
+    if delta < 0:
+        raise FiltrationError("delta must be >= 0")
+    kept = []
+    for verts, grade in complex_.simplices:
+        if scale_square(grade[-1]) <= scale_square(delta):
+            kept.append((verts, grade[:-1]))
+    return ReferenceComplex(complex_.nparams - 1, kept)

@@ -2,15 +2,21 @@
 ``permod.homology`` and the one-pass ``Presentation.minimize`` replaced:
 the grid-point-by-grid-point kernel sweep, the rescanning minimization, the
 dense per-point homology dimension, and the dense ``ColumnSpan`` they ran
-on.  Kept as they were, as oracles: the rewritten code must give
-byte-identical presentation text and the same dimensions.  ``boundary`` is
-the dense boundary matrix that ``GradedChainComplex`` used to build; the
-library reads its sparse boundary columns only.
+on; and ``barcode_1d`` as it was before complexes ranked their grades once,
+when it sorted Fraction grades itself (it reads a
+``reference_filtration.ReferenceComplex``).  Kept as they were, as oracles:
+the rewritten code must give byte-identical presentation and diagram text
+and the same dimensions.  ``boundary`` is the dense boundary matrix that
+``GradedChainComplex`` used to build; the library reads its sparse
+boundary columns only.
 """
 
 import itertools
 
+from permod.exactnum import INF, ext
 from permod.homology import HomologyError, chain_complex_of
+from permod.linalg import ColumnReducer
+from permod.onedim import PersistenceDiagram
 from permod.presentation import Presentation, grade_leq
 
 from conftest import dense_relations
@@ -253,3 +259,49 @@ def present_homology(complex_, degree, field, check_hilbert=True):
                     f"Hilbert check failed at {z}: presentation gives {got}, "
                     f"pointwise homology gives {want}")
     return pres
+
+
+def barcode_1d(complex_, degree, field):
+    """Standard persistence column reduction; unpaired creators die at +inf."""
+    rational = complex_.grades_rational()
+    if complex_.nparams != 1:
+        raise HomologyError("barcode requires a 1-parameter complex")
+    order = sorted(range(len(rational)),
+                   key=lambda i: (rational[i][1], len(rational[i][0]), rational[i][0]))
+    pos = {rational[i][0]: k for k, i in enumerate(order)}
+    f = field
+    columns = []
+    for k, i in enumerate(order):
+        verts, _ = rational[i]
+        col = {}
+        if len(verts) > 1:
+            sign = f.one
+            for t in range(len(verts)):
+                face = verts[:t] + verts[t + 1:]
+                col[pos[face]] = sign
+                sign = f.neg(sign)
+        columns.append(col)
+
+    reducer = ColumnReducer(f)
+    pairs = {}              # creator position -> killer position
+    for k, col in enumerate(columns):
+        low = reducer.add(col)
+        if low is not None:
+            pairs[low] = k
+    killers = set(pairs.values())
+
+    pts = []
+    for k, i in enumerate(order):
+        verts, grade = rational[i]
+        if len(verts) - 1 != degree:
+            continue
+        if k in killers:
+            continue            # not a cycle: it kills something lower
+        if k in pairs:
+            killer = order[pairs[k]]
+            death = rational[killer][1][0]
+            if death > grade[0]:
+                pts.append((ext(grade[0]), ext(death), 1))
+        else:
+            pts.append((ext(grade[0]), INF, 1))
+    return PersistenceDiagram(pts)

@@ -1,10 +1,16 @@
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from permod.exactnum import (INF, NEG_INF, PrimeField, QQ, bracket_sqrt,
-                             ext, least_feasible, parse_field, parse_rational)
+from permod.exactnum import (INF, NEG_INF, PrimeField, QQ, Scale,
+                             bracket_sqrt, common_denominator, ext,
+                             grade_ranks, least_feasible, parse_field,
+                             parse_rational, scaled_int)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "permod"
 
 rationals = st.fractions(max_denominator=100)
 
@@ -131,3 +137,30 @@ def test_least_feasible_threshold_and_probe_order():
     assert probes(6) == [0, 1, 3, 7, 5, 6]
     assert probes(9) == [0, 1, 3, 7, 9, 8]
     assert probes(10) == [0, 1, 3, 7, 9]
+
+
+def test_common_denominator_scales_to_ints():
+    vals = [Fraction(1, 6), Fraction(-3, 4), 2]
+    scale = common_denominator(vals)
+    assert scale == 12 and common_denominator([]) == 1
+    assert [scaled_int(Fraction(x), scale) for x in vals] == [2, -9, 24]
+
+
+def test_lcm_only_in_exactnum():
+    """Exact values become ints through `common_denominator` alone."""
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if re.search(r"math\.lcm|import[^\n]*\blcm\b", path.read_text()))
+    assert users == ["exactnum.py"]
+
+
+def test_grade_ranks_scale_axis_by_signed_squares():
+    F = Fraction
+    grades = [(F(1), Scale(2)), (F(0), F(-1)), (F(1), F(2)), (F(1, 2), Scale(4)),
+              (F(0), F(1))]
+    axes, ranks = grade_ranks(grades, 2)
+    assert axes[0] == [F(0), F(1, 2), F(1)]
+    # sqrt(4) ties with 2, and the axis shows the Fraction
+    assert [x if type(x) is Fraction else repr(x) for x in axes[1]] == \
+        [F(-1), F(1), "sqrt(2)", F(2)]
+    assert ranks == [(2, 2), (0, 0), (2, 3), (1, 3), (0, 1)]
+    assert grade_ranks(grades, 0) == ([], [()] * 5)

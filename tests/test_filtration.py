@@ -10,8 +10,8 @@ from permod.filtration import (BifilteredComplex, DensitySpec, FiltrationError,
                                gromov_function_distance, kde_evaluate,
                                min_enclosing_radius, parse_complex,
                                parse_points_csv, parse_values_csv,
-                               rips_bifiltration, sample_density, scale_key,
-                               scale_leq, scale_of_square,
+                               rips_bifiltration, sample_density,
+                               scale_of_square, scale_square,
                                sup_function_distance)
 
 from conftest import seeded
@@ -31,9 +31,10 @@ class TestScale:
 
     def test_exact_comparisons(self):
         a = scale_of_square(F(1, 2))     # sqrt(1/2) ~ 0.707
-        assert scale_leq(F(1, 2), a) and not scale_leq(a, F(1, 2))
-        assert scale_leq(a, F(3, 4))
-        assert sorted([a, F(1, 2), F(1)], key=scale_key)[0] == F(1, 2)
+        assert scale_square(F(1, 2)) <= scale_square(a)
+        assert not scale_square(a) <= scale_square(F(1, 2))
+        assert scale_square(a) <= scale_square(F(3, 4))
+        assert sorted([a, F(1, 2), F(1)], key=scale_square)[0] == F(1, 2)
 
 
 class TestMetrics:
@@ -141,7 +142,6 @@ class TestCech:
 
 class TestSandwich:
     def test_rips_cech_sandwich_random(self):
-        from permod.filtration import scale_square
         rng = seeded(71)
         for _ in range(8):
             npts = rng.randint(2, 6)
@@ -154,7 +154,7 @@ class TestSandwich:
             cs = {v: g[-1] for v, g in cech.simplices}
             assert set(rs) == set(cs)
             for v in rs:
-                assert scale_leq(rs[v], cs[v])
+                assert scale_square(rs[v]) <= scale_square(cs[v])
                 assert scale_square(cs[v]) <= 4 * scale_square(rs[v])
 
 

@@ -63,6 +63,17 @@ class TestChainComplex:
         col = [row[0] for row in boundary(cc, 1)]
         assert sorted(col) == [1, 4]          # +1 and -1 mod 5
 
+    def test_check_dd_catches_a_broken_boundary(self, f2):
+        # two triangles; edge 2,3 (the last edge) bounds only the second
+        square = [vx(v, 0) for v in range(4)] + \
+            [(e, (F(0),)) for e in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]] + \
+            [((0, 1, 2), (F(1),)), ((1, 2, 3), (F(1),))]
+        cc = chain_complex_of(K(1, square), f2)
+        assert cc.simplices(1)[4][0] == (2, 3)
+        cc.columns[1][4] = {}
+        with pytest.raises(HomologyError, match="boundary of boundary"):
+            cc._check_dd()
+
     def test_dd_zero_random(self, f2):
         rng = seeded(101)
         for _ in range(10):

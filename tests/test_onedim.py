@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -139,6 +140,18 @@ class TestBottleneck:
                sum(m for _, _, m in d2.points) > 5:
                 continue
             assert bottleneck(d1, d2) == bottleneck_bruteforce(d1, d2)
+
+    def test_long_augmenting_paths_need_no_recursion(self):
+        """Two shifted staircases of 150 bars: the matching search walks
+        augmenting paths far longer than a recursion limit of 120 allows."""
+        left = D(*[(ext(2 * k), ext(2 * k + 20), 1) for k in range(150)])
+        right = D(*[(ext(2 * k + 1), ext(2 * k + 21), 1) for k in range(150)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            assert bottleneck(left, right) == ext(1)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_pseudometric_properties(self):
         rng = seeded(67)

@@ -24,14 +24,19 @@ equation per entry of L1 R1 - L2 R2 (- I).  One helper adds an entry of a
 product, a constant times a variable as a linear term and a variable times a
 variable as a quadratic one.  A system keeps the free entries, renumbered in
 order, and the terms whose entries are all free.
+
+The distance search starts at the least candidate that the bars of both
+modules on the slope-1 lines through their grades do not rule out, a lower
+bound on d_I (`slice_start`, on `onedim.bars` and `onedim.matchable`).
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .exactnum import (INF, ExtendedRational, common_denominator, ext,
                        least_feasible, scaled_int)
-from .linalg import rank
+from .onedim import bars, matchable
 from .presentation import PresentationError, grade_leq
 from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation,
                       QuadraticSystem, export_system, solve_finite_field)
@@ -166,9 +171,13 @@ class TermTable:
         system = QuadraticSystem(self.field, len(var_of_entry), equations)
         return InterleavingSystem(dict(self.shapes), masks, system, var_of_entry)
 
+    def level(self, eps):
+        """floor(eps * scale), the threshold level of eps (a Fraction)."""
+        return eps.numerator * self.scale // eps.denominator
+
     def at(self, eps):
         """The system deciding eps-interleaving (eps a Fraction)."""
-        level = eps.numerator * self.scale // eps.denominator
+        level = self.level(eps)
         return self.system({name: [[t <= level for t in row] for row in rows]
                             for name, rows in self.thresholds.items()})
 
@@ -241,8 +250,9 @@ def candidate_set(m, n, minimal=False):
 
 class DistanceBudgetExceeded(Exception):
     """Search ran out of solver budget at the eps `undecided`; carries the
-    bracket [largest eps decided no (0 if none), least eps decided or
-    certified yes (+inf if none)], which holds d_I, and the failed decision's nodes."""
+    bracket [largest eps decided no or ruled out by the slices (0 if none),
+    least eps decided or certified yes (+inf if none)], which holds d_I,
+    and the failed decision's nodes."""
 
     def __init__(self, last_no, first_yes, undecided, nodes):
         super().__init__(f"budget exceeded deciding eps = {undecided}; "
@@ -259,6 +269,38 @@ class SearchStats:
         self.candidates = 0     # size of the candidate set, +inf included
 
 
+def slice_start(table, mm, nn, finite):
+    """The index of the least of the sorted finite candidates at which the
+    diagonal slices of the minimized pair (mm, nn) all admit a matching:
+    the line c + t (1, ..., 1) through each grade g, c = g - g_last, holds
+    a grade h from t(h) = max_i (h_i - c_i) on.  An eps-interleaving
+    restricts to one of every such slice, so its bottleneck distance is <=
+    d_I.  On ints scaled by table.scale, with costs doubled so that a bar
+    is deleted when its length is <= twice the level; len(finite) when a
+    slice admits none, as when the dimensions above all grades differ."""
+    def scaled(g):
+        return tuple(scaled_int(x, table.scale) for x in g)
+    pres = [([scaled(g) for _, g in p.generators],
+             [(scaled(g), cs) for _, g, cs in p.relations]) for p in (mm, nn)]
+    lines = sorted({tuple(x - g[-1] for x in g) for gens, rels in pres
+                    for g in gens + [h for h, _ in rels]})
+    levels = [2 * table.level(c.value) for c in finite]
+    never = levels[-1] + 1      # finite holds 0, so levels is not empty
+    k = 0
+    for c in lines:
+        left, right = (bars(table.field, [max(map(operator.sub, g, c)) for g in gens],
+                            [(max(map(operator.sub, h, c)), cs) for h, cs in rels])
+                       for gens, rels in pres)
+        cost = [[never if (dx is None) != (dy is None) else
+                 2 * max(abs(bx - by), 0 if dx is None else abs(dx - dy))
+                 for by, dy in right] for bx, dx in left]
+        left_len, right_len = ([never if d is None else d - b for b, d in side]
+                               for side in (left, right))
+        while k < len(finite) and not matchable(cost, left_len, right_len, levels[k]):
+            k += 1
+    return k
+
+
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     """d_I(M, N) as an ExtendedRational: `least_feasible` over the candidate
     set, valid because interleavability is monotone in eps and the distance
@@ -267,12 +309,19 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     yes certifies the least such candidate.  Presentations are minimized and
     their term table built once; each probe takes its system from it.
 
-    Above every grade of both presentations each module is constant, and an
-    eps-interleaving makes those two spaces isomorphic; so where their
-    dimensions differ, d_I = inf is returned before any decision."""
+    The search starts at `slice_start`, the least candidate that the
+    diagonal slices do not rule out; the candidates below it are decided no
+    without the solver.  With one parameter the slice is the module, so the
+    start is d_I and one decision confirms it; where the dimensions above
+    all grades differ, no slice matches and d_I = inf comes with none."""
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
-    last_no, first_yes = ExtendedRational.of(0), INF
+    cands = candidate_set(mm, nn, minimal=True)
+    if stats is not None:
+        stats.candidates = len(cands)
+    finite = [c for c in cands if c.is_finite]
+    k = slice_start(table, mm, nn, finite)
+    last_no, first_yes = finite[k - 1] if k else ExtendedRational.of(0), INF
 
     def interleaved(eps):
         nonlocal last_no, first_yes
@@ -295,13 +344,5 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
         first_yes = next(c for c in finite if c.value >= least)
         return first_yes
 
-    cands = candidate_set(mm, nn, minimal=True)
-    if stats is not None:
-        stats.candidates = len(cands)
-    # above every grade, all generators and relations are active
-    if len({len(p.generators) - rank(p.field, [c for *_, c in p.relations])
-            for p in (mm, nn)}) > 1:
-        return INF
-    finite = [c for c in cands if c.is_finite]
-    d = least_feasible(finite, interleaved)
+    d = least_feasible(finite[k:], interleaved)
     return INF if d is None else d

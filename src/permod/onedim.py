@@ -1,15 +1,18 @@
-"""One-parameter structure theory: persistence diagrams via the rank
-multiplicity formula, interval-sum presentations, and the bottleneck distance
-by multibijection matching with an exhaustive oracle.
+"""One-parameter structure theory: bars by one column reduction, persistence
+diagrams, interval-sum presentations, and the bottleneck distance by
+multibijection matching with an exhaustive oracle.  `bars` and `matchable`
+also give `interleave` its diagonal-slice lower bound.
 
 Diagram coordinates are extended rationals; a finitely presented module has
 finite births and finite-or-+inf deaths.
 """
 
 import itertools
+import operator
 
 from .exactnum import (INF, NEG_INF, ExtendedRational, ext, least_feasible,
                        parse_extended)
+from .linalg import ColumnReducer
 from .presentation import PresentationError, direct_sum, interval_presentation
 
 
@@ -60,41 +63,32 @@ def parse_diagram(text):
     return PersistenceDiagram(pts)
 
 
-def diagram_of(p):
-    """Persistence diagram of a finitely presented 1-parameter module.
+def bars(field, gens, rels):
+    """The bars of the 1-parameter module whose generators enter at the
+    values gens and whose relations are (value, {generator index: coeff}),
+    by one column reduction: rows are the generators by value, relation
+    columns are added by value, and a column whose pivot row (its youngest
+    generator) enters at b, added at d, gives [b, d), dropped when b == d.
+    Each row left unpaired gives (b, None), a bar that never dies.  Values
+    need only be ordered: ints or Fractions."""
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    row = dict(zip(order, range(len(order))))
+    reducer, out = ColumnReducer(field), []
+    for d, cs in sorted(rels, key=operator.itemgetter(0)):
+        low = reducer.add({row[i]: c for i, c in cs.items()})
+        if low is not None and gens[order[low]] != d:
+            out.append((gens[order[low]], d))
+    return out + [(gens[g], None) for r, g in enumerate(order) if r not in reducer.columns]
 
-    Multiplicities come from the inclusion-exclusion rank formula evaluated on
-    the grid of critical values, augmented below the minimum; ranks are
-    constant past the largest critical value, so the +inf column is read off
-    at the grid maximum.
-    """
+
+def diagram_of(p):
+    """Persistence diagram of a finitely presented 1-parameter module: the
+    `bars` of its grades."""
     if p.n != 1:
         raise PresentationError("diagram requires a 1-parameter module")
-    pm = p.minimize()
-    crit = sorted({g[0] for _, g in pm.generators} | {g[0] for _, g, _ in pm.relations})
-    if not crit:
-        return PersistenceDiagram([])
-    grid = [crit[0] - 1] + crit
-    k = len(grid)
-    rank = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            rank[i][j] = pm.transition_rank((grid[i],), (grid[j],))
-    pts = []
-    last = k - 1
-    for i in range(1, k):
-        for j in range(i + 1, k):
-            mult = (rank[i][j - 1] - rank[i][j]) - (rank[i - 1][j - 1] - rank[i - 1][j])
-            if mult < 0:
-                raise AssertionError("negative multiplicity; module not well formed")
-            if mult:
-                pts.append((ext(grid[i]), ext(grid[j]), mult))
-        mult_inf = rank[i][last] - rank[i - 1][last]
-        if mult_inf < 0:
-            raise AssertionError("negative multiplicity at infinity")
-        if mult_inf:
-            pts.append((ext(grid[i]), INF, mult_inf))
-    return PersistenceDiagram(pts)
+    pts = bars(p.field, [g for _, (g,) in p.generators],
+               [(g, cs) for _, (g,), cs in p.relations])
+    return PersistenceDiagram([(ext(b), INF if d is None else ext(d), 1) for b, d in pts])
 
 
 def presentation_of(diagram, field):
@@ -129,75 +123,76 @@ def _half(x):
     return d
 
 
-def _feasible(left, right, eps):
-    """Perfect matching with per-point deletion slack at threshold eps.
+def _augment(adj, match, root):
+    """Kuhn's step: look for an augmenting path from the unmatched left node
+    root, depth first on a stack of (left node, its untried neighbours),
+    and flip it into match (right node -> its left node)."""
+    seen, stack, via = set(), [(root, iter(adj[root]))], []
+    while stack:
+        for v in stack[-1][1]:
+            if v not in seen:
+                break
+        else:
+            stack.pop()
+            del via[-1:]
+            continue
+        seen.add(v)
+        if v not in match:
+            for (u, _), x in zip(stack, via + [v]):
+                match[x] = u
+            return True
+        via.append(v)
+        stack.append((match[v], iter(adj[match[v]])))
+    return False
 
-    Point i on the left may match j on the right if their cost is <= eps, or
-    be deleted if its half-life is <= eps; same on the right.  Augmenting-path
-    bipartite matching on the standard doubled graph.  Returns eps if it
-    exists, else None (the certificate `least_feasible` reads).
+
+def _covers(adj):
+    """Does a matching cover every left node of adj (left -> right nodes)?
+    Each node first takes a free neighbour if it has one, then the rest
+    search augmenting paths."""
+    match, rest = {}, []
+    for u, nbrs in adj.items():
+        v = next((v for v in nbrs if v not in match), None)
+        if v is None:
+            rest.append(u)
+        else:
+            match[v] = u
+    return all(_augment(adj, match, u) for u in rest)
+
+
+def matchable(cost, left_half, right_half, level):
+    """Is there a matching with deletions at level?  Left point i may match
+    right point j if cost[i][j] <= level, and a point may stay unmatched if
+    its half-life is <= level; a cost or half-life that no level may meet
+    is given as one above every level probed.  Such a matching exists iff,
+    on each side, one covers the points that may not stay unmatched
+    (Mendelsohn-Dulmage).  Only those points are ever matched on their own
+    side, so only their edges are read.  The caller computes the costs
+    once, so a probe only compares.
     """
-    nl, nr = len(left), len(right)
-    size = nl + nr            # right side gets nr real + nl slack nodes
-    adj = [[] for _ in range(size)]   # left side: nl real + nr slack nodes
-    for i, x in enumerate(left):
-        for j, y in enumerate(right):
-            if _pair_cost(x, y) <= eps:
-                adj[i].append(j)
-        if _half(x) <= eps:
-            adj[i].append(nr + i)
-    for j, y in enumerate(right):
-        li = nl + j
-        if _half(y) <= eps:
-            adj[li].append(j)
-        for i in range(nl):
-            adj[li].append(nr + i)   # slack-slack edges are free
-    match_r = [-1] * size
-
-    def augment(root, seen):
-        # depth first on a stack of (left node, its untried neighbours)
-        stack, via = [(root, iter(adj[root]))], []
-        while stack:
-            v = next((v for v in stack[-1][1] if not seen[v]), None)
-            if v is None:
-                stack.pop()
-                del via[-1:]
-                continue
-            seen[v] = True
-            if match_r[v] == -1:
-                for (u, _), x in zip(stack, via + [v]):
-                    match_r[x] = u
-                return True
-            via.append(v)
-            stack.append((match_r[v], iter(adj[match_r[v]])))
-        return False
-
-    matched = 0
-    for u in range(size):
-        if augment(u, [False] * size):
-            matched += 1
-    return eps if matched == size else None
+    adj = {i: [j for j, c in enumerate(cost[i]) if c <= level]
+           for i, h in enumerate(left_half) if h > level}
+    back = {j: [i for i, row in enumerate(cost) if row[j] <= level]
+            for j, h in enumerate(right_half) if h > level}
+    return _covers(adj) and _covers(back)
 
 
 def bottleneck(d1, d2):
     """Bottleneck distance: least threshold at which a full multibijection
     with deletions exists.  The candidate thresholds are the pairwise costs
-    and the half-lives; attainment at one of them is a verified property, not
-    an assumption."""
+    and the half-lives, computed once; each probe compares their ranks
+    among the candidates.  Attainment at a candidate is a verified property,
+    not an assumption."""
     left, right = d1.expanded(), d2.expanded()
-    if not left and not right:
-        return ext(0)
-    cands = {ext(0)}
-    for x in left:
-        for y in right:
-            cands.add(_pair_cost(x, y))
-    for x in left:
-        cands.add(_half(x))
-    for y in right:
-        cands.add(_half(y))
-    finite = sorted(c for c in cands if c.is_finite)
-    best = least_feasible(finite, lambda eps: _feasible(left, right, eps))
-    return best if best is not None else INF
+    costs = [[_pair_cost(x, y) for y in right] for x in left]
+    halves = [[_half(x) for x in left], [_half(y) for y in right]]
+    finite = sorted({ext(0)}.union(c for row in costs + halves for c in row if c.is_finite))
+    index = {c: k for k, c in enumerate(finite)}      # +inf ranks above all
+    cost, (left_half, right_half) = ([[index.get(c, len(finite)) for c in row] for row in rows]
+                                     for rows in (costs, halves))
+    k = least_feasible(list(range(len(finite))), lambda k: (
+        k if matchable(cost, left_half, right_half, k) else None))
+    return INF if k is None else finite[k]
 
 
 def bottleneck_bruteforce(d1, d2, max_points=6):

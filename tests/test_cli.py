@@ -111,6 +111,19 @@ class TestDistance:
                            free2, free2, "--budget", "0")
         assert code == 3 and "budget exceeded" in out
 
+    def test_budget_bracket_starts_at_the_slice_bound(self, capsys, tmp_path):
+        """Free modules on generators at 0, 1 and at 1, 2: the slice bound
+        is 1, so the bracket's lower end is the candidate below it, not 0."""
+        text = ("PRESENTATION\nn 1\nfield zp 2\n"
+                "generator a {0}\ngenerator b {1}\nEND\n")
+        at0, at1 = tmp_path / "at0.txt", tmp_path / "at1.txt"
+        at0.write_text(text.format(0, 1))
+        at1.write_text(text.format(1, 2))
+        code, out, _ = run(capsys, "distance", "interleaving", at0, at1, "--budget", "0")
+        assert code == 3 and out == "budget exceeded; d_I in [1/2, inf]\n"
+        code, out, _ = run(capsys, "distance", "interleaving", at0, at1)
+        assert code == 0 and "d_I = 1\n" in out and "solver: 1 decisions" in out
+
     def test_field_mismatch_exit_2(self, files, capsys, tmp_path):
         other = tmp_path / "f3.txt"
         other.write_text(C01.replace("zp 2", "zp 3"))

@@ -13,7 +13,8 @@ from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, interval_presentation)
 from permod.quadsys import solve_finite_field
 
-from conftest import dense_relations, mat_vec, random_presentation, seeded
+from conftest import (dense_relations, mat_vec, random_presentation, search_from_zero,
+                      seeded)
 
 
 def C(field, a, b):
@@ -206,6 +207,7 @@ class TestDistance:
 
         monkeypatch.setattr(interleave.TermTable, "__init__", counted_init)
         monkeypatch.setattr(interleave, "zero_pattern_mask", counted_mask)
+        search_from_zero(monkeypatch)
         m = Presentation(1, f2, [("g", (F(0),)), ("h", (F(1),))],
                          [("r", (F(1),), [f2.one, f2.one]),
                           ("s", (F(2),), [f2.one, f2.zero])])
@@ -222,7 +224,9 @@ class TestDistance:
         probe's (status, nodes) is that of `solve_finite_field(table.at(eps))`
         with the binary search's solver, for every eps the search decides;
         then d_I and the total nodes.  The binary search took 2476, 596,
-        266, 250, 229 and 203 nodes on these pairs."""
+        266, 250, 229 and 203 nodes on these pairs.  The search starts at
+        candidate 0, as it did before the slice start."""
+        search_from_zero(monkeypatch)
         un, yes = "unsolvable", "solvable"
         probes = {134: {"0": (un, 0), "1/2": (un, 0), "3/2": (yes, 19), "1": (yes, 20)},
                   231: {"0": (un, 0), "1/4": (un, 0), "3/4": (yes, 7), "1/2": (yes, 6)},
@@ -254,12 +258,37 @@ class TestDistance:
             assert seen == list(probes[seed].items()), seed
             assert (got, stats.nodes) == (d, nodes), seed
 
-    def test_budget_bracket_holds_the_distance(self, f2):
+    def test_deep_searches_start_at_the_distance(self, monkeypatch):
+        """The same pairs from the slice start: each search makes one
+        decision, a yes at d_I, in no more nodes than that probe took when
+        the search started at 0."""
+        pins = {134: ("1", 20), 231: ("1/2", 6), 77: ("1/2", 13),
+                171: ("1", 25), 42: ("1/2", 18), 177: ("1/2", 10)}
+        seen = []
+        solve = interleave.solve_finite_field
+
+        def recorded_solve(system, budget):
+            res = solve(system, budget=budget)
+            seen.append((res.status, res.nodes))
+            return res
+
+        monkeypatch.setattr(interleave, "solve_finite_field", recorded_solve)
+        for seed, (d, nodes) in pins.items():
+            seen.clear()
+            stats = SearchStats()
+            got = interleaving_distance(*jittered_pair(seeded(seed)), budget=20000,
+                                        stats=stats)
+            assert (str(got), seen) == (d, [("solvable", nodes)]), seed
+            assert (stats.decisions, stats.nodes) == (1, nodes), seed
+
+    def test_budget_bracket_holds_the_distance(self, f2, monkeypatch):
         """A budget exit's bracket runs from the largest eps decided no to
         the least decided or certified yes (+inf before any), so it holds
         d_I; the eps being decided when the budget ran out is no upper
         bound.  Pairs whose dimensions differ above all their grades get
-        d_I = inf before any decision, so most of these pairs never exit."""
+        d_I = inf before any decision, so most of these pairs never exit.
+        The search starts at candidate 0, as it did before the slice start."""
+        search_from_zero(monkeypatch)
         rng = seeded(0)
         exits, below = 0, []
         for _ in range(100):
@@ -277,6 +306,31 @@ class TestDistance:
                         below.append((lo, exc.undecided, hi, d))
         assert exits > 40
         assert below[0] == (ext(F(3, 4)), ext(F(7, 4)), INF, ext(2))
+
+    def test_budget_bracket_from_the_slice_start(self, f2):
+        """The pairs above from the slice start: the bracket's lower end is
+        the candidate below the start, so it is positive on 44 of the 46
+        exits, and no exit is undecided below d_I: each is at d_I or, after
+        decisions in 0 nodes, above it."""
+        rng = seeded(0)
+        brackets = []
+        for _ in range(100):
+            m = random_presentation(rng, f2, n=2, max_gens=4, max_rels=3)
+            n = random_presentation(rng, f2, n=2, max_gens=4, max_rels=3)
+            d = interleaving_distance(m, n, budget=100000)
+            for budget in range(3):
+                try:
+                    interleaving_distance(m, n, budget=budget)
+                except DistanceBudgetExceeded as exc:
+                    lo, hi = exc.bracket
+                    assert lo <= d <= hi and lo <= exc.undecided <= hi
+                    brackets.append((lo, exc.undecided, hi, d))
+        assert len(brackets) == 46
+        assert sum(lo > 0 for lo, *_ in brackets) == 44
+        assert [u < d for _, u, _, d in brackets].count(True) == 0
+        assert [u > d for _, u, _, d in brackets].count(True) == 3
+        assert brackets[:3] == [(ext(2), ext(3), INF, ext(3))] * 2 + [
+            (ext(F(3, 2)), ext(F(5, 2)), INF, ext(F(5, 2)))]
 
     def test_self(self, f2):
         assert interleaving_distance(C(f2, 0, 4), C(f2, 0, 4)) == ext(0)

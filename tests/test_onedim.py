@@ -3,13 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from permod.exactnum import INF, NEG_INF, ext
+from permod.exactnum import INF, NEG_INF, QQ, PrimeField, ext
 from permod.onedim import (PersistenceDiagram, bottleneck,
                            bottleneck_bruteforce, diagram_of, parse_diagram,
                            presentation_of)
 from permod.presentation import (Presentation, PresentationError,
                                  interval_presentation)
 
+import reference_onedim as ref
 from conftest import random_presentation, rerepresent, seeded
 
 
@@ -60,6 +61,29 @@ class TestDiagramOf:
             q = rerepresent(rng, p)
             assert diagram_of(p) == diagram_of(q)
             assert diagram_of(p) == diagram_of(p.minimize())
+
+
+    @pytest.mark.parametrize("field", (PrimeField(2), PrimeField(3), QQ),
+                             ids=("z2", "z3", "q"))
+    def test_same_text_as_the_rank_formula(self, field):
+        """One column reduction gives the diagram the k x k rank table gave
+        (kept in reference_onedim.py): on random presentations, on their
+        rerepresentations (a redundant generator killed by a relation of
+        its own grade, a zero-length bar), and with a redundant relation,
+        a multiple of another one at a grade above it, added."""
+        rng = seeded(71)
+        for _ in range(40):
+            p = random_presentation(rng, field, n=1, max_gens=4, max_rels=4)
+            q = rerepresent(rng, p)
+            r = q
+            if q.relations:
+                _, (g,), cs = rng.choice(q.relations)
+                c = field.of(rng.randrange(1, getattr(field, "p", 5)))
+                r = Presentation(1, field, q.generators, q.relations + [
+                    ("dup", (g + F(rng.randint(0, 2), 2),),
+                     {i: field.mul(c, x) for i, x in cs.items()})]).validate()
+            for x in (p, q, r):
+                assert diagram_of(x).to_text() == ref.diagram_of(x).to_text()
 
 
 class TestRoundTrip:
@@ -140,6 +164,26 @@ class TestBottleneck:
                sum(m for _, _, m in d2.points) > 5:
                 continue
             assert bottleneck(d1, d2) == bottleneck_bruteforce(d1, d2)
+
+    def test_same_distance_as_the_doubled_graph(self):
+        """Against the parent bottleneck (kept in reference_onedim.py), on
+        diagrams too large for the brute force: up to 12 points a side,
+        -inf births, +inf deaths and multiplicities, many ties."""
+        rng = seeded(73)
+        checked = 0
+        for _ in range(150):
+            def rand_diagram():
+                pts = []
+                for _ in range(rng.randint(0, 8)):
+                    a = NEG_INF if rng.random() < 0.03 else ext(F(rng.randint(0, 8), 2))
+                    b = INF if rng.random() < 0.1 else ext(
+                        (a.value if a.is_finite else 0) + F(rng.randint(1, 6), 2))
+                    pts.append((a, b, rng.randint(1, 2)))
+                return PersistenceDiagram(pts)
+            d1, d2 = rand_diagram(), rand_diagram()
+            assert bottleneck(d1, d2) == ref.bottleneck(d1, d2)
+            checked += bottleneck(d1, d2).is_finite
+        assert checked == 56
 
     def test_long_augmenting_paths_need_no_recursion(self):
         """Two shifted staircases of 150 bars: the matching search walks

@@ -14,12 +14,12 @@ import pytest
 from permod import interleave
 from permod.exactnum import INF, PrimeField, ext, least_feasible
 from permod.interleave import candidate_set, decide_interleaving, interleaving_distance
-from permod.onedim import bottleneck, diagram_of
 from permod.presentation import Presentation
 from permod.quadsys import evaluate
 
+import reference_onedim
 import reference_search as ref
-from conftest import random_presentation, seeded
+from conftest import random_presentation, search_from_zero, seeded
 
 F2, F3 = PrimeField(2), PrimeField(3)
 
@@ -94,9 +94,9 @@ def interleave2d_pairs(seed, count):
     return [interleave2d_pair(rng, *sizes[i % len(sizes)]) for i in range(count)]
 
 
-def random_pairs(seed, field, count):
+def random_pairs(seed, field, count, n=2):
     rng = seeded(seed)
-    return [tuple(random_presentation(rng, field, n=2, max_gens=4, max_rels=3)
+    return [tuple(random_presentation(rng, field, n=n, max_gens=4, max_rels=3)
                   for _ in range(2)) for _ in range(count)]
 
 
@@ -160,13 +160,17 @@ def check_jumps(log, at):
     return jumps
 
 
+ORACLE_PAIRS = (lambda: interleave2d_pairs(601, 40), lambda: random_pairs(602, F2, 40),
+                lambda: random_pairs(603, F3, 10))
+
+
 class TestDistanceAgainstBinarySearch:
-    @pytest.mark.parametrize("pairs, min_jumps", (
-        (lambda: interleave2d_pairs(601, 40), 20),
-        (lambda: random_pairs(602, F2, 40), 1),
-        (lambda: random_pairs(603, F3, 10), 0)),
-        ids=("interleave2d", "random_z2", "random_z3"))
-    def test_same_distance_and_sound_jumps(self, pairs, min_jumps, decisions):
+    @pytest.mark.parametrize("pairs, min_jumps", zip(ORACLE_PAIRS, (20, 1, 0)),
+                             ids=("interleave2d", "random_z2", "random_z3"))
+    def test_same_distance_and_sound_jumps(self, pairs, min_jumps, decisions,
+                                           monkeypatch):
+        """From candidate 0, as the search ran before the slice start."""
+        search_from_zero(monkeypatch)
         log, at = decisions
         jumps = 0
         for m, n in pairs():
@@ -175,6 +179,21 @@ class TestDistanceAgainstBinarySearch:
             jumps += check_jumps(log, at)
             assert d == binary_distance(m, n)
         assert jumps >= min_jumps
+
+    @pytest.mark.parametrize("pairs, counts", zip(ORACLE_PAIRS, (
+        (40, 0), (10, 0), (1, 0))), ids=("interleave2d", "random_z2", "random_z3"))
+    def test_same_distance_from_the_slice_start(self, pairs, counts, decisions):
+        """The default search: the same d_I, sound jumps, and pinned
+        (decisions, jumps) totals."""
+        log, at = decisions
+        total = jumps = 0
+        for m, n in pairs():
+            log.clear()
+            d = interleaving_distance(m, n)
+            jumps += check_jumps(log, at)
+            total += len(log)
+            assert d == binary_distance(m, n)
+        assert (total, jumps) == counts
 
 
 class TestInfiniteDistance:
@@ -205,21 +224,24 @@ class TestInfiniteDistance:
 
 
 def diagonal_slice(p, c):
-    """p restricted to the line (c, 0) + t (1, 1): a grade g enters at
-    t = max(g0 - c, g1), and the coefficients stay the same."""
+    """p restricted to the line c + t (1, ..., 1): a grade g enters at
+    t = max_i (g_i - c_i), and the coefficients stay the same."""
     def t(g):
-        return (max(g[0] - c, g[1]),)
+        return (max(x - y for x, y in zip(g, c)),)
     return Presentation(1, p.field, [(nm, t(g)) for nm, g in p.generators],
                         [(nm, t(g), cs) for nm, g, cs in p.relations])
 
 
 def slice_lower_bound(m, n):
     """The largest bottleneck distance between the diagonal slices of m and
-    n through every offset g0 - g1 of their grades.  An eps-interleaving
-    restricts to one on every such line, so this is <= d_I."""
-    offsets = {g[0] - g[1] for p in (m, n)
+    n through every grade g, c = g - g_last, by the parent `diagram_of` and
+    `bottleneck` (reference_onedim.py), which share no code with the slice
+    start.  An eps-interleaving restricts to one on every such line, so
+    this is <= d_I."""
+    offsets = {tuple(x - g[-1] for x in g) for p in (m, n)
                for g in [g for _, g in p.generators] + [g for _, g, _ in p.relations]}
-    return max((bottleneck(*(diagram_of(diagonal_slice(p, c)) for p in (m, n)))
+    return max((reference_onedim.bottleneck(*(reference_onedim.diagram_of(diagonal_slice(p, c))
+                                              for p in (m, n)))
                 for c in offsets), default=ext(0))
 
 
@@ -254,7 +276,55 @@ class TestSliceLowerBound:
         dists = [interleaving_distance(m, n) for m, n in pairs]
         assert all(b <= d for b, d in zip(bounds, dists))
         assert sum(b == d for b, d in zip(bounds, dists)) >= 90
+        search_from_zero(monkeypatch)
         one_candidate_lower(monkeypatch)
         broken = [interleaving_distance(m, n) for m, n in pairs]
         assert all(b <= d for b, d in zip(broken, dists))
         assert sum(b < bound for b, bound in zip(broken, bounds)) >= 5
+
+
+class TestSliceStart:
+    @pytest.mark.parametrize("pairs, counts", (
+        (lambda: interleave2d_pairs(621, 40), (40, 0)),
+        (lambda: random_pairs(622, F2, 60), (13, 0)),
+        (lambda: random_pairs(623, F3, 60), (12, 0)),
+        (lambda: random_pairs(624, F2, 40, n=1), (14, 15)),
+        (lambda: random_pairs(625, F3, 60, n=3), (17, 0))),
+        ids=("interleave2d", "random_z2", "random_z3", "n1", "n3"))
+    def test_start_is_the_least_candidate_at_the_bound(self, pairs, counts, decisions):
+        """The start is the index of the least candidate >= the oracle's
+        slice bound on the minimized pair, and the candidate below it is
+        decided no (where the slices leave a finite candidate: proving no
+        at the largest one can take the solver tens of seconds).  With one
+        parameter the slice is the module, so a finite d_I takes exactly
+        one decision.  counts pins how many pairs take each check."""
+        log, _ = decisions
+        checked = single = 0
+        for m, n in pairs():
+            mm, nn = m.minimize(), n.minimize()
+            finite = [c for c in candidate_set(mm, nn, minimal=True) if c.is_finite]
+            bound = slice_lower_bound(mm, nn)
+            k = interleave.slice_start(interleave.TermTable(mm, nn), mm, nn, finite)
+            assert k == len([c for c in finite if c < bound])
+            if 0 < k < len(finite):
+                assert decide_interleaving(mm, nn, finite[k - 1].value) == "no"
+                checked += 1
+            log.clear()
+            d = interleaving_distance(m, n)
+            if m.n == 1 and d.is_finite:
+                assert len(log) == 1 and d == finite[k]
+                single += 1
+        assert (checked, single) == counts
+
+    def test_lines_through_relation_grades_count(self, decisions):
+        """<g@(0,0) | r@(4,0)> against <g@(0,0) | r@(0,4)>: on the line
+        through the generator both slices are the bar [0, 4), but on the
+        line through either relation one bar has length 0 and the other 4,
+        so the bound is 2 = d_I and one decision confirms it."""
+        log, _ = decisions
+        m, n = (Presentation(2, F2, [("g", (F(0), F(0)))], [("r", grade, {0: 1})])
+                for grade in ((F(4), F(0)), (F(0), F(4))))
+        finite = [c for c in candidate_set(m, n) if c.is_finite]
+        assert finite == [ext(0), ext(2), ext(4)]
+        assert interleave.slice_start(interleave.TermTable(m, n), m, n, finite) == 1
+        assert interleaving_distance(m, n) == ext(2) and len(log) == 1

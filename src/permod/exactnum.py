@@ -92,8 +92,8 @@ class Scale:
         if self.sq < 0:
             raise ValueError("negative radicand")
 
-    def bracket(self, tol_log2=20):
-        return bracket_sqrt(self.sq, tol_log2)
+    def bracket(self):
+        return bracket_sqrt(self.sq)
 
     def __repr__(self):
         return f"sqrt({format_rational(self.sq)})"
@@ -495,12 +495,13 @@ def parse_field(tokens):
     raise ValueError(f"unknown field spec: {' '.join(tokens)}")
 
 
-def bracket_sqrt(q, tol_log2=20):
-    """Rational [lo, hi] with lo <= sqrt(q) <= hi and hi - lo <= 2**-tol_log2."""
+def bracket_sqrt(q):
+    """Rational [lo, hi] with lo <= sqrt(q) <= hi and hi - lo <= 2**-20
+    (2**-42 exactly)."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("sqrt of negative")
-    scale = 1 << (2 * tol_log2 + 2)
+    scale = 1 << 42
     n = (q.numerator * scale * scale) // q.denominator
     r = math.isqrt(n)
     lo = Fraction(r, scale)

@@ -7,7 +7,8 @@ kernel.  Chains, boundaries and cycles are sparse {simplex index: coeff}
 dicts; so are a relation's coefficients over kernel generators and each
 column of a grid module's transitions:
 
-* 1-parameter barcodes by standard column reduction, cross-checked elsewhere
+* 1-parameter barcodes by `onedim.bars`, the degree's creating simplices
+  presented by the next degree's boundaries, cross-checked elsewhere
   against the rank multiplicity formula;
 * grid modules (pointwise homology dimensions plus explicit transition
   maps between adjacent grid points) for any parameter count.  Every
@@ -40,7 +41,7 @@ from fractions import Fraction
 from .exactnum import (INF, as_fraction, ext, format_rational, least_feasible,
                        parse_field, parse_rational)
 from .linalg import ColumnReducer, ColumnSpan, mat_mul, nullspace, rank as mat_rank
-from .onedim import PersistenceDiagram
+from .onedim import PersistenceDiagram, bars
 from .presentation import Presentation, row_sweep, swept_ranks
 
 
@@ -125,35 +126,35 @@ def chain_complex_of(complex_, field):
 # ---------------------------------------------------------------------------
 
 def barcode_1d(complex_, degree, field):
-    """Standard persistence column reduction; unpaired creators die at +inf.
-    The reduction of each boundary map reads only the order of the simplices
-    of each dimension, and the complex's order has them by grade already."""
+    """The `onedim.bars` of H_degree on grade indices.  The generators are
+    the degree-d simplices whose boundary depends on earlier d-boundaries
+    (one with an independent boundary kills a class and creates none), the
+    relations the (d+1)-boundaries restricted to them.  A nonzero cycle's
+    youngest simplex is such a generator, so the pairs are those of the
+    standard column reduction.  The complex's order has each dimension's
+    simplices by grade, and only degrees d and d+1 are reduced."""
     axes = complex_.rational_axes()
     if complex_.nparams != 1:
         raise HomologyError("barcode requires a 1-parameter complex")
-    pos = {verts: k for k, (verts, _) in enumerate(complex_.simplices)}
+    simplices, index, axis = complex_.simplices, complex_.grade_index, axes[0]
     signs = (field.one, field.neg(field.one))
-    reducer = ColumnReducer(field)
-    pairs = {}              # creator position -> killer position
-    for k, (verts, _) in enumerate(complex_.simplices):
-        low = reducer.add({pos[verts[:t] + verts[t + 1:]]: signs[t % 2]
-                           for t in range(len(verts))} if len(verts) > 1 else {})
-        if low is not None:
-            pairs[low] = k
-    killers = set(pairs.values())
+    lo, mid, hi, top = (bisect.bisect_left(simplices, d, key=lambda s: len(s[0]) - 1)
+                        for d in range(degree - 1, degree + 3))
 
-    index, axis, pts = complex_.grade_index, axes[0], []
-    for k, (verts, _) in enumerate(complex_.simplices):
-        if len(verts) - 1 != degree or k in killers:
-            continue            # another degree, or it kills something lower
-        (birth,) = index[k]
-        if k in pairs:
-            (death,) = index[pairs[k]]
-            if death > birth:
-                pts.append((ext(axis[birth]), ext(axis[death]), 1))
-        else:
-            pts.append((ext(axis[birth]), INF, 1))
-    return PersistenceDiagram(pts)
+    def boundary(k, rows):
+        """The boundary of simplex k on the faces in rows, {face: row}."""
+        verts = simplices[k][0]
+        faces = (verts[:t] + verts[t + 1:] for t in range(len(verts)))
+        return {rows[fc]: signs[t % 2] for t, fc in enumerate(faces) if fc in rows}
+
+    reducer = ColumnReducer(field)
+    below = {simplices[k][0]: r for r, k in enumerate(range(lo, mid))}
+    creators = [k for k in range(mid, hi) if reducer.add(boundary(k, below)) is None]
+    rows = {simplices[k][0]: r for r, k in enumerate(creators)}
+    pts = bars(field, [index[k][0] for k in creators],
+               [(index[k][0], boundary(k, rows)) for k in range(hi, top)])
+    return PersistenceDiagram([(ext(axis[b]), INF if d is None else ext(axis[d]), 1)
+                               for b, d in pts])
 
 
 # ---------------------------------------------------------------------------

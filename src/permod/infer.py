@@ -16,7 +16,8 @@ compute directly.
 import json
 from fractions import Fraction
 
-from .exactnum import INF, common_denominator, format_rational, scaled_int
+from .exactnum import (INF, PrimeField, common_denominator, format_rational,
+                       scaled_int)
 from .filtration import FiltrationError, KdeSpec, kde_evaluate, sample_density
 from .homology import build_grid_module, rank_shift_distance
 
@@ -157,8 +158,8 @@ def _median(values):
     return (vals[n // 2 - 1] + vals[n // 2]) * Fraction(1, 2)
 
 
-def default_ambient_grid(density, points_per_axis=33, sigmas=4):
-    """Bounding box of the mixture centers padded by `sigmas` standard
+def default_ambient_grid(density, points_per_axis=33):
+    """Bounding box of the mixture centers padded by four standard
     deviations, evenly sampled."""
     if density.dim != 1:
         raise FiltrationError("ambient grids are built for 1-D densities here")
@@ -167,27 +168,28 @@ def default_ambient_grid(density, points_per_axis=33, sigmas=4):
                               f"got {points_per_axis}")
     centers = [c[0] for _, c, _ in density.components]
     spread = max(s for _, _, s in density.components)
-    lo = min(centers) - sigmas * spread
-    hi = max(centers) + sigmas * spread
+    lo = min(centers) - 4 * spread
+    hi = max(centers) + 4 * spread
     step = (hi - lo) / (points_per_axis - 1)
     return [lo + step * i for i in range(points_per_axis)]
 
 
 def run_experiment(density, samples, trials, seed, bandwidth, degree=0,
                    kernel="gaussian", grid_points=33, thresholds=17,
-                   offsets=17, field=None):
+                   offsets=17):
     """Run the sampling experiment and return an ExperimentRecord.
 
     Ground truth: the offset cluster module of the true density on the
     ambient grid, with superlevel thresholds (a = -density) on a fixed probe
     axis of negative values and offsets on multiples of the grid spacing.
     Each (trial, sample size) owns the derived seed (seed, stream index).
+    Coefficients are in Z/2.
     """
     if degree != 0:
         raise FiltrationError("the desk-scale harness compares degree-0 modules")
     if density.dim != 1:
         raise FiltrationError("harness supports 1-D densities")
-    field = field or _default_field()
+    field = PrimeField(2)
     kde = KdeSpec(kernel, bandwidth)
 
     ambient = default_ambient_grid(density, grid_points)
@@ -228,8 +230,3 @@ def run_experiment(density, samples, trials, seed, bandwidth, degree=0,
 
 def _derive_seed(seed, stream):
     return (int(seed) << 20) + stream
-
-
-def _default_field():
-    from .exactnum import PrimeField
-    return PrimeField(2)

@@ -16,21 +16,20 @@ the relevant shift J.  Translations by eps give the interleaving distance;
 general diagonal affine maps (J1, J2) give the asymmetric decision used for
 the Rips/Cech comparison.
 
-Assembly is table-driven and done once per pair (`TermTable`): A-F hold a
-variable on every entry (A..F, row-major), T_M, T_N the relations'
-coefficients, each as a list of sparse {column: entry} rows, and the four
-identities are four rows (L1, R1, L2, R2) of one table, each giving one
-equation per entry of L1 R1 - L2 R2 (- I).  One helper adds an entry of a
-product, a constant times a variable as a linear term and a variable times a
-variable as a quadratic one.  A system keeps the free entries, renumbered in
-order, and the terms whose entries are all free.
+A pair's data is kept once (`TermTable`): its grades as scaled ints, the
+zero-pattern thresholds, and T_M, T_N as lists of sparse {column: entry}
+rows.  Each system numbers its free entries (A..F, row-major), puts a
+variable on each, and expands the four identities, four rows (L1, R1, L2,
+R2) of one table, over those entries alone: one equation per entry of
+L1 R1 - L2 R2 (- I).  One helper adds an entry of a product, a constant
+times a variable as a linear term and a variable times a variable as a
+quadratic one.
 
 The distance search starts at the least candidate that the bars of both
 modules on the slope-1 lines through their grades do not rule out, a lower
 bound on d_I (`slice_start`, on `onedim.bars` and `onedim.matchable`).
 """
 
-import itertools
 import operator
 from fractions import Fraction
 
@@ -99,76 +98,67 @@ def _add_product(f, eq, left, right, i, j, sign):
 
 
 class TermTable:
-    """The four identities' product terms for one pair (M, N) with every
-    entry of A-F free, merged per equation (zero sums dropped, first
-    appearance kept); under translation by eps entry (i, j) is free iff
-    `thresholds` <= eps * `scale` (an int: 2 * lcm of the denominators)."""
+    """One pair (M, N)'s data: `grades`, those of G_M, G_N, R_M, R_N as ints
+    scaled by `scale` (2 * lcm of their denominators), and `t_m`, `t_n`,
+    the rows of T_M, T_N.  Under translation by eps, entry (i, j) of a
+    matrix is free iff its `thresholds` entry is <= eps * `scale`."""
+
+    # name -> (target, source) basis, as indices into G_M, G_N, R_M, R_N
+    BASES = {"A": (1, 0), "B": (0, 1), "C": (3, 2), "D": (2, 3), "E": (2, 0),
+             "F": (3, 1)}
 
     def __init__(self, m, n):
         if m.n != n.n:
             raise PresentationError("parameter counts differ")
         if m.field != n.field:
             raise PresentationError("coefficient fields differ")
-        f = self.field = m.field
-
-        gm = [g for _, g in m.generators]
-        gn = [g for _, g in n.generators]
-        rm = [g for _, g, _ in m.relations]
-        rn = [g for _, g, _ in n.relations]
-        # name -> (target grades, source grades)
-        self.bases = {"A": (gn, gm), "B": (gm, gn), "C": (rn, rm),
-                      "D": (rm, rn), "E": (rm, gm), "F": (rn, gn)}
+        self.field = m.field
+        grades = ([[g for _, g in p.generators] for p in (m, n)] +
+                  [[g for _, g, _ in p.relations] for p in (m, n)])
+        self.bases = {name: (grades[t], grades[s])
+                      for name, (t, s) in self.BASES.items()}
         self.shapes = {name: (len(t), len(s)) for name, (t, s) in self.bases.items()}
-        self.scale = 2 * common_denominator(x for g in gm + gn + rm + rn for x in g)
-        self.thresholds = {}
-        for name, grades in self.bases.items():
-            targets, sources = ([[scaled_int(x, self.scale) for x in g] for g in gs]
-                                for gs in grades)
-            self.thresholds[name] = [[max(a - b for a, b in zip(t, s))
-                                      // (2 if name in "EF" else 1) for s in sources]
-                                     for t in targets]
-
-        numbers = itertools.count(1)
-        u = {name: [{j: (next(numbers),) for j in range(cols)} for _ in range(rows)]
-             for name, (rows, cols) in self.shapes.items()}
+        self.scale = 2 * common_denominator(x for gs in grades for g in gs for x in g)
+        self.grades = [[tuple(scaled_int(x, self.scale) for x in g) for g in gs]
+                       for gs in grades]
+        self.thresholds = {
+            name: [[max(map(operator.sub, t, s)) // (2 if name in "EF" else 1)
+                    for s in self.grades[si]] for t in self.grades[ti]]
+            for name, (ti, si) in self.BASES.items()}
         # T_M, T_N: |G| x |R|, column j the coefficients of relation j
-        t_m, t_n = ([{} for _ in p.generators] for p in (m, n))
-        for p, t in ((m, t_m), (n, t_n)):
-            for j, (_, _, cs) in enumerate(p.relations):
-                for i, c in cs.items():
-                    t[i][j] = c
+        self.t_m, self.t_n = (
+            [{j: cs[i] for j, (_, _, cs) in enumerate(p.relations) if i in cs}
+             for i in range(len(p.generators))] for p in (m, n))
 
-        # one equation per entry of L1 R1 - L2 R2 - unit * I = 0
+    def system(self, masks):
+        """The system whose free entries are those of masks (name -> [[bool]]):
+        the free entries are the variables 1, 2, ... in A..F row-major order,
+        and each entry of L1 R1 - L2 R2 (- I) gives one equation, its terms
+        merged in order of first appearance, zero sums dropped."""
+        f, mats = self.field, InterleavingSystem.MATS
+        entries = [(name, i, j) for name in mats for i, row in enumerate(masks[name])
+                   for j, free in enumerate(row) if free]
+        var_of_entry = {e: v for v, e in enumerate(entries, 1)}
+        u = {name: [{} for _ in masks[name]] for name in mats}
+        for (name, i, j), v in var_of_entry.items():
+            u[name][i][j] = (v,)
+        gm, gn, rm, rn = map(len, self.grades)
+        t_m, t_n = self.t_m, self.t_n
         identities = (
-            (u["A"], t_m, t_n, u["C"], len(gn), len(rm), False),     # A T_M = T_N C
-            (u["B"], t_n, t_m, u["D"], len(gm), len(rn), False),     # B T_N = T_M D
-            (u["B"], u["A"], t_m, u["E"], len(gm), len(gm), True),   # B A - I = T_M E
-            (u["A"], u["B"], t_n, u["F"], len(gn), len(gn), True),   # A B - I = T_N F
+            (u["A"], t_m, t_n, u["C"], gn, rm, False),     # A T_M = T_N C
+            (u["B"], t_n, t_m, u["D"], gm, rn, False),     # B T_N = T_M D
+            (u["B"], u["A"], t_m, u["E"], gm, gm, True),   # B A - I = T_M E
+            (u["A"], u["B"], t_n, u["F"], gn, gn, True),   # A B - I = T_N F
         )
-        minus_one = f.neg(f.one)
-        self.equations = []   # over entry numbers
+        minus_one, equations = f.neg(f.one), []
         for l1, r1, l2, r2, rows, cols, unit in identities:
             for i in range(rows):
                 for j in range(cols):
                     eq = QuadEquation(const=minus_one if unit and i == j else f.zero)
                     _add_product(f, eq, l1, r1, i, j, f.one)
                     _add_product(f, eq, l2, r2, i, j, minus_one)
-                    self.equations.append(eq.substitute(f, {}))
-
-    def system(self, masks):
-        """The system whose free entries are those of masks (name -> [[bool]])."""
-        num, var_of_entry = [0], {}   # entry number -> variable number, 0 if fixed
-        for name in InterleavingSystem.MATS:
-            for i, row in enumerate(masks[name]):
-                for j, free in enumerate(row):
-                    if free:
-                        var_of_entry[(name, i, j)] = len(var_of_entry) + 1
-                    num.append(len(var_of_entry) if free else 0)
-        equations = [QuadEquation({(num[a], num[b]): c for (a, b), c in eq.quad.items()
-                                   if num[a] and num[b]},
-                                  {num[e]: c for e, c in eq.lin.items() if num[e]},
-                                  eq.const) for eq in self.equations]
-        system = QuadraticSystem(self.field, len(var_of_entry), equations)
+                    equations.append(eq.substitute(f, {}))
+        system = QuadraticSystem(f, len(var_of_entry), equations)
         return InterleavingSystem(dict(self.shapes), masks, system, var_of_entry)
 
     def level(self, eps):
@@ -278,10 +268,9 @@ def slice_start(table, mm, nn, finite):
     d_I.  On ints scaled by table.scale, with costs doubled so that a bar
     is deleted when its length is <= twice the level; len(finite) when a
     slice admits none, as when the dimensions above all grades differ."""
-    def scaled(g):
-        return tuple(scaled_int(x, table.scale) for x in g)
-    pres = [([scaled(g) for _, g in p.generators],
-             [(scaled(g), cs) for _, g, cs in p.relations]) for p in (mm, nn)]
+    gm, gn, rm, rn = table.grades
+    pres = [(gens, [(h, cs) for h, (_, _, cs) in zip(rels, p.relations)])
+            for gens, rels, p in ((gm, rm, mm), (gn, rn, nn))]
     lines = sorted({tuple(x - g[-1] for x in g) for gens, rels in pres
                     for g in gens + [h for h, _ in rels]})
     levels = [2 * table.level(c.value) for c in finite]
@@ -307,7 +296,7 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     is attained.  A witness, zero off its free entries, solves the system at
     every eps whose level reaches its nonzero entries' thresholds, so each
     yes certifies the least such candidate.  Presentations are minimized and
-    their term table built once; each probe takes its system from it.
+    their term table built once; each probe expands its system from it.
 
     The search starts at `slice_start`, the least candidate that the
     diagonal slices do not rule out; the candidates below it are decided no

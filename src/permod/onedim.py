@@ -1,7 +1,8 @@
 """One-parameter structure theory: bars by one column reduction, persistence
 diagrams, interval-sum presentations, and the bottleneck distance by
-multibijection matching with an exhaustive oracle.  `bars` and `matchable`
-also give `interleave` its diagonal-slice lower bound.
+multibijection matching with an exhaustive oracle.  `bars` also gives
+`homology` its 1-parameter barcodes, and with `matchable` gives
+`interleave` its diagonal-slice lower bound.
 
 Diagram coordinates are extended rationals; a finitely presented module has
 finite births and finite-or-+inf deaths.
@@ -58,7 +59,10 @@ def parse_diagram(text):
         ln = ln.split("#", 1)[0].strip()
         if not ln:
             continue
-        b, d, m = ln.split()
+        parts = ln.split()
+        if len(parts) != 3:
+            raise ValueError(f"bad diagram line (birth death multiplicity): {ln}")
+        b, d, m = parts
         pts.append((parse_extended(b), parse_extended(d), int(m)))
     return PersistenceDiagram(pts)
 

@@ -282,8 +282,8 @@ class Presentation:
         what dropping them one by one in that order keeps.
         """
         f = self.field
-        _, keys = grade_ranks([g for _, g in self.generators] +
-                              [g for _, g, _ in self.relations], self.n)
+        axes, keys = grade_ranks([g for _, g in self.generators] +
+                                 [g for _, g, _ in self.relations], self.n)
         gen_key, rel_key = keys[:len(self.generators)], keys[len(self.generators):]
         rows = [dict(cs) for _, _, cs in self.relations]
         order = sorted(range(len(rows)), key=lambda i: (rel_key[i], i))
@@ -300,10 +300,11 @@ class Presentation:
                     subtract_multiple(f, later, f.div(later[piv], row[piv]), row)
             removed_gens.add(piv)
 
-        # one span per row of the leading coordinates, on the ranks of the
-        # remaining relations: at grade z it holds every relation strictly
-        # below z, then those of grade z from the largest index down
-        axes, keys = grade_ranks([rel_key[i] for i in kept], self.n)
+        # one span per row of the leading coordinates, on the ranks of step
+        # 1 (the sweep reads only their order): at grade z it holds every
+        # relation strictly below z, then those of grade z from the largest
+        # index down
+        keys = [rel_key[i] for i in kept]
         dropped = set()
         for z, entering in row_sweep([len(ax) for ax in axes], keys):
             if z[-1] == 0:

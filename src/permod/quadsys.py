@@ -99,6 +99,8 @@ class QuadraticSystem:
     def __init__(self, field, nvars, equations):
         self.field = field
         self.nvars = int(nvars)
+        if self.nvars < 0:
+            raise QuadSysError(f"negative variable count {self.nvars}")
         self.equations = []
         for eq in equations:
             # kept as given when normal (i <= j in quadratic keys, canonical

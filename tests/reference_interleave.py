@@ -2,11 +2,16 @@
 replaced, kept verbatim as a differential oracle: each identity written out
 as its own double loop, every variable found through a (name, i, j) lookup.
 Also the candidate set computed on Fraction differences, the oracle for the
-one computed on scaled ints."""
+one computed on scaled ints, and the term table that expanded the identities
+once per pair over every entry of A-F and renumbered that expansion for each
+system, the oracle for the one that expands each system over its own free
+entries."""
 
+import itertools
 from fractions import Fraction
 
-from permod.exactnum import INF, ext
+from permod import interleave
+from permod.exactnum import INF, common_denominator, ext, scaled_int
 from permod.presentation import PresentationError, grade_leq
 from permod.quadsys import QuadEquation, QuadraticSystem, export_system
 
@@ -185,3 +190,105 @@ def candidate_set(m, n, minimal=False):
         values |= {abs(x - y) / 2 for x in um for y in um}
         values |= {abs(x - y) / 2 for x in un for y in un}
     return [ext(v) for v in sorted(values)] + [INF]
+
+
+def _add_product(f, eq, left, right, i, j, sign):
+    """Add sign * (left . right)[i][j] to eq: a constant times an unknown is
+    a linear term, an unknown times an unknown a quadratic one.  Matrices
+    are lists of {column: entry} rows without zeros, and an unknown is the
+    1-tuple of its number, since over Z/p field constants are ints."""
+    for k, a in left[i].items():
+        b = right[k].get(j)
+        if b is None:
+            continue
+        if type(a) is tuple and type(b) is tuple:
+            key = a + b if a <= b else b + a
+            eq.quad[key] = f.add(eq.quad.get(key, f.zero), sign)
+        elif type(a) is tuple:
+            eq.lin[a[0]] = f.add(eq.lin.get(a[0], f.zero), f.mul(sign, b))
+        else:
+            eq.lin[b[0]] = f.add(eq.lin.get(b[0], f.zero), f.mul(sign, a))
+
+
+class TermTable:
+    """The four identities' product terms for one pair (M, N) with every
+    entry of A-F free, merged per equation (zero sums dropped, first
+    appearance kept); under translation by eps entry (i, j) is free iff
+    `thresholds` <= eps * `scale` (an int: 2 * lcm of the denominators)."""
+
+    def __init__(self, m, n):
+        if m.n != n.n:
+            raise PresentationError("parameter counts differ")
+        if m.field != n.field:
+            raise PresentationError("coefficient fields differ")
+        f = self.field = m.field
+
+        gm = [g for _, g in m.generators]
+        gn = [g for _, g in n.generators]
+        rm = [g for _, g, _ in m.relations]
+        rn = [g for _, g, _ in n.relations]
+        # name -> (target grades, source grades)
+        self.bases = {"A": (gn, gm), "B": (gm, gn), "C": (rn, rm),
+                      "D": (rm, rn), "E": (rm, gm), "F": (rn, gn)}
+        self.shapes = {name: (len(t), len(s)) for name, (t, s) in self.bases.items()}
+        self.scale = 2 * common_denominator(x for g in gm + gn + rm + rn for x in g)
+        self.thresholds = {}
+        for name, grades in self.bases.items():
+            targets, sources = ([[scaled_int(x, self.scale) for x in g] for g in gs]
+                                for gs in grades)
+            self.thresholds[name] = [[max(a - b for a, b in zip(t, s))
+                                      // (2 if name in "EF" else 1) for s in sources]
+                                     for t in targets]
+
+        numbers = itertools.count(1)
+        u = {name: [{j: (next(numbers),) for j in range(cols)} for _ in range(rows)]
+             for name, (rows, cols) in self.shapes.items()}
+        # T_M, T_N: |G| x |R|, column j the coefficients of relation j
+        t_m, t_n = ([{} for _ in p.generators] for p in (m, n))
+        for p, t in ((m, t_m), (n, t_n)):
+            for j, (_, _, cs) in enumerate(p.relations):
+                for i, c in cs.items():
+                    t[i][j] = c
+
+        # one equation per entry of L1 R1 - L2 R2 - unit * I = 0
+        identities = (
+            (u["A"], t_m, t_n, u["C"], len(gn), len(rm), False),     # A T_M = T_N C
+            (u["B"], t_n, t_m, u["D"], len(gm), len(rn), False),     # B T_N = T_M D
+            (u["B"], u["A"], t_m, u["E"], len(gm), len(gm), True),   # B A - I = T_M E
+            (u["A"], u["B"], t_n, u["F"], len(gn), len(gn), True),   # A B - I = T_N F
+        )
+        minus_one = f.neg(f.one)
+        self.equations = []   # over entry numbers
+        for l1, r1, l2, r2, rows, cols, unit in identities:
+            for i in range(rows):
+                for j in range(cols):
+                    eq = QuadEquation(const=minus_one if unit and i == j else f.zero)
+                    _add_product(f, eq, l1, r1, i, j, f.one)
+                    _add_product(f, eq, l2, r2, i, j, minus_one)
+                    self.equations.append(eq.substitute(f, {}))
+
+    def system(self, masks):
+        """The system whose free entries are those of masks (name -> [[bool]])."""
+        num, var_of_entry = [0], {}   # entry number -> variable number, 0 if fixed
+        for name in interleave.InterleavingSystem.MATS:
+            for i, row in enumerate(masks[name]):
+                for j, free in enumerate(row):
+                    if free:
+                        var_of_entry[(name, i, j)] = len(var_of_entry) + 1
+                    num.append(len(var_of_entry) if free else 0)
+        equations = [QuadEquation({(num[a], num[b]): c for (a, b), c in eq.quad.items()
+                                   if num[a] and num[b]},
+                                  {num[e]: c for e, c in eq.lin.items() if num[e]},
+                                  eq.const) for eq in self.equations]
+        system = QuadraticSystem(self.field, len(var_of_entry), equations)
+        return interleave.InterleavingSystem(dict(self.shapes), masks, system, var_of_entry)
+
+    def level(self, eps):
+        """floor(eps * scale), the threshold level of eps (a Fraction)."""
+        return eps.numerator * self.scale // eps.denominator
+
+    def at(self, eps):
+        """The system deciding eps-interleaving (eps a Fraction)."""
+        level = self.level(eps)
+        return self.system({name: [[t <= level for t in row] for row in rows]
+                            for name, rows in self.thresholds.items()})

@@ -238,7 +238,7 @@ def test_criterion_10_hilbert_check_2d():
         chain = chain_complex_of(cx, F2)
         axes = chain.critical_axes()
         for degree in (0, 1):
-            pres = present_homology(cx, degree, F2, check_hilbert=False)
+            pres = present_homology(cx, degree, F2)
             for z in itertools.product(*axes):
                 want = chain.homology_dim_at(degree, z)
                 got = pres.point_dim(z)

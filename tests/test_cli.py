@@ -111,6 +111,21 @@ class TestDistance:
                            free2, free2, "--budget", "0")
         assert code == 3 and "budget exceeded" in out
 
+    def test_decide_budget_exit_3(self, capsys, tmp_path):
+        """Deciding eps = 1 for free modules of ranks 2 and 3 branches on
+        B A = I, so a one-node budget runs out."""
+        text = "PRESENTATION\nn 2\nfield zp 2\n{}END\n"
+        free2, free3 = tmp_path / "free2.txt", tmp_path / "free3.txt"
+        free2.write_text(text.format("generator a 0 0\ngenerator b 0 0\n"))
+        free3.write_text(text.format("generator a 0 0\ngenerator b 0 0\n"
+                                     "generator c 0 0\n"))
+        code, out, _ = run(capsys, "distance", "interleaving", free2, free3,
+                           "--decide", "1", "--budget", "1")
+        assert code == 3 and out.startswith("budget exceeded after ")
+        code, out, _ = run(capsys, "distance", "interleaving", free2, free3,
+                           "--decide", "1")
+        assert code == 0 and out == "no\n"
+
     def test_budget_bracket_starts_at_the_slice_bound(self, capsys, tmp_path):
         """Free modules on generators at 0, 1 and at 1, 2: the slice bound
         is 1, so the bracket's lower end is the candidate below it, not 0."""
@@ -140,6 +155,13 @@ class TestDistance:
         assert code == 0 and "d_B = 1/2" in out
         code, out, _ = run(capsys, "distance", "bottleneck", d1, d1)
         assert "d_B = 0" in out
+
+    def test_bottleneck_short_line_exit_2(self, capsys, tmp_path):
+        d1 = tmp_path / "d1.txt"
+        d1.write_text("0 1 1\n0 1\n")
+        code, _, err = run(capsys, "distance", "bottleneck", d1, d1)
+        assert code == 2
+        assert err == "error: bad diagram line (birth death multiplicity): 0 1\n"
 
 
 class TestDiagram:
@@ -239,6 +261,21 @@ class TestHomology:
                            "--degree", "0", "--axes", "0;0,2")
         full = parse_grid_module(out)
         assert img.dims[(0,)] == full.dims[(0, 1)]
+
+
+    def test_complex_default_axes(self, capsys, tmp_path):
+        """Without --axes, grid takes the complex's critical axes and image
+        those without the scale axis."""
+        cx = tmp_path / "cx.txt"
+        cx.write_text("0 : 0 0\n1 : 0 1\n0,1 : 1 1\n")
+        for action, axes in (("grid", "0,1;0,1"), ("image", "0,1")):
+            argv = ("homology", action, "--complex", cx, "--delta2", "1")
+            code, default, _ = run(capsys, *argv)
+            assert code == 0
+            code, given, _ = run(capsys, *argv, "--axes", axes)
+            assert code == 0 and default == given
+            assert parse_grid_module(default).axes == [[F(0), F(1)]] * (
+                2 if action == "grid" else 1)
 
 
 class TestExportAndInfer:

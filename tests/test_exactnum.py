@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from permod.exactnum import (INF, NEG_INF, PrimeField, QQ, Scale,
                              bracket_sqrt, common_denominator, ext,
-                             grade_ranks, least_feasible, parse_field,
-                             parse_rational, scaled_int)
+                             grade_ranks, least_feasible, parse_extended,
+                             parse_field, parse_rational, scaled_int)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "permod"
 
@@ -22,6 +22,12 @@ def test_parse_rational_forms():
     assert parse_rational("0.125") == Fraction(1, 8)
     with pytest.raises(ValueError):
         parse_rational("x")
+
+
+def test_parse_extended_infinities():
+    assert parse_extended(" -inf ") == NEG_INF
+    assert [parse_extended(t) for t in ("inf", "+inf", "oo")] == [INF] * 3
+    assert parse_extended("-3/2") == ext(Fraction(-3, 2))
 
 
 def test_extended_total_order():
@@ -84,6 +90,9 @@ def test_prime_field_examples():
 def test_prime_field_rejects():
     with pytest.raises(ValueError):
         PrimeField(6)
+    for p in (-3, 0, 1, 4, 9):
+        with pytest.raises(ValueError, match=f"not prime: {p}"):
+            PrimeField(p)
     with pytest.raises(ValueError):
         PrimeField(2 ** 31 + 11)
 

@@ -214,7 +214,7 @@ class TestPresentHomology:
             cx = random_one_critical_complex(rng, 2, max_simplices=10)
             chain = chain_complex_of(cx, f2)
             degree = 1
-            pres = present_homology(cx, degree, f2, check_hilbert=False)
+            pres = present_homology(cx, degree, f2)
             bd = boundary(chain, degree)
             axes = chain.critical_axes()
             for z in itertools.product(*axes):
@@ -271,6 +271,12 @@ class TestPresentHomology:
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
             "7620bb3ec6acb09b24136a90e01d2be8f8b1520c10b4ce8e11ab97deb52cf3b9"
         assert elapsed < 4, f"presenting H0 and H1 took {elapsed:.1f} s"
+
+    def test_no_simplices(self, f2):
+        for n in (1, 2):
+            for degree in (0, 1):
+                pres = present_homology(K(n, []), degree, f2)
+                assert (pres.n, pres.generators, pres.relations) == (n, [], [])
 
     def test_three_parameters_rejected(self, f2):
         with pytest.raises(HomologyError):

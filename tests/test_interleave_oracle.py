@@ -4,8 +4,10 @@ shapes, masks, variable numbering, per-equation term order and solver
 outcome, on seeded presentation pairs over Z/2, Z/3 and Q with 1-3
 parameters, under translations and general diagonal affine maps, both
 through `assemble_system` and from one term table per pair at every eps
-where a zero pattern changes.  The candidate set on scaled ints against the
-one on Fraction differences."""
+where a zero pattern changes.  The term table against the one it
+replaced, which expanded every entry once per pair and renumbered that
+expansion per system.  The candidate set on scaled ints against the one on
+Fraction differences."""
 
 from fractions import Fraction as F
 
@@ -74,9 +76,7 @@ def outcome(system, budget=400):
     return (res.status, res.witness, res.nodes)
 
 
-def assert_same(m, n, j1, j2, got=None):
-    got = assemble_system(m, n, j1, j2) if got is None else got
-    want = ref.assemble_system(m, n, j1, j2)
+def assert_same_system(got, want):
     assert got.export_text() == want.export_text()
     assert got.shapes == want.shapes
     assert got.masks == want.masks
@@ -85,6 +85,11 @@ def assert_same(m, n, j1, j2, got=None):
     assert terms(got.system) == terms(want.system)
     if got.system.field != QQ:
         assert outcome(got.system) == outcome(want.system)
+
+
+def assert_same(m, n, j1, j2, got=None):
+    got = assemble_system(m, n, j1, j2) if got is None else got
+    assert_same_system(got, ref.assemble_system(m, n, j1, j2))
 
 
 class TestAgainstReference:
@@ -140,6 +145,35 @@ class TestTermTable:
                 for eps in table_eps(m, other):
                     j = MonotoneAffineMap.translation(n, eps)
                     assert_same(m, other, j, j, got=table.at(eps))
+
+
+def random_masks(rng, table):
+    """A zero pattern per matrix, each entry free with a probability of its
+    matrix's own."""
+    masks = {}
+    for name, (rows, cols) in table.shapes.items():
+        p = rng.random()
+        masks[name] = [[rng.random() < p for _ in range(cols)] for _ in range(rows)]
+    return masks
+
+
+class TestAgainstAllFreeTable:
+    @pytest.mark.parametrize("seed, pool, per_case", ((511, POOL, 6), (512, MIXED, 2)),
+                             ids=("halves", "mixed"))
+    def test_every_eps_and_random_masks(self, seed, pool, per_case):
+        rng, systems = seeded(seed + 20), 0
+        for m, n, _, _ in pairs(seed, per_case, pool):
+            table, all_free = TermTable(m, n), ref.TermTable(m, n)
+            assert (table.scale, table.shapes, table.bases, table.thresholds) == (
+                all_free.scale, all_free.shapes, all_free.bases, all_free.thresholds)
+            for eps in table_eps(m, n):
+                assert_same_system(table.at(eps), all_free.at(eps))
+                systems += 1
+            for _ in range(4):
+                masks = random_masks(rng, table)
+                assert_same_system(table.system(masks), all_free.system(masks))
+                systems += 1
+        assert systems > 700
 
 
 class TestCandidateSet:

@@ -212,6 +212,13 @@ class TestTextFormat:
                                                  {1: F(-1, 2)}, F(5))])
         assert systems_equal(parse_system(export_system(s)), s)
 
+    def test_negative_variable_count_rejected(self, f2):
+        with pytest.raises(QuadSysError, match="negative variable count -1"):
+            parse_system("QUADSYS\nfield zp 2\nvars -1\nEND\n")
+        with pytest.raises(QuadSysError, match="negative variable count -2"):
+            QuadraticSystem(f2, -2, [])
+        assert parse_system("QUADSYS\nfield zp 2\nvars 0\nEND\n").nvars == 0
+
     def test_variable_index_guard(self, f2):
         with pytest.raises(QuadSysError):
             QuadraticSystem(f2, 1, [eq(f2, lin={2: 1})])

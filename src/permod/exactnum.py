@@ -92,9 +92,6 @@ class Scale:
         if self.sq < 0:
             raise ValueError("negative radicand")
 
-    def bracket(self):
-        return bracket_sqrt(self.sq)
-
     def __repr__(self):
         return f"sqrt({format_rational(self.sq)})"
 
@@ -494,16 +491,3 @@ def parse_field(tokens):
         return PrimeField(int(tokens[1]))
     raise ValueError(f"unknown field spec: {' '.join(tokens)}")
 
-
-def bracket_sqrt(q):
-    """Rational [lo, hi] with lo <= sqrt(q) <= hi and hi - lo <= 2**-20
-    (2**-42 exactly)."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("sqrt of negative")
-    scale = 1 << 42
-    n = (q.numerator * scale * scale) // q.denominator
-    r = math.isqrt(n)
-    lo = Fraction(r, scale)
-    hi = Fraction(r + 1, scale)
-    return lo, hi

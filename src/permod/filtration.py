@@ -3,9 +3,7 @@ distances, density sampling and kernel density estimation.
 
 All coordinates are rational.  L2 scale values (half-diameters, smallest
 enclosing ball radii) are square roots of rationals, kept exactly as
-`exactnum.Scale` values whose squares decide every comparison; each also
-exposes the certified rational bracket of width <= 2**-20 that downstream
-consumers record.
+`exactnum.Scale` values whose squares decide every comparison.
 
 A complex ranks its grades once, when it is built (`exactnum.grade_ranks`);
 its face check and sort, the fixed-scale slice, chain complexes and
@@ -13,7 +11,10 @@ barcodes compare those int indices, never the values.
 
 One builder makes both sublevelset bifiltrations: it keeps the edges within
 the scale cap as per-vertex int bitsets of upper neighbours and grows each
-simplex from its prefix by the prefix's common upper neighbours.  A Cech
+simplex from its prefix by the prefix's common upper neighbours.  Its pair
+pass compares int lengths (L1, Linf) or squared lengths (L2) of the
+coordinates scaled to ints with the int cap; only a kept edge gets its
+half length as a value, and a clique takes its scale by the int keys.  A Cech
 radius is half the length on an edge and grows with the vertex set, so the
 Cech candidates are the cliques of the capped edges too.
 """
@@ -103,7 +104,7 @@ def distance(x, y, p):
     if p == 1:
         return sum(abs(a - b) for a, b in zip(x, y))
     if p == "inf":
-        return max((abs(a - b) for a, b in zip(x, y)), default=Fraction(0))
+        return max((abs(a - b) for a, b in zip(x, y)), default=0)
     if p == 2:
         return scale_of_square(dist_squared_l2(x, y))
     raise FiltrationError(f"unsupported metric p={p}")
@@ -275,23 +276,29 @@ def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
     scale_cap = Fraction(scale_cap)
     if scale_cap < 0:
         raise FiltrationError("scale cap must be >= 0")
-    cap_sq = scale_cap ** 2
-    # near[v][w] = (half length, its square) of each capped edge v < w
+    den = common_denominator([scale_cap, *(x for pt in pts for x in pt)])
+    ipts = [[scaled_int(x, den) for x in pt] for pt in pts]
+    power = 2 if p == 2 else 1
+    reach, per = (2 * scaled_int(scale_cap, den)) ** power, (2 * den) ** power
+    # near[v][w] = (half length, its int key) of each edge v < w whose int
+    # length (L1, Linf) or squared length (L2) is <= that of twice the cap
     near = [{} for _ in pts]
     up = [0] * len(pts)
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        sq = (dist_squared_l2(pts[i], pts[j]) / 4 if p == 2
-              else (distance(pts[i], pts[j], p) / 2) ** 2)
-        if sq <= cap_sq:
-            near[i][j] = (scale_of_square(sq), sq)
-            up[i] |= 1 << j
-    square = operator.itemgetter(1)
+    for i, u in enumerate(ipts):
+        for j in range(i + 1, len(ipts)):
+            key = dist_squared_l2(u, ipts[j]) if p == 2 else distance(u, ipts[j], p)
+            if key <= reach:
+                near[i][j] = (scale_of_square(Fraction(key, per)) if p == 2
+                              else Fraction(key, per), key)
+                up[i] |= 1 << j
+    cap_sq = scale_cap ** 2
+    key_of = operator.itemgetter(1)
     zero = Fraction(0)
     simplices = []
-    # (vertices, function grade, scale, its square, common upper neighbours)
-    stack = [((i,), val, zero, zero, up[i]) for i, val in enumerate(vals)]
+    # (vertices, function grade, scale, its key, common upper neighbours)
+    stack = [((i,), val, zero, 0, up[i]) for i, val in enumerate(vals)]
     while stack:
-        verts, fgrade, pscale, psq, common = stack.pop()
+        verts, fgrade, pscale, pkey, common = stack.pop()
         simplices.append((verts, fgrade + (pscale,)))
         while common and len(verts) <= max_dim:
             low = common & -common
@@ -299,15 +306,14 @@ def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
             w = low.bit_length() - 1
             new = verts + (w,)
             if cech and len(new) > 2:
-                scale = min_enclosing_radius([pts[v] for v in new], p)
-                sq = scale_square(scale)
-                if sq > cap_sq:
+                scale, key = min_enclosing_radius([pts[v] for v in new], p), None
+                if scale_square(scale) > cap_sq:
                     continue
             else:
-                scale, sq = max((pscale, psq), *(near[v][w] for v in verts),
-                                key=square)
+                scale, key = max((pscale, pkey), *(near[v][w] for v in verts),
+                                 key=key_of)
             grade = tuple(map(max, fgrade, vals[w]))
-            stack.append((new, grade, scale, sq, common & up[w]))
+            stack.append((new, grade, scale, key, common & up[w]))
     return BifilteredComplex(len(vals[0]) + 1 if vals else 1, simplices)
 
 

@@ -1,11 +1,12 @@
 """Persistent homology of bifiltered complexes.
 
 Chain complexes and barcodes read a complex's order, int grade indices and
-axes as `filtration.BifilteredComplex` ranked them once; no grade value is
-compared here.  Three computation styles share the exact linear algebra
-kernel.  Chains, boundaries and cycles are sparse {simplex index: coeff}
-dicts; so are a relation's coefficients over kernel generators and each
-column of a grid module's transitions:
+axes as `filtration.BifilteredComplex` ranked them once; only a grade from
+outside, such as a grid module's axis value, is compared with the axes.
+Three computation styles share the exact linear algebra kernel.  Chains,
+boundaries and cycles are sparse {simplex index: coeff} dicts; so are a
+relation's coefficients over kernel generators and each column of a grid
+module's transitions:
 
 * 1-parameter barcodes by `onedim.bars`, the degree's creating simplices
   presented by the next degree's boundaries, cross-checked elsewhere
@@ -21,12 +22,12 @@ column of a grid module's transitions:
   nullspace of the sparse boundary columns is taken only where a generator
   is born: where the kernel dimension, from a sparse rank table, exceeds the
   span's rank.  Each boundary of a (d+1)-simplex is expressed in the
-  generators active at its grade, then the presentation is minimized.  The
-  freeness of two-parameter kernels is an implementation hypothesis, so a
-  Hilbert check follows: the minimized presentation's dimension table,
-  swept with one reduction per grid row, must equal the chain's, from rank
-  tables of its own.  Neither side reads a span or table of the sweep, so a
-  sweep error cannot vouch for itself.
+  generators active at its grade, then the presentation, ranked by the
+  grid indices, is minimized.  The freeness of two-parameter kernels is an
+  implementation hypothesis, so a Hilbert check follows: the minimized
+  presentation's dimension table, swept with one reduction per grid row,
+  must equal the chain's, from rank tables of its own.  Neither side reads
+  a span or table of the sweep, so a sweep error cannot vouch for itself.
 
 Every reduction runs on `linalg.ColumnReducer`, whose columns take the
 field's column type: {row: coeff} dicts, or over Z/2 int bitsets reduced by
@@ -38,7 +39,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .exactnum import (INF, as_fraction, ext, format_rational, least_feasible,
+from .exactnum import (INF, ext, format_rational, least_feasible,
                        parse_field, parse_rational)
 from .linalg import ColumnReducer, ColumnSpan, mat_mul, nullspace, rank as mat_rank
 from .onedim import PersistenceDiagram, bars
@@ -61,9 +62,7 @@ class GradedChainComplex:
         dims = [len(verts) - 1 for verts, _ in complex_.simplices]
         self.max_deg = max(dims, default=-1)
         cuts = [bisect.bisect_left(dims, d) for d in range(self.max_deg + 2)]
-        self.bases = [[(verts, tuple(map(as_fraction, grade)))
-                       for verts, grade in complex_.simplices[lo:hi]]
-                      for lo, hi in zip(cuts, cuts[1:])]
+        self.bases = [complex_.simplices[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.grade_index = {d: complex_.grade_index[lo:hi]
                             for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
         # boundary columns {row: coeff} per degree (a vertex has none)
@@ -86,11 +85,14 @@ class GradedChainComplex:
     def simplices(self, d):
         return self.bases[d] if 0 <= d <= self.max_deg else []
 
-    def _active(self, d, z):
-        """The d-simplices of grade <= z: their grade indices against the
-        floor index of z on the critical axes."""
-        top = [_floor_index(ax, v) for ax, v in zip(self.axes, z)]
-        if None in top:
+    def floor(self, z):
+        """Grade z snapped down to a grid index; None below an axis."""
+        idx = tuple(_floor_index(ax, v) for ax, v in zip(self.axes, z))
+        return None if None in idx else idx
+
+    def _active(self, d, top):
+        """The d-simplices of grade index <= the grid index top (None: none)."""
+        if top is None:
             return []
         return [j for j, g in enumerate(self.grade_index.get(d, ()))
                 if all(map(operator.le, g, top))]
@@ -102,19 +104,16 @@ class GradedChainComplex:
         return swept_ranks(self.field, [len(ax) for ax in self.axes],
                            self.grade_index.get(d, []), cols)
 
-    def homology_dim_at(self, d, z):
-        """dim H_d at grade z, snapped down onto the critical grid: active
-        d-simplices minus the boundary ranks on the active d- and
-        (d+1)-simplices, tabled on first use from the boundary columns alone."""
+    def homology_dim_at(self, d, idx):
+        """dim H_d at the grid index idx (0 at None, so `floor` of a grade
+        will do): active d-simplices minus the boundary ranks on the active
+        d- and (d+1)-simplices, tabled on first use from the boundary columns
+        alone."""
         if d not in self._dims:
             up = self.active_ranks(d + 1)
             self._dims[d] = {i: n - r - up[i][1]
                              for i, (n, r) in self.active_ranks(d).items()}
-        idx = tuple(_floor_index(ax, v) for ax, v in zip(self.axes, z))
-        return 0 if None in idx else self._dims[d][idx]
-
-    def critical_axes(self):
-        return [list(ax) for ax in self.axes]
+        return 0 if idx is None else self._dims[d][idx]
 
 
 def chain_complex_of(complex_, field):
@@ -394,10 +393,10 @@ class _HomologyBasisTracker:
         self.f = chain.field
         self.nd = len(chain.simplices(degree))
 
-    def _cycles_at(self, z):
-        """The reduced-echelon basis of the d-cycles active at z, each a
-        {simplex index: coeff} dict."""
-        act = self.chain._active(self.degree, z)
+    def _cycles_at(self, top):
+        """The reduced-echelon basis of the d-cycles active at the grid
+        index top, each a {simplex index: coeff} dict."""
+        act = self.chain._active(self.degree, top)
         if not act:
             return []
         cols = self.chain.columns[self.degree]
@@ -410,15 +409,16 @@ class _HomologyBasisTracker:
         are picked from `cycles`, by default this complex's cycles at z.
         Only independent vectors become span members, so member positions
         line up with [boundaries..., reps...]."""
+        top = self.chain.floor(z)
         span = ColumnSpan(self.f, self.nd)
         n_bound = 0
-        for j in self.chain._active(self.degree + 1, z):
+        for j in self.chain._active(self.degree + 1, top):
             b = self.chain.columns[self.degree + 1][j]
             if not span.contains(b):
                 span.insert(b)
                 n_bound += 1
         reps = []
-        for v in self._cycles_at(z) if cycles is None else cycles:
+        for v in self._cycles_at(top) if cycles is None else cycles:
             if not span.contains(v):
                 span.insert(v)
                 reps.append(v)
@@ -477,8 +477,8 @@ def present_homology(complex_, degree, field, check_hilbert=True):
     chain = chain_complex_of(complex_, field)
     if chain.nparams not in (1, 2):
         raise HomologyError("presentation extraction supports 1 or 2 parameters")
-    axes = chain.critical_axes()
-    if any(not ax for ax in axes):
+    axes, shape = chain.axes, [len(ax) for ax in chain.axes]
+    if not all(shape):
         return Presentation(chain.nparams, field, [], [])
     tracker = _HomologyBasisTracker(chain, degree)
     f = field
@@ -489,7 +489,7 @@ def present_homology(complex_, degree, field, check_hilbert=True):
 
     gens, born = [], []         # kernel generators and their grid indices
     rel_coeffs = {}             # (degree+1)-simplex -> {generator: coeff}
-    for z, entering in row_sweep([len(ax) for ax in axes], born):
+    for z, entering in row_sweep(shape, born):
         if z[-1] == 0:
             # one span per row: a generator enters when it becomes active,
             # and the nullspace is taken only where the span falls short of
@@ -500,7 +500,7 @@ def present_homology(complex_, degree, field, check_hilbert=True):
             span.insert(gens[i])
             members.append(i)
         if kernel_dim[z] > span.rank:
-            for v in tracker._cycles_at(tuple(ax[x] for ax, x in zip(axes, z))):
+            for v in tracker._cycles_at(z):
                 members.append(len(gens) if span.insert(v) else None)
                 if members[-1] is not None:
                     gens.append(v)
@@ -513,19 +513,17 @@ def present_homology(complex_, degree, field, check_hilbert=True):
             # coords name only independent inserts, which are generators
             rel_coeffs[j] = {members[k]: c for k, c in coords.items()}
 
-    rels = [(f"b{j}", g, rel_coeffs[j])
-            for j, (_, g) in enumerate(chain.simplices(degree + 1))]
-    pres = Presentation(chain.nparams, f,
-                        [(f"k{i}", tuple(ax[x] for ax, x in zip(axes, z)))
-                         for i, z in enumerate(born)],
-                        rels).validate().minimize()
+    rels = [(f"b{j}", z, rel_coeffs[j])
+            for j, z in enumerate(chain.grade_index.get(degree + 1, []))]
+    pres = Presentation.from_ranks(chain.nparams, f, axes, [
+        (f"k{i}", z) for i, z in enumerate(born)], rels).validate().minimize()
 
     if check_hilbert:
         dims = pres.hilbert_table(axes)
-        for idx in _grid_indices([len(ax) for ax in axes]):
-            z = tuple(ax[k] for ax, k in zip(axes, idx))
-            want, got = chain.homology_dim_at(degree, z), dims[idx]
+        for idx in _grid_indices(shape):
+            want, got = chain.homology_dim_at(degree, idx), dims[idx]
             if want != got:
+                z = tuple(map(operator.getitem, axes, idx))
                 raise HomologyError(
                     f"Hilbert check failed at {z}: presentation gives {got}, "
                     f"pointwise homology gives {want}")
@@ -550,7 +548,7 @@ def image_grid_module(complex_, degree, delta1, delta2, axes, field):
 
     def basis_at(z):
         return t2.basis_at(z, [{to2[i]: x for i, x in v.items()}
-                               for v in t1._cycles_at(z)])
+                               for v in t1._cycles_at(c1.floor(z))])
 
     return build_grid_module(field, axes, basis_at, _basis_dim, _basis_transition)
 

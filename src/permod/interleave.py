@@ -79,22 +79,22 @@ def zero_pattern_mask(target_grades, source_grades, jmap=None):
     return [[grade_leq(ti, sj) for sj in source_grades] for ti in target_grades]
 
 
-def _add_product(f, eq, left, right, i, j, sign):
-    """Add sign * (left . right)[i][j] to eq: a constant times an unknown is
-    a linear term, an unknown times an unknown a quadratic one.  Matrices
-    are lists of {column: entry} rows without zeros, and an unknown is the
-    1-tuple of its number, since over Z/p field constants are ints."""
+def _add_product(f, quad, lin, left, right, i, j, sign):
+    """Add sign * (left . right)[i][j] to the terms quad, lin: a constant
+    times an unknown is linear, an unknown times an unknown quadratic.
+    Matrices are lists of {column: entry} rows without zeros, and an unknown
+    is the 1-tuple of its number, since over Z/p field constants are ints."""
     for k, a in left[i].items():
         b = right[k].get(j)
         if b is None:
             continue
         if type(a) is tuple and type(b) is tuple:
             key = a + b if a <= b else b + a
-            eq.quad[key] = f.add(eq.quad.get(key, f.zero), sign)
+            quad[key] = f.add(quad.get(key, f.zero), sign)
         elif type(a) is tuple:
-            eq.lin[a[0]] = f.add(eq.lin.get(a[0], f.zero), f.mul(sign, b))
+            lin[a[0]] = f.add(lin.get(a[0], f.zero), f.mul(sign, b))
         else:
-            eq.lin[b[0]] = f.add(eq.lin.get(b[0], f.zero), f.mul(sign, a))
+            lin[b[0]] = f.add(lin.get(b[0], f.zero), f.mul(sign, a))
 
 
 class TermTable:
@@ -150,14 +150,17 @@ class TermTable:
             (u["B"], u["A"], t_m, u["E"], gm, gm, True),   # B A - I = T_M E
             (u["A"], u["B"], t_n, u["F"], gn, gn, True),   # A B - I = T_N F
         )
-        minus_one, equations = f.neg(f.one), []
+        minus_one, zero, equations = f.neg(f.one), f.zero, []
         for l1, r1, l2, r2, rows, cols, unit in identities:
             for i in range(rows):
                 for j in range(cols):
-                    eq = QuadEquation(const=minus_one if unit and i == j else f.zero)
-                    _add_product(f, eq, l1, r1, i, j, f.one)
-                    _add_product(f, eq, l2, r2, i, j, minus_one)
-                    equations.append(eq.substitute(f, {}))
+                    quad, lin = {}, {}
+                    _add_product(f, quad, lin, l1, r1, i, j, f.one)
+                    _add_product(f, quad, lin, l2, r2, i, j, minus_one)
+                    equations.append(QuadEquation(
+                        {k: c for k, c in quad.items() if c != zero},
+                        {k: c for k, c in lin.items() if c != zero},
+                        minus_one if unit and i == j else zero))
         system = QuadraticSystem(f, len(var_of_entry), equations)
         return InterleavingSystem(dict(self.shapes), masks, system, var_of_entry)
 

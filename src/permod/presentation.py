@@ -5,7 +5,8 @@ coefficient field.  The key modelling fact: monomial shifts act as the
 identity on coefficient vectors, so the slice of the relation submodule at a
 grade equals the plain k-span of the relations of grade <= that grade.  Every
 pointwise question (dimension, transition rank, minimization, span tests) is
-then a finite Gaussian elimination.
+then a finite Gaussian elimination, on grades ranked once (see
+`Presentation`).
 """
 
 import bisect
@@ -13,8 +14,9 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .exactnum import (QQ, as_fraction, format_rational, grade_ranks,
-                       parse_field, parse_rational, subtract_multiple)
+from .exactnum import (QQ, as_fraction, common_denominator, format_rational,
+                       grade_ranks, parse_field, parse_rational, scaled_int,
+                       subtract_multiple)
 from .linalg import ColumnReducer, ColumnSpan, rank
 
 
@@ -30,7 +32,7 @@ def row_sweep(shape, grades):
     for row in itertools.product(*(range(s) for s in shape[:-1])):
         entering = [[] for _ in range(shape[-1])]
         for i, g in enumerate(grades):
-            if grade_leq(g[:-1], row):
+            if all(map(operator.le, g, row)):     # stops at the row's end
                 entering[g[-1]].append(i)
         for k, batch in enumerate(entering):
             yield row + (k,), batch
@@ -124,28 +126,57 @@ class Presentation:
 
     generators: list of (name, grade) with grade a tuple of n Fractions.
     relations:  list of (name, grade, coeffs) with coeffs a {generator index:
-                coeff} dict holding no zeros; a coefficient at generator j
-                needs grade >= grade(gen j).  The constructor also takes
-                coeffs as a dense list over the generators and stores it in
-                the dict form.
+                coeff} dict of nonzero field elements; a coefficient at
+                generator j needs grade >= grade(gen j).  The constructor
+                also takes coeffs as a dense list over the generators, and
+                takes each coefficient into the field.
+
+    The grades are ranked once, when the presentation is built: `axes[a]`
+    holds the sorted distinct values of grade coordinate a, and
+    `gen_index[j]`, `rel_index[i]` the grades as int tuples of positions on
+    them.  Validation, minimization, critical grades and the Hilbert table
+    compare those ints.
     """
 
     def __init__(self, n, field, generators, relations):
-        self.n = int(n)
-        self.field = field
-        self.generators = [(name, tuple(map(as_fraction, grade)))
-                           for name, grade in generators]
-        self.relations = [(name, tuple(map(as_fraction, grade)),
+        n, gens, rels = int(n), list(generators), list(relations)
+        grades = [tuple(map(as_fraction, g)) for _, g, *_ in gens + rels]
+        for (name, *_), g in zip(gens + rels, grades):
+            if len(g) != n:
+                raise PresentationError(f"{name}: grade length != n")
+        self._keep(n, field, *grade_ranks(grades, n), gens, rels)
+
+    @classmethod
+    def from_ranks(cls, n, field, axes, generators, relations):
+        """The presentation of (name, index) generators and (name, index,
+        coeffs) relations, indices on the value lists `axes` (kept: those used)."""
+        used, keys = grade_ranks([k for _, k, *_ in generators + relations], n)
+        out = cls.__new__(cls)
+        out._keep(n, field, [[ax[k] for k in ks] for ax, ks in zip(axes, used)],
+                  keys, generators, relations)
+        return out
+
+    def _keep(self, n, field, axes, keys, generators, relations):
+        """Store names, coeffs, and keys: generators', then relations' indices."""
+        self.n, self.field, self.axes = n, field, axes
+        self.gen_index, self.rel_index = keys[:len(generators)], keys[len(generators):]
+        self.generators = [(name, tuple(map(operator.getitem, axes, k)))
+                           for (name, _), k in zip(generators, self.gen_index)]
+        self.relations = [(name, tuple(map(operator.getitem, axes, k)),
                            self._coeff_dict(name, coeffs))
-                          for name, grade, coeffs in relations]
+                          for (name, _, coeffs), k in zip(relations, self.rel_index)]
 
     def _coeff_dict(self, name, coeffs):
-        """A relation's coeffs, dict or dense list, as a new dict without zeros."""
+        """A relation's coeffs, dict or dense list, as a new dict of nonzero
+        field elements, each taken into the field first (2 is 0 in Z/2)."""
+        f = self.field
         if not isinstance(coeffs, dict):
             if len(coeffs) != len(self.generators):
                 raise PresentationError(f"relation {name}: coefficient count mismatch")
             coeffs = dict(enumerate(coeffs))
-        return {j: c for j, c in coeffs.items() if c != self.field.zero}
+        if not f.canonical(coeffs.values(), f.zero):
+            coeffs = {j: f.of(c) for j, c in coeffs.items()}
+        return {j: c for j, c in coeffs.items() if c != f.zero}
 
     # -- validation ---------------------------------------------------------
 
@@ -154,35 +185,27 @@ class Presentation:
         if self.n < 1:
             raise PresentationError("parameter count must be >= 1")
         seen = set()
-        for name, grade in self.generators:
-            if len(grade) != self.n:
-                raise PresentationError(f"generator {name}: grade length != n")
+        for name, *_ in self.generators + self.relations:
             if name in seen:
                 raise PresentationError(f"duplicate name {name}")
             seen.add(name)
-        for name, grade, coeffs in self.relations:
-            if len(grade) != self.n:
-                raise PresentationError(f"relation {name}: grade length != n")
-            if name in seen:
-                raise PresentationError(f"duplicate name {name}")
-            seen.add(name)
+        for (name, _, coeffs), key in zip(self.relations, self.rel_index):
             for j in coeffs:
                 if j not in range(len(self.generators)):
                     raise PresentationError(f"relation {name}: no generator {j!r}")
-                if not grade_leq(self.generators[j][1], grade):
+                if not grade_leq(self.gen_index[j], key):
                     raise PresentationError(
                         f"relation {name}: nonzero coefficient at generator "
                         f"{self.generators[j][0]} of larger grade (index {j})")
         return self
 
-    def copy(self):
-        return Presentation(self.n, self.field, self.generators, self.relations)
-
     # -- pointwise linear algebra -------------------------------------------
 
     def _active(self, a):
-        gens = [j for j, (_, g) in enumerate(self.generators) if grade_leq(g, a)]
-        rels = [i for i, (_, g, _) in enumerate(self.relations) if grade_leq(g, a)]
+        """The generators and relations of grade <= a (ranks <= a's floor)."""
+        top = [bisect.bisect_right(ax, x) - 1 for ax, x in zip(self.axes, a)]
+        gens = [j for j, k in enumerate(self.gen_index) if grade_leq(k, top)]
+        rels = [i for i, k in enumerate(self.rel_index) if grade_leq(k, top)]
         return gens, rels
 
     def _quotient_basis(self, a):
@@ -202,20 +225,23 @@ class Presentation:
         """{grid index: dim M_z} at every point z of the grid on `axes`
         (increasing value lists, one per parameter): the active generators
         minus the rank of the active relations.  A grade is active from the
-        first axis value >= it on, and never past the last one."""
+        first axis value >= it on, and never past the last one.  Each value
+        of `self.axes` is placed on the given axis once, both taken as ints
+        at the lcm of their denominators."""
         shape = [len(ax) for ax in axes]
+        place = []
+        for mine, theirs in zip(self.axes, axes):
+            scale = common_denominator(mine + list(theirs))
+            grid = [scaled_int(x, scale) for x in theirs]
+            place.append([bisect.bisect_left(grid, scaled_int(x, scale)) for x in mine])
 
-        def on_grid(grades):
+        def on_grid(keys):
             """{position: grid index} of the grades that reach the grid."""
-            out = {}
-            for i, g in enumerate(grades):
-                k = tuple(bisect.bisect_left(ax, x) for ax, x in zip(axes, g))
-                if all(map(int.__lt__, k, shape)):
-                    out[i] = k
-            return out
+            spots = (tuple(map(operator.getitem, place, key)) for key in keys)
+            return {i: k for i, k in enumerate(spots) if all(map(int.__lt__, k, shape))}
 
-        gens = on_grid(g for _, g in self.generators)
-        rels = on_grid(g for _, g, _ in self.relations)
+        gens = on_grid(self.gen_index)
+        rels = on_grid(self.rel_index)
         n = swept_ranks(self.field, shape, list(gens.values()), [{}] * len(gens))
         r = swept_ranks(self.field, shape, list(rels.values()),
                         [self.relations[i][2] for i in rels])
@@ -253,9 +279,8 @@ class Presentation:
         u = list(u)
         if len(u) != self.n:
             raise PresentationError("restriction bound length must equal n")
-        out = self.copy()
         f = self.field
-        k = 0
+        rels, k = list(self.relations), 0
         for j, (gname, ggrade) in enumerate(self.generators):
             for axis, uj in enumerate(u):
                 uj = ExtendedRational.of(uj)
@@ -265,10 +290,9 @@ class Presentation:
                     continue
                 grade = list(ggrade)
                 grade[axis] = max(grade[axis], uj.value)
-                out.relations.append((f"_cut{k}_{gname}_{axis}", tuple(grade),
-                                      {j: f.one}))
+                rels.append((f"_cut{k}_{gname}_{axis}", tuple(grade), {j: f.one}))
                 k += 1
-        return out
+        return Presentation(self.n, f, self.generators, rels)
 
     def minimize(self):
         """Minimal presentation with the canonical grade multisets.
@@ -282,9 +306,7 @@ class Presentation:
         what dropping them one by one in that order keeps.
         """
         f = self.field
-        axes, keys = grade_ranks([g for _, g in self.generators] +
-                                 [g for _, g, _ in self.relations], self.n)
-        gen_key, rel_key = keys[:len(self.generators)], keys[len(self.generators):]
+        gen_key, rel_key = self.gen_index, self.rel_index
         rows = [dict(cs) for _, _, cs in self.relations]
         order = sorted(range(len(rows)), key=lambda i: (rel_key[i], i))
 
@@ -300,13 +322,12 @@ class Presentation:
                     subtract_multiple(f, later, f.div(later[piv], row[piv]), row)
             removed_gens.add(piv)
 
-        # one span per row of the leading coordinates, on the ranks of step
-        # 1 (the sweep reads only their order): at grade z it holds every
-        # relation strictly below z, then those of grade z from the largest
-        # index down
+        # one span per row of the leading coordinates: at grade z it holds
+        # every relation strictly below z, then those of grade z from the
+        # largest index down
         keys = [rel_key[i] for i in kept]
         dropped = set()
-        for z, entering in row_sweep([len(ax) for ax in axes], keys):
+        for z, entering in row_sweep([len(ax) for ax in self.axes], keys):
             if z[-1] == 0:
                 reducer = ColumnReducer(f)
             for t in entering:
@@ -319,18 +340,19 @@ class Presentation:
         # step 1 left no removed generator in a kept relation
         gens = [j for j in range(len(self.generators)) if j not in removed_gens]
         new_index = {j: k for k, j in enumerate(gens)}
-        rels = [(nm, gr, {new_index[j]: c for j, c in rows[i].items()})
-                for i, (nm, gr, _) in enumerate(self.relations) if i in keep]
-        return Presentation(self.n, f, [self.generators[j] for j in gens], rels)
+        rels = [(nm, rel_key[i], {new_index[j]: c for j, c in rows[i].items()})
+                for i, (nm, _, _) in enumerate(self.relations) if i in keep]
+        return Presentation.from_ranks(
+            self.n, f, self.axes, [(self.generators[j][0], gen_key[j]) for j in gens],
+            rels)
 
     def critical_grades(self, minimal=False):
         """(U, per-axis sorted value lists) of the minimal presentation: self
-        if minimal, else self.minimize()."""
+        if minimal, else self.minimize().  Both are read off its ranks."""
         m = self if minimal else self.minimize()
-        grades = [g for _, g in m.generators] + [g for _, g, _ in m.relations]
-        u_set = sorted(set(grades))
-        axes = [sorted({g[i] for g in grades}) for i in range(self.n)]
-        return u_set, axes
+        return ([tuple(map(operator.getitem, m.axes, k))
+                 for k in sorted(set(m.gen_index + m.rel_index))],
+                [list(ax) for ax in m.axes])
 
     # -- text format ----------------------------------------------------------
 
@@ -401,10 +423,8 @@ def parse_presentation(text):
         raise PresentationError("missing PRESENTATION header")
     if lines[-1] != "END":
         raise PresentationError("missing END")
-    n = None
-    field = None
-    gens = []
-    rel_rows = []
+    n = field = None
+    gens, rel_rows = [], []
     for ln in lines[1:-1]:
         parts = ln.split()
         if parts[0] == "n":
@@ -414,25 +434,14 @@ def parse_presentation(text):
         elif parts[0] == "generator":
             if n is None:
                 raise PresentationError("n must precede generators")
-            name = parts[1]
-            grade = tuple(parse_rational(x) for x in parts[2:2 + n])
-            if len(grade) != n:
-                raise PresentationError(f"generator {name}: expected {n} coordinates")
-            gens.append((name, grade))
+            gens.append((parts[1], tuple(parse_rational(x) for x in parts[2:2 + n])))
         elif parts[0] == "relation":
             if n is None or field is None:
                 raise PresentationError("n and field must precede relations")
-            body = ln.split(None, 1)[1]
-            if ":" in body:
-                head, tail = body.split(":", 1)
-            else:
-                head, tail = body, ""
-            hparts = head.split()
-            name = hparts[0]
-            grade = tuple(parse_rational(x) for x in hparts[1:1 + n])
-            if len(grade) != n:
-                raise PresentationError(f"relation {name}: expected {n} coordinates")
-            rel_rows.append((name, grade, tail.split()))
+            head, _, tail = ln.split(None, 1)[1].partition(":")
+            name, *grade = head.split()
+            rel_rows.append((name, tuple(parse_rational(x) for x in grade[:n]),
+                             tail.split()))
         else:
             raise PresentationError(f"unknown line: {ln}")
     if n is None or field is None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,17 @@ def f2():
 @pytest.fixture
 def f3():
     return PrimeField(3)
+
+
+def bracket_sqrt(q):
+    """Rational [lo, hi] with lo <= sqrt(q) <= hi and hi - lo <= 2**-20
+    (2**-42 exactly)."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("sqrt of negative")
+    scale = 1 << 42
+    r = math.isqrt((q.numerator * scale * scale) // q.denominator)
+    return Fraction(r, scale), Fraction(r + 1, scale)
 
 
 def random_presentation(rng, field, n=1, max_gens=3, max_rels=3,

@@ -11,15 +11,22 @@
   signed squares), and the slice squares every simplex's scale and builds
   its complex from scratch.  The ranked complex must give the same text,
   slices and errors.
+* `sublevel_bifiltration`, the one upper-neighbour builder as it was before
+  its pair pass compared ints: it takes each pair's exact distance as a
+  Fraction (or a `Scale` for L2), squares the half length and compares it
+  with the squared cap, and orders the kept edges by those squares.  The
+  int pair pass must give the same complexes, or the same exception.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from permod.exactnum import as_fraction, format_rational, parse_rational
 from permod.filtration import (METRICS, BifilteredComplex, FiltrationError,
-                               Scale, distance, min_enclosing_radius,
-                               scale_of_square, scale_square)
+                               Scale, dist_squared_l2, distance,
+                               min_enclosing_radius, scale_of_square,
+                               scale_square)
 
 
 def scale_mul(v, c):
@@ -220,3 +227,55 @@ def fixed_scale_slice(complex_, delta):
         if scale_square(grade[-1]) <= scale_square(delta):
             kept.append((verts, grade[:-1]))
     return ReferenceComplex(complex_.nparams - 1, kept)
+
+
+def sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
+    """Sublevelset-Rips (cech False) or -Cech up to max_dim and the scale cap.
+    Each simplex grows from its prefix (all but its last vertex) and extends
+    the prefix's function grade and, for Rips, the prefix's scale."""
+    if len(values) != len(cloud):
+        raise FiltrationError("function rows do not match points")
+    if p not in METRICS:
+        raise FiltrationError(f"unsupported metric p={p}")
+    first = {}
+    for pt, val in zip(cloud.points, [tuple(map(Fraction, v)) for v in values]):
+        if first.setdefault(pt, val) != val:
+            raise FiltrationError(f"duplicate point {pt} with conflicting values")
+    pts, vals = list(first), list(first.values())
+    scale_cap = Fraction(scale_cap)
+    if scale_cap < 0:
+        raise FiltrationError("scale cap must be >= 0")
+    cap_sq = scale_cap ** 2
+    # near[v][w] = (half length, its square) of each capped edge v < w
+    near = [{} for _ in pts]
+    up = [0] * len(pts)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        sq = (dist_squared_l2(pts[i], pts[j]) / 4 if p == 2
+              else (distance(pts[i], pts[j], p) / 2) ** 2)
+        if sq <= cap_sq:
+            near[i][j] = (scale_of_square(sq), sq)
+            up[i] |= 1 << j
+    square = operator.itemgetter(1)
+    zero = Fraction(0)
+    simplices = []
+    # (vertices, function grade, scale, its square, common upper neighbours)
+    stack = [((i,), val, zero, zero, up[i]) for i, val in enumerate(vals)]
+    while stack:
+        verts, fgrade, pscale, psq, common = stack.pop()
+        simplices.append((verts, fgrade + (pscale,)))
+        while common and len(verts) <= max_dim:
+            low = common & -common
+            common ^= low       # the bits left are those above w
+            w = low.bit_length() - 1
+            new = verts + (w,)
+            if cech and len(new) > 2:
+                scale = min_enclosing_radius([pts[v] for v in new], p)
+                sq = scale_square(scale)
+                if sq > cap_sq:
+                    continue
+            else:
+                scale, sq = max((pscale, psq), *(near[v][w] for v in verts),
+                                key=square)
+            grade = tuple(map(max, fgrade, vals[w]))
+            stack.append((new, grade, scale, sq, common & up[w]))
+    return BifilteredComplex(len(vals[0]) + 1 if vals else 1, simplices)

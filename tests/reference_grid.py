@@ -150,7 +150,7 @@ class _HomologyBasisTracker:
 
     def _cycles_at(self, z):
         f = self.f
-        act = self.chain._active(self.degree, z)
+        act = self.chain._active(self.degree, self.chain.floor(z))
         if not act:
             return []
         bd = boundary(self.chain, self.degree)
@@ -170,7 +170,7 @@ class _HomologyBasisTracker:
 
     def _boundaries_at(self, z):
         f = self.f
-        act_up = self.chain._active(self.degree + 1, z)
+        act_up = self.chain._active(self.degree + 1, self.chain.floor(z))
         bu = boundary(self.chain, self.degree + 1)
         cols = []
         for j in act_up:

@@ -9,15 +9,24 @@ the rewritten code must give byte-identical presentation and diagram text
 and the same dimensions.  ``boundary`` is the dense boundary matrix that
 ``GradedChainComplex`` used to build; the library reads its sparse
 boundary columns only.
+
+`present_homology_sweep` is the row sweep as it was before presentations
+took the chain's grid indices: it places each generator and relation at
+its grade values, builds the `Presentation` from them, and validates,
+minimizes and checks the Hilbert function through the reference copies in
+``reference_presentation``, snapping each grid point's values onto the
+chain's axes.
 """
 
 import itertools
 
+import reference_presentation
 from permod.exactnum import INF, ext
 from permod.homology import HomologyError, chain_complex_of
-from permod.linalg import ColumnReducer
+from permod.linalg import ColumnReducer, ColumnSpan as SparseSpan
+from permod.linalg import nullspace as sparse_nullspace
 from permod.onedim import PersistenceDiagram
-from permod.presentation import Presentation, grade_leq
+from permod.presentation import Presentation, grade_leq, row_sweep
 
 from conftest import dense_relations
 from reference_linalg import nullspace, rank as mat_rank
@@ -101,13 +110,13 @@ class ColumnSpan:
 def homology_dim_at(chain, d, z):
     """dim H_d at grade z by independent per-point elimination."""
     f = chain.field
-    act_d = chain._active(d, z)
+    act_d = chain._active(d, chain.floor(z))
     if not act_d:
         return 0
     bd = boundary(chain, d)
     sub = [[bd[i][j] for j in act_d] for i in range(len(bd))] if bd else []
     rank_d = mat_rank(f, sub) if sub else 0
-    act_up = chain._active(d + 1, z)
+    act_up = chain._active(d + 1, chain.floor(z))
     bu = boundary(chain, d + 1)
     rank_up = 0
     if act_up and bu:
@@ -177,7 +186,7 @@ def minimize(p):
 def _cycles_at(chain, degree, z):
     f = chain.field
     nd = len(chain.simplices(degree))
-    act = chain._active(degree, z)
+    act = chain._active(degree, chain.floor(z))
     if not act:
         return []
     bd = boundary(chain, degree)
@@ -203,7 +212,7 @@ def present_homology(complex_, degree, field, check_hilbert=True):
     chain = chain_complex_of(complex_, field)
     if chain.nparams not in (1, 2):
         raise HomologyError("presentation extraction supports 1 or 2 parameters")
-    axes = chain.critical_axes()
+    axes = chain.axes
     if any(not ax for ax in axes):
         return Presentation(chain.nparams, field, [], [])
     f = field
@@ -254,6 +263,71 @@ def present_homology(complex_, degree, field, check_hilbert=True):
         for z in itertools.product(*axes):
             want = homology_dim_at(chain, degree, z)
             got = pres.point_dim(z)
+            if want != got:
+                raise HomologyError(
+                    f"Hilbert check failed at {z}: presentation gives {got}, "
+                    f"pointwise homology gives {want}")
+    return pres
+
+
+def present_homology_sweep(complex_, degree, field, check_hilbert=True):
+    """The row-by-row sweep of the critical grid on grade values: a kernel
+    basis, each boundary of a (degree+1)-simplex in the generators active at
+    its grade, then minimization and the Hilbert check."""
+    chain = chain_complex_of(complex_, field)
+    if chain.nparams not in (1, 2):
+        raise HomologyError("presentation extraction supports 1 or 2 parameters")
+    axes = chain.axes
+    if any(not ax for ax in axes):
+        return Presentation(chain.nparams, field, [], [])
+    f = field
+    nd = len(chain.simplices(degree))
+    cols = chain.columns[degree] if degree <= chain.max_deg else []
+
+    def cycles_at(z):
+        act = chain._active(degree, chain.floor(z))
+        return [{act[t]: x for t, x in v.items()}
+                for v in sparse_nullspace(f, [cols[j] for j in act])] if act else []
+
+    kernel_dim = {z: n - r for z, (n, r) in chain.active_ranks(degree).items()}
+    rels_at = {}
+    for j, z in enumerate(chain.grade_index.get(degree + 1, [])):
+        rels_at.setdefault(z, []).append(j)
+
+    gens, born = [], []
+    rel_coeffs = {}
+    for z, entering in row_sweep([len(ax) for ax in axes], born):
+        if z[-1] == 0:
+            span = SparseSpan(f, nd)
+            members = []
+        for i in entering:
+            span.insert(gens[i])
+            members.append(i)
+        if kernel_dim[z] > span.rank:
+            for v in cycles_at(tuple(ax[x] for ax, x in zip(axes, z))):
+                members.append(len(gens) if span.insert(v) else None)
+                if members[-1] is not None:
+                    gens.append(v)
+                    born.append(z)
+        for j in rels_at.get(z, ()):
+            coords = span.coords(chain.columns[degree + 1][j])
+            if coords is None:
+                raise HomologyError("boundary escapes the kernel span; "
+                                    "sweep incomplete")
+            rel_coeffs[j] = {members[k]: c for k, c in coords.items()}
+
+    rels = [(f"b{j}", g, rel_coeffs[j])
+            for j, (_, g) in enumerate(chain.simplices(degree + 1))]
+    pres = reference_presentation.minimize(reference_presentation.validate(
+        Presentation(chain.nparams, f,
+                     [(f"k{i}", tuple(ax[x] for ax, x in zip(axes, z)))
+                      for i, z in enumerate(born)], rels)))
+
+    if check_hilbert:
+        dims = reference_presentation.hilbert_table(pres, axes)
+        for idx in itertools.product(*(range(len(ax)) for ax in axes)):
+            z = tuple(ax[k] for ax, k in zip(axes, idx))
+            want, got = chain.homology_dim_at(degree, chain.floor(z)), dims[idx]
             if want != got:
                 raise HomologyError(
                     f"Hilbert check failed at {z}: presentation gives {got}, "

@@ -20,6 +20,7 @@ import pytest
 
 import reference_filtration as ref
 import reference_homology
+from conftest import bracket_sqrt
 from permod.exactnum import QQ, PrimeField, Scale
 from permod.filtration import (BifilteredComplex, PointCloud,
                                cech_bifiltration, fixed_scale_slice,
@@ -47,14 +48,14 @@ def probe_deltas(ref_cx):
     stops = {F(0)}
     for _, grade in ref_cx.simplices:
         x = grade[-1]
-        stops.update(x.bracket() if isinstance(x, Scale) else [x] if x >= 0 else [])
+        stops.update(bracket_sqrt(x.sq) if isinstance(x, Scale) else [x] if x >= 0 else [])
     stops = sorted(stops)
     return stops + [(a + b) / 2 for a, b in zip(stops, stops[1:])] + [stops[-1] + 1]
 
 
 def chain_view(cx):
     chain = chain_complex_of(cx, F2)
-    return chain.critical_axes(), [chain.simplices(d) for d in range(chain.max_deg + 1)]
+    return chain.axes, [chain.simplices(d) for d in range(chain.max_deg + 1)]
 
 
 def ref_chain_view(ref_cx):

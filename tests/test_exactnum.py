@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permod.exactnum import (INF, NEG_INF, PrimeField, QQ, Scale,
-                             bracket_sqrt, common_denominator, ext,
-                             grade_ranks, least_feasible, parse_extended,
-                             parse_field, parse_rational, scaled_int)
+                             common_denominator, ext, grade_ranks,
+                             least_feasible, parse_extended, parse_field,
+                             parse_rational, scaled_int)
+
+from conftest import bracket_sqrt
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "permod"
 

@@ -14,7 +14,7 @@ from permod.filtration import (BifilteredComplex, DensitySpec, FiltrationError,
                                scale_of_square, scale_square,
                                sup_function_distance)
 
-from conftest import seeded
+from conftest import bracket_sqrt, seeded
 
 
 def zeros(k, n=1):
@@ -26,7 +26,7 @@ class TestScale:
         assert scale_of_square(F(9, 4)) == F(3, 2)
         s = scale_of_square(F(1, 3))
         assert isinstance(s, Scale)
-        lo, hi = s.bracket()
+        lo, hi = bracket_sqrt(s.sq)
         assert lo * lo <= F(1, 3) <= hi * hi and hi - lo <= F(1, 2 ** 20)
 
     def test_exact_comparisons(self):

@@ -2,7 +2,10 @@
 `reference_filtration`: the same `to_text()`, or the same exception type
 and message, on seeded clouds in R^1 to R^3 with duplicate points and
 conflicting values, every metric, caps 0 to 12 and max_dim 0 to 3, and on
-the 144-point L1 lattice of the rips_present benchmark."""
+the 144-point L1 lattice of the rips_present benchmark.  Against the
+Fraction pair pass (`reference_filtration.sublevel_bifiltration`) also on
+coordinates and caps with denominators 1 to 5 and collinear clouds; and the
+int pair pass makes no Fraction for a pair it does not keep."""
 
 import random
 from fractions import Fraction as F
@@ -69,3 +72,70 @@ def test_144_point_lattice_matches_reference():
     for build, reference in BUILDERS:
         args = (pts, 1, vals, 2, F(5))
         assert outcome(build, *args) == outcome(reference, *args)
+
+
+PARENT = ((rips_bifiltration, lambda *args: ref.sublevel_bifiltration(*args, False)),
+          (cech_bifiltration, lambda *args: ref.sublevel_bifiltration(*args, True)))
+
+# directions of integer length (1, 5, 7), so an L2 cloud along one has
+# rational distances
+DIRECTIONS = {1: (1,), 2: (3, 4), 3: (2, 3, 6)}
+
+
+def rational_input(rng):
+    dim, nfun = rng.randint(1, 3), rng.randint(1, 2)
+
+    def q():
+        return F(rng.randint(-12, 12), rng.choice((1, 2, 3, 5)))
+
+    count = rng.randint(0, 8)
+    if rng.random() < 0.4:
+        base = tuple(q() for _ in range(dim))
+        pts = [tuple(b + t * d for b, d in zip(base, DIRECTIONS[dim]))
+               for t in (q() for _ in range(count))]
+    else:
+        pts = [tuple(q() for _ in range(dim)) for _ in range(count)]
+    vals = [tuple(F(rng.randint(0, 6), rng.choice((1, 3))) for _ in range(nfun))
+            for _ in pts]
+    if pts and rng.random() < 0.3:
+        k = rng.randrange(len(pts))
+        pts.append(pts[k])
+        vals.append(vals[k] if rng.random() < 0.8 else tuple(x + 1 for x in vals[k]))
+    cap = rng.choice((F(0), F(rng.randint(0, 40), rng.choice((1, 2, 3, 5)))))
+    return PointCloud(pts), rng.choice((1, 2, "inf")), vals, rng.randint(0, 3), cap
+
+
+def test_int_pair_pass_matches_fraction_pair_pass():
+    rng = random.Random("filtration-int-pairs")
+    outcomes = set()
+    for _ in range(300):
+        args = rational_input(rng)
+        for build, parent in PARENT if args[1] != 1 else PARENT[:1]:
+            got, want = outcome(build, *args), outcome(parent, *args)
+            assert got == want, args
+            outcomes.add(got[0])
+    assert {2, 3, ref.FiltrationError} <= outcomes
+
+
+def test_unkept_pairs_make_no_fractions(monkeypatch):
+    """Points 10 apart with cap 1/2 keep no edge: the Fractions made grow
+    with the points (one function value each), not with the pairs."""
+    made = []
+    new = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    for p in (1, 2, "inf"):
+        counts = []
+        for n in (10, 40):
+            cloud = PointCloud([(10 * i, 3 * i) for i in range(n)])
+            made.clear()
+            monkeypatch.setattr(F, "__new__", counting_new)
+            cx = rips_bifiltration(cloud, p, [(0,)] * n, 2, F(1, 2))
+            monkeypatch.undo()
+            assert len(cx.simplices) == n
+            counts.append(len(made))
+        # 30 more points, 735 more pairs
+        assert counts[1] - counts[0] <= 30, (p, counts)

@@ -100,7 +100,7 @@ def chain_pairs(seed, nparams):
     for f in FIELDS:
         for _ in range(5):
             cx = random_one_critical_complex(rng, nparams, max_simplices=9)
-            axes = chain_complex_of(cx, f).critical_axes()
+            axes = chain_complex_of(cx, f).axes
             for degree in (0, 1):
                 out.append((grid_module_of(cx, axes, degree=degree, field=f),
                             ref.grid_module_of_chain(cx, degree, axes, f)))

@@ -134,11 +134,11 @@ class TestGridModule:
         for _ in range(8):
             cx = random_one_critical_complex(rng, 2, max_simplices=8)
             chain = chain_complex_of(cx, f2)
-            axes = chain.critical_axes()
+            axes = chain.axes
             gm = grid_module_of(cx, axes, degree=0, field=f2)
             for idx in gm.indices():
                 z = gm.value(idx)
-                assert gm.dims[idx] == chain.homology_dim_at(0, z)
+                assert gm.dims[idx] == chain.homology_dim_at(0, chain.floor(z))
 
     def test_squares_commute_enforced(self, f2):
         bad = {"axes": [[F(0), F(1)], [F(0), F(1)]]}
@@ -216,17 +216,17 @@ class TestPresentHomology:
             degree = 1
             pres = present_homology(cx, degree, f2)
             bd = boundary(chain, degree)
-            axes = chain.critical_axes()
+            axes = chain.axes
             for z in itertools.product(*axes):
-                act = chain._active(degree, z)
+                act = chain._active(degree, chain.floor(z))
                 if not act:
                     continue
                 sub = [[bd[i][j] for j in act] for i in range(len(bd))]
                 want = len(nullspace(f2, columns_of(f2, sub, len(act))))
-                got_rank = chain.homology_dim_at(degree, z)
+                got_rank = chain.homology_dim_at(degree, chain.floor(z))
                 # dim ker = dim H + rank of boundary from above
                 bu = boundary(chain, degree + 1)
-                act_up = chain._active(degree + 1, z)
+                act_up = chain._active(degree + 1, chain.floor(z))
                 rk_up = 0
                 if act_up and bu:
                     subu = [[bu[i][j] for j in act_up] for i in range(len(bu))]
@@ -251,6 +251,25 @@ class TestPresentHomology:
             "f235f544d8cf5728c91f65f1dbb10e553dd94a5e61614b53dbfe0d2493379c7a",
             "4e21e3de9a519401641657fe5124869edd05e655ce118ef1837433b5ccbfcedf"]
         assert elapsed < 8, f"presenting H0 and H1 took {elapsed:.1f} s"
+
+    def test_large_lattice_compares_no_fraction(self, f2, monkeypatch):
+        # once the complex is built, the chain, the sweep, minimize and the
+        # Hilbert check compare int grade indices only
+        rng = seeded(48)
+        pts = [(3 * a + rng.randint(0, 1), 3 * b + rng.randint(0, 1))
+               for a in range(6) for b in range(8)]
+        vals = [(rng.randint(0, 4),) for _ in pts]
+        cx = rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
+        compared, richcmp_ = [], F._richcmp
+
+        def richcmp(a, b, op):
+            compared.append((a, b))
+            return richcmp_(a, b, op)
+
+        monkeypatch.setattr(F, "_richcmp", richcmp)
+        for d in (0, 1):
+            present_homology(cx, d, f2, check_hilbert=True)
+        assert compared == []
 
     def test_144_point_lattice_within_time_gate(self, f2):
         # the 12 x 12 jittered L1 lattice of the rips_present benchmark

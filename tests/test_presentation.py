@@ -41,6 +41,14 @@ class TestValidate:
         with pytest.raises(PresentationError, match="no generator 2"):
             Presentation(1, f2, gens, [("r", (F(1),), {2: 1})]).validate()
 
+    def test_grade_length_mismatch(self, f2):
+        g = ("g", (F(0), F(0)))
+        for gens, rels in (([("g", (F(0),))], []), ([("g", (F(0),) * 3)], []),
+                           ([g], [("r", (F(1),), {0: 1})]),
+                           ([g], [("r", (F(1),) * 3, {0: 1})])):
+            with pytest.raises(PresentationError, match="grade length != n"):
+                Presentation(2, f2, gens, rels).validate()
+
     def test_duplicate_names(self, f2):
         with pytest.raises(PresentationError, match="duplicate"):
             Presentation(1, f2, [("g", (F(0),)), ("g", (F(1),))], []).validate()
@@ -316,6 +324,16 @@ END
                                "generator h 0\nrelation r 1 : g 0  h 2\nEND\n")
         assert p.relations[0][2] == {1: 2}
         assert "relation r 1 : h 2\n" in p.to_text()
+
+    def test_coefficient_zero_in_the_field_dropped(self, f2, f3):
+        # 2 is 0 in Z/2, so {g: 2} is the zero relation and g lives on; over
+        # Z/3, -1 is stored and written as 2
+        for field, coeff, kept in ((f2, 2, {}), (f3, -1, {0: 2}), (f3, 4, {0: 1})):
+            p = Presentation(1, field, [("g", (F(0),))], [("r", (F(1),), {0: coeff})])
+            assert p.relations[0][2] == kept
+            q = parse_presentation(p.to_text())
+            assert q.relations == p.relations
+            assert q.point_dim((F(1),)) == p.point_dim((F(1),)) == 1 - len(kept)
 
     def test_parse_errors(self):
         with pytest.raises(PresentationError):

@@ -1,0 +1,96 @@
+"""The ranked `Presentation` against the copies of its Fraction-comparing
+methods in `reference_presentation`, over Z/2, Z/3 and Q with one to three
+parameters: the same validation outcome, the same minimized text, the same
+Hilbert table on axes that hold values off the grades, and the same critical
+grades and candidate set.  Every grade is also read back off the ranks."""
+
+import operator
+import random
+from fractions import Fraction as F
+
+import reference_interleave
+import reference_presentation as ref
+from permod.exactnum import QQ, PrimeField, common_denominator, ext, INF
+from permod.interleave import candidate_set
+from permod.presentation import Presentation
+
+from conftest import random_presentation, rerepresent
+
+FIELDS = (PrimeField(2), PrimeField(3), QQ)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:    # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def assert_ranks_read_back(p):
+    assert [g for _, g in p.generators] == \
+        [tuple(map(operator.getitem, p.axes, k)) for k in p.gen_index]
+    assert [g for _, g, _ in p.relations] == \
+        [tuple(map(operator.getitem, p.axes, k)) for k in p.rel_index]
+    grades = [g for _, g in p.generators] + [g for _, g, _ in p.relations]
+    assert p.axes == [sorted({g[a] for g in grades}) for a in range(p.n)]
+
+
+def cases():
+    rng = random.Random("presentation-oracle")
+    for k in range(120):
+        field, n = FIELDS[k % 3], 1 + k % 3
+        pool = [F(x, rng.choice((1, 2, 3))) for x in range(-2, 5)]
+        p = random_presentation(rng, field, n=n, max_gens=5, max_rels=6,
+                                grade_pool=pool)
+        yield rng, p
+        yield rng, rerepresent(rng, p)
+
+
+def test_minimize_hilbert_and_critical_grades_match_reference():
+    for rng, p in cases():
+        m = p.minimize()
+        assert m.to_text() == ref.minimize(p).to_text()
+        for q in (p, m):
+            assert_ranks_read_back(q)
+            assert q.critical_grades(minimal=True) == \
+                ref.critical_grades(q, minimal=True)
+            pool = sorted({x for ax in q.axes for x in ax} | {F(-3), F(1, 7), F(9)})
+            axes = [sorted(rng.sample(pool, rng.randint(1, len(pool))))
+                    for _ in range(q.n)]
+            assert q.hilbert_table(axes) == ref.hilbert_table(q, axes)
+
+
+def test_candidate_set_matches_sorted_fraction_sets():
+    pairs = list(cases())
+    for (_, p), (_, q) in zip(pairs, pairs[1:]):
+        if p.n != q.n or p.field != q.field:
+            continue
+        (_, axes_p), (_, axes_q) = (ref.critical_grades(x) for x in (p, q))
+        scale = 2 * common_denominator(x for axis in axes_p + axes_q for x in axis)
+        values = {0}
+        for up, uq in zip(axes_p, axes_q):
+            values |= {abs(x - y) for x in up for y in uq}
+            values |= {abs(x - y) / 2 for x in up for y in up}
+            values |= {abs(x - y) / 2 for x in uq for y in uq}
+        want = [ext(F(int(v * scale), scale)) for v in sorted(values)] + [INF]
+        assert candidate_set(p, q) == want
+        assert reference_interleave.candidate_set(p, q) == want
+
+
+def test_validate_matches_reference():
+    f2 = FIELDS[0]
+    g0, g1 = (F(0), F(1)), (F(1), F(0))
+    bad = [
+        Presentation(2, f2, [("g", g0), ("g", g1)], []),
+        Presentation(2, f2, [("g", g0)], [("g", g1, {0: 1})]),
+        Presentation(2, f2, [("g", g0)], [("r", g1, {0: 1})]),
+        Presentation(2, f2, [("g", g0)], [("r", g0, {1: 1})]),
+        Presentation(2, f2, [("g", g0), ("h", (F(2), F(2)))],
+                     [("r", (F(2), F(1)), {0: 1, 1: 1})]),
+        Presentation(0, f2, [], []),
+    ]
+    good = [p for _, p in cases()]
+    for p in bad + good:
+        got, want = outcome(Presentation.validate, p), outcome(ref.validate, p)
+        assert got is p if want is p else got == want
+    assert sum(outcome(ref.validate, p) is not p for p in bad) == len(bad)

@@ -12,7 +12,8 @@ one ranking rule: an axis that holds a Scale by signed squares).
 
 Each field also names the column type that `linalg.ColumnReducer` stores
 its columns in (`field.columns`), chosen here once: {row: coeff} dicts over
-Z/p and Q, and ints over Z/2, where bit r stands for a 1 at row r.
+Z/p and Q, and ints over Z/2, where bit r stands for a 1 at row r.  Each
+column type runs the one reduction loop over its columns (`reduce`).
 """
 
 import bisect
@@ -281,11 +282,7 @@ def subtract_multiple(f, target, c, source):
 
 class DictColumns:
     """Columns over any field as {row: coeff} dicts without zeros, reduced in
-    place.  A column type packs and unpacks such dicts, gives a column's
-    largest row (`low`), clears row low of col with the pivot column pcol,
-    the combinations alongside (`cancel`), and moves row low to kept (`move`)."""
-
-    low = max
+    place.  A column type packs and unpacks such dicts, and reduces them."""
 
     def __init__(self, field):
         self.field = field
@@ -296,18 +293,24 @@ class DictColumns:
 
     unpack = pack
 
-    def cancel(self, col, combo, pcol, pcombo, low):
-        f = self.field
-        c = f.div(col[low], pcol[low])
-        subtract_multiple(f, col, c, pcol)
-        if combo is not None:
-            subtract_multiple(f, combo, c, pcombo)
-        return col, combo
-
-    @staticmethod
-    def move(col, low, kept):
-        kept[low] = col.pop(low)
-        return col, kept
+    def reduce(self, stored, col, combo, full):
+        """Reduce col and combo by the stored {pivot: (column, combo)} until
+        col's top row is no pivot (with full, zero at every pivot).  Returns
+        (col, or with full its non-pivot rows, combo, the last top row)."""
+        f, kept, low = self.field, {} if full else None, None
+        while col:
+            low = max(col)
+            hit = stored.get(low)
+            if hit is not None:
+                c = f.div(col[low], hit[0][low])
+                subtract_multiple(f, col, c, hit[0])
+                if combo is not None:
+                    subtract_multiple(f, combo, c, hit[1])
+            elif full:
+                kept[low] = col.pop(low)
+            else:
+                break
+        return (kept if full else col), combo, low
 
 
 class BitColumns:
@@ -331,16 +334,21 @@ class BitColumns:
         return out
 
     @staticmethod
-    def low(col):
-        return col.bit_length() - 1
-
-    @staticmethod
-    def cancel(col, combo, pcol, pcombo, low):
-        return col ^ pcol, None if combo is None else combo ^ pcombo
-
-    @staticmethod
-    def move(col, low, kept):
-        return col ^ (1 << low), kept | (1 << low)
+    def reduce(stored, col, combo, full):
+        """`DictColumns.reduce` on bitsets."""
+        kept, low = 0, None
+        while col:
+            low = col.bit_length() - 1
+            hit = stored.get(low)
+            if hit is not None:
+                col ^= hit[0]
+                if combo is not None:
+                    combo ^= hit[1]
+            elif full:
+                col, kept = col ^ 1 << low, kept | 1 << low
+            else:
+                break
+        return (kept if full else col), combo, low
 
 
 def _is_prime(p):

@@ -217,6 +217,7 @@ class BifilteredComplex:
         self.nparams, self.axes = nparams, axes
         self.simplices = [(verts, grade) for verts, grade, _ in ranked]
         self.grade_index = [key for _, _, key in ranked]
+        self.chains = {}        # field spec -> homology.chain_complex_of
 
     def rational_axes(self):
         """`axes` as lists of Fractions; raises on the first simplex, in
@@ -291,15 +292,19 @@ def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
                 near[i][j] = (scale_of_square(Fraction(key, per)) if p == 2
                               else Fraction(key, per), key)
                 up[i] |= 1 << j
+    if any(len(val) != len(vals[0]) for val in vals):
+        raise FiltrationError("grade length mismatch")
+    # function grades as maxima of int ranks, read back as values on the axes
+    faxes, franks = grade_ranks(vals, len(vals[0])) if vals else ([], [])
     cap_sq = scale_cap ** 2
     key_of = operator.itemgetter(1)
     zero = Fraction(0)
     simplices = []
-    # (vertices, function grade, scale, its key, common upper neighbours)
-    stack = [((i,), val, zero, 0, up[i]) for i, val in enumerate(vals)]
+    # (vertices, function ranks, scale, its key, common upper neighbours)
+    stack = [((i,), rank, zero, 0, up[i]) for i, rank in enumerate(franks)]
     while stack:
         verts, fgrade, pscale, pkey, common = stack.pop()
-        simplices.append((verts, fgrade + (pscale,)))
+        simplices.append((verts, tuple(map(list.__getitem__, faxes, fgrade)) + (pscale,)))
         while common and len(verts) <= max_dim:
             low = common & -common
             common ^= low       # the bits left are those above w
@@ -312,7 +317,7 @@ def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
             else:
                 scale, key = max((pscale, pkey), *(near[v][w] for v in verts),
                                  key=key_of)
-            grade = tuple(map(max, fgrade, vals[w]))
+            grade = tuple(map(max, fgrade, franks[w]))
             stack.append((new, grade, scale, key, common & up[w]))
     return BifilteredComplex(len(vals[0]) + 1 if vals else 1, simplices)
 

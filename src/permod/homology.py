@@ -17,17 +17,17 @@ module's transitions:
   between two scale slices, of a resampling, or of clusters (``infer``), is
   made by `build_grid_module`: one walk over the grid computes the data at
   each point, its dimension, and the transition to each successor;
-* presentations of homology for 1 and 2 parameters.  The critical grid is
-  swept row by row with one span of kernel generators per row, and a
-  nullspace of the sparse boundary columns is taken only where a generator
-  is born: where the kernel dimension, from a sparse rank table, exceeds the
-  span's rank.  Each boundary of a (d+1)-simplex is expressed in the
+* presentations of homology for 1 and 2 parameters, on a complex's one
+  chain complex per field.  The critical grid is swept row by row with one
+  span of kernel generators per row, fed by one growing boundary reduction
+  per grid column (Lesnick and Wright, arXiv:1902.05708) where a generator
+  is born.  Each boundary of a (d+1)-simplex is expressed in the
   generators active at its grade, then the presentation, ranked by the
   grid indices, is minimized.  The freeness of two-parameter kernels is an
   implementation hypothesis, so a Hilbert check follows: the minimized
   presentation's dimension table, swept with one reduction per grid row,
   must equal the chain's, from rank tables of its own.  Neither side reads
-  a span or table of the sweep, so a sweep error cannot vouch for itself.
+  a span or reduction of the sweep, so a sweep error cannot vouch for itself.
 
 Every reduction runs on `linalg.ColumnReducer`, whose columns take the
 field's column type: {row: coeff} dicts, or over Z/2 int bitsets reduced by
@@ -75,7 +75,7 @@ class GradedChainComplex:
                     col[rows[verts[:k] + verts[k + 1:]]] = sign
                     sign = field.neg(sign)
         self._check_dd()
-        self._dims = {}         # degree -> {grid index: dim H_degree}
+        self._ranks = {}        # degree -> active_ranks(degree)
 
     def _check_dd(self):
         for d in range(2, self.max_deg + 1):
@@ -99,25 +99,28 @@ class GradedChainComplex:
 
     def active_ranks(self, d):
         """{critical grid index: (number of active d-simplices, rank of the
-        boundary on them)}, by one sparse reduction per row of the grid."""
-        cols = self.columns[d] if d <= self.max_deg else []
-        return swept_ranks(self.field, [len(ax) for ax in self.axes],
-                           self.grade_index.get(d, []), cols)
+        boundary on them)}, by one sparse reduction per grid row, tabled once."""
+        if d not in self._ranks:
+            cols = self.columns[d] if d <= self.max_deg else []
+            self._ranks[d] = swept_ranks(self.field, [len(ax) for ax in self.axes],
+                                         self.grade_index.get(d, []), cols)
+        return self._ranks[d]
 
     def homology_dim_at(self, d, idx):
         """dim H_d at the grid index idx (0 at None, so `floor` of a grade
         will do): active d-simplices minus the boundary ranks on the active
-        d- and (d+1)-simplices, tabled on first use from the boundary columns
-        alone."""
-        if d not in self._dims:
-            up = self.active_ranks(d + 1)
-            self._dims[d] = {i: n - r - up[i][1]
-                             for i, (n, r) in self.active_ranks(d).items()}
-        return 0 if idx is None else self._dims[d][idx]
+        d- and (d+1)-simplices, from the boundary columns' rank tables."""
+        if idx is None:
+            return 0
+        n, r = self.active_ranks(d)[idx]
+        return n - r - self.active_ranks(d + 1)[idx][1]
 
 
 def chain_complex_of(complex_, field):
-    return GradedChainComplex(field, complex_)
+    """complex_'s chain complex over field, kept in its `chains` by field spec."""
+    if field.spec not in complex_.chains:
+        complex_.chains[field.spec] = GradedChainComplex(field, complex_)
+    return complex_.chains[field.spec]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +151,7 @@ def barcode_1d(complex_, degree, field):
 
     reducer = ColumnReducer(field)
     below = {simplices[k][0]: r for r, k in enumerate(range(lo, mid))}
-    creators = [k for k in range(mid, hi) if reducer.add(boundary(k, below)) is None]
+    creators = [k for k in range(mid, hi) if not below or reducer.add(boundary(k, below)) is None]
     rows = {simplices[k][0]: r for r, k in enumerate(creators)}
     pts = bars(field, [index[k][0] for k in creators],
                [(index[k][0], boundary(k, rows)) for k in range(hi, top)])
@@ -470,42 +473,48 @@ def present_homology(complex_, degree, field, check_hilbert=True):
     """Presentation of H_degree of a one-critical bifiltered complex with one
     or two parameters: a row-by-row sweep of the critical grid collects a
     kernel basis and expresses each boundary of a (degree+1)-simplex in the
-    generators active at its grade, then the result is minimized.  The
-    Hilbert check compares the result's `hilbert_table` with
-    `homology_dim_at` at every grid point; neither shares state with the
-    sweep."""
+    generators active at its grade, then the result is minimized.  The kernel
+    grows in one reduction per grid column z[1:]: the simplices entering at z
+    (leading index z[0], grade index <= z) are a run of the degree's order,
+    each dependent one's combination is a null vector of the columns active
+    at z, and the earlier ones are in the span.  The Hilbert check compares
+    `hilbert_table` with `homology_dim_at`, sharing no state with the sweep."""
     chain = chain_complex_of(complex_, field)
     if chain.nparams not in (1, 2):
         raise HomologyError("presentation extraction supports 1 or 2 parameters")
     axes, shape = chain.axes, [len(ax) for ax in chain.axes]
     if not all(shape):
         return Presentation(chain.nparams, field, [], [])
-    tracker = _HomologyBasisTracker(chain, degree)
     f = field
-    kernel_dim = {z: n - r for z, (n, r) in chain.active_ranks(degree).items()}
-    rels_at = {}                # grid index -> (degree+1)-simplices of that grade
-    for j, z in enumerate(chain.grade_index.get(degree + 1, [])):
-        rels_at.setdefault(z, []).append(j)
+    index, upper = chain.grade_index.get(degree, []), chain.grade_index.get(degree + 1, [])
+    cols = chain.columns[degree] if index else []
+    # per grid column z[1:]: its growing reduction and its null vector count
+    reducers = {tail: ColumnReducer(f) for tail in _grid_indices(shape[1:])}
+    nulls = dict.fromkeys(reducers, 0)
 
     gens, born = [], []         # kernel generators and their grid indices
     rel_coeffs = {}             # (degree+1)-simplex -> {generator: coeff}
     for z, entering in row_sweep(shape, born):
         if z[-1] == 0:
-            # one span per row: a generator enters when it becomes active,
-            # and the nullspace is taken only where the span falls short of
-            # the kernel, i.e. where a generator is born
-            span = ColumnSpan(f, tracker.nd)
+            # one span per row: a generator enters when it becomes active
+            span = ColumnSpan(f, len(index))
             members = []        # generator index (None: dependent) per insert
         for i in entering:
             span.insert(gens[i])
             members.append(i)
-        if kernel_dim[z] > span.rank:
-            for v in tracker._cycles_at(z):
+        reducer, fresh = reducers[z[1:]], []
+        for j in range(bisect.bisect_left(index, z[:1]), bisect.bisect_right(index, z)):
+            combo = {j: f.one}
+            if not cols[j] or reducer.add(dict(cols[j]), combo) is None:
+                fresh.append(combo)
+        nulls[z[1:]] += len(fresh)
+        if nulls[z[1:]] > span.rank:
+            for v in fresh:
                 members.append(len(gens) if span.insert(v) else None)
                 if members[-1] is not None:
                     gens.append(v)
                     born.append(z)
-        for j in rels_at.get(z, ()):
+        for j in range(bisect.bisect_left(upper, z), bisect.bisect_right(upper, z)):
             coords = span.coords(chain.columns[degree + 1][j])
             if coords is None:
                 raise HomologyError("boundary escapes the kernel span; "
@@ -513,8 +522,7 @@ def present_homology(complex_, degree, field, check_hilbert=True):
             # coords name only independent inserts, which are generators
             rel_coeffs[j] = {members[k]: c for k, c in coords.items()}
 
-    rels = [(f"b{j}", z, rel_coeffs[j])
-            for j, z in enumerate(chain.grade_index.get(degree + 1, []))]
+    rels = [(f"b{j}", z, rel_coeffs[j]) for j, z in enumerate(upper)]
     pres = Presentation.from_ranks(chain.nparams, f, axes, [
         (f"k{i}", z) for i, z in enumerate(born)], rels).validate().minimize()
 

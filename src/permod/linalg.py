@@ -11,13 +11,13 @@ index: coeff}.
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
 the one elimination in the package: it is behind `rank`, `nullspace` and
 `solve`, `ColumnSpan`, the linear elimination rounds of the `quadsys`
-solver, barcodes, homology rank tables and minimization.  It has one loop
-and two column types, which the field picks (`exactnum`): {row: coeff}
-dicts, and over Z/2 ints whose pivot is the top bit and whose elimination
-is xor.  Callers see dicts either way.  Each result it gives here is the
-unique one of its kind (the reduced-echelon null basis, the solution that
-is 0 at every non-pivot column), so no routine depends on the order of
-reduction.
+solver, barcodes, homology rank tables and kernels, and minimization.  Its
+two column types, which the field picks (`exactnum`), each run the one
+reduction loop: {row: coeff} dicts, and over Z/2 ints whose pivot is the
+top bit and whose elimination is xor.  Callers see dicts either way.  Each
+result it gives here is the unique one of its kind (the reduced-echelon
+null basis, the solution that is 0 at every non-pivot column), so no
+routine depends on the order of reduction.
 """
 
 
@@ -56,26 +56,16 @@ class ColumnReducer:
         return len(self.columns)
 
     def _reduce(self, col, combo, full):
-        """The one reduction loop.  Packs col and combo, reduces them until
-        col's largest row is no pivot (with full, until col is zero at every
-        pivot), and writes the combination back into combo.  Returns col and
-        combo packed, and, without full, col's largest row if col is nonzero."""
-        kind, stored, low = self.kind, self.columns, None
-        col, kept = kind.pack(col), kind.pack({}) if full else None
+        """Packs col and combo, reduces them by the column type's `reduce`,
+        and writes the combination back into combo.  Returns col and combo
+        packed, and, without full, col's largest row if col is nonzero."""
+        kind = self.kind
         packed = None if combo is None else kind.pack(combo)
-        while col:
-            low = kind.low(col)
-            hit = stored.get(low)
-            if hit is not None:
-                col, packed = kind.cancel(col, packed, hit[0], hit[1], low)
-            elif full:
-                col, kept = kind.move(col, low, kept)
-            else:
-                break
+        col, packed, low = kind.reduce(self.columns, kind.pack(col), packed, full)
         if packed is not combo:
             combo.clear()
             combo.update(kind.unpack(packed))
-        return (kept if full else col), packed, low
+        return col, packed, low
 
     def reduce(self, col, combo=None, full=False):
         """Reduce col (consumed; its reduction is returned), and combo with

@@ -46,7 +46,8 @@ def swept_ranks(field, shape, grades, columns):
         if z[-1] == 0:
             reducer, n = ColumnReducer(field), 0
         for j in entering:
-            reducer.add(dict(columns[j]))
+            if columns[j]:      # an empty column adds no rank
+                reducer.add(dict(columns[j]))
         n += len(entering)
         table[z] = (n, reducer.rank)
     return table
@@ -150,10 +151,12 @@ class Presentation:
     def from_ranks(cls, n, field, axes, generators, relations):
         """The presentation of (name, index) generators and (name, index,
         coeffs) relations, indices on the value lists `axes` (kept: those used)."""
-        used, keys = grade_ranks([k for _, k, *_ in generators + relations], n)
+        keys = [k for _, k, *_ in generators + relations]
+        used = [sorted(set(ks)) for ks in zip(*keys)] if keys else [[]] * n
         out = cls.__new__(cls)
         out._keep(n, field, [[ax[k] for k in ks] for ax, ks in zip(axes, used)],
-                  keys, generators, relations)
+                  [tuple(map(bisect.bisect_left, used, k)) for k in keys],
+                  generators, relations)
         return out
 
     def _keep(self, n, field, axes, keys, generators, relations):
@@ -315,7 +318,8 @@ class Presentation:
             row = rows[i]
             piv = min((j for j in row if gen_key[j] == rel_key[i]), default=None)
             if piv is None:
-                kept.append(i)
+                if row:         # step 2 would drop an empty relation
+                    kept.append(i)
                 continue
             for later in (rows[i2] for i2 in order[pos + 1:]):
                 if piv in later:

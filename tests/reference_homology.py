@@ -16,13 +16,21 @@ its grade values, builds the `Presentation` from them, and validates,
 minimizes and checks the Hilbert function through the reference copies in
 ``reference_presentation``, snapping each grid point's values onto the
 chain's axes.
+
+
+`present_homology_births` is the row sweep on grid indices as it was before
+the kernel came from one growing reduction per grid column: it takes a
+nullspace of all the columns active at each grid point where the kernel
+dimension, read from the `active_ranks` table, exceeds the row span's
+rank, on a chain complex of its own, and ranks the presentation's indices
+as `Presentation.from_ranks` did then, through `grade_ranks`.
 """
 
 import itertools
 
 import reference_presentation
-from permod.exactnum import INF, ext
-from permod.homology import HomologyError, chain_complex_of
+from permod.exactnum import INF, ext, grade_ranks
+from permod.homology import GradedChainComplex, HomologyError, chain_complex_of
 from permod.linalg import ColumnReducer, ColumnSpan as SparseSpan
 from permod.linalg import nullspace as sparse_nullspace
 from permod.onedim import PersistenceDiagram
@@ -329,6 +337,80 @@ def present_homology_sweep(complex_, degree, field, check_hilbert=True):
             z = tuple(ax[k] for ax, k in zip(axes, idx))
             want, got = chain.homology_dim_at(degree, chain.floor(z)), dims[idx]
             if want != got:
+                raise HomologyError(
+                    f"Hilbert check failed at {z}: presentation gives {got}, "
+                    f"pointwise homology gives {want}")
+    return pres
+
+
+def _from_ranks(n, field, axes, generators, relations):
+    """`Presentation.from_ranks` as it was: the indices ranked as values."""
+    used, keys = grade_ranks([k for _, k, *_ in generators + relations], n)
+    out = Presentation.__new__(Presentation)
+    out._keep(n, field, [[ax[k] for k in ks] for ax, ks in zip(axes, used)],
+              keys, generators, relations)
+    return out
+
+
+def present_homology_births(complex_, degree, field, check_hilbert=True):
+    """The row sweep of the critical grid on grid indices, with a nullspace
+    of the active boundary columns at each grid point where a generator is
+    born, then minimization and the Hilbert check."""
+    chain = GradedChainComplex(field, complex_)
+    if chain.nparams not in (1, 2):
+        raise HomologyError("presentation extraction supports 1 or 2 parameters")
+    axes, shape = chain.axes, [len(ax) for ax in chain.axes]
+    if not all(shape):
+        return Presentation(chain.nparams, field, [], [])
+    f = field
+    nd = len(chain.simplices(degree))
+
+    def cycles_at(top):
+        act = chain._active(degree, top)
+        if not act:
+            return []
+        cols = chain.columns[degree]
+        return [{act[t]: x for t, x in v.items()}
+                for v in sparse_nullspace(f, [cols[j] for j in act])]
+
+    kernel_dim = {z: n - r for z, (n, r) in chain.active_ranks(degree).items()}
+    rels_at = {}
+    for j, z in enumerate(chain.grade_index.get(degree + 1, [])):
+        rels_at.setdefault(z, []).append(j)
+
+    gens, born = [], []
+    rel_coeffs = {}
+    for z, entering in row_sweep(shape, born):
+        if z[-1] == 0:
+            span = SparseSpan(f, nd)
+            members = []
+        for i in entering:
+            span.insert(gens[i])
+            members.append(i)
+        if kernel_dim[z] > span.rank:
+            for v in cycles_at(z):
+                members.append(len(gens) if span.insert(v) else None)
+                if members[-1] is not None:
+                    gens.append(v)
+                    born.append(z)
+        for j in rels_at.get(z, ()):
+            coords = span.coords(chain.columns[degree + 1][j])
+            if coords is None:
+                raise HomologyError("boundary escapes the kernel span; "
+                                    "sweep incomplete")
+            rel_coeffs[j] = {members[k]: c for k, c in coords.items()}
+
+    rels = [(f"b{j}", z, rel_coeffs[j])
+            for j, z in enumerate(chain.grade_index.get(degree + 1, []))]
+    pres = _from_ranks(chain.nparams, f, axes, [
+        (f"k{i}", z) for i, z in enumerate(born)], rels).validate().minimize()
+
+    if check_hilbert:
+        dims = pres.hilbert_table(axes)
+        for idx in itertools.product(*map(range, shape)):
+            want, got = chain.homology_dim_at(degree, idx), dims[idx]
+            if want != got:
+                z = tuple(ax[k] for ax, k in zip(axes, idx))
                 raise HomologyError(
                     f"Hilbert check failed at {z}: presentation gives {got}, "
                     f"pointwise homology gives {want}")

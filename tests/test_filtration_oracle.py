@@ -54,6 +54,16 @@ def test_seeded_clouds_match_reference():
     assert {2, 3, ref.FiltrationError} <= outcomes
 
 
+def test_function_rows_of_unequal_length_are_refused():
+    # a row longer or shorter than the first is refused, not truncated to
+    # the first row's length
+    pts = PointCloud([(0, 0), (1, 0), (0, 1)])
+    for vals in ([(1,), (2, 3), (0,)], [(1, 2), (2,), (0, 1)]):
+        for build, _ in BUILDERS:
+            assert outcome(build, pts, "inf", vals, 2, F(1)) == \
+                (ref.FiltrationError, "grade length mismatch")
+
+
 def test_sibling_scales_are_independent():
     # vertex 0's first upper neighbour is far and its later ones near, so a
     # scale carried from one child of 0 to the next would show on 0,2 and 0,3

@@ -10,12 +10,13 @@ from permod.exactnum import INF, PrimeField, ext
 from permod.filtration import (BifilteredComplex, PointCloud,
                                cech_bifiltration, fixed_scale_slice,
                                rips_bifiltration)
-from permod.homology import (GridModule, HomologyError,
+from permod import homology
+from permod.homology import (GradedChainComplex, GridModule, HomologyError,
                              barcode_1d, chain_complex_of, grid_module_of,
                              image_grid_module, parse_grid_module,
                              present_homology, rank_shift_distance, resample)
 from permod.interleave import decide_generalized, interleaving_distance
-from permod.linalg import nullspace
+from permod.linalg import ColumnReducer, nullspace
 from permod.onedim import PersistenceDiagram, diagram_of
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  interval_presentation)
@@ -41,6 +42,15 @@ def refinement_check(source, axes, degree=None, field=None):
         if coarse.dims[idx] != refined.dims[jdx]:
             return False
     return True
+
+
+def lattice_48():
+    """A 6 x 8 jittered L1 lattice with function values 0..4, scale cap 5."""
+    rng = seeded(48)
+    pts = [(3 * a + rng.randint(0, 1), 3 * b + rng.randint(0, 1))
+           for a in range(6) for b in range(8)]
+    vals = [(rng.randint(0, 4),) for _ in pts]
+    return rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
 
 
 def K(n, simplices):
@@ -234,14 +244,10 @@ class TestPresentHomology:
                 assert want == got_rank + rk_up
 
     def test_large_lattice_within_time_gate(self, f2):
-        # a 6 x 8 jittered L1 lattice with function values 0..4, scale cap 5:
-        # 1,766 simplices.  The digests were computed once with the
-        # grid-point-by-grid-point sweep, which took 21 s for both degrees.
-        rng = seeded(48)
-        pts = [(3 * a + rng.randint(0, 1), 3 * b + rng.randint(0, 1))
-               for a in range(6) for b in range(8)]
-        vals = [(rng.randint(0, 4),) for _ in pts]
-        cx = rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
+        # the 48-point lattice: 1,766 simplices.  The digests were computed
+        # once with the grid-point-by-grid-point sweep, which took 21 s for
+        # both degrees.
+        cx = lattice_48()
         assert len(cx.simplices) == 1766
         t0 = time.perf_counter()
         texts = [present_homology(cx, d, f2, check_hilbert=True).to_text()
@@ -255,11 +261,7 @@ class TestPresentHomology:
     def test_large_lattice_compares_no_fraction(self, f2, monkeypatch):
         # once the complex is built, the chain, the sweep, minimize and the
         # Hilbert check compare int grade indices only
-        rng = seeded(48)
-        pts = [(3 * a + rng.randint(0, 1), 3 * b + rng.randint(0, 1))
-               for a in range(6) for b in range(8)]
-        vals = [(rng.randint(0, 4),) for _ in pts]
-        cx = rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
+        cx = lattice_48()
         compared, richcmp_ = [], F._richcmp
 
         def richcmp(a, b, op):
@@ -270,6 +272,31 @@ class TestPresentHomology:
         for d in (0, 1):
             present_homology(cx, d, f2, check_hilbert=True)
         assert compared == []
+
+    def test_large_lattice_reduces_once(self, f2, monkeypatch):
+        # H0 and H1 share one chain complex, take their kernels from growing
+        # column reductions with no nullspace, reduce no empty column, and
+        # sweep the rank table of each degree 0, 1, 2 once
+        cx = lattice_48()
+        builds, nullspaces, empty, swept = [], [], [], []
+
+        def counting(owner, name, log, entry):
+            wrapped = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                log.append(entry(*args))
+                return wrapped(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        counting(GradedChainComplex, "__init__", builds, lambda *a: 1)
+        counting(homology, "nullspace", nullspaces, lambda *a: 1)
+        counting(ColumnReducer, "add", empty, lambda self, col, *a: not col)
+        counting(homology, "swept_ranks", swept, lambda field, shape, grades, cols: grades)
+        for d in (0, 1):
+            present_homology(cx, d, f2, check_hilbert=True)
+        chain = cx.chains[f2.spec]
+        assert (len(builds), nullspaces, any(empty)) == (1, [], False)
+        assert sorted(map(id, swept)) == sorted(id(chain.grade_index[d]) for d in (0, 1, 2))
 
     def test_144_point_lattice_within_time_gate(self, f2):
         # the 12 x 12 jittered L1 lattice of the rips_present benchmark

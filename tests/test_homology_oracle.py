@@ -5,7 +5,10 @@ presentation text, identical minimization, the same dimension at every
 grid point, and the same pivots and residues.  `present_homology` on grid
 indices also against the sweep on grade values (`present_homology_sweep`),
 on Rips and Cech builds of L1, L2 and Linf clouds with rational, duplicate
-and collinear points and caps of 0 and fractional caps."""
+and collinear points and caps of 0 and fractional caps.  The growing
+per-column kernel reduction against the sweep that took a nullspace at
+each birth (`present_homology_births`), over Z/2, Z/3 and Q, with one
+chain complex per field and in either degree order."""
 
 import itertools
 import random
@@ -72,6 +75,44 @@ def presented(fn, *args):
         return fn(*args).to_text()
     except Exception as exc:    # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
+
+
+def test_growing_kernels_match_the_per_birth_nullspace():
+    """Rips and Cech clouds with 1 and 2 parameters, each over Z/2, Z/3 and
+    Q, against the sweep that took a nullspace at every birth; each build
+    is presented over the three fields in turn, so each gets its own chain."""
+    rng = seeded(607)
+    nparams = set()
+    for cx in random_clouds(rng, 24):
+        nparams.add(cx.nparams)
+        for field in FIELDS:
+            for degree in (0, 1, 2):
+                assert presented(present_homology, cx, degree, field) == \
+                    presented(ref.present_homology_births, cx, degree, field)
+        assert sorted(cx.chains) == ["q", "zp 2", "zp 3"]
+    assert nparams == {1, 2}
+
+
+def test_h1_before_h0_matches_the_per_birth_nullspace():
+    """The chain's tables filled by H1 first, then read by H0."""
+    rng = seeded(608)
+    for case, cx in enumerate(random_clouds(rng, 8)):
+        field = FIELDS[case % 3]
+        texts = {d: present_homology(cx, d, field).to_text() for d in (1, 0)}
+        for d, text in texts.items():
+            assert text == ref.present_homology_births(cx, d, field).to_text()
+
+
+def test_each_field_gets_its_own_chain():
+    """A cloud presented over Z/2 and then Z/3: its H1 relation has the
+    coefficient 2 over Z/3, from the boundary signs a Z/2 chain drops."""
+    cx = rips_bifiltration(PointCloud([(2, 1), (0, 2), (3, 0), (0, 1), (2, 2)]), 1,
+                           [(0,), (2,), (2,), (1,), (1,)], max_dim=2, scale_cap=2)
+    texts = [present_homology(cx, 1, field).to_text() for field in FIELDS[:2]]
+    assert texts == [ref.present_homology_births(cx, 1, field).to_text()
+                     for field in FIELDS[:2]]
+    assert texts[1].endswith(": k1 2\nEND\n") and texts[0].endswith(": k1 1\nEND\n")
+    assert [cx.chains[f.spec].field for f in FIELDS[:2]] == list(FIELDS[:2])
 
 
 def test_rational_clouds_match_the_sweep_on_values():

@@ -194,8 +194,6 @@ def cmd_export_quadsys(args):
 def cmd_infer(args):
     density = DensitySpec.parse(args.density)
     samples = [int(t) for t in args.samples.split(",")]
-    if samples != sorted(samples):
-        raise CliError("sample sizes must be ascending")
     grid_points = int(args.grid) if args.grid else 33
     rec = run_experiment(density, samples, args.trials, args.seed,
                          parse_rational(args.bandwidth),

@@ -282,7 +282,8 @@ def subtract_multiple(f, target, c, source):
 
 class DictColumns:
     """Columns over any field as {row: coeff} dicts without zeros, reduced in
-    place.  A column type packs and unpacks such dicts, and reduces them."""
+    place.  A column type packs, unpacks and copies such dicts, composes
+    maps given as lists of its columns, and reduces them."""
 
     def __init__(self, field):
         self.field = field
@@ -292,6 +293,23 @@ class DictColumns:
         return v
 
     unpack = pack
+    copy = staticmethod(dict)
+
+    def compose(self, later, earlier):
+        """The map `later` after `earlier`: column c is the sum of x *
+        later[k] over the entries k: x of earlier[c]; a map to or from a
+        zero space needs no dimension."""
+        zero, add, mul = self.field.zero, self.field.add, self.field.mul
+        out = []
+        for col in earlier:
+            acc = {}
+            for k, x in col.items():
+                for r, y in later[k].items():
+                    acc[r] = add(acc.get(r, zero), mul(x, y))
+            if zero in acc.values():
+                acc = {r: v for r, v in acc.items() if v != zero}
+            out.append(acc)
+        return out
 
     def reduce(self, stored, col, combo, full):
         """Reduce col and combo by the stored {pivot: (column, combo)} until
@@ -331,6 +349,22 @@ class BitColumns:
             bit = col & -col
             out[bit.bit_length() - 1] = 1
             col ^= bit
+        return out
+
+    copy = staticmethod(int)    # ints are immutable: a column is its own copy
+
+    @staticmethod
+    def compose(later, earlier):
+        """`DictColumns.compose` on bitsets: each column of earlier is the
+        xor of the columns of later at its set bits."""
+        out = []
+        for col in earlier:
+            acc = 0
+            while col:
+                bit = col & -col
+                acc ^= later[bit.bit_length() - 1]
+                col ^= bit
+            out.append(acc)
         return out
 
     @staticmethod

@@ -36,11 +36,12 @@ xor.
 
 import bisect
 import itertools
+import math
 import operator
 from fractions import Fraction
 
-from .exactnum import (INF, ext, format_rational, least_feasible,
-                       parse_field, parse_rational)
+from .exactnum import (INF, common_denominator, ext, format_rational,
+                       least_feasible, parse_field, parse_rational, scaled_int)
 from .linalg import ColumnReducer, ColumnSpan, mat_mul, nullspace, rank as mat_rank
 from .onedim import PersistenceDiagram, bars
 from .presentation import Presentation, row_sweep, swept_ranks
@@ -192,12 +193,6 @@ def _floor_index(axis, v):
     return i if i >= 0 else None
 
 
-def _ceil_index(axis, v):
-    """Index of the smallest value >= v on an increasing axis, or None."""
-    i = bisect.bisect_left(axis, v)
-    return i if i < len(axis) else None
-
-
 class GridModule:
     """A persistence module restricted to a finite grid: per-point dimensions
     and transition maps between adjacent grid points.  Squares commute.
@@ -207,8 +202,11 @@ class GridModule:
     and every index with a successor along axis a needs trans[(idx, a)], the
     map from idx to that successor: one sparse column per basis vector at
     idx, a {row: coeff} dict without zeros over the successor's basis.
-    Composite maps and their ranks are cached per module; dense rows appear
-    only in the text form."""
+    Each is packed once into the field's column type (`exactnum`), whose
+    `compose` makes the composites, cached packed by the flat (row-major)
+    indices of their ends; `check_squares` and the cached `rank_between`
+    work on packed maps, `matrix_between` unpacks.  Dense rows appear only
+    in the text form."""
 
     def __init__(self, field, axes, dims, trans):
         self.field = field
@@ -219,16 +217,25 @@ class GridModule:
         for idx in self.indices():
             if idx not in self.dims:
                 raise HomologyError(f"no dimension given at grid index {idx}")
-        for idx, axis in _grid_steps(self.shape()):
-            if (idx, axis) not in self.trans:
+        shape = self.shape()
+        self._strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+        self._flat = {idx: i for i, idx in enumerate(self.indices())}
+        self._dims = [self.dims[idx] for idx in self._flat]
+        # per flat index, the axes it has a successor along, cheapest first
+        self._order = [sorted((a for a, k in enumerate(idx) if k + 1 < shape[a]),
+                              key=lambda a: self._dims[i + self._strides[a]])
+                       for i, idx in enumerate(self._flat)]
+        self._steps = [[None] * len(self._dims) for _ in shape]   # axis -> flat -> packed
+        for idx, axis in _grid_steps(shape):
+            cols, rows = self.trans.get((idx, axis)), range(self.dims[_succ(idx, axis)])
+            if cols is None:
                 raise HomologyError(f"no transition given at {idx} axis {axis}")
-        for (idx, axis), cols in self.trans.items():
-            rows = range(self.dims[_succ(idx, axis)])
-            if len(cols) != self.dims[idx] or any(
-                    r not in rows or x == field.zero for col in cols for r, x in col.items()):
+            if len(cols) != self.dims[idx] or field.zero in itertools.chain.from_iterable(
+                    map(dict.values, cols)) or not all(map(rows.__contains__, set().union(*cols))):
                 raise HomologyError(f"transition at {idx} axis {axis} has the "
                                     f"wrong shape")
-        self._matrices = {}     # (i1, i2) -> matrix_between(i1, i2)
+            self._steps[axis][self._flat[idx]] = list(map(field.columns.pack, cols))
+        self._composites = {}   # flat i1 * size + flat i2 -> packed composite
         self._ranks = {}        # (i1, i2) -> rank_between(i1, i2)
         self.check_squares()
 
@@ -249,49 +256,60 @@ class GridModule:
         return self.trans[(idx, axis)]
 
     def check_squares(self):
-        f, shape = self.field, self.shape()
-        for idx, a1 in _grid_steps(shape):
-            for a2 in range(a1 + 1, len(shape)):
-                if idx[a2] + 1 >= shape[a2]:
-                    continue
-                idx_a, idx_b = _succ(idx, a1), _succ(idx, a2)
-                if mat_mul(f, self.step(idx_a, a2), self.step(idx, a1)) != \
-                        mat_mul(f, self.step(idx_b, a1), self.step(idx, a2)):
+        compose, steps, strides = self.field.columns.compose, self._steps, self._strides
+        for i, idx in enumerate(self._flat):
+            for a1, a2 in itertools.combinations(sorted(self._order[i]), 2):
+                if compose(steps[a2][i + strides[a1]], steps[a1][i]) != \
+                        compose(steps[a1][i + strides[a2]], steps[a2][i]):
                     raise HomologyError(f"grid square at {idx} does not commute")
 
-    def matrix_between(self, i1, i2):
-        """Composite transition map from grid index i1 to i2 (i1 <= i2), as
-        sparse columns.
+    def _composite(self, i1, i2):
+        """The composite transition map from grid index i1 to i2, packed.
 
         The walk steps first along the axis whose successor has the smallest
         dimension (the lowest such axis on ties), so each composition has
         the smallest inner size on offer; squares commute, so every path
-        gives the same map.  A single step is the stored transition itself.
-        The walk goes forward to i2 or to the first cached composite, then
-        composes back, caching the composite from every index it passed."""
-        if i1 == i2 and (i1, i2) not in self._matrices:
-            self._matrices[(i1, i2)] = [{i: self.field.one}
-                                        for i in range(self.dims[i1])]
-        path, cur = [], i1
-        while (cur, i2) not in self._matrices and cur != i2:
-            axis = min((a for a in range(self.nparams) if cur[a] < i2[a]),
-                       key=lambda a: self.dims[_succ(cur, a)])
+        gives the same map.  A single step is the packed transition itself,
+        and a map from or to a zero space needs no walk.  The walk goes
+        forward to i2 or to the first cached composite, then composes back,
+        caching the composite from every index it passed."""
+        size, cache = len(self._dims), self._composites
+        cur, end = self._flat[i1], self._flat[i2]
+        out = cache.get(cur * size + end)
+        if out is not None:
+            return out
+        gaps = [b - a for a, b in zip(i1, i2)]
+        if min(gaps, default=0) < 0:
+            raise HomologyError("composite requires i1 <= i2")
+        strides, dims, order, path = self._strides, self._dims, self._order, []
+        if cur == end or not (dims[cur] and dims[end]):     # no walk
+            return [self.field.columns.pack({k: self.field.one} if cur == end else {})
+                    for k in range(dims[cur])]
+        while cur != end and cur * size + end not in cache:
+            for axis in order[cur]:
+                if gaps[axis]:
+                    break
             path.append((cur, axis))
-            cur = _succ(cur, axis)
-        out = None if cur == i2 else self._matrices[(cur, i2)]
-        for idx, axis in reversed(path):
-            out = self.step(idx, axis) if out is None else \
-                mat_mul(self.field, out, self.step(idx, axis))
-            self._matrices[(idx, i2)] = out
-        return self._matrices[(i1, i2)]
+            gaps[axis] -= 1
+            cur += strides[axis]
+        out = None if cur == end else cache[cur * size + end]
+        compose, steps = self.field.columns.compose, self._steps
+        for i, axis in reversed(path):
+            out = steps[axis][i] if out is None else compose(out, steps[axis][i])
+            cache[i * size + end] = out
+        return out
+
+    def matrix_between(self, i1, i2):
+        """Composite transition map from grid index i1 to i2 (i1 <= i2), as
+        sparse columns: `_composite` unpacked."""
+        return list(map(self.field.columns.unpack, self._composite(i1, i2)))
 
     def rank_between(self, i1, i2):
-        key = (i1, i2)
-        if key not in self._ranks:
-            if any(a > b for a, b in zip(i1, i2)):
-                raise HomologyError("rank requires i1 <= i2")
-            self._ranks[key] = mat_rank(self.field, self.matrix_between(i1, i2))
-        return self._ranks[key]
+        rank = self._ranks.get((i1, i2))
+        if rank is None:
+            rank = self._ranks[i1, i2] = mat_rank(self.field, self._composite(i1, i2),
+                                                  packed=True)
+        return rank
 
     def to_text(self):
         lines = ["GRIDMODULE", f"field {self.field.spec}", f"axes {self.nparams}"]
@@ -331,11 +349,8 @@ def parse_grid_module(text):
     lines = [ln for ln in lines if ln]
     if not lines or lines[0] != "GRIDMODULE" or lines[-1] != "END":
         raise HomologyError("bad grid module text")
-    field = None
-    axes = {}
-    dims = {}
-    trans_rows = []
-    nparams = None
+    field = nparams = None
+    axes, dims, trans_rows = {}, {}, []
     for ln in lines[1:-1]:
         parts = ln.split()
         if parts[0] == "field":
@@ -363,11 +378,8 @@ def parse_grid_module(text):
         toks = head.split()
         idx = tuple(int(t) for t in toks[1:1 + nparams])
         axis = int(toks[2 + nparams])
-        rows = []
-        body = body.strip()
-        if body:
-            for chunk in body.split(";"):
-                rows.append([field.of(parse_rational(t)) for t in chunk.split()])
+        rows = [[field.of(parse_rational(t)) for t in chunk.split()]
+                for chunk in body.split(";")] if body.strip() else []
         # a missing dim is reported by GridModule; no text is a zero map
         want_rows, want_cols = dims.get(_succ(idx, axis), 0), dims.get(idx, 0)
         if rows and (len(rows), {len(row) for row in rows}) != (want_rows, {want_cols}):
@@ -604,36 +616,29 @@ def rank_shift_distance(gm, gn):
                   for a in range(gm.nparams)]
     rm = resample(gm, union_axes)
     rn = resample(gn, union_axes)
-    shape = tuple(len(a) for a in union_axes)
-
-    cands = {Fraction(0)}
-    for ax in union_axes:
-        for x in ax:
-            for y in ax:
-                if y > x:
-                    cands.add(y - x)
-    cands = sorted(cands)
-
-    idx_pairs = []
-    for i1 in _grid_indices(shape):
-        for i2 in itertools.product(*(range(i1[a], s) for a, s in enumerate(shape))):
-            idx_pairs.append((i1, i2))
+    scale = common_denominator([x for ax in union_axes for x in ax])
+    int_axes = [[scaled_int(x, scale) for x in ax] for ax in union_axes]
+    cands = sorted({Fraction(0)} | {y - x for ax in union_axes
+                                    for x in ax for y in ax if y > x})
 
     def feasible(eps):
-        # per axis, the grid index each value snaps to once shifted by eps,
-        # then per grid index the snapped index tuple
-        down = [[_floor_index(ax, x - eps) for x in ax] for ax in union_axes]
-        up = [[_ceil_index(ax, x + eps) for x in ax] for ax in union_axes]
-        lo_of = {i: tuple(d[k] for d, k in zip(down, i)) for i in _grid_indices(shape)}
-        hi_of = {i: tuple(u[k] for u, k in zip(up, i)) for i in _grid_indices(shape)}
-        for i1, i2 in idx_pairs:
-            lo, hi = lo_of[i1], hi_of[i2]
-            if None in lo or None in hi:
-                continue
-            if rm.rank_between(lo, hi) > rn.rank_between(i1, i2):
-                return None
-            if rn.rank_between(lo, hi) > rm.rank_between(i1, i2):
-                return None
+        # per axis on int-scaled values, the index each value snaps to once
+        # shifted down (up) by eps: -1 below the axis and len(axis) above it,
+        # where pairs clip, so only the box of unclipped pairs is visited
+        e = scaled_int(eps, scale)
+        down = [[bisect.bisect_right(ax, x - e) - 1 for x in ax] for ax in int_axes]
+        up = [[bisect.bisect_left(ax, x + e) for x in ax] for ax in int_axes]
+        stops = [len(u) - u.count(len(u)) for u in up]
+        for i1 in itertools.product(*(range(d.count(-1), len(d)) for d in down)):
+            lo = tuple(map(operator.getitem, down, i1))
+            for i2 in itertools.product(*map(range, i1, stops)):
+                hi = tuple(map(operator.getitem, up, i2))
+                # lo -> hi factors through i1 -> i2, so a module's shifted rank
+                # is at most its rank a or b there: only the higher can fail
+                a, b = rm.rank_between(i1, i2), rn.rank_between(i1, i2)
+                if a > b and rm.rank_between(lo, hi) > b or \
+                        a < b and rn.rank_between(lo, hi) > a:
+                    return None
         return eps
 
     best = least_feasible(cands, feasible)

@@ -13,11 +13,13 @@ modules of weighted point sets, which is what the two builders below
 compute directly.
 """
 
+import bisect
+import itertools
 import json
 from fractions import Fraction
 
-from .exactnum import (INF, PrimeField, common_denominator, format_rational,
-                       scaled_int)
+from .exactnum import (INF, PrimeField, as_fraction, common_denominator,
+                       format_rational, scaled_int)
 from .filtration import FiltrationError, KdeSpec, kde_evaluate, sample_density
 from .homology import build_grid_module, rank_shift_distance
 
@@ -29,8 +31,7 @@ def cech_cluster_module(field, weighted_points, a_axis, b_axis):
 
     weighted_points: list of (position, weight), both rational.
     """
-    pts = sorted((Fraction(x), Fraction(w)) for x, w in weighted_points)
-    return _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule="cech")
+    return _cluster_grid_module(field, weighted_points, a_axis, b_axis, "cech")
 
 
 def offset_cluster_module(field, grid_points, weights, a_axis, b_axis):
@@ -38,76 +39,59 @@ def offset_cluster_module(field, grid_points, weights, a_axis, b_axis):
     ambient 1-D grid: grid point y is active at (a, b) iff some source point
     x (weight(x) <= a) has |y - x| <= b; components are runs of consecutive
     active grid points."""
-    pairs = sorted(zip((Fraction(y) for y in grid_points),
-                       (Fraction(w) for w in weights)))
-    return _cluster_grid_module(field, pairs, a_axis, b_axis, gap_rule="offset")
-
-
-def _clusters(pts, a, b, gap_rule):
-    """Sorted positions -> list of (first_index, last_index) cluster ranges
-    over the subset of source points with weight <= a."""
-    active = [i for i, (_, w) in enumerate(pts) if w <= a]
-    if gap_rule == "cech":
-        return _runs(active, [pts[q][0] - pts[p][0] <= 2 * b
-                              for p, q in zip(active, active[1:])])
-    # offset semantics: activate every grid point within b of an active
-    # source point, then take runs of consecutive active grid points
-    on = [False] * len(pts)
-    positions = [x for x, _ in pts]
-    for i in active:
-        x = pts[i][0]
-        j = i
-        while j >= 0 and x - positions[j] <= b:
-            on[j] = True
-            j -= 1
-        j = i
-        while j < len(pts) and positions[j] - x <= b:
-            on[j] = True
-            j += 1
-    on = [i for i, flag in enumerate(on) if flag]
-    return _runs(on, [q == p + 1 for p, q in zip(on, on[1:])])
-
-
-def _runs(idx, joins):
-    """Maximal runs of the indices idx as (first, last) pairs; joins[k] says
-    whether idx[k + 1] continues the run of idx[k]."""
-    ranges = []
-    for i, join in zip(idx, [False] + joins):
-        if join:
-            ranges[-1] = (ranges[-1][0], i)
-        else:
-            ranges.append((i, i))
-    return ranges
+    return _cluster_grid_module(field, zip(grid_points, weights), a_axis, b_axis,
+                                "offset")
 
 
 def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
-    a_axis = sorted(Fraction(a) for a in a_axis)
-    b_axis = sorted(Fraction(b) for b in b_axis)
-    # weights and a-values over one common denominator, positions and
-    # b-values over another, so that clustering compares ints
+    """The cluster module of (position, weight) pairs, sorted as ints: weights
+    and a over one common denominator, positions and b over another.  The
+    points active at a and their gaps are found once per a; a cluster is a
+    (first, last) index range of active points (Cech) or of grid points
+    within b of one (offset)."""
+    pts = [(as_fraction(x), as_fraction(w)) for x, w in pts]
+    a_axis = sorted(map(as_fraction, a_axis))
+    b_axis = sorted(map(as_fraction, b_axis))
     w_scale = common_denominator(a_axis + [w for _, w in pts])
     x_scale = common_denominator(b_axis + [x for x, _ in pts])
-    int_pts = [(scaled_int(x, x_scale), scaled_int(w, w_scale)) for x, w in pts]
-
-    def clusters(z):
-        return _clusters(int_pts, scaled_int(z[0], w_scale),
-                         scaled_int(z[1], x_scale), gap_rule)
+    pts = sorted((scaled_int(x, x_scale), scaled_int(w, w_scale)) for x, w in pts)
+    xs = [x for x, _ in pts]
+    clusters = {}
+    for a in a_axis:
+        at = scaled_int(a, w_scale)
+        active = [i for i, (_, w) in enumerate(pts) if w <= at]
+        gaps = [xs[q] - xs[p] for p, q in zip(active, active[1:])]
+        for b in b_axis:
+            reach = scaled_int(b, x_scale)
+            if gap_rule == "cech":     # runs end at the gaps wider than 2b
+                ends = list(itertools.compress(itertools.count(),
+                                               map((2 * reach).__lt__, gaps)))
+                clusters[a, b] = list(zip(active[:1] + [active[k + 1] for k in ends],
+                                          [active[k] for k in ends] + active[-1:]))
+                continue
+            runs = clusters[a, b] = []    # merged ranges of grid points in reach
+            for i in active:
+                lo = bisect.bisect_left(xs, xs[i] - reach)
+                hi = bisect.bisect_right(xs, xs[i] + reach) - 1
+                if runs and lo <= runs[-1][1] + 1:
+                    runs[-1] = (runs[-1][0], hi)
+                else:
+                    runs.append((lo, hi))
 
     def containment(small, big):
         """The map sending each cluster of `small` into the cluster of `big`
-        containing it, one column {home: 1} per cluster; both are sorted
-        lists of disjoint ranges, so one forward pointer finds every home."""
-        cols = []
-        home = 0
-        for lo, hi in small:
-            while home < len(big) and big[home][1] < lo:
-                home += 1
-            if home == len(big) or not (big[home][0] <= lo and hi <= big[home][1]):
-                raise FiltrationError("cluster refinement is not nested")
-            cols.append({home: field.one})
-        return cols
+        containing it, one column {home: 1} per cluster, read off the big
+        cluster of each point; both ends of a cluster must share it."""
+        label = [-1] * len(pts)
+        for r, (lo, hi) in enumerate(big):
+            label[lo:hi + 1] = [r] * (hi + 1 - lo)
+        homes = [label[lo] for lo, _ in small]
+        if -1 in homes or homes != [label[hi] for _, hi in small]:
+            raise FiltrationError("cluster refinement is not nested")
+        return [{home: field.one} for home in homes]
 
-    return build_grid_module(field, [a_axis, b_axis], clusters, len, containment)
+    return build_grid_module(field, [a_axis, b_axis], clusters.__getitem__, len,
+                             containment)
 
 
 class ExperimentRecord:
@@ -183,10 +167,17 @@ def run_experiment(density, samples, trials, seed, bandwidth, degree=0,
     ambient grid, with superlevel thresholds (a = -density) on a fixed probe
     axis of negative values and offsets on multiples of the grid spacing.
     Each (trial, sample size) owns the derived seed (seed, stream index).
-    Coefficients are in Z/2.
+    Coefficients are in Z/2.  Sample sizes must strictly increase, and there
+    must be at least one trial.
     """
     if degree != 0:
         raise FiltrationError("the desk-scale harness compares degree-0 modules")
+    if trials < 1:
+        raise FiltrationError(f"trials must be at least 1, got {trials}")
+    for z, after in zip(samples, samples[1:]):
+        if after <= z:
+            raise FiltrationError(f"sample sizes must be strictly increasing: "
+                                  f"{after} after {z}")
     if density.dim != 1:
         raise FiltrationError("harness supports 1-D densities")
     field = PrimeField(2)

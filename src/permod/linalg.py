@@ -9,33 +9,26 @@ systems of `filtration`).  `ColumnSpan` answers `coords` with {inserted
 index: coeff}.
 
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
-the one elimination in the package: it is behind `rank`, `nullspace` and
-`solve`, `ColumnSpan`, the linear elimination rounds of the `quadsys`
-solver, barcodes, homology rank tables and kernels, and minimization.  Its
-two column types, which the field picks (`exactnum`), each run the one
-reduction loop: {row: coeff} dicts, and over Z/2 ints whose pivot is the
-top bit and whose elimination is xor.  Callers see dicts either way.  Each
+the one elimination in the package: it is behind `nullspace` and `solve`,
+`ColumnSpan`, the linear elimination rounds of the `quadsys` solver,
+barcodes, homology rank tables and kernels, and minimization.  Its two
+column types, which the field picks (`exactnum`), each run the one
+reduction loop (which `rank` calls directly) and the one composition
+(`compose`): {row: coeff} dicts, and over Z/2 ints whose pivot is the top
+bit and whose elimination is xor.  Callers see dicts, but for grid modules'
+packed composites; `mat_mul` is the dict type's `compose`.  Each
 result it gives here is the unique one of its kind (the reduced-echelon
 null basis, the solution that is 0 at every non-pivot column), so no
 routine depends on the order of reduction.
 """
 
+from .exactnum import DictColumns
+
 
 def mat_mul(field, later, earlier):
-    """The map `later` after `earlier`, both lists of sparse columns: column
-    c is the sum of x * later[k] over the entries k: x of earlier[c]; a map
-    to or from a zero space needs no dimension."""
-    zero, add, mul = field.zero, field.add, field.mul
-    out = []
-    for col in earlier:
-        acc = {}
-        for k, x in col.items():
-            for r, y in later[k].items():
-                acc[r] = add(acc.get(r, zero), mul(x, y))
-        if zero in acc.values():
-            acc = {r: v for r, v in acc.items() if v != zero}
-        out.append(acc)
-    return out
+    """The map `later` after `earlier`, both lists of sparse columns, by the
+    dict column type's `compose` over any field."""
+    return DictColumns(field).compose(later, earlier)
 
 
 class ColumnReducer:
@@ -138,12 +131,16 @@ class ColumnSpan:
         return len(self.pivots)
 
 
-def rank(field, vectors):
-    """Rank of a list of sparse vectors; they are copied, not consumed."""
-    red = ColumnReducer(field)
+def rank(field, vectors, packed=False):
+    """Rank of a list of sparse vectors, or with packed of columns in the
+    field's column type; they are copied, not consumed."""
+    kind, pivots = field.columns, {}
     for v in vectors:
-        red.add(dict(v))
-    return red.rank
+        col, _, low = kind.reduce(pivots, kind.copy(v if packed else kind.pack(v)),
+                                  None, False)
+        if col:
+            pivots[low] = (col, None)
+    return len(pivots)
 
 
 def nullspace(field, columns):

@@ -5,16 +5,20 @@ grid-module class name, as oracles: the rewritten code must give
 byte-identical grid-module text, composite matrices, ranks and rank-shift
 values.  The dense linear algebra they ran on is in reference_linalg.py,
 and the presentation modules read the library's sparse transition columns
-as dense rows.
+as dense rows.  The end of the file keeps the sparse, tuple-indexed
+grid-module code that packed composites replaced.
 """
 
+import bisect
 import itertools
 from fractions import Fraction
 
-from permod.exactnum import INF, ext, format_rational
+from permod.exactnum import (INF, common_denominator, ext, format_rational,
+                             least_feasible, scaled_int)
 from permod.filtration import FiltrationError, fixed_scale_slice
 from permod.homology import (GradedChainComplex, HomologyError,
-                             chain_complex_of)
+                             build_grid_module, chain_complex_of)
+from permod.linalg import mat_mul as sparse_mat_mul, rank as sparse_rank
 from reference_homology import ColumnSpan, boundary
 from reference_linalg import identity, mat_mul, nullspace, rank as mat_rank, rows_of
 
@@ -470,3 +474,197 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
         if ib + 1 < shape[1]:
             trans[((ia, ib), 1)] = containment(cl, clusters[(ia, ib + 1)])
     return RefGridModule(field, [a_axis, b_axis], dims, trans)
+
+
+# ---------------------------------------------------------------------------
+# Grid modules on unpacked {row: coeff} columns with tuple grid indices, and
+# cluster modules sorted by Fraction pairs: the code that packed composites,
+# flat grid indices and the unclipped probe box replaced, kept as it was
+# (but for the names) as an oracle for composites, ranks and rank-shift
+# values.  Modules are built by the library and wrapped.
+# ---------------------------------------------------------------------------
+
+def _succ(idx, axis):
+    return idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
+
+
+def _floor_index(axis, v):
+    i = bisect.bisect_right(axis, v) - 1
+    return i if i >= 0 else None
+
+
+def _ceil_index(axis, v):
+    i = bisect.bisect_left(axis, v)
+    return i if i < len(axis) else None
+
+
+class TupleWalkModule:
+    """A library grid module's dimensions and transitions, with the
+    composite walk and rank cache of the unpacked code."""
+
+    def __init__(self, gm):
+        self.gm = gm
+        self.field, self.axes, self.dims = gm.field, gm.axes, gm.dims
+        self.nparams = gm.nparams
+        self._matrices = {}
+        self._ranks = {}
+
+    def step(self, idx, axis):
+        return self.gm.step(idx, axis)
+
+    def matrix_between(self, i1, i2):
+        if i1 == i2 and (i1, i2) not in self._matrices:
+            self._matrices[(i1, i2)] = [{i: self.field.one}
+                                        for i in range(self.dims[i1])]
+        path, cur = [], i1
+        while (cur, i2) not in self._matrices and cur != i2:
+            axis = min((a for a in range(self.nparams) if cur[a] < i2[a]),
+                       key=lambda a: self.dims[_succ(cur, a)])
+            path.append((cur, axis))
+            cur = _succ(cur, axis)
+        out = None if cur == i2 else self._matrices[(cur, i2)]
+        for idx, axis in reversed(path):
+            out = self.step(idx, axis) if out is None else \
+                sparse_mat_mul(self.field, out, self.step(idx, axis))
+            self._matrices[(idx, i2)] = out
+        return self._matrices[(i1, i2)]
+
+    def rank_between(self, i1, i2):
+        key = (i1, i2)
+        if key not in self._ranks:
+            if any(a > b for a, b in zip(i1, i2)):
+                raise HomologyError("rank requires i1 <= i2")
+            self._ranks[key] = sparse_rank(self.field, self.matrix_between(i1, i2))
+        return self._ranks[key]
+
+
+def tuple_walk_resample(gm, new_axes):
+    """resample of a TupleWalkModule, whose composites feed the result."""
+    if len(new_axes) != gm.nparams:
+        raise HomologyError("axis count mismatch")
+    if [list(a) for a in new_axes] == gm.axes:
+        return gm
+
+    def source(z):
+        src = tuple(_floor_index(ax, v) for ax, v in zip(gm.axes, z))
+        return None if None in src else src
+
+    def dim(src):
+        return 0 if src is None else gm.dims[src]
+
+    def transition(src, dst):
+        return [] if src is None else gm.matrix_between(src, dst)
+
+    return TupleWalkModule(build_grid_module(gm.field, new_axes, source, dim,
+                                             transition))
+
+
+def tuple_walk_rank_shift_distance(gm, gn):
+    """rank_shift_distance over every index pair, each probe skipping the
+    clipped ones; gm and gn are TupleWalkModules."""
+    if gm.nparams != gn.nparams:
+        raise HomologyError("incompatible axis dimensions")
+    union_axes = [sorted(set(gm.axes[a]) | set(gn.axes[a]))
+                  for a in range(gm.nparams)]
+    rm = tuple_walk_resample(gm, union_axes)
+    rn = tuple_walk_resample(gn, union_axes)
+    shape = tuple(len(a) for a in union_axes)
+
+    cands = {Fraction(0)}
+    for ax in union_axes:
+        for x in ax:
+            for y in ax:
+                if y > x:
+                    cands.add(y - x)
+    cands = sorted(cands)
+
+    grid = list(itertools.product(*(range(s) for s in shape)))
+    idx_pairs = []
+    for i1 in grid:
+        for i2 in itertools.product(*(range(i1[a], s) for a, s in enumerate(shape))):
+            idx_pairs.append((i1, i2))
+
+    def feasible(eps):
+        down = [[_floor_index(ax, x - eps) for x in ax] for ax in union_axes]
+        up = [[_ceil_index(ax, x + eps) for x in ax] for ax in union_axes]
+        lo_of = {i: tuple(d[k] for d, k in zip(down, i)) for i in grid}
+        hi_of = {i: tuple(u[k] for u, k in zip(up, i)) for i in grid}
+        for i1, i2 in idx_pairs:
+            lo, hi = lo_of[i1], hi_of[i2]
+            if None in lo or None in hi:
+                continue
+            if rm.rank_between(lo, hi) > rn.rank_between(i1, i2):
+                return None
+            if rn.rank_between(lo, hi) > rm.rank_between(i1, i2):
+                return None
+        return eps
+
+    best = least_feasible(cands, feasible)
+    return ext(best) if best is not None else INF
+
+
+def fraction_cech_cluster_module(field, weighted_points, a_axis, b_axis):
+    pts = sorted((Fraction(x), Fraction(w)) for x, w in weighted_points)
+    return _fraction_cluster_grid_module(field, pts, a_axis, b_axis, "cech")
+
+
+def fraction_offset_cluster_module(field, grid_points, weights, a_axis, b_axis):
+    pairs = sorted(zip((Fraction(y) for y in grid_points),
+                       (Fraction(w) for w in weights)))
+    return _fraction_cluster_grid_module(field, pairs, a_axis, b_axis, "offset")
+
+
+def _scaled_clusters(pts, a, b, gap_rule):
+    active = [i for i, (_, w) in enumerate(pts) if w <= a]
+    if gap_rule == "cech":
+        return _joined_runs(active, [pts[q][0] - pts[p][0] <= 2 * b
+                                     for p, q in zip(active, active[1:])])
+    on = [False] * len(pts)
+    positions = [x for x, _ in pts]
+    for i in active:
+        x = pts[i][0]
+        j = i
+        while j >= 0 and x - positions[j] <= b:
+            on[j] = True
+            j -= 1
+        j = i
+        while j < len(pts) and positions[j] - x <= b:
+            on[j] = True
+            j += 1
+    on = [i for i, flag in enumerate(on) if flag]
+    return _joined_runs(on, [q == p + 1 for p, q in zip(on, on[1:])])
+
+
+def _joined_runs(idx, joins):
+    ranges = []
+    for i, join in zip(idx, [False] + joins):
+        if join:
+            ranges[-1] = (ranges[-1][0], i)
+        else:
+            ranges.append((i, i))
+    return ranges
+
+
+def _fraction_cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
+    a_axis = sorted(Fraction(a) for a in a_axis)
+    b_axis = sorted(Fraction(b) for b in b_axis)
+    w_scale = common_denominator(a_axis + [w for _, w in pts])
+    x_scale = common_denominator(b_axis + [x for x, _ in pts])
+    int_pts = [(scaled_int(x, x_scale), scaled_int(w, w_scale)) for x, w in pts]
+
+    def clusters(z):
+        return _scaled_clusters(int_pts, scaled_int(z[0], w_scale),
+                                scaled_int(z[1], x_scale), gap_rule)
+
+    def containment(small, big):
+        cols = []
+        home = 0
+        for lo, hi in small:
+            while home < len(big) and big[home][1] < lo:
+                home += 1
+            if home == len(big) or not (big[home][0] <= lo and hi <= big[home][1]):
+                raise FiltrationError("cluster refinement is not nested")
+            cols.append({home: field.one})
+        return cols
+
+    return build_grid_module(field, [a_axis, b_axis], clusters, len, containment)

@@ -343,6 +343,19 @@ class TestExportAndInfer:
                          "--samples", "10,5")
         assert code == 2
 
+    def test_infer_repeated_sample_size_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "rec.json"
+        code, _, err = run(capsys, "infer", "run", "--density", "1,0,1/2",
+                           "--samples", "5,5", "--trials", "1", "--out", out_path)
+        assert code == 2 and "5 after 5" in err and not out_path.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_infer_no_trials_exit_2(self, capsys, trials):
+        code, _, err = run(capsys, "infer", "run", "--density", "1,0,1/2",
+                           "--samples", "5", "--trials", trials)
+        assert code == 2 and "trials must be at least 1" in err
+        assert "median" not in err
+
 
 class TestErrorBoundary:
     @pytest.mark.parametrize("argv", [

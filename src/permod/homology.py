@@ -42,7 +42,8 @@ from fractions import Fraction
 
 from .exactnum import (INF, common_denominator, ext, format_rational,
                        least_feasible, parse_field, parse_rational, scaled_int)
-from .linalg import ColumnReducer, ColumnSpan, mat_mul, nullspace, rank as mat_rank
+from .linalg import (ColumnReducer, ColumnSpan, mat_mul, nullspace,
+                     packed_rank as mat_rank)
 from .onedim import PersistenceDiagram, bars
 from .presentation import Presentation, row_sweep, swept_ranks
 
@@ -201,7 +202,8 @@ class GridModule:
     a stands for the value axes[a][k].  Every grid index needs a dimension,
     and every index with a successor along axis a needs trans[(idx, a)], the
     map from idx to that successor: one sparse column per basis vector at
-    idx, a {row: coeff} dict without zeros over the successor's basis.
+    idx, a {row: coeff} dict without zeros over the successor's basis; a
+    transition off the grid is refused.
     Each is packed once into the field's column type (`exactnum`), whose
     `compose` makes the composites, cached packed by the flat (row-major)
     indices of their ends; `check_squares` and the cached `rank_between`
@@ -226,7 +228,8 @@ class GridModule:
                               key=lambda a: self._dims[i + self._strides[a]])
                        for i, idx in enumerate(self._flat)]
         self._steps = [[None] * len(self._dims) for _ in shape]   # axis -> flat -> packed
-        for idx, axis in _grid_steps(shape):
+        steps = list(_grid_steps(shape))
+        for idx, axis in steps:
             cols, rows = self.trans.get((idx, axis)), range(self.dims[_succ(idx, axis)])
             if cols is None:
                 raise HomologyError(f"no transition given at {idx} axis {axis}")
@@ -235,6 +238,9 @@ class GridModule:
                 raise HomologyError(f"transition at {idx} axis {axis} has the "
                                     f"wrong shape")
             self._steps[axis][self._flat[idx]] = list(map(field.columns.pack, cols))
+        if len(self.trans) != len(steps):
+            idx, axis = min(set(self.trans).difference(steps))
+            raise HomologyError(f"transition given off the grid at {idx} axis {axis}")
         self._composites = {}   # flat i1 * size + flat i2 -> packed composite
         self._ranks = {}        # (i1, i2) -> rank_between(i1, i2)
         self.check_squares()
@@ -307,8 +313,7 @@ class GridModule:
     def rank_between(self, i1, i2):
         rank = self._ranks.get((i1, i2))
         if rank is None:
-            rank = self._ranks[i1, i2] = mat_rank(self.field, self._composite(i1, i2),
-                                                  packed=True)
+            rank = self._ranks[i1, i2] = mat_rank(self.field, self._composite(i1, i2))
         return rank
 
     def to_text(self):
@@ -349,8 +354,11 @@ def parse_grid_module(text):
     lines = [ln for ln in lines if ln]
     if not lines or lines[0] != "GRIDMODULE" or lines[-1] != "END":
         raise HomologyError("bad grid module text")
-    field = nparams = None
-    axes, dims, trans_rows = {}, {}, []
+    field = None
+    axes = {}
+    dims = {}
+    trans_rows = []
+    nparams = None
     for ln in lines[1:-1]:
         parts = ln.split()
         if parts[0] == "field":
@@ -378,8 +386,11 @@ def parse_grid_module(text):
         toks = head.split()
         idx = tuple(int(t) for t in toks[1:1 + nparams])
         axis = int(toks[2 + nparams])
-        rows = [[field.of(parse_rational(t)) for t in chunk.split()]
-                for chunk in body.split(";")] if body.strip() else []
+        rows = []
+        body = body.strip()
+        if body:
+            for chunk in body.split(";"):
+                rows.append([field.of(parse_rational(t)) for t in chunk.split()])
         # a missing dim is reported by GridModule; no text is a zero map
         want_rows, want_cols = dims.get(_succ(idx, axis), 0), dims.get(idx, 0)
         if rows and (len(rows), {len(row) for row in rows}) != (want_rows, {want_cols}):

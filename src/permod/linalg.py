@@ -9,14 +9,14 @@ systems of `filtration`).  `ColumnSpan` answers `coords` with {inserted
 index: coeff}.
 
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
-the one elimination in the package: it is behind `nullspace` and `solve`,
-`ColumnSpan`, the linear elimination rounds of the `quadsys` solver,
-barcodes, homology rank tables and kernels, and minimization.  Its two
-column types, which the field picks (`exactnum`), each run the one
-reduction loop (which `rank` calls directly) and the one composition
-(`compose`): {row: coeff} dicts, and over Z/2 ints whose pivot is the top
-bit and whose elimination is xor.  Callers see dicts, but for grid modules'
-packed composites; `mat_mul` is the dict type's `compose`.  Each
+the one elimination in the package: it is behind `rank`, `nullspace` and
+`solve`, `ColumnSpan`, the linear elimination rounds of the `quadsys`
+solver, barcodes, homology rank tables and kernels, and minimization.  Its
+two column types, which the field picks (`exactnum`), each run the one
+reduction loop and the one composition (`compose`): {row: coeff} dicts,
+and over Z/2 ints whose pivot is the top bit and whose elimination is xor.
+Callers see dicts, but for grid modules' packed composites, which
+`packed_rank` ranks; `mat_mul` is the dict type's `compose`.  Each
 result it gives here is the unique one of its kind (the reduced-echelon
 null basis, the solution that is 0 at every non-pivot column), so no
 routine depends on the order of reduction.
@@ -35,7 +35,7 @@ class ColumnReducer:
     """Sparse column reduction over any field, the one sparse elimination in
     the package.  Columns come and go as {row: coeff} dicts without zeros;
     inside, they are kept in the field's column type (`field.columns`, see
-    `exactnum`).  A column's pivot is its largest row.  A column may carry a
+    `exactnum`), in which `add_packed` takes them.  A column's pivot is its largest row.  A column may carry a
     combination, a {key: coeff} dict reduced alongside it, to write residues
     over added columns; keys and rows are ints >= 0."""
 
@@ -49,12 +49,13 @@ class ColumnReducer:
         return len(self.columns)
 
     def _reduce(self, col, combo, full):
-        """Packs col and combo, reduces them by the column type's `reduce`,
-        and writes the combination back into combo.  Returns col and combo
-        packed, and, without full, col's largest row if col is nonzero."""
+        """Packs combo, reduces it and col (packed) by the column type's
+        `reduce`, and writes the combination back into combo.  Returns col
+        and combo packed, and, without full, col's largest row if col is
+        nonzero."""
         kind = self.kind
         packed = None if combo is None else kind.pack(combo)
-        col, packed, low = kind.reduce(self.columns, kind.pack(col), packed, full)
+        col, packed, low = kind.reduce(self.columns, col, packed, full)
         if packed is not combo:
             combo.clear()
             combo.update(kind.unpack(packed))
@@ -64,12 +65,16 @@ class ColumnReducer:
         """Reduce col (consumed; its reduction is returned), and combo with
         it in place, until its largest row is no pivot; with full, until it
         is zero at every pivot."""
-        return self.kind.unpack(self._reduce(col, combo, full)[0])
+        return self.kind.unpack(self._reduce(self.kind.pack(col), combo, full)[0])
 
     def add(self, col, combo=None):
         """Reduce col (consumed) and combo with it in place, and keep col
         unless it became zero.  Returns its pivot row, or None when col was
         dependent."""
+        return self.add_packed(self.kind.pack(col), combo)
+
+    def add_packed(self, col, combo=None):
+        """`add` of a column given in the column type (consumed)."""
         col, combo, low = self._reduce(col, combo, False)
         if not col:
             return None
@@ -131,16 +136,18 @@ class ColumnSpan:
         return len(self.pivots)
 
 
-def rank(field, vectors, packed=False):
-    """Rank of a list of sparse vectors, or with packed of columns in the
-    field's column type; they are copied, not consumed."""
-    kind, pivots = field.columns, {}
-    for v in vectors:
-        col, _, low = kind.reduce(pivots, kind.copy(v if packed else kind.pack(v)),
-                                  None, False)
-        if col:
-            pivots[low] = (col, None)
-    return len(pivots)
+def rank(field, vectors):
+    """Rank of a list of sparse vectors; they are copied, not consumed."""
+    return packed_rank(field, map(field.columns.pack, vectors))
+
+
+def packed_rank(field, columns):
+    """Rank of a list of columns in the field's column type (`exactnum`);
+    they are copied, not consumed."""
+    red = ColumnReducer(field)
+    for col in columns:
+        red.add_packed(red.kind.copy(col))
+    return red.rank
 
 
 def nullspace(field, columns):

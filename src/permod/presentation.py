@@ -17,7 +17,7 @@ from fractions import Fraction
 from .exactnum import (QQ, as_fraction, common_denominator, format_rational,
                        grade_ranks, parse_field, parse_rational, scaled_int,
                        subtract_multiple)
-from .linalg import ColumnReducer, ColumnSpan
+from .linalg import ColumnReducer, ColumnSpan, rank
 
 
 def grade_leq(a, b):
@@ -264,6 +264,9 @@ class Presentation:
         return [{basis_rows[r]: x for r, x in span_b.residue({j: one}).items()}
                 for j in basis_a]
 
+    def transition_rank(self, a, b):
+        return rank(self.field, self.transition_matrix(a, b))
+
     # -- functors -----------------------------------------------------------
 
     def shift(self, j_map):
@@ -271,6 +274,28 @@ class Presentation:
         gens = [(name, j_map.apply_inverse(g)) for name, g in self.generators]
         rels = [(name, j_map.apply_inverse(g), cs) for name, g, cs in self.relations]
         return Presentation(self.n, self.field, gens, rels)
+
+    def restrict(self, u):
+        """R_u: kill everything not strictly below u, one added relation per
+        generator and finite axis.  u is a sequence of ExtendedRational/inf."""
+        from .exactnum import ExtendedRational
+        u = list(u)
+        if len(u) != self.n:
+            raise PresentationError("restriction bound length must equal n")
+        f = self.field
+        rels, k = list(self.relations), 0
+        for j, (gname, ggrade) in enumerate(self.generators):
+            for axis, uj in enumerate(u):
+                uj = ExtendedRational.of(uj)
+                if not uj.is_finite:
+                    if uj.kind == -1:
+                        raise PresentationError("restriction bound -inf")
+                    continue
+                grade = list(ggrade)
+                grade[axis] = max(grade[axis], uj.value)
+                rels.append((f"_cut{k}_{gname}_{axis}", tuple(grade), {j: f.one}))
+                k += 1
+        return Presentation(self.n, f, self.generators, rels)
 
     def minimize(self):
         """Minimal presentation with the canonical grade multisets.

@@ -6,10 +6,7 @@ from fractions import Fraction
 import pytest
 
 from permod import PrimeField, Presentation, interleave
-from permod.exactnum import ExtendedRational
 from permod.filtration import BifilteredComplex
-from permod.linalg import rank
-from permod.presentation import PresentationError
 
 
 @pytest.fixture
@@ -73,33 +70,6 @@ def mat_vec(field, a, v):
                 acc = field.add(acc, field.mul(x, y))
         out[i] = acc
     return out
-
-
-def transition_rank(p, a, b):
-    """The rank of p's transition map from grade a to grade b."""
-    return rank(p.field, p.transition_matrix(a, b))
-
-
-def restrict(p, u):
-    """R_u p: kill everything not strictly below u, one added relation per
-    generator and finite axis.  u is a sequence of ExtendedRational/inf."""
-    u = list(u)
-    if len(u) != p.n:
-        raise PresentationError("restriction bound length must equal n")
-    f = p.field
-    rels, k = list(p.relations), 0
-    for j, (gname, ggrade) in enumerate(p.generators):
-        for axis, uj in enumerate(u):
-            uj = ExtendedRational.of(uj)
-            if not uj.is_finite:
-                if uj.kind == -1:
-                    raise PresentationError("restriction bound -inf")
-                continue
-            grade = list(ggrade)
-            grade[axis] = max(grade[axis], uj.value)
-            rels.append((f"_cut{k}_{gname}_{axis}", tuple(grade), {j: f.one}))
-            k += 1
-    return Presentation(p.n, f, p.generators, rels)
 
 
 def dense(field, coeffs, size):

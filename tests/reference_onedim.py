@@ -1,14 +1,13 @@
 """Two `onedim` functions as they were before they shared `bars` and
 `matchable`: the persistence diagram by the rank multiplicity formula (a
-k x k table of `conftest.transition_rank` on the critical values of the
-minimized presentation, augmented below the minimum), and the bottleneck distance
+k x k table of `transition_rank` on the critical values of the minimized
+presentation, augmented below the minimum), and the bottleneck distance
 whose every probe recomputes the pair costs and half-lives and matches on
 the doubled graph with per-point deletion slack."""
 
 from permod.exactnum import INF, ext, least_feasible
 from permod.onedim import PersistenceDiagram, _half, _pair_cost
 from permod.presentation import PresentationError
-from conftest import transition_rank
 
 
 def diagram_of(p):
@@ -30,7 +29,7 @@ def diagram_of(p):
     rank = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            rank[i][j] = transition_rank(pm, (grid[i],), (grid[j],))
+            rank[i][j] = pm.transition_rank((grid[i],), (grid[j],))
     pts = []
     last = k - 1
     for i in range(1, k):

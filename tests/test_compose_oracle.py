@@ -11,7 +11,7 @@ zero entries kept."""
 from fractions import Fraction as F
 
 from permod.exactnum import QQ, PrimeField
-from permod.linalg import mat_mul, rank
+from permod.linalg import mat_mul, packed_rank, rank
 
 import reference_linalg as ref
 from reference_linalg import rows_of
@@ -88,7 +88,7 @@ def test_packed_rank_gives_the_dense_rank():
             want = ref.rank(f, rows_of(f, m, rows))
             cols_packed = packed(f, m)
             before = [f.columns.copy(c) for c in cols_packed]
-            assert rank(f, m) == rank(f, cols_packed, packed=True) == want
+            assert rank(f, m) == packed_rank(f, cols_packed) == want
             assert cols_packed == before         # copied, not consumed
         for n in range(6):
-            assert rank(f, packed(f, identity(f, n)), packed=True) == n
+            assert packed_rank(f, packed(f, identity(f, n))) == n

@@ -183,6 +183,15 @@ class TestGridModule:
             with pytest.raises(HomologyError):
                 parse_grid_module(cut)
 
+    def test_transition_off_the_grid_rejected(self, f2):
+        gm = grid_module_of(interval_presentation(f2, 0, 1), [[F(-1), F(0), F(1)]])
+        text = gm.to_text().replace("END", "trans 2 axis 0 : \nEND")
+        with pytest.raises(HomologyError, match=r"off the grid at \(2,\) axis 0"):
+            parse_grid_module(text)
+        trans = {**gm.trans, ((2,), 0): [{}] * gm.dims[(2,)]}
+        with pytest.raises(HomologyError, match="off the grid"):
+            GridModule(f2, gm.axes, gm.dims, trans)
+
     def test_non_integral_entry_rejected_over_prime_field(self):
         text = ("GRIDMODULE\nfield zp 3\naxes 1\naxis 0 : 0 1\n"
                 "dim 0 = 1\ndim 1 = 1\ntrans 0 axis 0 : {}\nEND\n")

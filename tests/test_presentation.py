@@ -9,8 +9,7 @@ from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, direct_sum,
                                  interval_presentation, parse_presentation)
 
-from conftest import (random_presentation, rerepresent, restrict, seeded,
-                      transition_rank)
+from conftest import random_presentation, rerepresent, seeded
 from reference_linalg import mat_mul
 
 
@@ -65,11 +64,11 @@ class TestPointwise:
 
     def test_transition_rank(self, f2):
         p = C(f2, 0, 1)
-        assert transition_rank(p, (F(0),), (F(1, 2),)) == 1
-        assert transition_rank(p, (F(0),), (F(1),)) == 0
-        assert transition_rank(p, (F(1, 2),), (F(1, 2),)) == p.point_dim((F(1, 2),))
+        assert p.transition_rank((F(0),), (F(1, 2),)) == 1
+        assert p.transition_rank((F(0),), (F(1),)) == 0
+        assert p.transition_rank((F(1, 2),), (F(1, 2),)) == p.point_dim((F(1, 2),))
         with pytest.raises(PresentationError):
-            transition_rank(p, (F(1),), (F(0),))
+            p.transition_rank((F(1),), (F(0),))
 
     def test_rank_composition_bound(self, f2):
         rng = seeded(11)
@@ -83,9 +82,9 @@ class TestPointwise:
                     for c in pts:
                         if all(x <= y for x, y in zip(a, b)) and \
                            all(x <= y for x, y in zip(b, c)):
-                            rac = transition_rank(p, a, c)
-                            assert rac <= transition_rank(p, a, b)
-                            assert rac <= transition_rank(p, b, c)
+                            rac = p.transition_rank(a, c)
+                            assert rac <= p.transition_rank(a, b)
+                            assert rac <= p.transition_rank(b, c)
 
 
 class TestHilbertTable:
@@ -160,7 +159,7 @@ class TestShiftRestrict:
 
     def test_restrict_free_generator(self, f2):
         free = Presentation(1, f2, [("g", (F(0),))], [])
-        r = restrict(free, [F(1)])
+        r = free.restrict([F(1)])
         ref = C(f2, 0, 1)
         for a in [F(0), F(1, 2), F(1), F(2)]:
             assert r.point_dim((a,)) == ref.point_dim((a,))
@@ -168,12 +167,12 @@ class TestShiftRestrict:
     def test_restrict_infinite_is_noop(self, f2):
         from permod.exactnum import INF
         p = C(f2, 0, 2)
-        r = restrict(p, [INF])
+        r = p.restrict([INF])
         assert len(r.relations) == len(p.relations)
 
     def test_restrict_tightens(self, f2):
         p = C(f2, 0, 2)
-        r = restrict(p, [F(1)])
+        r = p.restrict([F(1)])
         ref = C(f2, 0, 1)
         for a in [F(0), F(1, 2), F(1), F(3, 2), F(2)]:
             assert r.point_dim((a,)) == ref.point_dim((a,))

@@ -547,7 +547,7 @@ def present_homology(complex_, degree, field, check_hilbert=True):
 
     rels = [(f"b{j}", z, rel_coeffs[j]) for j, z in enumerate(upper)]
     pres = Presentation.from_ranks(chain.nparams, f, axes, [
-        (f"k{i}", z) for i, z in enumerate(born)], rels).validate().minimize()
+        (f"k{i}", z) for i, z in enumerate(born)], rels).minimize()
 
     if check_hilbert:
         dims = pres.hilbert_table(axes)

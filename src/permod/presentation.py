@@ -15,8 +15,7 @@ import operator
 from fractions import Fraction
 
 from .exactnum import (QQ, as_fraction, common_denominator, format_rational,
-                       grade_ranks, parse_field, parse_rational, scaled_int,
-                       subtract_multiple)
+                       grade_ranks, parse_field, parse_rational, scaled_int)
 from .linalg import ColumnReducer, ColumnSpan, rank
 
 
@@ -298,38 +297,39 @@ class Presentation:
         return Presentation(self.n, f, self.generators, rels)
 
     def minimize(self):
-        """Minimal presentation with the canonical grade multisets.
+        """Minimal presentation with the canonical grade multisets, of a
+        valid presentation (validated first).
 
-        Relations go in (grade, index) order, grades lexicographic.  Step 1,
-        one pass: a relation with a nonzero coefficient at a generator of its
-        own grade eliminates the first such generator from every later
-        relation (only later ones can hold it) and goes with it.  Step 2: a
-        relation is dropped iff it lies in the span of the relations strictly
-        below its grade plus those of its grade with a larger index, which is
-        what dropping them one by one in that order keeps.
+        Both steps reduce relations on `ColumnReducer`s, as columns whose
+        rows are the generators in (grade index, -index) order, grades
+        lexicographic: a valid relation's top row is its least-index
+        generator of its own grade, if any.  Step 1, over the relations in
+        (grade, index) order: each is reduced to zero at the pivot rows kept
+        so far, then kept as a pivot, its top generator going, if that is of
+        its own grade.  A residue is unique once the span and the pivot rows
+        are fixed, so these are the residues of eliminating each such
+        generator from every later relation.  Step 2: a residue is dropped
+        iff it lies in the span of those strictly below its grade plus those
+        of its grade with a larger index, which is what dropping them one by
+        one in that order keeps.
         """
-        f = self.field
+        f = self.validate().field
         gen_key, rel_key = self.gen_index, self.rel_index
-        rows = [dict(cs) for _, _, cs in self.relations]
-        order = sorted(range(len(rows)), key=lambda i: (rel_key[i], i))
-
-        removed_gens, kept = set(), []
-        for pos, i in enumerate(order):
-            row = rows[i]
-            piv = min((j for j in row if gen_key[j] == rel_key[i]), default=None)
-            if piv is None:
-                if row:         # step 2 would drop an empty relation
-                    kept.append(i)
-                continue
-            for later in (rows[i2] for i2 in order[pos + 1:]):
-                if piv in later:
-                    subtract_multiple(f, later, f.div(later[piv], row[piv]), row)
-            removed_gens.add(piv)
+        gen_at = sorted(range(len(gen_key)), key=lambda j: (gen_key[j], -j))
+        row_of = {j: r for r, j in enumerate(gen_at)}
+        pivots, removed_gens, rows = ColumnReducer(f), set(), {}
+        for i in sorted(range(len(rel_key)), key=lambda i: (rel_key[i], i)):
+            row = pivots.reduce({row_of[j]: c for j, c in self.relations[i][2].items()},
+                                full=True)
+            if row and gen_key[gen_at[max(row)]] == rel_key[i]:
+                removed_gens.add(gen_at[pivots.add(row)])
+            elif row:           # step 2 would drop an empty relation
+                rows[i] = row
 
         # one span per row of the leading coordinates: at grade z it holds
         # every relation strictly below z, then those of grade z from the
         # largest index down
-        keys = [rel_key[i] for i in kept]
+        kept, keys = list(rows), [rel_key[i] for i in rows]
         dropped = set()
         for z, entering in row_sweep([len(ax) for ax in self.axes], keys):
             if z[-1] == 0:
@@ -340,12 +340,12 @@ class Presentation:
             for t in reversed(entering):
                 if keys[t] == z and reducer.add(dict(rows[kept[t]])) is None:
                     dropped.add(kept[t])
-        keep = set(kept) - dropped
         # step 1 left no removed generator in a kept relation
         gens = [j for j in range(len(self.generators)) if j not in removed_gens]
         new_index = {j: k for k, j in enumerate(gens)}
-        rels = [(nm, rel_key[i], {new_index[j]: c for j, c in rows[i].items()})
-                for i, (nm, _, _) in enumerate(self.relations) if i in keep]
+        rels = [(nm, rel_key[i], {new_index[gen_at[r]]: c for r, c in rows[i].items()})
+                for i, (nm, _, _) in enumerate(self.relations)
+                if i in rows and i not in dropped]
         return Presentation.from_ranks(
             self.n, f, self.axes, [(self.generators[j][0], gen_key[j]) for j in gens],
             rels)

@@ -53,6 +53,16 @@ def lattice_48():
     return rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
 
 
+def lattice(side):
+    """The side x side jittered L1 lattice of the rips_present benchmark
+    (seed 1), function values 0..4, scale cap 5."""
+    rng = random.Random("rips_present:1")
+    pts = [(3 * a + rng.randint(0, 1), 3 * b + rng.randint(0, 1))
+           for a in range(side) for b in range(side)]
+    vals = [(rng.randint(0, 4),) for _ in pts]
+    return rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
+
+
 def K(n, simplices):
     return BifilteredComplex(n, simplices)
 
@@ -313,11 +323,7 @@ class TestPresentHomology:
         # digest was computed with dict columns over Z/2 and a dense
         # per-birth nullspace, which took 3.7-4.9 s for both degrees; Z/2
         # bitset columns take 1.2 s (2-core x86_64, Python 3.11).
-        rng = random.Random("rips_present:1")
-        pts = [(3 * a + rng.randint(0, 1), 3 * b + rng.randint(0, 1))
-               for a in range(12) for b in range(12)]
-        vals = [(rng.randint(0, 4),) for _ in pts]
-        cx = rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
+        cx = lattice(12)
         assert len(cx.simplices) == 6352
         t0 = time.perf_counter()
         texts = [present_homology(cx, d, f2, check_hilbert=True).to_text()
@@ -326,6 +332,19 @@ class TestPresentHomology:
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
             "7620bb3ec6acb09b24136a90e01d2be8f8b1520c10b4ce8e11ab97deb52cf3b9"
         assert elapsed < 4, f"presenting H0 and H1 took {elapsed:.1f} s"
+
+    def test_400_point_lattice_within_cpu_gate(self, f2):
+        # the 20 x 20 lattice: 19,969 simplices.  The digest was computed
+        # with step 1 of minimize eliminating on dicts, which took 4.1-4.8 s
+        # CPU for both degrees (2-core x86_64, Python 3.11).
+        cx = lattice(20)
+        assert len(cx.simplices) == 19969
+        t0 = time.process_time()
+        texts = [present_homology(cx, d, f2).to_text() for d in (0, 1)]
+        elapsed = time.process_time() - t0
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
+            "35659ea5e25a915f774ce4be0927667208ae96f28826b26d21ca4cd403e240a9"
+        assert elapsed < 3, f"presenting H0 and H1 took {elapsed:.1f} s CPU"
 
     def test_no_simplices(self, f2):
         for n in (1, 2):

@@ -217,6 +217,14 @@ class TestMinimize:
         m = p.minimize()
         assert len(m.relations) == 1
 
+    def test_invalid_presentation_refused(self, f2):
+        # b (1,1) is the relation's own-grade generator, but a (2,0) is not
+        # below the relation's grade: no minimization to give
+        p = Presentation(2, f2, [("a", (F(2), F(0))), ("b", (F(1), F(1)))],
+                         [("r", (F(1), F(1)), {0: 1, 1: 1})])
+        with pytest.raises(PresentationError, match="generator a of larger grade"):
+            p.minimize()
+
     def test_preserves_pointwise_dims(self, f2):
         rng = seeded(23)
         for _ in range(15):

@@ -2,11 +2,15 @@
 methods in `reference_presentation`, over Z/2, Z/3 and Q with one to three
 parameters: the same validation outcome, the same minimized text, the same
 Hilbert table on axes that hold values off the grades, and the same critical
-grades and candidate set.  Every grade is also read back off the ranks."""
+grades and candidate set.  Every grade is also read back off the ranks.
+Minimization is also compared on presentations large and dense enough for
+long chains of step-1 pivots, and over Z/2 it must call no field method."""
 
 import operator
 import random
 from fractions import Fraction as F
+
+import pytest
 
 import reference_interleave
 import reference_presentation as ref
@@ -94,3 +98,50 @@ def test_validate_matches_reference():
         got, want = outcome(Presentation.validate, p), outcome(ref.validate, p)
         assert got is p if want is p else got == want
     assert sum(outcome(ref.validate, p) is not p for p in bad) == len(bad)
+
+
+def filled_presentation(rng, field, n):
+    """A valid presentation with 30-60 generators and 40-80 relations, each
+    grade coordinate one of 4 values per axis, each relation nonzero at
+    about 70% of the generators below its grade."""
+    axes = [sorted(rng.sample([F(x, 2) for x in range(-2, 9)], 4)) for _ in range(n)]
+    gens = [(f"g{j}", tuple(map(rng.choice, axes))) for j in range(rng.randint(30, 60))]
+    rels = []
+    for i in range(rng.randint(40, 80)):
+        grade = tuple(map(rng.choice, axes))
+        rels.append((f"r{i}", grade, {
+            j: field.of(rng.randrange(1, getattr(field, "p", 5)))
+            for j, (_, g) in enumerate(gens)
+            if all(map(operator.le, g, grade)) and rng.random() < 0.7}))
+    return Presentation(n, field, gens, rels).validate()
+
+
+def filled_cases():
+    rng = random.Random("presentation-oracle:filled")
+    for k in range(18):
+        p = filled_presentation(rng, FIELDS[k % 3], 1 + k // 3 % 3)
+        yield p
+        yield rerepresent(rng, p)
+
+
+def test_minimize_matches_reference_on_filled_presentations():
+    removing = []
+    for p in filled_cases():
+        m = p.minimize()
+        assert m.to_text() == ref.minimize(p).to_text()
+        removing.append(len(m.generators) < len(p.generators))
+    assert 2 * sum(removing) >= len(removing)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minimize_over_z2_calls_no_field_method(seed, monkeypatch):
+    rng = random.Random(f"presentation-oracle:z2:{seed}")
+    p = filled_presentation(rng, FIELDS[0], 1 + seed)
+    calls = []
+    for name in ("add", "sub", "mul", "div", "neg", "inv"):
+        def counted(self, *args, _name=name, _method=getattr(PrimeField, name)):
+            calls.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(PrimeField, name, counted)
+    m = p.minimize()
+    assert len(m.generators) < len(p.generators) and calls == []

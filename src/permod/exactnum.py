@@ -282,8 +282,9 @@ def subtract_multiple(f, target, c, source):
 
 class DictColumns:
     """Columns over any field as {row: coeff} dicts without zeros, reduced in
-    place.  A column type packs, unpacks and copies such dicts, composes
-    maps given as lists of its columns, and reduces them."""
+    place.  A column type packs, unpacks, copies and negates such dicts,
+    makes unit columns, composes maps given as lists of its columns, and
+    reduces them."""
 
     def __init__(self, field):
         self.field = field
@@ -294,6 +295,12 @@ class DictColumns:
 
     unpack = pack
     copy = staticmethod(dict)
+
+    def unit(self, r):
+        return {r: self.field.one}
+
+    def neg(self, col):
+        return {r: self.field.neg(x) for r, x in col.items()}
 
     def compose(self, later, earlier):
         """The map `later` after `earlier`: column c is the sum of x *
@@ -333,7 +340,8 @@ class DictColumns:
 
 class BitColumns:
     """Columns over Z/2 as ints, bit r set iff row r holds 1: the pivot is
-    the top bit and elimination is xor, with no field method called."""
+    the top bit, elimination is xor and negation the identity, with no field
+    method called."""
 
     @staticmethod
     def pack(v):
@@ -352,6 +360,11 @@ class BitColumns:
         return out
 
     copy = staticmethod(int)    # ints are immutable: a column is its own copy
+    neg = copy                  # -x == x over Z/2
+
+    @staticmethod
+    def unit(r):
+        return 1 << r
 
     @staticmethod
     def compose(later, earlier):

@@ -27,8 +27,6 @@ import math
 import operator
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import (QQ, Scale, as_fraction, common_denominator,
                        format_rational, grade_ranks, least_feasible,
                        parse_rational, scale_of_square, scale_square,
@@ -525,7 +523,9 @@ class DensitySpec:
 
 def sample_density(spec, count, seed):
     """Deterministic i.i.d.-style sample via the Philox counter-based
-    generator; coordinates rounded to denominator 2**20."""
+    generator (numpy's one use, so imported here); coordinates rounded to
+    denominator 2**20."""
+    import numpy as np
     if count < 0:
         raise FiltrationError("count must be >= 0")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

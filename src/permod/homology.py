@@ -2,36 +2,34 @@
 
 Chain complexes and barcodes read a complex's order, int grade indices and
 axes as `filtration.BifilteredComplex` ranked them once; only a grade from
-outside, such as a grid module's axis value, is compared with the axes.
-Three computation styles share the exact linear algebra kernel.  Chains,
-boundaries and cycles are sparse {simplex index: coeff} dicts; so are a
-relation's coefficients over kernel generators and each column of a grid
-module's transitions:
+outside, such as a grid module's axis value, is compared with the axes.  A
+chain complex stores each degree's boundary columns once, in the field's
+column type (`exactnum`; int bitsets over Z/2, built with no sign), and
+checks that boundaries compose to zero by that type's `compose`.  Three
+computation styles share the exact linear algebra kernel:
 
 * 1-parameter barcodes by `onedim.bars`, the degree's creating simplices
   presented by the next degree's boundaries, cross-checked elsewhere
   against the rank multiplicity formula;
 * grid modules (pointwise homology dimensions plus explicit transition
-  maps between adjacent grid points) for any parameter count.  Every
-  grid module, whether of a presentation, of chain homology, of the image
+  maps between adjacent grid points, {row: coeff} columns, packed inside)
+  for any parameter count.  Every grid module, whether of a presentation,
+  of chain homology (which reads the boundaries unpacked), of the image
   between two scale slices, of a resampling, or of clusters (``infer``), is
   made by `build_grid_module`: one walk over the grid computes the data at
   each point, its dimension, and the transition to each successor;
 * presentations of homology for 1 and 2 parameters, on a complex's one
-  chain complex per field.  The critical grid is swept row by row with one
-  span of kernel generators per row, fed by one growing boundary reduction
-  per grid column (Lesnick and Wright, arXiv:1902.05708) where a generator
-  is born.  Each boundary of a (d+1)-simplex is expressed in the
-  generators active at its grade, then the presentation, ranked by the
+  chain complex per field, in the column type from end to end.  The
+  critical grid is swept row by row with one span of kernel generators per
+  row, fed by one growing boundary reduction per grid column (Lesnick and
+  Wright, arXiv:1902.05708) where a generator is born.  Each boundary of a
+  (d+1)-simplex is expressed in the generators active at its grade, and
+  only those coordinates are unpacked; then the presentation, ranked by the
   grid indices, is minimized.  The freeness of two-parameter kernels is an
   implementation hypothesis, so a Hilbert check follows: the minimized
   presentation's dimension table, swept with one reduction per grid row,
   must equal the chain's, from rank tables of its own.  Neither side reads
   a span or reduction of the sweep, so a sweep error cannot vouch for itself.
-
-Every reduction runs on `linalg.ColumnReducer`, whose columns take the
-field's column type: {row: coeff} dicts, or over Z/2 int bitsets reduced by
-xor.
 """
 
 import bisect
@@ -42,8 +40,8 @@ from fractions import Fraction
 
 from .exactnum import (INF, common_denominator, ext, format_rational,
                        least_feasible, parse_field, parse_rational, scaled_int)
-from .linalg import (ColumnReducer, ColumnSpan, mat_mul, nullspace,
-                     packed_rank as mat_rank)
+from .linalg import (ColumnReducer, ColumnSpan, mat_mul,  # noqa: F401 (perfbench traces it)
+                     nullspace, packed_rank as mat_rank)
 from .onedim import PersistenceDiagram, bars
 from .presentation import Presentation, row_sweep, swept_ranks
 
@@ -67,21 +65,21 @@ class GradedChainComplex:
         self.bases = [complex_.simplices[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.grade_index = {d: complex_.grade_index[lo:hi]
                             for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
-        # boundary columns {row: coeff} per degree (a vertex has none)
-        self.columns = [[{} for _ in basis] for basis in self.bases]
-        for d in range(1, self.max_deg + 1):
-            rows = {verts: i for i, (verts, _) in enumerate(self.bases[d - 1])}
-            for (verts, _), col in zip(self.bases[d], self.columns[d]):
-                sign = field.one
-                for k in range(len(verts)):
-                    col[rows[verts[:k] + verts[k + 1:]]] = sign
-                    sign = field.neg(sign)
+        # boundary columns per degree in the field's column type (a vertex
+        # has none); over Z/2 pack ORs the faces' bits and drops the signs
+        kind, signs = field.columns, (field.one, field.of(-1))
+        self.columns = [[kind.pack({}) for _ in basis] for basis in self.bases[:1]]
+        for below, basis in zip(self.bases, self.bases[1:]):
+            rows = {verts: i for i, (verts, _) in enumerate(below)}
+            self.columns.append([kind.pack({rows[verts[:k] + verts[k + 1:]]: signs[k & 1]
+                                            for k in range(len(verts))})
+                                 for verts, _ in basis])
         self._check_dd()
         self._ranks = {}        # degree -> active_ranks(degree)
 
     def _check_dd(self):
         for d in range(2, self.max_deg + 1):
-            if any(mat_mul(self.field, self.columns[d - 1], self.columns[d])):
+            if any(self.field.columns.compose(self.columns[d - 1], self.columns[d])):
                 raise HomologyError("boundary of boundary is nonzero")
 
     def simplices(self, d):
@@ -425,9 +423,9 @@ class _HomologyBasisTracker:
         act = self.chain._active(self.degree, top)
         if not act:
             return []
-        cols = self.chain.columns[self.degree]
+        cols, unpack = self.chain.columns[self.degree], self.f.columns.unpack
         return [{act[t]: x for t, x in v.items()}
-                for v in nullspace(self.f, [cols[j] for j in act])]
+                for v in nullspace(self.f, [unpack(cols[j]) for j in act])]
 
     def basis_at(self, z, cycles=None):
         """(representative cycles, ColumnSpan loaded with boundaries then
@@ -439,7 +437,7 @@ class _HomologyBasisTracker:
         span = ColumnSpan(self.f, self.nd)
         n_bound = 0
         for j in self.chain._active(self.degree + 1, top):
-            b = self.chain.columns[self.degree + 1][j]
+            b = self.f.columns.unpack(self.chain.columns[self.degree + 1][j])
             if not span.contains(b):
                 span.insert(b)
                 n_bound += 1
@@ -508,44 +506,43 @@ def present_homology(complex_, degree, field, check_hilbert=True):
     axes, shape = chain.axes, [len(ax) for ax in chain.axes]
     if not all(shape):
         return Presentation(chain.nparams, field, [], [])
-    f = field
+    f, kind = field, field.columns
     index, upper = chain.grade_index.get(degree, []), chain.grade_index.get(degree + 1, [])
     cols = chain.columns[degree] if index else []
     # per grid column z[1:]: its growing reduction and its null vector count
     reducers = {tail: ColumnReducer(f) for tail in _grid_indices(shape[1:])}
     nulls = dict.fromkeys(reducers, 0)
 
-    gens, born = [], []         # kernel generators and their grid indices
-    rel_coeffs = {}             # (degree+1)-simplex -> {generator: coeff}
+    gens, born = [], []         # kernel generators (packed) and their grid indices
+    rels = []                   # (name, grid index, {generator: coeff}) per (d+1)-simplex
     for z, entering in row_sweep(shape, born):
         if z[-1] == 0:
-            # one span per row: a generator enters when it becomes active
-            span = ColumnSpan(f, len(index))
-            members = []        # generator index (None: dependent) per insert
+            # one span per row, each vector combined over its generator
+            # index: a generator enters when it becomes active
+            span = ColumnReducer(f)
         for i in entering:
-            span.insert(gens[i])
-            members.append(i)
+            span.add_packed(kind.copy(gens[i]), kind.unit(i))
         reducer, fresh = reducers[z[1:]], []
         for j in range(bisect.bisect_left(index, z[:1]), bisect.bisect_right(index, z)):
-            combo = {j: f.one}
-            if not cols[j] or reducer.add(dict(cols[j]), combo) is None:
+            low, combo = reducer.add_packed(kind.copy(cols[j]), kind.unit(j)) \
+                if cols[j] else (None, kind.unit(j))
+            if low is None:
                 fresh.append(combo)
         nulls[z[1:]] += len(fresh)
         if nulls[z[1:]] > span.rank:
-            for v in fresh:
-                members.append(len(gens) if span.insert(v) else None)
-                if members[-1] is not None:
+            for v in fresh:     # a dependent one is dropped with its index
+                if span.add_packed(kind.copy(v), kind.unit(len(gens)))[0] is not None:
                     gens.append(v)
                     born.append(z)
         for j in range(bisect.bisect_left(upper, z), bisect.bisect_right(upper, z)):
-            coords = span.coords(chain.columns[degree + 1][j])
-            if coords is None:
+            col, combo, _ = span.reduce_packed(kind.copy(chain.columns[degree + 1][j]),
+                                               kind.pack({}))
+            if col:
                 raise HomologyError("boundary escapes the kernel span; "
                                     "sweep incomplete")
-            # coords name only independent inserts, which are generators
-            rel_coeffs[j] = {members[k]: c for k, c in coords.items()}
+            # boundary + sum(combo[i] * generator i) == 0
+            rels.append((f"b{j}", z, kind.unpack(kind.neg(combo))))
 
-    rels = [(f"b{j}", z, rel_coeffs[j]) for j, z in enumerate(upper)]
     pres = Presentation.from_ranks(chain.nparams, f, axes, [
         (f"k{i}", z) for i, z in enumerate(born)], rels).minimize()
 

@@ -1,25 +1,22 @@
 """Exact linear algebra over a coefficient field.
 
-Vectors are sparse: {index: coeff} dicts without zeros.  A map is a list of
-such columns, one per basis vector of its source; `mat_mul` composes two
-maps, `rank` is the rank of a list of vectors and `nullspace` takes the
-columns of a map and returns {column index: coeff} vectors.  Only `solve`
-takes a dense matrix, a list of row lists of field elements (the small Gram
-systems of `filtration`).  `ColumnSpan` answers `coords` with {inserted
-index: coeff}.
-
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
-the one elimination in the package: it is behind `rank`, `nullspace` and
-`solve`, `ColumnSpan`, the linear elimination rounds of the `quadsys`
-solver, barcodes, homology rank tables and kernels, and minimization.  Its
-two column types, which the field picks (`exactnum`), each run the one
-reduction loop and the one composition (`compose`): {row: coeff} dicts,
-and over Z/2 ints whose pivot is the top bit and whose elimination is xor.
-Callers see dicts, but for grid modules' packed composites, which
-`packed_rank` ranks; `mat_mul` is the dict type's `compose`.  Each
-result it gives here is the unique one of its kind (the reduced-echelon
-null basis, the solution that is 0 at every non-pivot column), so no
-routine depends on the order of reduction.
+the one elimination in the package: it is behind `rank`, `nullspace`,
+`solve` and `ColumnSpan`, the linear rounds of the `quadsys` solver,
+barcodes, homology rank tables, kernels and sweeps, and minimization.  It
+keeps columns in the field's column type (`exactnum`), which runs the one
+reduction loop and the one composition (`compose`): {row: coeff} dicts, or
+over Z/2 ints whose pivot is the top bit and whose elimination is xor.  The
+presentation path (chain boundaries, the kernel sweep, `minimize`, rank
+tables) and grid modules' composites (`packed_rank`) stay in that type
+(`add_packed`, `reduce_packed`).  The other callers pass {index: coeff}
+dicts without zeros (`add`, `reduce`), as do the helpers here: `mat_mul`
+(the dict type's `compose` on lists of columns), `rank`, `nullspace`
+({column index: coeff} vectors), `ColumnSpan` ({inserted index: coeff}
+coordinates), and `solve`, which alone takes a dense matrix (the small Gram
+systems of `filtration`).  Each result is the unique one of its kind (the
+reduced-echelon null basis, the solution that is 0 at every non-pivot
+column), so no routine depends on the order of reduction.
 """
 
 from .exactnum import DictColumns
@@ -33,11 +30,12 @@ def mat_mul(field, later, earlier):
 
 class ColumnReducer:
     """Sparse column reduction over any field, the one sparse elimination in
-    the package.  Columns come and go as {row: coeff} dicts without zeros;
-    inside, they are kept in the field's column type (`field.columns`, see
-    `exactnum`), in which `add_packed` takes them.  A column's pivot is its largest row.  A column may carry a
-    combination, a {key: coeff} dict reduced alongside it, to write residues
-    over added columns; keys and rows are ints >= 0."""
+    the package.  Columns are kept in the field's column type (`exactnum`),
+    in which `reduce_packed` and `add_packed` take and give them; `reduce`
+    and `add` wrap them for {row: coeff} dicts without zeros.  A column's
+    pivot is its largest row.  A column may carry a combination, a {key:
+    coeff} vector reduced alongside it, to write residues over added
+    columns; keys and rows are ints >= 0."""
 
     def __init__(self, field):
         self.field = field
@@ -48,38 +46,38 @@ class ColumnReducer:
     def rank(self):
         return len(self.columns)
 
-    def _reduce(self, col, combo, full):
-        """Packs combo, reduces it and col (packed) by the column type's
-        `reduce`, and writes the combination back into combo.  Returns col
-        and combo packed, and, without full, col's largest row if col is
-        nonzero."""
-        kind = self.kind
-        packed = None if combo is None else kind.pack(combo)
-        col, packed, low = kind.reduce(self.columns, col, packed, full)
-        if packed is not combo:
-            combo.clear()
-            combo.update(kind.unpack(packed))
-        return col, packed, low
-
-    def reduce(self, col, combo=None, full=False):
-        """Reduce col (consumed; its reduction is returned), and combo with
-        it in place, until its largest row is no pivot; with full, until it
-        is zero at every pivot."""
-        return self.kind.unpack(self._reduce(self.kind.pack(col), combo, full)[0])
-
-    def add(self, col, combo=None):
-        """Reduce col (consumed) and combo with it in place, and keep col
-        unless it became zero.  Returns its pivot row, or None when col was
-        dependent."""
-        return self.add_packed(self.kind.pack(col), combo)
+    def reduce_packed(self, col, combo=None, full=False):
+        """Reduce col and combo (consumed) until col's largest row is no
+        pivot, with full until it is zero at every pivot.  Returns (col,
+        combo, without full col's largest row if col is nonzero)."""
+        return self.kind.reduce(self.columns, col, combo, full)
 
     def add_packed(self, col, combo=None):
-        """`add` of a column given in the column type (consumed)."""
-        col, combo, low = self._reduce(col, combo, False)
+        """Reduce col and combo (consumed), and keep col unless it became
+        zero.  Returns (its pivot row, None when col was dependent; combo)."""
+        col, combo, low = self.kind.reduce(self.columns, col, combo, False)
         if not col:
-            return None
+            return None, combo
         self.columns[low] = (col, combo)
-        return low
+        return low, combo
+
+    def _on_dicts(self, step, col, combo, *args):
+        """step (either packed method) on a dict col and combo, the reduced
+        combination written back into combo; dict columns reduce in place."""
+        kind = self.kind
+        out = step(kind.pack(col), None if combo is None else kind.pack(combo), *args)
+        if out[1] is not combo:
+            combo.clear()
+            combo.update(kind.unpack(out[1]))
+        return out
+
+    def reduce(self, col, combo=None, full=False):
+        """`reduce_packed` on dicts: returns col's reduction."""
+        return self.kind.unpack(self._on_dicts(self.reduce_packed, col, combo, full)[0])
+
+    def add(self, col, combo=None):
+        """`add_packed` on dicts: returns the pivot row or None."""
+        return self._on_dicts(self.add_packed, col, combo)[0]
 
 
 class ColumnSpan:
@@ -115,17 +113,16 @@ class ColumnSpan:
     def coords(self, v):
         """{inserted index: coeff} expressing v over the inserted vectors, or
         None.  Only independently inserted vectors appear."""
-        combo = {}
-        if self._reducer.reduce(self._sparse(v), combo):
-            return None
-        return {k: self.field.neg(c) for k, c in combo.items()}
+        kind = self._reducer.kind
+        col, combo, _ = self._reducer.reduce_packed(kind.pack(self._sparse(v)), kind.pack({}))
+        return None if col else kind.unpack(kind.neg(combo))
 
     def insert(self, v):
         """Add v to the span.  Returns True if v was independent."""
         # invariant: each stored column == sum(combination[k] * inserted_k)
-        idx = self.n_inserted
+        idx, kind = self.n_inserted, self._reducer.kind
         self.n_inserted += 1
-        low = self._reducer.add(self._sparse(v), {idx: self.field.one})
+        low, _ = self._reducer.add_packed(kind.pack(self._sparse(v)), kind.unit(idx))
         if low is None:
             return False
         self.pivots.append(self.dim - 1 - low)

@@ -38,15 +38,15 @@ def row_sweep(shape, grades):
 
 
 def swept_ranks(field, shape, grades, columns):
-    """{grid index z: (number of grades <= z, rank of their columns)} on a
-    grid of the given shape, by one ColumnReducer per row of row_sweep."""
-    table = {}
+    """{grid index z: (number of grades <= z, rank of their packed columns)}
+    on a grid of the given shape, by one ColumnReducer per row of row_sweep."""
+    table, copy = {}, field.columns.copy
     for z, entering in row_sweep(shape, grades):
         if z[-1] == 0:
             reducer, n = ColumnReducer(field), 0
         for j in entering:
             if columns[j]:      # an empty column adds no rank
-                reducer.add(dict(columns[j]))
+                reducer.add_packed(copy(columns[j]))
         n += len(entering)
         table[z] = (n, reducer.rank)
     return table
@@ -244,9 +244,10 @@ class Presentation:
 
         gens = on_grid(self.gen_index)
         rels = on_grid(self.rel_index)
-        n = swept_ranks(self.field, shape, list(gens.values()), [{}] * len(gens))
+        pack = self.field.columns.pack
+        n = swept_ranks(self.field, shape, list(gens.values()), [pack({})] * len(gens))
         r = swept_ranks(self.field, shape, list(rels.values()),
-                        [self.relations[i][2] for i in rels])
+                        [pack(self.relations[i][2]) for i in rels])
         return {z: n[z][0] - r[z][1] for z in n}
 
     def transition_matrix(self, a, b):
@@ -304,27 +305,29 @@ class Presentation:
         rows are the generators in (grade index, -index) order, grades
         lexicographic: a valid relation's top row is its least-index
         generator of its own grade, if any.  Step 1, over the relations in
-        (grade, index) order: each is reduced to zero at the pivot rows kept
-        so far, then kept as a pivot, its top generator going, if that is of
-        its own grade.  A residue is unique once the span and the pivot rows
-        are fixed, so these are the residues of eliminating each such
-        generator from every later relation.  Step 2: a residue is dropped
-        iff it lies in the span of those strictly below its grade plus those
-        of its grade with a larger index, which is what dropping them one by
-        one in that order keeps.
+        (grade, index) order: each is reduced until its top row is no pivot;
+        if that generator is of its own grade the relation becomes a pivot
+        and the generator goes, else it is reduced to zero at every pivot.
+        A residue is unique once the span and the pivot rows are fixed, so
+        these are the residues of eliminating each such generator from every
+        later relation.  Step 2: a residue is dropped iff it lies in the
+        span of those strictly below its grade plus those of its grade with
+        a larger index, which is what dropping them one by one in that order
+        keeps.  Only the kept relations leave the column type.
         """
         f = self.validate().field
+        kind = f.columns
         gen_key, rel_key = self.gen_index, self.rel_index
         gen_at = sorted(range(len(gen_key)), key=lambda j: (gen_key[j], -j))
         row_of = {j: r for r, j in enumerate(gen_at)}
         pivots, removed_gens, rows = ColumnReducer(f), set(), {}
         for i in sorted(range(len(rel_key)), key=lambda i: (rel_key[i], i)):
-            row = pivots.reduce({row_of[j]: c for j, c in self.relations[i][2].items()},
-                                full=True)
-            if row and gen_key[gen_at[max(row)]] == rel_key[i]:
-                removed_gens.add(gen_at[pivots.add(row)])
+            row, _, top = pivots.reduce_packed(
+                kind.pack({row_of[j]: c for j, c in self.relations[i][2].items()}))
+            if row and gen_key[gen_at[top]] == rel_key[i]:
+                removed_gens.add(gen_at[pivots.add_packed(row)[0]])
             elif row:           # step 2 would drop an empty relation
-                rows[i] = row
+                rows[i] = pivots.reduce_packed(row, full=True)[0]
 
         # one span per row of the leading coordinates: at grade z it holds
         # every relation strictly below z, then those of grade z from the
@@ -336,14 +339,15 @@ class Presentation:
                 reducer = ColumnReducer(f)
             for t in entering:
                 if keys[t] != z:
-                    reducer.add(dict(rows[kept[t]]))
+                    reducer.add_packed(kind.copy(rows[kept[t]]))
             for t in reversed(entering):
-                if keys[t] == z and reducer.add(dict(rows[kept[t]])) is None:
+                if keys[t] == z and reducer.add_packed(kind.copy(rows[kept[t]]))[0] is None:
                     dropped.add(kept[t])
         # step 1 left no removed generator in a kept relation
         gens = [j for j in range(len(self.generators)) if j not in removed_gens]
         new_index = {j: k for k, j in enumerate(gens)}
-        rels = [(nm, rel_key[i], {new_index[gen_at[r]]: c for r, c in rows[i].items()})
+        rels = [(nm, rel_key[i],
+                 {new_index[gen_at[r]]: c for r, c in kind.unpack(rows[i]).items()})
                 for i, (nm, _, _) in enumerate(self.relations)
                 if i in rows and i not in dropped]
         return Presentation.from_ranks(

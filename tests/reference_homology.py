@@ -8,7 +8,9 @@ when it sorted Fraction grades itself (it reads a
 the rewritten code must give byte-identical presentation and diagram text
 and the same dimensions.  ``boundary`` is the dense boundary matrix that
 ``GradedChainComplex`` used to build; the library reads its sparse
-boundary columns only.
+boundary columns only.  The chain stores those in the field's column type
+(int bitsets over Z/2), so the oracles here read each one through
+``field.columns.unpack``.
 
 `present_homology_sweep` is the row sweep as it was before presentations
 took the chain's grid indices: it places each generator and relation at
@@ -46,7 +48,7 @@ def boundary(chain, d, cols=None):
     cols = range(len(chain.simplices(d))) if cols is None else cols
     out = [[chain.field.zero] * len(cols) for _ in chain.simplices(d - 1)]
     for t, j in enumerate(cols):
-        for i, x in chain.columns[d][j].items():
+        for i, x in chain.field.columns.unpack(chain.columns[d][j]).items():
             out[i][t] = x
     return out
 
@@ -290,7 +292,8 @@ def present_homology_sweep(complex_, degree, field, check_hilbert=True):
         return Presentation(chain.nparams, field, [], [])
     f = field
     nd = len(chain.simplices(degree))
-    cols = chain.columns[degree] if degree <= chain.max_deg else []
+    unpack = f.columns.unpack
+    cols = [unpack(c) for c in chain.columns[degree]] if degree <= chain.max_deg else []
 
     def cycles_at(z):
         act = chain._active(degree, chain.floor(z))
@@ -318,7 +321,7 @@ def present_homology_sweep(complex_, degree, field, check_hilbert=True):
                     gens.append(v)
                     born.append(z)
         for j in rels_at.get(z, ()):
-            coords = span.coords(chain.columns[degree + 1][j])
+            coords = span.coords(unpack(chain.columns[degree + 1][j]))
             if coords is None:
                 raise HomologyError("boundary escapes the kernel span; "
                                     "sweep incomplete")
@@ -363,7 +366,7 @@ def present_homology_births(complex_, degree, field, check_hilbert=True):
     if not all(shape):
         return Presentation(chain.nparams, field, [], [])
     f = field
-    nd = len(chain.simplices(degree))
+    nd, unpack = len(chain.simplices(degree)), field.columns.unpack
 
     def cycles_at(top):
         act = chain._active(degree, top)
@@ -371,7 +374,7 @@ def present_homology_births(complex_, degree, field, check_hilbert=True):
             return []
         cols = chain.columns[degree]
         return [{act[t]: x for t, x in v.items()}
-                for v in sparse_nullspace(f, [cols[j] for j in act])]
+                for v in sparse_nullspace(f, [unpack(cols[j]) for j in act])]
 
     kernel_dim = {z: n - r for z, (n, r) in chain.active_ranks(degree).items()}
     rels_at = {}
@@ -394,7 +397,7 @@ def present_homology_births(complex_, degree, field, check_hilbert=True):
                     gens.append(v)
                     born.append(z)
         for j in rels_at.get(z, ()):
-            coords = span.coords(chain.columns[degree + 1][j])
+            coords = span.coords(unpack(chain.columns[degree + 1][j]))
             if coords is None:
                 raise HomologyError("boundary escapes the kernel span; "
                                     "sweep incomplete")

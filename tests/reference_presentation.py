@@ -59,7 +59,7 @@ def hilbert_table(p, axes):
     rels = on_grid(g for _, g, _ in p.relations)
     n = swept_ranks(p.field, shape, list(gens.values()), [{}] * len(gens))
     r = swept_ranks(p.field, shape, list(rels.values()),
-                    [p.relations[i][2] for i in rels])
+                    [p.field.columns.pack(p.relations[i][2]) for i in rels])
     return {z: n[z][0] - r[z][1] for z in n}
 
 

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import permod
 from permod.filtration import (BifilteredComplex, DensitySpec, FiltrationError,
                                KdeSpec, PointCloud, Scale, cech_bifiltration,
                                distance, fixed_scale_slice,
@@ -301,6 +306,22 @@ class TestSampling:
         mean = sum(p[0] for p in pts) / len(pts)
         # within 5 sigma / sqrt(n) of the center
         assert abs(mean - 3) <= F(5) * 2 / 100
+
+    def test_import_leaves_numpy_out(self):
+        # numpy serves only sample_density's Philox draws and is imported
+        # there, so importing the package (and every CLI command but
+        # sampling) does without it
+        src = str(Path(permod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, permod; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+        code = ("import sys, permod; permod.sample_density("
+                "permod.DensitySpec.parse('1,0,1'), 1, 1); print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True"
 
     def test_coordinates_rounded(self):
         spec = DensitySpec.parse("1,0,1")

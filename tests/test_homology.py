@@ -83,14 +83,26 @@ class TestChainComplex:
         col = [row[0] for row in boundary(cc, 1)]
         assert sorted(col) == [1, 4]          # +1 and -1 mod 5
 
-    def test_check_dd_catches_a_broken_boundary(self, f2):
-        # two triangles; edge 2,3 (the last edge) bounds only the second
+    @staticmethod
+    def broken_square(field):
+        # two triangles; edge 2,3 (the last edge) bounds only the second,
+        # and its column is zeroed with the column type's empty column
         square = [vx(v, 0) for v in range(4)] + \
             [(e, (F(0),)) for e in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]] + \
             [((0, 1, 2), (F(1),)), ((1, 2, 3), (F(1),))]
-        cc = chain_complex_of(K(1, square), f2)
+        cc = chain_complex_of(K(1, square), field)
         assert cc.simplices(1)[4][0] == (2, 3)
-        cc.columns[1][4] = {}
+        cc.columns[1][4] = field.columns.pack({})
+        return cc
+
+    def test_check_dd_catches_a_broken_boundary(self, f2):
+        cc = self.broken_square(f2)
+        with pytest.raises(HomologyError, match="boundary of boundary"):
+            cc._check_dd()
+
+    def test_check_dd_catches_a_broken_boundary_on_dict_columns(self):
+        cc = self.broken_square(PrimeField(3))
+        assert cc.columns[1][4] == {}
         with pytest.raises(HomologyError, match="boundary of boundary"):
             cc._check_dd()
 
@@ -309,13 +321,39 @@ class TestPresentHomology:
 
         counting(GradedChainComplex, "__init__", builds, lambda *a: 1)
         counting(homology, "nullspace", nullspaces, lambda *a: 1)
-        counting(ColumnReducer, "add", empty, lambda self, col, *a: not col)
+        counting(ColumnReducer, "add_packed", empty, lambda self, col, *a: not col)
         counting(homology, "swept_ranks", swept, lambda field, shape, grades, cols: grades)
         for d in (0, 1):
             present_homology(cx, d, f2, check_hilbert=True)
         chain = cx.chains[f2.spec]
         assert (len(builds), nullspaces, any(empty)) == (1, [], False)
         assert sorted(map(id, swept)) == sorted(id(chain.grade_index[d]) for d in (0, 1, 2))
+
+    def test_z2_chain_and_sweep_call_no_field_method(self, f2, monkeypatch):
+        # over Z/2 the boundary columns are int bitsets built with no sign,
+        # _check_dd composes them by xor, and the sweep, minimize and the
+        # Hilbert check reduce them packed: no PrimeField method is called.
+        # Over Z/3 the same calls count, so the counters do see the path.
+        calls = []
+        for name in ("add", "sub", "mul", "div", "neg", "inv"):
+            def counted(self, *args, _name=name, _method=getattr(PrimeField, name)):
+                calls.append((self.p, _name))
+                return _method(self, *args)
+            monkeypatch.setattr(PrimeField, name, counted)
+        checked = []
+        check_dd = GradedChainComplex._check_dd
+        monkeypatch.setattr(GradedChainComplex, "_check_dd",
+                            lambda self: checked.append(self) or check_dd(self))
+        cx = lattice_48()
+        chain = chain_complex_of(cx, f2)
+        assert checked == [chain] and chain.max_deg == 2
+        texts = [present_homology(cx, d, f2).to_text() for d in (0, 1)]
+        assert calls == []
+        assert [hashlib.sha256(t.encode()).hexdigest()[:12] for t in texts] == \
+            ["f235f544d8cf", "4e21e3de9a51"]
+        for d in (0, 1):
+            present_homology(cx, d, PrimeField(3))
+        assert {p for p, _ in calls} == {3}
 
     def test_144_point_lattice_within_time_gate(self, f2):
         # the 12 x 12 jittered L1 lattice of the rips_present benchmark

@@ -4,8 +4,10 @@ reduction they grew out of (kept in reference_linalg.py).
 Over Z/2 the reducer keeps int bitset columns and must give the same pivots,
 the same combinations (written back into the caller's dicts) and the same
 full residues as the dict reduction, and `ColumnSpan` the same pivots,
-coordinates and residues.  The sparse `nullspace` must give the dense
-oracles' reduced-echelon basis over Z/2, Z/5 and Q."""
+coordinates and residues.  Its packed API (`add_packed`, `reduce_packed`,
+combinations in the column type too) must agree with its dict API, and the
+column types' unit and negated columns with their dict meaning.  The sparse `nullspace` must give the dense oracles'
+reduced-echelon basis over Z/2, Z/5 and Q."""
 
 from fractions import Fraction as F
 
@@ -60,6 +62,45 @@ def test_reducer_matches_dict_reduction():
                     want.reduce(dict(v), combo_ref, full=full)
                 assert combo == combo_ref
                 assert red.reduce(dict(v), full=True) == want.reduce(dict(v), full=True)
+
+
+def test_packed_api_matches_dict_api():
+    rng = seeded(421)
+    for field in (PrimeField(2), PrimeField(3), QQ):
+        kind = field.columns
+        for _ in range(20):
+            dim = rng.randint(1, 40)
+            density = rng.choice((0.05, 0.2, 0.5))
+            packed, dicts = ColumnReducer(field), ColumnReducer(field)
+            for k in range(rng.randint(1, 25)):
+                v = random_vector(rng, field, dim, density)
+                combo = {k: field.one, rng.randrange(100): field.one}
+                low, got = packed.add_packed(kind.pack(dict(v)), kind.pack(dict(combo)))
+                assert low == dicts.add(dict(v), combo)
+                assert kind.unpack(got) == combo
+                assert packed.rank == dicts.rank
+                v = random_vector(rng, field, dim, density)
+                for full in (False, True):
+                    combo = {}
+                    want = dicts.reduce(dict(v), combo, full=full)
+                    col, got, low = packed.reduce_packed(kind.pack(dict(v)), kind.pack({}), full)
+                    assert (kind.unpack(col), kind.unpack(got)) == (want, combo)
+                    if want and not full:
+                        assert low == max(want)
+            assert {r: (kind.unpack(c), kind.unpack(x)) for r, (c, x) in packed.columns.items()} \
+                == {r: (kind.unpack(c), kind.unpack(x)) for r, (c, x) in dicts.columns.items()}
+
+
+def test_column_type_units_and_negatives():
+    rng = seeded(431)
+    for field in (PrimeField(2), PrimeField(3), QQ):
+        kind = field.columns
+        for _ in range(20):
+            r = rng.randrange(60)
+            assert kind.unpack(kind.unit(r)) == {r: field.one}
+            v = random_vector(rng, field, 30, 0.3)
+            assert kind.unpack(kind.neg(kind.pack(dict(v)))) == \
+                {i: field.neg(x) for i, x in v.items()}
 
 
 def test_span_matches_dict_span():

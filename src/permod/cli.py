@@ -19,7 +19,7 @@ from .interleave import (DistanceBudgetExceeded, SearchStats, TermTable,
                          decide_interleaving, interleaving_distance)
 from .onedim import bottleneck, diagram_of, parse_diagram
 from .presentation import PresentationError, parse_presentation
-from .quadsys import BudgetExceeded, DEFAULT_BUDGET
+from .quadsys import DEFAULT_BUDGET
 from .infer import run_experiment
 
 EXIT_OK = 0
@@ -83,22 +83,15 @@ def _export_quadsys(path, m, n, eps):
 
 def cmd_distance_interleaving(args):
     m, n = _load_pair(args.module_m, args.module_n)
-    budget = args.budget
     if args.export_quadsys:
         eps = parse_rational(args.decide) if args.decide else Fraction(0)
         _export_quadsys(args.export_quadsys, m, n, eps)
-    if args.decide is not None:
-        eps = parse_rational(args.decide)
-        try:
-            answer = decide_interleaving(m, n, eps, budget=budget)
-        except BudgetExceeded as exc:
-            print(f"budget exceeded after {exc.nodes} nodes")
-            return EXIT_BUDGET
-        print(answer)
-        return EXIT_OK
     stats = SearchStats()
     try:
-        d = interleaving_distance(m, n, budget=budget, stats=stats)
+        if args.decide is not None:
+            print(decide_interleaving(m, n, parse_rational(args.decide), budget=args.budget))
+            return EXIT_OK
+        d = interleaving_distance(m, n, budget=args.budget, stats=stats)
     except DistanceBudgetExceeded as exc:
         lo, hi = exc.bracket
         print(f"budget exceeded; d_I in [{lo}, {hi}]")

@@ -139,9 +139,9 @@ def _circumsphere_sq(points):
 def min_enclosing_ball_sq_l2(points):
     """Squared radius of the L2 smallest enclosing ball, exactly.
 
-    Welzl-style search over support sets in exact rational arithmetic; at
-    desk scale the support sets are enumerated directly.
-    """
+    Enumerates every support set of 2 to m+1 distinct points (m the
+    dimension), solves each one's circumsphere exactly over Q, and keeps
+    the least squared radius whose ball holds all the points."""
     pts = [tuple(Fraction(x) for x in p) for p in points]
     pts = list(dict.fromkeys(pts))
     if not pts:

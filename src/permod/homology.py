@@ -8,9 +8,9 @@ column type (`exactnum`; int bitsets over Z/2, built with no sign), and
 checks that boundaries compose to zero by that type's `compose`.  Three
 computation styles share the exact linear algebra kernel:
 
-* 1-parameter barcodes by `onedim.bars`, the degree's creating simplices
-  presented by the next degree's boundaries, cross-checked elsewhere
-  against the rank multiplicity formula;
+* 1-parameter barcodes by `onedim.bars`, read from the chain's boundary
+  columns: the degree's creating simplices presented by the next degree's
+  boundaries, cross-checked elsewhere against the rank multiplicity formula;
 * grid modules (pointwise homology dimensions plus explicit transition
   maps between adjacent grid points, {row: coeff} columns, packed inside)
   for any parameter count.  Every grid module, whether of a presentation,
@@ -128,33 +128,27 @@ def chain_complex_of(complex_, field):
 # ---------------------------------------------------------------------------
 
 def barcode_1d(complex_, degree, field):
-    """The `onedim.bars` of H_degree on grade indices.  The generators are
-    the degree-d simplices whose boundary depends on earlier d-boundaries
-    (one with an independent boundary kills a class and creates none), the
-    relations the (d+1)-boundaries restricted to them.  A nonzero cycle's
-    youngest simplex is such a generator, so the pairs are those of the
-    standard column reduction.  The complex's order has each dimension's
-    simplices by grade, and only degrees d and d+1 are reduced."""
-    axes = complex_.rational_axes()
-    if complex_.nparams != 1:
+    """The `onedim.bars` of H_degree on grade indices, read from the
+    complex's chain complex (whose build raises on an irrational grade
+    first).  The generators are the degree-d simplices whose boundary
+    column reduces to zero against the earlier ones (one with an
+    independent boundary kills a class and creates none), the relations the
+    (d+1)-boundaries restricted to them.  A nonzero cycle's youngest simplex
+    is such a generator, so the pairs are those of the standard column
+    reduction.  The chain has each degree's simplices by grade, and only
+    degrees d and d+1 are reduced."""
+    chain, kind = chain_complex_of(complex_, field), field.columns
+    if chain.nparams != 1:
         raise HomologyError("barcode requires a 1-parameter complex")
-    simplices, index, axis = complex_.simplices, complex_.grade_index, axes[0]
-    signs = (field.one, field.neg(field.one))
-    lo, mid, hi, top = (bisect.bisect_left(simplices, d, key=lambda s: len(s[0]) - 1)
-                        for d in range(degree - 1, degree + 3))
-
-    def boundary(k, rows):
-        """The boundary of simplex k on the faces in rows, {face: row}."""
-        verts = simplices[k][0]
-        faces = (verts[:t] + verts[t + 1:] for t in range(len(verts)))
-        return {rows[fc]: signs[t % 2] for t, fc in enumerate(faces) if fc in rows}
-
-    reducer = ColumnReducer(field)
-    below = {simplices[k][0]: r for r, k in enumerate(range(lo, mid))}
-    creators = [k for k in range(mid, hi) if not below or reducer.add(boundary(k, below)) is None]
-    rows = {simplices[k][0]: r for r, k in enumerate(creators)}
+    index, upper = chain.grade_index.get(degree, []), chain.grade_index.get(degree + 1, [])
+    cols, reducer = chain.columns[degree] if index else [], ColumnReducer(field)
+    creators = [k for k, col in enumerate(cols)
+                if not col or reducer.add_packed(kind.copy(col))[0] is None]
+    rows = {k: r for r, k in enumerate(creators)}
     pts = bars(field, [index[k][0] for k in creators],
-               [(index[k][0], boundary(k, rows)) for k in range(hi, top)])
+               [(g, {rows[k]: x for k, x in kind.unpack(col).items() if k in rows})
+                for (g,), col in zip(upper, chain.columns[degree + 1] if upper else [])])
+    axis = chain.axes[0]
     return PersistenceDiagram([(ext(axis[b]), INF if d is None else ext(axis[d]), 1)
                                for b, d in pts])
 

@@ -25,9 +25,10 @@ L1 R1 - L2 R2 (- I).  One helper adds an entry of a product, a constant
 times a variable as a linear term and a variable times a variable as a
 quadratic one.
 
-The distance search starts at the least candidate that the bars of both
-modules on the slope-1 lines through their grades do not rule out, a lower
-bound on d_I (`slice_start`, on `onedim.bars` and `onedim.matchable`).
+The distance search, and a single eps decision, start at the least
+candidate that the bars of both modules on the slope-1 lines through their
+grades do not rule out, a lower bound on d_I (`slice_start`, on
+`onedim.bars` and `onedim.matchable`).
 """
 
 import operator
@@ -214,15 +215,6 @@ def decide_generalized(m, n, j1, j2, budget=DEFAULT_BUDGET):
     return "yes" if res.status == "solvable" else "no"
 
 
-def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
-    """'yes'/'no': are M and N eps-interleaved?  eps >= 0 rational."""
-    eps = Fraction(eps)
-    if eps < 0:
-        raise PresentationError("eps must be >= 0")
-    res = solve_finite_field(TermTable(m, n).at(eps).system, budget=budget)
-    return "yes" if res.status == "solvable" else "no"
-
-
 def candidate_set(m, n, minimal=False):
     """U_{M,N}: all values the interleaving distance can take, as a sorted
     list of ExtendedRationals containing 0 and +inf.  Computed from minimized
@@ -242,10 +234,10 @@ def candidate_set(m, n, minimal=False):
 
 
 class DistanceBudgetExceeded(Exception):
-    """Search ran out of solver budget at the eps `undecided`; carries the
-    bracket [largest eps decided no or ruled out by the slices (0 if none),
-    least eps decided or certified yes (+inf if none)], which holds d_I,
-    and the failed decision's nodes."""
+    """A search or decision ran out of solver budget at the eps `undecided`;
+    carries the bracket [largest eps decided no or ruled out by the slices
+    (0 if none), least eps decided or certified yes (+inf if none)], which
+    holds d_I, and the failed decision's nodes."""
 
     def __init__(self, last_no, first_yes, undecided, nodes):
         super().__init__(f"budget exceeded deciding eps = {undecided}; "
@@ -293,6 +285,35 @@ def slice_start(table, mm, nn, finite):
     return k
 
 
+def _search_start(m, n):
+    """What every eps decision on (M, N) starts from: the term table of the
+    minimized pair, its sorted finite candidates, their `slice_start` k, and
+    the candidate below it (0 at k = 0), the lower end of every bracket."""
+    mm, nn = m.minimize(), n.minimize()
+    table = TermTable(mm, nn)
+    finite = [c for c in candidate_set(mm, nn, minimal=True) if c.is_finite]
+    k = slice_start(table, mm, nn, finite)
+    return table, finite, k, finite[k - 1] if k else ExtendedRational.of(0)
+
+
+def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
+    """'yes'/'no': are M and N eps-interleaved?  eps >= 0 rational.  d_I is
+    a candidate, so when the largest candidate <= eps lies below
+    `slice_start` the answer is no without the solver; past the budget the
+    solver raises DistanceBudgetExceeded with the slice bracket."""
+    eps = Fraction(eps)
+    if eps < 0:
+        raise PresentationError("eps must be >= 0")
+    table, finite, k, last_no = _search_start(m, n)
+    if k == len(finite) or eps < finite[k].value:
+        return "no"
+    try:
+        res = solve_finite_field(table.at(eps).system, budget=budget)
+    except BudgetExceeded as exc:
+        raise DistanceBudgetExceeded(last_no, INF, ext(eps), exc.nodes) from exc
+    return "yes" if res.status == "solvable" else "no"
+
+
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     """d_I(M, N) as an ExtendedRational: `least_feasible` over the candidate
     set, valid because interleavability is monotone in eps and the distance
@@ -306,14 +327,10 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     without the solver.  With one parameter the slice is the module, so the
     start is d_I and one decision confirms it; where the dimensions above
     all grades differ, no slice matches and d_I = inf comes with none."""
-    mm, nn = m.minimize(), n.minimize()
-    table = TermTable(mm, nn)
-    cands = candidate_set(mm, nn, minimal=True)
+    table, finite, k, last_no = _search_start(m, n)
     if stats is not None:
-        stats.candidates = len(cands)
-    finite = [c for c in cands if c.is_finite]
-    k = slice_start(table, mm, nn, finite)
-    last_no, first_yes = finite[k - 1] if k else ExtendedRational.of(0), INF
+        stats.candidates = len(finite) + 1
+    first_yes = INF
 
     def interleaved(eps):
         nonlocal last_no, first_yes

@@ -6,17 +6,17 @@ the one elimination in the package: it is behind `rank`, `nullspace`,
 barcodes, homology rank tables, kernels and sweeps, and minimization.  It
 keeps columns in the field's column type (`exactnum`), which runs the one
 reduction loop and the one composition (`compose`): {row: coeff} dicts, or
-over Z/2 ints whose pivot is the top bit and whose elimination is xor.  The
-presentation path (chain boundaries, the kernel sweep, `minimize`, rank
-tables) and grid modules' composites (`packed_rank`) stay in that type
-(`add_packed`, `reduce_packed`).  The other callers pass {index: coeff}
-dicts without zeros (`add`, `reduce`), as do the helpers here: `mat_mul`
-(the dict type's `compose` on lists of columns), `rank`, `nullspace`
-({column index: coeff} vectors), `ColumnSpan` ({inserted index: coeff}
-coordinates), and `solve`, which alone takes a dense matrix (the small Gram
-systems of `filtration`).  Each result is the unique one of its kind (the
-reduced-echelon null basis, the solution that is 0 at every non-pivot
-column), so no routine depends on the order of reduction.
+over Z/2 ints whose pivot is the top bit and whose elimination is xor.  Its
+one API (`add_packed`, `reduce_packed`) takes and gives columns and
+combinations in that type; each caller packs a column once and unpacks
+only the combination it keeps.  The helpers here take {index: coeff} dicts
+without zeros: `mat_mul` (the dict type's `compose` on lists of columns),
+`rank`, `nullspace` ({column index: coeff} vectors), `ColumnSpan`
+({inserted index: coeff} coordinates), and `solve`, which alone takes a
+dense matrix (the small Gram systems of `filtration`).  Each result is the
+unique one of its kind (the reduced-echelon null basis, the solution that
+is 0 at every non-pivot column), so no routine depends on the order of
+reduction.
 """
 
 from .exactnum import DictColumns
@@ -31,11 +31,10 @@ def mat_mul(field, later, earlier):
 class ColumnReducer:
     """Sparse column reduction over any field, the one sparse elimination in
     the package.  Columns are kept in the field's column type (`exactnum`),
-    in which `reduce_packed` and `add_packed` take and give them; `reduce`
-    and `add` wrap them for {row: coeff} dicts without zeros.  A column's
-    pivot is its largest row.  A column may carry a combination, a {key:
-    coeff} vector reduced alongside it, to write residues over added
-    columns; keys and rows are ints >= 0."""
+    in which `reduce_packed` and `add_packed`, its only API, take and give
+    them.  A column's pivot is its largest row.  A column may carry a
+    combination, a {key: coeff} vector in the same type reduced alongside
+    it, to write residues over added columns; keys and rows are ints >= 0."""
 
     def __init__(self, field):
         self.field = field
@@ -61,24 +60,6 @@ class ColumnReducer:
         self.columns[low] = (col, combo)
         return low, combo
 
-    def _on_dicts(self, step, col, combo, *args):
-        """step (either packed method) on a dict col and combo, the reduced
-        combination written back into combo; dict columns reduce in place."""
-        kind = self.kind
-        out = step(kind.pack(col), None if combo is None else kind.pack(combo), *args)
-        if out[1] is not combo:
-            combo.clear()
-            combo.update(kind.unpack(out[1]))
-        return out
-
-    def reduce(self, col, combo=None, full=False):
-        """`reduce_packed` on dicts: returns col's reduction."""
-        return self.kind.unpack(self._on_dicts(self.reduce_packed, col, combo, full)[0])
-
-    def add(self, col, combo=None):
-        """`add_packed` on dicts: returns the pivot row or None."""
-        return self._on_dicts(self.add_packed, col, combo)[0]
-
 
 class ColumnSpan:
     """Echelon basis of a growing span of column vectors in field**dim.
@@ -98,23 +79,23 @@ class ColumnSpan:
         self.n_inserted = 0
         self._reducer = ColumnReducer(field)
 
-    def _sparse(self, v):
+    def _packed(self, v):
         top, zero = self.dim - 1, self.field.zero
-        return {top - i: x for i, x in v.items() if x != zero}
+        return self._reducer.kind.pack({top - i: x for i, x in v.items() if x != zero})
 
     def residue(self, v):
         """v reduced to zero at every pivot row, as a {row: coeff} dict."""
-        res = self._reducer.reduce(self._sparse(v), full=True)
-        return {self.dim - 1 - r: x for r, x in res.items()}
+        res = self._reducer.reduce_packed(self._packed(v), full=True)[0]
+        return {self.dim - 1 - r: x for r, x in self._reducer.kind.unpack(res).items()}
 
     def contains(self, v):
-        return not self._reducer.reduce(self._sparse(v))
+        return not self._reducer.reduce_packed(self._packed(v))[0]
 
     def coords(self, v):
         """{inserted index: coeff} expressing v over the inserted vectors, or
         None.  Only independently inserted vectors appear."""
         kind = self._reducer.kind
-        col, combo, _ = self._reducer.reduce_packed(kind.pack(self._sparse(v)), kind.pack({}))
+        col, combo, _ = self._reducer.reduce_packed(self._packed(v), kind.pack({}))
         return None if col else kind.unpack(kind.neg(combo))
 
     def insert(self, v):
@@ -122,7 +103,7 @@ class ColumnSpan:
         # invariant: each stored column == sum(combination[k] * inserted_k)
         idx, kind = self.n_inserted, self._reducer.kind
         self.n_inserted += 1
-        low, _ = self._reducer.add_packed(kind.pack(self._sparse(v)), kind.unit(idx))
+        low, _ = self._reducer.add_packed(self._packed(v), kind.unit(idx))
         if low is None:
             return False
         self.pivots.append(self.dim - 1 - low)
@@ -153,11 +134,11 @@ def nullspace(field, columns):
     per dependent column c, in column order, 1 at c and 0 at every other
     dependent column.  Column c goes in with the combination {c: 1}, so a
     dependent column's reduced combination is that vector."""
-    red, null = ColumnReducer(field), []
+    red, kind, null = ColumnReducer(field), field.columns, []
     for c, col in enumerate(columns):
-        combo = {c: field.one}
-        if red.add(dict(col), combo) is None:
-            null.append(combo)
+        low, combo = red.add_packed(kind.pack(dict(col)), kind.unit(c))
+        if low is None:
+            null.append(kind.unpack(combo))
     return null
 
 
@@ -167,12 +148,14 @@ def solve(field, a, b):
     if len(b) != len(a):
         raise ValueError(f"{len(a)} rows but {len(b)} right-hand sides")
     zero, cols = field.zero, len(a[0]) if a else 0
-    red = ColumnReducer(field)
+    red, kind = ColumnReducer(field), field.columns
     for c in range(cols):
-        red.add({i: row[c] for i, row in enumerate(a) if row[c] != zero},
-                {c: field.one})
-    combo = {}
-    if red.reduce({i: x for i, x in enumerate(b) if x != zero}, combo):
+        red.add_packed(kind.pack({i: row[c] for i, row in enumerate(a) if row[c] != zero}),
+                       kind.unit(c))
+    col, combo, _ = red.reduce_packed(
+        kind.pack({i: x for i, x in enumerate(b) if x != zero}), kind.pack({}))
+    if col:
         return None
     # b + sum combo[c] * column c == 0
+    combo = kind.unpack(combo)
     return [field.neg(combo.get(c, zero)) for c in range(cols)]

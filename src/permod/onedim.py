@@ -79,7 +79,7 @@ def bars(field, gens, rels):
     row = dict(zip(order, range(len(order))))
     reducer, out = ColumnReducer(field), []
     for d, cs in sorted(rels, key=operator.itemgetter(0)):
-        low = reducer.add({row[i]: c for i, c in cs.items()})
+        low, _ = reducer.add_packed(field.columns.pack({row[i]: c for i, c in cs.items()}))
         if low is not None and gens[order[low]] != d:
             out.append((gens[order[low]], d))
     return out + [(gens[g], None) for r, g in enumerate(order) if r not in reducer.columns]

@@ -173,18 +173,19 @@ def _eliminate_linear(field, equations):
         for r, eq in enumerate(linear):
             for v, c in eq.lin.items():
                 columns.setdefault(v, {})[r] = c
-        red, pivots, free = ColumnReducer(field), [], []
+        red, kind, pivots, free = ColumnReducer(field), field.columns, [], []
         for v in sorted(columns):
-            combo = {v: field.one}
-            if red.add(columns[v], combo) is None:
-                free.append((v, combo))
+            low, null = red.add_packed(kind.pack(columns[v]), kind.unit(v))
+            if low is None:
+                free.append((v, kind.unpack(null)))
             else:
                 pivots.append(v)
         # consts + sum combo[p] * column p == 0: x = combo solves the round
-        combo = {}
-        if red.reduce({r: eq.const for r, eq in enumerate(linear)
-                       if eq.const != zero}, combo):
+        consts = kind.pack({r: eq.const for r, eq in enumerate(linear) if eq.const != zero})
+        col, combo, _ = red.reduce_packed(consts, kind.pack({}))
+        if col:
             return None
+        combo = kind.unpack(combo)
         if not pivots:
             return quadratic, subs
         sub = {p: (combo.get(p, zero), {}) for p in pivots}

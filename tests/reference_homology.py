@@ -33,13 +33,13 @@ import itertools
 import reference_presentation
 from permod.exactnum import INF, ext, grade_ranks
 from permod.homology import GradedChainComplex, HomologyError, chain_complex_of
-from permod.linalg import ColumnReducer, ColumnSpan as SparseSpan
+from permod.linalg import ColumnSpan as SparseSpan
 from permod.linalg import nullspace as sparse_nullspace
 from permod.onedim import PersistenceDiagram
 from permod.presentation import Presentation, grade_leq, row_sweep
 
 from conftest import dense_relations
-from reference_linalg import nullspace, rank as mat_rank
+from reference_linalg import DictColumnReducer, nullspace, rank as mat_rank
 
 
 def boundary(chain, d, cols=None):
@@ -441,7 +441,7 @@ def barcode_1d(complex_, degree, field):
                 sign = f.neg(sign)
         columns.append(col)
 
-    reducer = ColumnReducer(f)
+    reducer = DictColumnReducer(f)
     pairs = {}              # creator position -> killer position
     for k, col in enumerate(columns):
         low = reducer.add(col)

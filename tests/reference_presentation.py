@@ -10,9 +10,9 @@ errors, text, tables and critical grades.
 import bisect
 
 from permod.exactnum import grade_ranks, subtract_multiple
-from permod.linalg import ColumnReducer
 from permod.presentation import (Presentation, PresentationError, grade_leq,
                                  row_sweep, swept_ranks)
+from reference_linalg import DictColumnReducer
 
 
 def validate(p):
@@ -89,7 +89,7 @@ def minimize(p):
     dropped = set()
     for z, entering in row_sweep([len(ax) for ax in axes], keys):
         if z[-1] == 0:
-            reducer = ColumnReducer(f)
+            reducer = DictColumnReducer(f)
         for t in entering:
             if keys[t] != z:
                 reducer.add(dict(rows[kept[t]]))

@@ -112,19 +112,25 @@ class TestDistance:
         assert code == 3 and "budget exceeded" in out
 
     def test_decide_budget_exit_3(self, capsys, tmp_path):
-        """Deciding eps = 1 for free modules of ranks 2 and 3 branches on
-        B A = I, so a one-node budget runs out."""
+        """Free modules of ranks 2 and 3 have no matching diagonal slice, so
+        eps = 1 is decided no without the solver, even on a one-node budget.
+        free2 against itself at eps = 1 branches on B A = I (5 nodes), so a
+        one-node budget runs out, with the bracket from the slice bound."""
         text = "PRESENTATION\nn 2\nfield zp 2\n{}END\n"
         free2, free3 = tmp_path / "free2.txt", tmp_path / "free3.txt"
         free2.write_text(text.format("generator a 0 0\ngenerator b 0 0\n"))
         free3.write_text(text.format("generator a 0 0\ngenerator b 0 0\n"
                                      "generator c 0 0\n"))
-        code, out, _ = run(capsys, "distance", "interleaving", free2, free3,
+        for budget in ("1", "20000"):
+            code, out, _ = run(capsys, "distance", "interleaving", free2, free3,
+                               "--decide", "1", "--budget", budget)
+            assert code == 0 and out == "no\n"
+        code, out, _ = run(capsys, "distance", "interleaving", free2, free2,
                            "--decide", "1", "--budget", "1")
-        assert code == 3 and out.startswith("budget exceeded after ")
-        code, out, _ = run(capsys, "distance", "interleaving", free2, free3,
+        assert code == 3 and out == "budget exceeded; d_I in [0, inf]\n"
+        code, out, _ = run(capsys, "distance", "interleaving", free2, free2,
                            "--decide", "1")
-        assert code == 0 and out == "no\n"
+        assert code == 0 and out == "yes\n"
 
     def test_budget_bracket_starts_at_the_slice_bound(self, capsys, tmp_path):
         """Free modules on generators at 0, 1 and at 1, 2: the slice bound

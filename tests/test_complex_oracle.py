@@ -3,8 +3,9 @@ which sorts and face-checks the grade values themselves.  On every input both
 must give the same `to_text()` or the same exception and message; the same
 fixed-scale slices at every scale axis value and between them (through the
 reference `fixed_scale_slice`); the same barcodes of the one-parameter
-complexes and slices (through the reference `barcode_1d`); and the same
-rational axes, bases or irrational-grade error in a chain complex.
+complexes and slices over Z/2, Z/3 and Q (through the reference
+`barcode_1d`); and the same rational axes, bases or irrational-grade error
+in a chain complex.
 
 Inputs: seeded Rips and Cech bifiltrations of L1, L2 and Linf clouds with
 duplicate and collinear points, fed in shuffled order (L2 brings irrational
@@ -27,7 +28,7 @@ from permod.filtration import (BifilteredComplex, PointCloud,
                                parse_complex, rips_bifiltration)
 from permod.homology import barcode_1d, chain_complex_of
 
-F2 = PrimeField(2)
+F2, F3 = PrimeField(2), PrimeField(3)
 
 
 def outcome(fn, *args):
@@ -67,7 +68,7 @@ def ref_chain_view(ref_cx):
 
 def check_barcodes(got, want):
     for d in (0, 1, 2):
-        for field in (F2, QQ):
+        for field in (F2, F3, QQ):      # Z/3 is where a boundary's -1 is no 1
             assert text_of(barcode_1d, got, d, field) == \
                 text_of(reference_homology.barcode_1d, want, d, field)
 

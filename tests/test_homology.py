@@ -63,6 +63,18 @@ def lattice(side):
     return rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
 
 
+def count_field_calls(monkeypatch):
+    """The list that every PrimeField arithmetic call appends its (p, name)
+    to, for the rest of the test."""
+    calls = []
+    for name in ("add", "sub", "mul", "div", "neg", "inv"):
+        def counted(self, *args, _name=name, _method=getattr(PrimeField, name)):
+            calls.append((self.p, _name))
+            return _method(self, *args)
+        monkeypatch.setattr(PrimeField, name, counted)
+    return calls
+
+
 def K(n, simplices):
     return BifilteredComplex(n, simplices)
 
@@ -140,6 +152,18 @@ class TestBarcode:
             for degree in (0, 1):
                 pres = present_homology(cx, degree, f2)
                 assert barcode_1d(cx, degree, f2) == diagram_of(pres)
+
+    def test_z2_slice_barcode_calls_no_field_method(self, f2, monkeypatch):
+        # barcode_1d reads the slice's chain, built with no sign over Z/2,
+        # and reduces its bitset boundaries: no PrimeField method is called.
+        # Over Z/3 the same calls count, so the counters do see the path.
+        cx = fixed_scale_slice(lattice_48(), F(2))
+        calls = count_field_calls(monkeypatch)
+        dgms = [barcode_1d(cx, d, f2) for d in (0, 1)]
+        assert calls == []
+        assert all(dgm.points for dgm in dgms)
+        assert dgms == [barcode_1d(cx, d, PrimeField(3)) for d in (0, 1)]
+        assert {p for p, _ in calls} == {3}
 
 
 class TestGridModule:
@@ -334,12 +358,7 @@ class TestPresentHomology:
         # _check_dd composes them by xor, and the sweep, minimize and the
         # Hilbert check reduce them packed: no PrimeField method is called.
         # Over Z/3 the same calls count, so the counters do see the path.
-        calls = []
-        for name in ("add", "sub", "mul", "div", "neg", "inv"):
-            def counted(self, *args, _name=name, _method=getattr(PrimeField, name)):
-                calls.append((self.p, _name))
-                return _method(self, *args)
-            monkeypatch.setattr(PrimeField, name, counted)
+        calls = count_field_calls(monkeypatch)
         checked = []
         check_dd = GradedChainComplex._check_dd
         monkeypatch.setattr(GradedChainComplex, "_check_dd",

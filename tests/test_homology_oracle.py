@@ -202,7 +202,7 @@ def test_reducer_rank_matches_dense_rank():
         columns += [dict(c) for c in rng.sample(columns, min(3, len(columns)))]
         reducer = ColumnReducer(field)
         for j, col in enumerate(columns):
-            reducer.add(dict(col))
+            reducer.add_packed(field.columns.pack(dict(col)))
             dense = [[c.get(r, field.zero) for c in columns[:j + 1]]
                      for r in range(rows)]
             assert reducer.rank == rank(field, dense)

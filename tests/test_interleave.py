@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -108,6 +109,36 @@ class TestDecide:
     def test_negative_eps_rejected(self, f2):
         with pytest.raises(PresentationError):
             decide_interleaving(C(f2, 0, 1), C(f2, 0, 1), F(-1))
+
+    def test_slice_bound_answers_no_without_the_solver(self, f2, monkeypatch):
+        """Free modules of ranks 4 and 5 at grade (0, 0): their dimensions
+        above all grades differ, so no diagonal slice matches and every eps
+        is decided no at once (the solver alone took over 1.5 s CPU at
+        eps = 1)."""
+        def free(rank):
+            return Presentation(2, f2, [(f"g{i}", (F(0), F(0))) for i in range(rank)], [])
+
+        solves = []
+        monkeypatch.setattr(interleave, "solve_finite_field",
+                            lambda *a, **k: solves.append(a) or solve_finite_field(*a, **k))
+        t0 = time.process_time()
+        assert [decide_interleaving(free(4), free(5), eps) for eps in (0, 1, 100)] == ["no"] * 3
+        assert time.process_time() - t0 < 0.1
+        assert solves == []
+        assert decide_interleaving(free(4), free(4), 1) == "yes" and len(solves) == 1
+
+    def test_budget_exit_carries_the_slice_bracket(self, f2):
+        """Free modules on generators at 0, 1 and at 1, 2: the slice bound
+        is 1, so eps = 1 goes to the solver and its budget exit brackets d_I
+        from the candidate below the bound."""
+        def free(*grades):
+            return Presentation(1, f2, [(f"g{i}", (F(g),)) for i, g in enumerate(grades)], [])
+
+        assert decide_interleaving(free(0, 1), free(1, 2), F(1, 2)) == "no"
+        with pytest.raises(DistanceBudgetExceeded) as info:
+            decide_interleaving(free(0, 1), free(1, 2), 1, budget=0)
+        assert info.value.bracket == (ext(F(1, 2)), INF) and info.value.undecided == ext(1)
+        assert decide_interleaving(free(0, 1), free(1, 2), 1) == "yes"
 
 
 class TestDecideGeneralized:

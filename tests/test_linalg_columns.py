@@ -1,13 +1,14 @@
 """The two column types of `linalg.ColumnReducer` against the dict-only
 reduction they grew out of (kept in reference_linalg.py).
 
-Over Z/2 the reducer keeps int bitset columns and must give the same pivots,
-the same combinations (written back into the caller's dicts) and the same
-full residues as the dict reduction, and `ColumnSpan` the same pivots,
-coordinates and residues.  Its packed API (`add_packed`, `reduce_packed`,
-combinations in the column type too) must agree with its dict API, and the
-column types' unit and negated columns with their dict meaning.  The sparse `nullspace` must give the dense oracles'
-reduced-echelon basis over Z/2, Z/5 and Q."""
+Over Z/2 the reducer keeps int bitset columns.  Through its packed API
+(`add_packed`, `reduce_packed`, combinations in the column type too, read
+back with `unpack`) it must give the same pivots, combinations, full
+residues and stored columns as the dict reduction over every field, and
+`ColumnSpan` the same pivots, coordinates and residues; the column types'
+unit and negated columns must have their dict meaning.  The sparse
+`nullspace` must give the dense oracles' reduced-echelon basis over Z/2,
+Z/5 and Q."""
 
 from fractions import Fraction as F
 
@@ -34,16 +35,16 @@ def test_z2_reduces_on_bitsets():
     f2 = PrimeField(2)
     assert isinstance(f2.columns, BitColumns)
     red = ColumnReducer(f2)
-    combo = {3: 1}
-    assert red.add({0: 1, 5: 1}, combo) == 5
-    assert red.add({0: 1, 5: 1, 7: 1}, {4: 1}) == 7
-    assert red.add({0: 1, 5: 1}, combo) is None and combo == {}
+    assert red.add_packed(0b100001, 0b1000) == (5, 0b1000)
+    assert red.add_packed(0b10100001, 0b10000) == (7, 0b10000)
+    assert red.add_packed(0b100001, 0b1000) == (None, 0)
     assert all(type(col) is int for col, _ in red.columns.values())
 
 
 def test_reducer_matches_dict_reduction():
     rng = seeded(401)
     for field in FIELDS:
+        kind = field.columns
         for _ in range(20):
             dim = rng.randint(1, 40)
             density = rng.choice((0.05, 0.2, 0.5))
@@ -51,44 +52,22 @@ def test_reducer_matches_dict_reduction():
             for k in range(rng.randint(1, 25)):
                 v = random_vector(rng, field, dim, density)
                 combo = {k: field.one, rng.randrange(100): field.one}
-                combo_ref = dict(combo)
-                assert red.add(dict(v), combo) == want.add(dict(v), combo_ref)
-                assert combo == combo_ref
-                assert red.rank == want.rank
-                v = random_vector(rng, field, dim, density)
-                combo, combo_ref = {}, {}
-                full = rng.random() < 0.5
-                assert red.reduce(dict(v), combo, full=full) == \
-                    want.reduce(dict(v), combo_ref, full=full)
-                assert combo == combo_ref
-                assert red.reduce(dict(v), full=True) == want.reduce(dict(v), full=True)
-
-
-def test_packed_api_matches_dict_api():
-    rng = seeded(421)
-    for field in (PrimeField(2), PrimeField(3), QQ):
-        kind = field.columns
-        for _ in range(20):
-            dim = rng.randint(1, 40)
-            density = rng.choice((0.05, 0.2, 0.5))
-            packed, dicts = ColumnReducer(field), ColumnReducer(field)
-            for k in range(rng.randint(1, 25)):
-                v = random_vector(rng, field, dim, density)
-                combo = {k: field.one, rng.randrange(100): field.one}
-                low, got = packed.add_packed(kind.pack(dict(v)), kind.pack(dict(combo)))
-                assert low == dicts.add(dict(v), combo)
+                low, got = red.add_packed(kind.pack(dict(v)), kind.pack(dict(combo)))
+                assert low == want.add(dict(v), combo)
                 assert kind.unpack(got) == combo
-                assert packed.rank == dicts.rank
+                assert red.rank == want.rank
                 v = random_vector(rng, field, dim, density)
                 for full in (False, True):
                     combo = {}
-                    want = dicts.reduce(dict(v), combo, full=full)
-                    col, got, low = packed.reduce_packed(kind.pack(dict(v)), kind.pack({}), full)
-                    assert (kind.unpack(col), kind.unpack(got)) == (want, combo)
-                    if want and not full:
-                        assert low == max(want)
-            assert {r: (kind.unpack(c), kind.unpack(x)) for r, (c, x) in packed.columns.items()} \
-                == {r: (kind.unpack(c), kind.unpack(x)) for r, (c, x) in dicts.columns.items()}
+                    reduced = want.reduce(dict(v), combo, full=full)
+                    col, got, low = red.reduce_packed(kind.pack(dict(v)), kind.pack({}), full)
+                    assert (kind.unpack(col), kind.unpack(got)) == (reduced, combo)
+                    if reduced and not full:
+                        assert low == max(reduced)
+                col = red.reduce_packed(kind.pack(dict(v)), full=True)[0]
+                assert kind.unpack(col) == want.reduce(dict(v), full=True)
+            assert {r: (kind.unpack(c), kind.unpack(x)) for r, (c, x) in red.columns.items()} \
+                == want.columns
 
 
 def test_column_type_units_and_negatives():

@@ -1,7 +1,8 @@
 """The galloping certificate search against the binary search it replaced
 (kept in reference_search.py), and the interleaving distance it finds
-against two outside references: the binary search over `decide_interleaving`
-and a lower bound from diagonal slices.
+against two outside references: the binary search over the solver-only
+`decide_interleaving` (also kept in reference_search.py, since the library's
+reads the slice bound) and a lower bound from diagonal slices.
 
 Every jump of the search, a yes at eps that certifies a smaller candidate u,
 is checked on its own: the witness found at eps, restricted to u's free
@@ -13,7 +14,7 @@ import pytest
 
 from permod import interleave
 from permod.exactnum import INF, PrimeField, ext, least_feasible
-from permod.interleave import candidate_set, decide_interleaving, interleaving_distance
+from permod.interleave import candidate_set, interleaving_distance
 from permod.presentation import Presentation
 from permod.quadsys import evaluate
 
@@ -101,10 +102,11 @@ def random_pairs(seed, field, count, n=2):
 
 
 def binary_distance(m, n):
-    """d_I by the binary search over `decide_interleaving` on the raw pair."""
+    """d_I by the binary search over the solver-only `decide_interleaving`
+    on the raw pair."""
     finite = [c for c in candidate_set(m, n) if c.is_finite]
     d = ref.least_feasible(finite,
-                           lambda eps: decide_interleaving(m, n, eps.value) == "yes")
+                           lambda eps: ref.decide_interleaving(m, n, eps.value) == "yes")
     return INF if d is None else d
 
 
@@ -307,7 +309,7 @@ class TestSliceStart:
             k = interleave.slice_start(interleave.TermTable(mm, nn), mm, nn, finite)
             assert k == len([c for c in finite if c < bound])
             if 0 < k < len(finite):
-                assert decide_interleaving(mm, nn, finite[k - 1].value) == "no"
+                assert ref.decide_interleaving(mm, nn, finite[k - 1].value) == "no"
                 checked += 1
             log.clear()
             d = interleaving_distance(m, n)

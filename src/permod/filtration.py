@@ -275,6 +275,8 @@ def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
     scale_cap = Fraction(scale_cap)
     if scale_cap < 0:
         raise FiltrationError("scale cap must be >= 0")
+    if max_dim < 0:
+        raise FiltrationError("max dim must be >= 0")
     den = common_denominator([scale_cap, *(x for pt in pts for x in pt)])
     ipts = [[scaled_int(x, den) for x in pt] for pt in pts]
     power = 2 if p == 2 else 1

@@ -14,10 +14,11 @@ computation styles share the exact linear algebra kernel:
 * grid modules (pointwise homology dimensions plus explicit transition
   maps between adjacent grid points, {row: coeff} columns, packed inside)
   for any parameter count.  Every grid module, whether of a presentation,
-  of chain homology (which reads the boundaries unpacked), of the image
-  between two scale slices, of a resampling, or of clusters (``infer``), is
-  made by `build_grid_module`: one walk over the grid computes the data at
-  each point, its dimension, and the transition to each successor;
+  of chain homology (whose bases reduce the packed boundaries, each vector
+  once), of the image between two scale slices, of a resampling, or of
+  clusters (``infer``), is made by `build_grid_module`: one walk over the
+  grid computes the data at each point once, its dimension, and the
+  transition to each successor;
 * presentations of homology for 1 and 2 parameters, on a complex's one
   chain complex per field, in the column type from end to end.  The
   critical grid is swept row by row with one span of kernel generators per
@@ -40,8 +41,8 @@ from fractions import Fraction
 
 from .exactnum import (INF, common_denominator, ext, format_rational,
                        least_feasible, parse_field, parse_rational, scaled_int)
-from .linalg import (ColumnReducer, ColumnSpan, mat_mul,  # noqa: F401 (perfbench traces it)
-                     nullspace, packed_rank as mat_rank)
+from .linalg import ColumnReducer, packed_rank as mat_rank
+from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
 from .onedim import PersistenceDiagram, bars
 from .presentation import Presentation, row_sweep, swept_ranks
 
@@ -396,51 +397,36 @@ def parse_grid_module(text):
 def grid_module_of_presentation(p, axes):
     if len(axes) != p.n:
         raise HomologyError("axes count must equal the parameter count")
-    return build_grid_module(p.field, axes, lambda z: z, p.point_dim,
-                             p.transition_matrix)
+    return build_grid_module(p.field, axes, p._quotient_basis, _basis_dim,
+                             p._quotient_map)
 
 
-class _HomologyBasisTracker:
-    """Per-grid-point homology bases of a chain complex.  Representative
-    cycles are {simplex index: coeff} dicts over all simplices of their
-    degree."""
+def _cycles_at(chain, degree, top):
+    """The reduced-echelon basis of the d-cycles active at the grid index
+    top, packed over simplex indices: each active column goes into one
+    reduction with the combination 1 at its own index, and a dependent
+    column's reduced combination is its null vector (`linalg.nullspace`)."""
+    kind, red, out = chain.field.columns, ColumnReducer(chain.field), []
+    for j in chain._active(degree, top):
+        low, combo = red.add_packed(kind.copy(chain.columns[degree][j]), kind.unit(j))
+        if low is None:
+            out.append(combo)
+    return out
 
-    def __init__(self, chain, degree):
-        self.chain = chain
-        self.degree = degree
-        self.f = chain.field
-        self.nd = len(chain.simplices(degree))
 
-    def _cycles_at(self, top):
-        """The reduced-echelon basis of the d-cycles active at the grid
-        index top, each a {simplex index: coeff} dict."""
-        act = self.chain._active(self.degree, top)
-        if not act:
-            return []
-        cols, unpack = self.chain.columns[self.degree], self.f.columns.unpack
-        return [{act[t]: x for t, x in v.items()}
-                for v in nullspace(self.f, [unpack(cols[j]) for j in act])]
-
-    def basis_at(self, z, cycles=None):
-        """(representative cycles, ColumnSpan loaded with boundaries then
-        representatives, number of boundary members).  Representatives
-        are picked from `cycles`, by default this complex's cycles at z.
-        Only independent vectors become span members, so member positions
-        line up with [boundaries..., reps...]."""
-        top = self.chain.floor(z)
-        span = ColumnSpan(self.f, self.nd)
-        n_bound = 0
-        for j in self.chain._active(self.degree + 1, top):
-            b = self.f.columns.unpack(self.chain.columns[self.degree + 1][j])
-            if not span.contains(b):
-                span.insert(b)
-                n_bound += 1
-        reps = []
-        for v in self._cycles_at(top) if cycles is None else cycles:
-            if not span.contains(v):
-                span.insert(v)
-                reps.append(v)
-        return reps, span, n_bound
+def _homology_basis(chain, degree, top, cycles):
+    """(representatives, span) at the grid index top: the cycles (packed)
+    independent of the active boundaries and of the earlier picks, and a
+    ColumnReducer holding both, whose combinations are keyed by the
+    representatives' positions (a boundary carries none), so a cycle
+    reduces to minus its class's coordinates.  Each vector is added once."""
+    kind, span, reps = chain.field.columns, ColumnReducer(chain.field), []
+    for j in chain._active(degree + 1, top):
+        span.add_packed(kind.copy(chain.columns[degree + 1][j]), kind.pack({}))
+    for v in cycles:
+        if span.add_packed(kind.copy(v), kind.unit(len(reps)))[0] is not None:
+            reps.append(v)
+    return reps, span
 
 
 def _basis_dim(basis):
@@ -449,15 +435,14 @@ def _basis_dim(basis):
 
 def _basis_transition(basis, basis_next):
     """Columns sending each representative of `basis` to its class in
-    `basis_next` (both from _HomologyBasisTracker.basis_at): its coordinates
-    over the representatives, which follow the nb2 boundary members."""
-    _, span2, nb2 = basis_next
-    cols = []
+    `basis_next` (both from `_homology_basis`), over the representatives."""
+    span = basis_next[1]
+    kind, cols = span.kind, []
     for v in basis[0]:
-        coords = span2.coords(v)
-        if coords is None:
+        col, combo, _ = span.reduce_packed(kind.copy(v), kind.pack({}))
+        if col:
             raise HomologyError("cycle escapes the target homology space")
-        cols.append({k - nb2: c for k, c in coords.items() if k >= nb2})
+        cols.append(kind.unpack(kind.neg(combo)))
     return cols
 
 
@@ -466,9 +451,12 @@ def grid_module_of_chain(complex_, degree, axes, field):
         else chain_complex_of(complex_, field)
     if len(axes) != chain.nparams:
         raise HomologyError("axes count must equal the parameter count")
-    tracker = _HomologyBasisTracker(chain, degree)
-    return build_grid_module(chain.field, axes, tracker.basis_at, _basis_dim,
-                             _basis_transition)
+
+    def basis_at(z):
+        top = chain.floor(z)
+        return _homology_basis(chain, degree, top, _cycles_at(chain, degree, top))
+
+    return build_grid_module(chain.field, axes, basis_at, _basis_dim, _basis_transition)
 
 
 def grid_module_of(source, axes, degree=None, field=None):
@@ -563,14 +551,13 @@ def image_grid_module(complex_, degree, delta1, delta2, axes, field):
     s2 = fixed_scale_slice(complex_, delta2)
     c1 = chain_complex_of(s1, field)
     c2 = chain_complex_of(s2, field)
-    t1 = _HomologyBasisTracker(c1, degree)
-    t2 = _HomologyBasisTracker(c2, degree)
     pos2 = {verts: i for i, (verts, _) in enumerate(c2.simplices(degree))}
-    to2 = [pos2[verts] for verts, _ in c1.simplices(degree)]
+    # the map from slice 1's degree-d chains into slice 2's, in the column type
+    to2 = [field.columns.unit(pos2[verts]) for verts, _ in c1.simplices(degree)]
 
     def basis_at(z):
-        return t2.basis_at(z, [{to2[i]: x for i, x in v.items()}
-                               for v in t1._cycles_at(c1.floor(z))])
+        cycles = field.columns.compose(to2, _cycles_at(c1, degree, c1.floor(z)))
+        return _homology_basis(c2, degree, c2.floor(z), cycles)
 
     return build_grid_module(field, axes, basis_at, _basis_dim, _basis_transition)
 

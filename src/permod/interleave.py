@@ -170,7 +170,9 @@ class TermTable:
         return eps.numerator * self.scale // eps.denominator
 
     def at(self, eps):
-        """The system deciding eps-interleaving (eps a Fraction)."""
+        """The system deciding eps-interleaving (eps a Fraction, >= 0)."""
+        if eps < 0:
+            raise PresentationError("eps must be >= 0")
         level = self.level(eps)
         return self.system({name: [[t <= level for t in row] for row in rows]
                             for name, rows in self.thresholds.items()})

@@ -56,6 +56,19 @@ class PresentationError(ValueError):
     pass
 
 
+def _coeff_dict(f, count, name, coeffs):
+    """A relation's coeffs, dict or dense list over count generators, as a
+    new dict of nonzero field elements, each taken into the field first (2
+    is 0 in Z/2)."""
+    if not isinstance(coeffs, dict):
+        if len(coeffs) != count:
+            raise PresentationError(f"relation {name}: coefficient count mismatch")
+        coeffs = dict(enumerate(coeffs))
+    if not f.canonical(coeffs.values(), f.zero):
+        coeffs = {j: f.of(c) for j, c in coeffs.items()}
+    return {j: c for j, c in coeffs.items() if c != f.zero}
+
+
 class MonotoneAffineMap:
     """Diagonal affine order-preserving bijection J(x)_i = c_i * x_i + u_i,
     c_i > 0.
@@ -144,12 +157,15 @@ class Presentation:
         for (name, *_), g in zip(gens + rels, grades):
             if len(g) != n:
                 raise PresentationError(f"{name}: grade length != n")
+        rels = [(name, g, _coeff_dict(field, len(gens), name, cs)) for name, g, cs in rels]
         self._keep(n, field, *grade_ranks(grades, n), gens, rels)
 
     @classmethod
     def from_ranks(cls, n, field, axes, generators, relations):
         """The presentation of (name, index) generators and (name, index,
-        coeffs) relations, indices on the value lists `axes` (kept: those used)."""
+        coeffs) relations, indices on the value lists `axes` (kept: those used).
+        Each coeffs must be a {generator index: coeff} dict of nonzero
+        canonical field elements; it is stored as given, not copied."""
         keys = [k for _, k, *_ in generators + relations]
         used = [sorted(set(ks)) for ks in zip(*keys)] if keys else [[]] * n
         out = cls.__new__(cls)
@@ -164,21 +180,8 @@ class Presentation:
         self.gen_index, self.rel_index = keys[:len(generators)], keys[len(generators):]
         self.generators = [(name, tuple(map(operator.getitem, axes, k)))
                            for (name, _), k in zip(generators, self.gen_index)]
-        self.relations = [(name, tuple(map(operator.getitem, axes, k)),
-                           self._coeff_dict(name, coeffs))
+        self.relations = [(name, tuple(map(operator.getitem, axes, k)), coeffs)
                           for (name, _, coeffs), k in zip(relations, self.rel_index)]
-
-    def _coeff_dict(self, name, coeffs):
-        """A relation's coeffs, dict or dense list, as a new dict of nonzero
-        field elements, each taken into the field first (2 is 0 in Z/2)."""
-        f = self.field
-        if not isinstance(coeffs, dict):
-            if len(coeffs) != len(self.generators):
-                raise PresentationError(f"relation {name}: coefficient count mismatch")
-            coeffs = dict(enumerate(coeffs))
-        if not f.canonical(coeffs.values(), f.zero):
-            coeffs = {j: f.of(c) for j, c in coeffs.items()}
-        return {j: c for j, c in coeffs.items() if c != f.zero}
 
     # -- validation ---------------------------------------------------------
 
@@ -255,14 +258,16 @@ class Presentation:
         per a-basis vector over the b-basis."""
         if not grade_leq(a, b):
             raise PresentationError("transition requires a <= b")
-        basis_a, _ = self._quotient_basis(a)
-        basis_b, span_b = self._quotient_basis(b)
+        return self._quotient_map(self._quotient_basis(a), self._quotient_basis(b))
+
+    def _quotient_map(self, quotient_a, quotient_b):
+        """`transition_matrix` between two `_quotient_basis` results."""
+        (basis_b, span_b), one = quotient_b, self.field.one
         basis_rows = {j: i for i, j in enumerate(basis_b)}
-        one = self.field.one
         # the residue is zero at every pivot row, so its entries sit on basis
         # rows and are the quotient coordinates
         return [{basis_rows[r]: x for r, x in span_b.residue({j: one}).items()}
-                for j in basis_a]
+                for j in quotient_a[0]]
 
     def transition_rank(self, a, b):
         return rank(self.field, self.transition_matrix(a, b))

@@ -6,7 +6,8 @@ byte-identical grid-module text, composite matrices, ranks and rank-shift
 values.  The dense linear algebra they ran on is in reference_linalg.py,
 and the presentation modules read the library's sparse transition columns
 as dense rows.  The end of the file keeps the sparse, tuple-indexed
-grid-module code that packed composites replaced.
+grid-module code that packed composites replaced, and after it the
+`ColumnSpan` basis tracker that the packed per-point bases replaced.
 """
 
 import bisect
@@ -18,7 +19,8 @@ from permod.exactnum import (INF, common_denominator, ext, format_rational,
 from permod.filtration import FiltrationError, fixed_scale_slice
 from permod.homology import (GradedChainComplex, HomologyError,
                              build_grid_module, chain_complex_of)
-from permod.linalg import mat_mul as sparse_mat_mul, rank as sparse_rank
+from permod.linalg import ColumnSpan as SparseSpan, mat_mul as sparse_mat_mul
+from permod.linalg import nullspace as sparse_nullspace, rank as sparse_rank
 from reference_homology import ColumnSpan, boundary
 from reference_linalg import identity, mat_mul, nullspace, rank as mat_rank, rows_of
 
@@ -668,3 +670,106 @@ def _fraction_cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
         return cols
 
     return build_grid_module(field, [a_axis, b_axis], clusters, len, containment)
+
+
+# ---------------------------------------------------------------------------
+# Chain and image grid modules on `linalg.ColumnSpan`, with unpacked cycles
+# from `linalg.nullspace`: the code that the packed per-point bases
+# (`homology._cycles_at`, `_homology_basis`) replaced, kept as it was (but
+# for the names) as an oracle for grid-module text where the dense modules
+# above are too slow.  Modules are built by the library's
+# `build_grid_module`.
+# ---------------------------------------------------------------------------
+
+class SpanBasisTracker:
+    """Per-grid-point homology bases of a chain complex.  Representative
+    cycles are {simplex index: coeff} dicts over all simplices of their
+    degree."""
+
+    def __init__(self, chain, degree):
+        self.chain = chain
+        self.degree = degree
+        self.f = chain.field
+        self.nd = len(chain.simplices(degree))
+
+    def _cycles_at(self, top):
+        """The reduced-echelon basis of the d-cycles active at the grid
+        index top, each a {simplex index: coeff} dict."""
+        act = self.chain._active(self.degree, top)
+        if not act:
+            return []
+        cols, unpack = self.chain.columns[self.degree], self.f.columns.unpack
+        return [{act[t]: x for t, x in v.items()}
+                for v in sparse_nullspace(self.f, [unpack(cols[j]) for j in act])]
+
+    def basis_at(self, z, cycles=None):
+        """(representative cycles, ColumnSpan loaded with boundaries then
+        representatives, number of boundary members).  Representatives
+        are picked from `cycles`, by default this complex's cycles at z.
+        Only independent vectors become span members, so member positions
+        line up with [boundaries..., reps...]."""
+        top = self.chain.floor(z)
+        span = SparseSpan(self.f, self.nd)
+        n_bound = 0
+        for j in self.chain._active(self.degree + 1, top):
+            b = self.f.columns.unpack(self.chain.columns[self.degree + 1][j])
+            if not span.contains(b):
+                span.insert(b)
+                n_bound += 1
+        reps = []
+        for v in self._cycles_at(top) if cycles is None else cycles:
+            if not span.contains(v):
+                span.insert(v)
+                reps.append(v)
+        return reps, span, n_bound
+
+
+def _span_basis_dim(basis):
+    return len(basis[0])
+
+
+def _span_basis_transition(basis, basis_next):
+    """Columns sending each representative of `basis` to its class in
+    `basis_next` (both from SpanBasisTracker.basis_at): its coordinates
+    over the representatives, which follow the nb2 boundary members."""
+    _, span2, nb2 = basis_next
+    cols = []
+    for v in basis[0]:
+        coords = span2.coords(v)
+        if coords is None:
+            raise HomologyError("cycle escapes the target homology space")
+        cols.append({k - nb2: c for k, c in coords.items() if k >= nb2})
+    return cols
+
+
+def span_grid_module_of_chain(complex_, degree, axes, field):
+    chain = complex_ if isinstance(complex_, GradedChainComplex) \
+        else chain_complex_of(complex_, field)
+    if len(axes) != chain.nparams:
+        raise HomologyError("axes count must equal the parameter count")
+    tracker = SpanBasisTracker(chain, degree)
+    return build_grid_module(chain.field, axes, tracker.basis_at, _span_basis_dim,
+                             _span_basis_transition)
+
+
+def span_image_grid_module(complex_, degree, delta1, delta2, axes, field):
+    """Image of H_degree(slice delta1) -> H_degree(slice delta2) as a grid
+    module over the function axes."""
+    delta1, delta2 = Fraction(delta1), Fraction(delta2)
+    if delta1 > delta2:
+        raise HomologyError("delta1 must be <= delta2")
+    s1 = fixed_scale_slice(complex_, delta1)
+    s2 = fixed_scale_slice(complex_, delta2)
+    c1 = chain_complex_of(s1, field)
+    c2 = chain_complex_of(s2, field)
+    t1 = SpanBasisTracker(c1, degree)
+    t2 = SpanBasisTracker(c2, degree)
+    pos2 = {verts: i for i, (verts, _) in enumerate(c2.simplices(degree))}
+    to2 = [pos2[verts] for verts, _ in c1.simplices(degree)]
+
+    def basis_at(z):
+        return t2.basis_at(z, [{to2[i]: x for i, x in v.items()}
+                               for v in t1._cycles_at(c1.floor(z))])
+
+    return build_grid_module(field, axes, basis_at, _span_basis_dim,
+                             _span_basis_transition)

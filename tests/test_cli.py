@@ -202,6 +202,16 @@ class TestFiltration:
                          "--out", out_path)
         assert code == 0 and out_path.read_text() == ""
 
+    @pytest.mark.parametrize("kind", ["rips", "cech"])
+    def test_negative_max_dim_exit_2(self, kind, capsys, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0\n1\n")
+        out_path = tmp_path / "cx.txt"
+        code, out, err = run(capsys, "filtration", kind, "--points", pts,
+                             "--max-dim", "-1", "--out", out_path)
+        assert (code, out, err) == (2, "", "error: max dim must be >= 0\n")
+        assert not out_path.exists()
+
     def test_cech_l1_exit_2(self, capsys, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("0\n1\n")
@@ -322,6 +332,16 @@ class TestExportAndInfer:
         code, _, _ = run(capsys, "export", "quadsys", tmp_path / "mm.txt", n,
                          "--eps", "1", "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_eps_refused_before_any_export(self, files, capsys, tmp_path):
+        m, n, out_path = files / "c01.txt", files / "c23.txt", tmp_path / "sys.txt"
+        for argv in (("export", "quadsys", m, n, "--eps", "-1"),
+                     ("export", "quadsys", m, n, "--eps", "-1", "--out", out_path),
+                     ("distance", "interleaving", m, n, "--export-quadsys", out_path,
+                      "--decide", "-1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: eps must be >= 0\n")
+            assert not out_path.exists()
 
     def test_infer_run(self, capsys, tmp_path):
         out_path = tmp_path / "rec.json"

@@ -92,6 +92,14 @@ class TestRips:
         cx = rips_bifiltration(PointCloud([(0,), (10,)]), 1, zeros(2), 1, F(1))
         assert all(len(v) == 1 for v, _ in cx.simplices)
 
+    def test_negative_max_dim_rejected(self):
+        # max_dim 0 keeps the vertices; -1 is refused by both builders
+        pts = PointCloud([(0,), (1,)])
+        assert len(rips_bifiltration(pts, 2, zeros(2), 0, F(10)).simplices) == 2
+        for build in (rips_bifiltration, cech_bifiltration):
+            with pytest.raises(FiltrationError, match="max dim must be >= 0"):
+                build(pts, 2, zeros(2), -1, F(10))
+
     def test_l2_edges_sorted_by_value(self):
         """Half-lengths sqrt(5)/2 < sqrt(2) < 3/2: an irrational scale and a
         rational one compare by value, in the text and in the face check."""

@@ -1,21 +1,29 @@
 """The single grid-module construction path against the code it replaced
 (kept in reference_grid.py): identical text, composite maps for every pair of
-grid indices, rank tables and rank-shift values on seeded random complexes,
-presentations, modules with uneven dimensions under random bases, and
-cluster modules of up to 200 points.  The library keeps transitions as
-sparse columns and the reference as dense rows; composites are compared as
-dense rows, and the text of both must round-trip through the parser."""
+grid indices, rank tables and rank-shift values on seeded random complexes
+with 1 to 3 parameters over Z/2, Z/3 and Q, presentations, modules with
+uneven dimensions under random bases, and cluster modules of up to 200
+points.  The library keeps transitions as sparse columns and the reference
+as dense rows; composites are compared as dense rows, and the text of both
+must round-trip through the parser.
 
+The packed per-point bases of chain and image modules are also compared,
+by text, with the `ColumnSpan` tracker they replaced, on the 48-point
+lattice where the dense reference is too slow; and counted: each grid
+point's basis is built once, each vector reduced once."""
+
+import collections
 import itertools
 from fractions import Fraction as F
 
-from permod.exactnum import QQ, PrimeField
+from permod import homology, linalg
+from permod.exactnum import QQ, BitColumns, DictColumns, PrimeField
 from permod.filtration import DensitySpec, KdeSpec, kde_evaluate, sample_density
 from permod.homology import (GridModule, chain_complex_of, grid_module_of,
                              image_grid_module, parse_grid_module,
                              rank_shift_distance, resample)
 from permod.infer import cech_cluster_module, offset_cluster_module
-from permod.linalg import nullspace, rank, solve
+from permod.linalg import ColumnReducer, ColumnSpan, nullspace, rank, solve
 from permod.presentation import Presentation
 
 import reference_grid as ref
@@ -23,6 +31,7 @@ import reference_linalg as ref_linalg
 from reference_linalg import columns_of, identity, mat_mul, rows_of
 from conftest import (dense, dense_relations, mat_vec,
                       random_one_critical_complex, random_presentation, seeded)
+from test_homology import lattice_48
 
 FIELDS = (PrimeField(2), PrimeField(3))
 
@@ -92,13 +101,13 @@ def widened(rng, axes):
     return out
 
 
-def chain_pairs(seed, nparams):
-    """Per field and degree, (new module, reference module) pairs of random
-    complexes over their critical axes."""
+def chain_pairs(seed, nparams, fields=FIELDS, count=5):
+    """Per field and degree, (new module, reference module) pairs of count
+    random complexes over their critical axes."""
     rng = seeded(seed)
     out = []
-    for f in FIELDS:
-        for _ in range(5):
+    for f in fields:
+        for _ in range(count):
             cx = random_one_critical_complex(rng, nparams, max_simplices=9)
             axes = chain_complex_of(cx, f).axes
             for degree in (0, 1):
@@ -109,12 +118,19 @@ def chain_pairs(seed, nparams):
 
 class TestAgainstReference:
     def test_chain_modules_and_resample(self):
-        for nparams, seed in ((1, 211), (2, 223)):
+        for nparams, seed, fields in ((1, 211, FIELDS), (2, 223, FIELDS),
+                                      (1, 271, (QQ,)), (2, 277, (QQ,))):
             rng = seeded(seed + 1)
-            for new, old in chain_pairs(seed, nparams):
+            for new, old in chain_pairs(seed, nparams, fields):
                 assert_same(new, old)
                 axes = widened(rng, new.axes)
                 assert_same(resample(new, axes), ref.resample(old, axes))
+
+    def test_three_parameter_chain_modules(self):
+        # every pair of grid indices is compared, so widened axes would
+        # take the dense reference tens of seconds here
+        for new, old in chain_pairs(283, 3, FIELDS + (QQ,), count=3):
+            assert_same(new, old)
 
     def test_presentation_modules(self):
         rng = seeded(227)
@@ -130,15 +146,17 @@ class TestAgainstReference:
 
     def test_image_modules(self):
         rng = seeded(229)
-        for f in FIELDS:
-            for _ in range(6):
-                cx = random_one_critical_complex(rng, 2, max_simplices=10)
-                scales = sorted({g[-1] for _, g in cx.simplices})
-                d1, d2 = sorted(rng.choice(scales) for _ in range(2))
-                axes = [sorted({g[0] for _, g in cx.simplices})]
-                for degree in (0, 1):
-                    assert_same(image_grid_module(cx, degree, d1, d2, axes, f),
-                                ref.image_grid_module(cx, degree, d1, d2, axes, f))
+        for nparams, fields in ((2, FIELDS), (2, (QQ,)), (3, FIELDS + (QQ,))):
+            for f in fields:
+                for _ in range(6):
+                    cx = random_one_critical_complex(rng, nparams, max_simplices=10)
+                    scales = sorted({g[-1] for _, g in cx.simplices})
+                    d1, d2 = sorted(rng.choice(scales) for _ in range(2))
+                    axes = [sorted({g[a] for _, g in cx.simplices})
+                            for a in range(nparams - 1)]
+                    for degree in (0, 1):
+                        assert_same(image_grid_module(cx, degree, d1, d2, axes, f),
+                                    ref.image_grid_module(cx, degree, d1, d2, axes, f))
 
     def test_rank_shift_distance(self):
         for nparams, seed in ((1, 233), (2, 239)):
@@ -213,6 +231,74 @@ class TestAgainstReference:
             assert_same(off, off_ref)
             assert rank_shift_distance(cech, off) == \
                 ref.rank_shift_distance(cech_ref, off_ref)
+
+
+class TestPackedPointBases:
+    def test_lattice_chain_modules_match_the_span_tracker(self):
+        cx = lattice_48()
+        for f in FIELDS:
+            axes = chain_complex_of(cx, f).axes
+            for degree in (0, 1):
+                gm = grid_module_of(cx, axes, degree=degree, field=f)
+                assert max(gm.dims.values()) > 1
+                assert gm.to_text() == \
+                    ref.span_grid_module_of_chain(cx, degree, axes, f).to_text()
+
+    def test_lattice_image_module_matches_the_span_tracker(self):
+        cx, f = lattice_48(), PrimeField(3)
+        axes = chain_complex_of(cx, f).axes
+        args = (cx, 1, axes[1][3], axes[1][4], axes[:1], f)
+        gm = image_grid_module(*args)
+        assert max(gm.dims.values()) > 1
+        assert gm.to_text() == ref.span_image_grid_module(*args).to_text()
+
+    def test_presentation_module_builds_one_quotient_basis_per_point(self, monkeypatch):
+        f = PrimeField(2)
+        cx = lattice_48()
+        axes, p = chain_complex_of(cx, f).axes, homology.present_homology(cx, 1, f)
+        built, quotient_basis = [], Presentation._quotient_basis
+        monkeypatch.setattr(Presentation, "_quotient_basis",
+                            lambda self, a: built.append(a) or quotient_basis(self, a))
+        gm = grid_module_of(p, axes)
+        assert sorted(built) == sorted(map(gm.value, gm.indices()))
+        assert len(built) == 50
+
+    def test_chain_module_reduces_each_vector_once(self, monkeypatch):
+        """Per grid point, the cycle reduction adds each active d-column and
+        the span each active boundary and each candidate cycle, once; only
+        the transition columns are unpacked, and no ColumnSpan or nullspace
+        is used."""
+        cx, cases = lattice_48(), []
+        for f in FIELDS:
+            chain = chain_complex_of(cx, f)
+            for degree in (0, 1):
+                low, up = chain.active_ranks(degree), chain.active_ranks(degree + 1)
+                adds = sum(n + up[idx][0] + n - r for idx, (n, r) in low.items())
+                cases.append((f, chain.axes, degree, adds))
+        calls = collections.Counter()
+
+        def counting(owner, name, key=None):
+            original = vars(owner)[name]
+            static = isinstance(original, staticmethod)
+            fn = original.__func__ if static else original
+
+            def call(*args, **kwargs):
+                calls[key or name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, staticmethod(call) if static else call)
+
+        counting(ColumnReducer, "add_packed")
+        for kind in (BitColumns, DictColumns):
+            counting(kind, "unpack")
+        for name in ("__init__", "residue", "contains", "coords", "insert"):
+            counting(ColumnSpan, name, f"ColumnSpan.{name}")
+        counting(linalg, "nullspace")
+        counting(homology, "nullspace")
+        for f, axes, degree, adds in cases:
+            calls.clear()
+            gm = grid_module_of(cx, axes, degree=degree, field=f)
+            assert dict(calls) == {"add_packed": adds,
+                                   "unpack": sum(map(len, gm.trans.values()))}
 
 
 def elimination_inputs(rng, f):

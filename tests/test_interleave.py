@@ -110,6 +110,12 @@ class TestDecide:
         with pytest.raises(PresentationError):
             decide_interleaving(C(f2, 0, 1), C(f2, 0, 1), F(-1))
 
+    def test_term_table_refuses_negative_eps(self, f2):
+        # every exported or decided system is built by TermTable.at
+        table = interleave.TermTable(C(f2, 0, 1), C(f2, 0, 1))
+        with pytest.raises(PresentationError, match="eps must be >= 0"):
+            table.at(F(-1, 2))
+
     def test_slice_bound_answers_no_without_the_solver(self, f2, monkeypatch):
         """Free modules of ranks 4 and 5 at grade (0, 0): their dimensions
         above all grades differ, so no diagonal slice matches and every eps

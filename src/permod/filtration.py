@@ -580,6 +580,8 @@ def kde_evaluate(sample, spec, at):
     m = sample.dim
     h = spec.bandwidth
     at = [tuple(map(Fraction, x)) for x in at]
+    if any(len(x) != m for x in at):
+        raise FiltrationError("evaluation point dimension != sample dimension")
     symmetric = at == list(sample)
     scale = common_denominator(c for pts in (sample, at) for pt in pts for c in pt)
     den = (scale * h.numerator) ** 2

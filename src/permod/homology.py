@@ -13,12 +13,12 @@ computation styles share the exact linear algebra kernel:
   boundaries, cross-checked elsewhere against the rank multiplicity formula;
 * grid modules (pointwise homology dimensions plus explicit transition
   maps between adjacent grid points, {row: coeff} columns, packed inside)
-  for any parameter count.  Every grid module, whether of a presentation,
-  of chain homology (whose bases reduce the packed boundaries, each vector
-  once), of the image between two scale slices, of a resampling, or of
-  clusters (``infer``), is made by `build_grid_module`: one walk over the
-  grid computes the data at each point once, its dimension, and the
-  transition to each successor;
+  for any parameter count, each made by `build_grid_module`: one walk over
+  the grid computes the data at each point once, its dimension, and the
+  transition to each successor.  A presentation's data is a basis of M_a
+  (generators modulo relations), a complex's or an image's one of H_d
+  (cycles modulo boundaries), both by `linalg.quotient_basis`; resamplings
+  and cluster modules (``infer``) bring their own;
 * presentations of homology for 1 and 2 parameters, on a complex's one
   chain complex per field, in the column type from end to end.  The
   critical grid is swept row by row with one span of kernel generators per
@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .exactnum import (INF, common_denominator, ext, format_rational,
                        least_feasible, parse_field, parse_rational, scaled_int)
-from .linalg import ColumnReducer, packed_rank as mat_rank
+from .linalg import ColumnReducer, packed_rank as mat_rank, quotient_basis, quotient_map
 from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
 from .onedim import PersistenceDiagram, bars
 from .presentation import Presentation, row_sweep, swept_ranks
@@ -196,7 +196,7 @@ class GridModule:
     and every index with a successor along axis a needs trans[(idx, a)], the
     map from idx to that successor: one sparse column per basis vector at
     idx, a {row: coeff} dict without zeros over the successor's basis; a
-    transition off the grid is refused.
+    dimension or transition off the grid is refused.
     Each is packed once into the field's column type (`exactnum`), whose
     `compose` makes the composites, cached packed by the flat (row-major)
     indices of their ends; `check_squares` and the cached `rank_between`
@@ -209,9 +209,10 @@ class GridModule:
         self.dims = dict(dims)
         self.trans = dict(trans)
         _check_axes(self.axes)
-        for idx in self.indices():
-            if idx not in self.dims:
-                raise HomologyError(f"no dimension given at grid index {idx}")
+        stray = sorted(set(self.dims).symmetric_difference(self.indices()))
+        if stray:
+            where = "given off the grid at" if stray[0] in self.dims else "missing at grid index"
+            raise HomologyError(f"dimension {where} {stray[0]}")
         shape = self.shape()
         self._strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
         self._flat = {idx: i for i, idx in enumerate(self.indices())}
@@ -397,8 +398,7 @@ def parse_grid_module(text):
 def grid_module_of_presentation(p, axes):
     if len(axes) != p.n:
         raise HomologyError("axes count must equal the parameter count")
-    return build_grid_module(p.field, axes, p._quotient_basis, _basis_dim,
-                             p._quotient_map)
+    return build_grid_module(p.field, axes, p._quotient_basis, _basis_dim, quotient_map)
 
 
 def _cycles_at(chain, degree, top):
@@ -414,36 +414,13 @@ def _cycles_at(chain, degree, top):
     return out
 
 
-def _homology_basis(chain, degree, top, cycles):
-    """(representatives, span) at the grid index top: the cycles (packed)
-    independent of the active boundaries and of the earlier picks, and a
-    ColumnReducer holding both, whose combinations are keyed by the
-    representatives' positions (a boundary carries none), so a cycle
-    reduces to minus its class's coordinates.  Each vector is added once."""
-    kind, span, reps = chain.field.columns, ColumnReducer(chain.field), []
-    for j in chain._active(degree + 1, top):
-        span.add_packed(kind.copy(chain.columns[degree + 1][j]), kind.pack({}))
-    for v in cycles:
-        if span.add_packed(kind.copy(v), kind.unit(len(reps)))[0] is not None:
-            reps.append(v)
-    return reps, span
+def _boundaries_at(chain, degree, top):
+    """The packed (d+1)-boundaries active at the grid index top."""
+    return (chain.columns[degree + 1][j] for j in chain._active(degree + 1, top))
 
 
 def _basis_dim(basis):
     return len(basis[0])
-
-
-def _basis_transition(basis, basis_next):
-    """Columns sending each representative of `basis` to its class in
-    `basis_next` (both from `_homology_basis`), over the representatives."""
-    span = basis_next[1]
-    kind, cols = span.kind, []
-    for v in basis[0]:
-        col, combo, _ = span.reduce_packed(kind.copy(v), kind.pack({}))
-        if col:
-            raise HomologyError("cycle escapes the target homology space")
-        cols.append(kind.unpack(kind.neg(combo)))
-    return cols
 
 
 def grid_module_of_chain(complex_, degree, axes, field):
@@ -454,9 +431,10 @@ def grid_module_of_chain(complex_, degree, axes, field):
 
     def basis_at(z):
         top = chain.floor(z)
-        return _homology_basis(chain, degree, top, _cycles_at(chain, degree, top))
+        return quotient_basis(chain.field, _boundaries_at(chain, degree, top),
+                              enumerate(_cycles_at(chain, degree, top)))
 
-    return build_grid_module(chain.field, axes, basis_at, _basis_dim, _basis_transition)
+    return build_grid_module(chain.field, axes, basis_at, _basis_dim, quotient_map)
 
 
 def grid_module_of(source, axes, degree=None, field=None):
@@ -517,13 +495,11 @@ def present_homology(complex_, degree, field, check_hilbert=True):
                     gens.append(v)
                     born.append(z)
         for j in range(bisect.bisect_left(upper, z), bisect.bisect_right(upper, z)):
-            col, combo, _ = span.reduce_packed(kind.copy(chain.columns[degree + 1][j]),
-                                               kind.pack({}))
-            if col:
+            x = span.coords(kind.copy(chain.columns[degree + 1][j]))
+            if x is None:
                 raise HomologyError("boundary escapes the kernel span; "
                                     "sweep incomplete")
-            # boundary + sum(combo[i] * generator i) == 0
-            rels.append((f"b{j}", z, kind.unpack(kind.neg(combo))))
+            rels.append((f"b{j}", z, kind.unpack(x)))
 
     pres = Presentation.from_ranks(chain.nparams, f, axes, [
         (f"k{i}", z) for i, z in enumerate(born)], rels).minimize()
@@ -557,9 +533,10 @@ def image_grid_module(complex_, degree, delta1, delta2, axes, field):
 
     def basis_at(z):
         cycles = field.columns.compose(to2, _cycles_at(c1, degree, c1.floor(z)))
-        return _homology_basis(c2, degree, c2.floor(z), cycles)
+        return quotient_basis(field, _boundaries_at(c2, degree, c2.floor(z)),
+                              enumerate(cycles))
 
-    return build_grid_module(field, axes, basis_at, _basis_dim, _basis_transition)
+    return build_grid_module(field, axes, basis_at, _basis_dim, quotient_map)
 
 
 # ---------------------------------------------------------------------------

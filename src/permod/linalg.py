@@ -1,22 +1,23 @@
 """Exact linear algebra over a coefficient field.
 
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
-the one elimination in the package: it is behind `rank`, `nullspace`,
-`solve` and `ColumnSpan`, the linear rounds of the `quadsys` solver,
-barcodes, homology rank tables, kernels and sweeps, and minimization.  It
-keeps columns in the field's column type (`exactnum`), which runs the one
-reduction loop and the one composition (`compose`): {row: coeff} dicts, or
-over Z/2 ints whose pivot is the top bit and whose elimination is xor.  Its
-one API (`add_packed`, `reduce_packed`) takes and gives columns and
-combinations in that type; each caller packs a column once and unpacks
-only the combination it keeps.  The helpers here take {index: coeff} dicts
-without zeros: `mat_mul` (the dict type's `compose` on lists of columns),
-`rank`, `nullspace` ({column index: coeff} vectors), `ColumnSpan`
-({inserted index: coeff} coordinates), and `solve`, which alone takes a
-dense matrix (the small Gram systems of `filtration`).  Each result is the
-unique one of its kind (the reduced-echelon null basis, the solution that
-is 0 at every non-pivot column), so no routine depends on the order of
-reduction.
+the one elimination in the package: it is behind every routine here, the
+linear rounds of the `quadsys` solver, barcodes, homology rank tables,
+kernels and sweeps, and minimization.  It keeps columns in the field's
+column type (`exactnum`), which runs the one reduction loop and the one
+composition (`compose`): {row: coeff} dicts, or over Z/2 ints whose pivot
+is the top bit and whose elimination is xor.  Its API (`add_packed`,
+`reduce_packed`, and `coords`: minus the combination a column reduces with)
+takes and gives columns and combinations in that type; each caller packs a
+column once and unpacks only the combination it keeps.  `quotient_basis`
+and `quotient_map` are the one quotient routine: every grid module, of a
+presentation or of homology, takes its bases and transitions from them.
+The helpers take {index: coeff} dicts without zeros: `mat_mul`, `rank`,
+`nullspace` (the reduced-echelon null basis), `ColumnSpan` (coordinates
+over inserted vectors) and `solve`, which alone takes a dense matrix (the
+Gram systems of `filtration`) and gives the solution that is 0 at every
+non-pivot column.  `src/` calls neither `mat_mul`, `nullspace` nor
+`ColumnSpan`: the perfbench tracer binds them and test oracles use them.
 """
 
 from .exactnum import DictColumns
@@ -31,8 +32,8 @@ def mat_mul(field, later, earlier):
 class ColumnReducer:
     """Sparse column reduction over any field, the one sparse elimination in
     the package.  Columns are kept in the field's column type (`exactnum`),
-    in which `reduce_packed` and `add_packed`, its only API, take and give
-    them.  A column's pivot is its largest row.  A column may carry a
+    in which `reduce_packed`, `add_packed` and `coords`, its only API, take
+    and give them.  A column's pivot is its largest row.  A column may carry a
     combination, a {key: coeff} vector in the same type reduced alongside
     it, to write residues over added columns; keys and rows are ints >= 0."""
 
@@ -60,16 +61,22 @@ class ColumnReducer:
         self.columns[low] = (col, combo)
         return low, combo
 
+    def coords(self, col):
+        """Minus the combination col (consumed) reduces with, packed: its
+        coordinates over the added combinations' keys; None outside the span."""
+        kind = self.kind
+        col, combo, _ = kind.reduce(self.columns, col, kind.pack({}), False)
+        return None if col else kind.neg(combo)
+
 
 class ColumnSpan:
     """Echelon basis of a growing span of column vectors in field**dim.
 
-    Supports membership tests and expressing a vector as a combination of the
-    vectors that were inserted (not of the internal echelon columns), which is
-    what presentation quotients and kernel sweeps need.  Vectors are {row:
-    coeff} dicts with rows in range(dim); they go into a ColumnReducer on
-    reversed rows, so a column's pivot is its first nonzero row; `pivots`
-    lists them in insertion order.
+    Supports membership tests, residues, and expressing a vector as a
+    combination of the vectors that were inserted (not of the internal
+    echelon columns).  Vectors are {row: coeff} dicts with rows in
+    range(dim); they go into a ColumnReducer on reversed rows, so a column's
+    pivot is its first nonzero row; `pivots` lists them in insertion order.
     """
 
     def __init__(self, field, dim):
@@ -94,9 +101,8 @@ class ColumnSpan:
     def coords(self, v):
         """{inserted index: coeff} expressing v over the inserted vectors, or
         None.  Only independently inserted vectors appear."""
-        kind = self._reducer.kind
-        col, combo, _ = self._reducer.reduce_packed(self._packed(v), kind.pack({}))
-        return None if col else kind.unpack(kind.neg(combo))
+        combo = self._reducer.coords(self._packed(v))
+        return None if combo is None else self._reducer.kind.unpack(combo)
 
     def insert(self, v):
         """Add v to the span.  Returns True if v was independent."""
@@ -142,6 +148,35 @@ def nullspace(field, columns):
     return null
 
 
+def quotient_basis(field, subspace, candidates):
+    """(picked keys, increasing; {key: column}; the ColumnReducer) of a
+    quotient: the (key, column) candidates, in the order given, independent
+    of the subspace and of the earlier picks.  A subspace column carries no
+    combination and a pick its key, so `coords` there reads a class's
+    coordinates.  Columns (column type) are copied, each added once."""
+    red, kind, picked = ColumnReducer(field), field.columns, {}
+    for col in subspace:
+        red.add_packed(kind.copy(col), kind.pack({}))
+    for key, col in candidates:
+        if red.add_packed(kind.copy(col), kind.unit(key))[0] is not None:
+            picked[key] = col
+    return sorted(picked), picked, red
+
+
+def quotient_map(basis, basis_next):
+    """The map sending each pick of `basis` to its class over the picks of
+    `basis_next` (both from `quotient_basis`), as one {row: coeff} column
+    per pick, its rows the positions of the next picks."""
+    keys, _, red = basis_next
+    rows, kind, out = {key: i for i, key in enumerate(keys)}, red.kind, []
+    for key in basis[0]:
+        x = red.coords(kind.copy(basis[1][key]))
+        if x is None:
+            raise ValueError("a basis vector escapes the next quotient")
+        out.append({rows[k]: c for k, c in kind.unpack(x).items()})
+    return out
+
+
 def solve(field, a, b):
     """The solution x of a x = b (a given as list of rows) that is 0 at every
     non-pivot column, or None."""
@@ -152,10 +187,8 @@ def solve(field, a, b):
     for c in range(cols):
         red.add_packed(kind.pack({i: row[c] for i, row in enumerate(a) if row[c] != zero}),
                        kind.unit(c))
-    col, combo, _ = red.reduce_packed(
-        kind.pack({i: x for i, x in enumerate(b) if x != zero}), kind.pack({}))
-    if col:
+    x = red.coords(kind.pack({i: x for i, x in enumerate(b) if x != zero}))
+    if x is None:
         return None
-    # b + sum combo[c] * column c == 0
-    combo = kind.unpack(combo)
-    return [field.neg(combo.get(c, zero)) for c in range(cols)]
+    x = kind.unpack(x)
+    return [x.get(c, zero) for c in range(cols)]

@@ -14,9 +14,10 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .exactnum import (QQ, as_fraction, common_denominator, format_rational,
-                       grade_ranks, parse_field, parse_rational, scaled_int)
-from .linalg import ColumnReducer, ColumnSpan, rank
+from .exactnum import (QQ, ExtendedRational, as_fraction, common_denominator,
+                       format_rational, grade_ranks, parse_field, parse_rational,
+                       scaled_int)
+from .linalg import ColumnReducer, quotient_basis, quotient_map, rank
 
 
 def grade_leq(a, b):
@@ -208,20 +209,21 @@ class Presentation:
 
     def _active(self, a):
         """The generators and relations of grade <= a (ranks <= a's floor)."""
+        if len(a) != self.n:
+            raise PresentationError("grade length != n")
         top = [bisect.bisect_right(ax, x) - 1 for ax, x in zip(self.axes, a)]
         gens = [j for j, k in enumerate(self.gen_index) if grade_leq(k, top)]
         rels = [i for i, k in enumerate(self.rel_index) if grade_leq(k, top)]
         return gens, rels
 
     def _quotient_basis(self, a):
-        """Indices of active generators forming an echelon basis of M_a,
-        plus the ColumnSpan of the active relations (rows: generators)."""
+        """`quotient_basis` of M_a: the active generators' units (keyed by
+        index, from the last down) modulo the active relations, which picks
+        those that lead no relation in first-nonzero echelon form."""
         gens, rels = self._active(a)
-        span = ColumnSpan(self.field, len(self.generators))
-        for i in rels:
-            span.insert(self.relations[i][2])
-        pivots = set(span.pivots)
-        return [j for j in gens if j not in pivots], span
+        kind = self.field.columns
+        return quotient_basis(self.field, (kind.pack(self.relations[i][2]) for i in rels),
+                              ((j, kind.unit(j)) for j in reversed(gens)))
 
     def point_dim(self, a):
         return len(self._quotient_basis(a)[0])
@@ -258,16 +260,7 @@ class Presentation:
         per a-basis vector over the b-basis."""
         if not grade_leq(a, b):
             raise PresentationError("transition requires a <= b")
-        return self._quotient_map(self._quotient_basis(a), self._quotient_basis(b))
-
-    def _quotient_map(self, quotient_a, quotient_b):
-        """`transition_matrix` between two `_quotient_basis` results."""
-        (basis_b, span_b), one = quotient_b, self.field.one
-        basis_rows = {j: i for i, j in enumerate(basis_b)}
-        # the residue is zero at every pivot row, so its entries sit on basis
-        # rows and are the quotient coordinates
-        return [{basis_rows[r]: x for r, x in span_b.residue({j: one}).items()}
-                for j in quotient_a[0]]
+        return quotient_map(self._quotient_basis(a), self._quotient_basis(b))
 
     def transition_rank(self, a, b):
         return rank(self.field, self.transition_matrix(a, b))
@@ -283,7 +276,6 @@ class Presentation:
     def restrict(self, u):
         """R_u: kill everything not strictly below u, one added relation per
         generator and finite axis.  u is a sequence of ExtendedRational/inf."""
-        from .exactnum import ExtendedRational
         u = list(u)
         if len(u) != self.n:
             raise PresentationError("restriction bound length must equal n")
@@ -415,16 +407,11 @@ def direct_sum(presentations, n=None, field=None):
 def interval_presentation(field, a, b):
     """The 1-D interval module alive on [a, b): one generator, one relation
     (none if b is +inf)."""
-    from .exactnum import ExtendedRational
-    a = Fraction(a)
-    gens = [("g", (a,))]
-    rels = []
-    bd = b if isinstance(b, ExtendedRational) else ExtendedRational.of(b)
-    if bd.is_finite:
-        if not bd.value > a:
-            raise PresentationError("interval needs a < b")
-        rels = [("r", (bd.value,), {0: field.one})]
-    return Presentation(1, field, gens, rels)
+    a, bd = Fraction(a), ExtendedRational.of(b)
+    if not bd > a:
+        raise PresentationError("interval needs a < b")
+    rels = [("r", (bd.value,), {0: field.one})] if bd.is_finite else []
+    return Presentation(1, field, [("g", (a,))], rels)
 
 
 # -- parsing ------------------------------------------------------------------

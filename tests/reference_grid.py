@@ -3,11 +3,12 @@ path in ``permod.homology`` replaced, with the clustering of
 ``permod.infer`` on Fraction comparisons.  Kept as they were, apart from the
 grid-module class name, as oracles: the rewritten code must give
 byte-identical grid-module text, composite matrices, ranks and rank-shift
-values.  The dense linear algebra they ran on is in reference_linalg.py,
-and the presentation modules read the library's sparse transition columns
-as dense rows.  The end of the file keeps the sparse, tuple-indexed
-grid-module code that packed composites replaced, and after it the
-`ColumnSpan` basis tracker that the packed per-point bases replaced.
+values.  The dense linear algebra they ran on is in reference_linalg.py.
+Presentation modules read each point's basis and transitions off the
+`ColumnSpan` quotient of `Presentation` before `linalg.quotient_basis`
+replaced it, as dense rows.  The end of the file keeps the sparse,
+tuple-indexed grid-module code that packed composites replaced, and after
+it the `ColumnSpan` basis tracker that the packed per-point bases replaced.
 """
 
 import bisect
@@ -123,24 +124,52 @@ class RefGridModule:
 
 
 
-def grid_module_of_presentation(p, axes):
+def quotient_basis(p, a):
+    """Indices of the generators of p active at a forming an echelon basis
+    of M_a, plus the ColumnSpan of the active relations (rows: generators).
+    Grades are compared as rationals."""
+    def active(grade):
+        return all(x <= y for x, y in zip(grade, a))
+
+    gens = [j for j, (_, g) in enumerate(p.generators) if active(g)]
+    span = SparseSpan(p.field, len(p.generators))
+    for _, g, coeffs in p.relations:
+        if active(g):
+            span.insert(coeffs)
+    pivots = set(span.pivots)
+    return [j for j in gens if j not in pivots], span
+
+
+def quotient_map(p, quotient_a, quotient_b):
+    """The map M_a -> M_b between two `quotient_basis` results, as one
+    sparse column per a-basis vector over the b-basis."""
+    (basis_b, span_b), one = quotient_b, p.field.one
+    basis_rows = {j: i for i, j in enumerate(basis_b)}
+    # the residue is zero at every pivot row, so its entries sit on basis
+    # rows and are the quotient coordinates
+    return [{basis_rows[r]: x for r, x in span_b.residue({j: one}).items()}
+            for j in quotient_a[0]]
+
+
+def grid_module_of_presentation(p, axes, check=True):
     if len(axes) != p.n:
         raise HomologyError("axes count must equal the parameter count")
     dims = {}
     trans = {}
+    bases = {}
     shape = tuple(len(a) for a in axes)
     for idx in itertools.product(*(range(s) for s in shape)):
         z = tuple(axes[i][k] for i, k in enumerate(idx))
-        dims[idx] = p.point_dim(z)
+        bases[idx] = quotient_basis(p, z)
+        dims[idx] = len(bases[idx][0])
     for idx in itertools.product(*(range(s) for s in shape)):
-        z = tuple(axes[i][k] for i, k in enumerate(idx))
         for a in range(p.n):
             if idx[a] + 1 >= shape[a]:
                 continue
             nxt = tuple(k + 1 if i == a else k for i, k in enumerate(idx))
-            z2 = tuple(axes[i][k] for i, k in enumerate(nxt))
-            trans[(idx, a)] = rows_of(p.field, p.transition_matrix(z, z2), dims[nxt])
-    return RefGridModule(p.field, axes, dims, trans)
+            trans[(idx, a)] = rows_of(p.field, quotient_map(p, bases[idx], bases[nxt]),
+                                      dims[nxt])
+    return RefGridModule(p.field, axes, dims, trans, check)
 
 
 class _HomologyBasisTracker:

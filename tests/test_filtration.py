@@ -370,6 +370,12 @@ class TestKde:
         with pytest.raises(FiltrationError):
             kde_evaluate(PointCloud([]), KdeSpec("gaussian", F(1)), PointCloud([(0,)]))
 
+    def test_evaluation_point_of_another_dimension(self):
+        sample, spec = PointCloud([(0,)]), KdeSpec("gaussian", F(1, 2))
+        for at in (PointCloud([(0, 5)]), [(1,), (0, 5)], [()]):
+            with pytest.raises(FiltrationError, match="dimension"):
+                kde_evaluate(sample, spec, at)
+
 
 class TestFormats:
     def test_points_csv_roundtrip(self):

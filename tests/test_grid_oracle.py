@@ -24,7 +24,7 @@ from permod.homology import (GridModule, chain_complex_of, grid_module_of,
                              rank_shift_distance, resample)
 from permod.infer import cech_cluster_module, offset_cluster_module
 from permod.linalg import ColumnReducer, ColumnSpan, nullspace, rank, solve
-from permod.presentation import Presentation
+from permod.presentation import Presentation, grade_leq
 
 import reference_grid as ref
 import reference_linalg as ref_linalg
@@ -143,6 +143,41 @@ class TestAgainstReference:
                         continue
                     assert_same(grid_module_of(p, axes),
                                 ref.grid_module_of_presentation(p, axes))
+
+    def test_presentation_modules_match_the_span_quotient(self):
+        """Against the `ColumnSpan` quotient, over Z/2, Z/3, Z/5 and Q with
+        1 to 3 parameters, on critical and (up to 2 parameters) widened
+        axes: the text, and the composite and rank between every two grid
+        indices, read straight off the quotient so no composite is
+        multiplied through a zero space; `point_dim` at every grid value and
+        `transition_matrix` between some pairs of them."""
+        rng = seeded(271)
+        for f in FIELDS + (PrimeField(5), QQ):
+            for n, count, size in ((1, 8, 6), (2, 6, 5), (3, 3, 3)):
+                for _ in range(count):
+                    p = random_presentation(rng, f, n=n, max_gens=size, max_rels=size)
+                    axes = p.critical_grades()[1]
+                    if any(not ax for ax in axes):
+                        continue
+                    for grid in [axes] + [widened(rng, axes)] * (n < 3):
+                        # the dense square check cannot multiply through a
+                        # zero space; GridModule checks the squares packed
+                        gm = grid_module_of(p, grid)
+                        assert gm.to_text() == \
+                            ref.grid_module_of_presentation(p, grid, False).to_text()
+                        bases = {idx: ref.quotient_basis(p, gm.value(idx))
+                                 for idx in gm.indices()}
+                        for idx, (basis, _) in bases.items():
+                            assert p.point_dim(gm.value(idx)) == len(basis)
+                        for i1, i2 in index_pairs(gm):
+                            want = ref.quotient_map(p, bases[i1], bases[i2])
+                            assert gm.matrix_between(i1, i2) == want
+                            assert gm.rank_between(i1, i2) == ref_linalg.rank(
+                                f, rows_of(f, want, gm.dims[i2]))
+                        pairs = index_pairs(gm)
+                        for i1, i2 in rng.sample(pairs, min(len(pairs), 10)):
+                            assert p.transition_matrix(gm.value(i1), gm.value(i2)) == \
+                                ref.quotient_map(p, bases[i1], bases[i2])
 
     def test_image_modules(self):
         rng = seeded(229)
@@ -275,30 +310,58 @@ class TestPackedPointBases:
                 low, up = chain.active_ranks(degree), chain.active_ranks(degree + 1)
                 adds = sum(n + up[idx][0] + n - r for idx, (n, r) in low.items())
                 cases.append((f, chain.axes, degree, adds))
-        calls = collections.Counter()
-
-        def counting(owner, name, key=None):
-            original = vars(owner)[name]
-            static = isinstance(original, staticmethod)
-            fn = original.__func__ if static else original
-
-            def call(*args, **kwargs):
-                calls[key or name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, staticmethod(call) if static else call)
-
-        counting(ColumnReducer, "add_packed")
-        for kind in (BitColumns, DictColumns):
-            counting(kind, "unpack")
-        for name in ("__init__", "residue", "contains", "coords", "insert"):
-            counting(ColumnSpan, name, f"ColumnSpan.{name}")
-        counting(linalg, "nullspace")
-        counting(homology, "nullspace")
+        calls = count_kernel_calls(monkeypatch)
         for f, axes, degree, adds in cases:
             calls.clear()
             gm = grid_module_of(cx, axes, degree=degree, field=f)
             assert dict(calls) == {"add_packed": adds,
                                    "unpack": sum(map(len, gm.trans.values()))}
+
+    def test_presentation_module_adds_each_vector_once(self, monkeypatch):
+        """Per grid point, the quotient adds each active relation and each
+        active generator's unit column once; only the transition columns
+        are unpacked, and no ColumnSpan or nullspace is used."""
+        rng, cases = seeded(281), []
+        f2 = PrimeField(2)
+        cx = lattice_48()
+        cases.append((homology.present_homology(cx, 1, f2), chain_complex_of(cx, f2).axes))
+        for f in FIELDS + (PrimeField(5), QQ):
+            for n in (1, 2, 3):
+                p = random_presentation(rng, f, n=n, max_gens=4, max_rels=4)
+                cases.append((p, widened(rng, p.critical_grades()[1])))
+        calls = count_kernel_calls(monkeypatch)
+        for p, axes in cases:
+            adds = sum(grade_leq(g, z) for z in itertools.product(*axes)
+                       for g in [g for _, g in p.generators] + [g for _, g, _ in p.relations])
+            calls.clear()
+            gm = grid_module_of(p, axes)
+            assert calls == collections.Counter(
+                add_packed=adds, unpack=sum(map(len, gm.trans.values())))
+
+
+def count_kernel_calls(monkeypatch):
+    """A Counter of the calls, from here on, to `ColumnReducer.add_packed`,
+    the column types' `unpack`, every `ColumnSpan` method and `nullspace`."""
+    calls = collections.Counter()
+
+    def counting(owner, name, key=None):
+        original = vars(owner)[name]
+        static = isinstance(original, staticmethod)
+        fn = original.__func__ if static else original
+
+        def call(*args, **kwargs):
+            calls[key or name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, staticmethod(call) if static else call)
+
+    counting(ColumnReducer, "add_packed")
+    for kind in (BitColumns, DictColumns):
+        counting(kind, "unpack")
+    for name in ("__init__", "residue", "contains", "coords", "insert"):
+        counting(ColumnSpan, name, f"ColumnSpan.{name}")
+    counting(linalg, "nullspace")
+    counting(homology, "nullspace")
+    return calls
 
 
 def elimination_inputs(rng, f):

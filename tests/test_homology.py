@@ -238,6 +238,14 @@ class TestGridModule:
         with pytest.raises(HomologyError, match="off the grid"):
             GridModule(f2, gm.axes, gm.dims, trans)
 
+    def test_dimension_off_the_grid_rejected(self, f2):
+        gm = grid_module_of(interval_presentation(f2, 0, 1), [[F(0), F(1)]])
+        text = gm.to_text().replace("END", "dim 7 = 5\nEND")
+        with pytest.raises(HomologyError, match=r"dimension given off the grid at \(7,\)"):
+            parse_grid_module(text)
+        with pytest.raises(HomologyError, match=r"off the grid at \(0, 0\)"):
+            GridModule(f2, gm.axes, {**gm.dims, (0, 0): 1}, gm.trans)
+
     def test_non_integral_entry_rejected_over_prime_field(self):
         text = ("GRIDMODULE\nfield zp 3\naxes 1\naxis 0 : 0 1\n"
                 "dim 0 = 1\ndim 1 = 1\ntrans 0 axis 0 : {}\nEND\n")

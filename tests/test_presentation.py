@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from permod import QQ, PrimeField
+from permod.exactnum import INF, NEG_INF
 from permod.interleave import zero_pattern_mask
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, direct_sum,
@@ -49,6 +50,12 @@ class TestValidate:
             with pytest.raises(PresentationError, match="grade length != n"):
                 Presentation(2, f2, gens, rels).validate()
 
+    def test_interval_needs_a_below_b(self, f2):
+        for b in (0, -1, NEG_INF):
+            with pytest.raises(PresentationError, match="interval needs a < b"):
+                C(f2, 0, b)
+        assert C(f2, 0, INF).point_dim((F(5),)) == 1
+
     def test_duplicate_names(self, f2):
         with pytest.raises(PresentationError, match="duplicate"):
             Presentation(1, f2, [("g", (F(0),)), ("g", (F(1),))], []).validate()
@@ -69,6 +76,16 @@ class TestPointwise:
         assert p.transition_rank((F(1, 2),), (F(1, 2),)) == p.point_dim((F(1, 2),))
         with pytest.raises(PresentationError):
             p.transition_rank((F(1),), (F(0),))
+
+    def test_grade_of_another_length_refused(self, f2):
+        p = Presentation(2, f2, [("g", (F(0), F(5)))], [])
+        assert p.point_dim((F(0), F(5))) == 1
+        top = (F(9), F(9))
+        for a in ((F(0),), (F(0), F(5), F(0))):
+            for call in (lambda: p.point_dim(a), lambda: p.transition_matrix(a, top),
+                         lambda: p.transition_rank((F(0), F(5)), a)):
+                with pytest.raises(PresentationError, match="grade length != n"):
+                    call()
 
     def test_rank_composition_bound(self, f2):
         rng = seeded(11)

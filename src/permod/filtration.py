@@ -19,7 +19,6 @@ radius is half the length on an edge and grows with the vertex set, so the
 Cech candidates are the cliques of the capped edges too.
 """
 
-import array
 import bisect
 import functools
 import itertools
@@ -472,6 +471,7 @@ def gromov_function_distance(x1, d1, f1, x2, d2, f2, max_points=5):
 
 COORD_DENOM = 1 << 20
 KERNEL_DENOM = 1 << 30
+SEED_LIMIT = 1 << 128       # Philox keys are the ints in [0, 2**128)
 
 
 class DensitySpec:
@@ -526,11 +526,15 @@ class DensitySpec:
 def sample_density(spec, count, seed):
     """Deterministic i.i.d.-style sample via the Philox counter-based
     generator (numpy's one use, so imported here); coordinates rounded to
-    denominator 2**20."""
+    denominator 2**20.  The seed is the Philox key, an int in [0, 2**128)."""
     import numpy as np
     if count < 0:
         raise FiltrationError("count must be >= 0")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise FiltrationError(f"seed {seed} is outside the Philox key range "
+                              f"[0, 2**128)")
+    rng = np.random.Generator(np.random.Philox(key=seed))
     cum = []
     acc = Fraction(0)
     for w, _, _ in spec.components:
@@ -565,15 +569,21 @@ def _unit_ball_volume(m):
 def kde_evaluate(sample, spec, at):
     """Kernel density estimate of the sample evaluated at each point of
     `at`.  The kernel argument q = |x - s|^2 / h^2 is an exact integer
-    ratio: with every coordinate scaled by the lcm D of their denominators,
-    q = num / den for num = |X - S|^2 * h.denominator^2 (|X - S|^2 taken as
-    |X|^2 + |S|^2 - 2 X.S) and den = (D * h.numerator)^2, and the int true
-    division num / den is the correctly rounded float(q).  Only exp and the
-    summation are floating point; each value is a libm double rounded to
-    2**-30 and recorded as approximate.  Each value sums its kernel terms
-    one by one in sample order.  When `at` is the sample itself, num is the
-    same int for (i, j) and (j, i), so each unordered pair is evaluated once
-    and its kernel value read again for the other row."""
+    ratio: with every coordinate scaled once by D * h.denominator, for D the
+    lcm of their denominators, q = num / den for num = |X - S|^2 and
+    den = (D * h.numerator)^2, and the int true division is the correctly
+    rounded float(q).  The Gaussian takes num / (-2 den), which is exactly
+    -(num / den) / 2 (halving a double is exact; a quotient too small for
+    that to hold has exp 1.0 either way), and Epanechnikov compares the
+    ints num <= den.  So each pair costs one subtraction and one square per
+    coordinate, one division, one exp and one multiplication.  Only exp and
+    the summation are floating point; each value is a libm double rounded
+    to 2**-30 and recorded as approximate.  Each value sums its kernel terms
+    one by one in sample order, from 0.0.  When `at` is the sample itself,
+    num is the same int for (i, j) and (j, i), so each unordered pair is
+    evaluated once: row i holds the terms at points i, i+1, ..., and no row
+    is stored; running sums, one per later point, hold the terms of the
+    rows before."""
     if not len(sample):
         raise FiltrationError("empty sample")
     z = len(sample)
@@ -585,13 +595,14 @@ def kde_evaluate(sample, spec, at):
     symmetric = at == list(sample)
     scale = common_denominator(c for pts in (sample, at) for pt in pts for c in pt)
     den = (scale * h.numerator) ** 2
-    hd2 = h.denominator ** 2
+    scale *= h.denominator
     if spec.kernel == "gaussian":
         norm = (2 * math.pi) ** (-m / 2)
         exp = math.exp
+        neg_2den = -2 * den
 
         def kernels(nums):
-            return [norm * exp(-(num / den) / 2) for num in nums]
+            return [norm * exp(num / neg_2den) for num in nums]
     else:
         c = (m + 2) / (2 * _unit_ball_volume(m))
 
@@ -601,25 +612,26 @@ def kde_evaluate(sample, spec, at):
     def scaled(pts):
         return [tuple(scaled_int(c, scale) for c in pt) for pt in pts]
 
+    add = operator.add
+
+    def add_lists(a, b):
+        return list(map(add, a, b))
+
     denom = z * float(h) ** m
     sample_int = scaled(sample)
-    sample_sq = [hd2 * sum(map(operator.mul, s, s)) for s in sample_int]
     coords = list(zip(*sample_int))
-    out, rows = [], []      # symmetric: row i's terms at sample points i, i+1, ...
-    for i, x in enumerate(scaled(at)):
+    out = []
+    # symmetric: at row i, acc[j] sums the terms at point i + j of rows < i
+    acc = [0.0] * z
+    for i, x in enumerate(sample_int if symmetric else scaled(at)):
         lo = i if symmetric else 0
-        # num = hd2 |X|^2 + hd2 |S|^2 - sum over d of (2 hd2 X_d) S_d
-        x_sq = hd2 * sum(map(operator.mul, x, x))
-        nums = [x_sq + s_sq for s_sq in sample_sq[lo:]]
-        for xd, sd in zip(x, coords):
-            xd *= 2 * hd2
-            nums = [num - xd * s for num, s in zip(nums, sd[lo:])]
+        # num = |X - S|^2, one list of squared differences per coordinate
+        nums = functools.reduce(add_lists, ([(xd - s) ** 2 for s in sd[lo:]]
+                                            for xd, sd in zip(x, coords)))
         row = kernels(nums)
-        # the terms at sample points j < i are row j's terms at point i; the
-        # sum runs in sample order (reduce(add): builtin sum may compensate)
-        head = map(operator.getitem, rows, range(i, 0, -1))
-        acc = functools.reduce(operator.add, itertools.chain(head, row), 0.0)
+        # the sum runs in sample order (reduce(add): builtin sum may compensate)
+        total = functools.reduce(add, row, acc[0])
         if symmetric:
-            rows.append(array.array("d", row))
-        out.append(Fraction(round(acc / denom * KERNEL_DENOM), KERNEL_DENOM))
+            acc = list(map(add, acc[1:], row[1:]))
+        out.append(Fraction(round(total / denom * KERNEL_DENOM), KERNEL_DENOM))
     return out

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .exactnum import (INF, PrimeField, as_fraction, common_denominator,
                        format_rational, scaled_int)
-from .filtration import FiltrationError, KdeSpec, kde_evaluate, sample_density
+from .filtration import (SEED_LIMIT, FiltrationError, KdeSpec, kde_evaluate,
+                         sample_density)
 from .homology import build_grid_module, rank_shift_distance
 
 
@@ -167,17 +168,25 @@ def run_experiment(density, samples, trials, seed, bandwidth, degree=0,
     ambient grid, with superlevel thresholds (a = -density) on a fixed probe
     axis of negative values and offsets on multiples of the grid spacing.
     Each (trial, sample size) owns the derived seed (seed, stream index).
-    Coefficients are in Z/2.  Sample sizes must strictly increase, and there
-    must be at least one trial.
+    Coefficients are in Z/2.  Sample sizes must strictly increase, there
+    must be at least one trial, threshold and offset, and every derived seed
+    must be a Philox key.
     """
     if degree != 0:
         raise FiltrationError("the desk-scale harness compares degree-0 modules")
-    if trials < 1:
-        raise FiltrationError(f"trials must be at least 1, got {trials}")
+    for name, count in (("trials", trials), ("thresholds", thresholds),
+                        ("offsets", offsets)):
+        if count < 1:
+            raise FiltrationError(f"{name} must be at least 1, got {count}")
     for z, after in zip(samples, samples[1:]):
         if after <= z:
             raise FiltrationError(f"sample sizes must be strictly increasing: "
                                   f"{after} after {z}")
+    streams = trials * len(samples)
+    if streams and not (0 <= _derive_seed(seed, 1) and
+                        _derive_seed(seed, streams) < SEED_LIMIT):
+        raise FiltrationError(f"seed {seed} derives seeds outside the Philox "
+                              f"key range [0, 2**128)")
     if density.dim != 1:
         raise FiltrationError("harness supports 1-D densities")
     field = PrimeField(2)

@@ -70,8 +70,10 @@ class RefGridModule:
                         continue
                     idx_a = tuple(k + 1 if i == a1 else k for i, k in enumerate(idx))
                     idx_b = tuple(k + 1 if i == a2 else k for i, k in enumerate(idx))
-                    p1 = mat_mul(f, self.step(idx_a, a2), self.step(idx, a1))
-                    p2 = mat_mul(f, self.step(idx_b, a1), self.step(idx, a2))
+                    p1 = mat_mul(f, self.step(idx_a, a2), self.step(idx, a1),
+                                 self.dims[idx])
+                    p2 = mat_mul(f, self.step(idx_b, a1), self.step(idx, a2),
+                                 self.dims[idx])
                     if p1 != p2:
                         raise HomologyError(f"grid square at {idx} does not commute")
 
@@ -88,7 +90,8 @@ class RefGridModule:
         else:
             axis = next(a for a in range(self.nparams) if i1[a] < i2[a])
             mid = tuple(k + 1 if a == axis else k for a, k in enumerate(i1))
-            out = mat_mul(f, self.matrix_between(mid, i2, _memo), self.step(i1, axis))
+            out = mat_mul(f, self.matrix_between(mid, i2, _memo), self.step(i1, axis),
+                          self.dims[i1])
         _memo[key] = out
         return out
 

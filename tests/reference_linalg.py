@@ -9,7 +9,8 @@ given as many right-hand sides as rows.
 
 Also here: the dense ``zeros``, ``identity`` and ``mat_mul`` that grid
 modules composed their transitions with before transitions became sparse
-columns (nothing in the library uses dense products now), and ``rows_of``
+columns (nothing in the library uses dense products now; ``mat_mul`` takes
+the column count, which rows cannot carry through a zero space), and ``rows_of``
 and ``columns_of``, which turn a map of sparse columns into the dense rows
 the oracles read, and back.
 
@@ -31,8 +32,11 @@ def identity(field, n):
     return m
 
 
-def mat_mul(field, a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+def mat_mul(field, a, b, cols):
+    """a times b, both dense rows; b (and so the product) has cols columns.
+    The shape is passed, not read off b: a map out of a zero space has no
+    rows, and the product through one is the rows x cols zero map."""
+    rows, inner = len(a), len(b)
     out = zeros(field, rows, cols)
     for i in range(rows):
         ai = a[i]

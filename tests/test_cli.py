@@ -382,6 +382,13 @@ class TestExportAndInfer:
         assert code == 2 and "trials must be at least 1" in err
         assert "median" not in err
 
+    def test_infer_negative_seed_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "rec.json"
+        code, _, err = run(capsys, "infer", "run", "--density", "1,0,1/2",
+                           "--samples", "5", "--seed", "-1", "--out", out_path)
+        assert code == 2 and "seed -1 derives seeds outside" in err
+        assert "key must be" not in err and not out_path.exists()
+
 
 class TestErrorBoundary:
     @pytest.mark.parametrize("argv", [

@@ -72,7 +72,7 @@ def random_basis_change(rng, f, n):
             p[i] = [f.add(x, f.mul(c, y)) for x, y in zip(p[i], p[j])]
             for row in q:
                 row[j] = f.sub(row[j], f.mul(c, row[i]))
-    assert mat_mul(f, p, q) == identity(f, n)
+    assert mat_mul(f, p, q, n) == identity(f, n)
     return p, q
 
 
@@ -86,7 +86,8 @@ def rebased(rng, gm):
     for (idx, a), cols in gm.trans.items():
         succ = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
         m = rows_of(f, cols, gm.dims[succ])
-        trans[(idx, a)] = mat_mul(f, mat_mul(f, bases[succ][0], m), bases[idx][1])
+        trans[(idx, a)] = mat_mul(f, mat_mul(f, bases[succ][0], m, gm.dims[idx]),
+                                  bases[idx][1], gm.dims[idx])
     return gm.axes, gm.dims, trans
 
 
@@ -225,8 +226,8 @@ class TestAgainstReference:
 
     def test_uneven_modules_in_random_bases(self):
         """Random presentations plus one free generator at the grid minimum,
-        so no dimension is 0: the reference cannot multiply through a zero
-        space (test_homology covers those composites)."""
+        so no dimension is 0, and then random presentations as drawn, whose
+        composites and squares pass through zero spaces."""
         rng = seeded(257)
         axes = [[F(k) for k in range(5)] for _ in range(2)]
         for f in (PrimeField(3), PrimeField(5)):
@@ -241,6 +242,18 @@ class TestAgainstReference:
                         for (idx, a), m in trans.items()}
                 assert_same(GridModule(f, axes_, dims, cols),
                             ref.RefGridModule(f, axes_, dims, trans))
+        rng = seeded(659)
+        uneven = 0
+        for f in (PrimeField(3), PrimeField(5)):
+            for _ in range(6):
+                p = random_presentation(rng, f, n=2, max_gens=5, max_rels=3)
+                axes_, dims, trans = rebased(rng, grid_module_of(p, axes))
+                uneven += min(dims.values()) == 0 < max(dims.values())
+                cols = {(idx, a): columns_of(f, m, dims[idx])
+                        for (idx, a), m in trans.items()}
+                assert_same(GridModule(f, axes_, dims, cols),
+                            ref.RefGridModule(f, axes_, dims, trans))
+        assert uneven >= 6
 
     def test_large_cluster_modules(self):
         f = PrimeField(2)

@@ -564,8 +564,7 @@ class TestZeroSpaces:
                 while idx[a] < i2[a]:
                     nxt = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
                     step = rows_of(gm.field, gm.step(idx, a), gm.dims[nxt])
-                    out = (mat_mul(gm.field, step, out) if out else
-                           [[0] * gm.dims[i1] for _ in range(gm.dims[nxt])])
+                    out = mat_mul(gm.field, step, out, gm.dims[i1])
                     idx = nxt
             return out
 

@@ -496,13 +496,13 @@ def brute_force_interleaved(m, n, eps):
                 for _, g, coeffs in rels_n)
             if not cond2:
                 continue
-            ba = mat_mul(f, b_mat, a_mat)
+            ba = mat_mul(f, b_mat, a_mat, len(gm))
             cond3 = all(rel_span(rels_m, len(gm), gmi, 2 * eps).contains(
                 {r: f.sub(ba[r][i], eye_m[r][i]) for r in range(len(gm))})
                 for i, gmi in enumerate(gm))
             if not cond3:
                 continue
-            ab = mat_mul(f, a_mat, b_mat)
+            ab = mat_mul(f, a_mat, b_mat, len(gn))
             cond4 = all(rel_span(rels_n, len(gn), gni, 2 * eps).contains(
                 {r: f.sub(ab[r][i], eye_n[r][i]) for r in range(len(gn))})
                 for i, gni in enumerate(gn))

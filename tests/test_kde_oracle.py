@@ -1,8 +1,9 @@
-"""kde_evaluate on exact integer ratios against the Fraction-argument code it
-replaced (kept in reference_kde.py): the values must agree exactly for every
-dimension, kernel, coordinate denominator and bandwidth, also where the
-Epanechnikov argument sits exactly on, or rounds to, 1, and on the symmetric
-path taken when the points evaluated at are the sample itself."""
+"""kde_evaluate on exact integer ratios against the code it replaced (kept in
+reference_kde.py): the Fraction-argument code and the stored-row int-ratio
+code.  The values must agree exactly with both for every dimension, kernel,
+coordinate denominator and bandwidth, also where the Epanechnikov argument
+sits exactly on, or rounds to, 1, and on the symmetric path taken when the
+points evaluated at are the sample itself."""
 
 import math
 from fractions import Fraction as F
@@ -35,7 +36,15 @@ def random_cloud(rng, dim, count, denoms):
 def assert_same(sample, spec, at):
     got = kde_evaluate(sample, spec, at)
     assert got == ref.kde_evaluate(sample, spec, at)
+    assert got == ref.int_ratio_kde_evaluate(sample, spec, at)
     return got
+
+
+def shifted(cloud, rng, denoms):
+    """Each point of the cloud moved by a small offset with a denominator
+    drawn from denoms: an evaluation list that is not the sample."""
+    return [tuple(c + F(rng.randint(-3, 3), rng.choice(denoms)) for c in pt)
+            for pt in cloud]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -64,6 +73,19 @@ def test_sampled_density_as_in_infer():
     cloud = sample_density(density, 60, 2024)
     for kernel in KERNELS:
         assert_same(cloud, KdeSpec(kernel, F(1, 5)), cloud)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("dim", (2, 3))
+def test_larger_clouds_of_mixed_denominators(kernel, dim):
+    """2-D and 3-D clouds of 60-120 points, each coordinate on its own
+    denominator, at the sample and at points that are not the sample."""
+    rng = seeded(347 + dim)
+    for _ in range(2):
+        spec = KdeSpec(kernel, F(rng.randint(1, 30), rng.randint(1, 30)))
+        cloud = random_cloud(rng, dim, rng.randint(60, 120), DENOMS)
+        assert_same(cloud, spec, cloud)
+        assert_same(cloud, spec, shifted(cloud, rng, DENOMS))
 
 
 @pytest.fixture
@@ -112,6 +134,24 @@ def test_symmetric_evaluation(dim, exp_calls):
         assert terms == n * n
 
 
+def test_largest_infer_sample(exp_calls):
+    """The 400-point sample of the largest infer size, on both kernels: at
+    the sample itself, with one Gaussian term per unordered pair, and at 120
+    other points."""
+    rng = seeded(337)
+    density = DensitySpec.parse("1/2,-1,1/4;1/2,1,1/4")
+    cloud = sample_density(density, 400, 2025)
+    assert len(cloud) == 400
+    other = shifted(list(cloud)[:120], rng, (5, 2 ** 20))
+    for kernel in KERNELS:
+        spec = KdeSpec(kernel, F(1, 5))
+        got, terms = gaussian_terms(exp_calls, cloud, spec, cloud)
+        assert terms == (400 * 401 // 2 if kernel == "gaussian" else 0)
+        assert got == ref.kde_evaluate(cloud, spec, cloud)
+        assert got == ref.int_ratio_kde_evaluate(cloud, spec, cloud)
+        assert_same(cloud, spec, other)
+
+
 def test_symmetric_sum_keeps_the_order():
     """Terms of very different size, where a compensated or reordered sum
     would round differently: the values equal the sequential reference."""
@@ -120,6 +160,23 @@ def test_symmetric_sum_keeps_the_order():
     for kernel in KERNELS:
         spec = KdeSpec(kernel, F(1, 7))
         assert kde_evaluate(cloud, spec, cloud) == ref.kde_evaluate(cloud, spec, cloud)
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_sum_order_shows_at_a_fine_bandwidth(dim):
+    """Points 2**-31 apart and h = 3 / 2**30: the estimates are 2**26 and
+    more, so rounding them to 2**-30 keeps every bit of the double sum, and
+    a sum in another order shows in the values (a reversed row sum does,
+    where the coarser clouds above round it away)."""
+    rng = seeded(353 + dim)
+    pts = [tuple(F(rng.randint(-6, 6), 2 ** 31) for _ in range(dim))
+           for _ in range(24)]
+    cloud = PointCloud(pts)
+    other = [tuple(c + F(1, 2 ** 32) for c in pt) for pt in pts]
+    for kernel in KERNELS:
+        spec = KdeSpec(kernel, F(3, 2 ** 30))
+        assert min(assert_same(cloud, spec, cloud)) > 2 ** 26
+        assert_same(cloud, spec, other)
 
 
 def test_single_point_sample():

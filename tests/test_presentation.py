@@ -293,7 +293,7 @@ class TestZeroPatternClosure:
                 return [[f3.of(rng.randrange(3)) if mask[i][j] else 0
                          for j in range(len(mask[0]))] for i in range(len(mask))]
             x, y = sample(m1_mask), sample(m2_mask)
-            prod = mat_mul(f3, y, x)
+            prod = mat_mul(f3, y, x, len(b))
             prod_mask = zero_pattern_mask(b2, b)
             for i in range(len(b2)):
                 for j in range(len(b)):

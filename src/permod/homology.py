@@ -11,29 +11,28 @@ computation styles share the exact linear algebra kernel:
 * 1-parameter barcodes by `onedim.bars`, read from the chain's boundary
   columns: the degree's creating simplices presented by the next degree's
   boundaries, cross-checked elsewhere against the rank multiplicity formula;
-* grid modules (pointwise homology dimensions plus explicit transition
-  maps between adjacent grid points, {row: coeff} columns, packed inside)
-  for any parameter count, each made by `build_grid_module`: one walk over
-  the grid computes the data at each point once, its dimension, and the
-  transition to each successor.  A presentation's data is a basis of M_a
-  (generators modulo relations), a complex's or an image's one of H_d
-  (cycles modulo boundaries), both by `linalg.quotient_basis`; resamplings
-  and cluster modules (``infer``) bring their own;
-* presentations of homology for 1 and 2 parameters, on a complex's one
-  chain complex per field, in the column type from end to end.  The
-  critical grid is swept row by row with one span of kernel generators per
-  row, fed by one growing boundary reduction per grid column (Lesnick and
-  Wright, arXiv:1902.05708) where a generator is born.  Each boundary of a
-  (d+1)-simplex is expressed in the generators active at its grade, and
-  only those coordinates are unpacked; then the presentation, ranked by the
-  grid indices, is minimized.  The freeness of two-parameter kernels is an
-  implementation hypothesis, so a Hilbert check follows: the minimized
-  presentation's dimension table, swept with one reduction per grid row,
-  must equal the chain's, from rank tables of its own.  Neither side reads
-  a span or reduction of the sweep, so a sweep error cannot vouch for itself.
+* grid modules (pointwise dimensions plus transition maps between adjacent
+  grid points, {row: coeff} columns, packed inside) for any parameter
+  count, each made by `build_grid_module`, which computes the data at each
+  grid point once.  A presentation's data is a basis of M_a (generators
+  modulo relations), a complex's or an image's one of H_d (cycles modulo
+  boundaries), both by `linalg.quotient_basis`; the cycles and boundaries
+  come from one growing reduction each per grid column (`_column_growth`).
+  Resamplings and cluster modules (``infer``) bring their own;
+* presentations of homology for 1 and 2 parameters, in the column type from
+  end to end.  The critical grid is swept row by row with one span of
+  kernel generators per row, fed where a generator is born by the same
+  growing reductions (Lesnick and Wright, arXiv:1902.05708).  Each boundary
+  of a (d+1)-simplex is expressed in the generators active at its grade,
+  and only those coordinates are unpacked; then the presentation is
+  minimized.  The freeness of two-parameter kernels is an implementation
+  hypothesis, so a Hilbert check follows: the presentation's dimension
+  table must equal the chain's, each swept with one reduction per grid row
+  from rank tables of its own, so a sweep error cannot vouch for itself.
 """
 
 import bisect
+import collections
 import itertools
 import math
 import operator
@@ -44,7 +43,7 @@ from .exactnum import (INF, common_denominator, ext, format_rational,
 from .linalg import ColumnReducer, packed_rank as mat_rank, quotient_basis, quotient_map
 from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
 from .onedim import PersistenceDiagram, bars
-from .presentation import Presentation, row_sweep, swept_ranks
+from .presentation import Presentation, leq_runs, row_sweep, swept_ranks
 
 
 class HomologyError(ValueError):
@@ -88,15 +87,7 @@ class GradedChainComplex:
 
     def floor(self, z):
         """Grade z snapped down to a grid index; None below an axis."""
-        idx = tuple(_floor_index(ax, v) for ax, v in zip(self.axes, z))
-        return None if None in idx else idx
-
-    def _active(self, d, top):
-        """The d-simplices of grade index <= the grid index top (None: none)."""
-        if top is None:
-            return []
-        return [j for j, g in enumerate(self.grade_index.get(d, ()))
-                if all(map(operator.le, g, top))]
+        return _floor(self.axes, z)
 
     def active_ranks(self, d):
         """{critical grid index: (number of active d-simplices, rank of the
@@ -181,10 +172,11 @@ def _check_axes(axes):
         raise HomologyError("grid axis values must be strictly increasing")
 
 
-def _floor_index(axis, v):
-    """Index of the largest value <= v on an increasing axis, or None."""
-    i = bisect.bisect_right(axis, v) - 1
-    return i if i >= 0 else None
+def _floor(axes, z):
+    """Grade z snapped down to a grid index on increasing axes (the largest
+    value <= it on each); None below an axis."""
+    idx = tuple(bisect.bisect_right(ax, v) - 1 for ax, v in zip(axes, z))
+    return None if -1 in idx else idx
 
 
 class GridModule:
@@ -332,7 +324,10 @@ def build_grid_module(field, axes, point, dim, transition):
     """The one construction path of grid modules.  point(z) gives the data
     at each grid value z, dim(data) the dimension there, and
     transition(data, data_next) the map to the successor along one axis, as
-    sparse columns over the successor's basis."""
+    sparse columns over the successor's basis.  point is called once per
+    grid index, in index order (the leading index outermost), so along each
+    grid column z[1:] the leading value never decreases: chain and image
+    modules grow their bases on that."""
     _check_axes(axes)
     shape = tuple(len(a) for a in axes)
     data = {idx: point(tuple(ax[k] for ax, k in zip(axes, idx)))
@@ -348,11 +343,8 @@ def parse_grid_module(text):
     lines = [ln for ln in lines if ln]
     if not lines or lines[0] != "GRIDMODULE" or lines[-1] != "END":
         raise HomologyError("bad grid module text")
-    field = None
-    axes = {}
-    dims = {}
-    trans_rows = []
-    nparams = None
+    field = nparams = None
+    axes, dims, trans_rows = {}, {}, []
     for ln in lines[1:-1]:
         parts = ln.split()
         if parts[0] == "field":
@@ -380,11 +372,8 @@ def parse_grid_module(text):
         toks = head.split()
         idx = tuple(int(t) for t in toks[1:1 + nparams])
         axis = int(toks[2 + nparams])
-        rows = []
-        body = body.strip()
-        if body:
-            for chunk in body.split(";"):
-                rows.append([field.of(parse_rational(t)) for t in chunk.split()])
+        rows = [[field.of(parse_rational(t)) for t in chunk.split()]
+                for chunk in body.split(";")] if body.strip() else []
         # a missing dim is reported by GridModule; no text is a zero map
         want_rows, want_cols = dims.get(_succ(idx, axis), 0), dims.get(idx, 0)
         if rows and (len(rows), {len(row) for row in rows}) != (want_rows, {want_cols}):
@@ -395,55 +384,70 @@ def parse_grid_module(text):
     return GridModule(field, axes_list, dims, trans)
 
 
-def grid_module_of_presentation(p, axes):
-    if len(axes) != p.n:
+def _column_growth(chain, degree, cycles):
+    """at(top) -> (ColumnReducer, null vectors) of the degree's boundary
+    columns active at the grid index top (None: none).  One reducer per grid
+    column top[1:] takes, at each new leading index up to top[0], the
+    simplices entering there (tail <= top[1:]) in index order: it holds what
+    reducing all active columns in index order holds.  With cycles a column
+    carries unit(j) at its index j and each dependent one's combination, a
+    null vector, is kept; else the empty one of a `quotient_basis` subspace.
+    Empty columns are not reduced; top[0] may not decrease in a column."""
+    kind, index = chain.field.columns, chain.grade_index.get(degree, [])
+    cols = chain.columns[degree] if index else []
+    # top[1:] -> [reducer, null vectors, leading index reached]
+    grown = collections.defaultdict(lambda: [ColumnReducer(chain.field), [], -1])
+
+    def at(top):
+        if top is None:
+            return ColumnReducer(chain.field), []
+        red, nulls, lead = state = grown[top[1:]]
+        if top[0] < lead:
+            raise HomologyError("a grid column's leading index decreased")
+        state[2] = top[0]
+        for lo, hi in leq_runs(index, top, bisect.bisect_left(index, (lead + 1,))):
+            for j in range(lo, hi):
+                combo = kind.unit(j) if cycles else kind.pack({})
+                low, combo = red.add_packed(kind.copy(cols[j]), combo) if cols[j] \
+                    else (None, combo)
+                if cycles and low is None:
+                    nulls.append(combo)
+        return red, nulls
+    return at
+
+
+def _quotient_grid_module(nparams, field, axes, basis_at):
+    """The grid module of the `quotient_basis` bases basis_at(z), by `quotient_map`."""
+    if len(axes) != nparams:
         raise HomologyError("axes count must equal the parameter count")
-    return build_grid_module(p.field, axes, p._quotient_basis, _basis_dim, quotient_map)
+    return build_grid_module(field, axes, basis_at, lambda basis: len(basis[0]), quotient_map)
 
 
-def _cycles_at(chain, degree, top):
-    """The reduced-echelon basis of the d-cycles active at the grid index
-    top, packed over simplex indices: each active column goes into one
-    reduction with the combination 1 at its own index, and a dependent
-    column's reduced combination is its null vector (`linalg.nullspace`)."""
-    kind, red, out = chain.field.columns, ColumnReducer(chain.field), []
-    for j in chain._active(degree, top):
-        low, combo = red.add_packed(kind.copy(chain.columns[degree][j]), kind.unit(j))
-        if low is None:
-            out.append(combo)
-    return out
-
-
-def _boundaries_at(chain, degree, top):
-    """The packed (d+1)-boundaries active at the grid index top."""
-    return (chain.columns[degree + 1][j] for j in chain._active(degree + 1, top))
-
-
-def _basis_dim(basis):
-    return len(basis[0])
-
-
-def grid_module_of_chain(complex_, degree, axes, field):
-    chain = complex_ if isinstance(complex_, GradedChainComplex) \
-        else chain_complex_of(complex_, field)
-    if len(axes) != chain.nparams:
-        raise HomologyError("axes count must equal the parameter count")
+def _homology_bases(c1, c2, degree, to2=None):
+    """basis_at(z): c1's degree-d cycles, mapped into c2's chains by the
+    columns to2 (default: c1 is c2), modulo c2's boundaries, from one
+    growing cycle and boundary reduction per grid column."""
+    cycles_at = _column_growth(c1, degree, True)
+    boundaries_at = _column_growth(c2, degree + 1, False)
 
     def basis_at(z):
-        top = chain.floor(z)
-        return quotient_basis(chain.field, _boundaries_at(chain, degree, top),
-                              enumerate(_cycles_at(chain, degree, top)))
-
-    return build_grid_module(chain.field, axes, basis_at, _basis_dim, quotient_map)
+        cycles = cycles_at(c1.floor(z))[1]
+        return quotient_basis(c2.field, boundaries_at(c2.floor(z))[0], enumerate(
+            cycles if to2 is None else c2.field.columns.compose(to2, cycles)))
+    return basis_at
 
 
 def grid_module_of(source, axes, degree=None, field=None):
-    """Grid module of a presentation or of a (bifiltered complex, degree)."""
+    """Grid module of a presentation, or of H_degree of a bifiltered or a
+    chain complex."""
     if isinstance(source, Presentation):
-        return grid_module_of_presentation(source, axes)
+        return _quotient_grid_module(source.n, source.field, axes, source._quotient_basis)
     if degree is None:
         raise HomologyError("degree required for a chain source")
-    return grid_module_of_chain(source, degree, axes, field)
+    chain = source if isinstance(source, GradedChainComplex) \
+        else chain_complex_of(source, field)
+    return _quotient_grid_module(chain.nparams, chain.field, axes,
+                                 _homology_bases(chain, chain, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +458,18 @@ def present_homology(complex_, degree, field, check_hilbert=True):
     """Presentation of H_degree of a one-critical bifiltered complex with one
     or two parameters: a row-by-row sweep of the critical grid collects a
     kernel basis and expresses each boundary of a (degree+1)-simplex in the
-    generators active at its grade, then the result is minimized.  The kernel
-    grows in one reduction per grid column z[1:]: the simplices entering at z
-    (leading index z[0], grade index <= z) are a run of the degree's order,
-    each dependent one's combination is a null vector of the columns active
-    at z, and the earlier ones are in the span.  The Hilbert check compares
+    generators active at its grade, then the result is minimized.  The new
+    null vectors of z's grid column in `_column_growth` are the candidates
+    at z, the earlier ones being in the span.  The Hilbert check compares
     `hilbert_table` with `homology_dim_at`, sharing no state with the sweep."""
     chain = chain_complex_of(complex_, field)
     if chain.nparams not in (1, 2):
         raise HomologyError("presentation extraction supports 1 or 2 parameters")
     axes, shape = chain.axes, [len(ax) for ax in chain.axes]
-    if not all(shape):
-        return Presentation(chain.nparams, field, [], [])
     f, kind = field, field.columns
-    index, upper = chain.grade_index.get(degree, []), chain.grade_index.get(degree + 1, [])
-    cols = chain.columns[degree] if index else []
-    # per grid column z[1:]: its growing reduction and its null vector count
-    reducers = {tail: ColumnReducer(f) for tail in _grid_indices(shape[1:])}
-    nulls = dict.fromkeys(reducers, 0)
+    upper = chain.grade_index.get(degree + 1, [])
+    # the grid columns' growing kernels, and per column the null vectors seen
+    cycles_at, seen = _column_growth(chain, degree, True), {}
 
     gens, born = [], []         # kernel generators (packed) and their grid indices
     rels = []                   # (name, grid index, {generator: coeff}) per (d+1)-simplex
@@ -482,14 +480,9 @@ def present_homology(complex_, degree, field, check_hilbert=True):
             span = ColumnReducer(f)
         for i in entering:
             span.add_packed(kind.copy(gens[i]), kind.unit(i))
-        reducer, fresh = reducers[z[1:]], []
-        for j in range(bisect.bisect_left(index, z[:1]), bisect.bisect_right(index, z)):
-            low, combo = reducer.add_packed(kind.copy(cols[j]), kind.unit(j)) \
-                if cols[j] else (None, kind.unit(j))
-            if low is None:
-                fresh.append(combo)
-        nulls[z[1:]] += len(fresh)
-        if nulls[z[1:]] > span.rank:
+        nulls = cycles_at(z)[1]
+        fresh, seen[z[1:]] = nulls[seen.get(z[1:], 0):], len(nulls)
+        if len(nulls) > span.rank:
             for v in fresh:     # a dependent one is dropped with its index
                 if span.add_packed(kind.copy(v), kind.unit(len(gens)))[0] is not None:
                     gens.append(v)
@@ -523,20 +516,11 @@ def image_grid_module(complex_, degree, delta1, delta2, axes, field):
     delta1, delta2 = Fraction(delta1), Fraction(delta2)
     if delta1 > delta2:
         raise HomologyError("delta1 must be <= delta2")
-    s1 = fixed_scale_slice(complex_, delta1)
-    s2 = fixed_scale_slice(complex_, delta2)
-    c1 = chain_complex_of(s1, field)
-    c2 = chain_complex_of(s2, field)
+    c1, c2 = (chain_complex_of(fixed_scale_slice(complex_, d), field) for d in (delta1, delta2))
     pos2 = {verts: i for i, (verts, _) in enumerate(c2.simplices(degree))}
     # the map from slice 1's degree-d chains into slice 2's, in the column type
     to2 = [field.columns.unit(pos2[verts]) for verts, _ in c1.simplices(degree)]
-
-    def basis_at(z):
-        cycles = field.columns.compose(to2, _cycles_at(c1, degree, c1.floor(z)))
-        return quotient_basis(field, _boundaries_at(c2, degree, c2.floor(z)),
-                              enumerate(cycles))
-
-    return build_grid_module(field, axes, basis_at, _basis_dim, quotient_map)
+    return _quotient_grid_module(c1.nparams, field, axes, _homology_bases(c1, c2, degree, to2))
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +538,13 @@ def resample(gm, new_axes):
     if [list(a) for a in new_axes] == gm.axes:
         return gm
 
-    def source(z):
-        src = tuple(_floor_index(ax, v) for ax, v in zip(gm.axes, z))
-        return None if None in src else src
-
     def dim(src):
         return 0 if src is None else gm.dims[src]
 
     def transition(src, dst):
         return [] if src is None else gm.matrix_between(src, dst)
 
-    return build_grid_module(gm.field, new_axes, source, dim, transition)
+    return build_grid_module(gm.field, new_axes, lambda z: _floor(gm.axes, z), dim, transition)
 
 
 def rank_shift_distance(gm, gn):

@@ -9,9 +9,9 @@ composition (`compose`): {row: coeff} dicts, or over Z/2 ints whose pivot
 is the top bit and whose elimination is xor.  Its API (`add_packed`,
 `reduce_packed`, and `coords`: minus the combination a column reduces with)
 takes and gives columns and combinations in that type; each caller packs a
-column once and unpacks only the combination it keeps.  `quotient_basis`
-and `quotient_map` are the one quotient routine: every grid module, of a
-presentation or of homology, takes its bases and transitions from them.
+column once and unpacks only the combination it keeps.  Every grid module
+takes its bases and transitions from `quotient_basis` and `quotient_map`,
+the one quotient routine, on a subspace reducer the caller may grow on.
 The helpers take {index: coeff} dicts without zeros: `mat_mul`, `rank`,
 `nullspace` (the reduced-echelon null basis), `ColumnSpan` (coordinates
 over inserted vectors) and `solve`, which alone takes a dense matrix (the
@@ -151,12 +151,13 @@ def nullspace(field, columns):
 def quotient_basis(field, subspace, candidates):
     """(picked keys, increasing; {key: column}; the ColumnReducer) of a
     quotient: the (key, column) candidates, in the order given, independent
-    of the subspace and of the earlier picks.  A subspace column carries no
-    combination and a pick its key, so `coords` there reads a class's
-    coordinates.  Columns (column type) are copied, each added once."""
+    of the subspace, a ColumnReducer whose columns carry empty combinations,
+    and of the earlier picks.  Each pick goes in with its key as combination
+    (so `coords` reads a class's coordinates) to a shallow copy of the
+    subspace's pivot dict: no reduction changes a stored column, so the
+    subspace is left to grow on.  Candidates are copied, each added once."""
     red, kind, picked = ColumnReducer(field), field.columns, {}
-    for col in subspace:
-        red.add_packed(kind.copy(col), kind.pack({}))
+    red.columns = dict(subspace.columns)
     for key, col in candidates:
         if red.add_packed(kind.copy(col), kind.unit(key))[0] is not None:
             picked[key] = col

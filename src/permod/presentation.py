@@ -24,23 +24,38 @@ def grade_leq(a, b):
     return all(map(operator.le, a, b))
 
 
+def leq_runs(grades, top, lo=0, hi=None, d=0):
+    """The (start, stop) runs, in order, of the positions lo:hi of the sorted
+    int tuples `grades` (equal there before coordinate d) whose coordinates
+    from d on are <= top's, those past top's free: bisected, one run per
+    value of coordinate d up to top[d], and at top's last coordinate one."""
+    hi, key = len(grades) if hi is None else hi, operator.itemgetter(d)
+    if d + 1 < len(top):
+        while lo < hi and grades[lo][d] <= top[d]:
+            stop = bisect.bisect_right(grades, grades[lo][d], lo, hi, key=key)
+            yield from leq_runs(grades, top, lo, stop, d + 1)
+            lo = stop
+    else:       # an empty top bounds nothing
+        yield lo, bisect.bisect_right(grades, top[d], lo, hi, key=key) if top else hi
+
+
 def row_sweep(shape, grades):
     """Walk a grid of the given shape in lexicographic order; a row (one value
     of the leading indices) starts where z[-1] == 0.  Yields (z, the positions
-    in `grades`, read as each row starts, with leading indices <= the row's
-    and last index z[-1])."""
+    in the sorted `grades`, read by `leq_runs` as each row starts, with
+    leading indices <= the row's and last index z[-1])."""
     for row in itertools.product(*(range(s) for s in shape[:-1])):
         entering = [[] for _ in range(shape[-1])]
-        for i, g in enumerate(grades):
-            if all(map(operator.le, g, row)):     # stops at the row's end
-                entering[g[-1]].append(i)
+        for lo, hi in leq_runs(grades, row):
+            for i in range(lo, hi):
+                entering[grades[i][-1]].append(i)
         for k, batch in enumerate(entering):
             yield row + (k,), batch
 
 
 def swept_ranks(field, shape, grades, columns):
     """{grid index z: (number of grades <= z, rank of their packed columns)}
-    on a grid of the given shape, by one ColumnReducer per row of row_sweep."""
+    for sorted grades on a grid of the given shape, one reducer per row_sweep row."""
     table, copy = {}, field.columns.copy
     for z, entering in row_sweep(shape, grades):
         if z[-1] == 0:
@@ -221,38 +236,41 @@ class Presentation:
         index, from the last down) modulo the active relations, which picks
         those that lead no relation in first-nonzero echelon form."""
         gens, rels = self._active(a)
-        kind = self.field.columns
-        return quotient_basis(self.field, (kind.pack(self.relations[i][2]) for i in rels),
-                              ((j, kind.unit(j)) for j in reversed(gens)))
+        f, kind, span = self.field, self.field.columns, ColumnReducer(self.field)
+        for i in rels:
+            span.add_packed(kind.copy(kind.pack(self.relations[i][2])), kind.pack({}))
+        return quotient_basis(f, span, ((j, kind.unit(j)) for j in reversed(gens)))
 
     def point_dim(self, a):
         return len(self._quotient_basis(a)[0])
 
     def hilbert_table(self, axes):
-        """{grid index: dim M_z} at every point z of the grid on `axes`
-        (increasing value lists, one per parameter): the active generators
-        minus the rank of the active relations.  A grade is active from the
-        first axis value >= it on, and never past the last one.  Each value
-        of `self.axes` is placed on the given axis once, both taken as ints
-        at the lcm of their denominators."""
-        shape = [len(ax) for ax in axes]
-        place = []
+        """{grid index: dim M_z} at every point z of the grid on `axes`, one
+        strictly increasing value list per parameter (others are refused):
+        the active generators minus the rank of the active relations.  A
+        grade is active from the first axis value >= it on, and never past
+        the last one.  Each value of `self.axes` is placed on the given axis
+        once, both taken as ints at the lcm of their denominators."""
+        if len(axes) != self.n:
+            raise PresentationError("hilbert_table needs one axis per parameter")
+        shape, place = [len(ax) for ax in axes], []
         for mine, theirs in zip(self.axes, axes):
             scale = common_denominator(mine + list(theirs))
             grid = [scaled_int(x, scale) for x in theirs]
+            if any(map(int.__ge__, grid, grid[1:])):
+                raise PresentationError("hilbert_table axes must be strictly increasing")
             place.append([bisect.bisect_left(grid, scaled_int(x, scale)) for x in mine])
 
         def on_grid(keys):
-            """{position: grid index} of the grades that reach the grid."""
+            """Sorted (grid index, position) of the grades that reach the grid."""
             spots = (tuple(map(operator.getitem, place, key)) for key in keys)
-            return {i: k for i, k in enumerate(spots) if all(map(int.__lt__, k, shape))}
+            return sorted((k, i) for i, k in enumerate(spots) if all(map(int.__lt__, k, shape)))
 
-        gens = on_grid(self.gen_index)
-        rels = on_grid(self.rel_index)
+        gens, rels = on_grid(self.gen_index), on_grid(self.rel_index)
         pack = self.field.columns.pack
-        n = swept_ranks(self.field, shape, list(gens.values()), [pack({})] * len(gens))
-        r = swept_ranks(self.field, shape, list(rels.values()),
-                        [pack(self.relations[i][2]) for i in rels])
+        n = swept_ranks(self.field, shape, [k for k, _ in gens], [pack({})] * len(gens))
+        r = swept_ranks(self.field, shape, [k for k, _ in rels],
+                        [pack(self.relations[i][2]) for _, i in rels])
         return {z: n[z][0] - r[z][1] for z in n}
 
     def transition_matrix(self, a, b):

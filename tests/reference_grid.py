@@ -24,6 +24,7 @@ from permod.linalg import ColumnSpan as SparseSpan, mat_mul as sparse_mat_mul
 from permod.linalg import nullspace as sparse_nullspace, rank as sparse_rank
 from reference_homology import ColumnSpan, boundary
 from reference_linalg import identity, mat_mul, nullspace, rank as mat_rank, rows_of
+from reference_presentation import active
 
 
 class RefGridModule:
@@ -188,7 +189,7 @@ class _HomologyBasisTracker:
 
     def _cycles_at(self, z):
         f = self.f
-        act = self.chain._active(self.degree, self.chain.floor(z))
+        act = active(self.chain, self.degree, self.chain.floor(z))
         if not act:
             return []
         bd = boundary(self.chain, self.degree)
@@ -208,7 +209,7 @@ class _HomologyBasisTracker:
 
     def _boundaries_at(self, z):
         f = self.f
-        act_up = self.chain._active(self.degree + 1, self.chain.floor(z))
+        act_up = active(self.chain, self.degree + 1, self.chain.floor(z))
         bu = boundary(self.chain, self.degree + 1)
         cols = []
         for j in act_up:
@@ -727,7 +728,7 @@ class SpanBasisTracker:
     def _cycles_at(self, top):
         """The reduced-echelon basis of the d-cycles active at the grid
         index top, each a {simplex index: coeff} dict."""
-        act = self.chain._active(self.degree, top)
+        act = active(self.chain, self.degree, top)
         if not act:
             return []
         cols, unpack = self.chain.columns[self.degree], self.f.columns.unpack
@@ -743,7 +744,7 @@ class SpanBasisTracker:
         top = self.chain.floor(z)
         span = SparseSpan(self.f, self.nd)
         n_bound = 0
-        for j in self.chain._active(self.degree + 1, top):
+        for j in active(self.chain, self.degree + 1, top):
             b = self.f.columns.unpack(self.chain.columns[self.degree + 1][j])
             if not span.contains(b):
                 span.insert(b)

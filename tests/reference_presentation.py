@@ -5,14 +5,75 @@ each grade's values on the given axes, and `critical_grades` sorts the
 grade values.  They read only a presentation's public `n`, `field`,
 `generators` and `relations`.  The ranked presentation must give the same
 errors, text, tables and critical grades.
+
+`active`, `row_sweep` and `swept_ranks` are the scans that test every grade
+against every grid point or row, as they were before the library found
+them by bisecting sorted grade indices and grew chain and image grid modules
+along grid columns; `active_ranks` and `homology_dims` are a chain's rank
+tables and homology dimensions on them.  The oracles here and in
+reference_homology.py and reference_grid.py run on these copies, so none of
+them runs the rewritten walk.
 """
 
 import bisect
+import itertools
+import operator
 
 from permod.exactnum import grade_ranks, subtract_multiple
-from permod.presentation import (Presentation, PresentationError, grade_leq,
-                                 row_sweep, swept_ranks)
+from permod.linalg import ColumnReducer
+from permod.presentation import Presentation, PresentationError, grade_leq
 from reference_linalg import DictColumnReducer
+
+
+def active(chain, d, top):
+    """The d-simplices of grade index <= the grid index top (None: none)."""
+    if top is None:
+        return []
+    return [j for j, g in enumerate(chain.grade_index.get(d, ()))
+            if all(map(operator.le, g, top))]
+
+
+def row_sweep(shape, grades):
+    """Walk a grid of the given shape in lexicographic order; a row (one value
+    of the leading indices) starts where z[-1] == 0.  Yields (z, the positions
+    in `grades`, read as each row starts, with leading indices <= the row's
+    and last index z[-1])."""
+    for row in itertools.product(*(range(s) for s in shape[:-1])):
+        entering = [[] for _ in range(shape[-1])]
+        for i, g in enumerate(grades):
+            if all(map(operator.le, g, row)):     # stops at the row's end
+                entering[g[-1]].append(i)
+        for k, batch in enumerate(entering):
+            yield row + (k,), batch
+
+
+def swept_ranks(field, shape, grades, columns):
+    """{grid index z: (number of grades <= z, rank of their packed columns)}
+    on a grid of the given shape, by one ColumnReducer per row of row_sweep."""
+    table, copy = {}, field.columns.copy
+    for z, entering in row_sweep(shape, grades):
+        if z[-1] == 0:
+            reducer, n = ColumnReducer(field), 0
+        for j in entering:
+            if columns[j]:      # an empty column adds no rank
+                reducer.add_packed(copy(columns[j]))
+        n += len(entering)
+        table[z] = (n, reducer.rank)
+    return table
+
+
+def active_ranks(chain, d):
+    """`GradedChainComplex.active_ranks` on the scans above."""
+    cols = chain.columns[d] if 0 <= d <= chain.max_deg else []
+    return swept_ranks(chain.field, [len(ax) for ax in chain.axes],
+                       chain.grade_index.get(d, []), cols)
+
+
+def homology_dims(chain, d):
+    """{critical grid index: dim H_d}, as `GradedChainComplex.homology_dim_at`
+    gives it, from the tables of `active_ranks`."""
+    low, up = active_ranks(chain, d), active_ranks(chain, d + 1)
+    return {z: n - r - up[z][1] for z, (n, r) in low.items()}
 
 
 def validate(p):

@@ -279,6 +279,14 @@ class TestHomology:
         assert img.dims[(0,)] == full.dims[(0, 1)]
 
 
+    def test_image_axis_count_exit_2(self, capsys, tmp_path):
+        # the slices of a 2-parameter complex have one parameter
+        cx = tmp_path / "cx.txt"
+        cx.write_text("0 : 0 0\n1 : 0 1\n0,1 : 1 1\n")
+        code, out, err = run(capsys, "homology", "image", "--complex", cx, "--delta1",
+                             "1", "--delta2", "2", "--axes", "0,1;0,1")
+        assert code == 2 and "axes count" in err and out == ""
+
     def test_complex_default_axes(self, capsys, tmp_path):
         """Without --axes, grid takes the complex's critical axes and image
         those without the scale axis."""

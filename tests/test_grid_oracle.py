@@ -9,8 +9,9 @@ must round-trip through the parser.
 
 The packed per-point bases of chain and image modules are also compared,
 by text, with the `ColumnSpan` tracker they replaced, on the 48-point
-lattice where the dense reference is too slow; and counted: each grid
-point's basis is built once, each vector reduced once."""
+lattice where the dense reference is too slow, on critical and widened
+axes; and counted: each grid point's basis is built once, each active
+column reduced once per grid column and each candidate once per point."""
 
 import collections
 import itertools
@@ -27,6 +28,7 @@ from permod.linalg import ColumnReducer, ColumnSpan, nullspace, rank, solve
 from permod.presentation import Presentation, grade_leq
 
 import reference_grid as ref
+import reference_presentation as ref_presentation
 import reference_linalg as ref_linalg
 from reference_linalg import columns_of, identity, mat_mul, rows_of
 from conftest import (dense, dense_relations, mat_vec,
@@ -102,15 +104,16 @@ def widened(rng, axes):
     return out
 
 
-def chain_pairs(seed, nparams, fields=FIELDS, count=5):
+def chain_pairs(seed, nparams, fields=FIELDS, count=5, widen=False):
     """Per field and degree, (new module, reference module) pairs of count
-    random complexes over their critical axes."""
-    rng = seeded(seed)
+    random complexes over their critical axes, with widen `widened` ones."""
+    rng, wide = seeded(seed), seeded(seed + 2)
     out = []
     for f in fields:
         for _ in range(count):
             cx = random_one_critical_complex(rng, nparams, max_simplices=9)
             axes = chain_complex_of(cx, f).axes
+            axes = widened(wide, axes) if widen else axes
             for degree in (0, 1):
                 out.append((grid_module_of(cx, axes, degree=degree, field=f),
                             ref.grid_module_of_chain(cx, degree, axes, f)))
@@ -132,6 +135,17 @@ class TestAgainstReference:
         # take the dense reference tens of seconds here
         for new, old in chain_pairs(283, 3, FIELDS + (QQ,), count=3):
             assert_same(new, old)
+
+    def test_chain_modules_on_widened_axes(self):
+        """Values below an axis (the floor None) and midpoints (repeated
+        floors, so grid columns share a growing reduction); with 3
+        parameters the text only, as above."""
+        for nparams, seed, count in ((1, 211, 5), (2, 223, 5), (3, 283, 3)):
+            for new, old in chain_pairs(seed, nparams, FIELDS + (QQ,), count, widen=True):
+                if nparams < 3:
+                    assert_same(new, old)
+                else:
+                    assert new.to_text() == old.to_text()
 
     def test_presentation_modules(self):
         rng = seeded(227)
@@ -181,18 +195,26 @@ class TestAgainstReference:
                                 ref.quotient_map(p, bases[i1], bases[i2])
 
     def test_image_modules(self):
-        rng = seeded(229)
-        for nparams, fields in ((2, FIELDS), (2, (QQ,)), (3, FIELDS + (QQ,))):
+        """On critical and `widened` function axes (values below an axis and
+        midpoints), slices of 1 to 3 parameters; with 3 the text only."""
+        rng, wide = seeded(229), seeded(617)
+        for nparams, fields in ((2, FIELDS), (2, (QQ,)), (3, FIELDS + (QQ,)),
+                                (4, FIELDS + (QQ,))):
             for f in fields:
-                for _ in range(6):
+                for _ in range(6 if nparams < 4 else 3):
                     cx = random_one_critical_complex(rng, nparams, max_simplices=10)
                     scales = sorted({g[-1] for _, g in cx.simplices})
                     d1, d2 = sorted(rng.choice(scales) for _ in range(2))
                     axes = [sorted({g[a] for _, g in cx.simplices})
                             for a in range(nparams - 1)]
-                    for degree in (0, 1):
-                        assert_same(image_grid_module(cx, degree, d1, d2, axes, f),
-                                    ref.image_grid_module(cx, degree, d1, d2, axes, f))
+                    for grid in (axes, widened(wide, axes)):
+                        for degree in (0, 1):
+                            new = image_grid_module(cx, degree, d1, d2, grid, f)
+                            old = ref.image_grid_module(cx, degree, d1, d2, grid, f)
+                            if nparams < 4:
+                                assert_same(new, old)
+                            else:
+                                assert new.to_text() == old.to_text()
 
     def test_rank_shift_distance(self):
         for nparams, seed in ((1, 233), (2, 239)):
@@ -300,6 +322,17 @@ class TestPackedPointBases:
         assert max(gm.dims.values()) > 1
         assert gm.to_text() == ref.span_image_grid_module(*args).to_text()
 
+    def test_lattice_modules_on_widened_axes_match_the_span_tracker(self):
+        cx, rng = lattice_48(), seeded(619)
+        for f in FIELDS:
+            axes = widened(rng, chain_complex_of(cx, f).axes)
+            for degree in (0, 1):
+                assert grid_module_of(cx, axes, degree=degree, field=f).to_text() == \
+                    ref.span_grid_module_of_chain(cx, degree, axes, f).to_text()
+                args = (cx, degree, axes[1][4], axes[1][6], axes[:1], f)
+                assert image_grid_module(*args).to_text() == \
+                    ref.span_image_grid_module(*args).to_text()
+
     def test_presentation_module_builds_one_quotient_basis_per_point(self, monkeypatch):
         f = PrimeField(2)
         cx = lattice_48()
@@ -312,17 +345,20 @@ class TestPackedPointBases:
         assert len(built) == 50
 
     def test_chain_module_reduces_each_vector_once(self, monkeypatch):
-        """Per grid point, the cycle reduction adds each active d-column and
-        the span each active boundary and each candidate cycle, once; only
-        the transition columns are unpacked, and no ColumnSpan or nullspace
-        is used."""
+        """Per grid column, the cycle and boundary reductions add each
+        nonempty d- and (d+1)-column active there once, and per grid point
+        the quotient adds each candidate cycle once; only the transition
+        columns are unpacked, and no ColumnSpan or nullspace is used."""
         cx, cases = lattice_48(), []
         for f in FIELDS:
             chain = chain_complex_of(cx, f)
+            tails = list(itertools.product(*(range(len(ax)) for ax in chain.axes[1:])))
             for degree in (0, 1):
-                low, up = chain.active_ranks(degree), chain.active_ranks(degree + 1)
-                adds = sum(n + up[idx][0] + n - r for idx, (n, r) in low.items())
-                cases.append((f, chain.axes, degree, adds))
+                grown = sum(grade_leq(g[1:], tail) for tail in tails
+                            for d in (degree, degree + 1)
+                            for g, col in zip(chain.grade_index[d], chain.columns[d]) if col)
+                cycles = sum(n - r for n, r in ref_presentation.active_ranks(chain, degree).values())
+                cases.append((f, chain.axes, degree, grown + cycles))
         calls = count_kernel_calls(monkeypatch)
         for f, axes, degree, adds in cases:
             calls.clear()

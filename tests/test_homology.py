@@ -23,6 +23,7 @@ from permod.presentation import (MonotoneAffineMap, Presentation,
 
 from conftest import random_one_critical_complex, random_presentation, seeded
 from reference_homology import boundary
+from reference_presentation import active
 from reference_linalg import (columns_of, identity, mat_mul, rank as mat_rank,
                               rows_of)
 
@@ -167,6 +168,16 @@ class TestBarcode:
 
 
 class TestGridModule:
+    def test_growth_refuses_a_decreasing_leading_index(self, f2):
+        # grid modules visit the leading index outermost; a grid column's
+        # reduction already holds the larger active set, so going back would
+        # give a wrong basis
+        chain = chain_complex_of(K(2, [vx(0, 0, 0), vx(1, 1, 0)]), f2)
+        at = homology._column_growth(chain, 0, True)
+        assert len(at((1, 0))[1]) == 2 and len(at((1, 0))[1]) == 2
+        with pytest.raises(HomologyError, match="decreased"):
+            at((0, 0))
+
     def test_presentation_source(self, f2):
         gm = grid_module_of(interval_presentation(f2, 0, 1),
                             [[F(-1), F(0), F(1)]])
@@ -291,7 +302,7 @@ class TestPresentHomology:
             bd = boundary(chain, degree)
             axes = chain.axes
             for z in itertools.product(*axes):
-                act = chain._active(degree, chain.floor(z))
+                act = active(chain, degree, chain.floor(z))
                 if not act:
                     continue
                 sub = [[bd[i][j] for j in act] for i in range(len(bd))]
@@ -299,7 +310,7 @@ class TestPresentHomology:
                 got_rank = chain.homology_dim_at(degree, chain.floor(z))
                 # dim ker = dim H + rank of boundary from above
                 bu = boundary(chain, degree + 1)
-                act_up = chain._active(degree + 1, chain.floor(z))
+                act_up = active(chain, degree + 1, chain.floor(z))
                 rk_up = 0
                 if act_up and bu:
                     subu = [[bu[i][j] for j in act_up] for i in range(len(bu))]
@@ -463,6 +474,26 @@ class TestImageModule:
     def test_delta_order_enforced(self, f2):
         with pytest.raises(HomologyError):
             image_grid_module(self._circle_complex(), 1, F(2), F(1), [[F(0)]], f2)
+
+    def test_axis_count_enforced(self, f2):
+        # the slices have one parameter; a second axis would be zipped away
+        for axes in ([[F(0), F(1)], [F(0), F(1)]], []):
+            with pytest.raises(HomologyError, match="axes count"):
+                image_grid_module(self._circle_complex(), 1, F(1), F(2), axes, f2)
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=["F2", "F3"])
+    def test_degrees_outside_the_complex_are_zero(self, field):
+        """Chain and image modules at degree -1 and one past the top degree
+        are zero everywhere, and so is the presentation there (a degree of
+        -1 must not read the top degree's columns)."""
+        cx = self._circle_complex()
+        chain = chain_complex_of(cx, field)
+        for degree in (-1, chain.max_deg + 1):
+            gm = grid_module_of(cx, chain.axes, degree=degree, field=field)
+            img = image_grid_module(cx, degree, F(1), F(2), chain.axes[:1], field)
+            assert set(gm.dims.values()) == set(img.dims.values()) == {0}
+            assert present_homology(cx, degree, field).to_text() == \
+                Presentation(2, field, [], []).to_text()
 
 
 class TestRankShift:

@@ -140,6 +140,17 @@ class TestHilbertTable:
         assert p.hilbert_table([[F(1), F(6)], [F(-1), F(10)]]) == {
             (0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
 
+    def test_refuses_axes_that_do_not_fit(self, f2):
+        """One axis per parameter, each strictly increasing: too few axes
+        would give a table of the wrong dimension, too many an IndexError,
+        and a decreasing or repeated value a wrong table."""
+        p = Presentation(2, f2, [("a", (F(0), F(0)))], [("r", (F(1), F(1)), {0: 1})])
+        assert p.hilbert_table([[F(0), F(1)], [F(0), F(1)]])[(1, 1)] == 0
+        for axes in ([[F(0), F(1)]], [[F(0), F(1)]] * 3, [[F(1), F(0)], [F(0), F(1)]],
+                     [[F(0), F(1)], [F(1), F(1)]]):
+            with pytest.raises(PresentationError):
+                p.hilbert_table(axes)
+
 
 class TestShiftRestrict:
     def test_translation_shift(self, f2):

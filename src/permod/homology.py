@@ -23,12 +23,12 @@ computation styles share the exact linear algebra kernel:
   end to end.  The critical grid is swept row by row with one span of
   kernel generators per row, fed where a generator is born by the same
   growing reductions (Lesnick and Wright, arXiv:1902.05708).  Each boundary
-  of a (d+1)-simplex is expressed in the generators active at its grade,
-  and only those coordinates are unpacked; then the presentation is
-  minimized.  The freeness of two-parameter kernels is an implementation
-  hypothesis, so a Hilbert check follows: the presentation's dimension
-  table must equal the chain's, each swept with one reduction per grid row
-  from rank tables of its own, so a sweep error cannot vouch for itself.
+  of a (d+1)-simplex, expressed in the generators active at its grade, goes
+  packed to `minimal_presentation`, which unpacks only the kept relations.
+  The freeness of two-parameter kernels is an implementation hypothesis,
+  so a Hilbert check follows: the presentation's dimension table must
+  equal the chain's, each swept with one reduction per grid row from rank
+  tables of its own, so a sweep error cannot vouch for itself.
 """
 
 import bisect
@@ -43,7 +43,8 @@ from .exactnum import (INF, common_denominator, ext, format_rational,
 from .linalg import ColumnReducer, packed_rank as mat_rank, quotient_basis, quotient_map
 from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
 from .onedim import PersistenceDiagram, bars
-from .presentation import Presentation, leq_runs, row_sweep, swept_ranks
+from .presentation import (Presentation, grade_leq, leq_runs, minimal_presentation,
+                           row_sweep, swept_ranks)
 
 
 class HomologyError(ValueError):
@@ -457,45 +458,47 @@ def grid_module_of(source, axes, degree=None, field=None):
 def present_homology(complex_, degree, field, check_hilbert=True):
     """Presentation of H_degree of a one-critical bifiltered complex with one
     or two parameters: a row-by-row sweep of the critical grid collects a
-    kernel basis and expresses each boundary of a (degree+1)-simplex in the
-    generators active at its grade, then the result is minimized.  The new
-    null vectors of z's grid column in `_column_growth` are the candidates
-    at z, the earlier ones being in the span.  The Hilbert check compares
-    `hilbert_table` with `homology_dim_at`, sharing no state with the sweep."""
+    kernel basis, the new null vectors of z's grid column in `_column_growth`
+    being the candidates at z, and expresses each boundary of a
+    (degree+1)-simplex in the generators active at its grade, keyed by their
+    `minimal_presentation` rows: rising with the birth, falling with the
+    index at one birth, len(fresh) reserved per birth (a dependent candidate
+    leaves a gap).  A generator may enter the span at z only if born <= z.
+    The Hilbert check compares `hilbert_table` with `homology_dim_at`,
+    sharing no state with the sweep."""
     chain = chain_complex_of(complex_, field)
     if chain.nparams not in (1, 2):
         raise HomologyError("presentation extraction supports 1 or 2 parameters")
     axes, shape = chain.axes, [len(ax) for ax in chain.axes]
-    f, kind = field, field.columns
-    upper = chain.grade_index.get(degree + 1, [])
+    f, kind, upper = field, field.columns, chain.grade_index.get(degree + 1, [])
     # the grid columns' growing kernels, and per column the null vectors seen
     cycles_at, seen = _column_growth(chain, degree, True), {}
 
-    gens, born = [], []         # kernel generators (packed) and their grid indices
-    rels = []                   # (name, grid index, {generator: coeff}) per (d+1)-simplex
+    gens, born = [], []         # kernel generators (packed, row) and their grid indices
+    rels, end = [], 0           # (name, grid index, packed column) per (d+1)-simplex
     for z, entering in row_sweep(shape, born):
-        if z[-1] == 0:
-            # one span per row, each vector combined over its generator
-            # index: a generator enters when it becomes active
+        if z[-1] == 0:      # one span per row; a generator enters when active
             span = ColumnReducer(f)
         for i in entering:
-            span.add_packed(kind.copy(gens[i]), kind.unit(i))
+            if not grade_leq(born[i], z):
+                raise HomologyError(f"generator k{i} of {born[i]} enters the span at {z}")
+            span.add_packed(kind.copy(gens[i][0]), kind.unit(gens[i][1]))
         nulls = cycles_at(z)[1]
         fresh, seen[z[1:]] = nulls[seen.get(z[1:], 0):], len(nulls)
         if len(nulls) > span.rank:
-            for v in fresh:     # a dependent one is dropped with its index
-                if span.add_packed(kind.copy(v), kind.unit(len(gens)))[0] is not None:
-                    gens.append(v)
+            end += len(fresh)   # rows fall with the index; a dependent one leaves a gap
+            for row, v in zip(range(end - 1, -1, -1), fresh):
+                if span.add_packed(kind.copy(v), kind.unit(row))[0] is not None:
+                    gens.append((v, row))
                     born.append(z)
         for j in range(bisect.bisect_left(upper, z), bisect.bisect_right(upper, z)):
             x = span.coords(kind.copy(chain.columns[degree + 1][j]))
             if x is None:
-                raise HomologyError("boundary escapes the kernel span; "
-                                    "sweep incomplete")
-            rels.append((f"b{j}", z, kind.unpack(x)))
+                raise HomologyError("boundary escapes the kernel span; sweep incomplete")
+            rels.append((f"b{j}", z, x))
 
-    pres = Presentation.from_ranks(chain.nparams, f, axes, [
-        (f"k{i}", z) for i, z in enumerate(born)], rels).minimize()
+    pres = minimal_presentation(chain.nparams, f, axes, [
+        (f"k{i}", z, row) for i, (z, (_, row)) in enumerate(zip(born, gens))], rels)
 
     if check_hilbert:
         dims = pres.hilbert_table(axes)

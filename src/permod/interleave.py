@@ -38,7 +38,7 @@ from .exactnum import (INF, ExtendedRational, common_denominator, ext,
                        least_feasible, scaled_int)
 from .onedim import bars, matchable
 from .presentation import PresentationError, grade_leq
-from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation,
+from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation, QuadSysError,
                       QuadraticSystem, export_system, solve_finite_field)
 
 
@@ -287,10 +287,13 @@ def slice_start(table, mm, nn, finite):
     return k
 
 
-def _search_start(m, n):
-    """What every eps decision on (M, N) starts from: the term table of the
-    minimized pair, its sorted finite candidates, their `slice_start` k, and
-    the candidate below it (0 at k = 0), the lower end of every bracket."""
+def _search_start(m, n, budget):
+    """What every eps decision on (M, N) starts from, once a negative solver
+    budget is refused: the term table of the minimized pair, its sorted
+    finite candidates, their `slice_start` k, and the candidate below it (0
+    at k = 0), the lower end of every bracket."""
+    if budget < 0:
+        raise QuadSysError("budget must be >= 0")
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
     finite = [c for c in candidate_set(mm, nn, minimal=True) if c.is_finite]
@@ -306,7 +309,7 @@ def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
     eps = Fraction(eps)
     if eps < 0:
         raise PresentationError("eps must be >= 0")
-    table, finite, k, last_no = _search_start(m, n)
+    table, finite, k, last_no = _search_start(m, n, budget)
     if k == len(finite) or eps < finite[k].value:
         return "no"
     try:
@@ -329,7 +332,7 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     without the solver.  With one parameter the slice is the module, so the
     start is d_I and one decision confirms it; where the dimensions above
     all grades differ, no slice matches and d_I = inf comes with none."""
-    table, finite, k, last_no = _search_start(m, n)
+    table, finite, k, last_no = _search_start(m, n, budget)
     if stats is not None:
         stats.candidates = len(finite) + 1
     first_yes = INF

@@ -313,61 +313,14 @@ class Presentation:
         return Presentation(self.n, f, self.generators, rels)
 
     def minimize(self):
-        """Minimal presentation with the canonical grade multisets, of a
-        valid presentation (validated first).
-
-        Both steps reduce relations on `ColumnReducer`s, as columns whose
-        rows are the generators in (grade index, -index) order, grades
-        lexicographic: a valid relation's top row is its least-index
-        generator of its own grade, if any.  Step 1, over the relations in
-        (grade, index) order: each is reduced until its top row is no pivot;
-        if that generator is of its own grade the relation becomes a pivot
-        and the generator goes, else it is reduced to zero at every pivot.
-        A residue is unique once the span and the pivot rows are fixed, so
-        these are the residues of eliminating each such generator from every
-        later relation.  Step 2: a residue is dropped iff it lies in the
-        span of those strictly below its grade plus those of its grade with
-        a larger index, which is what dropping them one by one in that order
-        keeps.  Only the kept relations leave the column type.
-        """
-        f = self.validate().field
-        kind = f.columns
-        gen_key, rel_key = self.gen_index, self.rel_index
-        gen_at = sorted(range(len(gen_key)), key=lambda j: (gen_key[j], -j))
-        row_of = {j: r for r, j in enumerate(gen_at)}
-        pivots, removed_gens, rows = ColumnReducer(f), set(), {}
-        for i in sorted(range(len(rel_key)), key=lambda i: (rel_key[i], i)):
-            row, _, top = pivots.reduce_packed(
-                kind.pack({row_of[j]: c for j, c in self.relations[i][2].items()}))
-            if row and gen_key[gen_at[top]] == rel_key[i]:
-                removed_gens.add(gen_at[pivots.add_packed(row)[0]])
-            elif row:           # step 2 would drop an empty relation
-                rows[i] = pivots.reduce_packed(row, full=True)[0]
-
-        # one span per row of the leading coordinates: at grade z it holds
-        # every relation strictly below z, then those of grade z from the
-        # largest index down
-        kept, keys = list(rows), [rel_key[i] for i in rows]
-        dropped = set()
-        for z, entering in row_sweep([len(ax) for ax in self.axes], keys):
-            if z[-1] == 0:
-                reducer = ColumnReducer(f)
-            for t in entering:
-                if keys[t] != z:
-                    reducer.add_packed(kind.copy(rows[kept[t]]))
-            for t in reversed(entering):
-                if keys[t] == z and reducer.add_packed(kind.copy(rows[kept[t]]))[0] is None:
-                    dropped.add(kept[t])
-        # step 1 left no removed generator in a kept relation
-        gens = [j for j in range(len(self.generators)) if j not in removed_gens]
-        new_index = {j: k for k, j in enumerate(gens)}
-        rels = [(nm, rel_key[i],
-                 {new_index[gen_at[r]]: c for r, c in kind.unpack(rows[i]).items()})
-                for i, (nm, _, _) in enumerate(self.relations)
-                if i in rows and i not in dropped]
-        return Presentation.from_ranks(
-            self.n, f, self.axes, [(self.generators[j][0], gen_key[j]) for j in gens],
-            rels)
+        """`minimal_presentation` of a valid presentation (validated first),
+        its generators' rows in (grade index, -index) order."""
+        f, keys = self.validate().field, self.gen_index
+        row = {j: r for r, j in enumerate(sorted(range(len(keys)), key=lambda j: (keys[j], -j)))}
+        return minimal_presentation(self.n, f, self.axes, [
+            (name, k, row[j]) for j, ((name, _), k) in enumerate(zip(self.generators, keys))], [
+            (name, k, f.columns.pack({row[j]: c for j, c in cs.items()}))
+            for (name, _, cs), k in zip(self.relations, self.rel_index)])
 
     def critical_grades(self, minimal=False):
         """(U, per-axis sorted value lists) of the minimal presentation: self
@@ -399,6 +352,55 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation(n={self.n}, field={self.field.spec!r}, "
                 f"|G|={len(self.generators)}, |R|={len(self.relations)})")
+
+
+def minimal_presentation(n, field, axes, generators, relations):
+    """The minimal presentation, with the canonical grade multisets, of
+    (name, grade index, row) generators and (name, grade index, column)
+    relations on the value lists `axes`, through `Presentation.from_ranks`
+    in the order given.  Columns are packed over the rows (consumed), which
+    order the generators by (grade index, -index), grades lexicographic,
+    maybe with gaps; a column's top row, its generators being of grade <=
+    its own (unchecked), is its least-index one of its own grade, if any.
+
+    Both steps reduce on `ColumnReducer`s.  Step 1, over the relations in
+    (grade, index) order (a stable sort by grade): each is reduced until
+    its top row is no pivot; if that generator is of its own grade the
+    relation becomes a pivot and the generator goes, else it is reduced to
+    zero at every pivot.  A residue is unique once the span and the pivot
+    rows are fixed, so these are the residues of eliminating each such
+    generator from every later relation.  Step 2: a residue is dropped iff
+    it lies in the span of those strictly below its grade plus those of its
+    grade with a larger index, which is what dropping them one by one in
+    that order keeps.  Only the kept relations are unpacked."""
+    kind, grade_at = field.columns, {r: k for _, k, r in generators}
+    pivots, removed, rows = ColumnReducer(field), set(), {}
+    for i in sorted(range(len(relations)), key=lambda i: relations[i][1]):
+        col, _, top = pivots.reduce_packed(relations[i][2])
+        if col and grade_at[top] == relations[i][1]:
+            removed.add(pivots.add_packed(col)[0])
+        elif col:               # step 2 would drop an empty relation
+            rows[i] = pivots.reduce_packed(col, full=True)[0]
+
+    # one span per row of the leading coordinates: at grade z it holds
+    # every relation strictly below z, then those of grade z from the
+    # largest index down
+    kept, keys, dropped = list(rows), [relations[i][1] for i in rows], set()
+    for z, entering in row_sweep([len(ax) for ax in axes], keys):
+        if z[-1] == 0:
+            reducer = ColumnReducer(field)
+        for t in entering:
+            if keys[t] != z:
+                reducer.add_packed(kind.copy(rows[kept[t]]))
+        for t in reversed(entering):
+            if keys[t] == z and reducer.add_packed(kind.copy(rows[kept[t]]))[0] is None:
+                dropped.add(kept[t])
+    # step 1 left no removed generator in a kept relation
+    gens = [(name, k, r) for name, k, r in generators if r not in removed]
+    new_index = {r: j for j, (_, _, r) in enumerate(gens)}
+    rels = [(name, key, {new_index[r]: c for r, c in kind.unpack(rows[i]).items()})
+            for i, (name, key, _) in enumerate(relations) if i in rows and i not in dropped]
+    return Presentation.from_ranks(n, field, axes, [(name, k) for name, k, _ in gens], rels)
 
 
 def direct_sum(presentations, n=None, field=None):

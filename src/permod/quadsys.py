@@ -202,6 +202,8 @@ def solve_finite_field(system, budget=DEFAULT_BUDGET):
     """Decide solvability over Z/p.  Sound and complete within the node budget;
     raises BudgetExceeded past it.  A returned witness satisfies evaluate."""
     f = system.field
+    if budget < 0:      # 0 allows elimination only
+        raise QuadSysError("budget must be >= 0")
     if not isinstance(f, PrimeField):
         raise QuadSysError("solvability decision requires a prime field; "
                            "rational systems are export-only")

@@ -27,16 +27,29 @@ dimension, read from the `active_ranks` table, exceeds the row span's
 rank, on a chain complex of its own, and ranks the presentation's indices
 as `Presentation.from_ranks` did then, through `grade_ranks`.
 
-Every oracle here reads active sets, row sweeps, rank tables, homology
+`present_homology_two_stage` is the sweep as it was before its relations
+went to minimization packed: each boundary of a (d+1)-simplex unpacked
+over the generator indices, one `Presentation.from_ranks` of them all,
+then `minimize_two_stage`, the one-pass `Presentation.minimize` as it was
+before its body became `presentation.minimal_presentation`.  It tests
+that fusion, not the sweep, so unlike the oracles above it grows its
+kernels by the library's `_column_growth` and checks the Hilbert function
+by the library's tables, as it did then.
+
+Every other oracle here reads active sets, row sweeps, rank tables, homology
 dimensions, minimization and Hilbert tables from the copies in
 ``reference_presentation``, never from the library's bisecting walk.
 """
 
+import bisect
 import itertools
+import operator
 
 import reference_presentation
 from permod.exactnum import INF, ext, grade_ranks
-from permod.homology import GradedChainComplex, HomologyError, chain_complex_of
+from permod.homology import (GradedChainComplex, HomologyError, _column_growth,
+                             _grid_indices, chain_complex_of)
+from permod.linalg import ColumnReducer
 from permod.linalg import ColumnSpan as SparseSpan
 from permod.linalg import nullspace as sparse_nullspace
 from permod.onedim import PersistenceDiagram
@@ -419,6 +432,103 @@ def present_homology_births(complex_, degree, field, check_hilbert=True):
             want, got = wants[idx], dims[idx]
             if want != got:
                 z = tuple(ax[k] for ax, k in zip(axes, idx))
+                raise HomologyError(
+                    f"Hilbert check failed at {z}: presentation gives {got}, "
+                    f"pointwise homology gives {want}")
+    return pres
+
+
+def minimize_two_stage(p):
+    """Minimal presentation with the canonical grade multisets, of a valid
+    presentation (validated first).
+
+    Both steps reduce relations on `ColumnReducer`s, as columns whose
+    rows are the generators in (grade index, -index) order, grades
+    lexicographic: a valid relation's top row is its least-index
+    generator of its own grade, if any.  Step 1, over the relations in
+    (grade, index) order: each is reduced until its top row is no pivot;
+    if that generator is of its own grade the relation becomes a pivot
+    and the generator goes, else it is reduced to zero at every pivot.
+    Step 2: a residue is dropped iff it lies in the span of those strictly
+    below its grade plus those of its grade with a larger index.
+    """
+    f = p.validate().field
+    kind = f.columns
+    gen_key, rel_key = p.gen_index, p.rel_index
+    gen_at = sorted(range(len(gen_key)), key=lambda j: (gen_key[j], -j))
+    row_of = {j: r for r, j in enumerate(gen_at)}
+    pivots, removed_gens, rows = ColumnReducer(f), set(), {}
+    for i in sorted(range(len(rel_key)), key=lambda i: (rel_key[i], i)):
+        row, _, top = pivots.reduce_packed(
+            kind.pack({row_of[j]: c for j, c in p.relations[i][2].items()}))
+        if row and gen_key[gen_at[top]] == rel_key[i]:
+            removed_gens.add(gen_at[pivots.add_packed(row)[0]])
+        elif row:           # step 2 would drop an empty relation
+            rows[i] = pivots.reduce_packed(row, full=True)[0]
+
+    kept, keys = list(rows), [rel_key[i] for i in rows]
+    dropped = set()
+    for z, entering in row_sweep([len(ax) for ax in p.axes], keys):
+        if z[-1] == 0:
+            reducer = ColumnReducer(f)
+        for t in entering:
+            if keys[t] != z:
+                reducer.add_packed(kind.copy(rows[kept[t]]))
+        for t in reversed(entering):
+            if keys[t] == z and reducer.add_packed(kind.copy(rows[kept[t]]))[0] is None:
+                dropped.add(kept[t])
+    gens = [j for j in range(len(p.generators)) if j not in removed_gens]
+    new_index = {j: k for k, j in enumerate(gens)}
+    rels = [(nm, rel_key[i],
+             {new_index[gen_at[r]]: c for r, c in kind.unpack(rows[i]).items()})
+            for i, (nm, _, _) in enumerate(p.relations)
+            if i in rows and i not in dropped]
+    return Presentation.from_ranks(
+        p.n, f, p.axes, [(p.generators[j][0], gen_key[j]) for j in gens], rels)
+
+
+def present_homology_two_stage(complex_, degree, field, check_hilbert=True):
+    """The row sweep's kernel basis and each boundary of a (degree+1)-simplex
+    over the generators active at its grade, unpacked; then one presentation
+    of them all, `minimize_two_stage`, and the Hilbert check."""
+    chain = chain_complex_of(complex_, field)
+    if chain.nparams not in (1, 2):
+        raise HomologyError("presentation extraction supports 1 or 2 parameters")
+    axes, shape = chain.axes, [len(ax) for ax in chain.axes]
+    f, kind = field, field.columns
+    upper = chain.grade_index.get(degree + 1, [])
+    cycles_at, seen = _column_growth(chain, degree, True), {}
+
+    gens, born = [], []         # kernel generators (packed) and their grid indices
+    rels = []                   # (name, grid index, {generator: coeff}) per (d+1)-simplex
+    for z, entering in row_sweep(shape, born):
+        if z[-1] == 0:
+            span = ColumnReducer(f)
+        for i in entering:
+            span.add_packed(kind.copy(gens[i]), kind.unit(i))
+        nulls = cycles_at(z)[1]
+        fresh, seen[z[1:]] = nulls[seen.get(z[1:], 0):], len(nulls)
+        if len(nulls) > span.rank:
+            for v in fresh:     # a dependent one is dropped with its index
+                if span.add_packed(kind.copy(v), kind.unit(len(gens)))[0] is not None:
+                    gens.append(v)
+                    born.append(z)
+        for j in range(bisect.bisect_left(upper, z), bisect.bisect_right(upper, z)):
+            x = span.coords(kind.copy(chain.columns[degree + 1][j]))
+            if x is None:
+                raise HomologyError("boundary escapes the kernel span; "
+                                    "sweep incomplete")
+            rels.append((f"b{j}", z, kind.unpack(x)))
+
+    pres = minimize_two_stage(Presentation.from_ranks(chain.nparams, f, axes, [
+        (f"k{i}", z) for i, z in enumerate(born)], rels))
+
+    if check_hilbert:
+        dims = pres.hilbert_table(axes)
+        for idx in _grid_indices(shape):
+            want, got = chain.homology_dim_at(degree, idx), dims[idx]
+            if want != got:
+                z = tuple(map(operator.getitem, axes, idx))
                 raise HomologyError(
                     f"Hilbert check failed at {z}: presentation gives {got}, "
                     f"pointwise homology gives {want}")

@@ -111,6 +111,12 @@ class TestDistance:
                            free2, free2, "--budget", "0")
         assert code == 3 and "budget exceeded" in out
 
+    @pytest.mark.parametrize("decide", [[], ["--decide", "1"]])
+    def test_negative_budget_exit_2(self, capsys, files, decide):
+        code, out, err = run(capsys, "distance", "interleaving", files / "c01.txt",
+                             files / "c23.txt", *decide, "--budget", "-1")
+        assert (code, out) == (2, "") and "budget must be >= 0" in err
+
     def test_decide_budget_exit_3(self, capsys, tmp_path):
         """Free modules of ranks 2 and 3 have no matching diagonal slice, so
         eps = 1 is decided no without the solver, even on a one-node budget.

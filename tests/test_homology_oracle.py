@@ -8,15 +8,23 @@ on Rips and Cech builds of L1, L2 and Linf clouds with rational, duplicate
 and collinear points and caps of 0 and fractional caps.  The growing
 per-column kernel reduction against the sweep that took a nullspace at
 each birth (`present_homology_births`), over Z/2, Z/3 and Q, with one
-chain complex per field and in either degree order."""
+chain complex per field and in either degree order.  The fused sweep and
+minimization against the two-stage path it replaced
+(`present_homology_two_stage`: one presentation of every boundary, then the
+parent `Presentation.minimize`) on Rips clouds in L1, L2 and Linf, Linf
+Cech clouds, their fixed-scale slices and the first 200 inputs of the
+rips_present benchmark for three seeds; and `Presentation.minimize` on the
+core against that parent minimize as well as the rescanning one."""
 
+import importlib.util
 import itertools
+import pathlib
 import random
 from fractions import Fraction as F
 
 from permod.exactnum import QQ, PrimeField
 from permod.filtration import (FiltrationError, PointCloud, cech_bifiltration,
-                               rips_bifiltration)
+                               fixed_scale_slice, rips_bifiltration)
 from permod.homology import chain_complex_of, present_homology
 from permod.linalg import ColumnReducer, ColumnSpan
 from permod.presentation import Presentation
@@ -136,6 +144,71 @@ def test_rational_clouds_match_the_sweep_on_values():
     assert outcomes == {str, tuple}
 
 
+def two_stage_clouds(rng, count):
+    """Seeded Rips clouds in L1, L2 and Linf and Linf Cech clouds, with 0 or
+    1 function coordinates (1 or 2 parameters) and integer and fractional
+    caps.  An L2 cloud is drawn from a rhombus and its centre, whose
+    pairwise distances are all rational."""
+    lattice = [(a, b) for a in range(7) for b in range(7)]
+    rhombus = [(0, 0), (3, 0), (-3, 0), (0, 4), (0, -4)]
+    for case in range(count):
+        metric = (1, 2, "inf", "inf")[case % 4]
+        pts = rng.sample(rhombus, rng.randint(3, 5)) if metric == 2 else \
+            rng.sample(lattice, rng.randint(3, 7))
+        vals = [tuple(rng.randint(0, 3) for _ in range(case // 4 % 2)) for _ in pts]
+        build = cech_bifiltration if case % 4 == 3 else rips_bifiltration
+        yield build(PointCloud(pts), metric, vals, max_dim=2,
+                    scale_cap=rng.choice((2, 3, F(7, 2))))
+
+
+def assert_same_as_two_stage(cx, fields=FIELDS, degrees=(-1, 0, 1, 2)):
+    """present_homology against the sweep, one presentation of every
+    boundary, and the parent minimize, byte for byte; returns the count."""
+    for field in fields:
+        for degree in degrees:
+            new = present_homology(cx, degree, field).to_text()
+            assert new == ref.present_homology_two_stage(cx, degree, field).to_text()
+    return len(fields) * len(degrees)
+
+
+def test_clouds_match_the_two_stage_presentation():
+    rng = seeded(609)
+    nparams, compared = set(), 0
+    for cx in two_stage_clouds(rng, 48):
+        nparams.add(cx.nparams)
+        compared += assert_same_as_two_stage(cx)
+    assert (nparams, compared) == ({1, 2}, 576)
+
+
+def test_fixed_scale_slices_match_the_two_stage_presentation():
+    rng = seeded(610)
+    compared = 0
+    for cx in two_stage_clouds(rng, 24):
+        if cx.nparams == 2:
+            for delta in (0, 1, F(5, 2), 3):
+                compared += assert_same_as_two_stage(fixed_scale_slice(cx, delta))
+    assert compared == 576
+
+
+def test_rips_present_inputs_match_the_two_stage_presentation():
+    """The first 200 inputs of the rips_present benchmark workload for
+    seeds 1, 2 and 7919, built as its op builds them, H0 and H1 over Z/2."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl, f2 = workloads.WORKLOADS["rips_present"], PrimeField(2)
+    compared = 0
+    for seed in (1, 2, 7919):
+        for inp in wl.inputs(seed, n=200):
+            cx = rips_bifiltration(PointCloud(inp["points"]),
+                                   1 if inp["metric"] == "l1" else "inf",
+                                   [(v,) for v in inp["values"]], max_dim=2, scale_cap=wl.cap)
+            compared += assert_same_as_two_stage(cx, (f2,), (0, 1))
+    assert compared == 1200
+
+
 def test_dims_table_matches_pointwise_elimination():
     rng = seeded(603)
     cxs = [random_one_critical_complex(rng, 1 + k % 2, max_simplices=14,
@@ -171,7 +244,7 @@ def equal_grade_presentation(field):
 def test_minimize_matches_reference():
     rng = seeded(604)
     cases = [equal_grade_presentation(f) for f in FIELDS]
-    for k in range(150):
+    for k in range(300):
         field = FIELDS[k % 3]
         # few grades, so many relations and generators share one
         pool = [F(x) for x in range(1 + k % 3)]
@@ -179,7 +252,8 @@ def test_minimize_matches_reference():
                                 max_rels=7, grade_pool=pool)
         cases += [p, rerepresent(rng, p, add_redundant=True)]
     for p in cases:
-        assert p.minimize().to_text() == ref.minimize(p).to_text()
+        text = p.minimize().to_text()
+        assert text == ref.minimize(p).to_text() == ref.minimize_two_stage(p).to_text()
 
 
 def random_sparse_columns(rng, field, rows, cols, density):

@@ -146,6 +146,23 @@ class TestDecide:
         assert info.value.bracket == (ext(F(1, 2)), INF) and info.value.undecided == ext(1)
         assert decide_interleaving(free(0, 1), free(1, 2), 1) == "yes"
 
+    def test_negative_budget_refused_before_any_work(self, f2, monkeypatch):
+        """Both searches refuse budget < 0 before minimizing anything, with
+        a ValueError as every domain error; budget 0 stays legal."""
+        def free(*grades):
+            return Presentation(1, f2, [(f"g{i}", (F(g),)) for i, g in enumerate(grades)], [])
+
+        m, n = free(0, 1), free(1, 2)
+        minimized = []
+        monkeypatch.setattr(Presentation, "minimize",
+                            lambda self, _m=Presentation.minimize: minimized.append(1) or _m(self))
+        for search in (lambda b: decide_interleaving(m, n, 1, budget=b),
+                       lambda b: interleaving_distance(m, n, budget=b)):
+            with pytest.raises(ValueError, match="budget must be >= 0"):
+                search(-1)
+        assert minimized == []
+        assert decide_interleaving(m, n, F(1, 2), budget=0) == "no"
+
 
 class TestDecideGeneralized:
     def test_identity_pair(self, f2):

@@ -186,6 +186,14 @@ class TestSolver:
         with pytest.raises(BudgetExceeded):
             solve_finite_field(s, budget=0)
 
+    def test_negative_budget_refused(self, f3):
+        # budget 0 allows elimination only; below it nothing is searched
+        s = random_system(random.Random(6), f3, 6, 4)
+        with pytest.raises(QuadSysError, match="budget must be >= 0"):
+            solve_finite_field(s, budget=-1)
+        assert solve_finite_field(QuadraticSystem(f3, 1, [eq(f3, lin={1: 1})]),
+                                  budget=0).status == "solvable"
+
     def test_rationals_refused(self):
         s = QuadraticSystem(QQ, 1, [])
         with pytest.raises(QuadSysError, match="export-only"):

@@ -190,8 +190,7 @@ def cmd_infer(args):
     grid_points = int(args.grid) if args.grid else 33
     rec = run_experiment(density, samples, args.trials, args.seed,
                          parse_rational(args.bandwidth),
-                         degree=args.degree, kernel=args.kernel,
-                         grid_points=grid_points)
+                         kernel=args.kernel, grid_points=grid_points)
     _write(args.out, rec.to_json())
     return EXIT_OK
 
@@ -268,7 +267,6 @@ def build_parser():
     ir.add_argument("--kernel", default="gaussian",
                     choices=["gaussian", "epanechnikov"])
     ir.add_argument("--grid", default=None)
-    ir.add_argument("--degree", type=int, default=0)
     ir.add_argument("--out", default=None)
     ir.set_defaults(func=cmd_infer)
 

@@ -162,13 +162,11 @@ class ExtendedRational:
 
     def __init__(self, kind, value=None):
         self.kind = kind
-        self.value = Fraction(value) if kind == 0 else None
+        self.value = as_fraction(value) if kind == 0 else None
 
     @classmethod
     def of(cls, x):
-        if isinstance(x, ExtendedRational):
-            return x
-        return cls(0, Fraction(x))
+        return x if isinstance(x, ExtendedRational) else cls(0, x)
 
     @property
     def is_finite(self):
@@ -538,11 +536,10 @@ QQ = RationalField()
 
 def parse_field(tokens):
     """Parse a field spec: ['q'] or ['zp', '7']."""
-    if isinstance(tokens, str):
-        tokens = tokens.split()
-    if tokens[0] == "q":
+    tokens = tokens.split() if isinstance(tokens, str) else list(tokens)
+    if tokens[:1] == ["q"]:
         return QQ
-    if tokens[0] == "zp":
+    if tokens[:1] == ["zp"] and len(tokens) > 1:
         return PrimeField(int(tokens[1]))
-    raise ValueError(f"unknown field spec: {' '.join(tokens)}")
+    raise ValueError(f"unknown field spec: {' '.join(tokens) or '(none)'}")
 

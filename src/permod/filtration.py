@@ -246,6 +246,8 @@ def parse_complex(text):
         head, _, tail = ln.partition(":")
         verts = tuple(int(v) for v in head.strip().split(","))
         toks = tail.split()
+        if not toks:
+            raise FiltrationError(f"simplex {head.strip()} has no grade")
         grade = []
         for tok in toks:
             if tok.startswith("sqrt(") and tok.endswith(")"):

@@ -348,6 +348,8 @@ def parse_grid_module(text):
     axes, dims, trans_rows = {}, {}, []
     for ln in lines[1:-1]:
         parts = ln.split()
+        if len(parts) < 2:
+            raise HomologyError(f"short line {ln!r}")
         if parts[0] == "field":
             field = parse_field(parts[1:])
         elif parts[0] == "axes":
@@ -371,6 +373,8 @@ def parse_grid_module(text):
     for ln in trans_rows:
         head, _, body = ln.partition(":")
         toks = head.split()
+        if len(toks) < nparams + 3:     # trans, the grid index, axis, the axis
+            raise HomologyError(f"short transition line {ln!r}")
         idx = tuple(int(t) for t in toks[1:1 + nparams])
         axis = int(toks[2 + nparams])
         rows = [[field.of(parse_rational(t)) for t in chunk.split()]

@@ -99,7 +99,7 @@ class ExperimentRecord:
     """Fully reproducible record of one inference run."""
 
     def __init__(self, seed, density, samples, trials, bandwidth, kernel,
-                 grid_spec, degree, per_trial, medians):
+                 grid_spec, per_trial, medians):
         self.seed = seed
         self.density = density
         self.samples = samples
@@ -107,7 +107,6 @@ class ExperimentRecord:
         self.bandwidth = bandwidth
         self.kernel = kernel
         self.grid_spec = grid_spec
-        self.degree = degree
         self.per_trial = per_trial
         self.medians = medians
 
@@ -123,7 +122,7 @@ class ExperimentRecord:
             "bandwidth": format_rational(self.bandwidth),
             "kernel": self.kernel,
             "grid": self.grid_spec,
-            "degree": self.degree,
+            "degree": 0,            # the harness compares degree-0 modules
             "per_trial": {str(z): [fmt(v) for v in vals]
                           for z, vals in self.per_trial.items()},
             "medians": {str(z): fmt(v) for z, v in self.medians.items()},
@@ -159,9 +158,8 @@ def default_ambient_grid(density, points_per_axis=33):
     return [lo + step * i for i in range(points_per_axis)]
 
 
-def run_experiment(density, samples, trials, seed, bandwidth, degree=0,
-                   kernel="gaussian", grid_points=33, thresholds=17,
-                   offsets=17):
+def run_experiment(density, samples, trials, seed, bandwidth, kernel="gaussian",
+                   grid_points=33, thresholds=17, offsets=17):
     """Run the sampling experiment and return an ExperimentRecord.
 
     Ground truth: the offset cluster module of the true density on the
@@ -172,8 +170,6 @@ def run_experiment(density, samples, trials, seed, bandwidth, degree=0,
     must be at least one trial, threshold and offset, and every derived seed
     must be a Philox key.
     """
-    if degree != 0:
-        raise FiltrationError("the desk-scale harness compares degree-0 modules")
     for name, count in (("trials", trials), ("thresholds", thresholds),
                         ("offsets", offsets)):
         if count < 1:
@@ -224,8 +220,8 @@ def run_experiment(density, samples, trials, seed, bandwidth, degree=0,
     medians = {z: _median(per_trial[z]) for z in samples}
 
     return ExperimentRecord(seed, density, list(samples), trials,
-                            Fraction(bandwidth), kernel, grid_spec, degree,
-                            per_trial, medians)
+                            Fraction(bandwidth), kernel, grid_spec, per_trial,
+                            medians)
 
 
 def _derive_seed(seed, stream):

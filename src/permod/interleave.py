@@ -25,17 +25,17 @@ L1 R1 - L2 R2 (- I).  One helper adds an entry of a product, a constant
 times a variable as a linear term and a variable times a variable as a
 quadratic one.
 
-The distance search, and a single eps decision, start at the least
-candidate that the bars of both modules on the slope-1 lines through their
-grades do not rule out, a lower bound on d_I (`slice_start`, on
-`onedim.bars` and `onedim.matchable`).
+The distance search, and a single eps decision, run on the table's sorted
+candidate levels (ints) and start at the least one that the bars of both
+modules on the slope-1 lines through their grades do not rule out, a lower
+bound on d_I (`slice_start`, on `onedim.bars` and `onedim.matchable`).
 """
 
+import bisect
 import operator
 from fractions import Fraction
 
-from .exactnum import (INF, ExtendedRational, common_denominator, ext,
-                       least_feasible, scaled_int)
+from .exactnum import INF, common_denominator, ext, least_feasible, scaled_int
 from .onedim import bars, matchable
 from .presentation import PresentationError, grade_leq
 from .quadsys import (BudgetExceeded, DEFAULT_BUDGET, QuadEquation, QuadSysError,
@@ -102,7 +102,9 @@ class TermTable:
     """One pair (M, N)'s data: `grades`, those of G_M, G_N, R_M, R_N as ints
     scaled by `scale` (2 * lcm of their denominators), and `t_m`, `t_n`,
     the rows of T_M, T_N.  Under translation by eps, entry (i, j) of a
-    matrix is free iff its `thresholds` entry is <= eps * `scale`."""
+    matrix is free iff its `thresholds` entry is <= eps * `scale`.  `levels`
+    holds the finite part of U_{M,N} on that scale, sorted: 0 and, on each
+    axis, |x - y| across the modules and |x - y| / 2 within one."""
 
     # name -> (target, source) basis, as indices into G_M, G_N, R_M, R_N
     BASES = {"A": (1, 0), "B": (0, 1), "C": (3, 2), "D": (2, 3), "E": (2, 0),
@@ -120,12 +122,18 @@ class TermTable:
                       for name, (t, s) in self.BASES.items()}
         self.shapes = {name: (len(t), len(s)) for name, (t, s) in self.bases.items()}
         self.scale = 2 * common_denominator(x for gs in grades for g in gs for x in g)
-        self.grades = [[tuple(scaled_int(x, self.scale) for x in g) for g in gs]
-                       for gs in grades]
+        self.grades = gm, gn, rm, rn = [
+            [tuple(scaled_int(x, self.scale) for x in g) for g in gs] for gs in grades]
         self.thresholds = {
             name: [[max(map(operator.sub, t, s)) // (2 if name in "EF" else 1)
                     for s in self.grades[si]] for t in self.grades[ti]]
             for name, (ti, si) in self.BASES.items()}
+        levels = {0}
+        for a in range(m.n):
+            um, un = ({g[a] for g in gs + rs} for gs, rs in ((gm, rm), (gn, rn)))
+            levels |= {abs(x - y) for x in um for y in un}
+            levels |= {abs(x - y) // 2 for u in (um, un) for x in u for y in u}
+        self.levels = sorted(levels)
         # T_M, T_N: |G| x |R|, column j the coefficients of relation j
         self.t_m, self.t_n = (
             [{j: cs[i] for j, (_, _, cs) in enumerate(p.relations) if i in cs}
@@ -168,6 +176,10 @@ class TermTable:
     def level(self, eps):
         """floor(eps * scale), the threshold level of eps (a Fraction)."""
         return eps.numerator * self.scale // eps.denominator
+
+    def value(self, level):
+        """The candidate at `level` (+inf at None), an ExtendedRational."""
+        return INF if level is None else ext(Fraction(level, self.scale))
 
     def at(self, eps):
         """The system deciding eps-interleaving (eps a Fraction, >= 0)."""
@@ -217,22 +229,11 @@ def decide_generalized(m, n, j1, j2, budget=DEFAULT_BUDGET):
     return "yes" if res.status == "solvable" else "no"
 
 
-def candidate_set(m, n, minimal=False):
-    """U_{M,N}: all values the interleaving distance can take, as a sorted
-    list of ExtendedRationals containing 0 and +inf.  Computed from minimized
-    presentations; pass minimal=True when m and n are minimal already."""
-    if m.n != n.n:
-        raise PresentationError("parameter counts differ")
-    _, axes_m = m.critical_grades(minimal)
-    _, axes_n = n.critical_grades(minimal)
-    scale = 2 * common_denominator(x for axis in axes_m + axes_n for x in axis)
-    values = {0}
-    for um, un in zip(axes_m, axes_n):
-        um, un = ([scaled_int(x, scale) for x in a] for a in (um, un))
-        values |= {abs(x - y) for x in um for y in un}
-        values |= {abs(x - y) // 2 for x in um for y in um}
-        values |= {abs(x - y) // 2 for x in un for y in un}
-    return [ext(Fraction(v, scale)) for v in sorted(values)] + [INF]
+def candidate_set(m, n):
+    """U_{M,N}, the values d_I can take, as sorted ExtendedRationals: the
+    `levels` of the minimized pair's term table, and +inf."""
+    table = TermTable(m.minimize(), n.minimize())
+    return [table.value(v) for v in table.levels] + [INF]
 
 
 class DistanceBudgetExceeded(Exception):
@@ -256,22 +257,22 @@ class SearchStats:
         self.candidates = 0     # size of the candidate set, +inf included
 
 
-def slice_start(table, mm, nn, finite):
-    """The index of the least of the sorted finite candidates at which the
-    diagonal slices of the minimized pair (mm, nn) all admit a matching:
-    the line c + t (1, ..., 1) through each grade g, c = g - g_last, holds
-    a grade h from t(h) = max_i (h_i - c_i) on.  An eps-interleaving
-    restricts to one of every such slice, so its bottleneck distance is <=
-    d_I.  On ints scaled by table.scale, with costs doubled so that a bar
-    is deleted when its length is <= twice the level; len(finite) when a
-    slice admits none, as when the dimensions above all grades differ."""
+def slice_start(table, mm, nn):
+    """The index of the least of the table's `levels` at which the diagonal
+    slices of the minimized pair (mm, nn) all admit a matching: the line
+    c + t (1, ..., 1) through each grade g, c = g - g_last, holds a grade h
+    from t(h) = max_i (h_i - c_i) on.  An eps-interleaving restricts to one
+    of every such slice, so its bottleneck distance is <= d_I.  On ints
+    scaled by table.scale, with costs doubled so that a bar is deleted when
+    its length is <= twice the level; len(levels) when a slice admits none,
+    as when the dimensions above all grades differ."""
     gm, gn, rm, rn = table.grades
     pres = [(gens, [(h, cs) for h, (_, _, cs) in zip(rels, p.relations)])
             for gens, rels, p in ((gm, rm, mm), (gn, rn, nn))]
     lines = sorted({tuple(x - g[-1] for x in g) for gens, rels in pres
                     for g in gens + [h for h, _ in rels]})
-    levels = [2 * table.level(c.value) for c in finite]
-    never = levels[-1] + 1      # finite holds 0, so levels is not empty
+    levels = [2 * v for v in table.levels]
+    never = levels[-1] + 1      # the table's levels hold 0, so levels is not empty
     k = 0
     for c in lines:
         left, right = (bars(table.field, [max(map(operator.sub, g, c)) for g in gens],
@@ -282,23 +283,22 @@ def slice_start(table, mm, nn, finite):
                  for by, dy in right] for bx, dx in left]
         left_len, right_len = ([never if d is None else d - b for b, d in side]
                                for side in (left, right))
-        while k < len(finite) and not matchable(cost, left_len, right_len, levels[k]):
+        while k < len(levels) and not matchable(cost, left_len, right_len, levels[k]):
             k += 1
     return k
 
 
 def _search_start(m, n, budget):
     """What every eps decision on (M, N) starts from, once a negative solver
-    budget is refused: the term table of the minimized pair, its sorted
-    finite candidates, their `slice_start` k, and the candidate below it (0
-    at k = 0), the lower end of every bracket."""
+    budget is refused: the term table of the minimized pair, the
+    `slice_start` k of its levels, and the level below it (0 at k = 0), the
+    lower end of every bracket."""
     if budget < 0:
         raise QuadSysError("budget must be >= 0")
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
-    finite = [c for c in candidate_set(mm, nn, minimal=True) if c.is_finite]
-    k = slice_start(table, mm, nn, finite)
-    return table, finite, k, finite[k - 1] if k else ExtendedRational.of(0)
+    k = slice_start(table, mm, nn)
+    return table, k, table.levels[max(k - 1, 0)]
 
 
 def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
@@ -309,54 +309,53 @@ def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
     eps = Fraction(eps)
     if eps < 0:
         raise PresentationError("eps must be >= 0")
-    table, finite, k, last_no = _search_start(m, n, budget)
-    if k == len(finite) or eps < finite[k].value:
+    table, k, last_no = _search_start(m, n, budget)
+    if k == len(table.levels) or table.level(eps) < table.levels[k]:
         return "no"
     try:
         res = solve_finite_field(table.at(eps).system, budget=budget)
     except BudgetExceeded as exc:
-        raise DistanceBudgetExceeded(last_no, INF, ext(eps), exc.nodes) from exc
+        raise DistanceBudgetExceeded(table.value(last_no), INF, ext(eps),
+                                     exc.nodes) from exc
     return "yes" if res.status == "solvable" else "no"
 
 
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
-    """d_I(M, N) as an ExtendedRational: `least_feasible` over the candidate
-    set, valid because interleavability is monotone in eps and the distance
-    is attained.  A witness, zero off its free entries, solves the system at
-    every eps whose level reaches its nonzero entries' thresholds, so each
-    yes certifies the least such candidate.  Presentations are minimized and
-    their term table built once; each probe expands its system from it.
+    """d_I(M, N) as an ExtendedRational: `least_feasible` over the table's
+    candidate levels, valid because interleavability is monotone in eps and
+    the distance is attained.  A witness, zero off its free entries, solves
+    the system at every eps whose level reaches its nonzero entries'
+    thresholds, so each yes certifies the least such level.  Presentations
+    are minimized and their term table built once; each probe expands its
+    system from it.
 
     The search starts at `slice_start`, the least candidate that the
     diagonal slices do not rule out; the candidates below it are decided no
     without the solver.  With one parameter the slice is the module, so the
     start is d_I and one decision confirms it; where the dimensions above
     all grades differ, no slice matches and d_I = inf comes with none."""
-    table, finite, k, last_no = _search_start(m, n, budget)
+    table, k, last_no = _search_start(m, n, budget)
+    levels, first_yes = table.levels, None
     if stats is not None:
-        stats.candidates = len(finite) + 1
-    first_yes = INF
+        stats.candidates = len(levels) + 1
 
-    def interleaved(eps):
+    def interleaved(level):
         nonlocal last_no, first_yes
-        isys = table.at(eps.value)
+        isys = table.at(Fraction(level, table.scale))
         try:
             res = solve_finite_field(isys.system, budget=budget)
         except BudgetExceeded as exc:
-            raise DistanceBudgetExceeded(last_no, first_yes, eps, exc.nodes) from exc
+            raise DistanceBudgetExceeded(*map(table.value, (last_no, first_yes, level)),
+                                         exc.nodes) from exc
         if stats is not None:
             stats.decisions += 1
             stats.nodes += res.nodes
         if res.status != "solvable":
-            last_no = eps
+            last_no = level
             return None
-        # free at eps iff threshold <= floor(eps * scale) iff eps >= threshold / scale
-        least = Fraction(max((table.thresholds[name][i][j]
-                              for (name, i, j), v in isys.var_of_entry.items()
-                              if res.witness[v - 1] != table.field.zero), default=0),
-                         table.scale)
-        first_yes = next(c for c in finite if c.value >= least)
+        first_yes = levels[bisect.bisect_left(levels, max(
+            (table.thresholds[name][i][j] for (name, i, j), v in isys.var_of_entry.items()
+             if res.witness[v - 1] != table.field.zero), default=0))]
         return first_yes
 
-    d = least_feasible(finite[k:], interleaved)
-    return INF if d is None else d
+    return table.value(least_feasible(levels[k:], interleaved))

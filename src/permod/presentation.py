@@ -322,10 +322,10 @@ class Presentation:
             (name, k, f.columns.pack({row[j]: c for j, c in cs.items()}))
             for (name, _, cs), k in zip(self.relations, self.rel_index)])
 
-    def critical_grades(self, minimal=False):
-        """(U, per-axis sorted value lists) of the minimal presentation: self
-        if minimal, else self.minimize().  Both are read off its ranks."""
-        m = self if minimal else self.minimize()
+    def critical_grades(self):
+        """(U, per-axis sorted value lists) of the minimal presentation
+        self.minimize(), both read off its ranks."""
+        m = self.minimize()
         return ([tuple(map(operator.getitem, m.axes, k))
                  for k in sorted(set(m.gen_index + m.rel_index))],
                 [list(ax) for ax in m.axes])
@@ -446,24 +446,26 @@ def parse_presentation(text):
     n = field = None
     gens, rel_rows = [], []
     for ln in lines[1:-1]:
-        parts = ln.split()
-        if parts[0] == "n":
-            n = int(parts[1])
-        elif parts[0] == "field":
-            field = parse_field(parts[1:])
-        elif parts[0] == "generator":
+        key, *args = ln.split()
+        if key not in ("n", "field", "generator", "relation"):
+            raise PresentationError(f"unknown line: {ln}")
+        if not args:
+            raise PresentationError(f"{key} line without a value")
+        if key == "n":
+            n = int(args[0])
+        elif key == "field":
+            field = parse_field(args)
+        elif key == "generator":
             if n is None:
                 raise PresentationError("n must precede generators")
-            gens.append((parts[1], tuple(parse_rational(x) for x in parts[2:2 + n])))
-        elif parts[0] == "relation":
+            gens.append((args[0], tuple(parse_rational(x) for x in args[1:1 + n])))
+        else:
             if n is None or field is None:
                 raise PresentationError("n and field must precede relations")
             head, _, tail = ln.split(None, 1)[1].partition(":")
             name, *grade = head.split()
             rel_rows.append((name, tuple(parse_rational(x) for x in grade[:n]),
                              tail.split()))
-        else:
-            raise PresentationError(f"unknown line: {ln}")
     if n is None or field is None:
         raise PresentationError("missing n or field")
     index = {name: j for j, (name, _) in enumerate(gens)}

@@ -305,6 +305,8 @@ def parse_system(text):
         if parts[0] == "field":
             field = parse_field(parts[1:])
         elif parts[0] == "vars":
+            if len(parts) < 2:
+                raise QuadSysError("vars line without a count")
             nvars = int(parts[1])
         elif parts[0] == "eq:":
             if field is None or nvars is None:

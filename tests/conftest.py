@@ -158,7 +158,7 @@ def search_from_zero(monkeypatch):
     differ."""
     start = interleave.slice_start
 
-    def from_zero(table, mm, nn, finite):
-        k = start(table, mm, nn, finite)
-        return k if k == len(finite) else 0
+    def from_zero(table, mm, nn):
+        k = start(table, mm, nn)
+        return k if k == len(table.levels) else 0
     monkeypatch.setattr(interleave, "slice_start", from_zero)

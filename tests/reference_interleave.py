@@ -182,8 +182,7 @@ def assemble_system(m, n, j1, j2):
 def candidate_set(m, n, minimal=False):
     if m.n != n.n:
         raise PresentationError("parameter counts differ")
-    _, axes_m = m.critical_grades(minimal)
-    _, axes_n = n.critical_grades(minimal)
+    axes_m, axes_n = (p.axes if minimal else p.minimize().axes for p in (m, n))
     values = {Fraction(0)}
     for um, un in zip(axes_m, axes_n):
         values |= {abs(x - y) for x in um for y in un}

@@ -275,7 +275,7 @@ def test_criterion_12_inference_trend():
     t0 = time.time()
     spec = DensitySpec.parse("1/2,-1,1/4;1/2,1,1/4")
     rec = run_experiment(spec, [50, 200, 800], trials=10, seed=2024,
-                         bandwidth=F(1, 5), degree=0)
+                         bandwidth=F(1, 5))
     meds = [rec.medians[z] for z in (50, 200, 800)]
     digest = hashlib.sha256(rec.to_json().encode()).hexdigest()
     ok = meds[0] >= meds[1] >= meds[2] and digest == CRITERION_12_SHA256

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from permod.cli import main
-from permod.filtration import parse_complex
-from permod.homology import parse_grid_module
+from permod.filtration import FiltrationError, parse_complex
+from permod.homology import HomologyError, parse_grid_module
 from permod.interleave import candidate_set
-from permod.presentation import parse_presentation
-from permod.quadsys import parse_system
+from permod.presentation import PresentationError, parse_presentation
+from permod.quadsys import QuadSysError, parse_system
 
 C01 = """PRESENTATION
 n 1
@@ -404,7 +404,44 @@ class TestExportAndInfer:
         assert "key must be" not in err and not out_path.exists()
 
 
+# a keyword line cut short, per text format: the parser, the error it
+# raises (ValueError: parse_field's), and the text
+SHORT_LINES = {
+    "n": (parse_presentation, PresentationError, "PRESENTATION\nn\nfield zp 2\nEND\n"),
+    "field": (parse_presentation, ValueError, "PRESENTATION\nn 1\nfield\nEND\n"),
+    "field-zp": (parse_presentation, ValueError, "PRESENTATION\nn 1\nfield zp\nEND\n"),
+    "generator": (parse_presentation, PresentationError,
+                  "PRESENTATION\nn 1\nfield zp 2\ngenerator\nEND\n"),
+    "quadsys-field": (parse_system, ValueError, "QUADSYS\nfield\nvars 1\nEND\n"),
+    "quadsys-vars": (parse_system, QuadSysError, "QUADSYS\nfield zp 2\nvars\nEND\n"),
+    "grid-axes": (parse_grid_module, HomologyError, "GRIDMODULE\nfield zp 2\naxes\nEND\n"),
+    "grid-trans": (parse_grid_module, HomologyError,
+                   "GRIDMODULE\nfield zp 2\naxes 1\naxis 0 : 0\ndim 0 = 1\n"
+                   "trans 0 axis\nEND\n"),
+    "complex-grade": (parse_complex, FiltrationError, "0 : \n"),
+}
+
+
 class TestErrorBoundary:
+    @pytest.mark.parametrize("case", SHORT_LINES)
+    def test_short_keyword_line_exit_2(self, case, capsys, tmp_path, monkeypatch):
+        """Each parser refuses the line with its format's error, and the
+        command line exits 2 on it.  No verb reads a system or a grid
+        module, so `present validate` reads those with their parser."""
+        parse, error, text = SHORT_LINES[case]
+        with pytest.raises(error):
+            parse(text)
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        if parse is parse_complex:
+            argv = ["homology", "grid", "--complex", path]
+        else:
+            monkeypatch.setattr("permod.cli.parse_presentation", parse)
+            argv = ["present", "validate", path]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["--budget", "5", "distance", "interleaving", "c01.txt", "c23.txt"],
         ["--seed", "9", "infer", "run", "--density", "1,0,1/2", "--samples", "5"],

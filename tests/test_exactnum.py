@@ -39,6 +39,13 @@ def test_extended_total_order():
     assert sorted([INF, ext(1), NEG_INF]) == [NEG_INF, ext(1), INF]
 
 
+def test_extended_keeps_a_fraction_and_converts_the_rest():
+    q = Fraction(3, 2)
+    assert ext(q).value is q
+    assert [type(ext(x).value) for x in (3, "3/2", True)] == [Fraction] * 3
+    assert ext(ext(q)).value is q
+
+
 def test_extended_arithmetic_convention():
     assert ext(5) + INF == INF
     assert INF + INF == INF
@@ -110,8 +117,9 @@ def test_prime_field_of_refuses_non_integers():
 def test_parse_field():
     assert parse_field("zp 5") == PrimeField(5)
     assert parse_field(["q"]) == QQ
-    with pytest.raises(ValueError):
-        parse_field("gf 4")
+    for spec in ("gf 4", "", "zp", []):
+        with pytest.raises(ValueError):
+            parse_field(spec)
 
 
 def test_mixed_field_ops_rejected():

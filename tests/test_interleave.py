@@ -179,6 +179,10 @@ class TestDecideGeneralized:
         assert decide_generalized(m, n, j1, i1) == "yes"
         assert decide_generalized(m, n, i1, j1) == "no"
 
+    def test_field_mismatch_rejected(self, f2):
+        with pytest.raises(PresentationError, match="coefficient fields differ"):
+            candidate_set(C(f2, 0, 1), C(PrimeField(3), 0, 1))
+
     def test_parameter_count_mismatch_rejected(self, f2):
         m2 = Presentation(2, f2, [("g", (F(0), F(0)))], [])
         i1, i2 = MonotoneAffineMap.identity(1), MonotoneAffineMap.identity(2)
@@ -244,8 +248,7 @@ class TestDistance:
                           ("s", (F(2),), [f2.one, f2.zero])])
         assert interleaving_distance(m, C(f2, 0, 3)) == ext(1)
         assert len(calls) == 2
-        assert candidate_set(m, C(f2, 0, 3)) == candidate_set(
-            m.minimize(), C(f2, 0, 3), minimal=True)
+        assert candidate_set(m, C(f2, 0, 3)) == candidate_set(m.minimize(), C(f2, 0, 3))
 
     def test_one_term_table_per_distance(self, f2, monkeypatch):
         tables, masks = [], []

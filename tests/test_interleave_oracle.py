@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from permod.exactnum import QQ, PrimeField
+from permod.exactnum import INF, QQ, PrimeField
 from permod.interleave import TermTable, assemble_system, candidate_set
 from permod.presentation import MonotoneAffineMap, Presentation
 from permod.quadsys import BudgetExceeded, solve_finite_field
@@ -178,14 +178,20 @@ class TestAgainstAllFreeTable:
 
 class TestCandidateSet:
     def test_against_fraction_differences(self):
+        """Raw and pre-minimized inputs give the reference's set of the
+        minimized pair, and the term table of the raw pair holds the
+        reference's set of the raw grades."""
         compared = 0
         for pool in (POOL, MIXED):
             for m, n, _, _ in pairs(521, 8, pool):
-                for minimal in (False, True):
-                    assert (candidate_set(m, n, minimal)
-                            == ref.candidate_set(m, n, minimal))
-                    compared += 1
-        assert compared > 200
+                want = ref.candidate_set(m, n)
+                assert candidate_set(m, n) == want
+                assert candidate_set(m.minimize(), n.minimize()) == want
+                table = TermTable(m, n)
+                assert [table.value(v) for v in table.levels] + [INF] == \
+                    ref.candidate_set(m, n, minimal=True)
+                compared += 1
+        assert compared > 100
 
     def test_empty_presentations(self):
         for field in FIELDS:

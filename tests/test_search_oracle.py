@@ -1,17 +1,24 @@
 """The galloping certificate search against the binary search it replaced
 (kept in reference_search.py), and the interleaving distance it finds
 against two outside references: the binary search over the solver-only
-`decide_interleaving` (also kept in reference_search.py, since the library's
-reads the slice bound) and a lower bound from diagonal slices.
+`decide_by_solver` (kept in reference_search.py, since the library's
+`decide_interleaving` reads the slice bound) and a lower bound from diagonal slices.
 
 Every jump of the search, a yes at eps that certifies a smaller candidate u,
 is checked on its own: the witness found at eps, restricted to u's free
-entries, must satisfy the system at u."""
+entries, must satisfy the system at u.
 
+Last, the search on the term table's int levels against the same search
+with the candidates held as ExtendedRationals (reference_search.py), output
+for output, budget exits included."""
+
+import importlib.util
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
+import permod
 from permod import interleave
 from permod.exactnum import INF, PrimeField, ext, least_feasible
 from permod.interleave import candidate_set, interleaving_distance
@@ -106,7 +113,7 @@ def binary_distance(m, n):
     on the raw pair."""
     finite = [c for c in candidate_set(m, n) if c.is_finite]
     d = ref.least_feasible(finite,
-                           lambda eps: ref.decide_interleaving(m, n, eps.value) == "yes")
+                           lambda eps: ref.decide_by_solver(m, n, eps.value) == "yes")
     return INF if d is None else d
 
 
@@ -119,7 +126,7 @@ class Decision:
 @pytest.fixture
 def decisions(monkeypatch):
     """Every decision interleaving_distance makes: its table, eps, system,
-    solver result and certificate (None for a no)."""
+    solver result and certificate, a table level (None for a no)."""
     log = []
     at, solve, search = (interleave.TermTable.at, interleave.solve_finite_field,
                          interleave.least_feasible)
@@ -155,10 +162,11 @@ def check_jumps(log, at):
         if d.cert is None:
             continue
         value = {e: d.result.witness[v - 1] for e, v in d.isys.var_of_entry.items()}
-        target = at(d.table, d.cert.value)
+        cert = F(d.cert, d.table.scale)
+        target = at(d.table, cert)
         entries = sorted(target.var_of_entry, key=target.var_of_entry.get)
         assert evaluate(target.system, [value.get(e, 0) for e in entries]) is None
-        jumps += d.cert.value < d.eps
+        jumps += cert < d.eps
     return jumps
 
 
@@ -304,12 +312,12 @@ class TestSliceStart:
         checked = single = 0
         for m, n in pairs():
             mm, nn = m.minimize(), n.minimize()
-            finite = [c for c in candidate_set(mm, nn, minimal=True) if c.is_finite]
+            finite = [c for c in candidate_set(mm, nn) if c.is_finite]
             bound = slice_lower_bound(mm, nn)
-            k = interleave.slice_start(interleave.TermTable(mm, nn), mm, nn, finite)
+            k = interleave.slice_start(interleave.TermTable(mm, nn), mm, nn)
             assert k == len([c for c in finite if c < bound])
             if 0 < k < len(finite):
-                assert ref.decide_interleaving(mm, nn, finite[k - 1].value) == "no"
+                assert ref.decide_by_solver(mm, nn, finite[k - 1].value) == "no"
                 checked += 1
             log.clear()
             d = interleaving_distance(m, n)
@@ -328,5 +336,67 @@ class TestSliceStart:
                 for grade in ((F(4), F(0)), (F(0), F(4))))
         finite = [c for c in candidate_set(m, n) if c.is_finite]
         assert finite == [ext(0), ext(2), ext(4)]
-        assert interleave.slice_start(interleave.TermTable(m, n), m, n, finite) == 1
+        assert interleave.slice_start(interleave.TermTable(m, n), m, n) == 1
         assert interleaving_distance(m, n) == ext(2) and len(log) == 1
+
+
+def benchmark_workload(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name]
+
+
+def outcome(call):
+    """What a search or decision returns, or the whole of its budget exit."""
+    try:
+        return call()
+    except interleave.DistanceBudgetExceeded as exc:
+        return "exit", str(exc), exc.bracket, exc.undecided, exc.nodes
+
+
+def search_outcomes(search, decide, m, n, budget):
+    stats = interleave.SearchStats()
+    d = outcome(lambda: search(m, n, budget=budget, stats=stats))
+    return ([d, str(d), (stats.candidates, stats.decisions, stats.nodes)] +
+            [outcome(lambda: decide(m, n, eps, budget=budget))
+             for eps in (0, F(1, 2), F(3, 4), 1)])
+
+
+class TestAgainstTheExtendedRationalSearch:
+    """d_I, its SearchStats, the decisions at eps 0, 1/2, 3/4 and 1, and
+    every budget exit's message, bracket, undecided eps and nodes, as the
+    search gave them while it held its candidates as ExtendedRationals."""
+
+    def compare(self, pairs, budgets):
+        exits = 0
+        for m, n in pairs:
+            for budget in budgets:
+                got = search_outcomes(interleaving_distance, interleave.decide_interleaving,
+                                      m, n, budget)
+                assert got == search_outcomes(ref.interleaving_distance,
+                                              ref.decide_interleaving, m, n, budget)
+                exits += sum(type(x) is tuple and x[0] == "exit" for x in got)
+        return exits
+
+    @pytest.mark.parametrize("seed", (1, 7919))
+    def test_interleave2d_inputs(self, seed):
+        """The first 400 benchmark inputs of the seed, built as its op
+        builds them, at its budget."""
+        wl, f2 = benchmark_workload("interleave2d"), F2
+        pairs = [(wl._presentation(permod, f2, inp["m"]),
+                  wl._presentation(permod, f2, inp["n"]))
+                 for inp in wl.inputs(seed, n=400)]
+        assert self.compare(pairs, (wl.budget,)) == 0
+
+    @pytest.mark.parametrize("seed, exits", ((1, 92), (7919, 97)))
+    def test_large_pairs_at_small_budgets(self, seed, exits):
+        """(12, 8) and (16, 10) pairs of the benchmark's generator at
+        budgets 0 and 30, where searches and decisions run out."""
+        wl, f2 = benchmark_workload("interleave2d"), F2
+        pairs = [(wl._presentation(permod, f2, inp["m"]),
+                  wl._presentation(permod, f2, inp["n"]))
+                 for inp in wl.inputs(seed, sizes=((12, 8), (16, 10)), n=20)]
+        assert self.compare(pairs, (0, 30)) == exits

@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .exactnum import parse_field, parse_rational
+from .exactnum import parse_field, parse_rational, text_lines
 from .filtration import (DensitySpec, cech_bifiltration, parse_complex,
                          parse_points_csv, parse_values_csv, rips_bifiltration)
 from .homology import grid_module_of, image_grid_module, present_homology
@@ -57,15 +57,6 @@ def _load_presentation(path):
         raise CliError(f"{path}: {exc}")
 
 
-def _load_pair(path_m, path_n):
-    m, n = _load_presentation(path_m), _load_presentation(path_n)
-    if m.n != n.n:
-        raise CliError(f"parameter counts differ: {m.n} vs {n.n}")
-    if m.field != n.field:
-        raise CliError(f"fields differ: {m.field.spec} vs {n.field.spec}")
-    return m, n
-
-
 def cmd_present(args):
     p = _load_presentation(args.file)
     if args.action == "validate":
@@ -82,7 +73,7 @@ def _export_quadsys(path, m, n, eps):
 
 
 def cmd_distance_interleaving(args):
-    m, n = _load_pair(args.module_m, args.module_n)
+    m, n = _load_presentation(args.module_m), _load_presentation(args.module_n)
     if args.export_quadsys:
         eps = parse_rational(args.decide) if args.decide else Fraction(0)
         _export_quadsys(args.export_quadsys, m, n, eps)
@@ -110,10 +101,7 @@ def cmd_distance_bottleneck(args):
 
 
 def cmd_diagram(args):
-    p = _load_presentation(args.file)
-    if p.n != 1:
-        raise CliError("diagram requires a 1-parameter presentation")
-    _write(args.out, diagram_of(p).to_text())
+    _write(args.out, diagram_of(_load_presentation(args.file)).to_text())
     return EXIT_OK
 
 
@@ -121,8 +109,6 @@ def cmd_filtration(args):
     cloud = parse_points_csv(_read(args.points))
     if args.function:
         values = parse_values_csv(_read(args.function))
-        if len(values) != len(cloud):
-            raise CliError("points and function files have different row counts")
     else:
         values = [(Fraction(0),)] * len(cloud)
     if args.negate_function:
@@ -147,7 +133,6 @@ def _default_axes_complex(cx, drop_scale=False):
 def cmd_homology(args):
     field = parse_field(args.field)
     text = _read(args.complex)
-    is_presentation = text.lstrip().startswith("PRESENTATION")
     if args.action == "present2d":
         cx = parse_complex(text)
         if cx.nparams != 2:
@@ -156,7 +141,7 @@ def cmd_homology(args):
         print("hilbert check: ok")
         _write(args.out, pres.to_text())
     elif args.action == "grid":
-        if is_presentation:
+        if text_lines(text)[:1] == ["PRESENTATION"]:
             src = parse_presentation(text)
             axes = (_parse_axes(args.axes) if args.axes
                     else src.critical_grades()[1])
@@ -179,7 +164,7 @@ def cmd_homology(args):
 
 
 def cmd_export_quadsys(args):
-    m, n = _load_pair(args.module_m, args.module_n)
+    m, n = _load_presentation(args.module_m), _load_presentation(args.module_n)
     _export_quadsys(args.out, m, n, parse_rational(args.eps))
     return EXIT_OK
 

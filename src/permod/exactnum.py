@@ -31,6 +31,20 @@ def parse_rational(text):
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
+def text_lines(text, header=None, error=ValueError):
+    """The lines of a text format, each cut at its first `#` and stripped,
+    empty ones dropped; with a header, those between a first line `header`
+    and a last line `END`, a frame whose absence raises `error`."""
+    lines = [ln for ln in (ln.split("#", 1)[0].strip() for ln in text.splitlines()) if ln]
+    if header is None:
+        return lines
+    if lines[:1] != [header]:
+        raise error(f"missing {header} header")
+    if lines[-1] != "END":
+        raise error("missing END")
+    return lines[1:-1]
+
+
 def common_denominator(values):
     """The lcm of the denominators of `values`: the least `scaled_int` scale."""
     return math.lcm(*(q.denominator for q in values))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .exactnum import (QQ, Scale, as_fraction, common_denominator,
                        format_rational, grade_ranks, least_feasible,
                        parse_rational, scale_of_square, scale_square,
-                       scaled_int)
+                       scaled_int, text_lines)
 from .linalg import rank as _mat_rank
 from .linalg import solve as _mat_solve
 
@@ -65,21 +65,12 @@ class PointCloud:
 
 
 def parse_points_csv(text):
-    pts = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        pts.append([parse_rational(tok) for tok in ln.split(",")])
-    return PointCloud(pts)
+    return PointCloud([[parse_rational(tok) for tok in ln.split(",")] for ln in text_lines(text)])
 
 
 def parse_values_csv(text, n=None):
     rows = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in text_lines(text):
         row = tuple(parse_rational(tok) for tok in ln.split(","))
         if n is not None and len(row) != n:
             raise FiltrationError(f"expected {n} columns, got {len(row)}")
@@ -239,10 +230,7 @@ class BifilteredComplex:
 def parse_complex(text):
     simplices = []
     nparams = None
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
+    for ln in text_lines(text):
         head, _, tail = ln.partition(":")
         verts = tuple(int(v) for v in head.strip().split(","))
         toks = tail.split()
@@ -377,6 +365,8 @@ def function_aware_hausdorff(x1, f1, x2, f2, p):
     for p in {1, inf} and may be a Scale for p=2."""
     if not len(x1) or not len(x2):
         raise FiltrationError("empty point set")
+    if (len(f1), len(f2)) != (len(x1), len(x2)):
+        raise FiltrationError("function rows do not match points")
 
     def fgap(a, b):
         return max((abs(u - v) for u, v in zip(a, b)), default=Fraction(0))
@@ -411,11 +401,15 @@ def gromov_function_distance(x1, d1, f1, x2, d2, f2, max_points=5):
         raise FiltrationError(f"size guard: > {max_points} points")
     if not n1 or not n2:
         raise FiltrationError("empty point set")
+    if (len(f1), len(f2)) != (n1, n2):
+        raise FiltrationError("function rows do not match points")
     try:
         d1 = [[Fraction(x) for x in row] for row in d1]
         d2 = [[Fraction(x) for x in row] for row in d2]
     except TypeError as exc:
         raise FiltrationError("distance matrices must be rational") from exc
+    if list(map(len, d1)) != [n1] * n1 or list(map(len, d2)) != [n2] * n2:
+        raise FiltrationError("distance matrices do not match points")
 
     def fgap(i, j):
         return max((abs(u - v) for u, v in zip(f1[i], f2[j])), default=Fraction(0))

@@ -39,7 +39,8 @@ import operator
 from fractions import Fraction
 
 from .exactnum import (INF, common_denominator, ext, format_rational,
-                       least_feasible, parse_field, parse_rational, scaled_int)
+                       least_feasible, parse_field, parse_rational, scaled_int,
+                       text_lines)
 from .linalg import ColumnReducer, packed_rank as mat_rank, quotient_basis, quotient_map
 from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
 from .onedim import PersistenceDiagram, bars
@@ -340,43 +341,49 @@ def build_grid_module(field, axes, point, dim, transition):
 
 
 def parse_grid_module(text):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "GRIDMODULE" or lines[-1] != "END":
-        raise HomologyError("bad grid module text")
-    field = nparams = None
-    axes, dims, trans_rows = {}, {}, []
-    for ln in lines[1:-1]:
-        parts = ln.split()
-        if len(parts) < 2:
+    head, axes, dims, trans_rows = {}, {}, {}, []   # head: the field and axes values
+    for ln in text_lines(text, "GRIDMODULE", HomologyError):
+        key, *args = ln.split()
+        if not args:
             raise HomologyError(f"short line {ln!r}")
-        if parts[0] == "field":
-            field = parse_field(parts[1:])
-        elif parts[0] == "axes":
-            nparams = int(parts[1])
-        elif parts[0] == "axis":
-            axes[int(parts[1])] = [parse_rational(t) for t in parts[3:]]
-        elif parts[0] == "dim":
-            k = ln.index("=")
-            idx = tuple(int(t) for t in ln[3:k].split())
-            dims[idx] = int(ln[k + 1:])
-        elif parts[0] == "trans":
+        if key in head:
+            raise HomologyError(f"second {key} line {ln!r}")
+        if key == "field":
+            head[key] = parse_field(args)
+        elif key == "axes":
+            head[key] = int(args[0])
+        elif key == "axis":
+            if int(args[0]) in axes:
+                raise HomologyError(f"second axis {args[0]} line {ln!r}")
+            axes[int(args[0])] = [parse_rational(t) for t in args[2:]]
+        elif key == "dim":
+            where, eq, dim = ln[3:].partition("=")
+            if not eq:
+                raise HomologyError(f"dim line without '=' {ln!r}")
+            idx = tuple(int(t) for t in where.split())
+            if idx in dims:
+                raise HomologyError(f"second dim {idx} line {ln!r}")
+            dims[idx] = int(dim)
+        elif key == "trans":
             trans_rows.append(ln)
         else:
             raise HomologyError(f"unknown line {ln!r}")
-    if field is None or nparams is None:
+    if len(head) < 2:
         raise HomologyError("missing field or axes")
-    if any(i not in axes for i in range(nparams)):
-        raise HomologyError("missing axis line")
+    field, nparams = head["field"], head["axes"]
+    if sorted(axes) != list(range(nparams)):
+        raise HomologyError(f"axis lines {sorted(axes)} for axes 0..{nparams - 1}")
     axes_list = [axes[i] for i in range(nparams)]
     trans = {}
     for ln in trans_rows:
-        head, _, body = ln.partition(":")
-        toks = head.split()
+        spot, _, body = ln.partition(":")
+        toks = spot.split()
         if len(toks) < nparams + 3:     # trans, the grid index, axis, the axis
             raise HomologyError(f"short transition line {ln!r}")
         idx = tuple(int(t) for t in toks[1:1 + nparams])
         axis = int(toks[2 + nparams])
+        if (idx, axis) in trans:
+            raise HomologyError(f"second transition at {idx} axis {axis}")
         rows = [[field.of(parse_rational(t)) for t in chunk.split()]
                 for chunk in body.split(";")] if body.strip() else []
         # a missing dim is reported by GridModule; no text is a zero map

@@ -40,6 +40,8 @@ def offset_cluster_module(field, grid_points, weights, a_axis, b_axis):
     ambient 1-D grid: grid point y is active at (a, b) iff some source point
     x (weight(x) <= a) has |y - x| <= b; components are runs of consecutive
     active grid points."""
+    if len(grid_points) != len(weights):
+        raise FiltrationError("grid points and weights differ in number")
     return _cluster_grid_module(field, zip(grid_points, weights), a_axis, b_axis,
                                 "offset")
 

@@ -12,7 +12,7 @@ import itertools
 import operator
 
 from .exactnum import (INF, NEG_INF, ExtendedRational, ext, least_feasible,
-                       parse_extended)
+                       parse_extended, text_lines)
 from .linalg import ColumnReducer
 from .presentation import PresentationError, direct_sum, interval_presentation
 
@@ -55,10 +55,7 @@ class PersistenceDiagram:
 
 def parse_diagram(text):
     pts = []
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
+    for ln in text_lines(text):
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"bad diagram line (birth death multiplicity): {ln}")

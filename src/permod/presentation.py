@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exactnum import (QQ, ExtendedRational, as_fraction, common_denominator,
                        format_rational, grade_ranks, parse_field, parse_rational,
-                       scaled_int)
+                       scaled_int, text_lines)
 from .linalg import ColumnReducer, quotient_basis, quotient_map, rank
 
 
@@ -157,8 +157,8 @@ class Presentation:
     relations:  list of (name, grade, coeffs) with coeffs a {generator index:
                 coeff} dict of nonzero field elements; a coefficient at
                 generator j needs grade >= grade(gen j).  The constructor
-                also takes coeffs as a dense list over the generators, and
-                takes each coefficient into the field.
+                also takes coeffs as a dense list over the generators, takes
+                each coefficient into the field, and ends by `validate`.
 
     The grades are ranked once, when the presentation is built: `axes[a]`
     holds the sorted distinct values of grade coordinate a, and
@@ -175,13 +175,15 @@ class Presentation:
                 raise PresentationError(f"{name}: grade length != n")
         rels = [(name, g, _coeff_dict(field, len(gens), name, cs)) for name, g, cs in rels]
         self._keep(n, field, *grade_ranks(grades, n), gens, rels)
+        self.validate()
 
     @classmethod
     def from_ranks(cls, n, field, axes, generators, relations):
         """The presentation of (name, index) generators and (name, index,
         coeffs) relations, indices on the value lists `axes` (kept: those used).
         Each coeffs must be a {generator index: coeff} dict of nonzero
-        canonical field elements; it is stored as given, not copied."""
+        canonical field elements; it is stored as given, not copied, and
+        trusted: nothing is checked, not even by `validate`."""
         keys = [k for _, k, *_ in generators + relations]
         used = [sorted(set(ks)) for ks in zip(*keys)] if keys else [[]] * n
         out = cls.__new__(cls)
@@ -202,7 +204,8 @@ class Presentation:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Check all invariants; raise PresentationError on the first violation."""
+        """Check all invariants (the constructor does; `from_ranks` does not);
+        raise PresentationError on the first violation, else return self."""
         if self.n < 1:
             raise PresentationError("parameter count must be >= 1")
         seen = set()
@@ -313,9 +316,9 @@ class Presentation:
         return Presentation(self.n, f, self.generators, rels)
 
     def minimize(self):
-        """`minimal_presentation` of a valid presentation (validated first),
-        its generators' rows in (grade index, -index) order."""
-        f, keys = self.validate().field, self.gen_index
+        """`minimal_presentation` of this presentation, its generators'
+        rows in (grade index, -index) order."""
+        f, keys = self.field, self.gen_index
         row = {j: r for r, j in enumerate(sorted(range(len(keys)), key=lambda j: (keys[j], -j)))}
         return minimal_presentation(self.n, f, self.axes, [
             (name, k, row[j]) for j, ((name, _), k) in enumerate(zip(self.generators, keys))], [
@@ -437,37 +440,35 @@ def interval_presentation(field, a, b):
 # -- parsing ------------------------------------------------------------------
 
 def parse_presentation(text):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "PRESENTATION":
-        raise PresentationError("missing PRESENTATION header")
-    if lines[-1] != "END":
-        raise PresentationError("missing END")
-    n = field = None
-    gens, rel_rows = [], []
-    for ln in lines[1:-1]:
+    head, gens, rel_rows = {}, [], []       # head: the n and field values
+    for ln in text_lines(text, "PRESENTATION", PresentationError):
         key, *args = ln.split()
         if key not in ("n", "field", "generator", "relation"):
             raise PresentationError(f"unknown line: {ln}")
         if not args:
             raise PresentationError(f"{key} line without a value")
+        if key in head:
+            raise PresentationError(f"second {key} line: {ln}")
         if key == "n":
-            n = int(args[0])
+            head[key] = int(args[0])
         elif key == "field":
-            field = parse_field(args)
+            head[key] = parse_field(args)
         elif key == "generator":
-            if n is None:
+            if "n" not in head:
                 raise PresentationError("n must precede generators")
-            gens.append((args[0], tuple(parse_rational(x) for x in args[1:1 + n])))
+            gens.append((args[0], tuple(parse_rational(x) for x in args[1:1 + head["n"]])))
         else:
-            if n is None or field is None:
+            if len(head) < 2:
                 raise PresentationError("n and field must precede relations")
-            head, _, tail = ln.split(None, 1)[1].partition(":")
-            name, *grade = head.split()
-            rel_rows.append((name, tuple(parse_rational(x) for x in grade[:n]),
+            front, _, tail = ln.split(None, 1)[1].partition(":")
+            if not front.split():
+                raise PresentationError(f"relation line without a name: {ln}")
+            name, *grade = front.split()
+            rel_rows.append((name, tuple(parse_rational(x) for x in grade[:head["n"]]),
                              tail.split()))
-    if n is None or field is None:
+    if len(head) < 2:
         raise PresentationError("missing n or field")
+    n, field = head["n"], head["field"]
     index = {name: j for j, (name, _) in enumerate(gens)}
     rels = []
     for name, grade, toks in rel_rows:
@@ -482,4 +483,4 @@ def parse_presentation(text):
                                         f"listed twice")
             coeffs[index[gname]] = field.of(parse_rational(cval))
         rels.append((name, grade, coeffs))
-    return Presentation(n, field, gens, rels).validate()
+    return Presentation(n, field, gens, rels)

@@ -14,7 +14,8 @@ variables.  The node budget counts branching assignments only.  Solvability
 over Q is refused; systems can still be exported as text.
 """
 
-from .exactnum import QQ, PrimeField, format_rational, parse_field, parse_rational
+from .exactnum import (QQ, PrimeField, format_rational, parse_field, parse_rational,
+                       text_lines)
 from .linalg import ColumnReducer
 
 
@@ -291,31 +292,25 @@ def export_system(system):
 
 
 def parse_system(text):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "QUADSYS":
-        raise QuadSysError("missing QUADSYS header")
-    if lines[-1] != "END":
-        raise QuadSysError("missing END")
-    field = None
-    nvars = None
-    eqs = []
-    for ln in lines[1:-1]:
-        parts = ln.split()
-        if parts[0] == "field":
-            field = parse_field(parts[1:])
-        elif parts[0] == "vars":
-            if len(parts) < 2:
+    head, eqs = {}, []          # head: the field and vars values
+    for ln in text_lines(text, "QUADSYS", QuadSysError):
+        key, *args = ln.split()
+        if key in head:
+            raise QuadSysError(f"second {key} line: {ln}")
+        if key == "field":
+            head[key] = parse_field(args)
+        elif key == "vars":
+            if not args:
                 raise QuadSysError("vars line without a count")
-            nvars = int(parts[1])
-        elif parts[0] == "eq:":
-            if field is None or nvars is None:
+            head[key] = int(args[0])
+        elif key == "eq:":
+            if len(head) < 2:
                 raise QuadSysError("field and vars must precede equations")
-            toks = parts[1:]
-            if len(toks) % 3 != 0:
+            if len(args) % 3 != 0:
                 raise QuadSysError(f"bad term list: {ln}")
+            field = head["field"]
             quad, lin, const = {}, {}, field.zero
-            for c, i, j in zip(toks[0::3], toks[1::3], toks[2::3]):
+            for c, i, j in zip(args[0::3], args[1::3], args[2::3]):
                 cval = field.of(parse_rational(c))
                 i, j = int(i), int(j)
                 if i == 0 and j == 0:
@@ -325,11 +320,11 @@ def parse_system(text):
                 elif i == 0:
                     raise QuadSysError(f"bad term indices in: {ln}")
                 else:
-                    key = (i, j) if i <= j else (j, i)
-                    quad[key] = field.add(quad.get(key, field.zero), cval)
+                    ij = (i, j) if i <= j else (j, i)
+                    quad[ij] = field.add(quad.get(ij, field.zero), cval)
             eqs.append(QuadEquation(quad, lin, const))
         else:
             raise QuadSysError(f"unknown line: {ln}")
-    if field is None or nvars is None:
+    if len(head) < 2:
         raise QuadSysError("missing field or vars")
-    return QuadraticSystem(field, nvars, eqs)
+    return QuadraticSystem(head["field"], head["vars"], eqs)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from permod.filtration import FiltrationError, parse_complex
 from permod.homology import HomologyError, parse_grid_module
 from permod.interleave import candidate_set
 from permod.presentation import PresentationError, parse_presentation
-from permod.quadsys import QuadSysError, parse_system
+from permod.quadsys import QuadSysError, export_system, parse_system
 
 C01 = """PRESENTATION
 n 1
@@ -419,8 +420,32 @@ SHORT_LINES = {
                    "GRIDMODULE\nfield zp 2\naxes 1\naxis 0 : 0\ndim 0 = 1\n"
                    "trans 0 axis\nEND\n"),
     "complex-grade": (parse_complex, FiltrationError, "0 : \n"),
+    "relation-name": (parse_presentation, PresentationError,
+                      "PRESENTATION\nn 1\nfield zp 2\ngenerator g 0\nrelation :\nEND\n"),
+    "grid-dim": (parse_grid_module, HomologyError,
+                 "GRIDMODULE\nfield zp 2\naxes 1\naxis 0 : 0\ndim 0 1\nEND\n"),
 }
 
+# a keyword line given twice, or an axis line off the axes, per text format:
+# the parser, its error, the text and the line that spoils it.  Each used to
+# be read silently, the last line winning: a second field line turned the
+# Z/3 relation g 2 into an empty one over Z/2, and 2x + 1 = 0 into 1 = 0.
+PRES = "PRESENTATION\nn 1\nfield zp 3\ngenerator g 0\nrelation r 1 : g 2\n{}END\n"
+QUAD = "QUADSYS\nfield zp 3\nvars 1\neq: 2 1 0  1 0 0\n{}END\n"
+GRID = ("GRIDMODULE\nfield zp 2\naxes 1\naxis 0 : 0 1\ndim 0 = 1\ndim 1 = 1\n"
+        "trans 0 axis 0 : 1\n{}END\n")
+SECOND_LINES = {
+    "n": (parse_presentation, PresentationError, PRES, "n 1\n"),
+    "field": (parse_presentation, PresentationError, PRES, "field zp 2\n"),
+    "quadsys-field": (parse_system, QuadSysError, QUAD, "field zp 2\n"),
+    "quadsys-vars": (parse_system, QuadSysError, QUAD, "vars 2\n"),
+    "grid-field": (parse_grid_module, HomologyError, GRID, "field zp 3\n"),
+    "grid-axes": (parse_grid_module, HomologyError, GRID, "axes 1\n"),
+    "grid-axis": (parse_grid_module, HomologyError, GRID, "axis 0 : 0 2\n"),
+    "grid-axis-off": (parse_grid_module, HomologyError, GRID, "axis 3 : 0 1\n"),
+    "grid-dim": (parse_grid_module, HomologyError, GRID, "dim 0 = 0\n"),
+    "grid-trans": (parse_grid_module, HomologyError, GRID, "trans 0 axis 0 : 0\n"),
+}
 
 class TestErrorBoundary:
     @pytest.mark.parametrize("case", SHORT_LINES)
@@ -442,6 +467,36 @@ class TestErrorBoundary:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case, line", [("relation-name", "relation :"),
+                                            ("grid-dim", "dim 0 1")])
+    def test_short_line_is_named(self, case, line):
+        parse, error, text = SHORT_LINES[case]
+        with pytest.raises(error, match=line):
+            parse(text)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["distance", "interleaving", "c01.txt", "p2.txt"], "parameter counts differ"),
+        (["export", "quadsys", "c01.txt", "p2.txt"], "parameter counts differ"),
+        (["diagram", "p2.txt"], "diagram requires a 1-parameter module"),
+        (["filtration", "rips", "--points", "pts.csv", "--function", "f.csv"],
+         "function rows do not match points"),
+    ], ids=["distance", "export", "diagram", "filtration"])
+    def test_library_refusals_exit_2(self, files, capsys, argv, message):
+        """The command line leaves these checks to the library, which makes
+        them once, where the inputs meet."""
+        (files / "p2.txt").write_text("PRESENTATION\nn 2\nfield zp 2\ngenerator g 0 0\nEND\n")
+        (files / "pts.csv").write_text("0\n1\n")
+        (files / "f.csv").write_text("0\n")
+        code, out, err = run(capsys, *[files / a if "." in a else a for a in argv])
+        assert (code, out) == (2, "") and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("case", SECOND_LINES)
+    def test_second_keyword_line_refused(self, case):
+        parse, error, text, line = SECOND_LINES[case]
+        parse(text.format(""))
+        with pytest.raises(error, match="second|axis lines"):
+            parse(text.format(line))
+
     @pytest.mark.parametrize("argv", [
         ["--budget", "5", "distance", "interleaving", "c01.txt", "c23.txt"],
         ["--seed", "9", "infer", "run", "--density", "1,0,1/2", "--samples", "5"],
@@ -460,3 +515,75 @@ class TestErrorBoundary:
         code, out, err = run(capsys, "diagram", files / "c01.txt")
         assert code == 4 and out == ""
         assert err == "internal error: RuntimeError: boom second line\n"
+
+
+# One valid text per format, the argv that reads it ({file}: the text,
+# {pts}: a two-point cloud), a line cut short and a bad rational as
+# (old, new) replacements, and for a format no verb reads (systems, grid
+# modules) its parser and printer, run in `diagram`'s place under the same
+# error boundary.
+FORMATS = {
+    "presentation": (C01, ["present", "validate", "{file}"], ("relation r 1 : g 1", "relation :"),
+                     ("generator g 0", "generator g 1/0"), None),
+    "presentation-grid": (C01, ["homology", "grid", "--complex", "{file}"],
+                          ("relation r 1 : g 1", "relation :"),
+                          ("generator g 0", "generator g 1/0"), None),
+    "quadsys": (QUAD.format(""), ["diagram", "{file}"], ("vars 1", "vars"),
+                ("eq: 2", "eq: 1/0"), (parse_system, export_system)),
+    "gridmodule": (GRID.format(""), ["diagram", "{file}"], ("dim 1 = 1", "dim 1 1"),
+                   ("axis 0 : 0 1", "axis 0 : 0 1/0"),
+                   (parse_grid_module, lambda gm: gm.to_text())),
+    "complex": ("0 : 0 0\n1 : 0 1\n0,1 : 1 1\n", ["homology", "grid", "--complex", "{file}"],
+                ("0,1 : 1 1", "0,1 :"), ("1 : 0 1", "1 : 0 1/0"), None),
+    "diagram": ("0 1 1\n0 inf 1\n", ["distance", "bottleneck", "{file}", "{file}"],
+                ("0 1 1", "0 1"), ("0 1 1", "0 1/0 1"), None),
+    "points": ("0,0\n3,0\n", ["filtration", "rips", "--points", "{file}", "--metric", "l1"],
+               ("3,0", "3"), ("3,0", "3,1/0"), None),
+    "values": ("0,0\n1,1\n", ["filtration", "rips", "--points", "{pts}", "--function", "{file}",
+                              "--metric", "l1"], ("1,1", "1"), ("1,1", "1,1/0"), None),
+}
+
+
+def variants(text, short, bad):
+    """The text with comment and blank lines, with a trailing comment on
+    every line, cut short, with a bad rational and, if it has a frame,
+    without its header and without its END."""
+    lines = text.splitlines()
+    out = {"commented": "# first\n\n" + "\n\n  # between\n".join(lines) + "\n# last\n",
+           "trailing": "".join(ln + "  # note\n" for ln in lines),
+           "short": text.replace(*short), "bad-rational": text.replace(*bad)}
+    if lines[-1] == "END":
+        out["no-header"], out["no-END"] = "\n".join(lines[1:]), "\n".join(lines[:-1])
+    return out
+
+
+FORMAT_CASES = [(name, v) for name, (text, _, short, bad, _) in FORMATS.items()
+                for v in variants(text, short, bad)]
+
+
+@pytest.mark.parametrize("name, variant", FORMAT_CASES,
+                         ids=[f"{name}-{v}" for name, v in FORMAT_CASES])
+def test_text_formats_share_one_line_rule(name, variant, capsys, tmp_path, monkeypatch):
+    """Comments (whole-line or trailing, on any line) and blank lines change
+    no answer; a missing frame line, a short line or a bad rational exits 2
+    with one `error:` line, never 4."""
+    text, argv, short, bad, echo = FORMATS[name]
+    if echo:
+        parse, show = echo
+        monkeypatch.setattr("permod.cli.cmd_diagram",
+                            lambda args: print(show(parse(Path(args.file).read_text())), end="") or 0)
+    (tmp_path / "pts.csv").write_text("0,0\n3,0\n")
+
+    def outcome(body):
+        (tmp_path / "in.txt").write_text(body)
+        return run(capsys, *[a.format(file=tmp_path / "in.txt", pts=tmp_path / "pts.csv")
+                             for a in argv])
+
+    plain = outcome(text)
+    assert plain[0] == 0
+    code, out, err = outcome(variants(text, short, bad)[variant])
+    if variant in ("commented", "trailing"):
+        assert (code, out, err) == plain
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -236,6 +236,16 @@ class TestFunctionDistances:
                     for b, fb in zip(x2.points, f2)))
             assert got == brute
 
+    def test_hausdorff_refuses_unmatched_function_rows(self):
+        """Points (0,), (10,) against (0,): with one function row the far
+        point used to go unread, reading 0 where both rows read 10."""
+        x1, x2 = PointCloud([(0,), (10,)]), PointCloud([(0,)])
+        f = [(F(0),), (F(0),)]
+        assert function_aware_hausdorff(x1, f, x2, f[:1], "inf") == 10
+        for f1, f2 in ((f[:1], f[:1]), (f, f)):
+            with pytest.raises(FiltrationError, match="function rows do not match"):
+                function_aware_hausdorff(x1, f1, x2, f2, "inf")
+
 
 def enumerate_gromov(d1, f1, d2, f2):
     """Oracle: full enumeration over function pairs (phi, psi)."""
@@ -286,6 +296,14 @@ class TestGromov:
             got = gromov_function_distance(list(range(n1)), d1, f1,
                                            list(range(n2)), d2, f2)
             assert got == enumerate_gromov(d1, f1, d2, f2)
+
+    def test_refuses_rows_that_do_not_match_the_points(self):
+        d = [[F(0), F(1)], [F(1), F(0)]]
+        f = [(F(0),), (F(0),)]
+        with pytest.raises(FiltrationError, match="function rows do not match"):
+            gromov_function_distance([0, 1], d, f[:1], [0, 1], d, f)
+        with pytest.raises(FiltrationError, match="distance matrices do not match"):
+            gromov_function_distance([0, 1], d[:1], f, [0, 1], d, f)
 
     def test_size_guard(self):
         d = [[F(0)] * 6 for _ in range(6)]

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from permod.exactnum import INF
-from permod.filtration import DensitySpec, PointCloud, cech_bifiltration
+from permod.filtration import DensitySpec, FiltrationError, PointCloud, cech_bifiltration
 from permod.homology import grid_module_of
 from permod.infer import (cech_cluster_module, offset_cluster_module,
                           run_experiment)
@@ -40,6 +42,11 @@ class TestClusterModules:
         assert gm.dims[(0, 0)] == 2           # two isolated sources
         assert gm.dims[(0, 1)] == 2           # radius 1: {0,1}, {3,4}
         assert gm.dims[(0, 2)] == 1           # radius 2 covers everything
+
+    def test_offset_refuses_unmatched_weights(self, f2):
+        """One weight for three grid points used to build a one-point module."""
+        with pytest.raises(FiltrationError, match="grid points and weights"):
+            offset_cluster_module(f2, [F(0), F(1), F(2)], [F(-1)], [F(0)], [F(0)])
 
 
 class TestExperiment:

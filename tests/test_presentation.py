@@ -5,7 +5,8 @@ import pytest
 
 from permod import QQ, PrimeField
 from permod.exactnum import INF, NEG_INF
-from permod.interleave import zero_pattern_mask
+from permod.homology import grid_module_of
+from permod.interleave import assemble_system, decide_generalized, zero_pattern_mask
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, direct_sum,
                                  interval_presentation, parse_presentation)
@@ -59,6 +60,30 @@ class TestValidate:
     def test_duplicate_names(self, f2):
         with pytest.raises(PresentationError, match="duplicate"):
             Presentation(1, f2, [("g", (F(0),)), ("g", (F(1),))], []).validate()
+
+    # <g at 1 | r at 0 : g> and <g at 0 | r at 1 : generator 5> present no
+    # module; unchecked, the first read dimension -1 at grade 0 in the
+    # Hilbert table and interleaved with zero, the second 0 there but 1 by
+    # point_dim.  Each use below must refuse them as they are built.
+    USES = {
+        "decide_generalized": lambda p: decide_generalized(
+            p, Presentation(1, p.field, [], []), *[MonotoneAffineMap.identity(1)] * 2),
+        "assemble_system": lambda p: assemble_system(
+            p, p, *[MonotoneAffineMap.identity(1)] * 2),
+        "point_dim": lambda p: p.point_dim((F(1),)),
+        "hilbert_table": lambda p: p.hilbert_table([[F(0), F(1)]]),
+        "grid_module_of": lambda p: grid_module_of(p, [[F(0), F(1)]]),
+    }
+
+    @pytest.mark.parametrize("use", USES)
+    @pytest.mark.parametrize("gen_at, rel_at, coeffs, match", [
+        (1, 0, {0: 1}, "generator g of larger grade"),
+        (0, 1, {5: 1}, "no generator 5"),
+    ], ids=["larger-grade", "missing-generator"])
+    def test_defect_refused_when_built(self, f2, use, gen_at, rel_at, coeffs, match):
+        with pytest.raises(PresentationError, match=match):
+            self.USES[use](Presentation(1, f2, [("g", (F(gen_at),))],
+                                        [("r", (F(rel_at),), coeffs)]))
 
 
 class TestPointwise:
@@ -247,11 +272,11 @@ class TestMinimize:
 
     def test_invalid_presentation_refused(self, f2):
         # b (1,1) is the relation's own-grade generator, but a (2,0) is not
-        # below the relation's grade: no minimization to give
-        p = Presentation(2, f2, [("a", (F(2), F(0))), ("b", (F(1), F(1)))],
-                         [("r", (F(1), F(1)), {0: 1, 1: 1})])
+        # below the relation's grade: no minimization to give, and the
+        # constructor refuses the presentation before minimize can run
         with pytest.raises(PresentationError, match="generator a of larger grade"):
-            p.minimize()
+            Presentation(2, f2, [("a", (F(2), F(0))), ("b", (F(1), F(1)))],
+                         [("r", (F(1), F(1)), {0: 1, 1: 1})]).minimize()
 
     def test_preserves_pointwise_dims(self, f2):
         rng = seeded(23)

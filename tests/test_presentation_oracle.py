@@ -14,7 +14,7 @@ import pytest
 
 import reference_interleave
 import reference_presentation as ref
-from permod.exactnum import QQ, PrimeField, common_denominator, ext, INF
+from permod.exactnum import QQ, PrimeField, common_denominator, ext, grade_ranks, INF
 from permod.interleave import candidate_set
 from permod.presentation import Presentation
 
@@ -81,23 +81,36 @@ def test_candidate_set_matches_sorted_fraction_sets():
         assert reference_interleave.candidate_set(p, q) == want
 
 
+def unchecked(n, field, gens, rels):
+    """The presentation of these generators and relations built on the
+    trusted path, `from_ranks`, which the constructor's `validate` does not
+    guard."""
+    axes, keys = grade_ranks([g for _, g, *_ in gens + rels], n)
+    return Presentation.from_ranks(
+        n, field, axes, [(name, k) for (name, _), k in zip(gens, keys)],
+        [(name, k, cs) for (name, _, cs), k in zip(rels, keys[len(gens):])])
+
+
 def test_validate_matches_reference():
+    """The constructor refuses each bad presentation as the reference
+    `validate` does, and so does `validate` on its trusted-path copy."""
     f2 = FIELDS[0]
     g0, g1 = (F(0), F(1)), (F(1), F(0))
     bad = [
-        Presentation(2, f2, [("g", g0), ("g", g1)], []),
-        Presentation(2, f2, [("g", g0)], [("g", g1, {0: 1})]),
-        Presentation(2, f2, [("g", g0)], [("r", g1, {0: 1})]),
-        Presentation(2, f2, [("g", g0)], [("r", g0, {1: 1})]),
-        Presentation(2, f2, [("g", g0), ("h", (F(2), F(2)))],
-                     [("r", (F(2), F(1)), {0: 1, 1: 1})]),
-        Presentation(0, f2, [], []),
+        (2, f2, [("g", g0), ("g", g1)], []),
+        (2, f2, [("g", g0)], [("g", g1, {0: 1})]),
+        (2, f2, [("g", g0)], [("r", g1, {0: 1})]),
+        (2, f2, [("g", g0)], [("r", g0, {1: 1})]),
+        (2, f2, [("g", g0), ("h", (F(2), F(2)))], [("r", (F(2), F(1)), {0: 1, 1: 1})]),
+        (0, f2, [], []),
     ]
-    good = [p for _, p in cases()]
-    for p in bad + good:
-        got, want = outcome(Presentation.validate, p), outcome(ref.validate, p)
-        assert got is p if want is p else got == want
-    assert sum(outcome(ref.validate, p) is not p for p in bad) == len(bad)
+    for args in bad:
+        p = unchecked(*args)
+        want = outcome(ref.validate, p)
+        assert want is not p
+        assert outcome(Presentation, *args) == want == outcome(Presentation.validate, p)
+    for _, p in cases():
+        assert outcome(Presentation.validate, p) is p is outcome(ref.validate, p)
 
 
 def filled_presentation(rng, field, n):

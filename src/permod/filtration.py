@@ -13,10 +13,11 @@ One builder makes both sublevelset bifiltrations: it keeps the edges within
 the scale cap as per-vertex int bitsets of upper neighbours and grows each
 simplex from its prefix by the prefix's common upper neighbours.  Its pair
 pass compares int lengths (L1, Linf) or squared lengths (L2) of the
-coordinates scaled to ints with the int cap; only a kept edge gets its
-half length as a value, and a clique takes its scale by the int keys.  A Cech
-radius is half the length on an edge and grows with the vertex set, so the
-Cech candidates are the cliques of the capped edges too.
+coordinates scaled to ints with the int cap, and a clique takes the
+largest int key of its edges (a Cech simplex of three or more vertices its
+enclosing ball's, in the same units); one scale value is made per distinct
+key.  A Cech radius is half the length on an edge and grows with the vertex
+set, so the Cech candidates are the cliques of the capped edges too.
 """
 
 import bisect
@@ -176,7 +177,9 @@ class BifilteredComplex:
     sorted distinct values of grade coordinate a, and `grade_index[i]` the
     grade of `simplices[i]` as an int tuple of positions on them; the face
     check, the sort (by dimension, grade and vertices) and every consumer
-    compare those ints."""
+    compare those ints.  The builders and `fixed_scale_slice` rank their
+    own grades and store them by `from_ranks`, with no second ranking or
+    face check (a tier-1 oracle checks them against this constructor)."""
 
     def __init__(self, nparams, simplices):
         nparams = int(nparams)
@@ -198,6 +201,14 @@ class BifilteredComplex:
                     if not all(map(operator.le, index[face], key)):
                         raise FiltrationError(f"face {face} appears after {verts}")
         self._keep(nparams, axes, list(zip(grade_of, grade_of.values(), ranks)))
+
+    @classmethod
+    def from_ranks(cls, nparams, axes, ranked):
+        """The complex of (sorted vertices, grade, grade index) triples on
+        axes, trusted to be one-critical, stored without a check."""
+        out = cls.__new__(cls)
+        out._keep(nparams, axes, ranked)
+        return out
 
     def _keep(self, nparams, axes, ranked):
         """Store checked (vertices, grade, grade index) triples, sorted."""
@@ -251,7 +262,9 @@ def parse_complex(text):
 def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
     """Sublevelset-Rips (cech False) or -Cech up to max_dim and the scale cap.
     Each simplex grows from its prefix (all but its last vertex) and extends
-    the prefix's function grade and, for Rips, the prefix's scale."""
+    the prefix's function ranks and, for Rips, the prefix's scale key.  The
+    complex is stored from those ranks: the function's by `grade_ranks` of
+    the vertex values, the scale's by the sorted distinct keys."""
     if len(values) != len(cloud):
         raise FiltrationError("function rows do not match points")
     if p not in METRICS:
@@ -270,45 +283,48 @@ def _sublevel_bifiltration(cloud, p, values, max_dim, scale_cap, cech):
     ipts = [[scaled_int(x, den) for x in pt] for pt in pts]
     power = 2 if p == 2 else 1
     reach, per = (2 * scaled_int(scale_cap, den)) ** power, (2 * den) ** power
-    # near[v][w] = (half length, its int key) of each edge v < w whose int
-    # length (L1, Linf) or squared length (L2) is <= that of twice the cap
+    # scale s has the key s * per (L1, Linf) or s**2 * per (L2): near[v][w]
+    # holds the int length (squared for L2) of each edge v < w within reach
     near = [{} for _ in pts]
     up = [0] * len(pts)
     for i, u in enumerate(ipts):
         for j in range(i + 1, len(ipts)):
             key = dist_squared_l2(u, ipts[j]) if p == 2 else distance(u, ipts[j], p)
             if key <= reach:
-                near[i][j] = (scale_of_square(Fraction(key, per)) if p == 2
-                              else Fraction(key, per), key)
+                near[i][j] = key
                 up[i] |= 1 << j
     if any(len(val) != len(vals[0]) for val in vals):
         raise FiltrationError("grade length mismatch")
-    # function grades as maxima of int ranks, read back as values on the axes
     faxes, franks = grade_ranks(vals, len(vals[0])) if vals else ([], [])
-    cap_sq = scale_cap ** 2
-    key_of = operator.itemgetter(1)
-    zero = Fraction(0)
-    simplices = []
-    # (vertices, function ranks, scale, its key, common upper neighbours)
-    stack = [((i,), rank, zero, 0, up[i]) for i, rank in enumerate(franks)]
+    built = []      # (vertices, function ranks, scale key)
+    # (vertices, function ranks, scale key, common upper neighbours)
+    stack = [((i,), rank, 0, up[i]) for i, rank in enumerate(franks)]
     while stack:
-        verts, fgrade, pscale, pkey, common = stack.pop()
-        simplices.append((verts, tuple(map(list.__getitem__, faxes, fgrade)) + (pscale,)))
+        verts, fgrade, pkey, common = stack.pop()
+        built.append((verts, fgrade, pkey))
         while common and len(verts) <= max_dim:
             low = common & -common
             common ^= low       # the bits left are those above w
             w = low.bit_length() - 1
             new = verts + (w,)
-            if cech and len(new) > 2:
-                scale, key = min_enclosing_radius([pts[v] for v in new], p), None
-                if scale_square(scale) > cap_sq:
+            if cech and len(new) > 2:   # the ball's key: a Fraction for L2
+                ball = [ipts[v] for v in new]
+                key = 4 * min_enclosing_ball_sq_l2(ball) if p == 2 else \
+                    max(max(xs) - min(xs) for xs in zip(*ball))
+                if key > reach:
                     continue
             else:
-                scale, key = max((pscale, pkey), *(near[v][w] for v in verts),
-                                 key=key_of)
-            grade = tuple(map(max, fgrade, franks[w]))
-            stack.append((new, grade, scale, key, common & up[w]))
-    return BifilteredComplex(len(vals[0]) + 1 if vals else 1, simplices)
+                key = max(pkey, *(near[v][w] for v in verts))
+            stack.append((new, tuple(map(max, fgrade, franks[w])), key, common & up[w]))
+    rank = {key: k for k, key in enumerate(sorted({key for _, _, key in built}))}
+    scales = [scale_of_square(Fraction(key, per)) if p == 2 else Fraction(key, per)
+              for key in rank]
+    shown = {fgrade: tuple(map(list.__getitem__, faxes, fgrade))
+             for fgrade in set(map(operator.itemgetter(1), built))}
+    return BifilteredComplex.from_ranks(
+        len(faxes) + 1, faxes + [scales],
+        [(verts, shown[fgrade] + (scales[rank[key]],), fgrade + (rank[key],))
+         for verts, fgrade, key in built])
 
 
 def rips_bifiltration(cloud, p, values, max_dim, scale_cap):
@@ -338,25 +354,26 @@ def fixed_scale_slice(complex_, delta):
     kept = [(verts, grade[:-1], key[:-1]) for (verts, grade), key
             in zip(complex_.simplices, complex_.grade_index) if key[-1] < top]
     used, ranks = grade_ranks([key for _, _, key in kept], complex_.nparams - 1)
-    out = BifilteredComplex.__new__(BifilteredComplex)
-    out._keep(complex_.nparams - 1,
-              [[axis[k] for k in ks] for axis, ks in zip(complex_.axes, used)],
-              [(verts, grade, key) for (verts, grade, _), key in zip(kept, ranks)])
-    return out
+    return BifilteredComplex.from_ranks(
+        complex_.nparams - 1, [[axis[k] for k in ks] for axis, ks in zip(complex_.axes, used)],
+        [(verts, grade, key) for (verts, grade, _), key in zip(kept, ranks)])
 
 
 # ---------------------------------------------------------------------------
 # Function-aware metrics
 # ---------------------------------------------------------------------------
 
+def _row_gap(a, b):
+    """The sup-norm gap of two function rows, which must be equally wide."""
+    if len(a) != len(b):
+        raise FiltrationError(f"function rows of widths {len(a)} and {len(b)}")
+    return max((abs(Fraction(x) - Fraction(y)) for x, y in zip(a, b)), default=Fraction(0))
+
+
 def sup_function_distance(f1, f2):
     if len(f1) != len(f2):
         raise FiltrationError("misaligned function values")
-    worst = Fraction(0)
-    for a, b in zip(f1, f2):
-        for x, y in zip(a, b):
-            worst = max(worst, abs(Fraction(x) - Fraction(y)))
-    return worst
+    return max(map(_row_gap, f1, f2), default=Fraction(0))
 
 
 def function_aware_hausdorff(x1, f1, x2, f2, p):
@@ -368,15 +385,12 @@ def function_aware_hausdorff(x1, f1, x2, f2, p):
     if (len(f1), len(f2)) != (len(x1), len(x2)):
         raise FiltrationError("function rows do not match points")
 
-    def fgap(a, b):
-        return max((abs(u - v) for u, v in zip(a, b)), default=Fraction(0))
-
     def directed(xa, fa, xb, fb):
         worst = Fraction(0)
         for pt, val in zip(xa.points, fa):
             best = None
             for qt, wal in zip(xb.points, fb):
-                c = fgap(val, wal)
+                c = _row_gap(val, wal)
                 d = distance(pt, qt, p)
                 cand = d if scale_square(d) >= scale_square(c) else c
                 if best is None or scale_square(cand) < scale_square(best):
@@ -411,41 +425,30 @@ def gromov_function_distance(x1, d1, f1, x2, d2, f2, max_points=5):
     if list(map(len, d1)) != [n1] * n1 or list(map(len, d2)) != [n2] * n2:
         raise FiltrationError("distance matrices do not match points")
 
-    def fgap(i, j):
-        return max((abs(u - v) for u, v in zip(f1[i], f2[j])), default=Fraction(0))
+    pairs = list(itertools.product(range(n1), range(n2)))
+    gap = {(i, j): _row_gap(f1[i], f2[j]) for i, j in pairs}
 
-    def half_dist(i, j, i2, j2):
-        return abs(d1[i][i2] - d2[j][j2]) / 2
+    def half_dist(a, b):
+        return abs(d1[a[0]][b[0]] - d2[a[1]][b[1]]) / 2
 
-    cands = {Fraction(0)}
-    for i in range(n1):
-        for j in range(n2):
-            cands.add(fgap(i, j))
-    for i in range(n1):
-        for i2 in range(n1):
-            for j in range(n2):
-                for j2 in range(n2):
-                    cands.add(half_dist(i, j, i2, j2))
+    cands = {Fraction(0), *gap.values(), *(half_dist(a, b) for a in pairs for b in pairs)}
 
     def feasible(eps):
-        ok_pair = [[fgap(i, j) <= eps for j in range(n2)] for i in range(n1)]
         compat = {}
 
         def compatible(a, b):
             if (a, b) not in compat:
-                compat[(a, b)] = half_dist(a[0], a[1], b[0], b[1]) <= eps
+                compat[(a, b)] = half_dist(a, b) <= eps
             return compat[(a, b)]
 
         def extend(chosen, todo_left, todo_right):
             if not todo_left and not todo_right:
                 return True
-            if todo_left:
-                i = todo_left[0]
-                opts = [(i, j) for j in range(n2) if ok_pair[i][j]]
-            else:
-                j = todo_right[0]
-                opts = [(i, j) for i in range(n1) if ok_pair[i][j]]
-            for pair in opts:
+            # the pairs of the first point left on the left side, else the right
+            side, first = (0, todo_left[0]) if todo_left else (1, todo_right[0])
+            for pair in pairs:
+                if pair[side] != first or gap[pair] > eps:
+                    continue
                 if all(compatible(pair, c) and compatible(c, pair) for c in chosen):
                     nl = [v for v in todo_left if v != pair[0]]
                     nr = [v for v in todo_right if v != pair[1]]

@@ -8,9 +8,10 @@ column type (`exactnum`; int bitsets over Z/2, built with no sign), and
 checks that boundaries compose to zero by that type's `compose`.  Three
 computation styles share the exact linear algebra kernel:
 
-* 1-parameter barcodes by `onedim.bars`, read from the chain's boundary
-  columns: the degree's creating simplices presented by the next degree's
-  boundaries, cross-checked elsewhere against the rank multiplicity formula;
+* 1-parameter barcodes read from the chain's `lows`, one standard
+  reduction of each degree's boundary columns, shared by the barcodes of
+  that degree and the one below, and cross-checked elsewhere against the
+  rank multiplicity formula;
 * grid modules (pointwise dimensions plus transition maps between adjacent
   grid points, {row: coeff} columns, packed inside) for any parameter
   count, each made by `build_grid_module`, which computes the data at each
@@ -43,7 +44,7 @@ from .exactnum import (INF, common_denominator, ext, format_rational,
                        text_lines)
 from .linalg import ColumnReducer, packed_rank as mat_rank, quotient_basis, quotient_map
 from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
-from .onedim import PersistenceDiagram, bars
+from .onedim import PersistenceDiagram
 from .presentation import (Presentation, grade_leq, leq_runs, minimal_presentation,
                            row_sweep, swept_ranks)
 
@@ -78,6 +79,7 @@ class GradedChainComplex:
                                  for verts, _ in basis])
         self._check_dd()
         self._ranks = {}        # degree -> active_ranks(degree)
+        self._lows = {}         # degree -> lows(degree)
 
     def _check_dd(self):
         for d in range(2, self.max_deg + 1):
@@ -99,6 +101,16 @@ class GradedChainComplex:
             self._ranks[d] = swept_ranks(self.field, [len(ax) for ax in self.axes],
                                          self.grade_index.get(d, []), cols)
         return self._ranks[d]
+
+    def lows(self, d):
+        """The low row of each degree-d boundary column after the standard
+        reduction in the chain's order, None where it reduces to zero, by
+        one reduction, tabled once (a vertex's empty column is not added)."""
+        if d not in self._lows:
+            red, kind = ColumnReducer(self.field), self.field.columns
+            self._lows[d] = [red.add_packed(kind.copy(col))[0] if col else None
+                             for col in (self.columns[d] if 0 <= d <= self.max_deg else [])]
+        return self._lows[d]
 
     def homology_dim_at(self, d, idx):
         """dim H_d at the grid index idx (0 at None, so `floor` of a grade
@@ -122,29 +134,24 @@ def chain_complex_of(complex_, field):
 # ---------------------------------------------------------------------------
 
 def barcode_1d(complex_, degree, field):
-    """The `onedim.bars` of H_degree on grade indices, read from the
-    complex's chain complex (whose build raises on an irrational grade
-    first).  The generators are the degree-d simplices whose boundary
-    column reduces to zero against the earlier ones (one with an
-    independent boundary kills a class and creates none), the relations the
-    (d+1)-boundaries restricted to them.  A nonzero cycle's youngest simplex
-    is such a generator, so the pairs are those of the standard column
-    reduction.  The chain has each degree's simplices by grade, and only
-    degrees d and d+1 are reduced."""
-    chain, kind = chain_complex_of(complex_, field), field.columns
+    """The barcode of H_degree on grade indices, from the chain's `lows` of
+    degrees d and d+1 (its build raises on an irrational grade first): the
+    creators are the d-simplices whose boundary reduces to zero, the low of
+    each (d+1)-column pairs its creator with that simplex (dropped at equal
+    grades), and each creator left unpaired gives a bar to +inf.  The rows
+    of non-creators do not change the pairs (Bauer, Kerber and Reininghaus,
+    arXiv:1303.0477)."""
+    chain = chain_complex_of(complex_, field)
     if chain.nparams != 1:
         raise HomologyError("barcode requires a 1-parameter complex")
     index, upper = chain.grade_index.get(degree, []), chain.grade_index.get(degree + 1, [])
-    cols, reducer = chain.columns[degree] if index else [], ColumnReducer(field)
-    creators = [k for k, col in enumerate(cols)
-                if not col or reducer.add_packed(kind.copy(col))[0] is None]
-    rows = {k: r for r, k in enumerate(creators)}
-    pts = bars(field, [index[k][0] for k in creators],
-               [(g, {rows[k]: x for k, x in kind.unpack(col).items() if k in rows})
-                for (g,), col in zip(upper, chain.columns[degree + 1] if upper else [])])
-    axis = chain.axes[0]
-    return PersistenceDiagram([(ext(axis[b]), INF if d is None else ext(axis[d]), 1)
-                               for b, d in pts])
+    pairs = {low: d for low, (d,) in zip(chain.lows(degree + 1), upper) if low is not None}
+    axis, pts = chain.axes[0], []
+    for k, ((b,), low) in enumerate(zip(index, chain.lows(degree))):
+        d = pairs.get(k)
+        if low is None and d != b:
+            pts.append((ext(axis[b]), INF if d is None else ext(axis[d]), 1))
+    return PersistenceDiagram(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """One-parameter structure theory: bars by one column reduction, persistence
 diagrams, interval-sum presentations, and the bottleneck distance by
-multibijection matching with an exhaustive oracle.  `bars` also gives
-`homology` its 1-parameter barcodes, and with `matchable` gives
-`interleave` its diagonal-slice lower bound.
+multibijection matching with an exhaustive oracle.  `bars` gives
+`diagram_of` its pairs, and with `matchable` gives `interleave` its
+diagonal-slice lower bound; `homology.barcode_1d` reads its pairs from the
+chain complex's own reductions.
 
 Diagram coordinates are extended rationals; a finitely presented module has
 finite births and finite-or-+inf deaths.
@@ -206,20 +207,10 @@ def bottleneck_bruteforce(d1, d2, max_points=6):
     best = INF
 
     def cost_of(pairs):
-        worst = ext(0)
-        used_l = set()
-        used_r = set()
-        for i, j in pairs:
-            used_l.add(i)
-            used_r.add(j)
-            worst = max(worst, _pair_cost(left[i], right[j]))
-        for i in range(nl):
-            if i not in used_l:
-                worst = max(worst, _half(left[i]))
-        for j in range(nr):
-            if j not in used_r:
-                worst = max(worst, _half(right[j]))
-        return worst
+        used_l, used_r = {i for i, _ in pairs}, {j for _, j in pairs}
+        return max([ext(0), *(_pair_cost(left[i], right[j]) for i, j in pairs),
+                    *(_half(x) for i, x in enumerate(left) if i not in used_l),
+                    *(_half(y) for j, y in enumerate(right) if j not in used_r)])
 
     indices_r = list(range(nr))
     for k in range(0, min(nl, nr) + 1):

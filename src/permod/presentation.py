@@ -456,7 +456,7 @@ def parse_presentation(text):
         elif key == "generator":
             if "n" not in head:
                 raise PresentationError("n must precede generators")
-            gens.append((args[0], tuple(parse_rational(x) for x in args[1:1 + head["n"]])))
+            gens.append((args[0], tuple(map(parse_rational, args[1:]))))
         else:
             if len(head) < 2:
                 raise PresentationError("n and field must precede relations")
@@ -464,8 +464,7 @@ def parse_presentation(text):
             if not front.split():
                 raise PresentationError(f"relation line without a name: {ln}")
             name, *grade = front.split()
-            rel_rows.append((name, tuple(parse_rational(x) for x in grade[:head["n"]]),
-                             tail.split()))
+            rel_rows.append((name, tuple(map(parse_rational, grade)), tail.split()))
     if len(head) < 2:
         raise PresentationError("missing n or field")
     n, field = head["n"], head["field"]

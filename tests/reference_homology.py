@@ -36,6 +36,12 @@ that fusion, not the sweep, so unlike the oracles above it grows its
 kernels by the library's `_column_growth` and checks the Hilbert function
 by the library's tables, as it did then.
 
+`barcode_1d_bars` is `barcode_1d` as it was before barcodes came from the
+chain's `lows`: the creators from a reduction of the degree's boundary
+columns, then `onedim.bars` of the (d+1)-boundaries restricted to the
+creators' rows, unpacked and packed again; degree d's boundaries were
+reduced again for the barcode of degree d - 1.
+
 Every other oracle here reads active sets, row sweeps, rank tables, homology
 dimensions, minimization and Hilbert tables from the copies in
 ``reference_presentation``, never from the library's bisecting walk.
@@ -52,7 +58,7 @@ from permod.homology import (GradedChainComplex, HomologyError, _column_growth,
 from permod.linalg import ColumnReducer
 from permod.linalg import ColumnSpan as SparseSpan
 from permod.linalg import nullspace as sparse_nullspace
-from permod.onedim import PersistenceDiagram
+from permod.onedim import PersistenceDiagram, bars
 from permod.presentation import Presentation, grade_leq
 
 from conftest import dense_relations
@@ -579,3 +585,24 @@ def barcode_1d(complex_, degree, field):
         else:
             pts.append((ext(grade[0]), INF, 1))
     return PersistenceDiagram(pts)
+
+
+def barcode_1d_bars(complex_, degree, field):
+    """The `onedim.bars` of H_degree on grade indices, read from the
+    complex's chain complex: the generators are the degree-d simplices whose
+    boundary column reduces to zero against the earlier ones, the relations
+    the (d+1)-boundaries restricted to them."""
+    chain, kind = chain_complex_of(complex_, field), field.columns
+    if chain.nparams != 1:
+        raise HomologyError("barcode requires a 1-parameter complex")
+    index, upper = chain.grade_index.get(degree, []), chain.grade_index.get(degree + 1, [])
+    cols, reducer = chain.columns[degree] if index else [], ColumnReducer(field)
+    creators = [k for k, col in enumerate(cols)
+                if not col or reducer.add_packed(kind.copy(col))[0] is None]
+    rows = {k: r for r, k in enumerate(creators)}
+    pts = bars(field, [index[k][0] for k in creators],
+               [(g, {rows[k]: x for k, x in kind.unpack(col).items() if k in rows})
+                for (g,), col in zip(upper, chain.columns[degree + 1] if upper else [])])
+    axis = chain.axes[0]
+    return PersistenceDiagram([(ext(axis[b]), INF if d is None else ext(axis[d]), 1)
+                               for b, d in pts])

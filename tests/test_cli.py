@@ -79,6 +79,15 @@ class TestPresent:
         code, _, err = run(capsys, "present", "validate", bad)
         assert code == 2 and "1/2 is not an integer" in err
 
+    @pytest.mark.parametrize("old, new", [("generator g 0", "generator g 0 7"),
+                                          ("relation r 1 :", "relation r 1 9 :")])
+    def test_extra_grade_coordinate_exit_2(self, tmp_path, capsys, old, new):
+        """With n 1, a second grade coordinate is refused, not dropped."""
+        bad = tmp_path / "wide.txt"
+        bad.write_text(C01.replace(old, new))
+        code, out, err = run(capsys, "present", "validate", bad)
+        assert (code, out) == (2, "") and "grade length != n" in err
+
     def test_generator_listed_twice_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "twice.txt"
         bad.write_text(C01.replace(": g 1", ": g 1  g 1"))

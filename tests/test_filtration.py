@@ -246,6 +246,17 @@ class TestFunctionDistances:
             with pytest.raises(FiltrationError, match="function rows do not match"):
                 function_aware_hausdorff(x1, f1, x2, f2, "inf")
 
+    def test_rows_of_unequal_widths_are_refused(self):
+        """Rows (0) and (0, 5) differ by 5 in the second column; compared
+        through zip, both distances used to read 0."""
+        x = PointCloud([(0,)])
+        short, wide = [(F(0),)], [(F(0), F(5))]
+        for f1, f2 in ((short, wide), (wide, short)):
+            with pytest.raises(FiltrationError, match="function rows of widths"):
+                sup_function_distance(f1, f2)
+            with pytest.raises(FiltrationError, match="function rows of widths"):
+                function_aware_hausdorff(x, f1, x, f2, "inf")
+
 
 def enumerate_gromov(d1, f1, d2, f2):
     """Oracle: full enumeration over function pairs (phi, psi)."""
@@ -304,6 +315,10 @@ class TestGromov:
             gromov_function_distance([0, 1], d, f[:1], [0, 1], d, f)
         with pytest.raises(FiltrationError, match="distance matrices do not match"):
             gromov_function_distance([0, 1], d[:1], f, [0, 1], d, f)
+
+    def test_refuses_rows_of_unequal_widths(self):
+        with pytest.raises(FiltrationError, match="function rows of widths 1 and 2"):
+            gromov_function_distance([0], [[F(0)]], [(F(0),)], [0], [[F(0)]], [(F(0), F(5))])
 
     def test_size_guard(self):
         d = [[F(0)] * 6 for _ in range(6)]

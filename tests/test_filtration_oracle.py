@@ -5,13 +5,23 @@ conflicting values, every metric, caps 0 to 12 and max_dim 0 to 3, and on
 the 144-point L1 lattice of the rips_present benchmark.  Against the
 Fraction pair pass (`reference_filtration.sublevel_bifiltration`) also on
 coordinates and caps with denominators 1 to 5 and collinear clouds; and the
-int pair pass makes no Fraction for a pair it does not keep."""
+int pair pass makes no Fraction for a pair it does not keep.
 
+The builders store their complexes from their own ranks, unchecked; so on
+seeded clouds (every builder and metric, one or two function columns,
+duplicate and collinear points, the empty cloud, max_dim 0 to 3, caps 0,
+1/2 and 3) the complex made again from its simplices by the checking
+`BifilteredComplex` constructor must have the same simplices, grade
+indices, axes and text.  And a scale value is made once per distinct
+scale, not once per edge."""
+
+import itertools
 import random
 from fractions import Fraction as F
 
 import reference_filtration as ref
-from permod.filtration import PointCloud, cech_bifiltration, rips_bifiltration
+from permod.filtration import (BifilteredComplex, PointCloud, cech_bifiltration,
+                               rips_bifiltration)
 
 BUILDERS = ((rips_bifiltration, ref.rips_bifiltration),
             (cech_bifiltration, ref.cech_bifiltration))
@@ -149,3 +159,62 @@ def test_unkept_pairs_make_no_fractions(monkeypatch):
             counts.append(len(made))
         # 30 more points, 735 more pairs
         assert counts[1] - counts[0] <= 30, (p, counts)
+
+
+def ranked_view(cx):
+    """A complex's simplices, grade indices, axes and text, with each grade
+    value shown by its type and repr (`Scale` has no ==)."""
+    def shown(values):
+        return [(type(x).__name__, repr(x)) for x in values]
+    return (cx.nparams, [(verts, shown(grade)) for verts, grade in cx.simplices],
+            cx.grade_index, list(map(shown, cx.axes)), cx.to_text())
+
+
+def test_builders_store_what_the_constructor_ranks():
+    rng = random.Random("builder-ranks")
+    builds = ((rips_bifiltration, 1), (rips_bifiltration, 2), (rips_bifiltration, "inf"),
+              (cech_bifiltration, 2), (cech_bifiltration, "inf"))
+    seen, scales = set(), 0
+    for k in range(300):
+        build, p = builds[k % 5]
+        dim, nfun = rng.randint(1, 3), 1 + k // 60 % 2
+        pts = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(dim))
+               for _ in range(0 if k < 10 else rng.randint(1, 8))]
+        if pts and rng.random() < 0.3:      # collinear: multiples of one direction
+            pts = [tuple(t * x for x in pts[0]) for t in range(len(pts))]
+        value = {pt: tuple(F(rng.randint(0, 4)) for _ in range(nfun)) for pt in pts}
+        pts += [rng.choice(pts) for _ in range(rng.choice((0, 1, 2)) if pts else 0)]
+        max_dim, cap = k // 5 % 4, (F(0), F(1, 2), F(3))[k // 20 % 3]
+        cx = build(PointCloud(pts), p, [value[pt] for pt in pts], max_dim, cap)
+        assert ranked_view(BifilteredComplex(cx.nparams, cx.simplices)) == ranked_view(cx)
+        seen.add((build, p, max_dim, cap, nfun) if pts else (build, p))
+        scales = max(scales, len(cx.axes[-1]))
+    # every builder on the empty cloud and at each max_dim, cap and width
+    assert len(seen) == 5 + 5 * 4 * 3 * 2 and scales >= 8
+
+
+def test_a_scale_value_per_scale_not_per_edge(monkeypatch):
+    """On the corners of the unit m-cube, Rips edges only (max_dim 1): the
+    Fractions made grow with the points and the distinct scales (m of them
+    for L2, one otherwise), not with the edges, which go from 120 to 496
+    between m = 4 and m = 5."""
+    made = []
+    new = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    for p in (1, 2, "inf"):
+        counts = []
+        for m in (4, 5):
+            cloud = PointCloud(list(itertools.product((0, 1), repeat=m)))
+            cap = F(m, 2) if p != "inf" else F(1, 2)
+            made.clear()
+            monkeypatch.setattr(F, "__new__", counting_new)
+            cx = rips_bifiltration(cloud, p, [(0,)] * len(cloud), 1, cap)
+            monkeypatch.undo()
+            assert len(cx.simplices) == 2 ** m + 2 ** (m - 1) * (2 ** m - 1)
+            counts.append(len(made))
+        # 16 more points, 376 more edges
+        assert counts[1] - counts[0] <= 24, (p, counts)

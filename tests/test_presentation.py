@@ -396,6 +396,13 @@ END
             assert q.relations == p.relations
             assert q.point_dim((F(1),)) == p.point_dim((F(1),)) == 1 - len(kept)
 
+    @pytest.mark.parametrize("gen, rel, name", [("0 7", "1", "g"), ("0", "1 9", "r")])
+    def test_extra_grade_coordinate_refused(self, gen, rel, name):
+        """With n 1, `generator g 0 7` used to read as the grade (0)."""
+        text = f"PRESENTATION\nn 1\nfield zp 2\ngenerator g {gen}\nrelation r {rel} : g 1\nEND\n"
+        with pytest.raises(PresentationError, match=f"^{name}: grade length != n$"):
+            parse_presentation(text)
+
     def test_parse_errors(self):
         with pytest.raises(PresentationError):
             parse_presentation("nope\n")

@@ -295,8 +295,8 @@ def subtract_multiple(f, target, c, source):
 class DictColumns:
     """Columns over any field as {row: coeff} dicts without zeros, reduced in
     place.  A column type packs, unpacks, copies and negates such dicts,
-    makes unit columns, composes maps given as lists of its columns, and
-    reduces them."""
+    makes unit columns, checks that lists of its columns have rows in
+    range(n) (`within`), composes and reduces them."""
 
     def __init__(self, field):
         self.field = field
@@ -307,6 +307,7 @@ class DictColumns:
 
     unpack = pack
     copy = staticmethod(dict)
+    within = staticmethod(lambda cols, n: all(map(range(n).__contains__, set().union(*cols))))
 
     def unit(self, r):
         return {r: self.field.one}
@@ -373,6 +374,7 @@ class BitColumns:
 
     copy = staticmethod(int)    # ints are immutable: a column is its own copy
     neg = copy                  # -x == x over Z/2
+    within = staticmethod(lambda cols, n: not any(col >> n for col in cols))  # no int < 0
 
     @staticmethod
     def unit(r):

@@ -8,28 +8,25 @@ column type (`exactnum`; int bitsets over Z/2, built with no sign), and
 checks that boundaries compose to zero by that type's `compose`.  Three
 computation styles share the exact linear algebra kernel:
 
-* 1-parameter barcodes read from the chain's `lows`, one standard
-  reduction of each degree's boundary columns, shared by the barcodes of
-  that degree and the one below, and cross-checked elsewhere against the
-  rank multiplicity formula;
+* 1-parameter barcodes from the chain's `lows`, one standard reduction of
+  each degree's boundary columns, shared by the barcodes of that degree and
+  the one below;
 * grid modules (pointwise dimensions plus transition maps between adjacent
-  grid points, {row: coeff} columns, packed inside) for any parameter
-  count, each made by `build_grid_module`, which computes the data at each
-  grid point once.  A presentation's data is a basis of M_a (generators
-  modulo relations), a complex's or an image's one of H_d (cycles modulo
-  boundaries), both by `linalg.quotient_basis`; the cycles and boundaries
-  come from one growing reduction each per grid column (`_column_growth`).
-  Resamplings and cluster modules (``infer``) bring their own;
+  grid points, held packed in the column type) for any parameter count,
+  each made by `build_grid_module` from the data computed once per grid
+  point, its builder handing over transitions already packed.  A
+  presentation's data is a basis of M_a, a complex's or an image's one of
+  H_d, both by `linalg.quotient_basis`, the cycles and boundaries from one
+  growing reduction each per grid column (`_column_growth`); resamplings
+  and cluster modules (``infer``) bring their own;
 * presentations of homology for 1 and 2 parameters, in the column type from
-  end to end.  The critical grid is swept row by row with one span of
-  kernel generators per row, fed where a generator is born by the same
-  growing reductions (Lesnick and Wright, arXiv:1902.05708).  Each boundary
-  of a (d+1)-simplex, expressed in the generators active at its grade, goes
-  packed to `minimal_presentation`, which unpacks only the kept relations.
-  The freeness of two-parameter kernels is an implementation hypothesis,
-  so a Hilbert check follows: the presentation's dimension table must
-  equal the chain's, each swept with one reduction per grid row from rank
-  tables of its own, so a sweep error cannot vouch for itself.
+  end to end: the critical grid is swept row by row with one span of kernel
+  generators per row, fed where a generator is born by the same growing
+  reductions (Lesnick and Wright, arXiv:1902.05708), and each boundary of a
+  (d+1)-simplex goes packed to `minimal_presentation`.  The freeness of
+  two-parameter kernels is an implementation hypothesis, so a Hilbert check
+  compares the presentation's dimension table with the chain's, each swept
+  from rank tables of its own, so a sweep error cannot vouch for itself.
 """
 
 import bisect
@@ -195,20 +192,18 @@ class GridModule:
     Each axis is a strictly increasing list of values; grid index k on axis
     a stands for the value axes[a][k].  Every grid index needs a dimension,
     and every index with a successor along axis a needs trans[(idx, a)], the
-    map from idx to that successor: one sparse column per basis vector at
-    idx, a {row: coeff} dict without zeros over the successor's basis; a
-    dimension or transition off the grid is refused.
-    Each is packed once into the field's column type (`exactnum`), whose
-    `compose` makes the composites, cached packed by the flat (row-major)
-    indices of their ends; `check_squares` and the cached `rank_between`
-    work on packed maps, `matrix_between` unpacks.  Dense rows appear only
-    in the text form."""
+    map from idx to that successor: one column per basis vector at idx over
+    the successor's basis, in the field's column type (`exactnum`) or as
+    {row: coeff} dicts without zeros, packed at the door; a dimension or
+    transition off the grid is refused.  `compose` of the packed maps makes
+    the composites, cached packed by the flat (row-major) indices of their
+    ends, which `check_squares` and the cached `rank_between` use; `step`,
+    `trans` and `matrix_between` unpack.  Dense rows appear only in text."""
 
     def __init__(self, field, axes, dims, trans):
         self.field = field
         self.axes = [list(a) for a in axes]
         self.dims = dict(dims)
-        self.trans = dict(trans)
         _check_axes(self.axes)
         stray = sorted(set(self.dims).symmetric_difference(self.indices()))
         if stray:
@@ -223,18 +218,22 @@ class GridModule:
                               key=lambda a: self._dims[i + self._strides[a]])
                        for i, idx in enumerate(self._flat)]
         self._steps = [[None] * len(self._dims) for _ in shape]   # axis -> flat -> packed
-        steps = list(_grid_steps(shape))
+        kind, steps = field.columns, list(_grid_steps(shape))
         for idx, axis in steps:
-            cols, rows = self.trans.get((idx, axis)), range(self.dims[_succ(idx, axis)])
+            cols = trans.get((idx, axis))
             if cols is None:
                 raise HomologyError(f"no transition given at {idx} axis {axis}")
-            if len(cols) != self.dims[idx] or field.zero in itertools.chain.from_iterable(
-                    map(dict.values, cols)) or not all(map(rows.__contains__, set().union(*cols))):
+            if cols and type(cols[0]) is dict:      # {row: coeff} columns, packed here
+                ok = min(itertools.chain(*cols), default=0) >= 0 and field.zero not in \
+                    itertools.chain.from_iterable(map(dict.values, cols))
+                cols = list(map(kind.pack, cols)) if ok else None
+            if cols is None or len(cols) != self.dims[idx] or \
+                    not kind.within(cols, self.dims[_succ(idx, axis)]):
                 raise HomologyError(f"transition at {idx} axis {axis} has the "
                                     f"wrong shape")
-            self._steps[axis][self._flat[idx]] = list(map(field.columns.pack, cols))
-        if len(self.trans) != len(steps):
-            idx, axis = min(set(self.trans).difference(steps))
+            self._steps[axis][self._flat[idx]] = cols
+        if len(trans) != len(steps):
+            idx, axis = min(set(trans).difference(steps))
             raise HomologyError(f"transition given off the grid at {idx} axis {axis}")
         self._composites = {}   # flat i1 * size + flat i2 -> packed composite
         self._ranks = {}        # (i1, i2) -> rank_between(i1, i2)
@@ -254,7 +253,12 @@ class GridModule:
         return tuple(self.axes[i][k] for i, k in enumerate(idx))
 
     def step(self, idx, axis):
-        return self.trans[(idx, axis)]
+        """The transition from idx along axis, as {row: coeff} columns."""
+        return list(map(self.field.columns.unpack, self._steps[axis][self._flat[idx]]))
+
+    @property
+    def trans(self):
+        return {(idx, a): self.step(idx, a) for idx, a in _grid_steps(self.shape())}
 
     def check_squares(self):
         compose, steps, strides = self.field.columns.compose, self._steps, self._strides
@@ -284,8 +288,8 @@ class GridModule:
             raise HomologyError("composite requires i1 <= i2")
         strides, dims, order, path = self._strides, self._dims, self._order, []
         if cur == end or not (dims[cur] and dims[end]):     # no walk
-            return [self.field.columns.pack({k: self.field.one} if cur == end else {})
-                    for k in range(dims[cur])]
+            kind = self.field.columns
+            return [kind.unit(k) if cur == end else kind.pack({}) for k in range(dims[cur])]
         while cur != end and cur * size + end not in cache:
             for axis in order[cur]:
                 if gaps[axis]:
@@ -315,16 +319,13 @@ class GridModule:
         lines = ["GRIDMODULE", f"field {self.field.spec}", f"axes {self.nparams}"]
         for i, ax in enumerate(self.axes):
             lines.append(f"axis {i} : " + " ".join(format_rational(v) for v in ax))
-        for idx in self.indices():
-            lines.append("dim " + " ".join(str(k) for k in idx) +
-                         f" = {self.dims[idx]}")
-        for idx, a in _grid_steps(self.shape()):
-            cols = self.step(idx, a)
+        lines += ["dim " + " ".join(map(str, idx)) + f" = {d}" for idx, d in zip(
+            self.indices(), self._dims)]
+        for (idx, a), cols in self.trans.items():
             body = " ; ".join(" ".join(format_rational(col.get(r, self.field.zero))
                                        for col in cols)
                               for r in range(self.dims[_succ(idx, a)]))
-            lines.append("trans " + " ".join(str(k) for k in idx) +
-                         f" axis {a} : {body}")
+            lines.append("trans " + " ".join(map(str, idx)) + f" axis {a} : {body}")
         lines.append("END")
         return "\n".join(lines) + "\n"
 
@@ -333,7 +334,8 @@ def build_grid_module(field, axes, point, dim, transition):
     """The one construction path of grid modules.  point(z) gives the data
     at each grid value z, dim(data) the dimension there, and
     transition(data, data_next) the map to the successor along one axis, as
-    sparse columns over the successor's basis.  point is called once per
+    columns over the successor's basis in the field's column type, handed to
+    `GridModule` as they are.  point is called once per
     grid index, in index order (the leading index outermost), so along each
     grid column z[1:] the leading value never decreases: chain and image
     modules grow their bases on that."""
@@ -558,14 +560,9 @@ def resample(gm, new_axes):
         raise HomologyError("axis count mismatch")
     if [list(a) for a in new_axes] == gm.axes:
         return gm
-
-    def dim(src):
-        return 0 if src is None else gm.dims[src]
-
-    def transition(src, dst):
-        return [] if src is None else gm.matrix_between(src, dst)
-
-    return build_grid_module(gm.field, new_axes, lambda z: _floor(gm.axes, z), dim, transition)
+    return build_grid_module(gm.field, new_axes, lambda z: _floor(gm.axes, z),
+                             lambda src: 0 if src is None else gm.dims[src],
+                             lambda src, dst: [] if src is None else gm._composite(src, dst))
 
 
 def rank_shift_distance(gm, gn):
@@ -579,20 +576,18 @@ def rank_shift_distance(gm, gn):
     keeping them clamped would break the lower-bound property)."""
     if gm.nparams != gn.nparams:
         raise HomologyError("incompatible axis dimensions")
-    union_axes = [sorted(set(gm.axes[a]) | set(gn.axes[a]))
-                  for a in range(gm.nparams)]
-    rm = resample(gm, union_axes)
-    rn = resample(gn, union_axes)
+    if gm.field != gn.field:
+        raise HomologyError("coefficient fields differ")
+    union_axes = [sorted(set(x) | set(y)) for x, y in zip(gm.axes, gn.axes)]
+    rm, rn = resample(gm, union_axes), resample(gn, union_axes)
     scale = common_denominator([x for ax in union_axes for x in ax])
     int_axes = [[scaled_int(x, scale) for x in ax] for ax in union_axes]
-    cands = sorted({Fraction(0)} | {y - x for ax in union_axes
-                                    for x in ax for y in ax if y > x})
+    cands = sorted({0} | {y - x for ax in int_axes for x in ax for y in ax if y > x})
 
-    def feasible(eps):
-        # per axis on int-scaled values, the index each value snaps to once
-        # shifted down (up) by eps: -1 below the axis and len(axis) above it,
+    def feasible(e):
+        # per int-scaled axis, the index each value snaps to once shifted down
+        # (up) by eps = e / scale: -1 below the axis and len(axis) above it,
         # where pairs clip, so only the box of unclipped pairs is visited
-        e = scaled_int(eps, scale)
         down = [[bisect.bisect_right(ax, x - e) - 1 for x in ax] for ax in int_axes]
         up = [[bisect.bisect_left(ax, x + e) for x in ax] for ax in int_axes]
         stops = [len(u) - u.count(len(u)) for u in up]
@@ -606,7 +601,7 @@ def rank_shift_distance(gm, gn):
                 if a > b and rm.rank_between(lo, hi) > b or \
                         a < b and rn.rank_between(lo, hi) > a:
                     return None
-        return eps
+        return e
 
     best = least_feasible(cands, feasible)
-    return ext(best) if best is not None else INF
+    return ext(Fraction(best, scale)) if best is not None else INF

@@ -51,15 +51,18 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
     and a over one common denominator, positions and b over another.  The
     points active at a and their gaps are found once per a; a cluster is a
     (first, last) index range of active points (Cech) or of grid points
-    within b of one (offset)."""
+    within b of one (offset).  Each grid point's clusters, sorted disjoint
+    ranges, are listed in the grid-index order `build_grid_module` asks in."""
     pts = [(as_fraction(x), as_fraction(w)) for x, w in pts]
     a_axis = sorted(map(as_fraction, a_axis))
     b_axis = sorted(map(as_fraction, b_axis))
+    if b_axis and b_axis[0] < 0:
+        raise FiltrationError(f"offsets must be >= 0, got {format_rational(b_axis[0])}")
     w_scale = common_denominator(a_axis + [w for _, w in pts])
     x_scale = common_denominator(b_axis + [x for x, _ in pts])
     pts = sorted((scaled_int(x, x_scale), scaled_int(w, w_scale)) for x, w in pts)
     xs = [x for x, _ in pts]
-    clusters = {}
+    clusters = []
     for a in a_axis:
         at = scaled_int(a, w_scale)
         active = [i for i, (_, w) in enumerate(pts) if w <= at]
@@ -69,10 +72,10 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
             if gap_rule == "cech":     # runs end at the gaps wider than 2b
                 ends = list(itertools.compress(itertools.count(),
                                                map((2 * reach).__lt__, gaps)))
-                clusters[a, b] = list(zip(active[:1] + [active[k + 1] for k in ends],
-                                          [active[k] for k in ends] + active[-1:]))
+                clusters.append(list(zip(active[:1] + [active[k + 1] for k in ends],
+                                         [active[k] for k in ends] + active[-1:])))
                 continue
-            runs = clusters[a, b] = []    # merged ranges of grid points in reach
+            clusters.append(runs := [])    # merged ranges of grid points in reach
             for i in active:
                 lo = bisect.bisect_left(xs, xs[i] - reach)
                 hi = bisect.bisect_right(xs, xs[i] + reach) - 1
@@ -80,21 +83,22 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
                     runs[-1] = (runs[-1][0], hi)
                 else:
                     runs.append((lo, hi))
+    unit, point = field.columns.unit, iter(clusters).__next__
 
     def containment(small, big):
-        """The map sending each cluster of `small` into the cluster of `big`
-        containing it, one column {home: 1} per cluster, read off the big
-        cluster of each point; both ends of a cluster must share it."""
-        label = [-1] * len(pts)
-        for r, (lo, hi) in enumerate(big):
-            label[lo:hi + 1] = [r] * (hi + 1 - lo)
-        homes = [label[lo] for lo, _ in small]
-        if -1 in homes or homes != [label[hi] for _, hi in small]:
-            raise FiltrationError("cluster refinement is not nested")
-        return [{home: field.one} for home in homes]
+        """The map sending each cluster of `small` to the one of `big` holding
+        it, one unit column each, by one walk over both sorted lists: a home
+        is the first big cluster not ending before it, and holds both ends."""
+        homes, r = [], 0
+        for lo, hi in small:
+            while r < len(big) and big[r][1] < lo:
+                r += 1
+            if r == len(big) or big[r][0] > lo or big[r][1] < hi:
+                raise FiltrationError("cluster refinement is not nested")
+            homes.append(unit(r))
+        return homes
 
-    return build_grid_module(field, [a_axis, b_axis], clusters.__getitem__, len,
-                             containment)
+    return build_grid_module(field, [a_axis, b_axis], lambda z: point(), len, containment)
 
 
 class ExperimentRecord:
@@ -206,18 +210,15 @@ def run_experiment(density, samples, trials, seed, bandwidth, kernel="gaussian",
     truth = offset_cluster_module(field, ambient, truth_weights, a_axis, b_axis)
 
     per_trial = {z: [] for z in samples}
-    stream = 0
-    for trial in range(trials):
-        for z in samples:
-            stream += 1
-            cloud = sample_density(density, z, _derive_seed(seed, stream))
-            if len(cloud) == 0:
-                per_trial[z].append(INF)
-                continue
-            estimates = kde_evaluate(cloud, kde, cloud)
-            weighted = [(pt[0], -e) for pt, e in zip(cloud, estimates)]
-            sample_mod = cech_cluster_module(field, weighted, a_axis, b_axis)
-            per_trial[z].append(rank_shift_distance(sample_mod, truth))
+    for stream, z in enumerate(list(samples) * trials, 1):     # trial by trial
+        cloud = sample_density(density, z, _derive_seed(seed, stream))
+        if len(cloud) == 0:
+            per_trial[z].append(INF)
+            continue
+        estimates = kde_evaluate(cloud, kde, cloud)
+        weighted = [(pt[0], -e) for pt, e in zip(cloud, estimates)]
+        sample_mod = cech_cluster_module(field, weighted, a_axis, b_axis)
+        per_trial[z].append(rank_shift_distance(sample_mod, truth))
 
     medians = {z: _median(per_trial[z]) for z in samples}
 

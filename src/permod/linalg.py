@@ -9,10 +9,10 @@ composition (`compose`): {row: coeff} dicts, or over Z/2 ints whose pivot
 is the top bit and whose elimination is xor.  Its API (`add_packed`,
 `reduce_packed`, and `coords`: minus the combination a column reduces with)
 takes and gives columns and combinations in that type; each caller packs a
-column once and unpacks only the combination it keeps.  Every grid module
-takes its bases and transitions from `quotient_basis` and `quotient_map`,
-the one quotient routine, on a subspace reducer the caller may grow on.
-The helpers take {index: coeff} dicts without zeros: `mat_mul`, `rank`,
+column once and unpacks only the combination it keeps.  Chain, image and
+presentation grid modules take their bases and packed transitions from
+`quotient_basis` and `quotient_map`, the one quotient routine.  The
+helpers take {index: coeff} dicts without zeros: `mat_mul`, `rank`,
 `nullspace` (the reduced-echelon null basis), `ColumnSpan` (coordinates
 over inserted vectors) and `solve`, which alone takes a dense matrix (the
 Gram systems of `filtration`) and gives the solution that is 0 at every
@@ -166,15 +166,15 @@ def quotient_basis(field, subspace, candidates):
 
 def quotient_map(basis, basis_next):
     """The map sending each pick of `basis` to its class over the picks of
-    `basis_next` (both from `quotient_basis`), as one {row: coeff} column
-    per pick, its rows the positions of the next picks."""
+    `basis_next` (both from `quotient_basis`), as one column per pick in the
+    field's column type, its rows the positions of the next picks."""
     keys, _, red = basis_next
     rows, kind, out = {key: i for i, key in enumerate(keys)}, red.kind, []
     for key in basis[0]:
         x = red.coords(kind.copy(basis[1][key]))
         if x is None:
             raise ValueError("a basis vector escapes the next quotient")
-        out.append({rows[k]: c for k, c in kind.unpack(x).items()})
+        out.append(kind.pack({rows[k]: c for k, c in kind.unpack(x).items()}))
     return out
 
 

@@ -281,7 +281,8 @@ class Presentation:
         per a-basis vector over the b-basis."""
         if not grade_leq(a, b):
             raise PresentationError("transition requires a <= b")
-        return quotient_map(self._quotient_basis(a), self._quotient_basis(b))
+        return list(map(self.field.columns.unpack,
+                        quotient_map(self._quotient_basis(a), self._quotient_basis(b))))
 
     def transition_rank(self, a, b):
         return rank(self.field, self.transition_matrix(a, b))

@@ -15,6 +15,7 @@ from permod.homology import (GradedChainComplex, GridModule, HomologyError,
                              barcode_1d, chain_complex_of, grid_module_of,
                              image_grid_module, parse_grid_module,
                              present_homology, rank_shift_distance, resample)
+from permod.infer import cech_cluster_module
 from permod.interleave import decide_generalized, interleaving_distance
 from permod.linalg import ColumnReducer, nullspace
 from permod.onedim import PersistenceDiagram, diagram_of
@@ -615,6 +616,15 @@ class TestRankShift:
         g2 = grid_module_of(p2, [[F(0)], [F(0)]])
         with pytest.raises(HomologyError):
             rank_shift_distance(g1, g2)
+
+    def test_coefficient_fields_differ(self, f2, f3):
+        """A Z/2 and a Z/3 cluster module on the same axes used to give 1."""
+        axes = [F(-1), F(0)], [F(0), F(1)]
+        pts = [(F(0), F(-1)), (F(3), F(0))]
+        g2, g3 = (cech_cluster_module(f, pts, *axes) for f in (f2, f3))
+        with pytest.raises(HomologyError, match="coefficient fields differ"):
+            rank_shift_distance(g2, g3)
+        assert rank_shift_distance(g3, cech_cluster_module(f3, pts[:1], *axes)) == ext(1)
 
 
 class TestResample:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from permod import infer
 from permod.exactnum import INF
 from permod.filtration import DensitySpec, FiltrationError, PointCloud, cech_bifiltration
 from permod.homology import grid_module_of
@@ -47,6 +48,28 @@ class TestClusterModules:
         """One weight for three grid points used to build a one-point module."""
         with pytest.raises(FiltrationError, match="grid points and weights"):
             offset_cluster_module(f2, [F(0), F(1), F(2)], [F(-1)], [F(0)], [F(0)])
+
+    def test_refinement_that_is_not_nested_refused(self, f2, monkeypatch):
+        """Containment asked the wrong way round: at a = 0 point 0 joins
+        point 1's cluster, so the cluster (0, 1) has no home at a = -1,
+        where only (1, 1) exists, though both end at point 1."""
+        build = infer.build_grid_module
+        monkeypatch.setattr(infer, "build_grid_module", lambda f, axes, point, dim, trans: build(
+            f, axes, point, dim, lambda small, big: trans(big, small)))
+        with pytest.raises(FiltrationError, match="cluster refinement is not nested"):
+            cech_cluster_module(f2, [(F(0), F(0)), (F(1), F(-1))], [F(-1), F(0)], [F(1)])
+
+    def test_negative_offset_refused(self, f2):
+        """An offset below 0 used to fail as an internal "not nested"
+        refinement (offset) or to give a module where no two points merge
+        (Cech)."""
+        with pytest.raises(FiltrationError, match="offsets must be >= 0, got -1$"):
+            offset_cluster_module(f2, [0, 1], [0, 1], [0, 1], [-1, 1])
+        with pytest.raises(FiltrationError, match="offsets must be >= 0, got -1/2$"):
+            cech_cluster_module(f2, [(F(0), F(0)), (F(1, 2), F(0))], [F(0)],
+                                [F(1), F(-1, 2), F(0)])
+        assert cech_cluster_module(f2, [(F(0), F(0)), (F(1, 2), F(0))], [F(0)],
+                                   [F(0), F(1, 4)]).dims == {(0, 0): 2, (0, 1): 1}
 
 
 class TestExperiment:

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction as F
 
 from permod import homology
-from permod.exactnum import QQ, BitColumns, PrimeField
+from permod.exactnum import QQ, BitColumns, PrimeField, common_denominator
 from permod.filtration import DensitySpec
 from permod.homology import (GridModule, chain_complex_of, grid_module_of,
                              image_grid_module, rank_shift_distance)
@@ -235,7 +235,10 @@ def test_inference_pair_composes_once_and_ranks_no_clipped_pair(monkeypatch):
 
     axes = modules[0].axes
     assert modules[1].axes == axes and len(probes) > 1
-    for eps, calls in probes:
+    # the probed candidates are ints on the axes' common denominator
+    scale = common_denominator(x for ax in axes for x in ax)
+    for e, calls in probes:
+        eps = F(e, scale)
         unclipped = set()
         allowed = set()
         for i1 in modules[0].indices():

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .exactnum import (QQ, ExtendedRational, as_fraction, common_denominator,
                        format_rational, grade_ranks, parse_field, parse_rational,
                        scaled_int, text_lines)
-from .linalg import ColumnReducer, quotient_basis, quotient_map, rank
+from .linalg import ColumnReducer, packed_rank, quotient_basis, quotient_map
 
 
 def grade_leq(a, b):
@@ -278,14 +278,17 @@ class Presentation:
 
     def transition_matrix(self, a, b):
         """Map M_a -> M_b in the echelon quotient bases, as one sparse column
-        per a-basis vector over the b-basis."""
-        if not grade_leq(a, b):
-            raise PresentationError("transition requires a <= b")
-        return list(map(self.field.columns.unpack,
-                        quotient_map(self._quotient_basis(a), self._quotient_basis(b))))
+        per a-basis vector over the b-basis: `_transition` unpacked."""
+        return list(map(self.field.columns.unpack, self._transition(a, b)))
 
     def transition_rank(self, a, b):
-        return rank(self.field, self.transition_matrix(a, b))
+        return packed_rank(self.field, self._transition(a, b))
+
+    def _transition(self, a, b):
+        """`transition_matrix` in the field's column type (`exactnum`)."""
+        if not grade_leq(a, b):
+            raise PresentationError("transition requires a <= b")
+        return quotient_map(self._quotient_basis(a), self._quotient_basis(b))
 
     # -- functors -----------------------------------------------------------
 

@@ -1,18 +1,19 @@
 """Multivariate affine-quadratic systems over a field, with a sound and
 complete solvability decision over prime fields.
 
-The solver eliminates the linear equations in rounds.  Each round reduces all
-purely linear equations at once with a `linalg.ColumnReducer`, one column
-per variable in increasing variable order, and substitutes the pivot
-solution into the quadratic equations, also inside their quadratic terms; a
-new round starts while that turns quadratic equations linear.  The search
-then backtracks over the remaining variables with an explicit stack,
-eliminating again after every assignment, so once the quadratic structure
-collapses the rest is solved by elimination alone.  An assignment or a round
-substitutes only into the equations whose variable set holds one of its
-variables.  The node budget counts branching assignments only.  Solvability
-over Q is refused; systems can still be exported as text.
+The solver eliminates the linear equations in rounds, each one column
+reduction (`linalg.ColumnReducer`) whose pivot solution is substituted into
+the quadratic equations.  It then backtracks over the remaining variables,
+most-constrained first, with an explicit stack, eliminating again after
+every assignment x_v = a (the round {v: (a, {})}).  Equations sit in slots
+changed in place and restored from an undo trail; per-variable occurrence
+sets give the slots a round touches, the only ones it substitutes into and
+the next round reads.  The node budget counts branching assignments only.
+Solvability over Q is refused; systems can still be exported as text.
 """
+
+from collections import defaultdict
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .exactnum import (QQ, PrimeField, format_rational, parse_field, parse_rational,
                        text_lines)
@@ -40,10 +41,14 @@ class QuadEquation:
     __slots__ = ("quad", "lin", "const", "vars")
 
     def __init__(self, quad=None, lin=None, const=0):
-        self.quad = dict(quad or {})
-        self.lin = dict(lin or {})
-        self.const = const
+        self._hold(dict(quad or {}), dict(lin or {}), const)
+
+    def _hold(self, quad, lin, const):
+        """Take quad and lin themselves, not copies; `substitute` hands over
+        dicts it has just built and nothing else holds."""
+        self.quad, self.lin, self.const = quad, lin, const
         self.vars = self.variables()
+        return self
 
     def variables(self):
         vs = set(self.lin)
@@ -54,55 +59,60 @@ class QuadEquation:
 
     def substitute(self, field, sub):
         """Substitute x_v = c_v + sum c_vk*x_k for every v in sub at once, where
-        sub[v] = (c_v, {k: c_vk}).  Returns a normalized copy; sub = {} only
-        normalizes, sub = {v: (value, {})} assigns a constant.  Terms without
-        a substituted variable are copied across."""
-        zero, add, mul = field.zero, field.add, field.mul
-        quad = {}
-        lin = {}
-        const = self.const
+        sub[v] = (c_v, {k: c_vk}).  Returns a normalized copy (sub = {} only
+        normalizes); terms are summed exactly and reduced once."""
+        quad, lin, const = {}, {}, self.const
         for i, c in self.lin.items():
-            if i not in sub:
-                lin[i] = add(lin.get(i, zero), c)
-                continue
-            ci, li = sub[i]
-            const = add(const, mul(c, ci))
-            for k, ck in li.items():
-                lin[k] = add(lin.get(k, zero), mul(c, ck))
+            if i in sub:
+                ci, li = sub[i]
+                const += c * ci
+                for k, ck in li.items():
+                    lin[k] = lin.get(k, 0) + c * ck
+            else:
+                lin[i] = lin.get(i, 0) + c
         for (i, j), c in self.quad.items():
-            if i not in sub and j not in sub:
+            if i in sub:
+                if j in sub:
+                    (ci, li), (cj, lj) = sub[i], sub[j]
+                    const += c * ci * cj
+                    for k, ck in li.items() if cj else ():
+                        lin[k] = lin.get(k, 0) + c * ck * cj
+                    for k, ck in lj.items() if ci else ():
+                        lin[k] = lin.get(k, 0) + c * ck * ci
+                    for k1, c1 in li.items():
+                        for k2, c2 in lj.items():
+                            key = (k1, k2) if k1 <= k2 else (k2, k1)
+                            quad[key] = quad.get(key, 0) + c * c1 * c2
+                    continue
+                kept, (cv, lv) = j, sub[i]
+            elif j in sub:
+                kept, (cv, lv) = i, sub[j]
+            else:
                 key = (i, j) if i <= j else (j, i)
-                quad[key] = add(quad.get(key, zero), c)
+                quad[key] = quad.get(key, 0) + c
                 continue
-            ci, li = sub.get(i) or (zero, {i: field.one})
-            cj, lj = sub.get(j) or (zero, {j: field.one})
-            const = add(const, mul(c, mul(ci, cj)))
-            # a zero constant on one side adds nothing to the other's terms
-            for k, ck in li.items() if cj != zero else ():
-                lin[k] = add(lin.get(k, zero), mul(c, mul(ck, cj)))
-            for k, ck in lj.items() if ci != zero else ():
-                lin[k] = add(lin.get(k, zero), mul(c, mul(ck, ci)))
-            for k1, c1 in li.items():
-                for k2, c2 in lj.items():
-                    key = (k1, k2) if k1 <= k2 else (k2, k1)
-                    quad[key] = add(quad.get(key, zero), mul(c, mul(c1, c2)))
-        if zero in quad.values():
-            quad = {k: c for k, c in quad.items() if c != zero}
-        if zero in lin.values():
-            lin = {k: c for k, c in lin.items() if c != zero}
-        return QuadEquation(quad, lin, const)
-
-    def is_contradiction(self, field):
-        return not self.quad and not self.lin and self.const != field.zero
+            # one factor substituted: c * x_kept * (c_v + sum c_vk*x_k)
+            if cv:
+                lin[kept] = lin.get(kept, 0) + c * cv
+            for k, ck in lv.items():
+                key = (k, kept) if k <= kept else (kept, k)
+                quad[key] = quad.get(key, 0) + c * ck
+        if isinstance(field, PrimeField):     # over Q the Fraction sums are exact
+            p, const = field.p, const % field.p
+            for k, c in quad.items():
+                quad[k] = c % p
+            for k, c in lin.items():
+                lin[k] = c % p
+        return QuadEquation.__new__(QuadEquation)._hold(
+            {k: c for k, c in quad.items() if c} if 0 in quad.values() else quad,
+            {k: c for k, c in lin.items() if c} if 0 in lin.values() else lin, const)
 
 
 class QuadraticSystem:
     def __init__(self, field, nvars, equations):
-        self.field = field
-        self.nvars = int(nvars)
+        self.field, self.nvars, self.equations = field, int(nvars), []
         if self.nvars < 0:
             raise QuadSysError(f"negative variable count {self.nvars}")
-        self.equations = []
         for eq in equations:
             # kept as given when normal (i <= j in quadratic keys, canonical
             # nonzero coefficients, vars those of the terms), else copied with
@@ -128,14 +138,14 @@ def evaluate(system, assignment):
     if len(assignment) != system.nvars:
         raise QuadSysError("assignment length mismatch")
     f = system.field
-    vals = [f.of(x) for x in assignment]
+    vals = [f.zero, *map(f.of, assignment)]
     for idx, eq in enumerate(system.equations, start=1):
-        acc = f.of(eq.const)
+        acc = eq.const      # an exact sum, reduced once
         for (i, j), c in eq.quad.items():
-            acc = f.add(acc, f.mul(c, f.mul(vals[i - 1], vals[j - 1])))
+            acc += c * vals[i] * vals[j]
         for i, c in eq.lin.items():
-            acc = f.add(acc, f.mul(c, vals[i - 1]))
-        if acc != f.zero:
+            acc += c * vals[i]
+        if f.of(acc) != f.zero:
             return idx
     return None
 
@@ -150,53 +160,108 @@ class SolveResult:
         return f"SolveResult({self.status!r}, nodes={self.nodes})"
 
 
-def _eliminate_linear(field, equations):
-    """Eliminate the linear equations in rounds of one column reduction.
+def _linear_round(field, rows):
+    """The round {pivot: (const, {free var: coeff})} solving the linear
+    equations `rows`, or None.  Each variable adds its column, in increasing
+    order, with the combination {var: 1}: a free one's reduced combination
+    holds its coefficients in the pivots' substitutions."""
+    columns = {}
+    for r, eq in enumerate(rows):
+        for v, c in eq.lin.items():
+            columns.setdefault(v, {})[r] = c
+    red, kind, zero, pivots, free = ColumnReducer(field), field.columns, field.zero, [], []
+    for v in sorted(columns):
+        low, null = red.add_packed(kind.pack(columns[v]), kind.unit(v))
+        if low is None:
+            free.append((v, kind.unpack(null)))
+        else:
+            pivots.append(v)
+    # consts + sum combo[p] * column p == 0: x = combo solves the round
+    consts = kind.pack({r: eq.const for r, eq in enumerate(rows) if eq.const != zero})
+    col, combo, _ = red.reduce_packed(consts, kind.pack({}))
+    if col:
+        return None
+    combo = kind.unpack(combo)
+    sub = {p: (combo.get(p, zero), {}) for p in pivots}
+    for v, null in free:
+        for p, c in null.items():
+            if p != v:
+                sub[p][1][v] = c
+    return sub
 
-    Each round adds one column per variable of the purely linear equations,
-    in increasing variable order, with the combination {var: 1}; the
-    variables with independent columns are the round's pivots.  A free
-    variable's reduced combination is its null vector (1 at it, 0 at every
-    other free variable), whose entry at a pivot is the free variable's
-    coefficient in that pivot's substitution; reducing the constants gives
-    the pivots' constants.  The substitution goes into the quadratic
-    equations that hold a pivot (kept in their order; the others are
-    normalized already).  Returns (remaining equations, substitution rounds)
-    or None on contradiction.  A round is {pivot: (const, {free var:
-    coeff})}; replay the rounds in reverse to reconstruct a witness."""
-    zero = field.zero
-    eqs = list(equations)
-    subs = []
-    while True:
-        linear = [eq for eq in eqs if not eq.quad]
-        quadratic = [eq for eq in eqs if eq.quad]
-        columns = {}
-        for r, eq in enumerate(linear):
-            for v, c in eq.lin.items():
-                columns.setdefault(v, {})[r] = c
-        red, kind, pivots, free = ColumnReducer(field), field.columns, [], []
-        for v in sorted(columns):
-            low, null = red.add_packed(kind.pack(columns[v]), kind.unit(v))
-            if low is None:
-                free.append((v, kind.unpack(null)))
+
+class _Search:
+    """Equations in slots (None once gone), restored from a trail of (slot,
+    equation replaced); occ[v], the slots whose equation has v; and the
+    rounds made (`subs`).  The constructor puts the quadratic equations in
+    slots and eliminates the linear ones (`ok`: False on contradiction),
+    0 = 0 dropped, then builds a heap holding for each v in an equation an
+    entry (-count, v) with count >= len(occ[v])."""
+
+    def __init__(self, field, equations):
+        self.field, self.trail, self.subs, self.heap = field, [], [], []
+        self.eqs, self.occ = [eq for eq in equations if eq.quad], defaultdict(set)
+        for slot, eq in enumerate(self.eqs):
+            for v in eq.vars:
+                self.occ[v].add(slot)
+        self.ok = self.eliminate(None, [eq for eq in equations
+                                        if not eq.quad and (eq.lin or eq.const)])
+        # the root's moves pushed into a list that this heap replaces
+        self.heap = [(-len(s), v) for v, s in self.occ.items() if s]
+        heapify(self.heap)
+
+    def move(self, slot, eq):
+        """Put eq (None: no equation) in slot; returns the equation it replaces."""
+        old, occ = self.eqs[slot], self.occ
+        self.eqs[slot] = eq
+        before, after = old.vars if old else set(), eq.vars if eq else set()
+        for v in before - after:
+            occ[v].discard(slot)
+        for v in after - before:
+            occ[v].add(slot)
+            heappush(self.heap, (-len(occ[v]), v))
+        return old
+
+    def eliminate(self, sub, rows=()):
+        """Substitute sub into the slots holding its variables, then eliminate
+        the linear equations and `rows` in rounds, each substituted so; False
+        on contradiction."""
+        f, eqs, occ, trail, move, rows = (self.field, self.eqs, self.occ, self.trail,
+                                          self.move, list(rows))
+        while True:
+            if sub:
+                self.subs.append(sub)
+                for slot in set().union(*map(occ.__getitem__, sub)):
+                    eq = eqs[slot].substitute(f, sub)
+                    if not eq.quad:
+                        if eq.lin:
+                            rows.append(eq)
+                        elif eq.const:
+                            return False
+                        eq = None
+                    trail.append((slot, move(slot, eq)))
+            if not rows:
+                return True
+            sub, rows = _linear_round(f, rows), []
+            if sub is None:
+                return False
+
+    def branch_var(self):
+        """The variable in the most equations (least on a tie), None if none;
+        a top entry whose count shrank since it was pushed is corrected."""
+        heap, occ = self.heap, self.occ
+        if len(heap) > 4 * len(occ) + 64:     # drop the stale entries
+            heap[:] = [(-len(s), v) for v, s in occ.items() if s]
+            heapify(heap)
+        while heap:
+            count, v = heap[0]
+            if len(occ[v]) == -count:
+                return v
+            if occ[v]:
+                heapreplace(heap, (-len(occ[v]), v))
             else:
-                pivots.append(v)
-        # consts + sum combo[p] * column p == 0: x = combo solves the round
-        consts = kind.pack({r: eq.const for r, eq in enumerate(linear) if eq.const != zero})
-        col, combo, _ = red.reduce_packed(consts, kind.pack({}))
-        if col:
-            return None
-        combo = kind.unpack(combo)
-        if not pivots:
-            return quadratic, subs
-        sub = {p: (combo.get(p, zero), {}) for p in pivots}
-        for v, null in free:
-            for p, c in null.items():
-                if p != v:
-                    sub[p][1][v] = c
-        subs.append(sub)
-        eqs = [eq if eq.vars.isdisjoint(pivots) else eq.substitute(field, sub)
-               for eq in quadratic]
+                heappop(heap)
+        return None
 
 
 def solve_finite_field(system, budget=DEFAULT_BUDGET):
@@ -208,63 +273,38 @@ def solve_finite_field(system, budget=DEFAULT_BUDGET):
     if not isinstance(f, PrimeField):
         raise QuadSysError("solvability decision requires a prime field; "
                            "rational systems are export-only")
-    domain = list(f.elements())
-
-    def reconstruct(subs):
-        values = {}
-        for sub in reversed(subs):
-            for var, (aff_const, aff_lin) in sub.items():
-                acc = aff_const
-                for k, ck in aff_lin.items():
-                    acc = f.add(acc, f.mul(ck, values.get(k, f.zero)))
-                values[var] = acc
-        return [values.get(i, f.zero) for i in range(1, system.nvars + 1)]
-
-    def enter(eqs, subs):
-        """Eliminate at a search node: (witness, None) once no equation is
-        left, (None, branching frame) otherwise, (None, None) on
-        contradiction.  subs holds the elimination rounds and assignments
-        made so far, an assignment x_v = a being the round {v: (a, {})}."""
-        simplified = _eliminate_linear(f, eqs)
-        if simplified is None:
-            return None, None
-        eqs, new_subs = simplified
-        subs = subs + new_subs
-        if not eqs:
-            return reconstruct(subs), None
-        # most-constrained variable: appears in the most equations; tie by index
-        counts = {}
-        for eq in eqs:
-            for v in eq.vars:
-                counts[v] = counts.get(v, 0) + 1
-        var = min(counts, key=lambda v: (-counts[v], v))
-        return None, (eqs, subs, var, iter(domain))
-
-    # depth-first, values in domain order: the nodes counted and the witness
-    # found are those of a recursive backtracking search
-    nodes = 0
-    witness, frame = enter(system.equations, [])
-    stack = [frame] if frame else []
-    while witness is None and stack:
-        eqs, subs, var, values = stack[-1]
+    # depth-first, values in domain order (a range, walked lazily per frame):
+    # the nodes counted and the witness found are those of a recursive
+    # backtracking search.  A frame is (variable, values left, the trail's
+    # and the rounds' lengths to undo to).
+    search, domain, nodes, stack = _Search(f, system.equations), f.elements(), 0, []
+    trail, subs, consistent = search.trail, search.subs, search.ok
+    while consistent or stack:
+        if consistent:      # branch, or every equation is gone
+            var = search.branch_var()
+            if var is None:
+                break
+            stack.append((var, iter(domain), len(trail), len(subs)))
+        var, values, marked, rounds = stack[-1]
+        while len(trail) > marked:
+            search.move(*trail.pop())
+        del subs[rounds:]
         value = next(values, None)
         if value is None:
             stack.pop()
+            consistent = False
             continue
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(nodes)
-        assignment = {var: (value, {})}
-        next_eqs = [eq.substitute(f, assignment) if var in eq.vars else eq
-                    for eq in eqs]
-        if any(eq.is_contradiction(f) for eq in next_eqs):
-            continue
-        witness, frame = enter(next_eqs, subs + [assignment])
-        if frame:
-            stack.append(frame)
-
-    if witness is None:
+        consistent = search.eliminate({var: (value, {})})
+    else:
         return SolveResult("unsolvable", nodes=nodes)
+    witness = [0] * (system.nvars + 1)
+    for sub in reversed(subs):
+        for var, (const, lin) in sub.items():
+            witness[var] = (const + sum(c * witness[k] for k, c in lin.items())) % f.p
+    witness = witness[1:]
     bad = evaluate(system, witness)
     if bad is not None:
         raise AssertionError(f"solver produced an invalid witness (eq {bad})")
@@ -308,21 +348,18 @@ def parse_system(text):
                 raise QuadSysError("field and vars must precede equations")
             if len(args) % 3 != 0:
                 raise QuadSysError(f"bad term list: {ln}")
-            field = head["field"]
-            quad, lin, const = {}, {}, field.zero
+            field, quad, lin, const = head["field"], {}, {}, head["field"].zero
             for c, i, j in zip(args[0::3], args[1::3], args[2::3]):
-                cval = field.of(parse_rational(c))
-                i, j = int(i), int(j)
-                if i == 0 and j == 0:
-                    const = field.add(const, cval)
-                elif j == 0:
-                    lin[i] = field.add(lin.get(i, field.zero), cval)
-                elif i == 0:
+                c, i, j = field.of(parse_rational(c)), int(i), int(j)
+                if i == 0 != j:
                     raise QuadSysError(f"bad term indices in: {ln}")
+                if i == 0:
+                    const += c
+                elif j == 0:
+                    lin[i] = lin.get(i, 0) + c
                 else:
-                    ij = (i, j) if i <= j else (j, i)
-                    quad[ij] = field.add(quad.get(ij, field.zero), cval)
-            eqs.append(QuadEquation(quad, lin, const))
+                    quad[i, j] = quad.get((i, j), 0) + c
+            eqs.append(QuadEquation(quad, lin, const).substitute(field, {}))
         else:
             raise QuadSysError(f"unknown line: {ln}")
     if len(head) < 2:

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 
 from permod import PrimeField, Presentation, interleave
 from permod.filtration import BifilteredComplex
+from permod.quadsys import _Search
 
 
 @pytest.fixture
@@ -144,6 +147,35 @@ def random_one_critical_complex(rng, n, max_simplices=10, max_grade=4,
         grade = tuple(lo + Fraction(rng.randint(0, 2), 2) for lo in lower)
         simplices[verts] = grade
     return BifilteredComplex(n, list(simplices.items()))
+
+
+@contextlib.contextmanager
+def address_space_limit():
+    """Cap this process's address space at its current size plus 1 GiB (the
+    soft limit, put back on exit), so that an allocation as large as the
+    field Z/(2^31 - 1) fails at once with MemoryError.  Skips the test where
+    the platform has no RLIMIT_AS or no /proc/self/statm."""
+    try:
+        import resource
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        with open("/proc/self/statm") as fh:
+            cap = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + (1 << 30)
+    except (ImportError, AttributeError, OSError, ValueError) as exc:
+        pytest.skip(f"no address-space limit on this platform: {exc}")
+    if hard != resource.RLIM_INFINITY:
+        cap = min(hard, cap)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def root_elimination(field, equations):
+    """The solver's elimination before its first branch: (the equations
+    left, in their order; the rounds), or None on contradiction."""
+    search = _Search(field, equations)
+    return ([eq for eq in search.eqs if eq], search.subs) if search.ok else None
 
 
 def seeded(seed):

@@ -11,6 +11,8 @@ from permod.interleave import candidate_set
 from permod.presentation import PresentationError, parse_presentation
 from permod.quadsys import QuadSysError, export_system, parse_system
 
+from conftest import address_space_limit
+
 C01 = """PRESENTATION
 n 1
 field zp 2
@@ -120,6 +122,21 @@ class TestDistance:
         code, out, _ = run(capsys, "distance", "interleaving",
                            free2, free2, "--budget", "0")
         assert code == 3 and "budget exceeded" in out
+
+    @pytest.mark.parametrize("p", [2, 2147483647])
+    def test_largest_prime_field(self, capsys, tmp_path, p):
+        """Over Z/(2^31 - 1) the solver walks the field's values one at a
+        time, so the answer comes as over Z/2, within 1 GiB more address
+        space."""
+        text = ("PRESENTATION\nn 1\nfield zp {}\ngenerator a 0\ngenerator b {}\n"
+                "relation r 1 : a 1 b 1\nEND\n")
+        (tmp_path / "m.txt").write_text(text.format(p, 0))
+        (tmp_path / "n.txt").write_text(text.format(p, 1))
+        with address_space_limit():
+            code, out, err = run(capsys, "distance", "interleaving",
+                                 tmp_path / "m.txt", tmp_path / "n.txt")
+        assert (code, err) == (0, "")
+        assert "d_I = 1/2" in out and "solver: 1 decisions, 2 search nodes" in out
 
     @pytest.mark.parametrize("decide", [[], ["--decide", "1"]])
     def test_negative_budget_exit_2(self, capsys, files, decide):

@@ -12,10 +12,10 @@ from permod.interleave import (DistanceBudgetExceeded, SearchStats,
 from permod.onedim import bottleneck, diagram_of
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, interval_presentation)
-from permod.quadsys import solve_finite_field
+from permod.quadsys import evaluate, solve_finite_field
 
-from conftest import (dense_relations, mat_vec, random_presentation, search_from_zero,
-                      seeded)
+from conftest import (address_space_limit, dense_relations, mat_vec, random_presentation,
+                      search_from_zero, seeded)
 
 
 def C(field, a, b):
@@ -529,6 +529,25 @@ def brute_force_interleaved(m, n, eps):
             if cond4:
                 return True
     return False
+
+
+class TestLargestPrimeField:
+    def test_pair_over_the_largest_prime(self):
+        """Over Z/(2^31 - 1), within 1 GiB more address space, the pair has
+        d_I = 1/2 in 2 nodes as over Z/2, and the witness at 1/2 satisfies
+        its system."""
+        for p in (2, 2 ** 31 - 1):
+            f = PrimeField(p)
+            m, n = (Presentation(1, f, [("a", (F(0),)), ("b", (F(b),))],
+                                 [("r", (F(1),), {0: 1, 1: 1})]) for b in (0, 1))
+            stats = SearchStats()
+            system = interleave.TermTable(m.minimize(), n.minimize()).at(F(1, 2)).system
+            with address_space_limit():
+                d = interleave.interleaving_distance(m, n, stats=stats)
+                res = solve_finite_field(system)
+            assert d == ext(F(1, 2)) and (stats.decisions, stats.nodes) == (1, 2)
+            assert res.status == "solvable" and res.nodes == 2
+            assert evaluate(system, res.witness) is None
 
 
 class TestBruteForceOracle:

@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from permod.exactnum import QQ
+from permod.exactnum import QQ, PrimeField
 from permod.quadsys import (BudgetExceeded, QuadEquation, QuadraticSystem,
-                            QuadSysError, _eliminate_linear, evaluate,
-                            export_system, parse_system, solve_finite_field)
+                            QuadSysError, evaluate, export_system, parse_system,
+                            solve_finite_field)
+
+from conftest import address_space_limit, root_elimination
 
 
 def systems_equal(a, b):
@@ -138,6 +140,16 @@ class TestSolver:
         with pytest.raises(QuadSysError, match="index 3 out of range"):
             QuadraticSystem(f3, 2, [normal, QuadEquation({(1, 3): 1})])
 
+    def test_equation_copies_the_terms_given(self, f3):
+        """A dict changed after it built an equation leaves the equation, its
+        vars and the solver's answer as they were."""
+        quad, lin = {(1, 2): 1}, {1: 1}
+        s = QuadraticSystem(f3, 2, [QuadEquation(quad, lin, 0)])
+        quad[(2, 2)], lin[1] = 1, 2
+        e = s.equations[0]
+        assert (e.quad, e.lin, e.vars) == ({(1, 2): 1}, {1: 1}, {1, 2})
+        assert solve_finite_field(s).witness == [0, 0]
+
     def test_agrees_with_enumeration_z2(self, f2):
         rng = random.Random(3)
         for _ in range(60):
@@ -158,7 +170,7 @@ class TestSolver:
         rng = random.Random(5)
         for _ in range(30):
             s = random_system(rng, f3, rng.randint(1, 5), rng.randint(1, 4))
-            out = _eliminate_linear(f3, s.equations)
+            out = root_elimination(f3, s.equations)
             if out is None:
                 assert not exhaustive_solvable(s)
                 continue
@@ -193,6 +205,21 @@ class TestSolver:
             solve_finite_field(s, budget=-1)
         assert solve_finite_field(QuadraticSystem(f3, 1, [eq(f3, lin={1: 1})]),
                                   budget=0).status == "solvable"
+
+    def test_largest_prime_walks_values_lazily(self):
+        """Over Z/(2^31 - 1) a frame walks the values as it needs them:
+        x^2 = 1 is solved at the second value, and x^2 = -1, which has no
+        root since p = 3 mod 4, runs out of a 100-node budget at once."""
+        f = PrimeField(2 ** 31 - 1)
+        s = QuadraticSystem(f, 1, [eq(f, quad={(1, 1): 1}, const=-1)])
+        with address_space_limit():
+            res = solve_finite_field(s)
+        assert (res.status, res.witness, res.nodes) == ("solvable", [1], 2)
+        assert evaluate(s, res.witness) is None
+        s = QuadraticSystem(f, 1, [eq(f, quad={(1, 1): 1}, const=1)])
+        with address_space_limit(), pytest.raises(BudgetExceeded) as exc:
+            solve_finite_field(s, budget=100)
+        assert exc.value.nodes == 101
 
     def test_rationals_refused(self):
         s = QuadraticSystem(QQ, 1, [])

@@ -13,10 +13,10 @@ from permod.exactnum import PrimeField
 from permod.interleave import assemble_system
 from permod.presentation import MonotoneAffineMap
 from permod.quadsys import (BudgetExceeded, QuadEquation, QuadraticSystem,
-                            _eliminate_linear, solve_finite_field)
+                            solve_finite_field)
 
 import reference_quadsys as ref
-from conftest import random_presentation, rerepresent, seeded
+from conftest import random_presentation, rerepresent, root_elimination, seeded
 
 FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5))
 
@@ -81,6 +81,18 @@ class TestAgainstReference:
         assert_same([random_system(rng, field, rng.randint(1, 14),
                                    rng.randint(1, 12)) for _ in range(400)])
 
+    @pytest.mark.parametrize("field", (PrimeField(7), PrimeField(11)),
+                             ids=lambda f: f.spec)
+    def test_random_systems_over_larger_primes(self, field):
+        """Exact sums reduced once and values walked lazily: over Z/7 and
+        Z/11 too, the same status, witness and nodes, and the same nodes at
+        every budget exit."""
+        rng = seeded(433 + field.p)
+        systems = [random_system(rng, field, rng.randint(1, 6), rng.randint(1, 8))
+                   for _ in range(150)]
+        for budget in (2000, 0, 4, 30):
+            assert_same(systems, budget)
+
     def test_budget_exceeded_after_same_nodes(self):
         rng = seeded(409)
         systems = [random_system(rng, f, 12, 8) for f in FIELDS for _ in range(40)]
@@ -92,6 +104,26 @@ class TestAgainstReference:
         assert sum(len(s.equations) for s in systems) > 2000
         assert_same(systems)
         assert_same(systems, budget=2)
+
+    def test_elimination_rounds_past_two_to_the_62(self):
+        """Over Z/(2^31 - 1) a coefficient times two substituted coefficients
+        passes 2^62 before its one reduction; the rounds and the equations
+        left equal the Gauss-Jordan ones all the same."""
+        field, rng, past = PrimeField(2 ** 31 - 1), seeded(439), 0
+        for _ in range(300):
+            s = random_system(rng, field, rng.randint(2, 10), rng.randint(2, 12))
+            got = root_elimination(field, s.equations)
+            want = ref.eliminate_linear_rounds(field, s.equations)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert [(e.quad, e.lin, e.const) for e in got[0]] == \
+                [(e.quad, e.lin, e.const) for e in want[0]]
+            assert got[1] == want[1]
+            quad = [c for e in s.equations for c in e.quad.values()]
+            subs = [c for r in got[1] for _, lin in r.values() for c in lin.values()]
+            past += bool(quad and subs and max(quad) * max(subs) ** 2 > 2 ** 62)
+        assert past > 20
 
     def test_elimination_rounds(self):
         """The remaining equations are the reference's polynomials in the
@@ -105,7 +137,7 @@ class TestAgainstReference:
         systems += interleaving_systems(431, 2)
         for s in systems:
             field = s.field
-            got = _eliminate_linear(field, s.equations)
+            got = root_elimination(field, s.equations)
             want = ref._eliminate_linear(field, ref.reference_system(s))
             rounds = ref.eliminate_linear_rounds(field, s.equations)
             assert (got is None) == (want is None) == (rounds is None)

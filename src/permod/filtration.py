@@ -21,7 +21,6 @@ set, so the Cech candidates are the cliques of the capped edges too.
 """
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -48,7 +47,7 @@ class PointCloud:
     keeps duplicates; filtration builders deduplicate)."""
 
     def __init__(self, points):
-        self.points = [tuple(Fraction(x) for x in pt) for pt in points]
+        self.points = [tuple(map(as_fraction, pt)) for pt in points]
         dims = {len(pt) for pt in self.points}
         if len(dims) > 1:
             raise FiltrationError("points of mixed dimension")
@@ -471,6 +470,8 @@ def gromov_function_distance(x1, d1, f1, x2, d2, f2, max_points=5):
 COORD_DENOM = 1 << 20
 KERNEL_DENOM = 1 << 30
 SEED_LIMIT = 1 << 128       # Philox keys are the ints in [0, 2**128)
+KDE_BLOCK = 4096            # kernel terms per numpy block of kde_evaluate
+EXP_ZERO = 1500             # math.exp(-q / 2) is 0.0 for every q >= 1500
 
 
 class DensitySpec:
@@ -523,9 +524,10 @@ class DensitySpec:
 
 
 def sample_density(spec, count, seed):
-    """Deterministic i.i.d.-style sample via the Philox counter-based
-    generator (numpy's one use, so imported here); coordinates rounded to
-    denominator 2**20.  The seed is the Philox key, an int in [0, 2**128)."""
+    """Deterministic i.i.d.-style sample via numpy's Philox counter-based
+    generator (numpy is imported here and in kde_evaluate alone, so importing
+    permod loads none); coordinates rounded to denominator 2**20.  The seed
+    is the Philox key, an int in [0, 2**128)."""
     import numpy as np
     if count < 0:
         raise FiltrationError("count must be >= 0")
@@ -539,15 +541,15 @@ def sample_density(spec, count, seed):
     for w, _, _ in spec.components:
         acc += w
         cum.append(float(acc))
+    comps = [(tuple(map(float, center)), float(sigma)) for _, center, sigma in spec.components]
     pts = []
     for _ in range(count):
         u = rng.random()
         idx = next(i for i, c in enumerate(cum) if u < c or i == len(cum) - 1)
-        _, center, sigma = spec.components[idx]
+        center, sigma = comps[idx]
         raw = rng.normal(size=spec.dim)
-        pt = [Fraction(round((float(c) + float(sigma) * z) * COORD_DENOM), COORD_DENOM)
-              for c, z in zip(center, raw)]
-        pts.append(pt)
+        pts.append([Fraction(round((c + sigma * z) * COORD_DENOM), COORD_DENOM)
+                    for c, z in zip(center, raw)])
     return PointCloud(pts)
 
 
@@ -570,67 +572,80 @@ def kde_evaluate(sample, spec, at):
     `at`.  The kernel argument q = |x - s|^2 / h^2 is an exact integer
     ratio: with every coordinate scaled once by D * h.denominator, for D the
     lcm of their denominators, q = num / den for num = |X - S|^2 and
-    den = (D * h.numerator)^2, and the int true division is the correctly
-    rounded float(q).  The Gaussian takes num / (-2 den), which is exactly
-    -(num / den) / 2 (halving a double is exact; a quotient too small for
-    that to hold has exp 1.0 either way), and Epanechnikov compares the
-    ints num <= den.  So each pair costs one subtraction and one square per
-    coordinate, one division, one exp and one multiplication.  Only exp and
-    the summation are floating point; each value is a libm double rounded
-    to 2**-30 and recorded as approximate.  Each value sums its kernel terms
-    one by one in sample order, from 0.0.  When `at` is the sample itself,
-    num is the same int for (i, j) and (j, i), so each unordered pair is
-    evaluated once: row i holds the terms at points i, i+1, ..., and no row
-    is stored; running sums, one per later point, hold the terms of the
-    rows before."""
+    den = (D * h.numerator)^2.  The Gaussian takes the correctly rounded
+    num / (-2 den), exactly -(num / den) / 2 (halving a double is exact; a
+    quotient too small for that has exp 1.0 either way), and Epanechnikov
+    compares num <= den.  num is clamped at EXP_ZERO * den, where the kernel
+    is 0.0 already, so no quotient leaves the double range.
+    The pairs go through numpy in blocks of about KDE_BLOCK terms, as int64
+    while the shifted coordinates keep every num and 2 den below 2**53 (so a
+    double division rounds once, as the int division does), else as Python
+    ints in object arrays.  Each term is one libm math.exp call (np.exp
+    rounds some arguments differently) and each value sums its terms in
+    sample order, from 0.0, by np.add.accumulate; it is a double rounded to
+    2**-30 and recorded as approximate.  When `at` is the sample, a block
+    holds only its rows' pairs (i, j) with j >= i; the terms of earlier rows
+    reach point j through a running sum carried from block to block."""
+    import numpy as np
     if not len(sample):
         raise FiltrationError("empty sample")
     z = len(sample)
     m = sample.dim
     h = spec.bandwidth
-    at = [tuple(map(Fraction, x)) for x in at]
+    at = [tuple(map(as_fraction, x)) for x in at]
     if any(len(x) != m for x in at):
         raise FiltrationError("evaluation point dimension != sample dimension")
+    try:
+        denom = z * float(h) ** m
+    except OverflowError:
+        denom = math.inf
+    if not 0 < denom < math.inf:
+        raise FiltrationError(f"bandwidth {h}: z * h**{m} is not a positive finite double")
     symmetric = at == list(sample)
-    scale = common_denominator(c for pts in (sample, at) for pt in pts for c in pt)
+    points = list(sample) + ([] if symmetric else at)
+    scale = common_denominator(c for pt in points for c in pt)
     den = (scale * h.numerator) ** 2
     scale *= h.denominator
+    coords = [[scaled_int(c, scale) for c in col] for col in zip(*points)]
+    coords = [[c - low for c in col] for col, low in zip(coords, map(min, coords))]
+    exact = max(sum(max(col) ** 2 for col in coords), 2 * den) < 2 ** 53
+    dtype, cast = (np.int64, float) if exact else (object, int)
+    coords = np.array(coords, dtype=dtype).reshape(m, len(points))
+    rows = coords[:, 0 if symmetric else z:]
     if spec.kernel == "gaussian":
         norm = (2 * math.pi) ** (-m / 2)
-        exp = math.exp
-        neg_2den = -2 * den
 
         def kernels(nums):
-            return [norm * exp(num / neg_2den) for num in nums]
+            q = (nums / cast(-2 * den)).tolist()
+            return norm * np.fromiter(map(math.exp, q), float, len(q))
     else:
         c = (m + 2) / (2 * _unit_ball_volume(m))
 
         def kernels(nums):
-            return [c * (1 - num / den) if num <= den else 0.0 for num in nums]
+            return np.where(nums <= den, c * (1 - nums / cast(den)), 0.0).astype(float)
 
-    def scaled(pts):
-        return [tuple(scaled_int(c, scale) for c in pt) for pt in pts]
-
-    add = operator.add
-
-    def add_lists(a, b):
-        return list(map(add, a, b))
-
-    denom = z * float(h) ** m
-    sample_int = scaled(sample)
-    coords = list(zip(*sample_int))
     out = []
-    # symmetric: at row i, acc[j] sums the terms at point i + j of rows < i
-    acc = [0.0] * z
-    for i, x in enumerate(sample_int if symmetric else scaled(at)):
-        lo = i if symmetric else 0
-        # num = |X - S|^2, one list of squared differences per coordinate
-        nums = functools.reduce(add_lists, ([(xd - s) ** 2 for s in sd[lo:]]
-                                            for xd, sd in zip(x, coords)))
-        row = kernels(nums)
-        # the sum runs in sample order (reduce(add): builtin sum may compensate)
-        total = functools.reduce(add, row, acc[0])
+    carry = np.zeros(z)     # symmetric: the sum at each point r0, r0 + 1, ... of the rows before r0
+    r0 = 0
+    while r0 < rows.shape[1]:
+        lo = r0 if symmetric else 0
+        r1 = min(rows.shape[1], r0 + max(1, KDE_BLOCK // (z - lo)))
+        num = sum(((xs[r0:r1, None] - ss[None, lo:z]) ** 2 for xs, ss in zip(rows, coords)),
+                  np.zeros((r1 - r0, z - lo), dtype))
+        num = np.minimum(num, EXP_ZERO * den)
         if symmetric:
-            acc = list(map(add, acc[1:], row[1:]))
-        out.append(Fraction(round(total / denom * KERNEL_DENOM), KERNEL_DENOM))
-    return out
+            pairs = np.arange(lo, z) >= np.arange(r0, r1)[:, None]
+            terms = np.zeros(num.shape)
+            terms[pairs] = kernels(num[pairs])
+            sums = np.add.accumulate(np.vstack([carry, terms]), axis=0)
+            k = np.arange(r1 - r0)
+            terms[k, k] += sums[k, k]       # row i starts from point i's sum
+            carry = sums[-1, r1 - r0:].copy()
+        else:
+            terms = kernels(num.ravel()).reshape(num.shape)
+        out.extend(np.add.accumulate(terms, axis=1)[:, -1].tolist())
+        r0 = r1
+    try:
+        return [Fraction(round(t / denom * KERNEL_DENOM), KERNEL_DENOM) for t in out]
+    except OverflowError:
+        raise FiltrationError(f"bandwidth {h}: an estimate is past the double range") from None

@@ -7,6 +7,11 @@ integer ratio: q is summed as a Fraction and the kernels take float(q).
 argument is the int ratio num / den with num = hd2 |X|^2 + hd2 |S|^2 - 2 hd2
 X.S per pair, the Gaussian takes -(num / den) / 2, and on the symmetric path
 every row is stored and its terms read back for the later points.
+``one_pass_kde_evaluate`` is the code from before the numpy blocks: the
+argument is the int ratio num / den with num = |X - S|^2 on coordinates
+scaled once, the Gaussian takes num / (-2 den), each row is one Python list
+and its terms go into running sums, one per later point, on the symmetric
+path.
 """
 
 import array
@@ -117,4 +122,75 @@ def int_ratio_kde_evaluate(sample, spec, at):
         if symmetric:
             rows.append(array.array("d", row))
         out.append(Fraction(round(acc / denom * KERNEL_DENOM), KERNEL_DENOM))
+    return out
+
+
+def one_pass_kde_evaluate(sample, spec, at):
+    """Kernel density estimate of the sample evaluated at each point of
+    `at`.  The kernel argument q = |x - s|^2 / h^2 is an exact integer
+    ratio: with every coordinate scaled once by D * h.denominator, for D the
+    lcm of their denominators, q = num / den for num = |X - S|^2 and
+    den = (D * h.numerator)^2, and the int true division is the correctly
+    rounded float(q).  The Gaussian takes num / (-2 den), which is exactly
+    -(num / den) / 2 (halving a double is exact; a quotient too small for
+    that to hold has exp 1.0 either way), and Epanechnikov compares the
+    ints num <= den.  So each pair costs one subtraction and one square per
+    coordinate, one division, one exp and one multiplication.  Only exp and
+    the summation are floating point; each value is a libm double rounded
+    to 2**-30 and recorded as approximate.  Each value sums its kernel terms
+    one by one in sample order, from 0.0.  When `at` is the sample itself,
+    num is the same int for (i, j) and (j, i), so each unordered pair is
+    evaluated once: row i holds the terms at points i, i+1, ..., and no row
+    is stored; running sums, one per later point, hold the terms of the
+    rows before."""
+    if not len(sample):
+        raise FiltrationError("empty sample")
+    z = len(sample)
+    m = sample.dim
+    h = spec.bandwidth
+    at = [tuple(map(Fraction, x)) for x in at]
+    if any(len(x) != m for x in at):
+        raise FiltrationError("evaluation point dimension != sample dimension")
+    symmetric = at == list(sample)
+    scale = common_denominator(c for pts in (sample, at) for pt in pts for c in pt)
+    den = (scale * h.numerator) ** 2
+    scale *= h.denominator
+    if spec.kernel == "gaussian":
+        norm = (2 * math.pi) ** (-m / 2)
+        exp = math.exp
+        neg_2den = -2 * den
+
+        def kernels(nums):
+            return [norm * exp(num / neg_2den) for num in nums]
+    else:
+        c = (m + 2) / (2 * _unit_ball_volume(m))
+
+        def kernels(nums):
+            return [c * (1 - num / den) if num <= den else 0.0 for num in nums]
+
+    def scaled(pts):
+        return [tuple(scaled_int(c, scale) for c in pt) for pt in pts]
+
+    add = operator.add
+
+    def add_lists(a, b):
+        return list(map(add, a, b))
+
+    denom = z * float(h) ** m
+    sample_int = scaled(sample)
+    coords = list(zip(*sample_int))
+    out = []
+    # symmetric: at row i, acc[j] sums the terms at point i + j of rows < i
+    acc = [0.0] * z
+    for i, x in enumerate(sample_int if symmetric else scaled(at)):
+        lo = i if symmetric else 0
+        # num = |X - S|^2, one list of squared differences per coordinate
+        nums = functools.reduce(add_lists, ([(xd - s) ** 2 for s in sd[lo:]]
+                                            for xd, sd in zip(x, coords)))
+        row = kernels(nums)
+        # the sum runs in sample order (reduce(add): builtin sum may compensate)
+        total = functools.reduce(add, row, acc[0])
+        if symmetric:
+            acc = list(map(add, acc[1:], row[1:]))
+        out.append(Fraction(round(total / denom * KERNEL_DENOM), KERNEL_DENOM))
     return out

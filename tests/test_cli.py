@@ -423,6 +423,17 @@ class TestExportAndInfer:
         assert code == 2 and "trials must be at least 1" in err
         assert "median" not in err
 
+    @pytest.mark.parametrize("bandwidth, want", [("1e-200", 0), ("1e400", 2)])
+    def test_infer_extreme_bandwidth(self, capsys, tmp_path, bandwidth, want):
+        # 1e-200 once overflowed the kernel argument's int division, and
+        # 1e400 float(h); now an answer, or an error that names h
+        out_path = tmp_path / "rec.json"
+        code, _, err = run(capsys, "infer", "run", "--density", "1/2,-1,1/4;1/2,1,1/4",
+                           "--samples", "20", "--seed", "1", "--bandwidth", bandwidth,
+                           "--out", out_path)
+        assert code == want and out_path.exists() == (want == 0)
+        assert err == "" if want == 0 else err.startswith(f"error: bandwidth 1{'0' * 400}: ")
+
     def test_infer_negative_seed_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "rec.json"
         code, _, err = run(capsys, "infer", "run", "--density", "1,0,1/2",

@@ -349,20 +349,22 @@ class TestSampling:
         assert abs(mean - 3) <= F(5) * 2 / 100
 
     def test_import_leaves_numpy_out(self):
-        # numpy serves only sample_density's Philox draws and is imported
-        # there, so importing the package (and every CLI command but
-        # sampling) does without it
+        # numpy serves sample_density's Philox draws and kde_evaluate's
+        # blocks, and each imports it, so importing the package (and every
+        # CLI command that draws no sample) does without it
         src = str(Path(permod.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, permod; print('numpy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
-        code = ("import sys, permod; permod.sample_density("
-                "permod.DensitySpec.parse('1,0,1'), 1, 1); print('numpy' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "True"
+        for call in ("permod.sample_density(permod.DensitySpec.parse('1,0,1'), 1, 1)",
+                     "permod.kde_evaluate(permod.PointCloud([(0,)]), "
+                     "permod.KdeSpec('gaussian', 1), [(1,)])"):
+            code = f"import sys, permod; {call}; print('numpy' in sys.modules)"
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert out.stdout.strip() == "True"
 
     def test_coordinates_rounded(self):
         spec = DensitySpec.parse("1,0,1")

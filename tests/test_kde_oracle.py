@@ -1,16 +1,20 @@
-"""kde_evaluate on exact integer ratios against the code it replaced (kept in
-reference_kde.py): the Fraction-argument code and the stored-row int-ratio
-code.  The values must agree exactly with both for every dimension, kernel,
-coordinate denominator and bandwidth, also where the Epanechnikov argument
-sits exactly on, or rounds to, 1, and on the symmetric path taken when the
-points evaluated at are the sample itself."""
+"""kde_evaluate in numpy blocks against the code it replaced (kept in
+reference_kde.py): the Fraction-argument code, the stored-row int-ratio code
+and the one-pass Python-row code.  The values must agree exactly with all
+three for every dimension, kernel, coordinate denominator and bandwidth, also
+where the Epanechnikov argument sits exactly on, or rounds to, 1, on the
+symmetric path taken when the points evaluated at are the sample itself,
+across block boundaries, and on both sides of the 2**53 switch from int64 to
+Python ints."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from permod.filtration import (DensitySpec, KdeSpec, PointCloud, kde_evaluate,
+from permod.filtration import (KDE_BLOCK, DensitySpec, FiltrationError,
+                               KdeSpec, PointCloud, kde_evaluate,
                                sample_density)
 
 import reference_kde as ref
@@ -37,6 +41,7 @@ def assert_same(sample, spec, at):
     got = kde_evaluate(sample, spec, at)
     assert got == ref.kde_evaluate(sample, spec, at)
     assert got == ref.int_ratio_kde_evaluate(sample, spec, at)
+    assert got == ref.one_pass_kde_evaluate(sample, spec, at)
     return got
 
 
@@ -203,3 +208,106 @@ def test_epanechnikov_argument_at_one():
     origin = PointCloud([(0, 0)])
     assert assert_same(origin, one, [(1, F(1, 2 ** 31))]) == [0]
     assert assert_same(origin, one, [(1 - F(1, 2 ** 12), 0)])[0] > 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_clouds_at_a_block_boundary(kernel):
+    """A block holds KDE_BLOCK // w rows of w terms.  On the symmetric path
+    a cloud of isqrt(KDE_BLOCK) points fills one block exactly, one point
+    fewer fits in one block and one more needs a second; with `at` not the
+    sample, `at` has one row fewer than a block, a block's rows exactly, one
+    row more, and two blocks and one row more."""
+    rng = seeded(359)
+    spec = KdeSpec(kernel, F(1, 3))
+    side = math.isqrt(KDE_BLOCK)
+    for z in (side - 1, side, side + 1):
+        cloud = random_cloud(rng, 1, z, (1, 7, 2 ** 20))
+        assert_same(cloud, spec, cloud)
+    cloud = random_cloud(rng, 2, 100, (1, 7, 2 ** 20))
+    rows = KDE_BLOCK // len(cloud)
+    for count in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        assert_same(cloud, spec, random_cloud(rng, 2, count, (1, 3, 2 ** 20)))
+
+
+def box_cloud(corner, denom, parts):
+    """Integer points between 0 and `corner` in each coordinate, divided by
+    denom: the k-th parts of the way to the corner for k = 0, ..., parts,
+    and (1, 0, ...), so the lcm of the denominators is denom, and the
+    largest num = |X - S|^2 is |corner|^2, from 0 to the corner."""
+    pts = [tuple(c * k // parts for c in corner) for k in range(parts + 1)]
+    pts.append((1,) + (0,) * (len(corner) - 1))
+    return [tuple(F(c, denom) for c in pt) for pt in pts]
+
+
+# |corner|^2 = 2**53 - 1 (four squares: 2**53 - 1 is 7 mod 8), 2**53, and
+# far past the int64 range
+CORNERS = ((94906265, 10885, 71, 50), (2 ** 26, 2 ** 26, 0, 0), (2 ** 41, 3, 0, 1))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_int64_switch_at_2_53(kernel):
+    """With h = 1 and coordinates on denominator D, den = D**2.  The largest
+    num at 2**53 - 1 (int64), 2**53 and past 2**63 (Python ints), with
+    2 den = 2**51; and 2 den = 2 (2**26 - 1)**2 just below 2**53 against
+    2 den = 2**53, with small nums.  At the sample and at other points of
+    the same box, the origin and the corner among them."""
+    spec = KdeSpec(kernel, F(1))
+    assert sum(c * c for c in CORNERS[0]) == 2 ** 53 - 1
+    assert sum(c * c for c in CORNERS[1]) == 2 ** 53
+    cases = [*zip(CORNERS, (2 ** 25, 2 ** 25, 2 ** 40)),
+             ((2 ** 24, 3 * 2 ** 22), 2 ** 26 - 1), ((2 ** 24, 3 * 2 ** 22), 2 ** 26)]
+    for corner, denom in cases:
+        cloud = PointCloud(box_cloud(corner, denom, 8))
+        assert_same(cloud, spec, cloud)
+        assert_same(cloud, spec, box_cloud(corner, denom, 5))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("dim", (1, 2))
+def test_extreme_bandwidths(kernel, dim):
+    """h = 10**k for k from -400 to 400: an answer, or a FiltrationError
+    that names h, never an OverflowError or ZeroDivisionError.  Where the
+    one-pass reference answers, the values are its values; where its int
+    division overflows, every pair of these distinct points has q >= 1500,
+    so the kernel is 0.0 there and each estimate is its own term alone."""
+    rng = seeded(367 + dim)
+    pts = {tuple(F(rng.randint(-40, 40), rng.choice((1, 3, 7))) for _ in range(dim))
+           for _ in range(6)}
+    cloud = PointCloud(sorted(pts))
+    z = len(cloud)
+    at_zero = ((2 * math.pi) ** (-dim / 2) if kernel == "gaussian"
+               else (dim + 2) / (2 * math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)))
+    answered = []
+    for k in range(-400, 401, 50):
+        h = F(10) ** k
+        spec = KdeSpec(kernel, h)
+        try:
+            got = kde_evaluate(cloud, spec, cloud)
+        except FiltrationError as e:
+            assert str(h) in str(e)
+            continue
+        answered.append(k)
+        try:
+            want = ref.one_pass_kde_evaluate(cloud, spec, cloud)
+        except OverflowError:
+            own = F(round(at_zero / (z * float(h) ** dim) * 2 ** 30), 2 ** 30)
+            want = [own] * z
+        assert got == want
+    # beyond these, z * h**dim or an estimate leaves the double range
+    assert answered == list(range(-300 // dim, 300 // dim + 1, 50))
+
+
+def test_memory_stays_one_block():
+    """A 2,000-point sample at itself: the pairs are taken a block at a
+    time, so tracemalloc's peak stays at the running sums and the point
+    lists (whole-matrix arrays would take more than 30 MiB)."""
+    density = DensitySpec.parse("1/2,-1,1/4;1/2,1,1/4")
+    cloud = sample_density(density, 2000, 2026)
+    spec = KdeSpec("gaussian", F(1, 5))
+    tracemalloc.start()
+    try:
+        kde_evaluate(cloud, spec, cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20

@@ -46,8 +46,9 @@ def text_lines(text, header=None, error=ValueError):
 
 
 def common_denominator(values):
-    """The lcm of the denominators of `values`: the least `scaled_int` scale."""
-    return math.lcm(*(q.denominator for q in values))
+    """The lcm of the distinct denominators of `values`: the least
+    `scaled_int` scale."""
+    return math.lcm(*{q.denominator for q in values})
 
 
 def scaled_int(q, scale):

@@ -527,7 +527,9 @@ def sample_density(spec, count, seed):
     """Deterministic i.i.d.-style sample via numpy's Philox counter-based
     generator (numpy is imported here and in kde_evaluate alone, so importing
     permod loads none); coordinates rounded to denominator 2**20.  The seed
-    is the Philox key, an int in [0, 2**128)."""
+    is the Philox key, an int in [0, 2**128).  A point's component is the
+    first whose cumulative float weight (the last +inf) exceeds rng.random()
+    (one bisect); rng.standard_normal(dim) then places it."""
     import numpy as np
     if count < 0:
         raise FiltrationError("count must be >= 0")
@@ -536,20 +538,17 @@ def sample_density(spec, count, seed):
         raise FiltrationError(f"seed {seed} is outside the Philox key range "
                               f"[0, 2**128)")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    cum = []
-    acc = Fraction(0)
-    for w, _, _ in spec.components:
+    cum, comps, acc = [], [], Fraction(0)
+    for w, center, sigma in spec.components:
         acc += w
         cum.append(float(acc))
-    comps = [(tuple(map(float, center)), float(sigma)) for _, center, sigma in spec.components]
-    pts = []
+        comps.append((tuple(map(float, center)), float(sigma)))
+    cum[-1] = math.inf
+    pts, draw, normal, dim = [], rng.random, rng.standard_normal, spec.dim
     for _ in range(count):
-        u = rng.random()
-        idx = next(i for i, c in enumerate(cum) if u < c or i == len(cum) - 1)
-        center, sigma = comps[idx]
-        raw = rng.normal(size=spec.dim)
-        pts.append([Fraction(round((c + sigma * z) * COORD_DENOM), COORD_DENOM)
-                    for c, z in zip(center, raw)])
+        center, sigma = comps[bisect.bisect_right(cum, draw())]
+        pts.append([Fraction(round((c + sigma * x) * COORD_DENOM), COORD_DENOM)
+                    for c, x in zip(center, normal(dim).tolist())])
     return PointCloud(pts)
 
 
@@ -589,24 +588,24 @@ def kde_evaluate(sample, spec, at):
     import numpy as np
     if not len(sample):
         raise FiltrationError("empty sample")
-    z = len(sample)
-    m = sample.dim
-    h = spec.bandwidth
-    at = [tuple(map(as_fraction, x)) for x in at]
-    if any(len(x) != m for x in at):
-        raise FiltrationError("evaluation point dimension != sample dimension")
+    z, m, h = len(sample), sample.dim, spec.bandwidth
+    symmetric = at is sample
+    if not symmetric:
+        at = [tuple(map(as_fraction, x)) for x in at]
+        if any(len(x) != m for x in at):
+            raise FiltrationError("evaluation point dimension != sample dimension")
+        symmetric = at == list(sample)
     try:
         denom = z * float(h) ** m
     except OverflowError:
         denom = math.inf
     if not 0 < denom < math.inf:
         raise FiltrationError(f"bandwidth {h}: z * h**{m} is not a positive finite double")
-    symmetric = at == list(sample)
     points = list(sample) + ([] if symmetric else at)
     scale = common_denominator(c for pt in points for c in pt)
     den = (scale * h.numerator) ** 2
     scale *= h.denominator
-    coords = [[scaled_int(c, scale) for c in col] for col in zip(*points)]
+    coords = [[c.numerator * (scale // c.denominator) for c in col] for col in zip(*points)]
     coords = [[c - low for c in col] for col, low in zip(coords, map(min, coords))]
     exact = max(sum(max(col) ** 2 for col in coords), 2 * den) < 2 ** 53
     dtype, cast = (np.int64, float) if exact else (object, int)

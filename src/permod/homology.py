@@ -594,13 +594,14 @@ def rank_shift_distance(gm, gn):
         for i1 in itertools.product(*(range(d.count(-1), len(d)) for d in down)):
             lo = tuple(map(operator.getitem, down, i1))
             for i2 in itertools.product(*map(range, i1, stops)):
-                hi = tuple(map(operator.getitem, up, i2))
                 # lo -> hi factors through i1 -> i2, so a module's shifted rank
                 # is at most its rank a or b there: only the higher can fail
                 a, b = rm.rank_between(i1, i2), rn.rank_between(i1, i2)
-                if a > b and rm.rank_between(lo, hi) > b or \
-                        a < b and rn.rank_between(lo, hi) > a:
-                    return None
+                if a != b:
+                    hi = tuple(map(operator.getitem, up, i2))
+                    if a > b and rm.rank_between(lo, hi) > b or \
+                            a < b and rn.rank_between(lo, hi) > a:
+                        return None
         return e
 
     best = least_feasible(cands, feasible)

@@ -14,7 +14,6 @@ compute directly.
 """
 
 import bisect
-import itertools
 import json
 from fractions import Fraction
 
@@ -47,10 +46,11 @@ def offset_cluster_module(field, grid_points, weights, a_axis, b_axis):
 
 
 def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
-    """The cluster module of (position, weight) pairs, sorted as ints: weights
-    and a over one common denominator, positions and b over another.  The
-    points active at a and their gaps are found once per a; a cluster is a
-    (first, last) index range of active points (Cech) or of grid points
+    """The cluster module of (position, weight) pairs, made ints in one pass
+    and sorted: weights and a over one common denominator, positions and b
+    over another.  A cluster is a (first, last) index range of the points
+    active at a (Cech), ending at the gaps wider than 2b (a bisect into the
+    gaps sorted once per a; the same cut keeps its list), or of grid points
     within b of one (offset).  Each grid point's clusters, sorted disjoint
     ranges, are listed in the grid-index order `build_grid_module` asks in."""
     pts = [(as_fraction(x), as_fraction(w)) for x, w in pts]
@@ -60,21 +60,25 @@ def _cluster_grid_module(field, pts, a_axis, b_axis, gap_rule):
         raise FiltrationError(f"offsets must be >= 0, got {format_rational(b_axis[0])}")
     w_scale = common_denominator(a_axis + [w for _, w in pts])
     x_scale = common_denominator(b_axis + [x for x, _ in pts])
-    pts = sorted((scaled_int(x, x_scale), scaled_int(w, w_scale)) for x, w in pts)
-    xs = [x for x, _ in pts]
+    pts = sorted((x.numerator * (x_scale // x.denominator),
+                  w.numerator * (w_scale // w.denominator)) for x, w in pts)
+    xs, reaches = [x for x, _ in pts], [scaled_int(b, x_scale) for b in b_axis]
     clusters = []
     for a in a_axis:
         at = scaled_int(a, w_scale)
         active = [i for i, (_, w) in enumerate(pts) if w <= at]
-        gaps = [xs[q] - xs[p] for p, q in zip(active, active[1:])]
-        for b in b_axis:
-            reach = scaled_int(b, x_scale)
-            if gap_rule == "cech":     # runs end at the gaps wider than 2b
-                ends = list(itertools.compress(itertools.count(),
-                                               map((2 * reach).__lt__, gaps)))
-                clusters.append(list(zip(active[:1] + [active[k + 1] for k in ends],
-                                         [active[k] for k in ends] + active[-1:])))
-                continue
+        if gap_rule == "cech":
+            gaps = [xs[q] - xs[p] for p, q in zip(active, active[1:])]
+            order = sorted(range(len(gaps)), key=gaps.__getitem__)
+            widths, cut = [gaps[k] for k in order], None
+            for reach in reaches:       # runs end at the gaps wider than 2b
+                if cut != (cut := bisect.bisect_right(widths, 2 * reach)):
+                    ends = sorted(order[cut:])
+                    runs = list(zip(active[:1] + [active[k + 1] for k in ends],
+                                    [active[k] for k in ends] + active[-1:]))
+                clusters.append(runs)
+            continue
+        for reach in reaches:
             clusters.append(runs := [])    # merged ranges of grid points in reach
             for i in active:
                 lo = bisect.bisect_left(xs, xs[i] - reach)

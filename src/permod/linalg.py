@@ -1,12 +1,13 @@
 """Exact linear algebra over a coefficient field.
 
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
-the one elimination in the package: it is behind every routine here, the
-linear rounds of the `quadsys` solver, barcodes, homology rank tables,
-kernels and sweeps, and minimization.  It keeps columns in the field's
-column type (`exactnum`), which runs the one reduction loop and the one
-composition (`compose`): {row: coeff} dicts, or over Z/2 ints whose pivot
-is the top bit and whose elimination is xor.  Its API (`add_packed`,
+the one elimination in the package: the linear rounds of the `quadsys`
+solver, barcodes, kernels and sweeps, and minimization, and every routine
+here but `packed_rank` (and `rank`), which keeps its pivots in a plain dict
+(the ranks of homology rank tables).  Both hand columns to the field's
+column type (`exactnum`), which runs the one reduction loop (`reduce`) and
+the one composition (`compose`): {row: coeff} dicts, or over Z/2 ints whose
+pivot is the top bit and whose elimination is xor.  Its API (`add_packed`,
 `reduce_packed`, and `coords`: minus the combination a column reduces with)
 takes and gives columns and combinations in that type; each caller packs a
 column once and unpacks only the combination it keeps.  Chain, image and
@@ -127,11 +128,15 @@ def rank(field, vectors):
 
 def packed_rank(field, columns):
     """Rank of a list of columns in the field's column type (`exactnum`);
-    they are copied, not consumed."""
-    red = ColumnReducer(field)
+    they are copied, not consumed.  Each goes through the column type's
+    `reduce` into a plain {pivot: (column, None)} dict, as
+    `ColumnReducer.add_packed` keeps it, with no reducer object."""
+    kind, pivots = field.columns, {}
     for col in columns:
-        red.add_packed(red.kind.copy(col))
-    return red.rank
+        col, _, low = kind.reduce(pivots, kind.copy(col), None, False)
+        if col:
+            pivots[low] = col, None
+    return len(pivots)
 
 
 def nullspace(field, columns):

@@ -12,6 +12,9 @@ argument is the int ratio num / den with num = |X - S|^2 on coordinates
 scaled once, the Gaussian takes num / (-2 den), each row is one Python list
 and its terms go into running sums, one per later point, on the symmetric
 path.
+``sample_density`` is the sampler from before the one-bisect loop: each
+point scans the cumulative float weights for the first one above u (the
+last component taking the rest) and draws ``rng.normal(size=dim)``.
 """
 
 import array
@@ -22,7 +25,8 @@ import operator
 from fractions import Fraction
 
 from permod.exactnum import common_denominator, scaled_int
-from permod.filtration import FiltrationError, KERNEL_DENOM
+from permod.filtration import (COORD_DENOM, SEED_LIMIT, FiltrationError,
+                               KERNEL_DENOM, PointCloud)
 
 
 def _unit_ball_volume(m):
@@ -194,3 +198,32 @@ def one_pass_kde_evaluate(sample, spec, at):
             acc = list(map(add, acc[1:], row[1:]))
         out.append(Fraction(round(total / denom * KERNEL_DENOM), KERNEL_DENOM))
     return out
+
+
+def sample_density(spec, count, seed):
+    """Deterministic i.i.d.-style sample via numpy's Philox counter-based
+    generator; coordinates rounded to denominator 2**20.  The seed is the
+    Philox key, an int in [0, 2**128)."""
+    import numpy as np
+    if count < 0:
+        raise FiltrationError("count must be >= 0")
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise FiltrationError(f"seed {seed} is outside the Philox key range "
+                              f"[0, 2**128)")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cum = []
+    acc = Fraction(0)
+    for w, _, _ in spec.components:
+        acc += w
+        cum.append(float(acc))
+    comps = [(tuple(map(float, center)), float(sigma)) for _, center, sigma in spec.components]
+    pts = []
+    for _ in range(count):
+        u = rng.random()
+        idx = next(i for i, c in enumerate(cum) if u < c or i == len(cum) - 1)
+        center, sigma = comps[idx]
+        raw = rng.normal(size=spec.dim)
+        pts.append([Fraction(round((c + sigma * z) * COORD_DENOM), COORD_DENOM)
+                    for c, z in zip(center, raw)])
+    return PointCloud(pts)

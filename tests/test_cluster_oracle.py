@@ -14,7 +14,10 @@ packed step must equal the reference's, which fixes the text; the ranks
 are checked against the number of big clusters that hold a small one, read
 off the reference's clusters; and the rank-shift value against the
 tuple-walk reference.  Two mutants of the containment, a home off by one
-cluster and a row past the target, must be caught."""
+cluster and a row past the target, must be caught.  Small hand-made inputs
+cover what the Cech runs' sorted gaps must get right: duplicate positions
+(a gap of 0), a gap of exactly 2b (no split), a threshold at which no point
+is active and one at which a single point is."""
 
 import bisect
 import itertools
@@ -175,3 +178,33 @@ def test_a_row_out_of_range_is_refused(f, form, monkeypatch):
     mutant_builder(monkeypatch, past_the_end)
     with pytest.raises(HomologyError, match="wrong shape"):
         cech_cluster_module(f, pts, a_axis, b_axis)
+
+
+# (points as (position, weight), a axis, b axis); positions need not be sorted
+EDGE_CASES = {
+    "duplicate positions": ([(F(1), F(-2)), (F(0), F(-1)), (F(1), F(-2)), (F(1), F(-1)),
+                             (F(3), F(-2))], [F(-2), F(-1)], [F(0), F(1, 2), F(1)]),
+    "a gap of exactly 2b": ([(F(0), F(-1)), (F(1), F(-1)), (F(3), F(-1)), (F(9, 2), F(-1))],
+                            [F(-1)], [F(0), F(1, 2), F(3, 4), F(1)]),
+    "no point active": ([(F(0), F(-1)), (F(1, 3), F(-1)), (F(2), F(0))],
+                        [F(-3), F(-2), F(-1), F(0)], [F(0), F(1, 6), F(1)]),
+    "a single active point": ([(F(0), F(-1)), (F(1), F(-2)), (F(5, 2), F(-1))],
+                              [F(-2), F(-1)], [F(0), F(1, 2), F(5, 4), F(2)]),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_edge_cases_match_the_dense_reference(f, case):
+    pts, a_axis, b_axis = EDGE_CASES[case]
+    cech = cech_cluster_module(f, pts, a_axis, b_axis)
+    assert_same_modules(cech, ref._cluster_grid_module(f, sorted(pts), a_axis, b_axis, "cech"))
+    if len({x for x, _ in pts}) == len(pts):     # an ambient grid has no duplicates
+        grid, weights = zip(*sorted(pts))
+        assert_same_modules(offset_cluster_module(f, grid, weights, a_axis, b_axis),
+                            ref._cluster_grid_module(f, sorted(pts), a_axis, b_axis, "offset"))
+    dims = [[cech.dims[i, j] for j in range(len(b_axis))] for i in range(len(a_axis))]
+    assert dims == {"duplicate positions": [[2, 2, 1], [3, 2, 1]],
+                    "a gap of exactly 2b": [[4, 3, 2, 1]],
+                    "no point active": [[0] * 3, [0] * 3, [2, 1, 1], [3, 2, 1]],
+                    "a single active point": [[1] * 4, [3, 2, 1, 1]]}[case]

@@ -5,7 +5,8 @@ three for every dimension, kernel, coordinate denominator and bandwidth, also
 where the Epanechnikov argument sits exactly on, or rounds to, 1, on the
 symmetric path taken when the points evaluated at are the sample itself,
 across block boundaries, and on both sides of the 2**53 switch from int64 to
-Python ints."""
+Python ints.  The sample given as itself (taken as it is) and as a list of
+its points (converted and compared) must give the same values."""
 
 import math
 import tracemalloc
@@ -78,6 +79,20 @@ def test_sampled_density_as_in_infer():
     cloud = sample_density(density, 60, 2024)
     for kernel in KERNELS:
         assert_same(cloud, KdeSpec(kernel, F(1, 5)), cloud)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("density", ["1/2,-1,1/4;1/2,1,1/4", "1/3,0,1,1/2;2/3,2,-1,3/2"])
+def test_the_sample_itself_or_a_list_of_its_points(kernel, density):
+    """`at` given as the sample (taken as it is) and as a list of its points
+    (converted and compared) give the same bits, the references' too; an
+    `at` of another dimension is still refused."""
+    cloud = sample_density(DensitySpec.parse(density), 150, 7919)
+    spec = KdeSpec(kernel, F(1, 5))
+    assert assert_same(cloud, spec, cloud) == assert_same(cloud, spec, list(cloud))
+    for other in ([(0,) * (cloud.dim + 1)], list(cloud)[:-1] + [(0,) * (cloud.dim + 1)]):
+        with pytest.raises(FiltrationError, match="evaluation point dimension"):
+            kde_evaluate(cloud, spec, other)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -23,7 +23,7 @@ variable on each, and expands the four identities, four rows (L1, R1, L2,
 R2) of one table, over those entries alone: one equation per entry of
 L1 R1 - L2 R2 (- I).  One helper adds an entry of a product, a constant
 times a variable as a linear term and a variable times a variable as a
-quadratic one.
+quadratic one.  The equations come out normal and are stored unchecked.
 
 The distance search, and a single eps decision, run on the table's sorted
 candidate levels (ints) and start at the least one that the bars of both
@@ -143,7 +143,10 @@ class TermTable:
         """The system whose free entries are those of masks (name -> [[bool]]):
         the free entries are the variables 1, 2, ... in A..F row-major order,
         and each entry of L1 R1 - L2 R2 (- I) gives one equation, its terms
-        merged in order of first appearance, zero sums dropped."""
+        in order of first appearance.  No two products in an entry share an
+        unknown or a pair of unknowns, and T_M, T_N hold no zero, so no sum
+        vanishes: the equations are normal as built, and the system takes
+        them unchecked (`QuadraticSystem.from_normal`)."""
         f, mats = self.field, InterleavingSystem.MATS
         entries = [(name, i, j) for name in mats for i, row in enumerate(masks[name])
                    for j, free in enumerate(row) if free]
@@ -166,11 +169,9 @@ class TermTable:
                     quad, lin = {}, {}
                     _add_product(f, quad, lin, l1, r1, i, j, f.one)
                     _add_product(f, quad, lin, l2, r2, i, j, minus_one)
-                    equations.append(QuadEquation(
-                        {k: c for k, c in quad.items() if c != zero},
-                        {k: c for k, c in lin.items() if c != zero},
-                        minus_one if unit and i == j else zero))
-        system = QuadraticSystem(f, len(var_of_entry), equations)
+                    equations.append(QuadEquation.__new__(QuadEquation)._hold(
+                        quad, lin, minus_one if unit and i == j else zero))
+        system = QuadraticSystem.from_normal(f, len(var_of_entry), equations)
         return InterleavingSystem(dict(self.shapes), masks, system, var_of_entry)
 
     def level(self, eps):
@@ -275,6 +276,8 @@ def slice_start(table, mm, nn):
     never = levels[-1] + 1      # the table's levels hold 0, so levels is not empty
     k = 0
     for c in lines:
+        if k == len(levels):    # no slice can match: k stays
+            break
         left, right = (bars(table.field, [max(map(operator.sub, g, c)) for g in gens],
                             [(max(map(operator.sub, h, c)), cs) for h, cs in rels])
                        for gens, rels in pres)

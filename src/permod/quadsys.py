@@ -3,13 +3,14 @@ complete solvability decision over prime fields.
 
 The solver eliminates the linear equations in rounds, each one column
 reduction (`linalg.ColumnReducer`) whose pivot solution is substituted into
-the quadratic equations.  It then backtracks over the remaining variables,
-most-constrained first, with an explicit stack, eliminating again after
-every assignment x_v = a (the round {v: (a, {})}).  Equations sit in slots
-changed in place and restored from an undo trail; per-variable occurrence
-sets give the slots a round touches, the only ones it substitutes into and
-the next round reads.  The node budget counts branching assignments only.
-Solvability over Q is refused; systems can still be exported as text.
+the quadratic equations, at the root on the plain list.  It then backtracks
+over the remaining variables, most-constrained first, with an explicit
+stack, eliminating again after every assignment x_v = a (the round
+{v: (a, {})}).  Equations sit in slots changed in place and restored from
+an undo trail; per-variable occurrence sets, built after the root, give the
+slots a round touches, the only ones it substitutes into and the next round
+reads.  The node budget counts branching assignments only.  Solvability
+over Q is refused; systems can still be exported as text.
 """
 
 from collections import defaultdict
@@ -128,6 +129,13 @@ class QuadraticSystem:
                 raise QuadSysError(f"variable index {bad} out of range")
             self.equations.append(eq)
 
+    @classmethod
+    def from_normal(cls, field, nvars, equations):
+        """`equations` stored as given, trusted normal with variables in 1..nvars."""
+        out = cls.__new__(cls)
+        out.field, out.nvars, out.equations = field, nvars, equations
+        return out
+
     def __repr__(self):
         return (f"QuadraticSystem(field={self.field.spec!r}, vars={self.nvars}, "
                 f"eqs={len(self.equations)})")
@@ -192,23 +200,28 @@ def _linear_round(field, rows):
 
 class _Search:
     """Equations in slots (None once gone), restored from a trail of (slot,
-    equation replaced); occ[v], the slots whose equation has v; and the
-    rounds made (`subs`).  The constructor puts the quadratic equations in
-    slots and eliminates the linear ones (`ok`: False on contradiction),
-    0 = 0 dropped, then builds a heap holding for each v in an equation an
-    entry (-count, v) with count >= len(occ[v])."""
+    equation replaced); occ[v], the slots whose equation has v; the rounds
+    made (`subs`); and a heap of entries (-count, v), count >= len(occ[v]).
+    The constructor makes the root's rounds on the plain list (`ok`: False
+    on contradiction, and nothing more is built), then slots what is left."""
 
     def __init__(self, field, equations):
-        self.field, self.trail, self.subs, self.heap = field, [], [], []
-        self.eqs, self.occ = [eq for eq in equations if eq.quad], defaultdict(set)
-        for slot, eq in enumerate(self.eqs):
+        self.field, self.trail, self.subs, self.ok, eqs = field, [], [], False, equations
+        while True:     # a nonzero constant row fails the next round
+            rows = [eq for eq in eqs if not eq.quad and (eq.lin or eq.const)]
+            eqs = [eq for eq in eqs if eq.quad]
+            if not rows:
+                break
+            sub = _linear_round(field, rows)
+            if sub is None:
+                return
+            self.subs.append(sub)
+            eqs = [eq if eq.vars.isdisjoint(sub) else eq.substitute(field, sub)
+                   for eq in eqs]
+        self.ok, self.eqs, self.occ, self.heap = True, eqs, defaultdict(set), []
+        for slot, eq in enumerate(eqs):
             for v in eq.vars:
                 self.occ[v].add(slot)
-        self.ok = self.eliminate(None, [eq for eq in equations
-                                        if not eq.quad and (eq.lin or eq.const)])
-        # the root's moves pushed into a list that this heap replaces
-        self.heap = [(-len(s), v) for v, s in self.occ.items() if s]
-        heapify(self.heap)
 
     def move(self, slot, eq):
         """Put eq (None: no equation) in slot; returns the equation it replaces."""
@@ -222,24 +235,23 @@ class _Search:
             heappush(self.heap, (-len(occ[v]), v))
         return old
 
-    def eliminate(self, sub, rows=()):
+    def eliminate(self, sub):
         """Substitute sub into the slots holding its variables, then eliminate
-        the linear equations and `rows` in rounds, each substituted so; False
-        on contradiction."""
+        the linear equations in rounds, each substituted so; False on
+        contradiction."""
         f, eqs, occ, trail, move, rows = (self.field, self.eqs, self.occ, self.trail,
-                                          self.move, list(rows))
+                                          self.move, [])
         while True:
-            if sub:
-                self.subs.append(sub)
-                for slot in set().union(*map(occ.__getitem__, sub)):
-                    eq = eqs[slot].substitute(f, sub)
-                    if not eq.quad:
-                        if eq.lin:
-                            rows.append(eq)
-                        elif eq.const:
-                            return False
-                        eq = None
-                    trail.append((slot, move(slot, eq)))
+            self.subs.append(sub)
+            for slot in set().union(*map(occ.__getitem__, sub)):
+                eq = eqs[slot].substitute(f, sub)
+                if not eq.quad:
+                    if eq.lin:
+                        rows.append(eq)
+                    elif eq.const:
+                        return False
+                    eq = None
+                trail.append((slot, move(slot, eq)))
             if not rows:
                 return True
             sub, rows = _linear_round(f, rows), []
@@ -250,7 +262,7 @@ class _Search:
         """The variable in the most equations (least on a tie), None if none;
         a top entry whose count shrank since it was pushed is corrected."""
         heap, occ = self.heap, self.occ
-        if len(heap) > 4 * len(occ) + 64:     # drop the stale entries
+        if not heap or len(heap) > 4 * len(occ) + 64:   # first built, or stale
             heap[:] = [(-len(s), v) for v, s in occ.items() if s]
             heapify(heap)
         while heap:

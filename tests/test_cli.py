@@ -384,6 +384,21 @@ class TestExportAndInfer:
             assert (code, out, err) == (2, "", "error: eps must be >= 0\n")
             assert not out_path.exists()
 
+    @pytest.mark.parametrize("target", ["missing/out.txt", "folder"])
+    @pytest.mark.parametrize("argv", [("present", "minimize", "c01.txt", "--out"),
+                                      ("distance", "interleaving", "c01.txt",
+                                       "c23.txt", "--export-quadsys")],
+                             ids=["minimize-out", "export-quadsys"])
+    def test_unwritable_output_exit_2(self, files, capsys, argv, target):
+        """An output path in a missing directory, or naming a directory,
+        exits 2 with `cannot write`, as an unreadable input exits 2 with
+        `cannot read`; nothing is printed."""
+        (files / "folder").mkdir()
+        path = files / target
+        code, out, err = run(capsys, *[files / a if a.endswith(".txt") else a
+                                       for a in argv], path)
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot write {path}: ")
+
     def test_infer_run(self, capsys, tmp_path):
         out_path = tmp_path / "rec.json"
         code, _, _ = run(capsys, "infer", "run", "--density", "1,0,1/2",

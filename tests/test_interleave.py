@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from permod import interleave
-from permod.exactnum import INF, PrimeField, ext
+from permod.exactnum import INF, QQ, PrimeField, ext
 from permod.interleave import (DistanceBudgetExceeded, SearchStats,
                                assemble_system, candidate_set,
                                decide_generalized, decide_interleaving,
@@ -12,10 +12,10 @@ from permod.interleave import (DistanceBudgetExceeded, SearchStats,
 from permod.onedim import bottleneck, diagram_of
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, interval_presentation)
-from permod.quadsys import evaluate, solve_finite_field
+from permod.quadsys import QuadraticSystem, evaluate, solve_finite_field
 
 from conftest import (address_space_limit, dense_relations, mat_vec, random_presentation,
-                      search_from_zero, seeded)
+                      rerepresent, search_from_zero, seeded)
 
 
 def C(field, a, b):
@@ -83,6 +83,29 @@ class TestAssemble:
         j = MonotoneAffineMap.translation(1, 1)
         txt = assemble_system(m, m, j, j).export_text()
         assert "# var 1 = A[1][1]" in txt
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(5), QQ],
+                             ids=lambda f: f.spec)
+    def test_systems_handed_over_normal(self, field):
+        """A term table's systems are stored unchecked, so each must be as
+        the checking constructor keeps it: built again through it, at every
+        level of seeded pairs, every equation stays the same object, with
+        its variables in 1..nvars."""
+        rng, equations = seeded(443 + len(field.spec)), 0
+        for _ in range(8):
+            m = random_presentation(rng, field, n=2, max_gens=4, max_rels=3)
+            for n in (rerepresent(rng, m), random_presentation(rng, field, n=2,
+                                                               max_gens=4, max_rels=3)):
+                table = interleave.TermTable(m, n)
+                for level in table.levels:
+                    system = table.at(F(level, table.scale)).system
+                    again = QuadraticSystem(field, system.nvars, system.equations)
+                    assert len(again.equations) == len(system.equations)
+                    assert all(a is b for a, b in zip(again.equations, system.equations))
+                    assert all(1 <= v <= system.nvars for e in system.equations
+                               for v in e.vars)
+                    equations += len(system.equations)
+        assert equations > 1000
 
     def test_mismatched_inputs(self, f2, f3):
         j0 = MonotoneAffineMap.translation(1, 0)
@@ -388,6 +411,21 @@ class TestDistance:
         assert [u > d for _, u, _, d in brackets].count(True) == 3
         assert brackets[:3] == [(ext(2), ext(3), INF, ext(3))] * 2 + [
             (ext(F(3, 2)), ext(F(5, 2)), INF, ext(F(5, 2)))]
+
+    def test_slices_stop_once_none_can_match(self, f2, monkeypatch):
+        """A free module on three generators against the zero module: the
+        first of the three diagonal lines already rules out every level, so
+        k = len(levels) and d_I = inf, and no later line is barcoded: two
+        `bars` calls, one per module, not two per line."""
+        m = Presentation(2, f2, [("g", (F(0), F(0))), ("h", (F(1), F(3))),
+                                 ("k", (F(4), F(2)))], [])
+        zero, calls, bars = Presentation(2, f2, [], []), [], interleave.bars
+        monkeypatch.setattr(interleave, "bars",
+                            lambda *args: calls.append(args) or bars(*args))
+        table = interleave.TermTable(m, zero)
+        assert interleave.slice_start(table, m, zero) == len(table.levels)
+        assert len(calls) == 2
+        assert interleaving_distance(m, zero) == INF and len(calls) == 4
 
     def test_self(self, f2):
         assert interleaving_distance(C(f2, 0, 4), C(f2, 0, 4)) == ext(0)

@@ -257,3 +257,6 @@ class TestTextFormat:
     def test_variable_index_guard(self, f2):
         with pytest.raises(QuadSysError):
             QuadraticSystem(f2, 1, [eq(f2, lin={2: 1})])
+        for term in ("1 2 0", "1 1 2", "1 -1 0"):
+            with pytest.raises(QuadSysError, match="out of range"):
+                parse_system(f"QUADSYS\nfield zp 2\nvars 1\neq: {term}\nEND\n")

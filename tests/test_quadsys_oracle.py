@@ -12,7 +12,7 @@ import pytest
 from permod.exactnum import PrimeField
 from permod.interleave import assemble_system
 from permod.presentation import MonotoneAffineMap
-from permod.quadsys import (BudgetExceeded, QuadEquation, QuadraticSystem,
+from permod.quadsys import (BudgetExceeded, QuadEquation, QuadraticSystem, _Search,
                             solve_finite_field)
 
 import reference_quadsys as ref
@@ -129,12 +129,14 @@ class TestAgainstReference:
         """The remaining equations are the reference's polynomials in the
         same order, the rounds' pivots are the variables it picked, and each
         round equals the Gauss-Jordan round dict for dict: pivots, constants
-        and free-variable coefficients."""
+        and free-variable coefficients.  Some roots make two or more rounds,
+        and some meet their contradiction only after a first round."""
         rng = seeded(421)
         systems = [random_system(rng, field, rng.randint(1, 14),
                                  rng.randint(1, 12))
                    for field in FIELDS for _ in range(200)]
         systems += interleaving_systems(431, 2)
+        several = late = 0
         for s in systems:
             field = s.field
             got = root_elimination(field, s.equations)
@@ -142,11 +144,14 @@ class TestAgainstReference:
             rounds = ref.eliminate_linear_rounds(field, s.equations)
             assert (got is None) == (want is None) == (rounds is None)
             if got is None:
+                late += bool(_Search(field, s.equations).subs)
                 continue
             eqs, subs = got
+            several += len(subs) >= 2
             assert [(e.quad, e.lin, e.const) for e in eqs] == \
                 [(e.quad, e.lin, e.const) for e in want[0]] == \
                 [(e.quad, e.lin, e.const) for e in rounds[0]]
             assert sorted(v for r in subs for v in r) == \
                 sorted(var for var, _, _ in want[1])
             assert subs == rounds[1]
+        assert several > 0 and late > 0

@@ -451,16 +451,6 @@ class PrimeField:
             x = x.numerator
         return x % self.p
 
-    def canonical(self, coeffs, const):
-        """Whether coeffs are ints in [1, p) and const an int in [0, p)."""
-        p = self.p
-        if type(const) is not int or not 0 <= const < p:
-            return False
-        for c in coeffs:
-            if type(c) is not int or not 0 < c < p:
-                return False
-        return True
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -509,10 +499,6 @@ class RationalField:
 
     def of(self, x):
         return Fraction(x)
-
-    def canonical(self, coeffs, const):
-        """Whether coeffs are nonzero Fractions and const a Fraction."""
-        return type(const) is Fraction and all(type(c) is Fraction and c for c in coeffs)
 
     def add(self, a, b):
         return a + b

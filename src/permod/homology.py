@@ -481,9 +481,10 @@ def present_homology(complex_, degree, field, check_hilbert=True):
     kernel basis, the new null vectors of z's grid column in `_column_growth`
     being the candidates at z, and expresses each boundary of a
     (degree+1)-simplex in the generators active at its grade, keyed by their
-    `minimal_presentation` rows: rising with the birth, falling with the
-    index at one birth, len(fresh) reserved per birth (a dependent candidate
-    leaves a gap).  A generator may enter the span at z only if born <= z.
+    `minimal_presentation` rows 0, 1, ...: rising with the birth, falling
+    with the index at one birth, one per candidate proven independent of the
+    len(nulls) - span.rank reserved (the older nulls lie in the span).  A
+    generator may enter the span at z only if born <= z.
     The Hilbert check compares `hilbert_table` with `homology_dim_at`,
     sharing no state with the sweep."""
     chain = chain_complex_of(complex_, field)
@@ -505,12 +506,15 @@ def present_homology(complex_, degree, field, check_hilbert=True):
             span.add_packed(kind.copy(gens[i][0]), kind.unit(gens[i][1]))
         nulls = cycles_at(z)[1]
         fresh, seen[z[1:]] = nulls[seen.get(z[1:], 0):], len(nulls)
-        if len(nulls) > span.rank:
-            end += len(fresh)   # rows fall with the index; a dependent one leaves a gap
-            for row, v in zip(range(end - 1, -1, -1), fresh):
-                if span.add_packed(kind.copy(v), kind.unit(row))[0] is not None:
+        if len(nulls) > span.rank:      # rows fall with the index
+            row = end = end + len(nulls) - span.rank
+            for v in fresh:
+                if span.add_packed(kind.copy(v), kind.unit(row - 1))[0] is not None:
+                    row -= 1
                     gens.append((v, row))
                     born.append(z)
+            if span.rank > len(nulls):
+                raise HomologyError(f"more new cycles at {z} than rows reserved")
         for j in range(bisect.bisect_left(upper, z), bisect.bisect_right(upper, z)):
             x = span.coords(kind.copy(chain.columns[degree + 1][j]))
             if x is None:

@@ -81,21 +81,21 @@ def zero_pattern_mask(target_grades, source_grades, jmap=None):
 
 
 def _add_product(f, quad, lin, left, right, i, j, sign):
-    """Add sign * (left . right)[i][j] to the terms quad, lin: a constant
-    times an unknown is linear, an unknown times an unknown quadratic.
-    Matrices are lists of {column: entry} rows without zeros, and an unknown
-    is the 1-tuple of its number, since over Z/p field constants are ints."""
+    """Store the terms of sign * (left . right)[i][j] in quad, lin, as built
+    (no key repeats within one entry, `TermTable.system`): a constant times
+    an unknown is linear, an unknown times an unknown quadratic.  Matrices
+    are lists of {column: entry} rows without zeros, and an unknown is the
+    1-tuple of its number, since over Z/p field constants are ints."""
     for k, a in left[i].items():
         b = right[k].get(j)
         if b is None:
             continue
         if type(a) is tuple and type(b) is tuple:
-            key = a + b if a <= b else b + a
-            quad[key] = f.add(quad.get(key, f.zero), sign)
+            quad[a + b if a <= b else b + a] = sign
         elif type(a) is tuple:
-            lin[a[0]] = f.add(lin.get(a[0], f.zero), f.mul(sign, b))
+            lin[a[0]] = f.mul(sign, b)
         else:
-            lin[b[0]] = f.add(lin.get(b[0], f.zero), f.mul(sign, a))
+            lin[b[0]] = f.mul(sign, a)
 
 
 class TermTable:
@@ -291,36 +291,54 @@ def slice_start(table, mm, nn):
     return k
 
 
-def _search_start(m, n, budget):
+def _search_start(m, n, budget, stats=None):
     """What every eps decision on (M, N) starts from, once a negative solver
-    budget is refused: the term table of the minimized pair, the
-    `slice_start` k of its levels, and the level below it (0 at k = 0), the
-    lower end of every bracket."""
+    budget is refused: the minimized pair's term table, the `slice_start` k
+    of its levels, and the probe decide(level, shown).  It solves the system
+    at `level`, counts it in `stats` and returns the least level its witness
+    certifies, or None; past the budget it raises DistanceBudgetExceeded with
+    `shown` undecided, bracket [last no (else below k, 0 at k = 0), last yes]."""
     if budget < 0:
         raise QuadSysError("budget must be >= 0")
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
     k = slice_start(table, mm, nn)
-    return table, k, table.levels[max(k - 1, 0)]
+    levels, last_no, first_yes = table.levels, table.levels[max(k - 1, 0)], None
+
+    def decide(level, shown):
+        nonlocal last_no, first_yes
+        isys = table.at(Fraction(level, table.scale))
+        try:
+            res = solve_finite_field(isys.system, budget=budget)
+        except BudgetExceeded as exc:
+            raise DistanceBudgetExceeded(table.value(last_no), table.value(first_yes),
+                                         shown, exc.nodes) from exc
+        if stats is not None:
+            stats.decisions += 1
+            stats.nodes += res.nodes
+        if res.status != "solvable":
+            last_no = level
+            return None
+        first_yes = levels[bisect.bisect_left(levels, max(
+            (table.thresholds[name][i][j] for (name, i, j), v in isys.var_of_entry.items()
+             if res.witness[v - 1] != table.field.zero), default=0))]
+        return first_yes
+
+    return table, k, decide
 
 
 def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
     """'yes'/'no': are M and N eps-interleaved?  eps >= 0 rational.  d_I is
     a candidate, so when the largest candidate <= eps lies below
     `slice_start` the answer is no without the solver; past the budget the
-    solver raises DistanceBudgetExceeded with the slice bracket."""
+    probe raises DistanceBudgetExceeded with the slice bracket."""
     eps = Fraction(eps)
     if eps < 0:
         raise PresentationError("eps must be >= 0")
-    table, k, last_no = _search_start(m, n, budget)
+    table, k, decide = _search_start(m, n, budget)
     if k == len(table.levels) or table.level(eps) < table.levels[k]:
         return "no"
-    try:
-        res = solve_finite_field(table.at(eps).system, budget=budget)
-    except BudgetExceeded as exc:
-        raise DistanceBudgetExceeded(table.value(last_no), INF, ext(eps),
-                                     exc.nodes) from exc
-    return "yes" if res.status == "solvable" else "no"
+    return "no" if decide(table.level(eps), ext(eps)) is None else "yes"
 
 
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
@@ -337,28 +355,8 @@ def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     without the solver.  With one parameter the slice is the module, so the
     start is d_I and one decision confirms it; where the dimensions above
     all grades differ, no slice matches and d_I = inf comes with none."""
-    table, k, last_no = _search_start(m, n, budget)
-    levels, first_yes = table.levels, None
+    table, k, decide = _search_start(m, n, budget, stats)
     if stats is not None:
-        stats.candidates = len(levels) + 1
-
-    def interleaved(level):
-        nonlocal last_no, first_yes
-        isys = table.at(Fraction(level, table.scale))
-        try:
-            res = solve_finite_field(isys.system, budget=budget)
-        except BudgetExceeded as exc:
-            raise DistanceBudgetExceeded(*map(table.value, (last_no, first_yes, level)),
-                                         exc.nodes) from exc
-        if stats is not None:
-            stats.decisions += 1
-            stats.nodes += res.nodes
-        if res.status != "solvable":
-            last_no = level
-            return None
-        first_yes = levels[bisect.bisect_left(levels, max(
-            (table.thresholds[name][i][j] for (name, i, j), v in isys.var_of_entry.items()
-             if res.witness[v - 1] != table.field.zero), default=0))]
-        return first_yes
-
-    return table.value(least_feasible(levels[k:], interleaved))
+        stats.candidates = len(table.levels) + 1
+    return table.value(least_feasible(
+        table.levels[k:], lambda level: decide(level, table.value(level))))

@@ -80,8 +80,7 @@ def _coeff_dict(f, count, name, coeffs):
         if len(coeffs) != count:
             raise PresentationError(f"relation {name}: coefficient count mismatch")
         coeffs = dict(enumerate(coeffs))
-    if not f.canonical(coeffs.values(), f.zero):
-        coeffs = {j: f.of(c) for j, c in coeffs.items()}
+    coeffs = {j: f.of(c) for j, c in coeffs.items()}
     return {j: c for j, c in coeffs.items() if c != f.zero}
 
 
@@ -366,9 +365,9 @@ def minimal_presentation(n, field, axes, generators, relations):
     (name, grade index, row) generators and (name, grade index, column)
     relations on the value lists `axes`, through `Presentation.from_ranks`
     in the order given.  Columns are packed over the rows (consumed), which
-    order the generators by (grade index, -index), grades lexicographic,
-    maybe with gaps; a column's top row, its generators being of grade <=
-    its own (unchecked), is its least-index one of its own grade, if any.
+    order the generators by (grade index, -index), grades lexicographic; a
+    column's top row, its generators being of grade <= its own (unchecked),
+    is its least-index one of its own grade, if any.
 
     Both steps reduce on `ColumnReducer`s.  Step 1, over the relations in
     (grade, index) order (a stable sort by grade): each is reduced until

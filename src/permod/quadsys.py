@@ -111,19 +111,13 @@ class QuadEquation:
 
 class QuadraticSystem:
     def __init__(self, field, nvars, equations):
-        self.field, self.nvars, self.equations = field, int(nvars), []
+        self.field, self.nvars, self.equations, of = field, int(nvars), [], field.of
         if self.nvars < 0:
             raise QuadSysError(f"negative variable count {self.nvars}")
         for eq in equations:
-            # kept as given when normal (i <= j in quadratic keys, canonical
-            # nonzero coefficients, vars those of the terms), else copied with
-            # every coefficient taken into the field
-            if not (field.canonical([*eq.quad.values(), *eq.lin.values()], eq.const)
-                    and all(i <= j for i, j in eq.quad) and eq.vars == eq.variables()):
-                of = field.of
-                eq = QuadEquation({k: of(c) for k, c in eq.quad.items()},
-                                  {k: of(c) for k, c in eq.lin.items()},
-                                  of(eq.const)).substitute(field, {})
+            eq = QuadEquation({k: of(c) for k, c in eq.quad.items()},
+                              {k: of(c) for k, c in eq.lin.items()},
+                              of(eq.const)).substitute(field, {})
             if eq.vars and not 1 <= min(eq.vars) <= max(eq.vars) <= self.nvars:
                 bad = min(eq.vars) if min(eq.vars) < 1 else max(eq.vars)
                 raise QuadSysError(f"variable index {bad} out of range")
@@ -371,7 +365,7 @@ def parse_system(text):
                     lin[i] = lin.get(i, 0) + c
                 else:
                     quad[i, j] = quad.get((i, j), 0) + c
-            eqs.append(QuadEquation(quad, lin, const).substitute(field, {}))
+            eqs.append(QuadEquation(quad, lin, const))
         else:
             raise QuadSysError(f"unknown line: {ln}")
     if len(head) < 2:

@@ -65,6 +65,34 @@ def lattice(side):
     return rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
 
 
+def rips_family(n):
+    """n distinct int points in [0, 100]^2, drawn from random.Random(n),
+    sorted, then a function value in 0..20 per point, under the L1
+    sublevelset-Rips bifiltration with max dim 2 and a scale cap above every
+    distance: all pairs are edges and all triples triangles."""
+    rng, pts = random.Random(n), set()
+    while len(pts) < n:
+        pts.add((rng.randint(0, 100), rng.randint(0, 100)))
+    pts = sorted(pts)
+    vals = [(rng.randint(0, 20),) for _ in pts]
+    return rips_bifiltration(PointCloud(pts), 1, vals, 2, 10 ** 6)
+
+
+def line_diagrams(pres, scales):
+    """Per scale s, the diagram of the module a 2-parameter (function,
+    scale) presentation gives on the vertical line {(a, s)}: its generators
+    and relations of scale <= s, at their function values, present it."""
+    out = {}
+    for s in scales:
+        kept = [j for j, (_, g) in enumerate(pres.generators) if g[1] <= s]
+        row = {j: i for i, j in enumerate(kept)}
+        gens = [(pres.generators[j][0], pres.generators[j][1][:1]) for j in kept]
+        rels = [(name, g[:1], {row[j]: c for j, c in cs.items()})
+                for name, g, cs in pres.relations if g[1] <= s]
+        out[s] = diagram_of(Presentation(1, pres.field, gens, rels))
+    return out
+
+
 def count_field_calls(monkeypatch):
     """The list that every PrimeField arithmetic call appends its (p, name)
     to, for the rest of the test."""
@@ -499,6 +527,61 @@ class TestPresentHomology:
     def test_three_parameters_rejected(self, f2):
         with pytest.raises(HomologyError):
             present_homology(K(3, [((0,), (F(0), F(0), F(0)))]), 0, f2)
+
+
+class TestRipsFamily:
+    """`present_homology` on the full Rips family, where every pair is an
+    edge: the sweep's rows, outputs pinned as a sweep with gaps between its
+    rows gave them, and the vertical-line check, which shares no code with
+    the Hilbert check."""
+
+    def test_rows_are_the_generators_alone(self, f2, monkeypatch):
+        # each birth reserves rows only for the candidates that prove
+        # independent; reserving one per fresh candidate took the 40-point
+        # family's H1 rows up to 16,290 for 741 generators, and the packed
+        # relation columns grew with them
+        cx, kind, calls = rips_family(40), f2.columns, []
+        minimal_presentation = homology.minimal_presentation
+
+        def spy(n, field, axes, generators, relations):
+            calls.append(([r for *_, r in generators],
+                          [kind.unpack(kind.copy(col)) for *_, col in relations]))
+            return minimal_presentation(n, field, axes, generators, relations)
+
+        monkeypatch.setattr(homology, "minimal_presentation", spy)
+        for d in (0, 1):
+            present_homology(cx, d, f2)
+        for rows, columns in calls:
+            assert sorted(rows) == list(range(len(rows)))
+            assert all(max(col) < len(rows) for col in columns if col)
+        assert [len(rows) for rows, _ in calls] == [40, 741]
+
+    @pytest.mark.parametrize("points, p, digest", [
+        (40, 2, "1bc0b7e7f8c5b424670210e26aa85992a39aaaad26a9c5006b91cb9d2ff641b7"),
+        (30, 3, "be4ab1b4eca71c3ad7c417bc0ce47018538f20e731327126674d760f9c1656a1")])
+    def test_presentations_pinned(self, points, p, digest):
+        # computed when each birth reserved a row per fresh candidate
+        cx = rips_family(points)
+        texts = [present_homology(cx, d, PrimeField(p)).to_text() for d in (0, 1)]
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=lambda f: f.spec)
+    def test_vertical_lines_give_the_slice_barcodes(self, field):
+        cx, lines = rips_family(30), 0
+        for d in (0, 1):
+            pres = present_homology(cx, d, field)
+            scales = sorted({g[1] for _, g, *_ in pres.generators + pres.relations})
+            want = {s: barcode_1d(fixed_scale_slice(cx, s), d, field) for s in scales}
+            assert line_diagrams(pres, scales) == want
+            lines += len(scales)
+            # a minimal presentation has no redundant relation, so dropping
+            # one changes the module on the line through its scale
+            assert pres.relations
+            for k in {0, len(pres.relations) // 2, len(pres.relations) - 1}:
+                cut = Presentation(2, field, pres.generators,
+                                   pres.relations[:k] + pres.relations[k + 1:])
+                assert line_diagrams(cut, scales) != want
+        assert lines == 35 + 18
 
 
 class TestImageModule:

@@ -88,9 +88,9 @@ class TestAssemble:
                              ids=lambda f: f.spec)
     def test_systems_handed_over_normal(self, field):
         """A term table's systems are stored unchecked, so each must be as
-        the checking constructor keeps it: built again through it, at every
-        level of seeded pairs, every equation stays the same object, with
-        its variables in 1..nvars."""
+        the checking constructor normalizes it: built again through it, at
+        every level of seeded pairs, every equation keeps its terms, constant
+        and variables, those in 1..nvars."""
         rng, equations = seeded(443 + len(field.spec)), 0
         for _ in range(8):
             m = random_presentation(rng, field, n=2, max_gens=4, max_rels=3)
@@ -101,7 +101,8 @@ class TestAssemble:
                     system = table.at(F(level, table.scale)).system
                     again = QuadraticSystem(field, system.nvars, system.equations)
                     assert len(again.equations) == len(system.equations)
-                    assert all(a is b for a, b in zip(again.equations, system.equations))
+                    assert [(e.quad, e.lin, e.const, e.vars) for e in again.equations] == \
+                        [(e.quad, e.lin, e.const, e.vars) for e in system.equations]
                     assert all(1 <= v <= system.nvars for e in system.equations
                                for v in e.vars)
                     equations += len(system.equations)

@@ -15,18 +15,18 @@ computation styles share the exact linear algebra kernel:
   grid points, held packed in the column type) for any parameter count,
   each made by `build_grid_module` from the data computed once per grid
   point, its builder handing over transitions already packed.  A
-  presentation's data is a basis of M_a, a complex's or an image's one of
-  H_d, both by `linalg.quotient_basis`, the cycles and boundaries from one
-  growing reduction each per grid column (`_column_growth`); resamplings
-  and cluster modules (``infer``) bring their own;
+  complex's, an image's or a presentation's (its two-term complex's) data
+  is a basis of H_d by `linalg.quotient_basis`, the cycles and boundaries
+  from one growing reduction per grid column (`_column_growth`);
+  resamplings and cluster modules (``infer``) bring their own;
 * presentations of homology for 1 and 2 parameters, in the column type from
   end to end: the critical grid is swept row by row with one span of kernel
   generators per row, fed where a generator is born by the same growing
   reductions (Lesnick and Wright, arXiv:1902.05708), and each boundary of a
   (d+1)-simplex goes packed to `minimal_presentation`.  The freeness of
   two-parameter kernels is an implementation hypothesis, so a Hilbert check
-  compares the presentation's dimension table with the chain's, each swept
-  from rank tables of its own, so a sweep error cannot vouch for itself.
+  compares the presentation's H_0 with the chain's H_d, each read from the
+  rank tables of its own complex, so a sweep error cannot vouch for itself.
 """
 
 import bisect
@@ -51,30 +51,33 @@ class HomologyError(ValueError):
 
 
 class GradedChainComplex:
-    """Per-degree simplex bases with rational grades and sparse boundary
-    columns.  The complex's order (dimension, grade, vertices), grade
-    indices and axes are taken as they are."""
+    """Per-degree bases, int grade indices on rational axes and packed
+    boundary columns, stored by `_keep`: a complex's simplices in its order
+    (dimension, grade, vertices), or a presentation's generators and
+    relations (`Presentation.chain_complex`)."""
 
     def __init__(self, field, complex_):
-        self.field = field
-        self.axes = complex_.rational_axes()
-        self.nparams = complex_.nparams
         dims = [len(verts) - 1 for verts, _ in complex_.simplices]
-        self.max_deg = max(dims, default=-1)
-        cuts = [bisect.bisect_left(dims, d) for d in range(self.max_deg + 2)]
-        self.bases = [complex_.simplices[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        self.grade_index = {d: complex_.grade_index[lo:hi]
-                            for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
+        cuts = [bisect.bisect_left(dims, d) for d in range(max(dims, default=-1) + 2)]
+        bases = [complex_.simplices[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         # boundary columns per degree in the field's column type (a vertex
         # has none); over Z/2 pack ORs the faces' bits and drops the signs
         kind, signs = field.columns, (field.one, field.of(-1))
-        self.columns = [[kind.pack({}) for _ in basis] for basis in self.bases[:1]]
-        for below, basis in zip(self.bases, self.bases[1:]):
+        columns = [[kind.pack({}) for _ in basis] for basis in bases[:1]]
+        for below, basis in zip(bases, bases[1:]):
             rows = {verts: i for i, (verts, _) in enumerate(below)}
-            self.columns.append([kind.pack({rows[verts[:k] + verts[k + 1:]]: signs[k & 1]
-                                            for k in range(len(verts))})
-                                 for verts, _ in basis])
+            columns.append([kind.pack({rows[verts[:k] + verts[k + 1:]]: signs[k & 1]
+                                       for k in range(len(verts))})
+                            for verts, _ in basis])
+        self._keep(field, complex_.rational_axes(), bases,
+                   [complex_.grade_index[lo:hi] for lo, hi in zip(cuts, cuts[1:])], columns)
         self._check_dd()
+
+    def _keep(self, field, axes, bases, grade_index, columns):
+        """Store per degree from 0 its basis, sorted grade indices and columns."""
+        self.field, self.axes, self.nparams = field, axes, len(axes)
+        self.bases, self.columns, self.max_deg = bases, columns, len(bases) - 1
+        self.grade_index = dict(enumerate(grade_index))
         self._ranks = {}        # degree -> active_ranks(degree)
         self._lows = {}         # degree -> lows(degree)
 
@@ -458,11 +461,27 @@ def _homology_bases(c1, c2, degree, to2=None):
     return basis_at
 
 
+def _presentation_bases(p):
+    """basis_at(z): the units of p's generators active at z, keyed by index
+    from the last down, modulo the active relations, from one growing
+    reduction of `p.chain_complex()`'s relations per grid column."""
+    chain = p.chain_complex()
+    relations_at, kind = _column_growth(chain, 1, False), p.field.columns
+    index, order = chain.grade_index[0], chain.bases[0]
+
+    def basis_at(z):
+        top = chain.floor(z)
+        gens = [] if top is None else sorted(
+            (order[i] for lo, hi in leq_runs(index, top) for i in range(lo, hi)), reverse=True)
+        return quotient_basis(p.field, relations_at(top)[0], ((j, kind.unit(j)) for j in gens))
+    return basis_at
+
+
 def grid_module_of(source, axes, degree=None, field=None):
     """Grid module of a presentation, or of H_degree of a bifiltered or a
     chain complex."""
     if isinstance(source, Presentation):
-        return _quotient_grid_module(source.n, source.field, axes, source._quotient_basis)
+        return _quotient_grid_module(source.n, source.field, axes, _presentation_bases(source))
     if degree is None:
         raise HomologyError("degree required for a chain source")
     chain = source if isinstance(source, GradedChainComplex) \

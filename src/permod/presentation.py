@@ -3,10 +3,10 @@
 A module is given by graded generators and homogeneous relations over a
 coefficient field.  The key modelling fact: monomial shifts act as the
 identity on coefficient vectors, so the slice of the relation submodule at a
-grade equals the plain k-span of the relations of grade <= that grade.  Every
-pointwise question (dimension, transition rank, minimization, span tests) is
-then a finite Gaussian elimination, on grades ranked once (see
-`Presentation`).
+grade equals the plain k-span of the relations of grade <= that grade: the
+module is H_0 of the two-term complex relations -> generators, whose chain
+code in `homology` answers every pointwise question.  Minimization is a
+Gaussian elimination; both run on grades ranked once (see `Presentation`).
 """
 
 import bisect
@@ -17,7 +17,7 @@ from fractions import Fraction
 from .exactnum import (QQ, ExtendedRational, as_fraction, common_denominator,
                        format_rational, grade_ranks, parse_field, parse_rational,
                        scaled_int, text_lines)
-from .linalg import ColumnReducer, packed_rank, quotient_basis, quotient_map
+from .linalg import ColumnReducer
 
 
 def grade_leq(a, b):
@@ -199,6 +199,7 @@ class Presentation:
                            for (name, _), k in zip(generators, self.gen_index)]
         self.relations = [(name, tuple(map(operator.getitem, axes, k)), coeffs)
                           for (name, _, coeffs), k in zip(relations, self.rel_index)]
+        self._chain = None      # chain_complex(), built on the first call
 
     # -- validation ---------------------------------------------------------
 
@@ -224,70 +225,49 @@ class Presentation:
 
     # -- pointwise linear algebra -------------------------------------------
 
-    def _active(self, a):
-        """The generators and relations of grade <= a (ranks <= a's floor)."""
-        if len(a) != self.n:
-            raise PresentationError("grade length != n")
-        top = [bisect.bisect_right(ax, x) - 1 for ax, x in zip(self.axes, a)]
-        gens = [j for j, k in enumerate(self.gen_index) if grade_leq(k, top)]
-        rels = [i for i, k in enumerate(self.rel_index) if grade_leq(k, top)]
-        return gens, rels
-
-    def _quotient_basis(self, a):
-        """`quotient_basis` of M_a: the active generators' units (keyed by
-        index, from the last down) modulo the active relations, which picks
-        those that lead no relation in first-nonzero echelon form."""
-        gens, rels = self._active(a)
-        f, kind, span = self.field, self.field.columns, ColumnReducer(self.field)
-        for i in rels:
-            span.add_packed(kind.copy(kind.pack(self.relations[i][2])), kind.pack({}))
-        return quotient_basis(f, span, ((j, kind.unit(j)) for j in reversed(gens)))
+    def chain_complex(self):
+        """The two-term complex relations -> generators, whose H_0 is this
+        module, built on the first call: each degree in grade-index order on
+        `axes`, its basis the generator or relation indices, the generators'
+        columns empty and the relations' packed over generator indices."""
+        if self._chain is None:
+            from .homology import GradedChainComplex
+            keys = (self.gen_index, self.rel_index)
+            order = [sorted(range(len(k)), key=k.__getitem__) for k in keys]
+            kind = self.field.columns
+            self._chain = GradedChainComplex.__new__(GradedChainComplex)
+            self._chain._keep(self.field, self.axes, order,
+                              [[k[i] for i in o] for k, o in zip(keys, order)],
+                              [[kind.pack({}) for _ in order[0]],
+                               [kind.pack(self.relations[i][2]) for i in order[1]]])
+        return self._chain
 
     def point_dim(self, a):
-        return len(self._quotient_basis(a)[0])
+        """dim M_a: H_0 of `chain_complex` at a's floor on the axes."""
+        if len(a) != self.n:
+            raise PresentationError("grade length != n")
+        chain = self.chain_complex()
+        return chain.homology_dim_at(0, chain.floor(a))
 
     def hilbert_table(self, axes):
         """{grid index: dim M_z} at every point z of the grid on `axes`, one
         strictly increasing value list per parameter (others are refused):
-        the active generators minus the rank of the active relations.  A
-        grade is active from the first axis value >= it on, and never past
-        the last one.  Each value of `self.axes` is placed on the given axis
-        once, both taken as ints at the lcm of their denominators."""
+        H_0 of `chain_complex` at z's floor on `self.axes`, each grid value
+        floored once, both axes taken as ints at the lcm of their
+        denominators."""
         if len(axes) != self.n:
             raise PresentationError("hilbert_table needs one axis per parameter")
-        shape, place = [len(ax) for ax in axes], []
+        floors = []
         for mine, theirs in zip(self.axes, axes):
             scale = common_denominator(mine + list(theirs))
             grid = [scaled_int(x, scale) for x in theirs]
             if any(map(int.__ge__, grid, grid[1:])):
                 raise PresentationError("hilbert_table axes must be strictly increasing")
-            place.append([bisect.bisect_left(grid, scaled_int(x, scale)) for x in mine])
-
-        def on_grid(keys):
-            """Sorted (grid index, position) of the grades that reach the grid."""
-            spots = (tuple(map(operator.getitem, place, key)) for key in keys)
-            return sorted((k, i) for i, k in enumerate(spots) if all(map(int.__lt__, k, shape)))
-
-        gens, rels = on_grid(self.gen_index), on_grid(self.rel_index)
-        pack = self.field.columns.pack
-        n = swept_ranks(self.field, shape, [k for k, _ in gens], [pack({})] * len(gens))
-        r = swept_ranks(self.field, shape, [k for k, _ in rels],
-                        [pack(self.relations[i][2]) for _, i in rels])
-        return {z: n[z][0] - r[z][1] for z in n}
-
-    def transition_matrix(self, a, b):
-        """Map M_a -> M_b in the echelon quotient bases, as one sparse column
-        per a-basis vector over the b-basis: `_transition` unpacked."""
-        return list(map(self.field.columns.unpack, self._transition(a, b)))
-
-    def transition_rank(self, a, b):
-        return packed_rank(self.field, self._transition(a, b))
-
-    def _transition(self, a, b):
-        """`transition_matrix` in the field's column type (`exactnum`)."""
-        if not grade_leq(a, b):
-            raise PresentationError("transition requires a <= b")
-        return quotient_map(self._quotient_basis(a), self._quotient_basis(b))
+            mine = [scaled_int(x, scale) for x in mine]
+            floors.append([bisect.bisect_right(mine, y) - 1 for y in grid])
+        chain = self.chain_complex()
+        return {z: chain.homology_dim_at(0, None if -1 in k else k) for z, k in zip(
+            itertools.product(*(range(len(f)) for f in floors)), itertools.product(*floors))}
 
     # -- functors -----------------------------------------------------------
 

@@ -1,13 +1,16 @@
 """Two `onedim` functions as they were before they shared `bars` and
 `matchable`: the persistence diagram by the rank multiplicity formula (a
-k x k table of `transition_rank` on the critical values of the minimized
-presentation, augmented below the minimum), and the bottleneck distance
-whose every probe recomputes the pair costs and half-lives and matches on
-the doubled graph with per-point deletion slack."""
+k x k table of the ranks of `reference_grid`'s quotient maps, on the
+critical values of the minimized presentation augmented below the
+minimum), and the bottleneck distance whose every probe recomputes the pair
+costs and half-lives and matches on the doubled graph with per-point
+deletion slack."""
 
 from permod.exactnum import INF, ext, least_feasible
 from permod.onedim import PersistenceDiagram, _half, _pair_cost
 from permod.presentation import PresentationError
+from reference_grid import quotient_basis, quotient_map
+from reference_linalg import rank as mat_rank, rows_of
 
 
 def diagram_of(p):
@@ -27,9 +30,11 @@ def diagram_of(p):
     grid = [crit[0] - 1] + crit
     k = len(grid)
     rank = [[0] * k for _ in range(k)]
+    bases = [quotient_basis(pm, (x,)) for x in grid]
     for i in range(k):
         for j in range(i, k):
-            rank[i][j] = pm.transition_rank((grid[i],), (grid[j],))
+            rank[i][j] = mat_rank(pm.field, rows_of(
+                pm.field, quotient_map(pm, bases[i], bases[j]), len(bases[j][0])))
     pts = []
     last = k - 1
     for i in range(1, k):

@@ -13,6 +13,7 @@ lattice where the dense reference is too slow, on critical and widened
 axes; and counted: each grid point's basis is built once, each active
 column reduced once per grid column and each candidate once per point."""
 
+import bisect
 import collections
 import itertools
 from fractions import Fraction as F
@@ -164,8 +165,8 @@ class TestAgainstReference:
         1 to 3 parameters, on critical and (up to 2 parameters) widened
         axes: the text, and the composite and rank between every two grid
         indices, read straight off the quotient so no composite is
-        multiplied through a zero space; `point_dim` at every grid value and
-        `transition_matrix` between some pairs of them."""
+        multiplied through a zero space; `point_dim` at every grid value, and
+        the map between some pairs of them on the grid through the two."""
         rng = seeded(271)
         for f in FIELDS + (PrimeField(5), QQ):
             for n, count, size in ((1, 8, 6), (2, 6, 5), (3, 3, 3)):
@@ -189,9 +190,13 @@ class TestAgainstReference:
                             assert gm.matrix_between(i1, i2) == want
                             assert gm.rank_between(i1, i2) == ref_linalg.rank(
                                 f, rows_of(f, want, gm.dims[i2]))
+                        # and on the grid through just the two ends
                         pairs = index_pairs(gm)
                         for i1, i2 in rng.sample(pairs, min(len(pairs), 10)):
-                            assert p.transition_matrix(gm.value(i1), gm.value(i2)) == \
+                            a, b = gm.value(i1), gm.value(i2)
+                            axes2 = [sorted({x, y}) for x, y in zip(a, b)]
+                            ends = [tuple(map(list.index, axes2, g)) for g in (a, b)]
+                            assert grid_module_of(p, axes2).matrix_between(*ends) == \
                                 ref.quotient_map(p, bases[i1], bases[i2])
 
     def test_image_modules(self):
@@ -334,14 +339,22 @@ class TestPackedPointBases:
                     ref.span_image_grid_module(*args).to_text()
 
     def test_presentation_module_builds_one_quotient_basis_per_point(self, monkeypatch):
+        # one quotient per grid point, its candidates the generators active
+        # there from the last index down
         f = PrimeField(2)
         cx = lattice_48()
         axes, p = chain_complex_of(cx, f).axes, homology.present_homology(cx, 1, f)
-        built, quotient_basis = [], Presentation._quotient_basis
-        monkeypatch.setattr(Presentation, "_quotient_basis",
-                            lambda self, a: built.append(a) or quotient_basis(self, a))
+        built, quotient_basis = [], homology.quotient_basis
+
+        def counted(field, subspace, candidates):
+            candidates = list(candidates)
+            built.append([key for key, _ in candidates])
+            return quotient_basis(field, subspace, candidates)
+        monkeypatch.setattr(homology, "quotient_basis", counted)
         gm = grid_module_of(p, axes)
-        assert sorted(built) == sorted(map(gm.value, gm.indices()))
+        assert sorted(built) == sorted(
+            [j for j in reversed(range(len(p.generators))) if grade_leq(p.generators[j][1], z)]
+            for z in map(gm.value, gm.indices()))
         assert len(built) == 50
 
     def test_chain_module_reduces_each_vector_once(self, monkeypatch):
@@ -367,9 +380,11 @@ class TestPackedPointBases:
                                    "unpack": sum(map(len, gm.trans.values()))}
 
     def test_presentation_module_adds_each_vector_once(self, monkeypatch):
-        """Per grid point, the quotient adds each active relation and each
-        active generator's unit column once; only the transition columns
-        are unpacked, and no ColumnSpan or nullspace is used."""
+        """Per grid column (of the presentation's axes, where the grid's
+        columns floor), the relation reduction adds each nonempty relation
+        active there once, and per grid point the quotient adds each active
+        generator's unit column once; only the transition columns are
+        unpacked, and no ColumnSpan or nullspace is used."""
         rng, cases = seeded(281), []
         f2 = PrimeField(2)
         cx = lattice_48()
@@ -380,8 +395,15 @@ class TestPackedPointBases:
                 cases.append((p, widened(rng, p.critical_grades()[1])))
         calls = count_kernel_calls(monkeypatch)
         for p, axes in cases:
-            adds = sum(grade_leq(g, z) for z in itertools.product(*axes)
-                       for g in [g for _, g in p.generators] + [g for _, g, _ in p.relations])
+            floors = [[bisect.bisect_right(mine, x) - 1 for x in ax]
+                      for mine, ax in zip(p.axes, axes)]
+            tops = [top for top in itertools.product(*floors) if -1 not in top]
+            lead = max((top[0] for top in tops), default=-1)
+            grown = sum(grade_leq(k, (lead,) + tail) for tail in {top[1:] for top in tops}
+                        for k, (_, _, cs) in zip(p.rel_index, p.relations) if cs)
+            units = sum(grade_leq(g, z) for z in itertools.product(*axes)
+                        for _, g in p.generators)
+            adds = grown + units
             calls.clear()
             gm = grid_module_of(p, axes)
             built = collections.Counter(calls)      # reading gm.trans unpacks again

@@ -65,17 +65,21 @@ def lattice(side):
     return rips_bifiltration(PointCloud(pts), 1, vals, max_dim=2, scale_cap=5)
 
 
-def rips_family(n):
+def rips_family(n, relabel=None):
     """n distinct int points in [0, 100]^2, drawn from random.Random(n),
     sorted, then a function value in 0..20 per point, under the L1
     sublevelset-Rips bifiltration with max dim 2 and a scale cap above every
-    distance: all pairs are edges and all triples triangles."""
+    distance: all pairs are edges and all triples triangles.  With relabel,
+    the points and their values are first shuffled by random.Random(relabel)."""
     rng, pts = random.Random(n), set()
     while len(pts) < n:
         pts.add((rng.randint(0, 100), rng.randint(0, 100)))
     pts = sorted(pts)
-    vals = [(rng.randint(0, 20),) for _ in pts]
-    return rips_bifiltration(PointCloud(pts), 1, vals, 2, 10 ** 6)
+    rows = list(zip(pts, [(rng.randint(0, 20),) for _ in pts]))
+    if relabel is not None:
+        random.Random(relabel).shuffle(rows)
+    return rips_bifiltration(PointCloud([pt for pt, _ in rows]), 1,
+                             [val for _, val in rows], 2, 10 ** 6)
 
 
 def line_diagrams(pres, scales):
@@ -379,7 +383,8 @@ class TestPresentHomology:
     def test_large_lattice_reduces_once(self, f2, monkeypatch):
         # H0 and H1 share one chain complex, take their kernels from growing
         # column reductions with no nullspace, reduce no empty column, and
-        # sweep the rank table of each degree 0, 1, 2 once
+        # sweep the rank table of each degree 0, 1, 2 once; the Hilbert
+        # check sweeps each presentation's two degrees once
         cx = lattice_48()
         builds, nullspaces, empty, swept = [], [], [], []
 
@@ -395,11 +400,12 @@ class TestPresentHomology:
         counting(homology, "nullspace", nullspaces, lambda *a: 1)
         counting(ColumnReducer, "add_packed", empty, lambda self, col, *a: not col)
         counting(homology, "swept_ranks", swept, lambda field, shape, grades, cols: grades)
-        for d in (0, 1):
-            present_homology(cx, d, f2, check_hilbert=True)
+        pres = [present_homology(cx, d, f2, check_hilbert=True) for d in (0, 1)]
         chain = cx.chains[f2.spec]
         assert (len(builds), nullspaces, any(empty)) == (1, [], False)
-        assert sorted(map(id, swept)) == sorted(id(chain.grade_index[d]) for d in (0, 1, 2))
+        assert sorted(map(id, swept)) == sorted(
+            [id(chain.grade_index[d]) for d in (0, 1, 2)]
+            + [id(p.chain_complex().grade_index[d]) for p in pres for d in (0, 1)])
 
     def test_z2_chain_and_sweep_call_no_field_method(self, f2, monkeypatch):
         # over Z/2 the boundary columns are int bitsets built with no sign,
@@ -582,6 +588,23 @@ class TestRipsFamily:
                                    pres.relations[:k] + pres.relations[k + 1:])
                 assert line_diagrams(cut, scales) != want
         assert lines == 35 + 18
+
+
+    @pytest.mark.parametrize("field, relabels",
+                             [(PrimeField(2), (1, 2, 3)), (PrimeField(3), (4,))],
+                             ids=["zp 2", "zp 3"])
+    def test_relabelings_keep_the_grade_multisets(self, field, relabels):
+        # graded Betti numbers are invariants, so a permutation of the
+        # points gives equal sorted generator- and relation-grade lists
+        def grades(cx):
+            return [(sorted(g for _, g in p.generators), sorted(g for _, g, _ in p.relations))
+                    for p in (present_homology(cx, d, field) for d in (0, 1))]
+        cx = rips_family(30)
+        want = grades(cx)
+        for seed in relabels:
+            moved = rips_family(30, relabel=seed)
+            assert moved.simplices != cx.simplices
+            assert grades(moved) == want
 
 
 class TestImageModule:

@@ -5,7 +5,7 @@ import pytest
 
 from permod import QQ, PrimeField
 from permod.exactnum import INF, NEG_INF
-from permod.homology import grid_module_of
+from permod.homology import HomologyError, grid_module_of
 from permod.interleave import assemble_system, decide_generalized, zero_pattern_mask
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  PresentationError, direct_sum,
@@ -96,21 +96,26 @@ class TestPointwise:
 
     def test_transition_rank(self, f2):
         p = C(f2, 0, 1)
-        assert p.transition_rank((F(0),), (F(1, 2),)) == 1
-        assert p.transition_rank((F(0),), (F(1),)) == 0
-        assert p.transition_rank((F(1, 2),), (F(1, 2),)) == p.point_dim((F(1, 2),))
-        with pytest.raises(PresentationError):
-            p.transition_rank((F(1),), (F(0),))
+        gm, (a, b) = through(p, (F(0),), (F(1, 2),))
+        assert gm.rank_between(a, b) == 1
+        gm, (a, b) = through(p, (F(0),), (F(1),))
+        assert gm.rank_between(a, b) == 0
+        gm, (a,) = through(p, (F(1, 2),))
+        assert gm.rank_between(a, a) == p.point_dim((F(1, 2),))
+        gm, (a, b) = through(p, (F(1),), (F(0),))
+        with pytest.raises(HomologyError, match="i1 <= i2"):
+            gm.rank_between(a, b)
 
     def test_grade_of_another_length_refused(self, f2):
         p = Presentation(2, f2, [("g", (F(0), F(5)))], [])
         assert p.point_dim((F(0), F(5))) == 1
-        top = (F(9), F(9))
         for a in ((F(0),), (F(0), F(5), F(0))):
-            for call in (lambda: p.point_dim(a), lambda: p.transition_matrix(a, top),
-                         lambda: p.transition_rank((F(0), F(5)), a)):
-                with pytest.raises(PresentationError, match="grade length != n"):
-                    call()
+            with pytest.raises(PresentationError, match="grade length != n"):
+                p.point_dim(a)
+            # the maps between grades are read off a grid module, whose
+            # grid must have one axis per parameter
+            with pytest.raises(HomologyError, match="axes count"):
+                grid_module_of(p, [[x] for x in a])
 
     def test_rank_composition_bound(self, f2):
         rng = seeded(11)
@@ -119,14 +124,22 @@ class TestPointwise:
             p = random_presentation(rng, f2, n=2, grade_pool=pool)
             pts = sorted({g for _, g in p.generators}
                          | {g for _, g, _ in p.relations})
-            for a in pts:
-                for b in pts:
-                    for c in pts:
+            gm, at = through(p, *pts)
+            for a, ia in zip(pts, at):
+                for b, ib in zip(pts, at):
+                    for c, ic in zip(pts, at):
                         if all(x <= y for x, y in zip(a, b)) and \
                            all(x <= y for x, y in zip(b, c)):
-                            rac = p.transition_rank(a, c)
-                            assert rac <= p.transition_rank(a, b)
-                            assert rac <= p.transition_rank(b, c)
+                            rac = gm.rank_between(ia, ic)
+                            assert rac <= gm.rank_between(ia, ib)
+                            assert rac <= gm.rank_between(ib, ic)
+
+
+def through(p, *grades):
+    """The grid module of p on the grid through the given grades, and their
+    grid indices on it."""
+    axes = [sorted(set(values)) for values in zip(*grades)]
+    return grid_module_of(p, axes), [tuple(map(list.index, axes, g)) for g in grades]
 
 
 class TestHilbertTable:

@@ -24,8 +24,11 @@ Rational = Fraction
 
 
 def parse_rational(text):
-    """Parse `a/b`, integer `a`, or exact decimal `a.b` into a Fraction."""
+    """Parse `a/b`, `a`, or exact decimal `a.b`, either with an exponent `eN`, |N| <= 4300."""
     try:
+        exponent = text.lower().partition("e")[2].strip().lstrip("+-0_")
+        if len(exponent) > 5 or int(exponent or 0) > 4300:
+            raise ValueError("exponent beyond 4300")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc

@@ -21,14 +21,14 @@ zero-pattern thresholds, and T_M, T_N as lists of sparse {column: entry}
 rows.  Each system numbers its free entries (A..F, row-major), puts a
 variable on each, and expands the four identities, four rows (L1, R1, L2,
 R2) of one table, over those entries alone: one equation per entry of
-L1 R1 - L2 R2 (- I).  One helper adds an entry of a product, a constant
-times a variable as a linear term and a variable times a variable as a
-quadratic one.  The equations come out normal and are stored unchecked.
+L1 R1 - L2 R2 (- I) (`_add_product`).  The equations come out normal and
+are stored unchecked.
 
 The distance search, and a single eps decision, run on the table's sorted
-candidate levels (ints) and start at the least one that the bars of both
-modules on the slope-1 lines through their grades do not rule out, a lower
-bound on d_I (`slice_start`, on `onedim.bars` and `onedim.matchable`).
+candidate levels (ints) from a lower bound on d_I: the least level at which
+the bars of both modules on the slope-1 lines through their grades match
+(`slice_start`, on `onedim.bars` and `onedim.matchable`).  The search first
+probes the bound of the two end lines, and slices the others after a no.
 """
 
 import bisect
@@ -252,21 +252,21 @@ class DistanceBudgetExceeded(Exception):
 
 
 class SearchStats:
-    def __init__(self):
-        self.decisions = 0
-        self.nodes = 0
-        self.candidates = 0     # size of the candidate set, +inf included
+    """A search's answered solver calls (`decisions`, each, even a probe the
+    other lines rule out), their `nodes`, and `candidates`, +inf included."""
+    decisions = nodes = candidates = 0
 
 
-def slice_start(table, mm, nn):
-    """The index of the least of the table's `levels` at which the diagonal
-    slices of the minimized pair (mm, nn) all admit a matching: the line
-    c + t (1, ..., 1) through each grade g, c = g - g_last, holds a grade h
-    from t(h) = max_i (h_i - c_i) on.  An eps-interleaving restricts to one
-    of every such slice, so its bottleneck distance is <= d_I.  On ints
-    scaled by table.scale, with costs doubled so that a bar is deleted when
-    its length is <= twice the level; len(levels) when a slice admits none,
-    as when the dimensions above all grades differ."""
+def slice_start(table, mm, nn, part=slice(None), k=0):
+    """The index of the least of the table's `levels`, from k on, at which
+    the diagonal slices of the minimized pair (mm, nn) on the lines `part`
+    admit a matching: the line c + t (1, ..., 1) through each grade g,
+    c = g - g_last, holds a grade h from t(h) = max_i (h_i - c_i) on.  An
+    eps-interleaving restricts to one of every such slice, so its bottleneck
+    distance is <= d_I.  The lines are ordered first, last (sorted; with two
+    parameters, the pushforwards onto the axes), then the rest.  On ints
+    scaled by table.scale, costs doubled so that a bar is deleted when its
+    length is <= twice the level; len(levels) when a slice admits none."""
     gm, gn, rm, rn = table.grades
     pres = [(gens, [(h, cs) for h, (_, _, cs) in zip(rels, p.relations)])
             for gens, rels, p in ((gm, rm, mm), (gn, rn, nn))]
@@ -274,8 +274,7 @@ def slice_start(table, mm, nn):
                     for g in gens + [h for h, _ in rels]})
     levels = [2 * v for v in table.levels]
     never = levels[-1] + 1      # the table's levels hold 0, so levels is not empty
-    k = 0
-    for c in lines:
+    for c in (lines[:1] + lines[:0:-1])[part]:
         if k == len(levels):    # no slice can match: k stays
             break
         left, right = (bars(table.field, [max(map(operator.sub, g, c)) for g in gens],
@@ -294,16 +293,21 @@ def slice_start(table, mm, nn):
 def _search_start(m, n, budget, stats=None):
     """What every eps decision on (M, N) starts from, once a negative solver
     budget is refused: the minimized pair's term table, the `slice_start` k
-    of its levels, and the probe decide(level, shown).  It solves the system
-    at `level`, counts it in `stats` and returns the least level its witness
-    certifies, or None; past the budget it raises DistanceBudgetExceeded with
+    of its levels on the end lines, rest(), which raises k to that on all
+    lines, and the probe decide(level, shown), which solves the system at
+    `level`, counts it in `stats` and returns the least level its witness
+    certifies, or None; past the budget it raises DistanceBudgetExceeded,
     `shown` undecided, bracket [last no (else below k, 0 at k = 0), last yes]."""
     if budget < 0:
         raise QuadSysError("budget must be >= 0")
     mm, nn = m.minimize(), n.minimize()
     table = TermTable(mm, nn)
-    k = slice_start(table, mm, nn)
-    levels, last_no, first_yes = table.levels, table.levels[max(k - 1, 0)], None
+    k = slice_start(table, mm, nn, slice(2))
+    levels, last_no, first_yes = table.levels, 0, None
+
+    def rest():
+        nonlocal k
+        return (k := slice_start(table, mm, nn, slice(2, None), k))
 
     def decide(level, shown):
         nonlocal last_no, first_yes
@@ -311,8 +315,8 @@ def _search_start(m, n, budget, stats=None):
         try:
             res = solve_finite_field(isys.system, budget=budget)
         except BudgetExceeded as exc:
-            raise DistanceBudgetExceeded(table.value(last_no), table.value(first_yes),
-                                         shown, exc.nodes) from exc
+            raise DistanceBudgetExceeded(table.value(max(last_no, levels[max(k - 1, 0)])),
+                                         table.value(first_yes), shown, exc.nodes) from exc
         if stats is not None:
             stats.decisions += 1
             stats.nodes += res.nodes
@@ -324,7 +328,7 @@ def _search_start(m, n, budget, stats=None):
              if res.witness[v - 1] != table.field.zero), default=0))]
         return first_yes
 
-    return table, k, decide
+    return table, k, rest, decide
 
 
 def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
@@ -335,28 +339,36 @@ def decide_interleaving(m, n, eps, budget=DEFAULT_BUDGET):
     eps = Fraction(eps)
     if eps < 0:
         raise PresentationError("eps must be >= 0")
-    table, k, decide = _search_start(m, n, budget)
-    if k == len(table.levels) or table.level(eps) < table.levels[k]:
+    table, _, rest, decide = _search_start(m, n, budget)
+    if (k := rest()) == len(table.levels) or table.level(eps) < table.levels[k]:
         return "no"
     return "no" if decide(table.level(eps), ext(eps)) is None else "yes"
 
 
 def interleaving_distance(m, n, budget=DEFAULT_BUDGET, stats=None):
     """d_I(M, N) as an ExtendedRational: `least_feasible` over the table's
-    candidate levels, valid because interleavability is monotone in eps and
-    the distance is attained.  A witness, zero off its free entries, solves
-    the system at every eps whose level reaches its nonzero entries'
-    thresholds, so each yes certifies the least such level.  Presentations
-    are minimized and their term table built once; each probe expands its
-    system from it.
+    candidate levels (interleavability is monotone in eps and the distance
+    is attained), where a yes certifies the least level that its witness's
+    nonzero entries are free at.  Presentations are minimized and their
+    term table built once; each probe expands its system from it.
 
-    The search starts at `slice_start`, the least candidate that the
-    diagonal slices do not rule out; the candidates below it are decided no
-    without the solver.  With one parameter the slice is the module, so the
-    start is d_I and one decision confirms it; where the dimensions above
-    all grades differ, no slice matches and d_I = inf comes with none."""
-    table, k, decide = _search_start(m, n, budget, stats)
+    The first probe is at the end lines' `slice_start`: a yes there is d_I,
+    as the bound on all lines lies between.  After a no or an exit, the
+    search starts at that bound, the least candidate the diagonal slices do
+    not rule out; the first probe, if it lies there, is not solved again.  With
+    one parameter the slice is the module, so the start is d_I and one
+    decision confirms it; where the dimensions above all grades differ, no
+    slice matches and d_I = inf comes with none."""
+    table, k, rest, decide = _search_start(m, n, budget, stats)
+    levels = table.levels
     if stats is not None:
-        stats.candidates = len(table.levels) + 1
-    return table.value(least_feasible(
-        table.levels[k:], lambda level: decide(level, table.value(level))))
+        stats.candidates = len(levels) + 1
+    try:
+        if k < len(levels) and decide(levels[k], table.value(levels[k])) is not None:
+            return table.value(levels[k])
+        start = rest()
+    except DistanceBudgetExceeded:
+        if (start := rest()) == k:
+            raise
+    return table.value(least_feasible(levels[start:], lambda level: (
+        None if level == levels[k] else decide(level, table.value(level)))))

@@ -184,13 +184,14 @@ def seeded(seed):
 
 def search_from_zero(monkeypatch):
     """Start every distance search at candidate 0, as before the diagonal
-    slices gave it a start, so pins of that search's probes still apply.
-    Where the slices rule out every finite candidate, d_I = inf still comes
-    without a decision, as it did when the dimensions above all grades
-    differ."""
+    slices gave it a start, so pins of that search's probes still apply:
+    every bound the search reads, on the end lines or on all, is 0.  Where
+    the slices on all lines rule out every finite candidate, each bound is
+    len(levels) and d_I = inf still comes without a decision, as it did
+    when the dimensions above all grades differ."""
     start = interleave.slice_start
 
-    def from_zero(table, mm, nn):
-        k = start(table, mm, nn)
-        return k if k == len(table.levels) else 0
+    def from_zero(table, mm, nn, part=slice(None), k=0):
+        full = start(table, mm, nn)
+        return full if full == len(table.levels) else 0
     monkeypatch.setattr(interleave, "slice_start", from_zero)

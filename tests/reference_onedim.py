@@ -4,11 +4,12 @@ k x k table of the ranks of `reference_grid`'s quotient maps, on the
 critical values of the minimized presentation augmented below the
 minimum), and the bottleneck distance whose every probe recomputes the pair
 costs and half-lives and matches on the doubled graph with per-point
-deletion slack."""
+deletion slack.  Last, the diagonal-slice lower bound on d_I built from
+the two, which shares no code with the library's slice start."""
 
 from permod.exactnum import INF, ext, least_feasible
 from permod.onedim import PersistenceDiagram, _half, _pair_cost
-from permod.presentation import PresentationError
+from permod.presentation import Presentation, PresentationError
 from reference_grid import quotient_basis, quotient_map
 from reference_linalg import rank as mat_rank, rows_of
 
@@ -121,3 +122,29 @@ def bottleneck(d1, d2):
     finite = sorted(c for c in cands if c.is_finite)
     best = least_feasible(finite, lambda eps: _feasible(left, right, eps))
     return best if best is not None else INF
+
+
+def diagonal_slice(p, c):
+    """p restricted to the line c + t (1, ..., 1): a grade g enters at
+    t = max_i (g_i - c_i), and the coefficients stay the same."""
+    def t(g):
+        return (max(x - y for x, y in zip(g, c)),)
+    return Presentation(1, p.field, [(nm, t(g)) for nm, g in p.generators],
+                        [(nm, t(g), cs) for nm, g, cs in p.relations])
+
+
+def slice_diagrams(m, n):
+    """The diagrams of the diagonal slices of m and n through every grade
+    g, c = g - g_last, a pair per line, by the parent `diagram_of`, which
+    shares no code with the slice start."""
+    offsets = {tuple(x - g[-1] for x in g) for p in (m, n)
+               for g in [g for _, g in p.generators] + [g for _, g, _ in p.relations]}
+    return [tuple(diagram_of(diagonal_slice(p, c)) for p in (m, n))
+            for c in offsets]
+
+
+def slice_lower_bound(m, n):
+    """The largest bottleneck distance between the `slice_diagrams` of m
+    and n.  An eps-interleaving restricts to one on every such line, so
+    this is <= d_I."""
+    return max((bottleneck(*pair) for pair in slice_diagrams(m, n)), default=ext(0))

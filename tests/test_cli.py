@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -68,6 +69,22 @@ class TestPresent:
         assert f"relation r {big} :" in (tmp_path / "min.txt").read_text()
         with pytest.raises(ValueError):     # lifted for the call only
             int(big)
+
+    def test_exponent_past_the_digit_limit_exit_2(self, files, tmp_path, capsys):
+        # 1e5000000 once took seconds to parse, and minimizing a grade with
+        # its digits longer than a minute; an exponent past 4300 is refused
+        path = tmp_path / "huge.txt"
+        path.write_text(C01.replace("generator g 0", "generator g 1e5000000")
+                        .replace("relation r 1 : g 1\n", ""))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "distance", "interleaving", files / "c01.txt",
+                           files / "c23.txt", "--decide", "1e10000000")
+        assert (code, err) == (2, "error: not a rational: '1e10000000'\n")
+        for command in ("validate", "minimize"):
+            code, _, err = run(capsys, "present", command, path, "--out", tmp_path / "min.txt")
+            assert (code, err) == (2, "error: not a rational: '1e5000000'\n")
+        assert time.perf_counter() - start < 1
+        assert not (tmp_path / "min.txt").exists()
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

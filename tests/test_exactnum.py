@@ -26,6 +26,19 @@ def test_parse_rational_forms():
         parse_rational("x")
 
 
+def test_parse_rational_exponents_up_to_the_digit_limit():
+    """`aEn` with |n| <= 4300 (Python's default int digit limit) parses;
+    a larger exponent is refused before Fraction writes out its digits,
+    and so is any exponent that is no int."""
+    assert parse_rational("1e4300") == 10 ** 4300
+    assert parse_rational("-2.5E-4300") == Fraction(-25, 10 ** 4301)
+    assert parse_rational("1e+0_004_300") == 10 ** 4300
+    assert parse_rational(" 3e2 ") == 300
+    for text in ("1e4301", "1e-4301", "1e5000000", "1e" + "9" * 100000, "1e", "1e2.5"):
+        with pytest.raises(ValueError, match="^not a rational: "):
+            parse_rational(text)
+
+
 def test_parse_extended_infinities():
     assert parse_extended(" -inf ") == NEG_INF
     assert [parse_extended(t) for t in ("inf", "+inf", "oo")] == [INF] * 3

@@ -9,19 +9,31 @@ neighbours in a chain a pair, all pairs of points edges.  Neither side shares
 code with the presentation path beyond its output, so this is an oracle for
 rewrites of `present_homology`, `minimize` and the interleaving search.
 
-A budget exit of the search is not caught: it fails the test.  Two mutants
-must fail the bound: complexes built on doubled coordinates, whose scale is
-then the full edge length in place of half of it, and a d_R that drops the
-function gap.
+The same distances over Z/2 are checked from below: d_I is at least the
+largest bottleneck distance of the diagonal slices (`slice_lower_bound`),
+read as a matching at d_I of the slices' diagrams on every line, by the
+reference matching.
+
+A budget exit of the search is not caught: it fails the test.  Three
+mutants must fail a check: complexes built on doubled coordinates, whose
+scale is then the full edge length in place of half of it; a d_R that drops
+the function gap; and a builder whose edges take the smaller endpoint value,
+which drops the function's max.
 """
 
+import functools
 import itertools
 import random
 
-from permod.exactnum import PrimeField
-from permod.filtration import PointCloud, distance, gromov_function_distance, rips_bifiltration
-from permod.homology import present_homology
+import pytest
+
+from permod.exactnum import PrimeField, grade_ranks
+from permod.filtration import (BifilteredComplex, PointCloud, distance, gromov_function_distance,
+                               rips_bifiltration)
+from permod.homology import HomologyError, present_homology
 from permod.interleave import interleaving_distance
+
+from reference_onedim import _feasible, slice_diagrams
 
 CHAIN = 51          # clouds per metric: 50 neighbouring pairs each
 TRIPLES = 15        # triangle checks per metric, on (c_2k, c_2k+1, c_2k+2)
@@ -46,12 +58,25 @@ def d_R(p, a, b, gap=True):
                                     PointCloud(xb), dists[1], fb)
 
 
+def low_edges(cx):
+    """cx with each edge at the smaller of its endpoints' function values
+    (a mutant builder: the function's max dropped on edges), stored
+    unchecked as the builder stores its complexes."""
+    value = {verts: grade[0] for verts, grade in cx.simplices if len(verts) == 1}
+    grades = [(verts, (min(value[(v,)] for v in verts),) + grade[1:] if len(verts) == 2 else grade)
+              for verts, grade in cx.simplices]
+    axes, ranks = grade_ranks([grade for _, grade in grades], cx.nparams)
+    return BifilteredComplex.from_ranks(
+        cx.nparams, axes, [(verts, grade, key) for (verts, grade), key in zip(grades, ranks)])
+
+
 class Presentations:
     """H_degree presentations of the clouds of one metric, each built once;
-    with double, on doubled coordinates (a mutant)."""
+    with double, on doubled coordinates, and with low, by `low_edges`
+    (mutants)."""
 
-    def __init__(self, p, chain, double=False):
-        self.p, self.chain, self.double, self.made = p, chain, double, {}
+    def __init__(self, p, chain, double=False, low=False):
+        self.p, self.chain, self.double, self.low, self.made = p, chain, double, low, {}
 
     def __call__(self, i, degree, field):
         key = i, degree, field.spec
@@ -60,7 +85,7 @@ class Presentations:
             if self.double:
                 pts = [(2 * x, 2 * y) for x, y in pts]
             cx = rips_bifiltration(PointCloud(pts), self.p, vals, 2, 10 ** 6)
-            self.made[key] = present_homology(cx, degree, field)
+            self.made[key] = present_homology(low_edges(cx) if self.low else cx, degree, field)
         return self.made[key]
 
 
@@ -74,24 +99,37 @@ def checks():
                     yield p, i, i + 1, degree, field
 
 
-def first_violation(double=False, gap=True):
-    """The first check whose d_I exceeds d_R, or None, with the count of
-    checks made and of those where d_I = d_R."""
-    made = {p: Presentations(p, clouds(p), double) for p in (1, "inf")}
-    bounds, done, tight = {}, 0, 0
+def first_violation(double=False, gap=True, low=False, degrees=(0, 1)):
+    """The first check in `degrees` whose d_I exceeds d_R, or None, with
+    the count of checks made, of those where d_I = d_R, and each Z/2
+    check's two presentations and d_I."""
+    made = {p: Presentations(p, clouds(p), double, low) for p in (1, "inf")}
+    bounds, done, tight, z2 = {}, 0, 0, []
     for p, i, j, degree, field in checks():
+        if degree not in degrees:
+            continue
         if (p, i) not in bounds:
             bounds[p, i] = d_R(p, made[p].chain[i], made[p].chain[j], gap)
-        d_i = interleaving_distance(made[p](i, degree, field), made[p](j, degree, field))
+        m, n = made[p](i, degree, field), made[p](j, degree, field)
+        d_i = interleaving_distance(m, n)
         done += 1
+        if field.spec == "zp 2":
+            z2.append((m, n, d_i))
         if d_i > bounds[p, i]:
-            return (p, i, degree, field.spec), done, tight
+            return (p, i, degree, field.spec), done, tight, z2
         tight += d_i == bounds[p, i]
-    return None, done, tight
+    return None, done, tight, z2
+
+
+@functools.cache
+def as_built():
+    """`first_violation` of the builder as it is, made once for the tests
+    that read it."""
+    return first_violation()
 
 
 def test_interleaving_distance_is_bounded_by_d_R():
-    violation, done, tight = first_violation()
+    violation, done, tight, _ = as_built()
     assert violation is None
     assert done == 2 * 2 * (50 + 17)
     # equality is reached, so the bound is tight and its constant right
@@ -117,3 +155,22 @@ def test_doubled_coordinates_break_the_bound():
 
 def test_dropping_the_function_gap_breaks_the_bound():
     assert first_violation(gap=False)[0] is not None
+
+
+def test_edges_at_the_smaller_value_fail():
+    """In H0 the presentation sweep refuses such a complex, an edge before
+    its vertex; in H1 the modules break the bound."""
+    with pytest.raises(HomologyError, match="boundary escapes the kernel span"):
+        first_violation(low=True, degrees=(0,))
+    assert first_violation(low=True, degrees=(1,))[0] is not None
+
+
+def test_interleaving_distance_is_at_least_the_slice_bound():
+    """On every line through a grade, the reference matching pairs the
+    slices' diagrams at d_I, so `slice_lower_bound` <= d_I: every
+    neighbouring pair over Z/2, in H0 and H1."""
+    z2 = as_built()[3]
+    assert len(z2) == 2 * 2 * 50
+    for m, n, d_i in z2:
+        for left, right in slice_diagrams(m, n):
+            assert _feasible(left.expanded(), right.expanded(), d_i) == d_i

@@ -30,7 +30,7 @@ from .exactnum import (QQ, Scale, as_fraction, common_denominator,
                        format_rational, grade_ranks, least_feasible,
                        parse_rational, scale_of_square, scale_square,
                        scaled_int, text_lines)
-from .linalg import rank as _mat_rank
+from .linalg import rank as _mat_rank  # noqa: F401 (perfbench traces it)
 from .linalg import solve as _mat_solve
 
 
@@ -103,9 +103,9 @@ def distance(x, y, p):
 # ---------------------------------------------------------------------------
 
 def _circumsphere_sq(points):
-    """Center and squared radius of the smallest sphere through all of
-    `points` with center in their affine hull; rational throughout, None if
-    the points are affinely dependent."""
+    """Center and squared radius of a sphere through all of `points` with
+    center in their affine hull, by one solve (the smallest one if they are
+    affinely independent); rational throughout, None if there is none."""
     base = points[0]
     u = [[x - b for x, b in zip(pt, base)] for pt in points[1:]]
     if not u:
@@ -114,9 +114,6 @@ def _circumsphere_sq(points):
     gram = [[sum(ui * vi for ui, vi in zip(u[i], u[j])) for j in range(k)]
             for i in range(k)]
     rhs = [Fraction(sum(x * x for x in u[i]), 2) for i in range(k)]
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in gram]
-    if _mat_rank(QQ, sparse) < k:
-        return None
     lam = _mat_solve(QQ, gram, rhs)
     if lam is None:
         return None

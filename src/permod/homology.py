@@ -22,11 +22,11 @@ computation styles share the exact linear algebra kernel:
 * presentations of homology for 1 and 2 parameters, in the column type from
   end to end: the critical grid is swept row by row with one span of kernel
   generators per row, fed where a generator is born by the same growing
-  reductions (Lesnick and Wright, arXiv:1902.05708), and each boundary of a
-  (d+1)-simplex goes packed to `minimal_presentation`.  The freeness of
-  two-parameter kernels is an implementation hypothesis, so a Hilbert check
-  compares the presentation's H_0 with the chain's H_d, each read from the
-  rank tables of its own complex, so a sweep error cannot vouch for itself.
+  reductions (Lesnick and Wright, arXiv:1902.05708), into a two-term complex
+  that `minimal_presentation` minimizes as it does a presentation's.  The
+  freeness of two-parameter kernels is an implementation hypothesis, so a
+  Hilbert check compares the presentation's H_0 with the chain's H_d, each
+  read from its own complex's rank tables: a sweep error cannot vouch for itself.
 """
 
 import bisect
@@ -51,10 +51,10 @@ class HomologyError(ValueError):
 
 
 class GradedChainComplex:
-    """Per-degree bases, int grade indices on rational axes and packed
-    boundary columns, stored by `_keep`: a complex's simplices in its order
-    (dimension, grade, vertices), or a presentation's generators and
-    relations (`Presentation.chain_complex`)."""
+    """Per-degree bases, sorted int grade indices on rational axes and
+    packed columns over the positions of the degree below: a complex's
+    simplices in its order (dimension, grade, vertices), or (`from_columns`)
+    a presentation's generators and relations, its two-term complex."""
 
     def __init__(self, field, complex_):
         dims = [len(verts) - 1 for verts, _ in complex_.simplices]
@@ -73,8 +73,14 @@ class GradedChainComplex:
                    [complex_.grade_index[lo:hi] for lo, hi in zip(cuts, cuts[1:])], columns)
         self._check_dd()
 
+    @classmethod
+    def from_columns(cls, field, axes, bases, grade_index, columns):
+        """The complex of these, kept in this convention by the caller."""
+        out = cls.__new__(cls)
+        out._keep(field, axes, bases, grade_index, columns)
+        return out
+
     def _keep(self, field, axes, bases, grade_index, columns):
-        """Store per degree from 0 its basis, sorted grade indices and columns."""
         self.field, self.axes, self.nparams = field, axes, len(axes)
         self.bases, self.columns, self.max_deg = bases, columns, len(bases) - 1
         self.grade_index = dict(enumerate(grade_index))
@@ -462,9 +468,9 @@ def _homology_bases(c1, c2, degree, to2=None):
 
 
 def _presentation_bases(p):
-    """basis_at(z): the units of p's generators active at z, keyed by index
-    from the last down, modulo the active relations, from one growing
-    reduction of `p.chain_complex()`'s relations per grid column."""
+    """basis_at(z): the units at their `p.chain_complex()` positions of p's
+    generators active at z, keyed by index from the last down, modulo the
+    active relations, from one growing reduction of them per grid column."""
     chain = p.chain_complex()
     relations_at, kind = _column_growth(chain, 1, False), p.field.columns
     index, order = chain.grade_index[0], chain.bases[0]
@@ -472,8 +478,8 @@ def _presentation_bases(p):
     def basis_at(z):
         top = chain.floor(z)
         gens = [] if top is None else sorted(
-            (order[i] for lo, hi in leq_runs(index, top) for i in range(lo, hi)), reverse=True)
-        return quotient_basis(p.field, relations_at(top)[0], ((j, kind.unit(j)) for j in gens))
+            ((order[i], i) for lo, hi in leq_runs(index, top) for i in range(lo, hi)), reverse=True)
+        return quotient_basis(p.field, relations_at(top)[0], ((j, kind.unit(i)) for j, i in gens))
     return basis_at
 
 
@@ -494,29 +500,19 @@ def grid_module_of(source, axes, degree=None, field=None):
 # Presentations of homology (n = 1, 2)
 # ---------------------------------------------------------------------------
 
-def present_homology(complex_, degree, field, check_hilbert=True):
-    """Presentation of H_degree of a one-critical bifiltered complex with one
-    or two parameters: a row-by-row sweep of the critical grid collects a
-    kernel basis, the new null vectors of z's grid column in `_column_growth`
-    being the candidates at z, and expresses each boundary of a
-    (degree+1)-simplex in the generators active at its grade, keyed by their
-    `minimal_presentation` rows 0, 1, ...: rising with the birth, falling
-    with the index at one birth, one per candidate proven independent of the
-    len(nulls) - span.rank reserved (the older nulls lie in the span).  A
-    generator may enter the span at z only if born <= z.
-    The Hilbert check compares `hilbert_table` with `homology_dim_at`,
-    sharing no state with the sweep."""
-    chain = chain_complex_of(complex_, field)
-    if chain.nparams not in (1, 2):
-        raise HomologyError("presentation extraction supports 1 or 2 parameters")
-    axes, shape = chain.axes, [len(ax) for ax in chain.axes]
-    f, kind, upper = field, field.columns, chain.grade_index.get(degree + 1, [])
+def _kernel_sweep(chain, degree):
+    """(generators (packed kernel vector, row), their grid indices, relations
+    (simplex index, grid index, boundary over the active rows, packed)) of
+    H_degree, by a row-by-row sweep of the critical grid, the candidates at
+    z the new null vectors of its grid column (`_column_growth`).  Rows rise
+    with the birth, fall with the index at one birth and fill 0, 1, ...: each
+    of the len(nulls) - span.rank reserved at z (the older nulls lie in the
+    span) goes to a candidate proven independent, born <= where it enters."""
+    f, kind, upper = chain.field, chain.field.columns, chain.grade_index.get(degree + 1, [])
     # the grid columns' growing kernels, and per column the null vectors seen
     cycles_at, seen = _column_growth(chain, degree, True), {}
-
-    gens, born = [], []         # kernel generators (packed, row) and their grid indices
-    rels, end = [], 0           # (name, grid index, packed column) per (d+1)-simplex
-    for z, entering in row_sweep(shape, born):
+    gens, born, rels, end = [], [], [], 0
+    for z, entering in row_sweep([len(ax) for ax in chain.axes], born):
         if z[-1] == 0:      # one span per row; a generator enters when active
             span = ColumnReducer(f)
         for i in entering:
@@ -532,20 +528,33 @@ def present_homology(complex_, degree, field, check_hilbert=True):
                     row -= 1
                     gens.append((v, row))
                     born.append(z)
-            if span.rank > len(nulls):
-                raise HomologyError(f"more new cycles at {z} than rows reserved")
+            if span.rank != len(nulls):
+                raise HomologyError(f"the new cycles at {z} do not fill the rows reserved")
         for j in range(bisect.bisect_left(upper, z), bisect.bisect_right(upper, z)):
             x = span.coords(kind.copy(chain.columns[degree + 1][j]))
             if x is None:
                 raise HomologyError("boundary escapes the kernel span; sweep incomplete")
-            rels.append((f"b{j}", z, x))
+            rels.append((j, z, x))
+    return gens, born, rels
 
-    pres = minimal_presentation(chain.nparams, f, axes, [
-        (f"k{i}", z, row) for i, (z, (_, row)) in enumerate(zip(born, gens))], rels)
 
+def present_homology(complex_, degree, field, check_hilbert=True):
+    """Presentation of H_degree of a one-critical bifiltered complex with one
+    or two parameters: `minimal_presentation` of `_kernel_sweep`'s two-term
+    complex.  The Hilbert check compares `hilbert_table` with `homology_dim_at`."""
+    chain = chain_complex_of(complex_, field)
+    if chain.nparams not in (1, 2):
+        raise HomologyError("presentation extraction supports 1 or 2 parameters")
+    gens, born, rels = _kernel_sweep(chain, degree)
+    order = sorted(range(len(gens)), key=lambda i: gens[i][1])     # rows 0..k-1, filled
+    grades = [[born[i] for i in order], [z for _, z, _ in rels]]
+    pres = minimal_presentation(GradedChainComplex.from_columns(
+        field, chain.axes, [order, range(len(rels))], grades,
+        [[field.columns.pack({}) for _ in order], [x for _, _, x in rels]]),
+        [f"k{i}" for i in range(len(gens))], [f"b{j}" for j, _, _ in rels])
     if check_hilbert:
-        dims = pres.hilbert_table(axes)
-        for idx in _grid_indices(shape):
+        axes, dims = chain.axes, pres.hilbert_table(chain.axes)
+        for idx in _grid_indices([len(ax) for ax in axes]):
             want, got = chain.homology_dim_at(degree, idx), dims[idx]
             if want != got:
                 z = tuple(map(operator.getitem, axes, idx))

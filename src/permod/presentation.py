@@ -4,9 +4,9 @@ A module is given by graded generators and homogeneous relations over a
 coefficient field.  The key modelling fact: monomial shifts act as the
 identity on coefficient vectors, so the slice of the relation submodule at a
 grade equals the plain k-span of the relations of grade <= that grade: the
-module is H_0 of the two-term complex relations -> generators, whose chain
-code in `homology` answers every pointwise question.  Minimization is a
-Gaussian elimination; both run on grades ranked once (see `Presentation`).
+module is H_0 of the two-term complex relations -> generators, one
+`homology.GradedChainComplex` that answers every pointwise question and that
+minimization, a Gaussian elimination, reduces; on grades ranked once.
 """
 
 import bisect
@@ -227,19 +227,18 @@ class Presentation:
 
     def chain_complex(self):
         """The two-term complex relations -> generators, whose H_0 is this
-        module, built on the first call: each degree in grade-index order on
-        `axes`, its basis the generator or relation indices, the generators'
-        columns empty and the relations' packed over generator indices."""
+        module, built on the first call: the generators in (grade index,
+        -index) order with empty columns, the relations in grade-index order
+        packed over those positions, and each basis the original indices."""
         if self._chain is None:
             from .homology import GradedChainComplex
-            keys = (self.gen_index, self.rel_index)
-            order = [sorted(range(len(k)), key=k.__getitem__) for k in keys]
-            kind = self.field.columns
-            self._chain = GradedChainComplex.__new__(GradedChainComplex)
-            self._chain._keep(self.field, self.axes, order,
-                              [[k[i] for i in o] for k, o in zip(keys, order)],
-                              [[kind.pack({}) for _ in order[0]],
-                               [kind.pack(self.relations[i][2]) for i in order[1]]])
+            gens = sorted(reversed(range(len(self.gen_index))), key=self.gen_index.__getitem__)
+            rels = sorted(range(len(self.rel_index)), key=self.rel_index.__getitem__)
+            row, kind = {j: r for r, j in enumerate(gens)}, self.field.columns
+            self._chain = GradedChainComplex.from_columns(self.field, self.axes, [gens, rels], [
+                [self.gen_index[j] for j in gens], [self.rel_index[i] for i in rels]], [
+                [kind.pack({}) for _ in gens],
+                [kind.pack({row[j]: c for j, c in self.relations[i][2].items()}) for i in rels]])
         return self._chain
 
     def point_dim(self, a):
@@ -299,14 +298,9 @@ class Presentation:
         return Presentation(self.n, f, self.generators, rels)
 
     def minimize(self):
-        """`minimal_presentation` of this presentation, its generators'
-        rows in (grade index, -index) order."""
-        f, keys = self.field, self.gen_index
-        row = {j: r for r, j in enumerate(sorted(range(len(keys)), key=lambda j: (keys[j], -j)))}
-        return minimal_presentation(self.n, f, self.axes, [
-            (name, k, row[j]) for j, ((name, _), k) in enumerate(zip(self.generators, keys))], [
-            (name, k, f.columns.pack({row[j]: c for j, c in cs.items()}))
-            for (name, _, cs), k in zip(self.relations, self.rel_index)])
+        """`minimal_presentation` of `chain_complex`."""
+        return minimal_presentation(self.chain_complex(), [name for name, _ in self.generators],
+                                    [name for name, _, _ in self.relations])
 
     def critical_grades(self):
         """(U, per-axis sorted value lists) of the minimal presentation
@@ -340,39 +334,37 @@ class Presentation:
                 f"|G|={len(self.generators)}, |R|={len(self.relations)})")
 
 
-def minimal_presentation(n, field, axes, generators, relations):
-    """The minimal presentation, with the canonical grade multisets, of
-    (name, grade index, row) generators and (name, grade index, column)
-    relations on the value lists `axes`, through `Presentation.from_ranks`
-    in the order given.  Columns are packed over the rows (consumed), which
-    order the generators by (grade index, -index), grades lexicographic; a
-    column's top row, its generators being of grade <= its own (unchecked),
-    is its least-index one of its own grade, if any.
-
-    Both steps reduce on `ColumnReducer`s.  Step 1, over the relations in
-    (grade, index) order (a stable sort by grade): each is reduced until
-    its top row is no pivot; if that generator is of its own grade the
+def minimal_presentation(chain, gen_names, rel_names):
+    """The minimal presentation, with the canonical grade multisets, of H_0
+    of the two-term complex `chain` in `Presentation.chain_complex`'s
+    convention (columns copied, not consumed), through `from_ranks`: what
+    is kept, in increasing basis entry, named by gen_names and rel_names at
+    the entries.  A column's top row, its generators being of grade <= its
+    own (unchecked), is its least-index one of its own grade, if any.
+    Step 1, on a `ColumnReducer` over the relations in order, reduces each
+    until its top row is no pivot; if that generator is of its own grade the
     relation becomes a pivot and the generator goes, else it is reduced to
     zero at every pivot.  A residue is unique once the span and the pivot
     rows are fixed, so these are the residues of eliminating each such
-    generator from every later relation.  Step 2: a residue is dropped iff
-    it lies in the span of those strictly below its grade plus those of its
-    grade with a larger index, which is what dropping them one by one in
-    that order keeps.  Only the kept relations are unpacked."""
-    kind, grade_at = field.columns, {r: k for _, k, r in generators}
+    generator from every later relation.  Step 2 drops a residue iff it lies
+    in the span of those strictly below its grade plus those of its grade
+    with a larger index, as dropping them one by one in that order does;
+    only the kept relations are unpacked."""
+    field, kind, (gen_order, rel_order) = chain.field, chain.field.columns, chain.bases
+    grade_at, rel_at = chain.grade_index[0], chain.grade_index[1]
     pivots, removed, rows = ColumnReducer(field), set(), {}
-    for i in sorted(range(len(relations)), key=lambda i: relations[i][1]):
-        col, _, top = pivots.reduce_packed(relations[i][2])
-        if col and grade_at[top] == relations[i][1]:
+    for i, col in enumerate(chain.columns[1]):
+        col, _, top = pivots.reduce_packed(kind.copy(col))
+        if col and grade_at[top] == rel_at[i]:
             removed.add(pivots.add_packed(col)[0])
         elif col:               # step 2 would drop an empty relation
             rows[i] = pivots.reduce_packed(col, full=True)[0]
 
     # one span per row of the leading coordinates: at grade z it holds
     # every relation strictly below z, then those of grade z from the
-    # largest index down
-    kept, keys, dropped = list(rows), [relations[i][1] for i in rows], set()
-    for z, entering in row_sweep([len(ax) for ax in axes], keys):
+    # largest index down; a lone residue, being nonzero, is never dropped
+    kept, keys, dropped = list(rows), [rel_at[i] for i in rows], set()
+    for z, entering in row_sweep([len(ax) for ax in chain.axes], keys) if len(keys) > 1 else ():
         if z[-1] == 0:
             reducer = ColumnReducer(field)
         for t in entering:
@@ -382,11 +374,13 @@ def minimal_presentation(n, field, axes, generators, relations):
             if keys[t] == z and reducer.add_packed(kind.copy(rows[kept[t]]))[0] is None:
                 dropped.add(kept[t])
     # step 1 left no removed generator in a kept relation
-    gens = [(name, k, r) for name, k, r in generators if r not in removed]
-    new_index = {r: j for j, (_, _, r) in enumerate(gens)}
-    rels = [(name, key, {new_index[r]: c for r, c in kind.unpack(rows[i]).items()})
-            for i, (name, key, _) in enumerate(relations) if i in rows and i not in dropped]
-    return Presentation.from_ranks(n, field, axes, [(name, k) for name, k, _ in gens], rels)
+    gens = sorted(set(range(len(grade_at))) - removed, key=gen_order.__getitem__)
+    new_index = {r: j for j, r in enumerate(gens)}
+    rels = sorted(set(rows) - dropped, key=rel_order.__getitem__)
+    return Presentation.from_ranks(
+        chain.nparams, field, chain.axes, [(gen_names[gen_order[r]], grade_at[r]) for r in gens],
+        [(rel_names[rel_order[i]], rel_at[i],
+          {new_index[r]: c for r, c in kind.unpack(rows[i]).items()}) for i in rels])
 
 
 def direct_sum(presentations, n=None, field=None):

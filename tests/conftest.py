@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import operator
 import os
 import random
 from fractions import Fraction
@@ -61,6 +62,25 @@ def random_presentation(rng, field, n=1, max_gens=3, max_rels=3,
             continue
         rels.append((f"r{j}", grade, coeffs))
     return Presentation(n, field, gens, rels).validate()
+
+
+def check_chain_convention(chain):
+    """Assert `GradedChainComplex`'s convention, which every builder keeps:
+    per degree one grade index, basis entry and column each, the grade
+    indices sorted, degree 0's columns empty, and every degree-(d+1)
+    column's rows positions in degree d, each of grade <= the column's."""
+    kind = chain.field.columns
+    for d in range(chain.max_deg + 1):
+        index = chain.grade_index[d]
+        assert len(index) == len(chain.bases[d]) == len(chain.columns[d])
+        assert index == sorted(index), f"degree {d}'s grade indices are not sorted"
+        below = chain.grade_index.get(d - 1, [])
+        for col, key in zip(chain.columns[d], index):
+            rows = kind.unpack(kind.copy(col))
+            assert all(r in range(len(below)) for r in rows), \
+                f"a degree-{d} column has a row that is no position in degree {d - 1}"
+            assert all(all(map(operator.le, below[r], key)) for r in rows), \
+                f"a degree-{d} column has a row of larger grade"
 
 
 def mat_vec(field, a, v):

@@ -1,16 +1,17 @@
 import hashlib
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from permod.exactnum import INF, PrimeField, ext
+from permod.exactnum import INF, QQ, PrimeField, ext
 from permod.filtration import (BifilteredComplex, PointCloud,
                                cech_bifiltration, fixed_scale_slice,
                                rips_bifiltration)
-from permod import homology
+from permod import homology, presentation
 from permod.homology import (GradedChainComplex, GridModule, HomologyError,
                              barcode_1d, chain_complex_of, grid_module_of,
                              image_grid_module, parse_grid_module,
@@ -22,7 +23,8 @@ from permod.onedim import PersistenceDiagram, diagram_of
 from permod.presentation import (MonotoneAffineMap, Presentation,
                                  interval_presentation)
 
-from conftest import random_one_critical_complex, random_presentation, seeded
+from conftest import (check_chain_convention, random_one_critical_complex,
+                      random_presentation, seeded)
 from reference_homology import boundary
 from reference_presentation import active
 from reference_linalg import (columns_of, identity, mat_mul, rank as mat_rank,
@@ -161,6 +163,79 @@ class TestChainComplex:
         for _ in range(10):
             cx = random_one_critical_complex(rng, 1)
             chain_complex_of(cx, f5)
+
+
+def out_of_order_presentations(seed, count=6):
+    """Seeded presentations, n = 1, 2 over Z/2, Z/3 and Q, each with its
+    generators out of (grade, -index) order, so the positions of the
+    two-term complex's degree 0 are not the generator indices."""
+    rng, out = seeded(seed), []
+    for f in (PrimeField(2), PrimeField(3), QQ):
+        for n in (1, 2):
+            found = 0
+            while found < count:
+                p = random_presentation(rng, f, n=n, max_gens=4, max_rels=4)
+                if p.chain_complex().bases[0] != list(range(len(p.generators))):
+                    out.append(p)
+                    found += 1
+    return out
+
+
+class TestTwoTermComplex:
+    """A presentation's two-term complex keeps `GradedChainComplex`'s own
+    convention, so the chain routes read it as they read any complex."""
+
+    def test_degree_zero_chain_module_is_the_presentation_module(self):
+        # the relation kills g0, which sits at position 1 of degree 0: a
+        # relation packed over generator indices killed g1 in the chain route
+        f3 = PrimeField(3)
+        p = Presentation(1, f3, [("g0", (F(2),)), ("g1", (F(0),))], [("r", (F(3),), [1, 0])])
+        axes = [[F(k) for k in range(5)]]
+        for gm in (grid_module_of(p.chain_complex(), axes, degree=0), grid_module_of(p, axes)):
+            assert [gm.rank_between((0,), (k,)) for k in range(5)] == [1] * 5
+        for p in out_of_order_presentations(331):
+            axes = [[ax[0] - 1] + ax + [ax[-1] + 1] for ax in p.axes]
+            chain_gm, gm = grid_module_of(p.chain_complex(), axes, degree=0), grid_module_of(p, axes)
+            assert chain_gm.dims == gm.dims
+            for i1, i2 in itertools.product(gm.dims, repeat=2):
+                if all(map(operator.le, i1, i2)):
+                    assert chain_gm.rank_between(i1, i2) == gm.rank_between(i1, i2)
+
+    def test_every_builder_keeps_the_convention(self, f2, monkeypatch):
+        handed, minimal = [], homology.minimal_presentation
+        monkeypatch.setattr(homology, "minimal_presentation",
+                            lambda chain, *names: handed.append(chain) or minimal(chain, *names))
+        rng, complexes = seeded(337), [lattice_48(), rips_family(12)]
+        complexes += [random_one_critical_complex(rng, n) for n in (1, 2) for _ in range(6)]
+        for cx in complexes:
+            for f in (f2, PrimeField(3)):
+                check_chain_convention(chain_complex_of(cx, f))
+                for d in (0, 1):
+                    check_chain_convention(present_homology(cx, d, f).chain_complex())
+        assert len(handed) == 2 * 2 * len(complexes)
+        for chain in handed:
+            check_chain_convention(chain)
+        for p in out_of_order_presentations(347):
+            check_chain_convention(p.chain_complex())
+            check_chain_convention(p.minimize().chain_complex())
+
+    def test_one_complex_serves_every_pointwise_route(self, monkeypatch):
+        q = out_of_order_presentations(353, count=1)[3]
+        p, builds, reads = Presentation(q.n, q.field, q.generators, q.relations), [], []
+        from_columns = GradedChainComplex.from_columns.__func__
+        monkeypatch.setattr(GradedChainComplex, "from_columns", classmethod(
+            lambda cls, *args: builds.append(1) or from_columns(cls, *args)))
+        for owner, name in ((presentation, "minimal_presentation"),
+                            (homology, "_column_growth"),
+                            (GradedChainComplex, "homology_dim_at")):
+            monkeypatch.setattr(owner, name, lambda chain, *a, name=name, call=getattr(
+                owner, name): reads.append((name, chain)) or call(chain, *a))
+        p.minimize()
+        p.hilbert_table(p.axes)
+        grid_module_of(p, p.axes)
+        assert builds == [1] and all(chain is p.chain_complex() for _, chain in reads)
+        assert {name for name, _ in reads} == \
+            {"minimal_presentation", "_column_growth", "homology_dim_at"}
 
 
 class TestBarcode:
@@ -546,21 +621,43 @@ class TestRipsFamily:
         # independent; reserving one per fresh candidate took the 40-point
         # family's H1 rows up to 16,290 for 741 generators, and the packed
         # relation columns grew with them
-        cx, kind, calls = rips_family(40), f2.columns, []
-        minimal_presentation = homology.minimal_presentation
-
-        def spy(n, field, axes, generators, relations):
-            calls.append(([r for *_, r in generators],
-                          [kind.unpack(kind.copy(col)) for *_, col in relations]))
-            return minimal_presentation(n, field, axes, generators, relations)
-
-        monkeypatch.setattr(homology, "minimal_presentation", spy)
+        cx, kind, sweeps, chains = rips_family(40), f2.columns, [], []
+        kernel_sweep, minimal_presentation = homology._kernel_sweep, homology.minimal_presentation
+        monkeypatch.setattr(homology, "_kernel_sweep",
+                            lambda *args: sweeps.append(kernel_sweep(*args)) or sweeps[-1])
+        monkeypatch.setattr(homology, "minimal_presentation", lambda chain, *names:
+                            chains.append(chain) or minimal_presentation(chain, *names))
         for d in (0, 1):
             present_homology(cx, d, f2)
-        for rows, columns in calls:
+        for (gens, _, _), chain in zip(sweeps, chains, strict=True):
+            rows = [row for _, row in gens]
             assert sorted(rows) == list(range(len(rows)))
-            assert all(max(col) < len(rows) for col in columns if col)
-        assert [len(rows) for rows, _ in calls] == [40, 741]
+            # position r of the complex handed to minimization is row r
+            assert [rows[i] for i in chain.bases[0]] == list(range(len(rows)))
+            assert all(max(kind.unpack(kind.copy(col))) < len(rows)
+                       for col in chain.columns[1] if col)
+        assert [len(gens) for gens, _, _ in sweeps] == [40, 741]
+
+    def test_a_reserved_row_left_empty_raises(self, f2, monkeypatch):
+        # a dependent copy of a null vector reserves a row that no candidate
+        # fills; the two-term complex's positions would then not be the rows
+        column_growth, copied = homology._column_growth, []
+
+        def with_a_copy(chain, degree, cycles):
+            at = column_growth(chain, degree, cycles)
+
+            def copy_once(top):
+                red, nulls = at(top)
+                if nulls and not copied:
+                    copied.append(top)
+                    return red, nulls + nulls[-1:]
+                return red, nulls
+            return copy_once
+
+        monkeypatch.setattr(homology, "_column_growth", with_a_copy)
+        with pytest.raises(HomologyError, match="do not fill the rows reserved"):
+            present_homology(rips_family(6), 1, f2)
+        assert copied
 
     @pytest.mark.parametrize("points, p, digest", [
         (40, 2, "1bc0b7e7f8c5b424670210e26aa85992a39aaaad26a9c5006b91cb9d2ff641b7"),

@@ -8,9 +8,10 @@ column type (`exactnum`; int bitsets over Z/2, built with no sign), and
 checks that boundaries compose to zero by that type's `compose`.  Three
 computation styles share the exact linear algebra kernel:
 
-* 1-parameter barcodes from the chain's `lows`, one standard reduction of
-  each degree's boundary columns, shared by the barcodes of that degree and
-  the one below;
+* rank tables and 1-parameter barcodes from one standard reduction per
+  degree and row of the leading grid indices (`GradedChainComplex.swept`):
+  its ranks give pointwise dimensions, its lows on a 1-parameter chain's
+  one row the barcodes of that degree and the one below;
 * grid modules (pointwise dimensions plus transition maps between adjacent
   grid points, held packed in the column type) for any parameter count,
   each made by `build_grid_module` from the data computed once per grid
@@ -42,8 +43,7 @@ from .exactnum import (INF, common_denominator, ext, format_rational,
 from .linalg import ColumnReducer, packed_rank as mat_rank, quotient_basis, quotient_map
 from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
 from .onedim import PersistenceDiagram
-from .presentation import (Presentation, grade_leq, leq_runs, minimal_presentation,
-                           row_sweep, swept_ranks)
+from .presentation import Presentation, grade_leq, leq_runs, minimal_presentation, row_sweep
 
 
 class HomologyError(ValueError):
@@ -84,8 +84,7 @@ class GradedChainComplex:
         self.field, self.axes, self.nparams = field, axes, len(axes)
         self.bases, self.columns, self.max_deg = bases, columns, len(bases) - 1
         self.grade_index = dict(enumerate(grade_index))
-        self._ranks = {}        # degree -> active_ranks(degree)
-        self._lows = {}         # degree -> lows(degree)
+        self._swept = {}        # degree -> swept(degree)
 
     def _check_dd(self):
         for d in range(2, self.max_deg + 1):
@@ -99,24 +98,26 @@ class GradedChainComplex:
         """Grade z snapped down to a grid index; None below an axis."""
         return _floor(self.axes, z)
 
-    def active_ranks(self, d):
-        """{critical grid index: (number of active d-simplices, rank of the
-        boundary on them)}, by one sparse reduction per grid row, tabled once."""
-        if d not in self._ranks:
-            cols = self.columns[d] if d <= self.max_deg else []
-            self._ranks[d] = swept_ranks(self.field, [len(ax) for ax in self.axes],
-                                         self.grade_index.get(d, []), cols)
-        return self._ranks[d]
-
-    def lows(self, d):
-        """The low row of each degree-d boundary column after the standard
-        reduction in the chain's order, None where it reduces to zero, by
-        one reduction, tabled once (a vertex's empty column is not added)."""
-        if d not in self._lows:
-            red, kind = ColumnReducer(self.field), self.field.columns
-            self._lows[d] = [red.add_packed(kind.copy(col))[0] if col else None
-                             for col in (self.columns[d] if 0 <= d <= self.max_deg else [])]
-        return self._lows[d]
+    def swept(self, d):
+        """(rank table, lows) of degree d, tabled once: {grid index: (number
+        of active d-columns, their rank)} and each column's low row (None if
+        it reduces to zero or is empty), by one `ColumnReducer` per row_sweep
+        row taking the active nonempty columns in index order.  Every column
+        is active in the last row, whose lows the list ends with: with one
+        parameter, those of the reduction in the chain's order."""
+        if d not in self._swept:
+            index, kind = self.grade_index.get(d, []), self.field.columns
+            cols, table, lows = self.columns[d] if index else [], {}, [None] * len(index)
+            for z, entering in row_sweep([len(ax) for ax in self.axes], index):
+                if z[-1] == 0:
+                    red, n = ColumnReducer(self.field), 0
+                for j in entering:
+                    if cols[j]:
+                        lows[j] = red.add_packed(kind.copy(cols[j]))[0]
+                n += len(entering)
+                table[z] = (n, red.rank)
+            self._swept[d] = table, lows
+        return self._swept[d]
 
     def homology_dim_at(self, d, idx):
         """dim H_d at the grid index idx (0 at None, so `floor` of a grade
@@ -124,8 +125,8 @@ class GradedChainComplex:
         d- and (d+1)-simplices, from the boundary columns' rank tables."""
         if idx is None:
             return 0
-        n, r = self.active_ranks(d)[idx]
-        return n - r - self.active_ranks(d + 1)[idx][1]
+        n, r = self.swept(d)[0][idx]
+        return n - r - self.swept(d + 1)[0][idx][1]
 
 
 def chain_complex_of(complex_, field):
@@ -140,20 +141,20 @@ def chain_complex_of(complex_, field):
 # ---------------------------------------------------------------------------
 
 def barcode_1d(complex_, degree, field):
-    """The barcode of H_degree on grade indices, from the chain's `lows` of
-    degrees d and d+1 (its build raises on an irrational grade first): the
-    creators are the d-simplices whose boundary reduces to zero, the low of
-    each (d+1)-column pairs its creator with that simplex (dropped at equal
-    grades), and each creator left unpaired gives a bar to +inf.  The rows
-    of non-creators do not change the pairs (Bauer, Kerber and Reininghaus,
-    arXiv:1303.0477)."""
+    """The barcode of H_degree on grade indices, from the lows of the chain's
+    `swept` degrees d and d+1 (its build raises on an irrational grade
+    first): the creators are the d-simplices whose boundary reduces to zero,
+    the low of each (d+1)-column pairs its creator with that simplex
+    (dropped at equal grades), and each creator left unpaired gives a bar to
+    +inf.  The rows of non-creators do not change the pairs (Bauer, Kerber
+    and Reininghaus, arXiv:1303.0477)."""
     chain = chain_complex_of(complex_, field)
     if chain.nparams != 1:
         raise HomologyError("barcode requires a 1-parameter complex")
     index, upper = chain.grade_index.get(degree, []), chain.grade_index.get(degree + 1, [])
-    pairs = {low: d for low, (d,) in zip(chain.lows(degree + 1), upper) if low is not None}
+    pairs = {low: d for low, (d,) in zip(chain.swept(degree + 1)[1], upper) if low is not None}
     axis, pts = chain.axes[0], []
-    for k, ((b,), low) in enumerate(zip(index, chain.lows(degree))):
+    for k, ((b,), low) in enumerate(zip(index, chain.swept(degree)[1])):
         d = pairs.get(k)
         if low is None and d != b:
             pts.append((ext(axis[b]), INF if d is None else ext(axis[d]), 1))
@@ -371,6 +372,8 @@ def parse_grid_module(text):
         elif key == "axes":
             head[key] = int(args[0])
         elif key == "axis":
+            if args[1:2] != [":"]:
+                raise HomologyError(f"malformed axis line {ln!r}")
             if int(args[0]) in axes:
                 raise HomologyError(f"second axis {args[0]} line {ln!r}")
             axes[int(args[0])] = [parse_rational(t) for t in args[2:]]
@@ -394,10 +397,11 @@ def parse_grid_module(text):
     axes_list = [axes[i] for i in range(nparams)]
     trans = {}
     for ln in trans_rows:
-        spot, _, body = ln.partition(":")
-        toks = spot.split()
-        if len(toks) < nparams + 3:     # trans, the grid index, axis, the axis
-            raise HomologyError(f"short transition line {ln!r}")
+        spot, colon, body = ln.partition(":")
+        toks = spot.split()     # trans, the grid index, axis, the axis
+        if not colon or len(toks) != nparams + 3 or toks[-2] != "axis" or \
+                toks[-1] not in map(str, range(nparams)):
+            raise HomologyError(f"malformed transition line {ln!r}")
         idx = tuple(int(t) for t in toks[1:1 + nparams])
         axis = int(toks[2 + nparams])
         if (idx, axis) in trans:

@@ -2,9 +2,10 @@
 
 `ColumnReducer`, a sparse column reduction with no pivoting heuristics, is
 the one elimination in the package: the linear rounds of the `quadsys`
-solver, barcodes, kernels and sweeps, and minimization, and every routine
-here but `packed_rank` (and `rank`), which keeps its pivots in a plain dict
-(the ranks of homology rank tables).  Both hand columns to the field's
+solver, a chain's rank tables and barcodes (`GradedChainComplex.swept`),
+kernels, sweeps and minimization, and every routine here but `packed_rank`
+(and `rank`), which keeps its pivots in a plain dict (the ranks between a
+grid module's points).  Both hand columns to the field's
 column type (`exactnum`), which runs the one reduction loop (`reduce`) and
 the one composition (`compose`): {row: coeff} dicts, or over Z/2 ints whose
 pivot is the top bit and whose elimination is xor.  Its API (`add_packed`,

@@ -3,7 +3,7 @@ diagrams, interval-sum presentations, and the bottleneck distance by
 multibijection matching with an exhaustive oracle.  `bars` gives
 `diagram_of` its pairs, and with `matchable` gives `interleave` its
 diagonal-slice lower bound; `homology.barcode_1d` reads its pairs from the
-chain complex's own reductions.
+lows of the chain complex's one reduction per degree (`swept`).
 
 Diagram coordinates are extended rationals; a finitely presented module has
 finite births and finite-or-+inf deaths.

@@ -53,21 +53,6 @@ def row_sweep(shape, grades):
             yield row + (k,), batch
 
 
-def swept_ranks(field, shape, grades, columns):
-    """{grid index z: (number of grades <= z, rank of their packed columns)}
-    for sorted grades on a grid of the given shape, one reducer per row_sweep row."""
-    table, copy = {}, field.columns.copy
-    for z, entering in row_sweep(shape, grades):
-        if z[-1] == 0:
-            reducer, n = ColumnReducer(field), 0
-        for j in entering:
-            if columns[j]:      # an empty column adds no rank
-                reducer.add_packed(copy(columns[j]))
-        n += len(entering)
-        table[z] = (n, reducer.rank)
-    return table
-
-
 class PresentationError(ValueError):
     pass
 

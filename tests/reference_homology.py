@@ -42,6 +42,10 @@ columns, then `onedim.bars` of the (d+1)-boundaries restricted to the
 creators' rows, unpacked and packed again; degree d's boundaries were
 reduced again for the barcode of degree d - 1.
 
+`lows` is the chain's `lows` as it was before the rank tables and the lows
+came from one per-row reduction (`GradedChainComplex.swept`): one reduction
+of all of a degree's columns in the chain's order.
+
 Every other oracle here reads active sets, row sweeps, rank tables, homology
 dimensions, minimization and Hilbert tables from the copies in
 ``reference_presentation``, never from the library's bisecting walk.
@@ -606,3 +610,13 @@ def barcode_1d_bars(complex_, degree, field):
     axis = chain.axes[0]
     return PersistenceDiagram([(ext(axis[b]), INF if d is None else ext(axis[d]), 1)
                                for b, d in pts])
+
+
+def lows(chain, d):
+    """`GradedChainComplex.lows` as it was before one routine gave both the
+    rank tables and the lows: the low row of each degree-d boundary column
+    after the standard reduction in the chain's order, None where it
+    reduces to zero, by one reduction (a vertex's empty column is not added)."""
+    red, kind = ColumnReducer(chain.field), chain.field.columns
+    return [red.add_packed(kind.copy(col))[0] if col else None
+            for col in (chain.columns[d] if 0 <= d <= chain.max_deg else [])]

@@ -1,5 +1,5 @@
 """`homology.barcode_1d`, which reads the pairs of every degree from the
-chain complex's `lows`, against `reference_homology.barcode_1d_bars`, which
+lows of the chain complex's `swept`, against `reference_homology.barcode_1d_bars`, which
 found the creators by one reduction and paired them by `onedim.bars` of the
 restricted next boundaries.  Both must give the same diagram text, or the
 same exception and message, over Z/2, Z/3 and Q in degrees -1 to 3, on

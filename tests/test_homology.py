@@ -372,6 +372,20 @@ class TestGridModule:
         with pytest.raises(ValueError, match="1/2"):
             parse_grid_module(text.format("1/2"))
 
+    @pytest.mark.parametrize("old, new", [
+        ("trans 0 axis 0 : 1", "trans 0 axis 0 1"),      # once the zero map
+        ("trans 0 axis 0 : 1", "trans 0 foo 0 : 1"),
+        ("trans 0 axis 0 : 1", "trans 0 axis 1 : 1"),    # once an IndexError
+        ("trans 0 axis 0 : 1", "trans 0 axis 0 5 : 1"),
+        ("axis 0 : 0 1", "axis 0 5 0 1"),                # once the 5 dropped
+    ])
+    def test_malformed_axis_or_transition_line_refused(self, old, new):
+        text = ("GRIDMODULE\nfield zp 2\naxes 1\naxis 0 : 0 1\n"
+                "dim 0 = 1\ndim 1 = 1\ntrans 0 axis 0 : 1\nEND\n")
+        assert parse_grid_module(text).rank_between((0,), (1,)) == 1
+        with pytest.raises(HomologyError, match=f"malformed .*{new}"):
+            parse_grid_module(text.replace(old, new))
+
     def test_descending_axis_rejected(self, f2):
         text = grid_module_of(interval_presentation(f2, 0, 1),
                               [[F(-1), F(0), F(1)]]).to_text()
@@ -458,8 +472,10 @@ class TestPresentHomology:
     def test_large_lattice_reduces_once(self, f2, monkeypatch):
         # H0 and H1 share one chain complex, take their kernels from growing
         # column reductions with no nullspace, reduce no empty column, and
-        # sweep the rank table of each degree 0, 1, 2 once; the Hilbert
-        # check sweeps each presentation's two degrees once
+        # sweep each degree 0, 1, 2 once; the Hilbert check sweeps each
+        # presentation's two degrees once.  Each kernel sweep is the one
+        # other row sweep.  On a 1-parameter complex the barcodes and the
+        # Hilbert check share each degree's one sweep.
         cx = lattice_48()
         builds, nullspaces, empty, swept = [], [], [], []
 
@@ -474,13 +490,21 @@ class TestPresentHomology:
         counting(GradedChainComplex, "__init__", builds, lambda *a: 1)
         counting(homology, "nullspace", nullspaces, lambda *a: 1)
         counting(ColumnReducer, "add_packed", empty, lambda self, col, *a: not col)
-        counting(homology, "swept_ranks", swept, lambda field, shape, grades, cols: grades)
+        counting(homology, "row_sweep", swept, lambda shape, grades: grades)
+
+        def sweeps(cx, pres):
+            tables = [cx.chains[f2.spec].grade_index[d] for d in (0, 1, 2)] + \
+                [p.chain_complex().grade_index[d] for p in pres for d in (0, 1)]
+            return [[g is t for g in swept].count(True) for t in tables], len(swept)
+
         pres = [present_homology(cx, d, f2, check_hilbert=True) for d in (0, 1)]
-        chain = cx.chains[f2.spec]
         assert (len(builds), nullspaces, any(empty)) == (1, [], False)
-        assert sorted(map(id, swept)) == sorted(
-            [id(chain.grade_index[d]) for d in (0, 1, 2)]
-            + [id(p.chain_complex().grade_index[d]) for p in pres for d in (0, 1)])
+        assert sweeps(cx, pres) == ([1] * 7, 7 + 2)
+        line, swept[:] = fixed_scale_slice(cx, F(4)), []
+        pres = [present_homology(line, d, f2, check_hilbert=True) for d in (0, 1)]
+        diagrams = [barcode_1d(line, d, f2) for d in (0, 1)]
+        assert line.chains[f2.spec].max_deg == 2 and all(dg.points for dg in diagrams)
+        assert sweeps(line, pres) == ([1] * 7, 7 + 2)
 
     def test_z2_chain_and_sweep_call_no_field_method(self, f2, monkeypatch):
         # over Z/2 the boundary columns are int bitsets built with no sign,

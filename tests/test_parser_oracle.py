@@ -8,7 +8,10 @@ frame line lost, a trailing comment added).  On every text both sides
 accept, they print the same canonical text; on every text both refuse, they
 raise the same error class.  The only differences allowed are the ones
 `difference` names: the new refusals, the short lines now refused with the
-format's error, and the CSV trailing comments, now cut."""
+format's error, the grid module's malformed axis and transition lines (an
+axis line's number not followed by a colon, a transition line without its
+colon, its `axis` word or an axis of the module), once read as some other
+module, and the CSV trailing comments, now cut."""
 
 import random
 from fractions import Fraction as F
@@ -88,7 +91,7 @@ FORMATS = {
     "quadsys": (quadsys.parse_system, ref.parse_system, quadsys.export_system, systems,
                 {"refusal"}),
     "gridmodule": (homology.parse_grid_module, ref.parse_grid_module,
-                   lambda gm: gm.to_text(), grid_modules, {"refusal", "short"}),
+                   lambda gm: gm.to_text(), grid_modules, {"refusal", "short", "malformed"}),
     "complex": (filtration.parse_complex, ref.parse_complex,
                 lambda cx: cx.to_text(), complexes, set()),
     "diagram": (onedim.parse_diagram, ref.parse_diagram,
@@ -163,6 +166,8 @@ def difference(name, old, new):
     """Which allowed difference old and new outcomes show, or None."""
     if new[0] == "error" and str(new[1]).startswith(("second ", "axis lines ")):
         return "refusal"        # a repeated keyword line, or an axis line off the axes
+    if name == "gridmodule" and new[0] == "error" and str(new[1]).startswith("malformed "):
+        return "malformed"      # an axis or transition line out of its shape, once read
     if old[0] == "error" and type(old[1]) is ValueError and new[0] == "error" and \
             str(new[1]).startswith(("relation line without a name", "dim line without '='")):
         return "short"          # the format's error, naming the line, not Python's

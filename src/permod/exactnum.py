@@ -549,3 +549,15 @@ def parse_field(tokens):
         return PrimeField(int(tokens[1]))
     raise ValueError(f"unknown field spec: {' '.join(tokens) or '(none)'}")
 
+
+def parse_head(key, args, line, error):
+    """The value of a text format's head line: a `field` of exactly its
+    spec's tokens, any other key one int; else `error`, naming the line."""
+    count = 2 if key == "field" and args[:1] == ["zp"] else 1
+    try:
+        if len(args) == count:
+            return parse_field(args) if key == "field" else int(args[0])
+    except ValueError:
+        pass
+    raise error(f"malformed {key} line {line!r}")
+

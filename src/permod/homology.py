@@ -16,9 +16,10 @@ computation styles share the exact linear algebra kernel:
   grid points, held packed in the column type) for any parameter count,
   each made by `build_grid_module` from the data computed once per grid
   point, its builder handing over transitions already packed.  A
-  complex's, an image's or a presentation's (its two-term complex's) data
-  is a basis of H_d by `linalg.quotient_basis`, the cycles and boundaries
-  from one growing reduction per grid column (`_column_growth`);
+  complex's or an image's data is a basis of H_d by `linalg.quotient_basis`,
+  the cycles and boundaries from one growing reduction per grid column
+  (`_column_growth`), picked in chain position order; a presentation's
+  module is H_0 of its two-term complex, by that one route;
   resamplings and cluster modules (``infer``) bring their own;
 * presentations of homology for 1 and 2 parameters, in the column type from
   end to end: the critical grid is swept row by row with one span of kernel
@@ -38,7 +39,7 @@ import operator
 from fractions import Fraction
 
 from .exactnum import (INF, common_denominator, ext, format_rational,
-                       least_feasible, parse_field, parse_rational, scaled_int,
+                       least_feasible, parse_head, parse_rational, scaled_int,
                        text_lines)
 from .linalg import ColumnReducer, packed_rank as mat_rank, quotient_basis, quotient_map
 from .linalg import mat_mul, nullspace  # noqa: F401 (perfbench traces them)
@@ -359,6 +360,18 @@ def build_grid_module(field, axes, point, dim, transition):
     return GridModule(field, axes, dims, trans)
 
 
+def _ints(tokens, ln, what, count=None):
+    """The ints of tokens (count of them, if given), else a HomologyError
+    naming the line."""
+    try:
+        out = tuple(map(int, tokens))
+        if count in (None, len(out)):
+            return out
+    except ValueError:
+        pass
+    raise HomologyError(f"malformed {what} line {ln!r}")
+
+
 def parse_grid_module(text):
     head, axes, dims, trans_rows = {}, {}, {}, []   # head: the field and axes values
     for ln in text_lines(text, "GRIDMODULE", HomologyError):
@@ -367,24 +380,23 @@ def parse_grid_module(text):
             raise HomologyError(f"short line {ln!r}")
         if key in head:
             raise HomologyError(f"second {key} line {ln!r}")
-        if key == "field":
-            head[key] = parse_field(args)
-        elif key == "axes":
-            head[key] = int(args[0])
+        if key in ("field", "axes"):
+            head[key] = parse_head(key, args, ln, HomologyError)
         elif key == "axis":
             if args[1:2] != [":"]:
                 raise HomologyError(f"malformed axis line {ln!r}")
-            if int(args[0]) in axes:
-                raise HomologyError(f"second axis {args[0]} line {ln!r}")
-            axes[int(args[0])] = [parse_rational(t) for t in args[2:]]
+            (k,) = _ints(args[:1], ln, key)
+            if k in axes:
+                raise HomologyError(f"second axis {k} line {ln!r}")
+            axes[k] = [parse_rational(t) for t in args[2:]]
         elif key == "dim":
             where, eq, dim = ln[3:].partition("=")
             if not eq:
                 raise HomologyError(f"dim line without '=' {ln!r}")
-            idx = tuple(int(t) for t in where.split())
+            idx, (dim,) = _ints(where.split(), ln, key), _ints(dim.split(), ln, key, 1)
             if idx in dims:
                 raise HomologyError(f"second dim {idx} line {ln!r}")
-            dims[idx] = int(dim)
+            dims[idx] = dim
         elif key == "trans":
             trans_rows.append(ln)
         else:
@@ -402,8 +414,7 @@ def parse_grid_module(text):
         if not colon or len(toks) != nparams + 3 or toks[-2] != "axis" or \
                 toks[-1] not in map(str, range(nparams)):
             raise HomologyError(f"malformed transition line {ln!r}")
-        idx = tuple(int(t) for t in toks[1:1 + nparams])
-        axis = int(toks[2 + nparams])
+        idx, axis = _ints(toks[1:1 + nparams], ln, "transition"), int(toks[2 + nparams])
         if (idx, axis) in trans:
             raise HomologyError(f"second transition at {idx} axis {axis}")
         rows = [[field.of(parse_rational(t)) for t in chunk.split()]
@@ -471,27 +482,12 @@ def _homology_bases(c1, c2, degree, to2=None):
     return basis_at
 
 
-def _presentation_bases(p):
-    """basis_at(z): the units at their `p.chain_complex()` positions of p's
-    generators active at z, keyed by index from the last down, modulo the
-    active relations, from one growing reduction of them per grid column."""
-    chain = p.chain_complex()
-    relations_at, kind = _column_growth(chain, 1, False), p.field.columns
-    index, order = chain.grade_index[0], chain.bases[0]
-
-    def basis_at(z):
-        top = chain.floor(z)
-        gens = [] if top is None else sorted(
-            ((order[i], i) for lo, hi in leq_runs(index, top) for i in range(lo, hi)), reverse=True)
-        return quotient_basis(p.field, relations_at(top)[0], ((j, kind.unit(i)) for j, i in gens))
-    return basis_at
-
-
 def grid_module_of(source, axes, degree=None, field=None):
-    """Grid module of a presentation, or of H_degree of a bifiltered or a
-    chain complex."""
+    """Grid module of H_degree of a bifiltered or a chain complex, or of a
+    presentation: H_0 of its two-term complex, so its bases are picked from
+    the active generators in that complex's (grade index, -index) order."""
     if isinstance(source, Presentation):
-        return _quotient_grid_module(source.n, source.field, axes, _presentation_bases(source))
+        source, degree = source.chain_complex(), 0
     if degree is None:
         raise HomologyError("degree required for a chain source")
     chain = source if isinstance(source, GradedChainComplex) \

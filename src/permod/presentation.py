@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 
 from .exactnum import (QQ, ExtendedRational, as_fraction, common_denominator,
-                       format_rational, grade_ranks, parse_field, parse_rational,
+                       format_rational, grade_ranks, parse_head, parse_rational,
                        scaled_int, text_lines)
 from .linalg import ColumnReducer
 
@@ -411,10 +411,8 @@ def parse_presentation(text):
             raise PresentationError(f"{key} line without a value")
         if key in head:
             raise PresentationError(f"second {key} line: {ln}")
-        if key == "n":
-            head[key] = int(args[0])
-        elif key == "field":
-            head[key] = parse_field(args)
+        if key in ("n", "field"):
+            head[key] = parse_head(key, args, ln, PresentationError)
         elif key == "generator":
             if "n" not in head:
                 raise PresentationError("n must precede generators")

@@ -6,9 +6,15 @@ byte-identical grid-module text, composite matrices, ranks and rank-shift
 values.  The dense linear algebra they ran on is in reference_linalg.py.
 Presentation modules read each point's basis and transitions off the
 `ColumnSpan` quotient of `Presentation` before `linalg.quotient_basis`
-replaced it, as dense rows.  The end of the file keeps the sparse,
-tuple-indexed grid-module code that packed composites replaced, and after
-it the `ColumnSpan` basis tracker that the packed per-point bases replaced.
+replaced it, as dense rows.  A presentation's grid module is now H_0 of its
+two-term complex, so its text is pinned to `grid_module_of_chain` on that
+complex; the `ColumnSpan` quotient, on bases of its own, must agree with it
+up to basis: in dims and in every rank.  The end of the file keeps the
+sparse, tuple-indexed grid-module code that packed composites replaced,
+after it the `ColumnSpan` basis tracker that the packed per-point bases
+replaced, and last the presentations' own quotient route (bases offered
+by generator index from the last down) that the one route replaced, an
+oracle up to basis too.
 """
 
 import bisect
@@ -18,10 +24,13 @@ from fractions import Fraction
 from permod.exactnum import (INF, common_denominator, ext, format_rational,
                              least_feasible, scaled_int)
 from permod.filtration import FiltrationError, fixed_scale_slice
-from permod.homology import (GradedChainComplex, HomologyError,
+from permod.homology import (GradedChainComplex, HomologyError, _column_growth,
                              build_grid_module, chain_complex_of)
 from permod.linalg import ColumnSpan as SparseSpan, mat_mul as sparse_mat_mul
 from permod.linalg import nullspace as sparse_nullspace, rank as sparse_rank
+from permod.linalg import quotient_basis as packed_quotient_basis
+from permod.linalg import quotient_map as quotient_map_packed
+from permod.presentation import leq_runs
 from reference_homology import ColumnSpan, boundary
 from reference_linalg import identity, mat_mul, nullspace, rank as mat_rank, rows_of
 from reference_presentation import active
@@ -806,3 +815,36 @@ def span_image_grid_module(complex_, degree, delta1, delta2, axes, field):
 
     return build_grid_module(field, axes, basis_at, _span_basis_dim,
                              _span_basis_transition)
+
+
+# ---------------------------------------------------------------------------
+# Presentation grid modules by their own quotient route: the code that
+# reading a presentation's module as H_0 of its two-term complex replaced,
+# kept as it was (but for the names) as an oracle up to basis, dims and
+# ranks.  Its bases offer the active generators by index from the last
+# down; the one route offers them in chain position order.
+# ---------------------------------------------------------------------------
+
+def _presentation_bases(p):
+    """basis_at(z): the units at their `p.chain_complex()` positions of p's
+    generators active at z, keyed by index from the last down, modulo the
+    active relations, from one growing reduction of them per grid column."""
+    chain = p.chain_complex()
+    relations_at, kind = _column_growth(chain, 1, False), p.field.columns
+    index, order = chain.grade_index[0], chain.bases[0]
+
+    def basis_at(z):
+        top = chain.floor(z)
+        gens = [] if top is None else sorted(
+            ((order[i], i) for lo, hi in leq_runs(index, top) for i in range(lo, hi)), reverse=True)
+        return packed_quotient_basis(p.field, relations_at(top)[0],
+                                     ((j, kind.unit(i)) for j, i in gens))
+    return basis_at
+
+
+def index_order_grid_module_of_presentation(p, axes):
+    """p's grid module on axes by `_presentation_bases`."""
+    if len(axes) != p.n:
+        raise HomologyError("axes count must equal the parameter count")
+    return build_grid_module(p.field, axes, _presentation_bases(p),
+                             lambda basis: len(basis[0]), quotient_map_packed)

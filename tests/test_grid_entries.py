@@ -8,9 +8,11 @@ checks.  Checked here:
   are, and `step`, `trans` and `to_text` are views unpacked from them;
 * every refusal of `GridModule` raises through both entries, dict and
   packed, over Z/2 and Z/3;
-* the text of chain, image, presentation and resampled modules on seeded
-  inputs is byte for byte what it was when transitions were stored as
-  dicts, pinned by a sha256 taken from that code.
+* the text of chain, image and resampled modules on seeded inputs is byte
+  for byte what it was when transitions were stored as dicts, pinned by a
+  sha256 taken from that code; the text of presentation modules, H_0 of
+  their two-term complexes with bases picked in chain position order, is
+  pinned by its own sha256 and is the chain reference's on that complex.
 """
 
 import hashlib
@@ -24,19 +26,25 @@ from permod.homology import (GridModule, HomologyError, chain_complex_of,
                              resample)
 from permod.infer import cech_cluster_module, offset_cluster_module
 
+import reference_grid as ref
 from conftest import random_one_critical_complex, random_presentation, seeded
 from test_grid_oracle import widened
 
 F2, F3 = PrimeField(2), PrimeField(3)
 
-# sha256 of the joined texts of `seeded_modules()`, taken on the code that
-# stored each transition as {row: coeff} dicts
-TEXTS_SHA256 = "8ce8f399d76bc2020edc9fdcb6b5cf520514ab32d33b1d00f1cda774b37e398f"
+# sha256 of the joined texts of `seeded_modules()`: the chain, image and
+# resampled ones, taken on the code that stored each transition as
+# {row: coeff} dicts; the presentation ones, taken when their bases became
+# those of H_0 of the two-term complex (candidates in chain position
+# order, where they had been offered by generator index from the last down)
+CHAIN_TEXTS_SHA256 = "3bb0491b72af64f2c8bccf348e7c51b6d5f3eb845512aac1804eab804d9eb4f2"
+PRESENTATION_TEXTS_SHA256 = "b35e390e613f6370911f1e88fe4b55c01876a74a68999e0e11ab9d64b939b697"
 
 
 def seeded_modules():
-    """Chain modules (1 to 3 parameters), their resamplings onto widened
-    axes, image modules and presentation modules over Z/2, Z/3 and Q."""
+    """(the presentation or None, module): chain modules (1 to 3 parameters),
+    their resamplings onto widened axes, image modules and presentation
+    modules over Z/2, Z/3 and Q."""
     rng, wide = seeded(9001), seeded(9002)
     for f in (F2, F3, QQ):
         for nparams in (1, 2, 3):
@@ -45,9 +53,9 @@ def seeded_modules():
                 axes = chain_complex_of(cx, f).axes
                 for degree in (0, 1):
                     gm = grid_module_of(cx, axes, degree=degree, field=f)
-                    yield gm
+                    yield None, gm
                     if nparams < 3:
-                        yield resample(gm, widened(wide, axes))
+                        yield None, resample(gm, widened(wide, axes))
         for nparams in (2, 3):
             for _ in range(3):
                 cx = random_one_critical_complex(rng, nparams, max_simplices=10)
@@ -55,14 +63,14 @@ def seeded_modules():
                 d1, d2 = sorted(rng.choice(scales) for _ in range(2))
                 axes = [sorted({g[a] for _, g in cx.simplices}) for a in range(nparams - 1)]
                 for degree in (0, 1):
-                    yield image_grid_module(cx, degree, d1, d2, widened(wide, axes), f)
+                    yield None, image_grid_module(cx, degree, d1, d2, widened(wide, axes), f)
         for n in (1, 2):
             for _ in range(4):
                 p = random_presentation(rng, f, n=n)
                 axes = p.critical_grades()[1]
                 if all(axes):
-                    yield grid_module_of(p, axes)
-                    yield grid_module_of(p, widened(wide, axes))
+                    yield p, grid_module_of(p, axes)
+                    yield p, grid_module_of(p, widened(wide, axes))
 
 
 def cluster_modules(f):
@@ -74,11 +82,19 @@ def cluster_modules(f):
 
 
 def test_texts_of_chain_image_presentation_and_resampled_modules_unchanged():
-    texts = [gm.to_text() for gm in seeded_modules()]
-    assert len(texts) > 100 and sum("trans" in t for t in texts) > 50
-    for text in texts:
+    texts = {False: [], True: []}
+    for p, gm in seeded_modules():
+        text = gm.to_text()
+        texts[p is not None].append(text)
+        if p is not None:
+            assert text == ref.grid_module_of_chain(p.chain_complex(), 0, gm.axes,
+                                                    gm.field).to_text()
+    assert len(texts[False]) > 100 and sum("trans" in t for t in texts[False]) > 50
+    assert len(texts[True]) > 20 and sum("trans" in t for t in texts[True]) > 10
+    for text in texts[False] + texts[True]:
         assert parse_grid_module(text).to_text() == text
-    assert hashlib.sha256("".join(texts).encode()).hexdigest() == TEXTS_SHA256
+    assert [hashlib.sha256("".join(texts[k]).encode()).hexdigest() for k in (False, True)] == \
+        [CHAIN_TEXTS_SHA256, PRESENTATION_TEXTS_SHA256]
 
 
 def test_builders_hand_over_packed_transitions(monkeypatch):
@@ -93,7 +109,7 @@ def test_builders_hand_over_packed_transitions(monkeypatch):
             handed.extend(type(col) for cols in trans.values() for col in cols)
         init(self, field, axes, dims, trans)
     monkeypatch.setattr(GridModule, "__init__", recording)
-    mods = list(seeded_modules())
+    mods = [gm for _, gm in seeded_modules()]
     mods += [gm for f in (F2, F3, QQ) for gm in cluster_modules(f)]
     monkeypatch.undo()
     assert len(handed) > 500 and set(handed) == {int}

@@ -59,6 +59,13 @@ def assert_same(new, old):
         assert new.rank_between(i1, i2) == old.rank_between(i1, i2)
 
 
+def assert_same_up_to_basis(new, old):
+    """The same dimensions, and the same rank between every pair i1 <= i2."""
+    assert new.dims == old.dims
+    for i1, i2 in index_pairs(new):
+        assert new.rank_between(i1, i2) == old.rank_between(i1, i2)
+
+
 def random_basis_change(rng, f, n):
     """A random invertible n x n matrix over Z/p and its inverse, built from
     elementary row operations."""
@@ -149,6 +156,9 @@ class TestAgainstReference:
                     assert new.to_text() == old.to_text()
 
     def test_presentation_modules(self):
+        """H_0 of the two-term complex: the chain reference's text,
+        composites and ranks on that complex, and up to basis the
+        `ColumnSpan` quotient and the replaced index-order route."""
         rng = seeded(227)
         for f in FIELDS + (QQ,):
             for n in (1, 2):
@@ -157,16 +167,21 @@ class TestAgainstReference:
                     axes = p.critical_grades()[1]
                     if any(not ax for ax in axes):
                         continue
-                    assert_same(grid_module_of(p, axes),
-                                ref.grid_module_of_presentation(p, axes))
+                    gm = grid_module_of(p, axes)
+                    assert_same(gm, ref.grid_module_of_chain(p.chain_complex(), 0, axes, f))
+                    assert_same_up_to_basis(gm, ref.grid_module_of_presentation(p, axes))
+                    assert_same_up_to_basis(
+                        gm, ref.index_order_grid_module_of_presentation(p, axes))
 
     def test_presentation_modules_match_the_span_quotient(self):
-        """Against the `ColumnSpan` quotient, over Z/2, Z/3, Z/5 and Q with
-        1 to 3 parameters, on critical and (up to 2 parameters) widened
-        axes: the text, and the composite and rank between every two grid
-        indices, read straight off the quotient so no composite is
-        multiplied through a zero space; `point_dim` at every grid value, and
-        the map between some pairs of them on the grid through the two."""
+        """Over Z/2, Z/3, Z/5 and Q with 1 to 3 parameters, on critical and
+        (up to 2 parameters) widened axes: the text, composites and ranks of
+        the chain reference on the two-term complex; up to basis the
+        replaced index-order route, and the `ColumnSpan` quotient's
+        dimensions and its rank between every two grid indices, read
+        straight off the quotient so no composite is multiplied through a
+        zero space; `point_dim` at every grid value, and the map between
+        some pairs of them on the grid through the two."""
         rng = seeded(271)
         for f in FIELDS + (PrimeField(5), QQ):
             for n, count, size in ((1, 8, 6), (2, 6, 5), (3, 3, 3)):
@@ -176,28 +191,27 @@ class TestAgainstReference:
                     if any(not ax for ax in axes):
                         continue
                     for grid in [axes] + [widened(rng, axes)] * (n < 3):
-                        # the dense square check cannot multiply through a
-                        # zero space; GridModule checks the squares packed
                         gm = grid_module_of(p, grid)
-                        assert gm.to_text() == \
-                            ref.grid_module_of_presentation(p, grid, False).to_text()
+                        assert_same(gm, ref.grid_module_of_chain(p.chain_complex(), 0, grid, f))
+                        assert_same_up_to_basis(
+                            gm, ref.index_order_grid_module_of_presentation(p, grid))
                         bases = {idx: ref.quotient_basis(p, gm.value(idx))
                                  for idx in gm.indices()}
                         for idx, (basis, _) in bases.items():
-                            assert p.point_dim(gm.value(idx)) == len(basis)
+                            assert p.point_dim(gm.value(idx)) == gm.dims[idx] == len(basis)
                         for i1, i2 in index_pairs(gm):
                             want = ref.quotient_map(p, bases[i1], bases[i2])
-                            assert gm.matrix_between(i1, i2) == want
                             assert gm.rank_between(i1, i2) == ref_linalg.rank(
                                 f, rows_of(f, want, gm.dims[i2]))
-                        # and on the grid through just the two ends
+                        # and on the grid through just the two ends, whose
+                        # bases are picked as on the whole grid
                         pairs = index_pairs(gm)
                         for i1, i2 in rng.sample(pairs, min(len(pairs), 10)):
                             a, b = gm.value(i1), gm.value(i2)
                             axes2 = [sorted({x, y}) for x, y in zip(a, b)]
                             ends = [tuple(map(list.index, axes2, g)) for g in (a, b)]
                             assert grid_module_of(p, axes2).matrix_between(*ends) == \
-                                ref.quotient_map(p, bases[i1], bases[i2])
+                                gm.matrix_between(i1, i2)
 
     def test_image_modules(self):
         """On critical and `widened` function axes (values below an axis and
@@ -339,8 +353,9 @@ class TestPackedPointBases:
                     ref.span_image_grid_module(*args).to_text()
 
     def test_presentation_module_builds_one_quotient_basis_per_point(self, monkeypatch):
-        # one quotient per grid point, its candidates the generators active
-        # there from the last index down
+        # one quotient per grid point, in index order, its candidates the
+        # units at the positions in the two-term complex of the generators
+        # active there, in position order
         f = PrimeField(2)
         cx = lattice_48()
         axes, p = chain_complex_of(cx, f).axes, homology.present_homology(cx, 1, f)
@@ -348,36 +363,47 @@ class TestPackedPointBases:
 
         def counted(field, subspace, candidates):
             candidates = list(candidates)
-            built.append([key for key, _ in candidates])
+            built.append([f.columns.unpack(col) for _, col in candidates])
             return quotient_basis(field, subspace, candidates)
         monkeypatch.setattr(homology, "quotient_basis", counted)
         gm = grid_module_of(p, axes)
-        assert sorted(built) == sorted(
-            [j for j in reversed(range(len(p.generators))) if grade_leq(p.generators[j][1], z)]
-            for z in map(gm.value, gm.indices()))
-        assert len(built) == 50
+        order = p.chain_complex().bases[0]
+        assert built == [[{r: f.one} for r, j in enumerate(order)
+                          if grade_leq(p.generators[j][1], z)]
+                         for z in map(gm.value, gm.indices())]
+        assert len(built) == 50 and max(map(len, built)) > 1
 
     def test_chain_module_reduces_each_vector_once(self, monkeypatch):
         """Per grid column, the cycle and boundary reductions add each
         nonempty d- and (d+1)-column active there once, and per grid point
         the quotient adds each candidate cycle once; only the transition
-        columns are unpacked, and no ColumnSpan or nullspace is used."""
-        cx, cases = lattice_48(), []
+        columns are unpacked, and no ColumnSpan or nullspace is used.  The
+        same for presentations over Z/2 and Z/3, read as H_0 of their
+        two-term complexes: per grid column each active relation is added
+        once, and per grid point each active generator offered once."""
+        cx, rng, sources = lattice_48(), seeded(293), []
         for f in FIELDS:
-            chain = chain_complex_of(cx, f)
+            sources += [(cx, chain_complex_of(cx, f), degree) for degree in (0, 1)]
+            ps = [homology.present_homology(cx, 1, f)] + [
+                random_presentation(rng, f, n=n, max_gens=5, max_rels=5)
+                for n in (1, 2, 3) for _ in range(3)]
+            sources += [(p, p.chain_complex(), 0) for p in ps if all(p.axes)]
+        cases = []
+        for source, chain, degree in sources:
             tails = list(itertools.product(*(range(len(ax)) for ax in chain.axes[1:])))
-            for degree in (0, 1):
-                grown = sum(grade_leq(g[1:], tail) for tail in tails
-                            for d in (degree, degree + 1)
-                            for g, col in zip(chain.grade_index[d], chain.columns[d]) if col)
-                cycles = sum(n - r for n, r in ref_presentation.active_ranks(chain, degree).values())
-                cases.append((f, chain.axes, degree, grown + cycles))
+            grown = sum(grade_leq(g[1:], tail) for tail in tails
+                        for d in (degree, degree + 1)
+                        for g, col in zip(chain.grade_index[d], chain.columns[d]) if col)
+            cycles = sum(n - r for n, r in ref_presentation.active_ranks(chain, degree).values())
+            cases.append((source, chain.field, chain.axes, degree, grown + cycles))
+        assert sum(isinstance(source, Presentation) for source, *_ in cases) > 12
         calls = count_kernel_calls(monkeypatch)
-        for f, axes, degree, adds in cases:
+        for source, f, axes, degree, adds in cases:
             calls.clear()
-            gm = grid_module_of(cx, axes, degree=degree, field=f)
-            assert dict(calls) == {"add_packed": adds,
-                                   "unpack": sum(map(len, gm.trans.values()))}
+            gm = grid_module_of(source, axes, degree=degree, field=f)
+            built = collections.Counter(calls)      # reading gm.trans unpacks again
+            assert built == collections.Counter(
+                add_packed=adds, unpack=sum(map(len, gm.trans.values())))
 
     def test_presentation_module_adds_each_vector_once(self, monkeypatch):
         """Per grid column (of the presentation's axes, where the grid's

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import operator
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -385,6 +386,23 @@ class TestGridModule:
         assert parse_grid_module(text).rank_between((0,), (1,)) == 1
         with pytest.raises(HomologyError, match=f"malformed .*{new}"):
             parse_grid_module(text.replace(old, new))
+
+    @pytest.mark.parametrize("old, new", [
+        ("field zp 2", "field zp 2 5"),                 # once read as zp 2
+        ("field zp 2", "field zp x"),                   # once Python's ValueError
+        ("axes 1", "axes 1 7"),                         # once read as axes 1
+        ("axes 1", "axes x"),
+        ("dim 0 = 1", "dim x = 1"),
+        ("dim 0 = 1", "dim 0 = 1 2"),
+        ("axis 0 : 0 1", "axis x : 0 1"),
+        ("trans 0 axis 0 : 1", "trans x axis 0 : 1"),
+    ])
+    def test_trailing_token_or_non_integer_refused(self, old, new):
+        text = ("GRIDMODULE\nfield zp 2\naxes 1\naxis 0 : 0 1\n"
+                "dim 0 = 1\ndim 1 = 1\ntrans 0 axis 0 : 1\nEND\n")
+        assert parse_grid_module(text).rank_between((0,), (1,)) == 1
+        with pytest.raises(HomologyError, match=f"^malformed .* line {re.escape(repr(new))}$"):
+            parse_grid_module(text.replace(old, new, 1))
 
     def test_descending_axis_rejected(self, f2):
         text = grid_module_of(interval_presentation(f2, 0, 1),

@@ -8,10 +8,15 @@ frame line lost, a trailing comment added).  On every text both sides
 accept, they print the same canonical text; on every text both refuse, they
 raise the same error class.  The only differences allowed are the ones
 `difference` names: the new refusals, the short lines now refused with the
-format's error, the grid module's malformed axis and transition lines (an
-axis line's number not followed by a colon, a transition line without its
-colon, its `axis` word or an axis of the module), once read as some other
-module, and the CSV trailing comments, now cut."""
+format's error, the malformed lines, and the CSV trailing comments, now
+cut.  Malformed lines are the grid module's axis and transition lines out
+of their shape (an axis line's number not followed by a colon, a
+transition line without its colon, its `axis` word or an axis of the
+module), once read as some other module, and in both the grid module and
+the presentation format a head line with a token too many (`field zp 2 5`,
+`n 1 9`), once read without it, or a value that is not a field or an
+integer where one is due, once Python's `ValueError`, each now the
+format's error naming the line."""
 
 import random
 from fractions import Fraction as F
@@ -87,7 +92,7 @@ def value_rows(rng):
 # the corpus must show)
 FORMATS = {
     "presentation": (presentation.parse_presentation, ref.parse_presentation,
-                     lambda p: p.to_text(), presentations, {"refusal", "short"}),
+                     lambda p: p.to_text(), presentations, {"refusal", "short", "malformed"}),
     "quadsys": (quadsys.parse_system, ref.parse_system, quadsys.export_system, systems,
                 {"refusal"}),
     "gridmodule": (homology.parse_grid_module, ref.parse_grid_module,
@@ -166,8 +171,9 @@ def difference(name, old, new):
     """Which allowed difference old and new outcomes show, or None."""
     if new[0] == "error" and str(new[1]).startswith(("second ", "axis lines ")):
         return "refusal"        # a repeated keyword line, or an axis line off the axes
-    if name == "gridmodule" and new[0] == "error" and str(new[1]).startswith("malformed "):
-        return "malformed"      # an axis or transition line out of its shape, once read
+    if name in ("gridmodule", "presentation") and new[0] == "error" and \
+            str(new[1]).startswith("malformed "):
+        return "malformed"      # a line out of its shape, once read or Python's ValueError
     if old[0] == "error" and type(old[1]) is ValueError and new[0] == "error" and \
             str(new[1]).startswith(("relation line without a name", "dim line without '='")):
         return "short"          # the format's error, naming the line, not Python's

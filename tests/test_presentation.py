@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -415,6 +416,19 @@ END
         text = f"PRESENTATION\nn 1\nfield zp 2\ngenerator g {gen}\nrelation r {rel} : g 1\nEND\n"
         with pytest.raises(PresentationError, match=f"^{name}: grade length != n$"):
             parse_presentation(text)
+
+    @pytest.mark.parametrize("old, new", [
+        ("n 1", "n 1 9"),                               # once read as n 1
+        ("n 1", "n x"),                                 # once Python's ValueError
+        ("field zp 2", "field zp 2 7"),                 # once read as zp 2
+        ("field zp 2", "field q 2"),                    # once read as q
+        ("field zp 2", "field zp x"),
+    ])
+    def test_trailing_token_or_non_integer_head_refused(self, old, new):
+        text = "PRESENTATION\nn 1\nfield zp 2\ngenerator g 0\nrelation r 1 : g 1\nEND\n"
+        assert parse_presentation(text).point_dim((F(1),)) == 0
+        with pytest.raises(PresentationError, match=f"^malformed .* line {re.escape(repr(new))}$"):
+            parse_presentation(text.replace(old, new, 1))
 
     def test_parse_errors(self):
         with pytest.raises(PresentationError):
